@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check bench bench-shuffle bench-relop bench-controlplane bench-service bench-graph fuzz-short chaos trace
+.PHONY: build vet lint test race check check-benchmark bench bench-shuffle bench-relop bench-controlplane bench-service bench-graph fuzz-short chaos trace
 
 build:
 	$(GO) build ./...
@@ -37,9 +37,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the tier-1 gate plus lint and the race detector; CI runs
-# exactly this.
-check: build lint race
+# check is the tier-1 gate plus lint, the race detector and the benchmark
+# module; CI runs exactly this.
+check: build lint race check-benchmark
+
+# check-benchmark vets and tests benchmark/, a Go module of its own that
+# `./...` at the root does not reach, so that a rename under internal/ that
+# breaks the benchmark's imports fails the change that makes it.
+check-benchmark:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
@@ -87,10 +94,12 @@ bench-service:
 bench-graph:
 	$(GO) run ./cmd/tez-bench -exp graph -graph-json BENCH_graph.json
 
-# fuzz-short gives the record-framing decoders a brief coverage-guided
+# fuzz-short gives the record-framing decoders and the sort order (prefix
+# index sort against the full-comparator oracle) a brief coverage-guided
 # shake on every run (the checked-in corpus under testdata/fuzz replays
 # regardless, as ordinary tests).
 fuzz-short:
+	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzBufferReader -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzDMInfo -fuzztime 5s ./internal/library/

@@ -61,7 +61,7 @@ func BenchmarkAblationObjectRegistry(b *testing.B)   { runFigure(b, bench.Ablati
 func BenchmarkAblationSpeculation(b *testing.B)      { runFigure(b, bench.AblationSpeculation) }
 
 // BenchmarkAblationShuffleSort regenerates the shuffle sort data-plane
-// table: boxed pairs vs arena pointer sort vs spill-constrained vs flate
+// table: boxed pairs vs arena key-prefix index sort vs spill-constrained vs flate
 // (run `make bench-shuffle` to persist it as BENCH_shuffle.json).
 func BenchmarkAblationShuffleSort(b *testing.B) { runFigure(b, bench.AblationShuffleSort) }
 

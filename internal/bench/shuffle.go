@@ -192,7 +192,7 @@ func ShuffleSortResults(sc Scale) ([]ShuffleBenchResult, error) {
 }
 
 // AblationShuffleSort renders the map-side sort ablation: boxed pairs vs
-// the arena pointer sort, with spilling and wire compression ablated in.
+// the arena key-prefix index sort, with spilling and wire compression ablated in.
 func AblationShuffleSort(sc Scale) (*Report, error) {
 	rows, err := ShuffleSortResults(sc)
 	if err != nil {
@@ -205,7 +205,7 @@ func AblationShuffleSort(sc Scale) (*Report, error) {
 func ShuffleSortReport(rows []ShuffleBenchResult) *Report {
 	rep := &Report{
 		Figure:  "Ablation",
-		Title:   "Shuffle sort data plane: boxed pairs vs arena pointer sort",
+		Title:   "Shuffle sort data plane: boxed pairs vs arena key-prefix index sort",
 		Headers: []string{"variant", "ns/op", "B/op", "allocs/op", "allocs/record", "ns/record"},
 		Notes: []string{
 			fmt.Sprintf("%d records, 8 partitions per op; arena-spill runs a constrained sort budget, arena-flate compresses the wire blocks", rows[0].Records),

@@ -6,7 +6,6 @@
 package library
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -153,31 +152,4 @@ func CountRecords(buf []byte) (int, error) {
 		n++
 	}
 	return n, r.Err()
-}
-
-// pair is an in-memory KV pair used by sorters and buffers.
-type pair struct {
-	k, v []byte
-}
-
-// encodePairs encodes pairs into one buffer.
-func encodePairs(ps []pair) []byte {
-	var size int
-	for _, p := range ps {
-		size += RecordSize(p.k, p.v)
-	}
-	buf := make([]byte, 0, size)
-	for _, p := range ps {
-		buf = AppendRecord(buf, p.k, p.v)
-	}
-	return buf
-}
-
-// compareKV orders pairs by key then value (value tiebreak keeps sorts
-// deterministic for tests).
-func compareKV(a, b pair) int {
-	if c := bytes.Compare(a.k, b.k); c != 0 {
-		return c
-	}
-	return bytes.Compare(a.v, b.v)
 }

@@ -3,7 +3,6 @@ package library
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -20,9 +19,13 @@ func (HashPartitioner) Partition(key []byte, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := fnv.New32a()
-	_, _ = h.Write(key)
-	return int(h.Sum32() % uint32(n))
+	// hash/fnv's New32a, inlined: the same values without a hash.Hash32
+	// behind an interface for every record.
+	h := uint32(2166136261)
+	for _, b := range key {
+		h = (h ^ uint32(b)) * 16777619
+	}
+	return int(h % uint32(n))
 }
 
 // RangePartitioner routes keys by comparison against sorted split points —

@@ -105,16 +105,16 @@ const (
 
 // OrderedPartitionedKVOutput is the map-side shuffle transport — the
 // in-process analog of Tez's ExternalSorter + IFile. Records are appended
-// to a contiguous byte arena with a compact index; the index is
-// pointer-sorted by (partition, key, value); a configured memory budget
-// (SortMB / SortBytes) spills sorted encoded runs, each optionally
-// pre-aggregated by a registered combiner; Close merges spills with the
-// in-memory remainder per partition (fanned out across a small worker
-// pool), compresses each partition with the configured block codec,
-// registers the partitions with the node's shuffle service, and announces
-// them with one DataMovement event per partition plus a VMStats
-// statistics event. The partition count comes from the edge manager via
-// Context.PhysicalCount.
+// to a contiguous byte arena with a compact index; the index is sorted
+// into (partition, key, value) order on its cached key prefixes; a
+// configured memory budget (SortMB / SortBytes) spills sorted encoded
+// runs, each optionally pre-aggregated by a registered combiner; Close
+// merges spills with the in-memory remainder per partition (fanned out
+// across a small worker pool), compresses each partition with the
+// configured block codec, registers the partitions with the node's
+// shuffle service, and announces them with one DataMovement event per
+// partition plus a VMStats statistics event. The partition count comes
+// from the edge manager via Context.PhysicalCount.
 type OrderedPartitionedKVOutput struct {
 	ctx         *runtime.Context
 	cfg         OrderedPartitionedConfig
@@ -122,6 +122,7 @@ type OrderedPartitionedKVOutput struct {
 	combine     CombineFunc
 	codec       BlockCodec
 	limit       int64 // sort budget in bytes; 0 = unbounded
+	arenaMax    int64 // arena bytes the index can address (maxArenaBytes)
 	parts       int
 	sb          *sortBuffer
 	spills      [][][]byte // spills[s][p] = sorted encoded run (barrier mode)
@@ -159,6 +160,7 @@ func (o *OrderedPartitionedKVOutput) Initialize(ctx *runtime.Context) error {
 	}
 	o.parts = ctx.PhysicalCount
 	o.limit = o.sortLimit()
+	o.arenaMax = maxArenaBytes
 	o.pipelined = o.cfg.Pipelined || ctx.Services.ShufflePipelined ||
 		(ctx.Services.Shuffle != nil && ctx.Services.Shuffle.Pipelined())
 	if o.pipelined {
@@ -209,7 +211,21 @@ func (o *OrderedPartitionedKVOutput) Writer() (any, error) {
 }
 
 func (o *OrderedPartitionedKVOutput) write(k, v []byte) error {
-	o.sb.add(o.partitioner.Partition(k, o.parts), k, v)
+	part := o.partitioner.Partition(k, o.parts)
+	if part < 0 || part >= o.parts {
+		return fmt.Errorf("library: partitioner sent a key to partition %d of %d", part, o.parts)
+	}
+	// The index addresses the arena with 32 bits: whatever the budget, a
+	// run is spilled before the arena outgrows them.
+	if size := int64(len(k)) + int64(len(v)); int64(len(o.sb.arena))+size > o.arenaMax {
+		if size > o.arenaMax {
+			return fmt.Errorf("library: record of %d bytes exceeds the sort buffer's %d", size, o.arenaMax)
+		}
+		if err := o.spill(); err != nil {
+			return err
+		}
+	}
+	o.sb.add(part, k, v)
 	if o.limit > 0 && o.sb.used() >= o.limit {
 		return o.spill()
 	}
@@ -227,7 +243,7 @@ func (o *OrderedPartitionedKVOutput) spill() error {
 	ctr := o.ctx.Services.Counters
 	start := time.Now()
 	sortStart := start
-	o.sb.sort()
+	o.sb.sort(o.parts)
 	sortNS := time.Since(sortStart).Nanoseconds()
 	runs := make([][]byte, o.parts)
 	for p := 0; p < o.parts; p++ {
@@ -296,7 +312,7 @@ func (o *OrderedPartitionedKVOutput) spillPipelined() error {
 func (o *OrderedPartitionedKVOutput) publishIncrement(final bool) ([]event.Event, error) {
 	ctr := o.ctx.Services.Counters
 	start := time.Now()
-	o.sb.sort()
+	o.sb.sort(o.parts)
 	sortNS := time.Since(start).Nanoseconds()
 	if ctr != nil {
 		ctr.Add("SHUFFLE_SORT_TIME_NS", sortNS)
@@ -395,7 +411,7 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	}
 	ctr := o.ctx.Services.Counters
 	sortStart := time.Now()
-	o.sb.sort()
+	o.sb.sort(o.parts)
 	if ctr != nil {
 		ctr.Add("SHUFFLE_SORT_TIME_NS", time.Since(sortStart).Nanoseconds())
 	}
@@ -615,9 +631,9 @@ type fetchSet struct {
 	// movement); a pipelined producer grows stored/merged increment by
 	// increment until the final announcement fixes total.
 	states    map[int]*inputState
-	expect    map[int]int          // physical input index -> latest announced attempt
-	inflight  map[[2]int]bool      // (input index, spill) currently being fetched
-	premerged [][]byte             // intermediate merge outputs (ordered path)
+	expect    map[int]int     // physical input index -> latest announced attempt
+	inflight  map[[2]int]bool // (input index, spill) currently being fetched
+	premerged [][]byte        // intermediate merge outputs (ordered path)
 	// pending is a FIFO consumed through a head cursor (compacted when
 	// the dead prefix dominates) — the previous re-slice-on-every-scan
 	// made each wake O(queue) and the whole drain O(n²). Movements whose

@@ -1,76 +1,175 @@
 package library
 
-import (
-	"container/heap"
-	"sort"
-)
-
-// sortPairs sorts in place by key (value tiebreak).
-func sortPairs(ps []pair) {
-	sort.Slice(ps, func(i, j int) bool { return compareKV(ps[i], ps[j]) < 0 })
-}
-
 // mergeReader k-way merges sorted runs (each an encoded buffer) into a
-// single key-ordered stream. It implements runtime.KVReader.
+// single stream ordered by (key, value). It implements runtime.KVReader
+// and serves the map-side final merge, the reduce-side pre-merge and the
+// grouped reader alike.
+//
+// It is a binary min-heap of small entries, one per unexhausted run, each
+// carrying its run's current key prefix so that most comparisons are one
+// integer compare and never touch the run. Sorted runs of a shuffle are
+// full of stretches where one run wins again and again (every duplicate
+// of a key, every key the other runs lack), so the root's smaller child —
+// the runner-up — is remembered across records: as long as the winner's
+// next record is not above it the heap is left alone, at one comparison
+// per record.
 type mergeReader struct {
-	h   runHeap
-	key []byte
-	val []byte
-	err error
+	cur      []mergeCursor
+	heap     []mergeEntry
+	runnerUp int // heap index of the root's smaller child; 0 when it has none
+	key, val []byte
+	err      error
 }
 
-type runCursor struct {
-	r *BufferReader
+// mergeCursor is the read position in one run.
+type mergeCursor struct {
+	run      []byte
+	start    int // offset of the current record
+	end      int // offset just past it
+	key, val []byte
 }
 
-type runHeap []*runCursor
-
-func (h runHeap) Len() int { return len(h) }
-func (h runHeap) Less(i, j int) bool {
-	return compareKV(pair{h[i].r.Key(), h[i].r.Value()}, pair{h[j].r.Key(), h[j].r.Value()}) < 0
+// mergeEntry is a heap slot: a cursor and the keyPrefix of its current key.
+type mergeEntry struct {
+	prefix uint64
+	cur    int32
 }
-func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *runHeap) Push(x any)   { *h = append(*h, x.(*runCursor)) }
-func (h *runHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+
+// advance decodes the record after the current one. It reports false at
+// the end of the run and on a corrupt record, which also returns an error.
+func (c *mergeCursor) advance() (ok bool, err error) {
+	k, v, n, err := DecodeRecord(c.run[c.end:])
+	if err != nil || n == 0 {
+		return false, err
+	}
+	c.key, c.val, c.start, c.end = k, v, c.end, c.end+n
+	return true, nil
+}
 
 // newMergeReader primes a cursor per non-empty run.
 func newMergeReader(runs [][]byte) *mergeReader {
-	m := &mergeReader{}
+	m := &mergeReader{
+		cur:  make([]mergeCursor, 0, len(runs)),
+		heap: make([]mergeEntry, 0, len(runs)),
+	}
 	for _, run := range runs {
-		c := &runCursor{r: NewBufferReader(run)}
-		if c.r.Next() {
-			m.h = append(m.h, c)
-		} else if err := c.r.Err(); err != nil {
+		c := mergeCursor{run: run}
+		ok, err := c.advance()
+		if err != nil {
 			m.err = err
 		}
+		if ok {
+			m.heap = append(m.heap, mergeEntry{prefix: keyPrefix(c.key), cur: int32(len(m.cur))})
+			m.cur = append(m.cur, c)
+		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
+	m.findRunnerUp()
 	return m
+}
+
+// less reports whether a's current record sorts strictly before b's.
+func (m *mergeReader) less(a, b mergeEntry) bool {
+	if a.prefix != b.prefix {
+		return a.prefix < b.prefix
+	}
+	ca, cb := &m.cur[a.cur], &m.cur[b.cur]
+	return compareSamePrefix(ca.key, ca.val, cb.key, cb.val) < 0
+}
+
+// siftDown restores the heap below slot i.
+func (m *mergeReader) siftDown(i int) {
+	h := m.heap
+	e := h[i]
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if child+1 < len(h) && m.less(h[child+1], h[child]) {
+			child++
+		}
+		if !m.less(h[child], e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
+}
+
+func (m *mergeReader) findRunnerUp() {
+	switch h := m.heap; {
+	case len(h) < 2:
+		m.runnerUp = 0
+	case len(h) > 2 && m.less(h[2], h[1]):
+		m.runnerUp = 2
+	default:
+		m.runnerUp = 1
+	}
+}
+
+// step moves the winning cursor past its current record and reports
+// whether the same run wins again. It must not be called on an empty heap.
+func (m *mergeReader) step() (stays bool) {
+	c := &m.cur[m.heap[0].cur]
+	ok, err := c.advance()
+	if !ok {
+		if err != nil {
+			m.err = err
+		}
+		last := len(m.heap) - 1
+		m.heap[0] = m.heap[last]
+		m.heap = m.heap[:last]
+		if last > 1 {
+			m.siftDown(0)
+		}
+		m.findRunnerUp()
+		return false
+	}
+	m.heap[0].prefix = keyPrefix(c.key)
+	if m.runnerUp == 0 || !m.less(m.heap[m.runnerUp], m.heap[0]) {
+		return true
+	}
+	m.siftDown(0)
+	m.findRunnerUp()
+	return false
 }
 
 // Next pops the globally smallest pair.
 func (m *mergeReader) Next() bool {
-	if m.err != nil || m.h.Len() == 0 {
+	if m.err != nil || len(m.heap) == 0 {
 		return false
 	}
-	c := m.h[0]
-	m.key = c.r.Key()
-	m.val = c.r.Value()
-	if c.r.Next() {
-		heap.Fix(&m.h, 0)
-	} else {
-		if err := c.r.Err(); err != nil {
-			m.err = err
-			return false
-		}
-		heap.Pop(&m.h)
-	}
-	return true
+	c := &m.cur[m.heap[0].cur]
+	m.key, m.val = c.key, c.val
+	m.step()
+	return m.err == nil
 }
 
 func (m *mergeReader) Key() []byte   { return m.key }
 func (m *mergeReader) Value() []byte { return m.val }
 func (m *mergeReader) Err() error    { return m.err }
+
+// appendEncoded drains the merge into dst in encoded form. Runs hold
+// records exactly as AppendRecord writes them, so each stretch one run
+// wins is copied from it as it stands, in one append, rather than decoded
+// and encoded again.
+func (m *mergeReader) appendEncoded(dst []byte) ([]byte, error) {
+	for m.err == nil && len(m.heap) > 0 {
+		c := &m.cur[m.heap[0].cur]
+		from, to := c.start, c.end
+		for m.step() {
+			to = c.end
+		}
+		if m.err == nil {
+			dst = append(dst, c.run[from:to]...)
+		}
+	}
+	return dst, m.err
+}
 
 // groupedReader groups a key-ordered KV stream into (key, values) — the
 // reduce-side view. It implements runtime.GroupedKVReader.

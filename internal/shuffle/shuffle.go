@@ -219,14 +219,17 @@ func (s *Service) Register(node string, id OutputID, partitions [][]byte, tok ..
 	if err := s.authorize(id.DAG, t); err != nil {
 		return fmt.Errorf("shuffle: register %s: %w", id, err)
 	}
+	// The copy is the expensive part and touches nothing shared, so it is
+	// made before the service-wide lock is taken: a producer registering
+	// megabytes must not stall every other fetch and registration.
+	cp := make([][]byte, len(partitions))
+	for i, p := range partitions {
+		cp[i] = append([]byte(nil), p...)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.live[node] {
 		return fmt.Errorf("shuffle: register on dead node %s: %w", node, ErrDataLost)
-	}
-	cp := make([][]byte, len(partitions))
-	for i, p := range partitions {
-		cp[i] = append([]byte(nil), p...)
 	}
 	s.outputs[id] = &output{node: node, partitions: cp}
 	return nil

@@ -278,3 +278,53 @@ func TestQuickRegisterFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRegisterConcurrentWithFetch: producers register fresh outputs
+// (reusing their buffers straight after, as the pooled producer side
+// does) while consumers fetch an output registered earlier. Register
+// copies outside the service lock, so under -race this checks that the
+// copy shares nothing with a fetch and that each stored copy is whole.
+func TestRegisterConcurrentWithFetch(t *testing.T) {
+	s := newService(2)
+	want := bytes.Repeat([]byte("stable"), 1<<10)
+	if err := s.Register("n0", oid(0, 0), [][]byte{want}); err != nil {
+		t.Fatal(err)
+	}
+	const producers, rounds = 4, 50
+	var wg sync.WaitGroup
+	for p := 1; p <= producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			buf := make([]byte, 64<<10)
+			for r := 0; r < rounds; r++ {
+				for i := range buf {
+					buf[i] = byte(r)
+				}
+				if err := s.Register("n1", oid(p, r), [][]byte{buf}); err != nil {
+					t.Errorf("register %d/%d: %v", p, r, err)
+					return
+				}
+				got, err := s.Fetch(oid(p, r), 0, "n0")
+				if err != nil || len(got) != len(buf) || got[0] != byte(r) || got[len(got)-1] != byte(r) {
+					t.Errorf("fetch %d/%d: %d bytes, err %v", p, r, len(got), err)
+					return
+				}
+			}
+		}(p)
+	}
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds*producers; r++ {
+				got, err := s.Fetch(oid(0, 0), 0, "n1")
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("fetch of the stable output: %d bytes, err %v", len(got), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
