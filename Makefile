@@ -12,10 +12,7 @@ vet:
 # in internal/am must flow through the internal/fsm transition tables —
 # no raw `.state = ...` assignments), the data-plane invariant (the batch
 # kernels must never fall back to per-record expression evaluation — no
-# `.Eval(` in the vectorized files), the shuffle publication invariant
-# (all map outputs register through library.RegisterShuffleOutput so the
-# pipelined spill protocol has a single choke point — no direct
-# `Shuffle.Register` outside internal/library), and staticcheck when installed
+# `.Eval(` in the vectorized files), and staticcheck when installed
 # (skipped gracefully where it is not; CI does not install it).
 lint: vet
 	@if grep -rnE '\.state[[:space:]]*=[^=]' internal/am --include='*.go'; then \
@@ -23,10 +20,6 @@ lint: vet
 	fi
 	@if grep -nE '\.Eval\(' internal/relop/vexpr.go internal/relop/vexec.go internal/relop/vagg.go; then \
 		echo 'lint: per-record Eval in the batch kernels (use the columnar kernels)'; exit 1; \
-	fi
-	@if grep -rnE 'Shuffle\.Register\(' --include='*.go' --exclude='*_test.go' . \
-		| grep -vE '^\./internal/(library|shuffle)/'; then \
-		echo 'lint: direct shuffle Register outside internal/library (use library.RegisterShuffleOutput)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -54,13 +47,11 @@ bench:
 # bench-shuffle measures the shuffle data plane: the go-bench view of the
 # sort/merge ablations plus the grouped-read allocation benchmark, then
 # the structured run that persists BENCH_shuffle.json (ns/op, B/op,
-# allocs/op for serial-boxed vs arena vs arena+spill vs arena+flate, the
-# end-to-end codec rows, and the pipelined-vs-barrier publication
-# ablation at 1/4/16 spills per producer). CI uploads the JSON as an
-# artifact.
+# allocs/op for serial-boxed vs arena vs arena+spill vs arena+flate, and
+# the end-to-end codec rows). CI uploads the JSON as an artifact.
 bench-shuffle:
 	$(GO) test -run XXX -bench BenchmarkGroupedRead -benchmem ./internal/library/
-	$(GO) run ./cmd/tez-bench -exp shuffle-sort,shuffle-codec,shuffle-pipeline -shuffle-json BENCH_shuffle.json
+	$(GO) run ./cmd/tez-bench -exp shuffle-sort,shuffle-codec -shuffle-json BENCH_shuffle.json
 
 # bench-relop measures the vectorization ablation: filter / project /
 # hashjoin / aggregate kernels row-at-a-time vs columnar batches
@@ -94,10 +85,11 @@ bench-service:
 bench-graph:
 	$(GO) run ./cmd/tez-bench -exp graph -graph-json BENCH_graph.json
 
-# fuzz-short gives the record-framing decoders and the sort order (prefix
-# index sort against the full-comparator oracle) a brief coverage-guided
-# shake on every run (the checked-in corpus under testdata/fuzz replays
-# regardless, as ordinary tests).
+# fuzz-short gives the record-framing decoders, the sort order (prefix
+# index sort against the full-comparator oracle) and the shuffle's
+# control-plane payloads (legacy gob shapes must keep decoding) a brief
+# coverage-guided shake on every run (the checked-in corpus under
+# testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/library/
@@ -105,13 +97,13 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzDMInfo -fuzztime 5s ./internal/library/
 
 # chaos runs the seed-pinned fault-injection suite under the race
-# detector: the determinism contract, the blacklisting/casualty paths in
-# the AM, and the end-to-end seeds×DAGs matrix (results must be identical
-# to a fault-free run). Seeds are fixed in the tests, so failures
-# reproduce exactly.
+# detector: the determinism contract, the blacklisting/casualty paths and
+# the retraction of an announced-then-failed attempt in the AM, and the
+# end-to-end seeds×DAGs matrix (results must be identical to a fault-free
+# run). Seeds are fixed in the tests, so failures reproduce exactly.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
-	$(GO) test -race -count=1 -run 'TestChaos|TestBlacklist|TestAttemptFailureRacingNodeLoss|TestDecommissionDrain' ./internal/am/
+	$(GO) test -race -count=1 -run 'TestChaos|TestBlacklist|TestAttemptFailureRacingNodeLoss|TestDecommissionDrain|TestRetractAnnouncedAttempt' ./internal/am/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

@@ -20,7 +20,7 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small | full")
-	expFlag := flag.String("exp", "all", "comma-separated experiments: f8,f9,f10,f11,f12,f13,chaos,ablations,shuffle-sort,shuffle-codec,shuffle-pipeline,relop,controlplane,controlplane-quick,service,graph")
+	expFlag := flag.String("exp", "all", "comma-separated experiments: f8,f9,f10,f11,f12,f13,chaos,ablations,shuffle-sort,shuffle-codec,relop,controlplane,controlplane-quick,service,graph")
 	shuffleJSON := flag.String("shuffle-json", "", "write shuffle-sort/shuffle-codec results to this JSON file")
 	relopJSON := flag.String("relop-json", "", "write the vectorization ablation to this JSON file")
 	cpJSON := flag.String("controlplane-json", "", "write control-plane results to this JSON file")
@@ -84,10 +84,9 @@ func main() {
 	// -shuffle-json can persist them (BENCH_shuffle.json) alongside the
 	// printed tables.
 	var shufflePayload struct {
-		Scale    string                        `json:"scale"`
-		Sort     []bench.ShuffleBenchResult    `json:"sort,omitempty"`
-		Codec    []bench.ShuffleCodecResult    `json:"codec,omitempty"`
-		Pipeline []bench.ShufflePipelineResult `json:"pipeline,omitempty"`
+		Scale string                     `json:"scale"`
+		Sort  []bench.ShuffleBenchResult `json:"sort,omitempty"`
+		Codec []bench.ShuffleCodecResult `json:"codec,omitempty"`
 	}
 	shufflePayload.Scale = sc.Name
 	if all || want["shuffle-sort"] {
@@ -105,14 +104,6 @@ func main() {
 		}
 		shufflePayload.Codec = rows
 		fmt.Println(bench.ShuffleCodecReport(rows))
-	}
-	if all || want["shuffle-pipeline"] {
-		rows, err := bench.ShufflePipelineResults(sc)
-		if err != nil {
-			log.Fatalf("shuffle-pipeline: %v", err)
-		}
-		shufflePayload.Pipeline = rows
-		fmt.Println(bench.ShufflePipelineReport(rows))
 	}
 	// The vectorization ablation (ISSUE 9): relational kernels row vs
 	// columnar, plus the Hive/Pig engines end to end under row, columnar
@@ -232,7 +223,7 @@ func main() {
 		}
 	}
 
-	if *shuffleJSON != "" && (shufflePayload.Sort != nil || shufflePayload.Codec != nil || shufflePayload.Pipeline != nil) {
+	if *shuffleJSON != "" && (shufflePayload.Sort != nil || shufflePayload.Codec != nil) {
 		blob, err := json.MarshalIndent(shufflePayload, "", "  ")
 		if err != nil {
 			log.Fatalf("shuffle-json: %v", err)

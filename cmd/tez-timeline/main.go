@@ -54,7 +54,6 @@ func main() {
 	lines := flag.Int("lines", 400, "input lines for the wordcount run")
 	chaosSeed := flag.Int64("chaos-seed", 0, "when non-zero, inject transient fetch faults with this seed")
 	tenant := flag.String("tenant", "", "keep only events attributed to this tenant before analysis and export")
-	pipelined := flag.Bool("pipelined", false, "run the wordcount with pipelined shuffle publication")
 	flag.Parse()
 
 	var events []timeline.Event
@@ -70,7 +69,7 @@ func main() {
 		}
 		fmt.Printf("journal %s: %d events\n\n", *in, len(events))
 	} else {
-		events = runWordcount(*nodes, *lines, *chaosSeed, *pipelined)
+		events = runWordcount(*nodes, *lines, *chaosSeed)
 	}
 
 	if *tenant != "" {
@@ -109,7 +108,7 @@ func main() {
 // runWordcount executes a two-vertex wordcount with the journal attached
 // to both the AM (control plane) and the platform (data plane) and
 // returns the recorded events.
-func runWordcount(nodes, lines int, chaosSeed int64, pipelined bool) []timeline.Event {
+func runWordcount(nodes, lines int, chaosSeed int64) []timeline.Event {
 	j := timeline.New()
 	pcfg := platform.Default(nodes)
 	pcfg.Timeline = j
@@ -143,15 +142,9 @@ func runWordcount(nodes, lines int, chaosSeed int64, pipelined bool) []timeline.
 		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/wc"}),
 		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/wc"}),
 	}}
-	var edgeCfg any
-	if pipelined {
-		// A byte-scale budget (the MB knobs are too coarse for this demo's
-		// input) so every map attempt publishes several spill increments.
-		edgeCfg = library.OrderedPartitionedConfig{SortBytes: 16 << 10, Pipelined: true}
-	}
 	d.Connect(tok, sum, dag.EdgeProperty{
 		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, edgeCfg),
+		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
 		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
 	})
 
@@ -199,8 +192,7 @@ func analyse(events []timeline.Event, dagID string) {
 	if stats := timeline.EdgeFetchStats(events, dagID); len(stats) > 0 {
 		fmt.Println("\nshuffle edges:")
 		for _, ef := range stats {
-			fmt.Printf("  %s->%s: %d fetches, %d bytes, %d increment(s) per source\n",
-				ef.Vertex, ef.Edge, ef.Fetches, ef.Bytes, ef.Increments)
+			fmt.Printf("  %s->%s: %d fetches, %d bytes\n", ef.Vertex, ef.Edge, ef.Fetches, ef.Bytes)
 		}
 	}
 }

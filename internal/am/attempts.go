@@ -127,10 +127,6 @@ func (r *dagRun) onAssigned(at *attemptState, pc *pooledContainer) {
 	at.task.lc.Fire(tEvLaunched)
 
 	spec := r.buildTaskSpec(at)
-	fetchPar := r.session.cfg.ShuffleFetchParallelism
-	if r.session.cfg.DisableParallelFetch {
-		fetchPar = 1
-	}
 	services := runtime.Services{
 		FS:               r.session.plat.FS,
 		Shuffle:          r.session.plat.Shuffle,
@@ -138,11 +134,10 @@ func (r *dagRun) onAssigned(at *attemptState, pc *pooledContainer) {
 		Registry:         pc.registry,
 		Counters:         r.counters,
 		Token:            r.token,
-		FetchParallelism: fetchPar,
+		FetchParallelism: r.session.cfg.ShuffleFetchParallelism,
 		SortMB:           r.session.cfg.ShuffleSortMB,
 		MergeFactor:      r.session.cfg.ShuffleMergeFactor,
 		Codec:            r.session.cfg.ShuffleCodec,
-		ShufflePipelined: r.session.cfg.ShufflePipelined,
 		RelopBatchSize:   r.session.cfg.RelopBatchSize,
 		Timeline:         r.tl(),
 	}
@@ -234,9 +229,8 @@ func (r *dagRun) replayEvents(at *attemptState) {
 	}
 	for _, es := range r.inEdges[vs.v.Name] {
 		for srcTask, sm := range es.srcs {
-			// Replay only the delivered attempt's stream, in emission order,
-			// so a late-joining consumer sees the same increment sequence a
-			// running one did.
+			// Replay only the delivered attempt's movements, in emission
+			// order, so a late-joining consumer sees what a running one did.
 			for _, dm := range sm.deliveredMovements() {
 				for destTask, inputIdx := range es.mgr.Route(srcTask, dm.SrcOutputIndex) {
 					if destTask != ts.idx {

@@ -74,36 +74,24 @@ type Config struct {
 
 	// ShuffleFetchParallelism sets the per-task shuffle fetcher-pool size
 	// (parallel fetcher goroutines per consumer, the fetcher threads of
-	// real Tez). Zero defers to shuffle.Config.FetchParallelism and then
-	// the library default (4); 1 forces serial fetching.
+	// real Tez). Zero means the library default (4); 1 or less forces
+	// serial fetching (the ablation setting for §3.4 overlap).
 	ShuffleFetchParallelism int
-	// DisableParallelFetch forces serial shuffle fetching regardless of
-	// ShuffleFetchParallelism (ablation knob for §3.4 overlap).
-	DisableParallelFetch bool
 	// ShuffleSortMB caps the map-side sort buffer of ordered shuffle
 	// outputs (MiB): past the cap a sorted run is spilled and merged back
-	// at close, the ExternalSorter discipline. Zero defers to
-	// shuffle.Config.SortMB (default unbounded); negative forces
-	// unbounded.
+	// at close, the ExternalSorter discipline. Zero or negative means
+	// unbounded; a per-edge library.OrderedPartitionedConfig.SortBytes
+	// takes precedence.
 	ShuffleSortMB int
 	// ShuffleMergeFactor bounds how many sorted runs a reduce-side input
 	// merges at once; beyond it, runs that have already arrived are
-	// pre-merged while stragglers are still fetching. Zero defers to
-	// shuffle.Config.MergeFactor and then the library default (64);
-	// negative disables intermediate merges.
+	// pre-merged while stragglers are still fetching. Zero means the
+	// library default (64); negative disables intermediate merges.
 	ShuffleMergeFactor int
 	// ShuffleCodec names the wire block codec for shuffle partitions
-	// ("none", "flate"). Empty defers to shuffle.Config.Codec and then
-	// "none".
+	// ("none", "flate"). Empty means "none"; a per-edge
+	// library.OrderedPartitionedConfig.Codec takes precedence.
 	ShuffleCodec string
-	// ShufflePipelined turns on pipelined spill publication for the
-	// session's ordered shuffle outputs: every sorted spill is registered
-	// and announced to consumers as it is produced, so fetch/merge
-	// overlaps map-side sorting instead of waiting for the producer
-	// barrier. False defers to shuffle.Config.Pipelined; per-edge
-	// library.OrderedPartitionedConfig.Pipelined takes precedence over
-	// both.
-	ShufflePipelined bool
 	// RelopBatchSize tunes the relational stage processor's vectorized
 	// execution per session: 0 uses the engine default (1024 rows per
 	// batch), > 0 sets the flush threshold, negative forces row-at-a-time

@@ -158,18 +158,19 @@ type edgeState struct {
 	mgr       dag.EdgeManager
 	baseParts int
 	// srcs holds each source task's published DataMovements so
-	// late-starting consumers can be replayed the full history. With
-	// pipelined shuffle a source publishes a sequence of increments, and
-	// speculation can have two attempts publishing concurrently, so
-	// movements are buffered per attempt and exactly one attempt's stream
-	// is "delivered" — visible to consumers — at a time.
+	// late-starting consumers can be replayed the full history. An attempt
+	// may announce through ctx.Emit before it finishes, and speculation
+	// can have two attempts of a task publishing concurrently, so
+	// movements are buffered per attempt and exactly one attempt's are
+	// "delivered" — visible to consumers — at a time: the one-winner-per-
+	// task rule, applied to data movement.
 	srcs map[int]*srcMovements
 }
 
-// srcMovements buffers one source task's DataMovement streams by attempt.
-// Only the delivered attempt's movements reach consumers; when that
-// attempt dies mid-stream its increments are retracted and a surviving
-// attempt's buffered stream (if any) is delivered in its place.
+// srcMovements buffers one source task's DataMovements by attempt. Only
+// the delivered attempt's movements reach consumers; when that attempt
+// dies after announcing, its movements are retracted and a surviving
+// attempt's buffered ones (if any) are delivered in their place.
 type srcMovements struct {
 	delivered int                          // attempt visible to consumers; -1 none
 	byAttempt map[int][]event.DataMovement // attempt -> movements, emission order

@@ -35,8 +35,8 @@ func (r *dagRun) onTaskEvent(at *attemptState, ev event.Event) {
 // (Figure 5) — but only when the emitting attempt owns the source task's
 // delivered stream. The first attempt to publish claims delivery; a
 // speculative twin's movements stay buffered until a retraction or winner
-// switchover promotes them, so consumers never interleave two attempts'
-// increment streams.
+// switchover promotes them, so consumers never see two attempts of one
+// task at once.
 func (r *dagRun) routeDataMovement(dm event.DataMovement) {
 	es := r.findEdge(dm.SrcVertex, dm.TargetVertex)
 	if es == nil {
@@ -80,8 +80,8 @@ func (r *dagRun) deliverMovement(es *edgeState, dm event.DataMovement) {
 // sendRetractions tells running consumer attempts that every movement in
 // moved (one attempt's published stream for srcTask) is obsolete. One
 // InputFailed per routed (consumer task, input index) suffices: the
-// consumer drops the whole increment stream for that input on attempt
-// match. FIFO mailboxes and the single-threaded dispatcher guarantee the
+// consumer drops what it holds for that input on attempt match. FIFO
+// mailboxes and the single-threaded dispatcher guarantee the
 // retraction is observed before any replacement movement sent afterwards.
 func (r *dagRun) sendRetractions(es *edgeState, srcTask, attempt int, moved []event.DataMovement) {
 	if es.mgr == nil {
@@ -115,9 +115,9 @@ func (r *dagRun) sendRetractions(es *edgeState, srcTask, attempt int, moved []ev
 // every out-edge. If the attempt owned the delivered stream, consumers
 // are told to drop it and a surviving twin's buffered stream (the winner,
 // or a still-running speculative attempt — later attempts preferred) is
-// delivered in its place. Without this, a pipelined attempt killed
-// mid-stream would leave consumers waiting forever for a final increment
-// that is never coming.
+// delivered in its place. Without this, an attempt that announced data
+// through ctx.Emit and then died would leave consumers holding (or
+// fetching) a failed attempt's output.
 func (r *dagRun) retractAttemptMovements(at *attemptState) {
 	ts := at.task
 	for _, es := range r.outEdges[ts.vertex.v.Name] {
@@ -295,8 +295,8 @@ func (r *dagRun) reexecuteTask(ts *taskState) {
 	}
 	r.counters.Add("TASKS_REEXECUTED", 1)
 
-	// Retract stored movements of this task and notify running consumers.
-	// The rerun attempt republishes its whole stream from spill 0.
+	// Retract stored movements of this task and notify running consumers;
+	// the rerun attempt announces its own.
 	for _, es := range r.outEdges[vs.v.Name] {
 		sm := es.srcs[ts.idx]
 		if sm == nil {

@@ -85,7 +85,7 @@ func (r *dagRun) saveCheckpoint() {
 		ec := edgeCheckpoint{From: es.e.From, To: es.e.To, BaseParts: es.baseParts}
 		// Persist each source's delivered stream in ascending task order
 		// (and emission order within a task) so recovery replays the same
-		// increment sequence a live consumer saw.
+		// movements a live consumer saw.
 		srcTasks := make([]int, 0, len(es.srcs))
 		for srcTask := range es.srcs {
 			srcTasks = append(srcTasks, srcTask)

@@ -334,12 +334,12 @@ func AblationParallelFetch(sc Scale) (*Report, error) {
 		Title:   "Parallel shuffle fetchers (§3.4)",
 		Headers: []string{"mode", "total (ms)"},
 	}
-	for _, disable := range []bool{true, false} {
+	for _, fetchers := range []int{1, 0} {
 		// Best of two runs per mode: scheduling jitter at simulation scale
 		// is large relative to the fetch savings being measured.
 		var best time.Duration
 		for rerun := 0; rerun < 2; rerun++ {
-			cfg := am.Config{Name: fmt.Sprintf("pf-%v-%d", !disable, rerun), DisableParallelFetch: disable}
+			cfg := am.Config{Name: fmt.Sprintf("pf-%d-%d", fetchers, rerun), ShuffleFetchParallelism: fetchers}
 			dur, _, _, err := timeWordCountSession(plat, cfg, 2)
 			if err != nil {
 				return nil, err
@@ -349,7 +349,7 @@ func AblationParallelFetch(sc Scale) (*Report, error) {
 			}
 		}
 		mode := "parallel fetch on"
-		if disable {
+		if fetchers == 1 {
 			mode = "parallel fetch off (serial)"
 		}
 		rep.AddRow(mode, ms(best))

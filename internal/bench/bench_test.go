@@ -1,19 +1,10 @@
 package bench
 
 import (
-	"fmt"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"tez/internal/am"
-	"tez/internal/data"
-	"tez/internal/hive"
-	"tez/internal/mapreduce"
-	"tez/internal/platform"
-	"tez/internal/relop"
 )
 
 // tiny finishes each figure in well under a second for unit testing.
@@ -190,102 +181,6 @@ func TestShuffleCodecAblation(t *testing.T) {
 			if r.BytesWire >= r.BytesRaw {
 				t.Errorf("%s: flate wire %d not below raw %d", r.Workload, r.BytesWire, r.BytesRaw)
 			}
-		}
-	}
-}
-
-// TestShufflePipelineAblation is the pipelined-publication acceptance:
-// barrier and pipelined runs of the same wordcount DAG must commit
-// byte-identical output at every spill budget, and past one spill per
-// producer the consumers must actually see a multi-increment stream.
-func TestShufflePipelineAblation(t *testing.T) {
-	rows, err := ShufflePipelineResults(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
-	}
-	byKey := map[string]ShufflePipelineResult{}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s at %d spills diverged from barrier", r.Mode, r.Spills)
-		}
-		byKey[fmt.Sprintf("%s-%d", r.Mode, r.Spills)] = r
-	}
-	for _, spills := range []int{4, 16} {
-		p, b := byKey[fmt.Sprintf("pipelined-%d", spills)], byKey[fmt.Sprintf("barrier-%d", spills)]
-		if p.Increments <= b.Increments {
-			t.Errorf("%d spills: pipelined stored %d increments, barrier %d — no incremental publication",
-				spills, p.Increments, b.Increments)
-		}
-	}
-}
-
-// TestShufflePipelinedWorkloadsIdentity runs wordcount, a Hive query and a
-// Pig script end to end with pipelined shuffle publication on — through
-// the AM knob, not a per-edge payload — and demands answers identical to
-// the barrier runs.
-func TestShufflePipelinedWorkloadsIdentity(t *testing.T) {
-	plat := platform.New(platform.Default(6))
-	defer plat.Stop()
-	if err := writeWords(plat, "/bench/pipeid/words", tiny.PigRows); err != nil {
-		t.Fatal(err)
-	}
-	td, err := data.GenTPCDS(plat.FS, tiny.TPCDSSales, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := data.GenZipfPairs(plat.FS, "pipeid_a", tiny.PigRows, 200, 1.3, 22)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workloads := []struct {
-		name string
-		run  func(sess *am.Session, out string) (am.DAGResult, error)
-		read func(out string) (any, error)
-	}{
-		{"wordcount", func(sess *am.Session, out string) (am.DAGResult, error) {
-			return mapreduce.RunOnTez(sess, mapreduce.JobConf{
-				Name: "wc", Map: "bench.tokenize", Reduce: "bench.count",
-				InputPaths: []string{"/bench/pipeid/words"}, OutputPath: out,
-			})
-		}, func(out string) (any, error) { return readCountsDFS(plat, out) }},
-		{"hive-q7", func(sess *am.Session, out string) (am.DAGResult, error) {
-			eng := hive.NewEngine()
-			eng.Exec = relop.Config{DefaultPartitions: 8}
-			eng.Register(td.Tables()...)
-			return eng.RunTez(sess, "pipeid-q7", tpcdsQueries[2].sql, out)
-		}, func(out string) (any, error) { return relop.ReadStored(plat.FS, out) }},
-		{"pig-group_agg", func(sess *am.Session, out string) (am.DAGResult, error) {
-			return pigWorkloads[0].build(t1, nil, out).RunTez(sess)
-		}, func(out string) (any, error) { return relop.ReadStored(plat.FS, out) }},
-	}
-	for _, w := range workloads {
-		answers := map[bool]any{}
-		for _, pipelined := range []bool{false, true} {
-			cfg := am.Config{Name: fmt.Sprintf("pipeid-%s-%v", w.name, pipelined)}
-			if pipelined {
-				cfg.ShufflePipelined = true
-				cfg.ShuffleSortMB = 1
-			}
-			sess := am.NewSession(plat, cfg)
-			out := fmt.Sprintf("/bench/pipeid/%s-%v", w.name, pipelined)
-			res, err := w.run(sess, out)
-			sess.Close()
-			if err != nil {
-				t.Fatalf("%s pipelined=%v: %v", w.name, pipelined, err)
-			}
-			if res.Status != am.DAGSucceeded {
-				t.Fatalf("%s pipelined=%v: %v", w.name, pipelined, res.Status)
-			}
-			answers[pipelined], err = w.read(out)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(answers[true], answers[false]) {
-			t.Errorf("%s diverged under pipelined shuffle", w.name)
 		}
 	}
 }

@@ -83,10 +83,6 @@ type Spec struct {
 	// a task node (reads with an empty local node — committers, test
 	// verification — are never injected).
 	DFSReadFaultProb float64
-	// SpillFaultProb kills a pipelined producer attempt right after it has
-	// published a spill increment — the mid-stream death that forces the
-	// AM to retract partially-published increments.
-	SpillFaultProb float64
 
 	// SickNodes lists nodes on which every task execution fails; SickNodeCount
 	// instead picks that many nodes deterministically from the seed at Bind.
@@ -469,17 +465,6 @@ func (p *Plane) DFSReadFault(path, node string) bool {
 		return false
 	}
 	return p.roll("dfs_read", node+"/"+path, p.spec.DFSReadFaultProb)
-}
-
-// SpillFault reports whether a pipelined producer should die right after
-// publishing the spill increment identified by site (the spill-indexed
-// output id) — exercised between increments, so consumers see a partial
-// stream that the AM must retract.
-func (p *Plane) SpillFault(site string) bool {
-	if p == nil || !p.inScope(site) {
-		return false
-	}
-	return p.roll("spill", site, p.spec.SpillFaultProb)
 }
 
 // OnVertexCompleted counts a vertex completion and reports — exactly once

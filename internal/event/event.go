@@ -20,16 +20,6 @@ type DataMovement struct {
 	SrcAttempt     int
 	SrcOutputIndex int // physical output index, e.g. the partition number
 
-	// SrcSpill / SrcMore sequence pipelined publication: a producer that
-	// announces each sorted spill as it is produced numbers the increments
-	// SrcSpill = 0, 1, 2, … and sets SrcMore on every one but the last.
-	// The final increment's SrcSpill+1 is the stream's total increment
-	// count. The zero value means "single complete announcement" (SrcSpill
-	// 0, nothing more coming), so legacy emitters and stored payloads keep
-	// their meaning unchanged.
-	SrcSpill int
-	SrcMore  bool
-
 	// Target (set by the router from the edge's connection pattern).
 	TargetVertex     string
 	TargetTask       int

@@ -31,33 +31,16 @@ func registerRun(t *testing.T, svc runtime.Services, node string, id shuffle.Out
 	return data
 }
 
-// TestFetchParallelismResolution covers the knob precedence: per-task
-// Services override, then shuffle.Config, then the library default.
+// TestFetchParallelismResolution covers the knob's two tiers: the session
+// value in Services, then the library default; below 1 clamps to serial.
 func TestFetchParallelismResolution(t *testing.T) {
 	svc := testServices(t)
-	fs := newFetchSet(ctxFor(svc, runtime.Meta{}, "map", nil, 1))
-	if got := fs.parallelism(); got != DefaultFetchParallelism {
-		t.Fatalf("default parallelism = %d, want %d", got, DefaultFetchParallelism)
-	}
-
-	sh := shuffle.New(shuffle.Config{FetchParallelism: 7})
-	svc2 := svc
-	svc2.Shuffle = sh
-	fs = newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1))
-	if got := fs.parallelism(); got != 7 {
-		t.Fatalf("cluster-config parallelism = %d, want 7", got)
-	}
-
-	svc2.FetchParallelism = 2
-	fs = newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1))
-	if got := fs.parallelism(); got != 2 {
-		t.Fatalf("per-task parallelism = %d, want 2", got)
-	}
-
-	svc2.FetchParallelism = -3
-	fs = newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1))
-	if got := fs.parallelism(); got != 1 {
-		t.Fatalf("negative parallelism = %d, want 1 (serial)", got)
+	for session, want := range map[int]int{0: DefaultFetchParallelism, 2: 2, 1: 1, -3: 1} {
+		svc.FetchParallelism = session
+		fs := newFetchSet(ctxFor(svc, runtime.Meta{}, "map", nil, 1))
+		if got := fs.knobs.fetchParallelism; got != want {
+			t.Fatalf("session value %d: parallelism = %d, want %d", session, got, want)
+		}
 	}
 }
 
@@ -161,7 +144,7 @@ func TestStaleFetchDoesNotClobberNewerAttempt(t *testing.T) {
 	if at := <-fetched; at != 1 {
 		t.Fatalf("second fetch was attempt %d", at)
 	}
-	_, stale := fs.storedRun(0, 0)
+	_, stale := fs.storedRun(0)
 	if stale {
 		t.Fatal("retracted attempt's data was stored")
 	}

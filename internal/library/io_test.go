@@ -446,3 +446,38 @@ func TestRangePartitionedOutputConfig(t *testing.T) {
 		t.Fatal("zebra not in range partition 1")
 	}
 }
+
+// partitionerFunc adapts a function to Partitioner.
+type partitionerFunc func(key []byte, n int) int
+
+func (f partitionerFunc) Partition(key []byte, n int) int { return f(key, n) }
+
+// TestPartitionedOutputsRejectOutOfRangePartition: a partitioner that
+// answers outside [0, n) is a bug in application code, and both
+// partitioned outputs must report it as a write error, not index with it.
+func TestPartitionedOutputsRejectOutOfRangePartition(t *testing.T) {
+	const parts = 3
+	answer := 0
+	p := partitionerFunc(func([]byte, int) int { return answer })
+	ordered, unordered := &OrderedPartitionedKVOutput{}, &UnorderedPartitionedKVOutput{}
+	for name, out := range map[string]runtime.Output{"ordered": ordered, "unordered": unordered} {
+		meta := runtime.Meta{DAG: "d", Vertex: "map"}
+		if err := out.Initialize(ctxFor(testServices(t), meta, "red", nil, parts)); err != nil {
+			t.Fatal(err)
+		}
+		ordered.partitioner, unordered.partitioner = p, p
+		wAny, err := out.Writer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for answer = -1; answer <= parts+1; answer++ {
+			err := wAny.(runtime.KVWriter).Write([]byte("k"), []byte("v"))
+			if valid := answer >= 0 && answer < parts; valid != (err == nil) {
+				t.Errorf("%s output, partition %d of %d: err = %v", name, answer, parts, err)
+			}
+		}
+		if _, err := out.Close(); err != nil {
+			t.Errorf("%s output: close after refused writes: %v", name, err)
+		}
+	}
+}

@@ -7,11 +7,7 @@ import (
 
 // RegisterShuffleOutput publishes pre-partitioned buffers with the shuffle
 // service on behalf of a transport that bypasses the ordered/unordered
-// outputs (e.g. the sparklike engine's bucket writer). Keeping every
-// registration inside this package gives the shuffle protocol one choke
-// point — evolutions like spill-indexed pipelined ids stay invisible to
-// engines — and `make lint` forbids direct Shuffle.Register calls
-// elsewhere to keep it that way.
+// outputs (e.g. the sparklike engine's bucket writer).
 func RegisterShuffleOutput(svc *shuffle.Service, node string, id shuffle.OutputID, partitions [][]byte, tok ...security.Token) error {
 	return svc.Register(node, id, partitions, tok...)
 }

@@ -42,13 +42,6 @@ type DMInfo struct {
 	Size    int64
 	RawSize int64
 	Codec   string
-	// Spill / Final sequence pipelined publication: increment Spill of the
-	// producing attempt's output stream, Final set on the last one. The
-	// gob zero value (Spill 0, Final false) is what legacy single-shot
-	// payloads decode to, and consumers treat the movement envelope
-	// (SrcSpill/SrcMore) as authoritative, so old payloads keep working.
-	Spill int
-	Final bool
 }
 
 // VMStats is the VertexManagerEvent payload the shuffle outputs send to
@@ -73,23 +66,18 @@ type OrderedPartitionedConfig struct {
 	// sorted spill and to the final merge. Empty means none.
 	Combiner string
 	// Codec overrides the wire block codec for this edge ("none",
-	// "flate", or a registered name); empty defers to the per-task /
-	// cluster knobs.
+	// "flate", or a registered name); empty defers to the session's
+	// runtime.Services.Codec.
 	Codec string
 	// SortBytes overrides the sort-spill budget in bytes: > 0 caps the
 	// in-memory sort buffer, < 0 forces unbounded, 0 defers to the
-	// SortMB knobs. Mainly for tests — the knobs speak megabytes.
+	// session's runtime.Services.SortMB. Mainly for tests — the session
+	// knob speaks megabytes.
 	SortBytes int64
-	// Pipelined publishes every sorted spill as it is produced — spill-
-	// indexed registration plus an incremental DataMovement per partition
-	// — so consumers fetch and merge while the producer is still sorting.
-	// False defers to the per-task (runtime.Services.ShufflePipelined)
-	// and cluster (shuffle.Config.Pipelined) knobs; any of the three
-	// turns it on.
-	Pipelined bool
 }
 
-// Data-plane defaults when no knob overrides them.
+// Data-plane defaults when no knob overrides them. The sort budget has
+// none: unset, the map-side sort buffer is unbounded and never spills.
 const (
 	// DefaultFetchParallelism is the fetcher-pool size of a shuffle
 	// consumer — the counterpart of real Tez's parallel fetcher threads.
@@ -98,16 +86,60 @@ const (
 	// merges at once; above it, arrived runs are pre-merged while
 	// stragglers are still fetching.
 	DefaultMergeFactor = 64
-	// DefaultSortMB (0) leaves the map-side sort buffer unbounded: spills
-	// only happen when a budget is configured.
-	DefaultSortMB = 0
 )
+
+// shuffleKnobs is the resolved data-plane configuration of one end of a
+// shuffle edge.
+type shuffleKnobs struct {
+	codec            string // wire block codec name; "" or "none" = raw
+	sortBytes        int64  // map-side sort budget; 0 = unbounded
+	fetchParallelism int    // fetcher-pool size, at least 1
+	mergeFactor      int    // reduce-side merge width; 0 = no intermediate merges
+}
+
+// resolveShuffleKnobs is the one place a shuffle knob gets its value: the
+// per-edge payload where it has the field, then the session value in
+// Services (am.Config.Shuffle*), then the library default. Inputs carry no
+// payload and pass the zero config.
+func resolveShuffleKnobs(edge OrderedPartitionedConfig, svc runtime.Services) shuffleKnobs {
+	k := shuffleKnobs{
+		codec:            edge.Codec,
+		sortBytes:        edge.SortBytes,
+		fetchParallelism: svc.FetchParallelism,
+		mergeFactor:      svc.MergeFactor,
+	}
+	if k.codec == "" {
+		k.codec = svc.Codec
+	}
+	if k.sortBytes == 0 {
+		k.sortBytes = int64(svc.SortMB) << 20
+	}
+	if k.sortBytes < 0 {
+		k.sortBytes = 0 // negative at either tier forces unbounded
+	}
+	if k.fetchParallelism == 0 {
+		k.fetchParallelism = DefaultFetchParallelism
+	}
+	if k.fetchParallelism < 1 {
+		k.fetchParallelism = 1 // serial
+	}
+	if k.mergeFactor == 0 {
+		k.mergeFactor = DefaultMergeFactor
+	}
+	switch {
+	case k.mergeFactor < 0:
+		k.mergeFactor = 0 // negative disables intermediate merges
+	case k.mergeFactor < 2:
+		k.mergeFactor = 2 // narrower than a pair is meaningless
+	}
+	return k
+}
 
 // OrderedPartitionedKVOutput is the map-side shuffle transport — the
 // in-process analog of Tez's ExternalSorter + IFile. Records are appended
 // to a contiguous byte arena with a compact index; the index is sorted
 // into (partition, key, value) order on its cached key prefixes; a
-// configured memory budget (SortMB / SortBytes) spills sorted encoded
+// configured memory budget (SortBytes / SortMB) spills sorted encoded
 // runs, each optionally pre-aggregated by a registered combiner; Close
 // merges spills with the in-memory remainder per partition (fanned out
 // across a small worker pool), compresses each partition with the
@@ -125,14 +157,7 @@ type OrderedPartitionedKVOutput struct {
 	arenaMax    int64 // arena bytes the index can address (maxArenaBytes)
 	parts       int
 	sb          *sortBuffer
-	spills      [][][]byte // spills[s][p] = sorted encoded run (barrier mode)
-
-	// Pipelined mode: instead of buffering spills for Close, each one is
-	// registered under a spill-indexed OutputID and announced immediately.
-	pipelined bool
-	published int           // increments published so far
-	rawTotals []int64       // cumulative raw bytes per partition (VMStats)
-	deferred  []event.Event // increment events buffered when ctx.Emit is nil
+	spills      [][][]byte // spills[s][p] = sorted encoded run, held for Close
 }
 
 // Initialize decodes configuration and prepares the sort buffer.
@@ -152,57 +177,18 @@ func (o *OrderedPartitionedKVOutput) Initialize(ctx *runtime.Context) error {
 	if o.combine, err = lookupCombiner(o.cfg.Combiner); err != nil {
 		return err
 	}
-	if o.codec, err = ResolveBlockCodec(o.codecName()); err != nil {
+	knobs := resolveShuffleKnobs(o.cfg, ctx.Services)
+	if o.codec, err = ResolveBlockCodec(knobs.codec); err != nil {
 		return err
 	}
 	if ctx.PhysicalCount <= 0 {
 		return fmt.Errorf("library: ordered partitioned output with %d partitions", ctx.PhysicalCount)
 	}
 	o.parts = ctx.PhysicalCount
-	o.limit = o.sortLimit()
+	o.limit = knobs.sortBytes
 	o.arenaMax = maxArenaBytes
-	o.pipelined = o.cfg.Pipelined || ctx.Services.ShufflePipelined ||
-		(ctx.Services.Shuffle != nil && ctx.Services.Shuffle.Pipelined())
-	if o.pipelined {
-		o.rawTotals = make([]int64, o.parts)
-	}
-	o.published = 0
-	o.deferred = nil
 	o.sb = sortBufferPool.Get().(*sortBuffer)
 	return nil
-}
-
-// codecName resolves the wire codec: edge payload, then the per-task AM
-// knob, then the cluster-wide shuffle default, then "none".
-func (o *OrderedPartitionedKVOutput) codecName() string {
-	name := o.cfg.Codec
-	if name == "" {
-		name = o.ctx.Services.Codec
-	}
-	if name == "" && o.ctx.Services.Shuffle != nil {
-		name = o.ctx.Services.Shuffle.Codec()
-	}
-	return name
-}
-
-// sortLimit resolves the sort budget in bytes: edge payload SortBytes,
-// then the per-task AM SortMB, then the cluster-wide shuffle default.
-// Zero everywhere (the default) means no budget — sort wholly in memory.
-func (o *OrderedPartitionedKVOutput) sortLimit() int64 {
-	if o.cfg.SortBytes != 0 {
-		if o.cfg.SortBytes < 0 {
-			return 0
-		}
-		return o.cfg.SortBytes
-	}
-	mb := o.ctx.Services.SortMB
-	if mb == 0 && o.ctx.Services.Shuffle != nil {
-		mb = o.ctx.Services.Shuffle.SortMB()
-	}
-	if mb <= 0 {
-		return 0
-	}
-	return int64(mb) << 20
 }
 
 // Writer returns a runtime.KVWriter appending into the arena.
@@ -234,12 +220,8 @@ func (o *OrderedPartitionedKVOutput) write(k, v []byte) error {
 
 // spill sorts the arena and encodes it into one sorted run per partition
 // (through the combiner when configured), then resets the arena keeping
-// its capacity — the ExternalSorter spill, minus the disk. In pipelined
-// mode the spill is published immediately instead of buffered.
+// its capacity — the ExternalSorter spill, minus the disk.
 func (o *OrderedPartitionedKVOutput) spill() error {
-	if o.pipelined {
-		return o.spillPipelined()
-	}
 	ctr := o.ctx.Services.Counters
 	start := time.Now()
 	sortStart := start
@@ -268,122 +250,6 @@ func (o *OrderedPartitionedKVOutput) spill() error {
 	return nil
 }
 
-// spillPipelined publishes the current arena as increment o.published:
-// register under the spill-indexed id, announce to consumers right away
-// (through ctx.Emit when the runner wired one; buffered for Close
-// otherwise), and die on an injected spill fault — the mid-stream death
-// the AM's retraction path exists for.
-func (o *OrderedPartitionedKVOutput) spillPipelined() error {
-	spillIdx := o.published
-	events, err := o.publishIncrement(false)
-	if err != nil {
-		return err
-	}
-	if o.ctx.Emit != nil {
-		for _, ev := range events {
-			o.ctx.Emit(ev)
-		}
-	} else {
-		o.deferred = append(o.deferred, events...)
-	}
-	if svc := o.ctx.Services.Shuffle; svc != nil {
-		site := shuffle.OutputID{
-			DAG:     o.ctx.Meta.DAG,
-			Vertex:  o.ctx.Meta.Vertex,
-			Name:    o.ctx.Name,
-			Task:    o.ctx.Meta.Task,
-			Attempt: o.ctx.Meta.Attempt,
-			Spill:   spillIdx,
-		}.String()
-		if svc.SpillFault(site) {
-			return fmt.Errorf("library: injected spill fault after increment %d of %s", spillIdx, o.ctx.Name)
-		}
-	}
-	return nil
-}
-
-// publishIncrement sorts and encodes the arena's current contents as one
-// increment: every partition (empty ones included, so each partition's
-// increment stream stays densely numbered 0..total-1) is encoded, codec'd,
-// registered under the spill-indexed OutputID, and announced with a
-// DataMovement whose SrcSpill/SrcMore envelope sequences the stream.
-// Cumulative raw sizes accumulate into rawTotals so the final VMStats
-// reports the same totals a barrier run would (combiner-free case).
-func (o *OrderedPartitionedKVOutput) publishIncrement(final bool) ([]event.Event, error) {
-	ctr := o.ctx.Services.Counters
-	start := time.Now()
-	o.sb.sort(o.parts)
-	sortNS := time.Since(start).Nanoseconds()
-	if ctr != nil {
-		ctr.Add("SHUFFLE_SORT_TIME_NS", sortNS)
-	}
-	records := int64(len(o.sb.refs))
-	wire := make([][]byte, o.parts)
-	rawSizes := make([]int64, o.parts)
-	for p := 0; p < o.parts; p++ {
-		buf, err := encodeStream(&refsReader{sb: o.sb, refs: o.sb.partSpan(p)}, o.combine, getRunBuf(), ctr)
-		if err != nil {
-			return nil, err
-		}
-		rawSizes[p] = int64(len(buf))
-		o.rawTotals[p] += int64(len(buf))
-		if o.codec == nil {
-			wire[p] = buf
-			continue
-		}
-		wire[p], err = encodeBlock(o.codec, buf)
-		if err != nil {
-			return nil, err
-		}
-		putRunBuf(buf)
-	}
-	id := shuffle.OutputID{
-		DAG:     o.ctx.Meta.DAG,
-		Vertex:  o.ctx.Meta.Vertex,
-		Name:    o.ctx.Name,
-		Task:    o.ctx.Meta.Task,
-		Attempt: o.ctx.Meta.Attempt,
-		Spill:   o.published,
-	}
-	if err := o.ctx.Services.Shuffle.Register(o.ctx.Services.Node, id, wire, o.ctx.Services.Token); err != nil {
-		return nil, err
-	}
-	codecName := ""
-	if o.codec != nil {
-		codecName = o.codec.Name()
-	}
-	events := make([]event.Event, 0, o.parts)
-	for i := 0; i < o.parts; i++ {
-		events = append(events, event.DataMovement{
-			SrcVertex:      o.ctx.Meta.Vertex,
-			SrcTask:        o.ctx.Meta.Task,
-			SrcAttempt:     o.ctx.Meta.Attempt,
-			SrcOutputIndex: i,
-			SrcSpill:       o.published,
-			SrcMore:        !final,
-			TargetVertex:   o.ctx.Name,
-			Payload: plugin.MustEncode(DMInfo{
-				ID:        id,
-				Partition: i,
-				Size:      int64(len(wire[i])),
-				RawSize:   rawSizes[i],
-				Codec:     codecName,
-				Spill:     o.published,
-				Final:     final,
-			}),
-		})
-		putRunBuf(wire[i]) // Register deep-copied the partitions
-		wire[i] = nil
-	}
-	if ctr != nil && !final {
-		ctr.Add("SHUFFLE_SPILLS", 1)
-	}
-	o.recordSpan(timeline.ShuffleSpill, fmt.Sprintf("%s s%d", o.ctx.Name, o.published), time.Since(start), records)
-	o.published++
-	o.sb.reset()
-	return events, nil
-}
-
 // recordSpan journals one data-plane span for this attempt (no-op without
 // a journal).
 func (o *OrderedPartitionedKVOutput) recordSpan(t timeline.Type, info string, dur time.Duration, val int64) {
@@ -406,9 +272,6 @@ func (o *OrderedPartitionedKVOutput) recordSpan(t timeline.Type, info string, du
 // small worker pool — partitions are independent, so the output bytes do
 // not depend on worker interleaving.
 func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
-	if o.pipelined {
-		return o.closePipelined()
-	}
 	ctr := o.ctx.Services.Counters
 	sortStart := time.Now()
 	o.sb.sort(o.parts)
@@ -519,36 +382,6 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	return events, nil
 }
 
-// closePipelined publishes the in-memory remainder as the final increment
-// (SrcMore false — its SrcSpill+1 tells consumers the stream's total) and
-// the VMStats event carrying cumulative raw sizes, so auto-parallelism
-// sees the same totals as a barrier run. There is no producer-side merge:
-// consumers fold the increments into their MergeFactor-bounded merge.
-func (o *OrderedPartitionedKVOutput) closePipelined() ([]event.Event, error) {
-	events, err := o.publishIncrement(true)
-	if err != nil {
-		return nil, err
-	}
-	if !o.cfg.NoStats {
-		events = append(events, event.VertexManagerEvent{
-			TargetVertex: o.ctx.Name,
-			SrcVertex:    o.ctx.Meta.Vertex,
-			SrcTask:      o.ctx.Meta.Task,
-			Payload:      plugin.MustEncode(VMStats{PartitionSizes: o.rawTotals}),
-		})
-	}
-	if len(o.deferred) > 0 {
-		// Increments accumulated while no Emit hook was wired (direct
-		// harness drives) ride out with Close, in publication order.
-		events = append(o.deferred, events...)
-		o.deferred = nil
-	}
-	o.sb.reset()
-	sortBufferPool.Put(o.sb)
-	o.sb = nil
-	return events, nil
-}
-
 // finalizePartition produces one partition's final raw and wire buffers:
 // encode the sorted in-memory segment, merge it with the partition's
 // spill runs (combining), then run the block codec.
@@ -620,28 +453,28 @@ func (f kvWriterFunc) Write(k, v []byte) error { return f(k, v) }
 // longer wakes every fetcher in the pool.
 type fetchSet struct {
 	ctx     *runtime.Context
+	knobs   shuffleKnobs
 	fetcher *shuffle.Fetcher // shared by all fetcher goroutines
 
 	mu   sync.Mutex
 	work *sync.Cond
 	done *sync.Cond
-	// states holds the per-physical-input increment stream of the
-	// currently expected producer attempt. A legacy single-shot producer
-	// is the one-increment special case (total 1 announced by its only
-	// movement); a pipelined producer grows stored/merged increment by
-	// increment until the final announcement fixes total.
-	states    map[int]*inputState
-	expect    map[int]int     // physical input index -> latest announced attempt
-	inflight  map[[2]int]bool // (input index, spill) currently being fetched
-	premerged [][]byte        // intermediate merge outputs (ordered path)
+	// expect is the latest announced producer attempt per physical input
+	// index; runs and merged only ever describe that attempt, because
+	// whatever changes expect retracts the index first.
+	expect    map[int]int
+	runs      map[int][]byte // physical input index -> fetched run awaiting the merge
+	merged    map[int]bool   // indexes whose run was folded into an intermediate merge
+	inflight  map[int]bool   // physical input indexes currently being fetched
+	premerged [][]byte       // intermediate merge outputs (ordered path)
 	// pending is a FIFO consumed through a head cursor (compacted when
 	// the dead prefix dominates) — the previous re-slice-on-every-scan
 	// made each wake O(queue) and the whole drain O(n²). Movements whose
-	// (index, spill) is in flight are parked in stash and re-queued when
-	// that fetch completes, so scans never revisit them.
+	// index is in flight are parked in stash and re-queued when that
+	// fetch completes, so scans never revisit them.
 	pending  []event.DataMovement
 	head     int
-	stash    map[[2]int][]event.DataMovement
+	stash    map[int][]event.DataMovement
 	failure  *runtime.InputReadError
 	stopped  bool
 	fetchers sync.WaitGroup
@@ -654,32 +487,16 @@ type fetchSet struct {
 	testHookFetched func(event.DataMovement)
 }
 
-// inputState is one physical input's increment stream from its current
-// producer attempt.
-type inputState struct {
-	attempt int
-	srcTask int
-	total   int            // announced increment count; 0 until the final arrives
-	stored  map[int][]byte // spill index -> fetched sorted run
-	merged  map[int]bool   // spill indexes consumed into an intermediate merge
-}
-
-// arrived reports how many of the stream's increments are accounted for
-// (fetched or already folded into a merge).
-func (st *inputState) arrived() int { return len(st.stored) + len(st.merged) }
-
-// complete reports whether the whole stream is here: the final increment
-// has been announced and every increment arrived.
-func (st *inputState) complete() bool { return st.total > 0 && st.arrived() >= st.total }
-
 func newFetchSet(ctx *runtime.Context) *fetchSet {
 	fs := &fetchSet{
 		ctx:      ctx,
 		fetcher:  &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
-		states:   make(map[int]*inputState),
+		knobs:    resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
 		expect:   make(map[int]int),
-		inflight: make(map[[2]int]bool),
-		stash:    make(map[[2]int][]event.DataMovement),
+		runs:     make(map[int][]byte),
+		merged:   make(map[int]bool),
+		inflight: make(map[int]bool),
+		stash:    make(map[int][]event.DataMovement),
 		quit:     make(chan struct{}),
 	}
 	fs.work = sync.NewCond(&fs.mu)
@@ -687,77 +504,24 @@ func newFetchSet(ctx *runtime.Context) *fetchSet {
 	return fs
 }
 
-// parallelism resolves the fetcher-pool size: per-task override from the
-// AM config (via Services), then the cluster-wide shuffle.Config default,
-// then DefaultFetchParallelism. Values below 1 mean serial.
-func (f *fetchSet) parallelism() int {
-	n := f.ctx.Services.FetchParallelism
-	if n == 0 && f.ctx.Services.Shuffle != nil {
-		n = f.ctx.Services.Shuffle.FetchParallelism()
-	}
-	if n == 0 {
-		n = DefaultFetchParallelism
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// mergeFactor resolves the reduce-side merge width the same way: per-task
-// AM knob, cluster-wide shuffle default, then DefaultMergeFactor.
-// Negative disables intermediate merges (unbounded width); values below 2
-// are meaningless and clamp to 2.
-func (f *fetchSet) mergeFactor() int {
-	n := f.ctx.Services.MergeFactor
-	if n == 0 && f.ctx.Services.Shuffle != nil {
-		n = f.ctx.Services.Shuffle.MergeFactor()
-	}
-	if n == 0 {
-		n = DefaultMergeFactor
-	}
-	if n < 0 {
-		return 0
-	}
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// handleEvent records a DataMovement increment for fetching or an
-// InputFailed retraction. Attempt tracking is upgrade-only: a movement
-// from an attempt older than the latest announced one is dropped, and a
-// newer attempt's first movement discards the older attempt's stream.
+// handleEvent records a DataMovement for fetching or an InputFailed
+// retraction. Attempt tracking is upgrade-only: a movement from an attempt
+// older than the latest announced one is dropped, and a newer attempt's
+// movement discards the older attempt's run.
 func (f *fetchSet) handleEvent(ev event.Event) error {
 	switch e := ev.(type) {
 	case event.DataMovement:
 		f.mu.Lock()
-		if e.SrcSpill < 0 {
-			f.mu.Unlock()
-			return fmt.Errorf("library: input %s: negative spill index %d from task %d", f.ctx.Name, e.SrcSpill, e.SrcTask)
-		}
 		idx := e.TargetInputIndex
-		if cur, ok := f.expect[idx]; ok && e.SrcAttempt < cur {
+		cur, ok := f.expect[idx]
+		if ok && e.SrcAttempt < cur {
 			f.mu.Unlock()
 			return nil // stale announcement of a superseded attempt
-		} else if !ok || e.SrcAttempt > cur {
-			f.retractLocked(idx, e.SrcTask)
-			f.expect[idx] = e.SrcAttempt
 		}
-		st := f.states[idx]
-		if st == nil {
-			st = &inputState{
-				attempt: e.SrcAttempt,
-				srcTask: e.SrcTask,
-				stored:  make(map[int][]byte),
-				merged:  make(map[int]bool),
-			}
-			f.states[idx] = st
+		if ok && e.SrcAttempt > cur {
+			f.retractLocked(idx, e.SrcTask, cur)
 		}
-		if !e.SrcMore && st.total == 0 {
-			st.total = e.SrcSpill + 1
-		}
+		f.expect[idx] = e.SrcAttempt
 		f.pending = append(f.pending, e)
 		f.work.Signal()
 		f.mu.Unlock()
@@ -765,34 +529,31 @@ func (f *fetchSet) handleEvent(ev event.Event) error {
 		f.mu.Lock()
 		if at, ok := f.expect[e.TargetInputIndex]; ok && at == e.SrcAttempt {
 			delete(f.expect, e.TargetInputIndex)
-			f.retractLocked(e.TargetInputIndex, e.SrcTask)
+			f.retractLocked(e.TargetInputIndex, e.SrcTask, at)
 		}
 		f.mu.Unlock()
 	}
 	return nil
 }
 
-// retractLocked drops the stream stored for idx (if any). A stream some
-// of whose increments were already folded into an intermediate merge
-// cannot be separated back out; surface the loss so this consumer attempt
-// is re-run against the replacement data.
-func (f *fetchSet) retractLocked(idx, srcTask int) {
-	st, ok := f.states[idx]
-	if !ok {
-		return
-	}
-	if len(st.merged) > 0 && f.failure == nil {
+// retractLocked drops what idx holds of producer attempt `attempt`. A run
+// already folded into an intermediate merge cannot be separated back out;
+// surface the loss so this consumer attempt is re-run against the
+// replacement data.
+func (f *fetchSet) retractLocked(idx, srcTask, attempt int) {
+	if f.merged[idx] && f.failure == nil {
 		f.failure = &runtime.InputReadError{
 			InputName:  f.ctx.Name,
 			SrcVertex:  f.ctx.Name,
 			SrcTask:    srcTask,
-			SrcAttempt: st.attempt,
+			SrcAttempt: attempt,
 			Err:        fmt.Errorf("library: input retracted after merge"),
 		}
 		f.work.Broadcast()
 		f.done.Broadcast()
 	}
-	delete(f.states, idx)
+	delete(f.runs, idx)
+	delete(f.merged, idx)
 }
 
 // start launches the fetcher pool. Fetches overlap with remaining
@@ -807,7 +568,7 @@ func (f *fetchSet) start() {
 	}
 	f.started = true
 	f.mu.Unlock()
-	n := f.parallelism()
+	n := f.knobs.fetchParallelism
 	f.fetchers.Add(n)
 	for i := 0; i < n; i++ {
 		go f.fetchLoop()
@@ -850,19 +611,11 @@ func (f *fetchSet) nextLocked() (event.DataMovement, bool) {
 			// its own DataMovement.
 			continue
 		}
-		st := f.states[idx]
-		if st == nil || st.attempt != dm.SrcAttempt {
-			continue // stream discarded while queued
+		if _, ok := f.runs[idx]; ok || f.merged[idx] {
+			continue // duplicate announcement of a run already stored or merged
 		}
-		if _, ok := st.stored[dm.SrcSpill]; ok {
-			continue // duplicate announcement of a stored increment
-		}
-		if st.merged[dm.SrcSpill] {
-			continue // already consumed into an intermediate merge
-		}
-		key := [2]int{idx, dm.SrcSpill}
-		if f.inflight[key] {
-			f.stash[key] = append(f.stash[key], dm)
+		if f.inflight[idx] {
+			f.stash[idx] = append(f.stash[idx], dm)
 			continue
 		}
 		return dm, true
@@ -887,16 +640,15 @@ func (f *fetchSet) fetchLoop() {
 			return
 		}
 		idx := dm.TargetInputIndex
-		key := [2]int{idx, dm.SrcSpill}
-		f.inflight[key] = true
+		f.inflight[idx] = true
 		f.mu.Unlock()
 
 		data, wireLen, err := f.fetchOne(dm)
 
 		f.mu.Lock()
-		delete(f.inflight, key)
-		if s, ok := f.stash[key]; ok {
-			delete(f.stash, key)
+		delete(f.inflight, idx)
+		if s, ok := f.stash[idx]; ok {
+			delete(f.stash, idx)
 			f.pending = append(f.pending, s...)
 			f.work.Signal()
 		}
@@ -904,13 +656,10 @@ func (f *fetchSet) fetchLoop() {
 		// InputFailed retraction may have raced with the fetch, and a
 		// stale in-flight fetch must not clobber (or fail) the newer
 		// attempt that replaced it.
-		st := f.states[idx]
 		at, live := f.expect[idx]
-		current := live && at == dm.SrcAttempt && st != nil && st.attempt == dm.SrcAttempt
-		if current {
-			if _, ok := st.stored[dm.SrcSpill]; ok || st.merged[dm.SrcSpill] {
-				current = false // duplicate of an already-accounted increment
-			}
+		current := live && at == dm.SrcAttempt
+		if _, ok := f.runs[idx]; ok || f.merged[idx] {
+			current = false // duplicate of an already-accounted run
 		}
 		switch {
 		case err != nil && current:
@@ -926,11 +675,11 @@ func (f *fetchSet) fetchLoop() {
 			f.work.Broadcast()
 			f.done.Broadcast()
 		case err == nil && current:
-			st.stored[dm.SrcSpill] = data
+			f.runs[idx] = data
 			// Byte counters accumulate here, in the store-success branch,
 			// so a stale or duplicate transfer never inflates them — they
-			// stay an exact per-increment account of what the merge
-			// consumed, across any number of increments per source.
+			// stay an exact account of the runs the merge consumed
+			// (SHUFFLE_INCREMENTS counts those stored runs).
 			if ctr := f.ctx.Services.Counters; ctr != nil {
 				ctr.Add("SHUFFLE_BYTES", int64(wireLen))
 				ctr.Add("SHUFFLE_BYTES_WIRE", int64(wireLen))
@@ -981,70 +730,43 @@ func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
 	return data, wireLen, err
 }
 
-// completeLocked reports whether every physical input's increment stream
-// has fully arrived.
+// completeLocked reports whether every physical input's run has arrived
+// (fetched, or already folded into a merge).
 func (f *fetchSet) completeLocked() bool {
-	if len(f.states) < f.ctx.PhysicalCount {
+	if len(f.runs)+len(f.merged) < f.ctx.PhysicalCount {
 		return false
 	}
 	for i := 0; i < f.ctx.PhysicalCount; i++ {
-		st, ok := f.states[i]
-		if !ok || !st.complete() {
+		if _, ok := f.runs[i]; !ok && !f.merged[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// storedCountLocked counts runs fetched but not yet folded into an
-// intermediate merge.
-func (f *fetchSet) storedCountLocked() int {
-	n := 0
-	for _, st := range f.states {
-		n += len(st.stored)
-	}
-	return n
-}
-
-// flattenStoredLocked returns every stored run ordered by (input index,
-// spill index) — a canonical order so downstream bytes don't depend on
-// map iteration.
+// flattenStoredLocked returns every stored run ordered by input index — a
+// canonical order so downstream bytes don't depend on map iteration.
 func (f *fetchSet) flattenStoredLocked() [][]byte {
-	out := make([][]byte, 0, f.storedCountLocked())
+	out := make([][]byte, 0, len(f.runs))
 	for i := 0; i < f.ctx.PhysicalCount; i++ {
-		st, ok := f.states[i]
-		if !ok {
-			continue
-		}
-		spills := make([]int, 0, len(st.stored))
-		for s := range st.stored {
-			spills = append(spills, s)
-		}
-		sort.Ints(spills)
-		for _, s := range spills {
-			out = append(out, st.stored[s])
+		if r, ok := f.runs[i]; ok {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// storedRun returns the fetched run for (input index, spill) — a test
-// accessor into the stream state.
-func (f *fetchSet) storedRun(idx, spill int) ([]byte, bool) {
+// storedRun returns the fetched run for an input index — a test accessor.
+func (f *fetchSet) storedRun(idx int) ([]byte, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st, ok := f.states[idx]
-	if !ok {
-		return nil, false
-	}
-	r, ok := st.stored[spill]
+	r, ok := f.runs[idx]
 	return r, ok
 }
 
-// wait blocks until every physical input's stream is fetched, an input
-// failed, or the attempt is killed. It returns the fetched runs ordered
-// by (physical input index, spill index) — exactly one run per input for
-// legacy single-shot producers.
+// wait blocks until every physical input is fetched, an input failed, or
+// the attempt is killed. It returns the fetched runs ordered by physical
+// input index.
 func (f *fetchSet) wait() ([][]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -1081,7 +803,7 @@ func (f *fetchSet) collectMerged(factor int) ([][]byte, error) {
 			f.mu.Unlock()
 			return nil, fmt.Errorf("library: input %s: attempt killed while fetching", f.ctx.Name)
 		}
-		if factor >= 2 && f.storedCountLocked() >= factor {
+		if factor >= 2 && len(f.runs) >= factor {
 			batch := f.takeMergeBatchLocked(factor)
 			f.mu.Unlock()
 			m, err := f.mergeRuns(batch)
@@ -1110,29 +832,20 @@ func (f *fetchSet) collectMerged(factor int) ([][]byte, error) {
 	return runs, nil
 }
 
-// takeMergeBatchLocked removes `factor` stored runs (ascending (input,
-// spill), for tidy accounting — any choice yields the same final bytes)
-// and marks them merged.
+// takeMergeBatchLocked removes the `factor` stored runs of lowest input
+// index (for tidy accounting — any choice yields the same final bytes) and
+// marks them merged.
 func (f *fetchSet) takeMergeBatchLocked(factor int) [][]byte {
-	keys := make([][2]int, 0, f.storedCountLocked())
-	for i, st := range f.states {
-		for s := range st.stored {
-			keys = append(keys, [2]int{i, s})
-		}
+	idxs := make([]int, 0, len(f.runs))
+	for i := range f.runs {
+		idxs = append(idxs, i)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	keys = keys[:factor]
+	sort.Ints(idxs)
 	batch := make([][]byte, 0, factor)
-	for _, k := range keys {
-		st := f.states[k[0]]
-		batch = append(batch, st.stored[k[1]])
-		st.merged[k[1]] = true
-		delete(st.stored, k[1])
+	for _, i := range idxs[:factor] {
+		batch = append(batch, f.runs[i])
+		f.merged[i] = true
+		delete(f.runs, i)
 	}
 	return batch
 }
@@ -1206,7 +919,7 @@ func (in *OrderedGroupedKVInput) Start() error { in.fs.start(); return nil }
 // Reader blocks for all inputs (merging early arrivals along the way),
 // then returns a GroupedKVReader over at most MergeFactor runs.
 func (in *OrderedGroupedKVInput) Reader() (any, error) {
-	runs, err := in.fs.collectMerged(in.fs.mergeFactor())
+	runs, err := in.fs.collectMerged(in.fs.knobs.mergeFactor)
 	if err != nil {
 		return nil, err
 	}

@@ -200,8 +200,8 @@ func TestFlateCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodecKnobResolution checks the payload → Services → shuffle.Config
-// fallback chain for the codec, sort-budget and merge-factor knobs.
+// TestCodecKnobResolution checks the edge payload → session (Services) →
+// library default chain for the codec, sort-budget and merge-factor knobs.
 func TestCodecKnobResolution(t *testing.T) {
 	svc := testServices(t)
 	mk := func(svc runtime.Services, payload []byte) *OrderedPartitionedKVOutput {
@@ -226,22 +226,12 @@ func TestCodecKnobResolution(t *testing.T) {
 	if o := mk(svc2, payload); o.codec != nil || o.limit != 0 {
 		t.Fatalf("payload override lost: codec=%v limit=%d", o.codec, o.limit)
 	}
-	// Cluster-wide shuffle.Config defaults.
-	sh := shuffle.New(shuffle.Config{Codec: "flate", SortMB: 1, MergeFactor: 7})
-	sh.AddNode("n0", "r0")
-	svc3 := svc
-	svc3.Shuffle = sh
-	if o := mk(svc3, nil); o.codec == nil || o.limit != 1<<20 {
-		t.Fatalf("shuffle.Config knobs not honoured: codec=%v limit=%d", o.codec, o.limit)
-	}
-	fs := newFetchSet(ctxFor(svc3, runtime.Meta{}, "map", nil, 1))
-	if got := fs.mergeFactor(); got != 7 {
-		t.Fatalf("mergeFactor = %d, want 7", got)
-	}
-	svc3.MergeFactor = -1
-	fs = newFetchSet(ctxFor(svc3, runtime.Meta{}, "map", nil, 1))
-	if got := fs.mergeFactor(); got != 0 {
-		t.Fatalf("mergeFactor = %d, want 0 (disabled)", got)
+	for session, want := range map[int]int{0: DefaultMergeFactor, 7: 7, 1: 2, -1: 0} {
+		svc2.MergeFactor = session
+		fs := newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1))
+		if got := fs.knobs.mergeFactor; got != want {
+			t.Fatalf("session merge factor %d resolved to %d, want %d", session, got, want)
+		}
 	}
 	if err := func() error {
 		o := &OrderedPartitionedKVOutput{}
@@ -310,11 +300,7 @@ func TestRetractionAfterMergeFails(t *testing.T) {
 	fs := newFetchSet(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, 4))
 	fs.mu.Lock()
 	for i := 0; i < 2; i++ {
-		fs.states[i] = &inputState{
-			attempt: 0, srcTask: i, total: 1,
-			stored: map[int][]byte{0: AppendRecord(nil, []byte("k"), []byte("v"))},
-			merged: map[int]bool{},
-		}
+		fs.runs[i] = AppendRecord(nil, []byte("k"), []byte("v"))
 		fs.expect[i] = 0
 	}
 	batch := fs.takeMergeBatchLocked(2)

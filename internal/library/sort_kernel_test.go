@@ -277,14 +277,12 @@ func TestMergeSurfacesCorruptRun(t *testing.T) {
 
 // produceUnderArenaLimit runs one ordered producer attempt, unbounded by
 // any sort budget, with the arena limit lowered to arenaMax (0 leaves it
-// alone), and returns every event it emitted or closed with.
-func produceUnderArenaLimit(t *testing.T, svc runtime.Services, pipelined bool, parts int, recs []pair, arenaMax int64) []event.Event {
+// alone), and returns the events it closed with.
+func produceUnderArenaLimit(t *testing.T, svc runtime.Services, parts int, recs []pair, arenaMax int64) []event.Event {
 	t.Helper()
 	out := &OrderedPartitionedKVOutput{}
-	cfg := OrderedPartitionedConfig{SortBytes: -1, Pipelined: pipelined}
+	cfg := OrderedPartitionedConfig{SortBytes: -1}
 	ctx := ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "map"}, "red", plugin.MustEncode(cfg), parts)
-	var events []event.Event // a pipelined producer emits increments as it goes
-	ctx.Emit = func(ev event.Event) { events = append(events, ev) }
 	if err := out.Initialize(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +294,11 @@ func produceUnderArenaLimit(t *testing.T, svc runtime.Services, pipelined bool, 
 			t.Fatal(err)
 		}
 	}
-	closing, err := out.Close()
+	events, err := out.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(events, closing...)
+	return events
 }
 
 // TestArenaLimitSpillsBeforeWrapping: index entries address the arena
@@ -312,28 +310,26 @@ func TestArenaLimitSpillsBeforeWrapping(t *testing.T) {
 	const parts = 3
 	rng := rand.New(rand.NewSource(3))
 	recs := adversarialRecords(rng, 4000)
-	readAll := func(pipelined bool, arenaMax int64) ([]map[string]string, int64) {
+	readAll := func(arenaMax int64) ([]map[string]string, int64) {
 		svc := testServices(t)
 		svc.Counters = metrics.NewCounters()
-		events := produceUnderArenaLimit(t, svc, pipelined, parts, recs, arenaMax)
+		events := produceUnderArenaLimit(t, svc, parts, recs, arenaMax)
 		got := make([]map[string]string, parts)
 		for p := range got {
 			got[p] = consumeGrouped(t, svc, events, p, 1)
 		}
 		return got, svc.Counters.Get("SHUFFLE_SPILLS")
 	}
-	want, spills := readAll(false, 0)
+	want, spills := readAll(0)
 	if spills != 0 {
 		t.Fatalf("unconstrained run spilled %d times", spills)
 	}
-	for _, pipelined := range []bool{false, true} {
-		got, spills := readAll(pipelined, 2048)
-		if spills < 2 {
-			t.Fatalf("pipelined=%v: %d spills under a 2 KiB arena limit, want several", pipelined, spills)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pipelined=%v: grouped output differs from the unconstrained run", pipelined)
-		}
+	got, spills := readAll(2048)
+	if spills < 2 {
+		t.Fatalf("%d spills under a 2 KiB arena limit, want several", spills)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("grouped output differs from the unconstrained run")
 	}
 
 	out := &OrderedPartitionedKVOutput{}

@@ -55,6 +55,9 @@ func (o *UnorderedPartitionedKVOutput) Initialize(ctx *runtime.Context) error {
 func (o *UnorderedPartitionedKVOutput) Writer() (any, error) {
 	return kvWriterFunc(func(k, v []byte) error {
 		p := o.partitioner.Partition(k, len(o.parts))
+		if p < 0 || p >= len(o.parts) {
+			return fmt.Errorf("library: partitioner sent a key to partition %d of %d", p, len(o.parts))
+		}
 		o.parts[p] = AppendRecord(o.parts[p], k, v)
 		return nil
 	}), nil

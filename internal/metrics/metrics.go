@@ -180,14 +180,13 @@ type ShuffleDataPlane struct {
 	CombineIn  int64
 	CombineOut int64
 	// BytesWire/BytesRaw count what consumers actually folded into their
-	// merges — charged once per stored increment, so retracted, stale and
-	// duplicate transfers never inflate them, and a pipelined source's
-	// several increments all accumulate.
+	// merges — charged once per stored run, so retracted, stale and
+	// duplicate transfers never inflate them.
 	BytesWire int64
 	BytesRaw  int64
-	// Fetches counts transfer attempts; Increments counts the stored
-	// results (Fetches > Increments under retries/retractions; with
-	// pipelined shuffle, Increments > source count).
+	// Fetches counts transfers; Increments counts the runs consumers
+	// stored, one per physical input (Fetches > Increments when a fetched
+	// run was retracted, stale or a duplicate).
 	Fetches        int64
 	Increments     int64
 	FetchTime      time.Duration

@@ -68,6 +68,28 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 	inputs := make(map[string]Input, len(r.Spec.Inputs))
 	outputs := make(map[string]Output, len(r.Spec.Outputs))
 
+	// Inputs are closed on every exit path: a shuffle input's fetcher pool
+	// and the runs it fetched live until Close, and stop is the container's
+	// kill channel, not the attempt's, so in a reused container nothing
+	// else would release them.
+	inputsClosed := false
+	closeInputs := func() error {
+		if inputsClosed {
+			return nil
+		}
+		inputsClosed = true
+		var first error
+		for name, in := range inputs {
+			if err := in.Close(); err != nil && first == nil {
+				first = fmt.Errorf("close input %s: %w", name, err)
+			}
+		}
+		return first
+	}
+	// An exit that did not reach the close below is already failing; its
+	// error is the one to report.
+	defer func() { _ = closeInputs() }()
+
 	newCtx := func(name string, payload []byte, phys int) *Context {
 		return &Context{
 			Meta:          r.Spec.Meta,
@@ -137,10 +159,8 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 	if err := proc.Close(); err != nil {
 		return fmt.Errorf("close processor: %w", err)
 	}
-	for name, in := range inputs {
-		if err := in.Close(); err != nil {
-			return fmt.Errorf("close input %s: %w", name, err)
-		}
+	if err := closeInputs(); err != nil {
+		return err
 	}
 	for name, out := range outputs {
 		events, err := out.Close()

@@ -50,29 +50,14 @@ type Services struct {
 	// Token is the DAG's shuffle-access credential on secure clusters
 	// (§4.3); nil when security is off.
 	Token security.Token
-	// FetchParallelism overrides the shuffle fetcher-pool size for this
-	// task's inputs: 0 falls through to the cluster-wide
-	// shuffle.Config.FetchParallelism (and then the library default);
-	// 1 forces serial fetching.
+	// FetchParallelism, SortMB, MergeFactor and Codec carry the session's
+	// shuffle knobs (am.Config.Shuffle*, which documents their values) to
+	// the library, which resolves each against the per-edge payload and
+	// its own default.
 	FetchParallelism int
-	// SortMB overrides the map-side shuffle sort budget (MiB) for this
-	// task's ordered outputs: 0 falls through to shuffle.Config.SortMB,
-	// negative forces unbounded (no spills).
-	SortMB int
-	// MergeFactor overrides the reduce-side merge width for this task's
-	// ordered inputs: 0 falls through to shuffle.Config.MergeFactor (and
-	// then the library default), negative disables intermediate merges.
-	MergeFactor int
-	// Codec overrides the shuffle wire block codec name for this task's
-	// outputs ("none", "flate", ...): empty falls through to
-	// shuffle.Config.Codec and then "none".
-	Codec string
-	// ShufflePipelined turns on pipelined spill publication for this
-	// task's ordered outputs: each sorted spill is registered and
-	// announced as it is produced instead of held for Close. False falls
-	// through to shuffle.Config.Pipelined; per-edge
-	// OrderedPartitionedConfig.Pipelined still takes precedence.
-	ShufflePipelined bool
+	SortMB           int
+	MergeFactor      int
+	Codec            string
 	// Timeline, when set, receives data-plane spans (sort spills, run
 	// merges) from this task's shuffle transports; nil records nothing.
 	Timeline *timeline.Journal

@@ -2,9 +2,11 @@ package runtime
 
 import (
 	"errors"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tez/internal/event"
 	"tez/internal/mailbox"
@@ -154,6 +156,90 @@ func TestRunnerEmitsInputReadError(t *testing.T) {
 	}
 	if ire.SrcVertex != "prev" || ire.SrcTask != 3 || ire.SrcAttempt != 1 || ire.Task != 5 {
 		t.Fatalf("event = %+v", ire)
+	}
+}
+
+// parkedInput behaves like a shuffle input's fetch set: Start parks a
+// goroutine that only the container's stop channel or Close releases, and
+// Close waits for it to exit.
+type parkedInput struct {
+	fakeInput
+	stop         <-chan struct{}
+	quit, exited chan struct{}
+	closes       int
+}
+
+func (i *parkedInput) Initialize(ctx *Context) error {
+	i.stop, i.quit, i.exited = ctx.Stop, make(chan struct{}), make(chan struct{})
+	return nil
+}
+
+func (i *parkedInput) Start() error {
+	go func() {
+		defer close(i.exited)
+		select {
+		case <-i.stop:
+		case <-i.quit:
+		}
+	}()
+	return nil
+}
+
+func (i *parkedInput) Close() error {
+	i.closes++
+	close(i.quit)
+	<-i.exited
+	return nil
+}
+
+// TestRunnerClosesInputsOnFailure: an attempt whose processor fails after
+// its inputs started must still close them — the stop channel belongs to
+// the container, which lives on to run the next task, so nothing else
+// would release a shuffle input's fetchers and the runs they hold.
+func TestRunnerClosesInputsOnFailure(t *testing.T) {
+	var ins []*parkedInput
+	RegisterInput("rt.in_parked", func() Input {
+		ins = append(ins, &parkedInput{})
+		return ins[len(ins)-1]
+	})
+	boom := errors.New("boom")
+	RegisterProcessor("rt.proc_boom", func() Processor {
+		return &fakeProcessor{run: func(map[string]Input, map[string]Output) error { return boom }}
+	})
+	RegisterProcessor("rt.proc_ok", func() Processor { return &fakeProcessor{} })
+
+	container := make(chan struct{}) // never closed: the container outlives both tasks
+	baseline := goruntime.NumGoroutine()
+	for proc, want := range map[string]error{"rt.proc_boom": boom, "rt.proc_ok": nil} {
+		r := &TaskRunner{
+			Spec: TaskSpec{
+				Processor: plugin.Desc(proc, nil),
+				Inputs: []IOSpec{
+					{Name: "up", Descriptor: plugin.Desc("rt.in_parked", nil)},
+					{Name: "side", Descriptor: plugin.Desc("rt.in_parked", nil)},
+				},
+			},
+			Incoming: mailbox.New[event.Event](),
+			Emit:     func(event.Event) {},
+		}
+		if err := r.Run(container); !errors.Is(err, want) {
+			t.Fatalf("%s: err = %v, want %v", proc, err, want)
+		}
+		// A goroutine that has signalled its exit may still be counted for
+		// a moment; one that is parked stays counted for good.
+		for deadline := time.Now().Add(2 * time.Second); goruntime.NumGoroutine() > baseline; goruntime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, %d before the first task", proc, goruntime.NumGoroutine(), baseline)
+			}
+		}
+	}
+	for n, in := range ins {
+		if in.closes != 1 {
+			t.Fatalf("input %d closed %d times, want once", n, in.closes)
+		}
+	}
+	if len(ins) != 4 {
+		t.Fatalf("%d inputs created, want 4", len(ins))
 	}
 }
 

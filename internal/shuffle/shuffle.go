@@ -46,32 +46,6 @@ type Config struct {
 	TransientErrorRate float64
 	// Seed for the error-injection RNG. Zero means 1.
 	Seed int64
-	// FetchParallelism is the default number of parallel fetcher
-	// goroutines each shuffle consumer runs (the per-reducer fetcher
-	// thread pool of real Tez). Zero lets consumers fall back to their
-	// own default; 1 forces serial fetching. Per-task overrides (e.g.
-	// am.Config.ShuffleFetchParallelism) take precedence.
-	FetchParallelism int
-	// SortMB is the cluster-default map-side sort budget in MiB for
-	// ordered shuffle outputs: when the sort buffer exceeds it, a sorted
-	// run is spilled. Zero means unbounded (no spills). Per-task
-	// overrides (am.Config.ShuffleSortMB) take precedence.
-	SortMB int
-	// MergeFactor is the cluster-default reduce-side merge width: when
-	// more sorted runs than this arrive, early arrivals are pre-merged
-	// while stragglers are still fetching. Zero lets consumers fall back
-	// to the library default.
-	MergeFactor int
-	// Codec is the cluster-default wire block codec name for shuffle
-	// partitions ("none", "flate", or any codec registered with the
-	// library). Empty means "none": bytes cross the wire raw.
-	Codec string
-	// Pipelined is the cluster-default for pipelined shuffle publication:
-	// ordered outputs register every sorted spill as it is produced
-	// (spill-indexed ids, incremental DataMovement events) instead of
-	// holding everything for Close. Per-edge overrides
-	// (library.OrderedPartitionedConfig.Pipelined) take precedence.
-	Pipelined bool
 	// Chaos, when set, injects transient/permanent fetch faults and slow-
 	// node transfer multipliers (nil means no injection). Unlike
 	// TransientErrorRate's shared RNG, chaos decisions are deterministic
@@ -83,23 +57,16 @@ type Config struct {
 }
 
 // OutputID names one task attempt's registered output. Name distinguishes
-// the several logical outputs a task may have (one per out-edge); Spill
-// distinguishes the increments of a pipelined output, which registers each
-// sorted spill under its own id as it is produced (0 for the single
-// registration of a non-pipelined output, so legacy ids are unchanged).
+// the several logical outputs a task may have (one per out-edge).
 type OutputID struct {
 	DAG     string
 	Vertex  string
 	Name    string
 	Task    int
 	Attempt int
-	Spill   int
 }
 
 func (id OutputID) String() string {
-	if id.Spill > 0 {
-		return fmt.Sprintf("%s/%s/%s/t%03d_a%d_s%d", id.DAG, id.Vertex, id.Name, id.Task, id.Attempt, id.Spill)
-	}
 	return fmt.Sprintf("%s/%s/%s/t%03d_a%d", id.DAG, id.Vertex, id.Name, id.Task, id.Attempt)
 }
 
@@ -141,31 +108,6 @@ func New(cfg Config) *Service {
 		sleep:   time.Sleep,
 	}
 }
-
-// FetchParallelism returns the cluster-configured default fetcher-pool
-// size per consumer (0 when unset).
-func (s *Service) FetchParallelism() int { return s.cfg.FetchParallelism }
-
-// SortMB returns the cluster-configured default map-side sort budget in
-// MiB (0 when unset: unbounded).
-func (s *Service) SortMB() int { return s.cfg.SortMB }
-
-// MergeFactor returns the cluster-configured default reduce-side merge
-// width (0 when unset).
-func (s *Service) MergeFactor() int { return s.cfg.MergeFactor }
-
-// Codec returns the cluster-configured default wire block codec name
-// ("" when unset: none).
-func (s *Service) Codec() string { return s.cfg.Codec }
-
-// Pipelined returns the cluster-configured default for pipelined spill
-// publication (false when unset: barrier mode).
-func (s *Service) Pipelined() bool { return s.cfg.Pipelined }
-
-// SpillFault asks the bound chaos plane whether a pipelined producer
-// should die right after publishing the increment named by site. Nil-safe;
-// false without a plane.
-func (s *Service) SpillFault(site string) bool { return s.cfg.Chaos.SpillFault(site) }
 
 // SetAuthority turns on token-based access control (§4.3): every
 // registration and fetch must then present the live token of the DAG the
@@ -375,16 +317,10 @@ func (s *Service) FetchNoWait(id OutputID, partition int, readerNode string, tok
 	}
 	node := o.node
 	s.mu.Unlock()
-	info := fmt.Sprintf("%s p%d -> %s", id.Name, partition, readerNode)
-	if id.Spill > 0 {
-		// Pipelined increments tag the spill index so trace tooling can
-		// count increments per edge; spill 0 keeps the legacy format.
-		info = fmt.Sprintf("%s p%d s%d -> %s", id.Name, partition, id.Spill, readerNode)
-	}
 	s.cfg.Timeline.Record(timeline.Event{
 		Type: timeline.ShuffleFetch, DAG: id.DAG,
 		Vertex: id.Vertex, Task: id.Task, Attempt: id.Attempt, Node: node,
-		Info: info,
+		Info: fmt.Sprintf("%s p%d -> %s", id.Name, partition, readerNode),
 		Dur:  delay, Val: int64(len(data)),
 	})
 	return data, delay, nil

@@ -107,15 +107,11 @@ func ChromeTrace(events []Event) ([]byte, error) {
 				Args: map[string]any{"locality": e.Info, "node": e.Node},
 			})
 		case ShuffleFetch:
-			args := map[string]any{"bytes": e.Val, "reader": e.Info}
-			if _, spill := fetchInfoParts(e.Info); spill > 0 {
-				args["spill"] = spill
-			}
 			out = append(out, chromeEvent{
 				Name: fmt.Sprintf("fetch %s/t%03d_a%d", e.Vertex, e.Task, e.Attempt),
 				Ph:   "X", Ts: us(e.Start()), Dur: float64(e.Dur) / float64(time.Microsecond),
 				Pid: pid, Tid: lanes.tid(pid, "shuffle @"+e.Node),
-				Args: args,
+				Args: map[string]any{"bytes": e.Val, "reader": e.Info},
 			})
 		case ShuffleSpill, ShuffleMerge:
 			verb := "spill"

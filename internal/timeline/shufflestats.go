@@ -2,46 +2,21 @@ package timeline
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 )
 
 // EdgeFetch summarises one shuffle edge's fetch traffic: how many fetches
-// it served, the bytes moved, and how many publication increments per
-// source the consumers saw — 1 for barrier-mode edges, the spill count
-// for pipelined ones.
+// it served and the bytes moved.
 type EdgeFetch struct {
-	Vertex     string // producing vertex
-	Edge       string // edge name (= consumer vertex)
-	Fetches    int
-	Bytes      int64
-	Increments int // max spill index observed + 1
-}
-
-// fetchInfoParts parses a ShuffleFetch span's Info — "<edge> p<k> -> <r>"
-// or, for pipelined increments, "<edge> p<k> s<n> -> <r>" — returning the
-// edge name and the spill index (0 when untagged).
-func fetchInfoParts(info string) (edge string, spill int) {
-	fields := strings.Fields(info)
-	if len(fields) == 0 {
-		return "", 0
-	}
-	edge = fields[0]
-	for _, f := range fields[1:] {
-		if f == "->" {
-			break
-		}
-		if len(f) > 1 && f[0] == 's' {
-			if n, err := strconv.Atoi(f[1:]); err == nil {
-				spill = n
-			}
-		}
-	}
-	return edge, spill
+	Vertex  string // producing vertex
+	Edge    string // edge name (= consumer vertex)
+	Fetches int
+	Bytes   int64
 }
 
 // EdgeFetchStats aggregates one run's ShuffleFetch spans per (producing
-// vertex, edge), sorted by vertex then edge. An empty dagID aggregates
+// vertex, edge), sorted by vertex then edge. The edge is the first word of
+// the span's Info ("<edge> p<k> -> <reader>"). An empty dagID aggregates
 // every run in the journal.
 func EdgeFetchStats(events []Event, dagID string) []EdgeFetch {
 	byEdge := make(map[[2]string]*EdgeFetch)
@@ -49,18 +24,15 @@ func EdgeFetchStats(events []Event, dagID string) []EdgeFetch {
 		if e.Type != ShuffleFetch || (dagID != "" && e.DAG != dagID) {
 			continue
 		}
-		edge, spill := fetchInfoParts(e.Info)
+		edge, _, _ := strings.Cut(e.Info, " ")
 		key := [2]string{e.Vertex, edge}
 		ef := byEdge[key]
 		if ef == nil {
-			ef = &EdgeFetch{Vertex: e.Vertex, Edge: edge, Increments: 1}
+			ef = &EdgeFetch{Vertex: e.Vertex, Edge: edge}
 			byEdge[key] = ef
 		}
 		ef.Fetches++
 		ef.Bytes += e.Val
-		if spill+1 > ef.Increments {
-			ef.Increments = spill + 1
-		}
 	}
 	out := make([]EdgeFetch, 0, len(byEdge))
 	for _, ef := range byEdge {

@@ -5,52 +5,31 @@ import (
 	"testing"
 )
 
-func TestFetchInfoParts(t *testing.T) {
-	cases := []struct {
-		info  string
-		edge  string
-		spill int
-	}{
-		{"red p0 -> n1", "red", 0},              // barrier span, untagged
-		{"red p3 s7 -> n2", "red", 7},           // pipelined increment
-		{"red p1 s0 -> n0", "red", 0},           // first increment, tagged
-		{"red p2 -> sick-node", "red", 0},       // nothing after -> may parse as a tag
-		{"", "", 0},                             // defensive: empty info
-		{"edge-s9 p0 -> n1", "edge-s9", 0},      // edge name is not a spill tag
-		{"red p0 sX -> n1", "red", 0},           // malformed tag ignored
-	}
-	for _, c := range cases {
-		edge, spill := fetchInfoParts(c.info)
-		if edge != c.edge || spill != c.spill {
-			t.Errorf("fetchInfoParts(%q) = (%q, %d), want (%q, %d)", c.info, edge, spill, c.edge, c.spill)
-		}
-	}
-}
-
 func TestEdgeFetchStats(t *testing.T) {
 	fetch := func(dag, vertex, info string, val int64) Event {
 		return Event{Type: ShuffleFetch, DAG: dag, Vertex: vertex, Info: info, Val: val}
 	}
 	events := []Event{
 		fetch("dag1", "red", "map p0 -> n1", 100),
-		fetch("dag1", "red", "map p0 s1 -> n1", 50),
-		fetch("dag1", "red", "map p1 s2 -> n2", 25),
+		fetch("dag1", "red", "map p0 -> n2", 50),
+		fetch("dag1", "red", "map p1 -> n2", 25),
 		fetch("dag1", "join", "left p0 -> n1", 10),
-		fetch("dag2", "red", "map p0 s9 -> n1", 1), // other run: filtered out
+		fetch("dag1", "join", "", 1),                                           // defensive: empty info is its own edge
+		fetch("dag2", "red", "map p0 -> n1", 1),                                // other run: filtered out
 		{Type: ShuffleMerge, DAG: "dag1", Vertex: "red", Info: "map", Val: 99}, // not a fetch
 	}
 	got := EdgeFetchStats(events, "dag1")
 	want := []EdgeFetch{
-		{Vertex: "join", Edge: "left", Fetches: 1, Bytes: 10, Increments: 1},
-		{Vertex: "red", Edge: "map", Fetches: 3, Bytes: 175, Increments: 3},
+		{Vertex: "join", Edge: "", Fetches: 1, Bytes: 1},
+		{Vertex: "join", Edge: "left", Fetches: 1, Bytes: 10},
+		{Vertex: "red", Edge: "map", Fetches: 3, Bytes: 175},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("EdgeFetchStats = %+v, want %+v", got, want)
 	}
-	// Empty dagID aggregates every run: dag2's s9 span raises the
-	// increment high-water mark.
+	// Empty dagID aggregates every run.
 	all := EdgeFetchStats(events, "")
-	if len(all) != 2 || all[1].Increments != 10 || all[1].Fetches != 4 {
+	if len(all) != 3 || all[2].Fetches != 4 || all[2].Bytes != 176 {
 		t.Fatalf("unfiltered stats = %+v", all)
 	}
 }
