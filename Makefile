@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check check-benchmark bench bench-shuffle bench-relop bench-controlplane bench-service bench-graph fuzz-short chaos trace
+.PHONY: build vet lint test race check check-benchmark bench bench-shuffle bench-controlplane bench-service bench-graph fuzz-short chaos trace
 
 build:
 	$(GO) build ./...
@@ -10,16 +10,11 @@ vet:
 
 # lint: go vet, the control-plane invariant (every lifecycle state change
 # in internal/am must flow through the internal/fsm transition tables —
-# no raw `.state = ...` assignments), the data-plane invariant (the batch
-# kernels must never fall back to per-record expression evaluation — no
-# `.Eval(` in the vectorized files), and staticcheck when installed
+# no raw `.state = ...` assignments), and staticcheck when installed
 # (skipped gracefully where it is not; CI does not install it).
 lint: vet
 	@if grep -rnE '\.state[[:space:]]*=[^=]' internal/am --include='*.go'; then \
 		echo 'lint: raw lifecycle state assignment in internal/am (use the fsm tables)'; exit 1; \
-	fi
-	@if grep -nE '\.Eval\(' internal/relop/vexpr.go internal/relop/vexec.go internal/relop/vagg.go; then \
-		echo 'lint: per-record Eval in the batch kernels (use the columnar kernels)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -52,16 +47,6 @@ bench:
 bench-shuffle:
 	$(GO) test -run XXX -bench BenchmarkGroupedRead -benchmem ./internal/library/
 	$(GO) run ./cmd/tez-bench -exp shuffle-sort,shuffle-codec -shuffle-json BENCH_shuffle.json
-
-# bench-relop measures the vectorization ablation: filter / project /
-# hashjoin / aggregate kernels row-at-a-time vs columnar batches
-# (~200k rows per op through the real emit pipeline), then the Hive
-# TPC-H-derived and Pig workloads end to end under the row engine, the
-# columnar engine and columnar+flate — all three must commit
-# byte-identical output. Persists BENCH_relop.json; CI uploads it as an
-# artifact.
-bench-relop:
-	$(GO) run ./cmd/tez-bench -exp relop -relop-json BENCH_relop.json
 
 # bench-controlplane drives the scheduler at 10k simulated nodes, the
 # event plane at 1M events, and a 100k-task DAG end to end, comparing

@@ -20,9 +20,8 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "small", "experiment scale: small | full")
-	expFlag := flag.String("exp", "all", "comma-separated experiments: f8,f9,f10,f11,f12,f13,chaos,ablations,shuffle-sort,shuffle-codec,relop,controlplane,controlplane-quick,service,graph")
+	expFlag := flag.String("exp", "all", "comma-separated experiments: f8,f9,f10,f11,f12,f13,chaos,ablations,shuffle-sort,shuffle-codec,controlplane,controlplane-quick,service,graph")
 	shuffleJSON := flag.String("shuffle-json", "", "write shuffle-sort/shuffle-codec results to this JSON file")
-	relopJSON := flag.String("relop-json", "", "write the vectorization ablation to this JSON file")
 	cpJSON := flag.String("controlplane-json", "", "write control-plane results to this JSON file")
 	serviceJSON := flag.String("service-json", "", "write multi-tenant service results to this JSON file")
 	graphJSON := flag.String("graph-json", "", "write BSP graph-engine results to this JSON file")
@@ -105,40 +104,6 @@ func main() {
 		shufflePayload.Codec = rows
 		fmt.Println(bench.ShuffleCodecReport(rows))
 	}
-	// The vectorization ablation (ISSUE 9): relational kernels row vs
-	// columnar, plus the Hive/Pig engines end to end under row, columnar
-	// and columnar+flate. Opt-in like the other data-plane suites.
-	if want["relop"] {
-		micro, err := bench.RelopMicroResults(sc)
-		if err != nil {
-			log.Fatalf("relop micro: %v", err)
-		}
-		fmt.Println(bench.RelopMicroReport(micro))
-		e2e, err := bench.RelopE2EResults(sc)
-		if err != nil {
-			log.Fatalf("relop e2e: %v", err)
-		}
-		fmt.Println(bench.RelopE2EReport(e2e))
-		if *relopJSON != "" {
-			var payload struct {
-				Scale string                   `json:"scale"`
-				Micro []bench.RelopMicroResult `json:"micro"`
-				E2E   []bench.RelopE2EResult   `json:"e2e"`
-			}
-			payload.Scale = sc.Name
-			payload.Micro = micro
-			payload.E2E = e2e
-			blob, err := json.MarshalIndent(payload, "", "  ")
-			if err != nil {
-				log.Fatalf("relop-json: %v", err)
-			}
-			if err := os.WriteFile(*relopJSON, append(blob, '\n'), 0o644); err != nil {
-				log.Fatalf("relop-json: %v", err)
-			}
-			fmt.Printf("wrote %s\n", *relopJSON)
-		}
-	}
-
 	// Control-plane throughput (ROADMAP item 2). Opt-in, not part of
 	// "all": the flagship 10k-node / 100k-task DAG run takes minutes.
 	if want["controlplane"] || want["controlplane-quick"] {

@@ -83,7 +83,7 @@ func main() {
 	backend := flag.String("backend", "tez", "tez | mr | both")
 	rows := flag.Int("rows", 5000, "input rows")
 	list := flag.Bool("list", false, "list pipelines")
-	explain := flag.Bool("explain", false, "print the compiled DAG and vectorization decisions instead of running")
+	explain := flag.Bool("explain", false, "print the compiled DAG and its stages instead of running")
 	script := flag.String("script", "", scriptHelp)
 	flag.Parse()
 

@@ -327,7 +327,9 @@ func TestAMRecoveryFromCheckpoint(t *testing.T) {
 		})
 		return d
 	}
-	cfg := Config{Name: "am1", CheckpointPath: "/_cp", MaxTaskAttempts: 1}
+	// No slow-start: stage2 must not start (and fail the DAG) before stage1
+	// has completed and been checkpointed, which is what the test is about.
+	cfg := Config{Name: "am1", CheckpointPath: "/_cp", MaxTaskAttempts: 1, DisableSlowStart: true}
 
 	// First AM: stage1 succeeds, stage2 fails → DAG failed, checkpoint has
 	// stage1 complete.

@@ -138,7 +138,6 @@ func (r *dagRun) onAssigned(at *attemptState, pc *pooledContainer) {
 		SortMB:           r.session.cfg.ShuffleSortMB,
 		MergeFactor:      r.session.cfg.ShuffleMergeFactor,
 		Codec:            r.session.cfg.ShuffleCodec,
-		RelopBatchSize:   r.session.cfg.RelopBatchSize,
 		Timeline:         r.tl(),
 	}
 	r.replayEvents(at)

@@ -92,12 +92,6 @@ type Config struct {
 	// ("none", "flate"). Empty means "none"; a per-edge
 	// library.OrderedPartitionedConfig.Codec takes precedence.
 	ShuffleCodec string
-	// RelopBatchSize tunes the relational stage processor's vectorized
-	// execution per session: 0 uses the engine default (1024 rows per
-	// batch), > 0 sets the flush threshold, negative forces row-at-a-time
-	// execution (the runtime escape hatch; relop.Config.DisableVectorized
-	// is the compile-time one).
-	RelopBatchSize int
 
 	// DeadlockCheckInterval / DeadlockWait configure detection of
 	// scheduling deadlocks caused by out-of-order task scheduling: when

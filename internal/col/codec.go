@@ -8,8 +8,8 @@ import (
 	"tez/internal/row"
 )
 
-// Batch wire format (broadcast edges flagged Batched by the relop
-// compiler). Self-describing like library.DMInfo.Codec: a magic byte and
+// Batch wire format (the relop broadcast edges that feed hash-join build
+// sides). Self-describing like library.DMInfo.Codec: a magic byte and
 // a version lead the frame, then each column declares its own physical
 // kind, so a decoder needs no out-of-band schema and old readers fail
 // loudly rather than misparse.
@@ -34,8 +34,8 @@ const (
 // MaxDecodeRows bounds the claimed row count a frame may declare. All-null
 // (Unset) columns cost zero wire bytes per row, so without this cap a
 // 9-byte hostile frame could claim 2^60 rows and stall every consumer
-// that walks the decoded batch. Real producers flush at a few thousand
-// rows (runtime.Services.RelopBatchSize).
+// that walks the decoded batch. The one producer frames at most
+// relop.DefaultBatchSize (1024) rows.
 const MaxDecodeRows = 1 << 20
 
 // EncodeBatch appends the live rows of b as one batch frame. Constant

@@ -9,10 +9,10 @@ import (
 
 // This file mirrors the row package's two wire formats over columnar
 // storage, byte for byte: AppendRowEncoded produces exactly row.Encode's
-// output and AppendKeyEncoded exactly row.EncodeKey's, so the vectorized
-// engine's sink files and shuffle segments are indistinguishable from
-// the row engine's. Bool vectors (comparison results) encode as Int 0/1
-// — that is what Expr.Eval produces on the row path.
+// output and AppendKeyEncoded exactly row.EncodeKey's, so the batch
+// engine's sink files and shuffle segments are what a row-at-a-time
+// engine would write. Bool vectors (comparison results) encode as Int 0/1
+// — that is what the relop row oracle's Expr.Eval produces.
 
 func uvarint(buf []byte) (uint64, int) { return binary.Uvarint(buf) }
 func varint(buf []byte) (int64, int)   { return binary.Varint(buf) }

@@ -53,7 +53,7 @@ func (e *Engine) Explain(sql string) (string, error) {
 		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s\n", ed.From, ed.To, ed.Property.Movement)
 	}
 	if vs := relop.ExplainStages(d); vs != "" {
-		b.WriteString("vectorization:\n")
+		b.WriteString("stages:\n")
 		for _, line := range strings.Split(strings.TrimRight(vs, "\n"), "\n") {
 			b.WriteString("  " + line + "\n")
 		}

@@ -308,6 +308,13 @@ func TestExplain(t *testing.T) {
 	for _, want := range []string{
 		"broadcast (map) join", "aggregate", "sort keys=1 limit=1",
 		"tez dag:", "SCATTER_GATHER", "BROADCAST",
+		// One line per group op and emit: kind, target, pipeline op count.
+		"stages:",
+		"emit broadcast -> s01_scan_orders (0 ops)",
+		"emit shuffle -> s03_agg (2 ops)",
+		"group agg\n",
+		"group sort\n",
+		"emit sink -> sink01 (0 ops)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("explain missing %q:\n%s", want, text)

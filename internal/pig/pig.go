@@ -116,9 +116,8 @@ func (s *Script) Store(d *Dataset, path string) {
 // Roots returns the plan roots (for inspection).
 func (s *Script) Roots() []*relop.Node { return s.stores }
 
-// Explain renders the compiled Tez DAG of the script plus the
-// per-stage vectorization decisions (which pipelines run
-// batch-at-a-time and why any fell back to rows).
+// Explain renders the compiled Tez DAG of the script plus what each
+// stage vertex executes (its group op and emits).
 func (s *Script) Explain() (string, error) {
 	if len(s.stores) == 0 {
 		return "", fmt.Errorf("pig: script %s stores nothing", s.Name)
@@ -149,7 +148,7 @@ func (s *Script) Explain() (string, error) {
 		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s\n", ed.From, ed.To, ed.Property.Movement)
 	}
 	if vs := relop.ExplainStages(d); vs != "" {
-		b.WriteString("vectorization:\n")
+		b.WriteString("stages:\n")
 		for _, line := range strings.Split(strings.TrimRight(vs, "\n"), "\n") {
 			b.WriteString("  " + line + "\n")
 		}

@@ -8,56 +8,40 @@ import (
 	"tez/internal/runtime"
 )
 
-// This file exports the two kernel entry points the vectorization
-// ablation (internal/bench, `tez-bench -exp relop`) measures, so the
-// benchmark can drive exactly the data plane a task attempt runs —
-// same emitter, same kernels — without standing up a cluster.
+// This file exports the two kernel entry points the repository's
+// benchmark (benchmark/probes.go, the relop.*_ns_per_row metrics) times,
+// so it drives exactly the data plane a task attempt runs — same emitter,
+// same kernels — without standing up a cluster.
 
-// RunEmitBench streams pre-encoded rows through one emit pipeline.
-// batchSize <= 0 decodes and evaluates row-at-a-time (the pre-columnar
-// engine); batchSize > 0 runs the batch kernels. Returns the number of
-// rows emitted so callers can keep the variants honest.
+// RunEmitBench streams pre-encoded rows through one emit pipeline in
+// batches of batchSize (> 0) and returns the number of rows emitted.
+// widths is ignored: the hash join reads each build row's width itself.
 func RunEmitBench(spec EmitSpec, tables map[string]map[string][]row.Row, widths map[string]int,
 	encoded [][]byte, batchSize int, w runtime.KVWriter) (int64, error) {
 
-	proc := &stageProcessor{tableWidths: widths}
-	em := &emitter{spec: spec, writer: w, proc: proc, tables: tables}
-	if batchSize > 0 {
-		if ok, reason := VectorizableEmit(&spec); !ok {
-			return 0, fmt.Errorf("relop: bench spec not vectorizable: %s", reason)
-		}
-		proc.batchSize = batchSize
-		em.spec.Vectorize = true
-		em.vec = newVecEmitter(em, batchSize)
-		for _, e := range encoded {
-			if err := em.vec.add(e); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		for _, e := range encoded {
-			r, err := row.Decode(e)
-			if err != nil {
-				return 0, err
-			}
-			if err := em.emit(r); err != nil {
-				return 0, err
-			}
-		}
+	if batchSize <= 0 {
+		return 0, fmt.Errorf("relop: batch size %d, want > 0", batchSize)
 	}
-	if err := em.finish(); err != nil {
+	if err := validateEmit(&spec); err != nil {
 		return 0, err
 	}
-	return em.count, nil
+	ve := newVecEmitter(spec, w, tables, batchSize)
+	for _, e := range encoded {
+		if err := ve.add(e); err != nil {
+			return 0, err
+		}
+	}
+	if err := ve.flush(); err != nil {
+		return 0, err
+	}
+	return ve.count, nil
 }
 
 // RunAggBench runs the grouped-aggregation kernel over one group's
-// encoded values: batchSize <= 0 takes the row path, > 0 the columnar
-// path.
+// encoded values in chunks of batchSize (> 0).
 func RunAggBench(g *GroupOp, values [][]byte, batchSize int, emit func(row.Row) error) error {
-	if batchSize > 0 {
-		return aggGroupVec(g, values, batchSize, col.NewBatch(), emit)
+	if batchSize <= 0 {
+		return fmt.Errorf("relop: batch size %d, want > 0", batchSize)
 	}
-	p := &stageProcessor{}
-	return p.aggGroup(g, values, emit)
+	return aggGroupVec(g, values, batchSize, col.NewBatch(), emit)
 }

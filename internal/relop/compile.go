@@ -20,11 +20,6 @@ type Config struct {
 	// DisableRegistryCache turns off object-registry sharing of broadcast
 	// hash tables (ablation).
 	DisableRegistryCache bool
-	// DisableVectorized keeps every pipeline, aggregation and broadcast
-	// edge on the row-at-a-time path (escape hatch / ablation). The
-	// runtime knob am.Config.RelopBatchSize < 0 disables batch execution
-	// per session instead; this flag also reverts the wire format.
-	DisableVectorized bool
 	// TempRoot hosts MR-chain intermediate data.
 	TempRoot string
 }
@@ -115,10 +110,11 @@ func (c *Compiler) edge(from, to *bStage, movement dag.MovementType) error {
 		}
 	}
 	to.inEdges = append(to.inEdges, &bEdge{from: from, to: to, movement: movement})
-	// The consumer reads the edge under the producer vertex's name.
+	// The consumer reads the edge under the producer vertex's name; only
+	// hash-join build sides travel by broadcast.
 	mode := InGrouped
 	if movement == dag.Broadcast {
-		mode = InUnordered
+		mode = InBuild
 	}
 	to.spec.Inputs = append(to.spec.Inputs, StageInput{Name: from.name, Mode: mode})
 	return nil
@@ -282,10 +278,9 @@ func (c *Compiler) compileBroadcastJoin(n *Node) ([]cursor, error) {
 			if err := c.edge(bc.st, pc.st, dag.Broadcast); err != nil {
 				return nil, err
 			}
-			// Rewrite the auto-added unordered input into a build input.
+			// Key the auto-added build input.
 			for i := range pc.st.spec.Inputs {
 				if pc.st.spec.Inputs[i].Name == bc.st.name {
-					pc.st.spec.Inputs[i].Mode = InBuild
 					pc.st.spec.Inputs[i].BuildKeys = n.JoinR
 					pc.st.spec.Inputs[i].CacheInRegistry = !c.cfg.DisableRegistryCache
 				}
@@ -458,9 +453,6 @@ func (c *Compiler) CompileTez(name string, roots []*Node) (*dag.DAG, error) {
 	if err := c.finishPruning(); err != nil {
 		return nil, err
 	}
-	// Stamp vectorization decisions before specs are snapshotted into
-	// vertex payloads (plugin.Desc encodes at AddVertex time).
-	c.vectorize()
 	return c.emitDAG(name, c.stages)
 }
 

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 
 	"tez/internal/col"
-	"tez/internal/event"
 	"tez/internal/plugin"
 	"tez/internal/row"
 	"tez/internal/runtime"
@@ -18,8 +17,10 @@ func init() {
 	runtime.RegisterProcessor(StageProcessorName, func() runtime.Processor { return &stageProcessor{} })
 }
 
-// DefaultBatchSize is the rows-per-batch flush threshold of the
-// vectorized path when runtime.Services.RelopBatchSize is 0.
+// DefaultBatchSize is the rows-per-batch flush threshold of every emit
+// pipeline and aggregation a stage runs. It stays far below
+// col.MaxDecodeRows, so a consumer never refuses a frame its producer
+// framed.
 const DefaultBatchSize = 1024
 
 // PruneValues is the payload of initializer events and of VM histogram
@@ -31,189 +32,14 @@ type PruneValues struct {
 type stageProcessor struct {
 	ctx  *runtime.Context
 	spec StageSpec
-	// batchSize is the vectorized flush threshold; <= 0 disables the
-	// batch execution strategy at runtime (spec-level Batched wire
-	// contracts still hold — see emitter.terminal).
-	batchSize int
-	// tableWidths records each build table's row width (-1 when mixed:
-	// the batch join kernel needs a fixed output shape, so mixed-width
-	// tables force the row path).
-	tableWidths map[string]int
 }
 
 func (p *stageProcessor) Initialize(ctx *runtime.Context) error {
 	p.ctx = ctx
-	p.tableWidths = map[string]int{}
-	switch bs := ctx.Services.RelopBatchSize; {
-	case bs == 0:
-		p.batchSize = DefaultBatchSize
-	case bs > 0:
-		p.batchSize = bs
-	default:
-		p.batchSize = 0 // negative knob: row-at-a-time everywhere
-	}
 	return plugin.Decode(ctx.Payload, &p.spec)
 }
 
 func (p *stageProcessor) Close() error { return nil }
-
-// emitter is one EmitSpec bound to its writer and deferred-event state.
-// The scratch buffers make the row fallback path allocation-light: the
-// downstream writers copy what they are handed (sort arenas, unordered
-// buffers, record files), so reuse across rows is safe.
-type emitter struct {
-	spec   EmitSpec
-	writer runtime.KVWriter
-	proc   *stageProcessor
-	tables map[string]map[string][]row.Row
-	// vec is non-nil when this emit runs the batch-at-a-time path.
-	vec *vecEmitter
-	// deferred collects key values for initializer/vm emits, sent once at
-	// stage end.
-	deferred []row.Value
-	count    int64
-
-	keyScratch []byte  // hash-join probe keys / shuffle keys
-	valScratch []byte  // encoded values
-	keyVals    row.Row // probe-key evaluation buffer
-	// joinRows holds one reusable joined-row buffer per hash-join nesting
-	// depth (nothing downstream retains the row: terminals copy).
-	joinRows []row.Row
-	// outBatch accumulates rows for a Batched broadcast emit when the
-	// pipeline itself ran row-at-a-time (runtime batch disable, or a
-	// non-vectorizable pipe feeding a batched edge): the wire format is a
-	// compile-time contract and must hold either way.
-	outBatch *col.Batch
-	outFrame []byte
-}
-
-func (e *emitter) emit(r row.Row) error {
-	return e.runPipe(r, 0, 0)
-}
-
-// runPipe applies ops[from:] iteratively; only hash-join fan-out
-// recurses (per matched build row, one nesting depth per join), so the
-// common linear pipeline costs no per-record closures or clones.
-func (e *emitter) runPipe(r row.Row, from, depth int) error {
-	ops := e.spec.Pipe
-	for i := from; i < len(ops); i++ {
-		op := &ops[i]
-		switch op.Kind {
-		case "filter":
-			if !Truthy(op.Filter.Eval(r)) {
-				return nil
-			}
-		case "project":
-			r = EvalAll(op.Project, r)
-		case "hashjoin":
-			table := e.tables[op.HJ.Input]
-			if table == nil {
-				return fmt.Errorf("relop: hash join against unknown build input %q", op.HJ.Input)
-			}
-			// The key scratch is consumed by the map lookup before any
-			// deeper join can overwrite it.
-			e.keyVals = EvalAllInto(e.keyVals, op.HJ.ProbeKeys, r)
-			e.keyScratch = row.EncodeKey(e.keyScratch[:0], e.keyVals...)
-			matches := table[string(e.keyScratch)]
-			for len(e.joinRows) <= depth {
-				e.joinRows = append(e.joinRows, nil)
-			}
-			for _, build := range matches {
-				joined := e.joinRows[depth][:0]
-				joined = append(append(joined, r...), build...)
-				e.joinRows[depth] = joined
-				if err := e.runPipe(joined, i+1, depth+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		default:
-			return fmt.Errorf("relop: unknown pipe op %q", op.Kind)
-		}
-	}
-	return e.terminal(r)
-}
-
-func (e *emitter) terminal(r row.Row) error {
-	if e.spec.SampleRate > 0 && !sampled(r, e.spec.SampleRate) {
-		return nil
-	}
-	e.count++
-	switch e.spec.Kind {
-	case EmitShuffle:
-		key := e.shuffleKey(r)
-		val := e.valScratch[:0]
-		if e.spec.Tag >= 0 {
-			val = append(val, byte(e.spec.Tag))
-		}
-		val = row.Encode(val, r)
-		e.valScratch = val
-		return e.writer.Write(key, val)
-	case EmitBroadcast:
-		if e.spec.Batched {
-			return e.batchOut(r)
-		}
-		e.valScratch = row.Encode(e.valScratch[:0], r)
-		return e.writer.Write(nil, e.valScratch)
-	case EmitSink:
-		e.valScratch = row.Encode(e.valScratch[:0], r)
-		return e.writer.Write(nil, e.valScratch)
-	case EmitInitializer, EmitVM:
-		e.deferred = append(e.deferred, e.spec.Keys[0].Eval(r))
-		return nil
-	}
-	return fmt.Errorf("relop: unknown emit kind %q", e.spec.Kind)
-}
-
-// batchOut frames rows for a Batched edge fed by the row path.
-func (e *emitter) batchOut(r row.Row) error {
-	if e.outBatch == nil {
-		e.outBatch = col.NewBatch()
-	}
-	if !e.outBatch.AppendRow(r) {
-		if err := e.flushBatchOut(); err != nil {
-			return err
-		}
-		e.outBatch.AppendRow(r) // width unlocked by Reset
-	}
-	if e.outBatch.Len() >= e.proc.effectiveBatchSize() {
-		return e.flushBatchOut()
-	}
-	return nil
-}
-
-func (e *emitter) flushBatchOut() error {
-	if e.outBatch == nil || e.outBatch.Len() == 0 {
-		return nil
-	}
-	e.outFrame = col.EncodeBatch(e.outFrame[:0], e.outBatch)
-	e.outBatch.Reset()
-	return e.writer.Write(nil, e.outFrame)
-}
-
-// effectiveBatchSize never reports the disabled (0) state: Batched wire
-// framing needs a flush threshold even when batch execution is off.
-func (p *stageProcessor) effectiveBatchSize() int {
-	if p.batchSize > 0 {
-		return p.batchSize
-	}
-	return DefaultBatchSize
-}
-
-// shuffleKey builds the orderable key with per-column direction into a
-// reused buffer (descending segments are flipped in place).
-func (e *emitter) shuffleKey(r row.Row) []byte {
-	key := e.keyScratch[:0]
-	for i, kx := range e.spec.Keys {
-		start := len(key)
-		key = row.EncodeKey(key, kx.Eval(r))
-		if i < len(e.spec.Desc) && e.spec.Desc[i] {
-			flipBytes(key[start:])
-		}
-	}
-	e.keyScratch = key
-	return key
-}
 
 func flipBytes(b []byte) {
 	for i := range b {
@@ -221,69 +47,21 @@ func flipBytes(b []byte) {
 	}
 }
 
-// finish flushes any buffered batch output (stage end).
-func (e *emitter) finish() error {
-	if e.vec != nil {
-		if err := e.vec.flush(); err != nil {
-			return err
-		}
-	}
-	return e.flushBatchOut()
-}
-
-// flush sends deferred control events (§3.3: opaque payloads routed by
-// the framework).
-func (e *emitter) flush() {
-	switch e.spec.Kind {
-	case EmitInitializer:
-		e.proc.ctx.Emit(event.InputInitializerEvent{
-			TargetVertex:     e.spec.Output,
-			TargetDataSource: e.spec.TargetSource,
-			SrcVertex:        e.proc.ctx.Meta.Vertex,
-			SrcTask:          e.proc.ctx.Meta.Task,
-			Payload:          plugin.MustEncode(PruneValues{Values: e.deferred}),
-		})
-	case EmitVM:
-		e.proc.ctx.Emit(event.VertexManagerEvent{
-			TargetVertex: e.spec.Output,
-			SrcVertex:    e.proc.ctx.Meta.Vertex,
-			SrcTask:      e.proc.ctx.Meta.Task,
-			Payload:      plugin.MustEncode(PruneValues{Values: e.deferred}),
-		})
-	}
-}
-
-func sampled(r row.Row, rate float64) bool {
+// sampled keeps a deterministic share of rows: FNV-1a over the row's
+// wire encoding, so every attempt of a task samples the same rows.
+func sampled(encoded []byte, rate float64) bool {
 	h := fnv.New32a()
-	_, _ = h.Write(row.Encode(nil, r))
+	_, _ = h.Write(encoded)
 	return float64(h.Sum32()%1000000) < rate*1000000
-}
-
-// vecEligible decides at runtime whether an emit runs the batch path:
-// the compiler must have marked it, batching must be enabled, and every
-// hash join must probe a fixed-width build table (the batch join kernel
-// emits into a fixed-shape output batch).
-func (p *stageProcessor) vecEligible(es *EmitSpec) bool {
-	if !es.Vectorize || p.batchSize <= 0 {
-		return false
-	}
-	for i := range es.Pipe {
-		if es.Pipe[i].Kind == "hashjoin" {
-			if w, ok := p.tableWidths[es.Pipe[i].HJ.Input]; !ok || w < 0 {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string]runtime.Output) error {
 	// Bind emitters to writers.
-	emitters := make([]*emitter, len(p.spec.Emits))
+	emitters := make([]*vecEmitter, len(p.spec.Emits))
 	tables := map[string]map[string][]row.Row{}
 	for i := range p.spec.Emits {
 		es := p.spec.Emits[i]
-		em := &emitter{spec: es, proc: p, tables: tables}
+		var kw runtime.KVWriter
 		switch es.Kind {
 		case EmitShuffle, EmitBroadcast, EmitSink:
 			out, ok := outputs[es.Output]
@@ -294,13 +72,11 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 			if err != nil {
 				return err
 			}
-			kw, ok := w.(runtime.KVWriter)
-			if !ok {
+			if kw, ok = w.(runtime.KVWriter); !ok {
 				return fmt.Errorf("relop: output %q writer is %T", es.Output, w)
 			}
-			em.writer = kw
 		}
-		emitters[i] = em
+		emitters[i] = newVecEmitter(es, kw, tables, DefaultBatchSize)
 	}
 
 	// Build hash tables (possibly from the shared object registry, §4.2).
@@ -308,19 +84,11 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 		if in.Mode != InBuild {
 			continue
 		}
-		table, width, err := p.buildTable(in, inputs)
+		table, err := p.buildTable(in, inputs)
 		if err != nil {
 			return err
 		}
 		tables[in.Name] = table
-		p.tableWidths[in.Name] = width
-	}
-
-	// With tables known, pick each emit's execution strategy.
-	for _, em := range emitters {
-		if p.vecEligible(&em.spec) {
-			em.vec = newVecEmitter(em, p.effectiveBatchSize())
-		}
 	}
 
 	// Stream the inputs. All grouped inputs are merged into one key-ordered
@@ -328,7 +96,7 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 	var grouped []runtime.GroupedKVReader
 	for _, in := range p.spec.Inputs {
 		switch in.Mode {
-		case InSource, InUnordered:
+		case InSource:
 			if err := p.runStream(in, inputs, emitters); err != nil {
 				return err
 			}
@@ -354,12 +122,12 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 		}
 	}
 	for _, em := range emitters {
-		if err := em.finish(); err != nil {
+		if err := em.flush(); err != nil {
 			return err
 		}
 	}
 	for _, em := range emitters {
-		em.flush()
+		em.sendDeferred(p.ctx)
 	}
 	if p.ctx.Services.Counters != nil {
 		for _, em := range emitters {
@@ -369,91 +137,62 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 	return nil
 }
 
-// buildEntry is the registry-cached form of a build table: the hash map
-// plus the observed row width (-1 = mixed, fixed width otherwise; an
-// empty table reports 0, which any probe shape satisfies vacuously).
-type buildEntry struct {
-	table map[string][]row.Row
-	width int
-}
-
 // buildTable loads a broadcast build side, caching through the object
 // registry so tasks reusing the container skip the rebuild (the Hive
-// broadcast-join example of §4.2). Batched inputs carry col.EncodeBatch
-// frames; rows are materialized once into the table.
-func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Input) (map[string][]row.Row, int, error) {
+// broadcast-join example of §4.2). The edge carries col.EncodeBatch
+// frames; each frame is keyed column-wise and its rows are materialized
+// once into the table.
+func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Input) (map[string][]row.Row, error) {
 	cacheKey := fmt.Sprintf("relop/hj/%s/%s", p.ctx.Meta.Vertex, in.Name)
 	if in.CacheInRegistry && p.ctx.Services.Registry != nil {
 		if v, ok := p.ctx.Services.Registry.Get(p.ctx.Meta, cacheKey); ok {
 			if p.ctx.Services.Counters != nil {
 				p.ctx.Services.Counters.Add("HASHTABLE_CACHE_HITS", 1)
 			}
-			ent := v.(buildEntry)
-			return ent.table, ent.width, nil
+			return v.(map[string][]row.Row), nil
 		}
 	}
 	src, ok := inputs[in.Name]
 	if !ok {
-		return nil, 0, fmt.Errorf("relop: stage has no input %q", in.Name)
+		return nil, fmt.Errorf("relop: stage has no input %q", in.Name)
 	}
 	rd, err := src.Reader()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	kv, ok := rd.(runtime.KVReader)
 	if !ok {
-		return nil, 0, fmt.Errorf("relop: build input %q reader is %T", in.Name, rd)
+		return nil, fmt.Errorf("relop: build input %q reader is %T", in.Name, rd)
 	}
 	table := map[string][]row.Row{}
-	width := -2 // unset
-	var keyBuf []byte
-	var keyVals row.Row
-	add := func(r row.Row) {
-		if width == -2 {
-			width = len(r)
-		} else if width != len(r) {
-			width = -1
-		}
-		keyVals = EvalAllInto(keyVals, in.BuildKeys, r)
-		keyBuf = row.EncodeKey(keyBuf[:0], keyVals...)
-		table[string(keyBuf)] = append(table[string(keyBuf)], r)
-	}
+	var keyVecs []col.Vector
+	var key []byte
 	for kv.Next() {
-		if in.Batched {
-			b, err := col.DecodeBatch(kv.Value())
-			if err != nil {
-				return nil, 0, err
-			}
-			for i := 0; i < b.Len(); i++ {
-				add(b.MaterializeRow(i))
-			}
-		} else {
-			r, err := row.Decode(kv.Value())
-			if err != nil {
-				return nil, 0, err
-			}
-			add(r)
+		b, err := col.DecodeBatch(kv.Value())
+		if err != nil {
+			return nil, err
+		}
+		keyVecs = evalKeys(keyVecs[:0], in.BuildKeys, b)
+		for i := 0; i < b.Len(); i++ {
+			key = appendKey(key[:0], keyVecs, i, nil)
+			table[string(key)] = append(table[string(key)], b.MaterializeRow(i))
 		}
 	}
 	if err := kv.Err(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if width == -2 {
-		width = 0
+	if p.ctx.Services.Counters != nil {
+		p.ctx.Services.Counters.Add("HASHTABLE_BUILDS", 1)
 	}
 	if in.CacheInRegistry && p.ctx.Services.Registry != nil {
-		p.ctx.Services.Registry.Add(runtime.LifetimeDAG, p.ctx.Meta, cacheKey, buildEntry{table: table, width: width})
-		if p.ctx.Services.Counters != nil {
-			p.ctx.Services.Counters.Add("HASHTABLE_BUILDS", 1)
-		}
+		p.ctx.Services.Registry.Add(runtime.LifetimeDAG, p.ctx.Meta, cacheKey, table)
 	}
-	return table, width, nil
+	return table, nil
 }
 
-// runStream feeds a row-stream input through the emits bound to it. Rows
-// are decoded once for the row-path emitters; batch-path emitters parse
-// the encoded bytes straight into their column vectors.
-func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Input, emitters []*emitter) error {
+// runStream feeds a row-stream input through the emits bound to it: each
+// emitter parses the encoded bytes straight into its column vectors.
+func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Input, emitters []*vecEmitter) error {
 	src, ok := inputs[in.Name]
 	if !ok {
 		return fmt.Errorf("relop: stage has no input %q", in.Name)
@@ -466,40 +205,24 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 	if !ok {
 		return fmt.Errorf("relop: input %q reader is %T", in.Name, rd)
 	}
-	var rowBound, vecBound []*emitter
+	var bound []*vecEmitter
 	for _, em := range emitters {
-		if em.spec.Input != in.Name {
-			continue
-		}
-		if em.vec != nil {
-			vecBound = append(vecBound, em)
-		} else {
-			rowBound = append(rowBound, em)
+		if em.spec.Input == in.Name {
+			bound = append(bound, em)
 		}
 	}
 	for kv.Next() {
 		v := kv.Value()
-		if len(rowBound) > 0 {
-			r, err := row.Decode(v)
-			if err != nil {
-				return err
-			}
-			for _, em := range rowBound {
-				if err := em.emit(r); err != nil {
-					return err
-				}
-			}
-		}
-		for _, em := range vecBound {
-			if err := em.vec.add(v); err != nil {
+		for _, em := range bound {
+			if err := em.add(v); err != nil {
 				return err
 			}
 		}
 	}
-	// Flush here (not only at stage end) so per-writer row order matches
-	// the row engine when several inputs feed the same stage.
-	for _, em := range vecBound {
-		if err := em.vec.flush(); err != nil {
+	// Flush here (not only at stage end) so each writer sees one input's
+	// rows before the next input's when several inputs feed the stage.
+	for _, em := range bound {
+		if err := em.flush(); err != nil {
 			return err
 		}
 	}
@@ -508,13 +231,13 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 
 // runGrouped applies the stage's GroupOp per key group and feeds the
 // group-output emits. Multiple grouped inputs are merged by key.
-func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters []*emitter) error {
+func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters []*vecEmitter) error {
 	g := p.spec.Group
 	if g == nil {
 		return fmt.Errorf("relop: grouped inputs without group op")
 	}
 	gr := mergeGroupReaders(readers)
-	var bound []*emitter
+	var bound []*vecEmitter
 	for _, em := range emitters {
 		if em.spec.Input == "" {
 			bound = append(bound, em)
@@ -522,20 +245,14 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 	}
 	emitRow := func(r row.Row) error {
 		for _, em := range bound {
-			if em.vec != nil {
-				if err := em.vec.addRow(r); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := em.emit(r); err != nil {
+			if err := em.addRow(r); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	var aggScratch *col.Batch
+	aggScratch := col.NewBatch()
 	emitted := 0
 	for gr.Next() {
 		values := gr.Values()
@@ -545,14 +262,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 				return err
 			}
 		case "agg":
-			if g.Vectorize && p.batchSize > 0 {
-				if aggScratch == nil {
-					aggScratch = col.NewBatch()
-				}
-				if err := aggGroupVec(g, values, p.batchSize, aggScratch, emitRow); err != nil {
-					return err
-				}
-			} else if err := p.aggGroup(g, values, emitRow); err != nil {
+			if err := aggGroupVec(g, values, DefaultBatchSize, aggScratch, emitRow); err != nil {
 				return err
 			}
 		case "sort":
@@ -622,30 +332,15 @@ func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Ro
 	return rec(0, row.Row{})
 }
 
-// aggState accumulates one aggregate. The exact update and finalize
-// rules are shared with the vectorized kernels (vagg.go) so the two
-// paths cannot drift: count includes nulls, sum accumulates float64 in
-// row order, min/max keep the first value on Compare ties.
+// aggState accumulates one aggregate: count includes nulls, sum
+// accumulates float64 in row order, min/max keep the first value on
+// Compare ties (observeChunk in vagg.go applies the rules).
 type aggState struct {
 	sum   float64
 	count int64
 	min   row.Value
 	max   row.Value
 	init  bool
-}
-
-func (st *aggState) observe(av row.Value) {
-	st.count++
-	if !av.IsNull() {
-		st.sum += av.AsFloat()
-		if !st.init || row.Compare(av, st.min) < 0 {
-			st.min = av
-		}
-		if !st.init || row.Compare(av, st.max) > 0 {
-			st.max = av
-		}
-		st.init = true
-	}
 }
 
 // finalizeAgg appends the aggregate outputs to the group key columns.
@@ -673,31 +368,4 @@ func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, err
 		}
 	}
 	return out, nil
-}
-
-// aggGroup computes the aggregates of one group, row at a time.
-func (p *stageProcessor) aggGroup(g *GroupOp, values [][]byte, emit func(row.Row) error) error {
-	states := make([]aggState, len(g.Aggs))
-	var groupVals row.Row
-	for _, v := range values {
-		r, err := row.Decode(v)
-		if err != nil {
-			return err
-		}
-		if groupVals == nil {
-			groupVals = r[:g.GroupWidth].Clone()
-		}
-		for i, a := range g.Aggs {
-			var av row.Value
-			if a.Col >= 0 && a.Col < len(r) {
-				av = r[a.Col]
-			}
-			states[i].observe(av)
-		}
-	}
-	out, err := finalizeAgg(g, groupVals, states)
-	if err != nil {
-		return err
-	}
-	return emit(out)
 }

@@ -14,9 +14,9 @@ import (
 	"tez/internal/row"
 )
 
-// Expr is a gob-encodable expression tree evaluated against a row.
-// Comparison and logical operators yield Int(1)/Int(0); null propagates
-// through arithmetic.
+// Expr is a gob-encodable expression tree, evaluated a batch at a time by
+// evalVec (vexpr.go). Comparison and logical operators yield
+// Int(1)/Int(0); null propagates through arithmetic.
 type Expr struct {
 	// Kind: "col", "lit", "cmp", "and", "or", "not", "arith".
 	Kind string
@@ -51,64 +51,37 @@ func Arith(op string, a, b *Expr) *Expr {
 	return &Expr{Kind: "arith", Op: op, Args: []*Expr{a, b}}
 }
 
-// Eval evaluates the expression against r.
-func (e *Expr) Eval(r row.Row) row.Value {
-	switch e.Kind {
-	case "col":
-		if e.Col < 0 || e.Col >= len(r) {
-			return row.Null()
-		}
-		return r[e.Col]
-	case "lit":
-		return e.Lit
-	case "cmp":
-		a, b := e.Args[0].Eval(r), e.Args[1].Eval(r)
-		if a.IsNull() || b.IsNull() {
-			return row.Null()
-		}
-		c := row.Compare(a, b)
-		ok := false
-		switch e.Op {
-		case "=":
-			ok = c == 0
-		case "!=":
-			ok = c != 0
-		case "<":
-			ok = c < 0
-		case "<=":
-			ok = c <= 0
-		case ">":
-			ok = c > 0
-		case ">=":
-			ok = c >= 0
-		}
-		return boolVal(ok)
-	case "and":
-		for _, a := range e.Args {
-			if !Truthy(a.Eval(r)) {
-				return boolVal(false)
-			}
-		}
-		return boolVal(true)
-	case "or":
-		for _, a := range e.Args {
-			if Truthy(a.Eval(r)) {
-				return boolVal(true)
-			}
-		}
-		return boolVal(false)
-	case "not":
-		return boolVal(!Truthy(e.Args[0].Eval(r)))
-	case "arith":
-		return arithValues(e.Op, e.Args[0].Eval(r), e.Args[1].Eval(r))
+// validateExpr rejects the trees the kernels would index blindly: a nil
+// node, a cmp or arith without exactly two operands, a not without
+// exactly one. Unknown kinds and operators and out-of-range columns are
+// not errors: they evaluate to null.
+func validateExpr(e *Expr) error {
+	if e == nil {
+		return fmt.Errorf("relop: nil expression")
 	}
-	return row.Null()
+	want := -1
+	switch e.Kind {
+	case "cmp", "arith":
+		want = 2
+	case "not":
+		want = 1
+	}
+	if want >= 0 && len(e.Args) != want {
+		return fmt.Errorf("relop: %s expression with %d operands, want %d", e.Kind, len(e.Args), want)
+	}
+	for _, a := range e.Args {
+		if err := validateExpr(a); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// arithValues is the arithmetic kernel shared by the row path and the
-// vectorized boxed fallback (vexpr.go), so the two cannot drift: int⊕int
-// stays int except division, everything else coerces through AsFloat
-// (strings coerce to 0), division by zero yields null.
+// arithValues is the scalar arithmetic rule, applied per row by evalVec's
+// boxed fallback for kind-mixed columns (vexpr.go; the typed kernels
+// implement the same rule): int⊕int stays int except division, everything
+// else coerces through AsFloat (strings coerce to 0), division by zero
+// yields null.
 func arithValues(op string, a, b row.Value) row.Value {
 	if a.IsNull() || b.IsNull() {
 		return row.Null()
@@ -138,47 +111,6 @@ func arithValues(op string, a, b row.Value) row.Value {
 		return row.Float(fa / fb)
 	}
 	return row.Null()
-}
-
-// Truthy interprets a value as a boolean: non-null and non-zero.
-func Truthy(v row.Value) bool {
-	switch v.Kind {
-	case row.KindNull:
-		return false
-	case row.KindInt:
-		return v.Int != 0
-	case row.KindFloat:
-		return v.Float != 0
-	case row.KindString:
-		return v.Str != ""
-	}
-	return false
-}
-
-func boolVal(b bool) row.Value {
-	if b {
-		return row.Int(1)
-	}
-	return row.Int(0)
-}
-
-// EvalAll evaluates a projection list.
-func EvalAll(exprs []*Expr, r row.Row) row.Row {
-	out := make(row.Row, len(exprs))
-	for i, e := range exprs {
-		out[i] = e.Eval(r)
-	}
-	return out
-}
-
-// EvalAllInto evaluates a projection list into a reused buffer (hot
-// paths that consume the values before the next call).
-func EvalAllInto(dst row.Row, exprs []*Expr, r row.Row) row.Row {
-	dst = dst[:0]
-	for _, e := range exprs {
-		dst = append(dst, e.Eval(r))
-	}
-	return dst
 }
 
 func (e *Expr) String() string {

@@ -35,9 +35,6 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 			return nil, "", err
 		}
 	}
-	// Job specs below copy the stage emits by value, so the vectorize
-	// flags must be stamped first.
-	c.vectorize()
 	tempRoot := fmt.Sprintf("%s/%s", cfg.TempRoot, name)
 
 	// Which grouped stages feed other grouped stages (need temp output)?
@@ -141,9 +138,7 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 				Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: tempPath(g)}),
 				Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: tempPath(g)}),
 			})
-			tmp := EmitSpec{Input: "", Output: sinkName, Kind: EmitSink, Tag: -1}
-			applyVectorize(&tmp, cfg.DisableVectorized)
-			rspec.Emits = append(rspec.Emits, tmp)
+			rspec.Emits = append(rspec.Emits, EmitSpec{Input: "", Output: sinkName, Kind: EmitSink, Tag: -1})
 		}
 		rv.Processor = plugin.Desc(StageProcessorName, rspec)
 		if err := d.Validate(); err != nil {

@@ -1,0 +1,261 @@
+package relop
+
+import (
+	"fmt"
+	"hash/fnv"
+
+	"tez/internal/row"
+	"tez/internal/runtime"
+)
+
+// The row-at-a-time reference the identity tests compare the batch engine
+// against (vec_identity_test.go): the per-record expression evaluator,
+// emit pipeline and aggregation that were the production engine before
+// the columnar one, kept unchanged in behaviour. Nothing outside tests
+// may call them.
+
+// Eval evaluates the expression against r.
+func (e *Expr) Eval(r row.Row) row.Value {
+	switch e.Kind {
+	case "col":
+		if e.Col < 0 || e.Col >= len(r) {
+			return row.Null()
+		}
+		return r[e.Col]
+	case "lit":
+		return e.Lit
+	case "cmp":
+		a, b := e.Args[0].Eval(r), e.Args[1].Eval(r)
+		if a.IsNull() || b.IsNull() {
+			return row.Null()
+		}
+		c := row.Compare(a, b)
+		ok := false
+		switch e.Op {
+		case "=":
+			ok = c == 0
+		case "!=":
+			ok = c != 0
+		case "<":
+			ok = c < 0
+		case "<=":
+			ok = c <= 0
+		case ">":
+			ok = c > 0
+		case ">=":
+			ok = c >= 0
+		}
+		return boolVal(ok)
+	case "and":
+		for _, a := range e.Args {
+			if !Truthy(a.Eval(r)) {
+				return boolVal(false)
+			}
+		}
+		return boolVal(true)
+	case "or":
+		for _, a := range e.Args {
+			if Truthy(a.Eval(r)) {
+				return boolVal(true)
+			}
+		}
+		return boolVal(false)
+	case "not":
+		return boolVal(!Truthy(e.Args[0].Eval(r)))
+	case "arith":
+		return arithValues(e.Op, e.Args[0].Eval(r), e.Args[1].Eval(r))
+	}
+	return row.Null()
+}
+
+// Truthy interprets a value as a boolean: non-null and non-zero.
+func Truthy(v row.Value) bool {
+	switch v.Kind {
+	case row.KindNull:
+		return false
+	case row.KindInt:
+		return v.Int != 0
+	case row.KindFloat:
+		return v.Float != 0
+	case row.KindString:
+		return v.Str != ""
+	}
+	return false
+}
+
+func boolVal(b bool) row.Value {
+	if b {
+		return row.Int(1)
+	}
+	return row.Int(0)
+}
+
+// EvalAll evaluates a projection list.
+func EvalAll(exprs []*Expr, r row.Row) row.Row {
+	out := make(row.Row, len(exprs))
+	for i, e := range exprs {
+		out[i] = e.Eval(r)
+	}
+	return out
+}
+
+// EvalAllInto evaluates a projection list into a reused buffer.
+func EvalAllInto(dst row.Row, exprs []*Expr, r row.Row) row.Row {
+	dst = dst[:0]
+	for _, e := range exprs {
+		dst = append(dst, e.Eval(r))
+	}
+	return dst
+}
+
+// emitter is one EmitSpec run a decoded row at a time.
+type emitter struct {
+	spec     EmitSpec
+	writer   runtime.KVWriter
+	tables   map[string]map[string][]row.Row
+	deferred []row.Value
+	count    int64
+
+	keyScratch []byte  // hash-join probe keys / shuffle keys
+	valScratch []byte  // encoded values
+	keyVals    row.Row // probe-key evaluation buffer
+	// joinRows holds one reusable joined-row buffer per hash-join nesting
+	// depth (nothing downstream retains the row: terminals copy).
+	joinRows []row.Row
+}
+
+func (e *emitter) emit(r row.Row) error {
+	return e.runPipe(r, 0, 0)
+}
+
+// runPipe applies ops[from:] iteratively; only hash-join fan-out
+// recurses (per matched build row, one nesting depth per join).
+func (e *emitter) runPipe(r row.Row, from, depth int) error {
+	ops := e.spec.Pipe
+	for i := from; i < len(ops); i++ {
+		op := &ops[i]
+		switch op.Kind {
+		case "filter":
+			if !Truthy(op.Filter.Eval(r)) {
+				return nil
+			}
+		case "project":
+			r = EvalAll(op.Project, r)
+		case "hashjoin":
+			table := e.tables[op.HJ.Input]
+			if table == nil {
+				return fmt.Errorf("relop: hash join against unknown build input %q", op.HJ.Input)
+			}
+			// The key scratch is consumed by the map lookup before any
+			// deeper join can overwrite it.
+			e.keyVals = EvalAllInto(e.keyVals, op.HJ.ProbeKeys, r)
+			e.keyScratch = row.EncodeKey(e.keyScratch[:0], e.keyVals...)
+			matches := table[string(e.keyScratch)]
+			for len(e.joinRows) <= depth {
+				e.joinRows = append(e.joinRows, nil)
+			}
+			for _, build := range matches {
+				joined := e.joinRows[depth][:0]
+				joined = append(append(joined, r...), build...)
+				e.joinRows[depth] = joined
+				if err := e.runPipe(joined, i+1, depth+1); err != nil {
+					return err
+				}
+			}
+			return nil
+		default:
+			return fmt.Errorf("relop: unknown pipe op %q", op.Kind)
+		}
+	}
+	return e.terminal(r)
+}
+
+// terminal writes one record per row. (A broadcast emit writes the row
+// too; the batch engine frames batches there, which the identity trials
+// compare row by row after decoding the frames.)
+func (e *emitter) terminal(r row.Row) error {
+	if e.spec.SampleRate > 0 && !sampledRow(r, e.spec.SampleRate) {
+		return nil
+	}
+	e.count++
+	switch e.spec.Kind {
+	case EmitShuffle:
+		key := e.shuffleKey(r)
+		val := e.valScratch[:0]
+		if e.spec.Tag >= 0 {
+			val = append(val, byte(e.spec.Tag))
+		}
+		val = row.Encode(val, r)
+		e.valScratch = val
+		return e.writer.Write(key, val)
+	case EmitBroadcast, EmitSink:
+		e.valScratch = row.Encode(e.valScratch[:0], r)
+		return e.writer.Write(nil, e.valScratch)
+	case EmitInitializer, EmitVM:
+		e.deferred = append(e.deferred, e.spec.Keys[0].Eval(r))
+		return nil
+	}
+	return fmt.Errorf("relop: unknown emit kind %q", e.spec.Kind)
+}
+
+// shuffleKey builds the orderable key with per-column direction into a
+// reused buffer (descending segments are flipped in place).
+func (e *emitter) shuffleKey(r row.Row) []byte {
+	key := e.keyScratch[:0]
+	for i, kx := range e.spec.Keys {
+		start := len(key)
+		key = row.EncodeKey(key, kx.Eval(r))
+		if i < len(e.spec.Desc) && e.spec.Desc[i] {
+			flipBytes(key[start:])
+		}
+	}
+	e.keyScratch = key
+	return key
+}
+
+func sampledRow(r row.Row, rate float64) bool {
+	h := fnv.New32a()
+	_, _ = h.Write(row.Encode(nil, r))
+	return float64(h.Sum32()%1000000) < rate*1000000
+}
+
+func (st *aggState) observe(av row.Value) {
+	st.count++
+	if !av.IsNull() {
+		st.sum += av.AsFloat()
+		if !st.init || row.Compare(av, st.min) < 0 {
+			st.min = av
+		}
+		if !st.init || row.Compare(av, st.max) > 0 {
+			st.max = av
+		}
+		st.init = true
+	}
+}
+
+// aggGroup computes the aggregates of one group, row at a time.
+func (p *stageProcessor) aggGroup(g *GroupOp, values [][]byte, emit func(row.Row) error) error {
+	states := make([]aggState, len(g.Aggs))
+	var groupVals row.Row
+	for _, v := range values {
+		r, err := row.Decode(v)
+		if err != nil {
+			return err
+		}
+		if groupVals == nil {
+			groupVals = r[:g.GroupWidth].Clone()
+		}
+		for i, a := range g.Aggs {
+			var av row.Value
+			if a.Col >= 0 && a.Col < len(r) {
+				av = r[a.Col]
+			}
+			states[i].observe(av)
+		}
+	}
+	out, err := finalizeAgg(g, groupVals, states)
+	if err != nil {
+		return err
+	}
+	return emit(out)
+}

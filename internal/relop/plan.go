@@ -190,6 +190,29 @@ func Validate(roots []*Node) error {
 				}
 			}
 		}
+		// Every expression the compiled stages will evaluate (a scan's
+		// pushed-down filter and a count(*) argument are optional).
+		exprs := append([]*Expr{}, n.Exprs...)
+		exprs = append(exprs, n.JoinL...)
+		exprs = append(exprs, n.JoinR...)
+		exprs = append(exprs, n.GroupBy...)
+		exprs = append(exprs, n.SortKeys...)
+		if n.Filter != nil {
+			exprs = append(exprs, n.Filter)
+		}
+		for _, a := range n.Aggs {
+			if a.Arg != nil {
+				exprs = append(exprs, a.Arg)
+			}
+		}
+		if n.Prune != nil {
+			exprs = append(exprs, n.Prune.KeyExpr)
+		}
+		for _, e := range exprs {
+			if err := validateExpr(e); err != nil {
+				return fmt.Errorf("%w (in %s)", err, n.Op)
+			}
+		}
 		for _, c := range n.Children {
 			if err := walk(c); err != nil {
 				return err

@@ -176,6 +176,17 @@ func TestBroadcastJoinTezOnly(t *testing.T) {
 	if _, err := RunMR(h.plat, am.Config{Name: "bjmr"}, Config{}, "bjmr", plan("/out/bjmr")); err == nil {
 		t.Fatal("MR accepted a broadcast join")
 	}
+	// With the registry cache off every probe task (one per shard of big)
+	// builds its own table, and the counter says so.
+	res, err = RunTez(sess, Config{DisableRegistryCache: true}, "bj-nocache", plan("/out/bj-nocache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.checkStored("/out/bj-nocache", want, false)
+	builds, hits := res.Counters.Get("HASHTABLE_BUILDS"), res.Counters.Get("HASHTABLE_CACHE_HITS")
+	if builds != int64(len(big.Files)) || hits != 0 {
+		t.Fatalf("cache off: %d builds, %d hits; want %d builds (one per probe task), 0 hits", builds, hits, len(big.Files))
+	}
 }
 
 func TestAggregations(t *testing.T) {
@@ -339,4 +350,56 @@ func TestGlobalAggregationEmptyGroup(t *testing.T) {
 		})
 		return []*Node{StoreNode(a, out)}
 	}, want, false)
+}
+
+// TestValidateExpressions pins the plan-time expression check: nil nodes
+// and wrong arities are refused wherever a plan carries an expression,
+// while unknown kinds, unknown operators and out-of-range columns keep
+// their defined null semantics and pass.
+func TestValidateExpressions(t *testing.T) {
+	tb := &Table{Name: "t", Schema: row.NewSchema("a:int", "b:int")}
+	oneArgCmp := &Expr{Kind: "cmp", Op: "=", Args: []*Expr{Col(0)}}
+	cases := []struct {
+		name string
+		node *Node
+		ok   bool
+	}{
+		{"well-formed", FilterNode(Scan(tb), And(Cmp("<", Col(0), LitInt(3)), Not(Col(1)))), true},
+		{"unknown kind", FilterNode(Scan(tb), &Expr{Kind: "like"}), true},
+		{"unknown operator", FilterNode(Scan(tb), Cmp("~", Col(0), Arith("%", Col(1), LitInt(2)))), true},
+		{"out-of-range column", FilterNode(Scan(tb), Col(7)), true},
+		{"filter: cmp with one operand", FilterNode(Scan(tb), oneArgCmp), false},
+		{"filter: nil child", FilterNode(Scan(tb), And(Col(0), nil)), false},
+		{"scan filter: nested nil", &Node{Op: "scan", Table: tb, OutSchema: tb.Schema, Filter: Not(nil)}, false},
+		{"project: arith with three operands", ProjectNode(Scan(tb),
+			[]*Expr{{Kind: "arith", Op: "+", Args: []*Expr{Col(0), Col(1), Col(0)}}}, []string{"x"}, nil), false},
+		{"project: nil expression", ProjectNode(Scan(tb), []*Expr{nil}, []string{"x"}, nil), false},
+		{"join key: not without operand", JoinNode(Scan(tb), Scan(tb),
+			[]*Expr{{Kind: "not"}}, []*Expr{Col(0)}, false), false},
+		{"sort key: cmp with one operand", SortNode(Scan(tb), []*Expr{oneArgCmp}, nil, 0), false},
+		{"group key: nil", AggNode(Scan(tb), []*Expr{nil}, []string{"g"}, nil), false},
+		{"aggregate argument: cmp with one operand", AggNode(Scan(tb), nil, nil,
+			[]AggDef{{Func: "sum", Arg: oneArgCmp, Name: "s"}}), false},
+		{"count(*) has no argument", AggNode(Scan(tb), nil, nil, []AggDef{{Func: "count", Name: "n"}}), true},
+	}
+	for _, c := range cases {
+		err := Validate([]*Node{StoreNode(c.node, "/out/v")})
+		if c.ok && err != nil {
+			t.Errorf("%s: rejected: %v", c.name, err)
+		}
+		if !c.ok && err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+
+	// The kernel entry point of the benchmark applies the same check to the
+	// spec it is handed, and refuses a non-positive batch size.
+	bad := EmitSpec{Kind: EmitSink, Tag: -1, Pipe: []PipeOp{{Kind: "filter", Filter: oneArgCmp}}}
+	if _, err := RunEmitBench(bad, nil, nil, nil, DefaultBatchSize, &captureWriter{}); err == nil {
+		t.Error("RunEmitBench accepted a cmp with one operand")
+	}
+	good := EmitSpec{Kind: EmitSink, Tag: -1}
+	if _, err := RunEmitBench(good, nil, nil, nil, 0, &captureWriter{}); err == nil {
+		t.Error("RunEmitBench accepted batch size 0")
+	}
 }

@@ -4,16 +4,16 @@ package relop
 // executes. StageSpec is carried as the opaque processor payload — the
 // "code injection via configuration" pattern of §3.2.
 
+import "fmt"
+
 // Input modes.
 const (
 	// InSource reads a DFS root input (rows in record-file values).
 	InSource = "source"
-	// InUnordered reads a broadcast/one-to-one/unordered edge.
-	InUnordered = "unordered"
 	// InGrouped reads an ordered, grouped shuffle edge.
 	InGrouped = "grouped"
-	// InBuild reads an unordered edge into a hash-join build table (not
-	// part of the stage's row stream).
+	// InBuild reads a broadcast edge of col.EncodeBatch frames into a
+	// hash-join build table (not part of the stage's row stream).
 	InBuild = "build"
 )
 
@@ -28,11 +28,6 @@ type StageInput struct {
 	// CacheInRegistry shares the built hash table through the container's
 	// object registry (§4.2); ablation toggles it off.
 	CacheInRegistry bool
-	// Batched marks a build input whose edge carries whole encoded column
-	// batches (col.EncodeBatch frames) instead of per-row records. Set by
-	// the compiler together with the producing emit's Batched flag; the
-	// wire format is a compile-time contract between the two ends.
-	Batched bool
 }
 
 // GroupOp is the operation applied to a grouped input.
@@ -47,10 +42,6 @@ type GroupOp struct {
 	Aggs       []AggFuncSpec
 	// sort: stop after Limit rows (0 = all).
 	Limit int
-	// Vectorize enables the typed aggregation kernels for "agg" groups
-	// (identical results to the row path; see DESIGN.md §13). Set by the
-	// compiler, subject to Config.DisableVectorized.
-	Vectorize bool
 }
 
 // AggFuncSpec is one aggregate function over a fixed value column.
@@ -81,7 +72,8 @@ type HashJoinSpec struct {
 const (
 	// EmitShuffle writes (orderable key, row) to a scatter-gather edge.
 	EmitShuffle = "shuffle"
-	// EmitBroadcast writes rows to a broadcast/unordered edge.
+	// EmitBroadcast writes col.EncodeBatch frames to a broadcast edge (read
+	// by an InBuild input).
 	EmitBroadcast = "broadcast"
 	// EmitSink writes rows to a DFS data sink.
 	EmitSink = "sink"
@@ -111,15 +103,30 @@ type EmitSpec struct {
 	SampleRate float64
 	// initializer: the data source name at the target vertex.
 	TargetSource string
-	// Vectorize marks this emit's pipeline for batch-at-a-time columnar
-	// execution; VecReason records why it stayed row-at-a-time (surfaced
-	// by tez-hive/tez-pig explain). Set by the compiler's vectorize pass.
-	Vectorize bool
-	VecReason string
-	// Batched switches a broadcast emit's wire format to whole encoded
-	// column batches. Only set when the consumer's matching
-	// StageInput.Batched agrees (compile-time contract).
-	Batched bool
+}
+
+// validateEmit applies validateExpr to every expression of an emit.
+func validateEmit(es *EmitSpec) error {
+	exprs := append([]*Expr{}, es.Keys...)
+	for i := range es.Pipe {
+		switch op := &es.Pipe[i]; op.Kind {
+		case "filter":
+			exprs = append(exprs, op.Filter)
+		case "project":
+			exprs = append(exprs, op.Project...)
+		case "hashjoin":
+			if op.HJ == nil {
+				return fmt.Errorf("relop: hashjoin op without spec")
+			}
+			exprs = append(exprs, op.HJ.ProbeKeys...)
+		}
+	}
+	for _, e := range exprs {
+		if err := validateExpr(e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StageSpec is the full program of one stage.

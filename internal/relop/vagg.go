@@ -10,7 +10,7 @@ import (
 
 // aggNeed records which aggState fields a given aggregate function reads,
 // so the chunk kernels skip updates the finalizer will never look at
-// (the row path updates everything unconditionally; skipping is pure
+// (the row oracle updates everything unconditionally; skipping is pure
 // optimization and cannot change output).
 type aggNeed struct {
 	sum bool
@@ -29,9 +29,9 @@ func aggNeeds(fn string) aggNeed {
 
 // aggGroupVec computes one group's aggregates batch-at-a-time: the
 // encoded values are parsed straight into a scratch batch (no row.Row
-// boxing), and typed column kernels update the same aggState the row
-// path uses, with identical semantics — count includes nulls, the float
-// sum accumulates in row order, min/max keep the first value on ties.
+// boxing), and typed column kernels update the group's aggStates —
+// count includes nulls, the float sum accumulates in row order, min/max
+// keep the first value on ties.
 func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, scratch *col.Batch, emit func(row.Row) error) error {
 	states := make([]aggState, len(g.Aggs))
 	var groupVals row.Row
@@ -51,8 +51,8 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, scratch *col.Batch,
 		for i := range g.Aggs {
 			a := &g.Aggs[i]
 			if a.Col < 0 || a.Col >= w {
-				// Out-of-range columns are all-null on the row path:
-				// they still count every row.
+				// An out-of-range column is all-null: it still counts
+				// every row.
 				states[i].count += int64(n)
 				continue
 			}
@@ -97,7 +97,7 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, scratch *col.Batch,
 // observeChunk folds n rows of one column into st. Chunk-local min/max
 // use strict comparisons (first occurrence wins within the chunk) and
 // merge into the running extremes with strict row.Compare (the earlier
-// chunk wins ties) — exactly the order the per-row path observes.
+// chunk wins ties) — exactly the order a row-at-a-time scan observes.
 func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
 	st.count += int64(n)
 	if !need.sum && !need.mm {
@@ -221,7 +221,7 @@ func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
 }
 
 // mergeExtremes folds chunk-local extremes into the running state under
-// the row path's tie rule: strict Compare, earlier value wins ties.
+// the tie rule: strict Compare, earlier value wins ties.
 func (st *aggState) mergeExtremes(mn, mx row.Value) {
 	if !st.init || row.Compare(mn, st.min) < 0 {
 		st.min = mn

@@ -2,9 +2,12 @@ package relop
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
+	"path"
+	"sort"
 	"testing"
 
 	"tez/internal/am"
@@ -12,11 +15,12 @@ import (
 	"tez/internal/row"
 )
 
-// The vectorized engine's contract is byte-identity: for any pipeline
-// and any data — nulls, kind-mixed columns, NaN, -0.0, strings with
-// embedded zero bytes, empty batches — the batch path must write exactly
-// the bytes the row path writes. These tests drive both paths over
-// randomized plans and data and compare every (key, value) pair.
+// The batch engine's contract is byte-identity with the row-at-a-time
+// oracle (oracle_test.go): for any pipeline and any data — nulls,
+// kind-mixed columns, NaN, -0.0, strings with embedded zero bytes, empty
+// batches, ragged widths — it must write exactly the bytes the oracle
+// writes. These tests drive both over randomized plans and data and
+// compare every (key, value) pair.
 
 type capturedKV struct {
 	key []byte
@@ -93,15 +97,48 @@ func randVecExpr(rng *rand.Rand, w, depth int) *Expr {
 }
 
 // runPipeIdentityTrial builds a random emit spec and streams random rows
-// through the row path and the batch path, asserting identical writes.
-func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int) {
+// through the oracle and the batch engine, asserting identical writes,
+// counts and deferred control values. A fanOut trial probes a table with
+// at least 40 build rows per key at a batch size of at most 8 and also
+// asserts that no batch reaching the terminal exceeds the batch size.
+func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int, fanOut bool) {
 	t.Helper()
 	width := 1 + rng.Intn(4)
 	curWidth := width
 
 	var pipe []PipeOp
 	tables := map[string]map[string][]row.Row{}
-	widths := map[string]int{}
+	addJoin := func() {
+		bw := 1 + rng.Intn(3)
+		ragged := rng.Intn(3) == 0 // widths differ under one key and across keys
+		table := map[string][]row.Row{}
+		nbuild := 5 + rng.Intn(10)
+		if fanOut {
+			nbuild = 3 * (40 + rng.Intn(10))
+		}
+		for i := 0; i < nbuild; i++ {
+			w := bw
+			if ragged {
+				w = 1 + rng.Intn(3)
+			}
+			br := randVecRow(rng, w)
+			if fanOut {
+				br[0] = row.Int(int64(i % 3))
+			}
+			key := row.EncodeKey(nil, br[0])
+			table[string(key)] = append(table[string(key)], br)
+		}
+		tables["b0"] = table
+		pipe = append(pipe, PipeOp{Kind: "hashjoin", HJ: &HashJoinSpec{
+			Input: "b0", ProbeKeys: []*Expr{Col(0)},
+		}})
+		// Downstream expressions are sized for the widest joined row; a
+		// narrower one reads its missing columns as null on both sides.
+		curWidth += 3
+	}
+	if fanOut {
+		addJoin()
+	}
 	for len(pipe) < 3 && rng.Intn(2) == 0 {
 		switch rng.Intn(3) {
 		case 0:
@@ -118,24 +155,17 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int) {
 			if _, dup := tables["b0"]; dup {
 				continue
 			}
-			bw := 1 + rng.Intn(3)
-			table := map[string][]row.Row{}
-			for i := 0; i < 5+rng.Intn(10); i++ {
-				br := randVecRow(rng, bw)
-				key := row.EncodeKey(nil, br[0])
-				table[string(key)] = append(table[string(key)], br)
-			}
-			tables["b0"] = table
-			widths["b0"] = bw
-			pipe = append(pipe, PipeOp{Kind: "hashjoin", HJ: &HashJoinSpec{
-				Input: "b0", ProbeKeys: []*Expr{Col(0)},
-			}})
-			curWidth += bw
+			addJoin()
 		}
 	}
 
-	spec := EmitSpec{Input: "in", Pipe: pipe, Tag: -1, Vectorize: true}
-	if rng.Intn(2) == 0 {
+	spec := EmitSpec{Input: "in", Pipe: pipe, Tag: -1}
+	switch kind := rng.Intn(5); {
+	case fanOut || kind == 0:
+		// One frame per terminal call: the frames show the batch sizes.
+		spec.Kind = EmitBroadcast
+		spec.Output = "bcast"
+	case kind == 1:
 		spec.Kind = EmitShuffle
 		spec.Output = "shuf"
 		nk := 1 + rng.Intn(2)
@@ -146,27 +176,30 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int) {
 		if rng.Intn(3) == 0 {
 			spec.Tag = rng.Intn(2)
 		}
-	} else {
+	case kind == 2:
 		spec.Kind = EmitSink
 		spec.Output = "sink"
+	default:
+		spec.Kind = []string{EmitInitializer, EmitVM}[kind-3]
+		spec.Output = "target"
+		spec.Keys = []*Expr{randVecExpr(rng, curWidth, 1)}
 	}
-	if ok, reason := VectorizableEmit(&spec); !ok {
-		t.Fatalf("trial %d: generated spec not vectorizable: %s", trial, reason)
+	if rng.Intn(4) == 0 {
+		spec.SampleRate = []float64{0.1, 0.5, 1}[rng.Intn(3)]
+	}
+	if err := validateEmit(&spec); err != nil {
+		t.Fatalf("trial %d: generated spec invalid: %v", trial, err)
 	}
 
 	batchSize := 1 + rng.Intn(16)
-	if rng.Intn(4) == 0 {
+	if fanOut {
+		batchSize = 1 + rng.Intn(8)
+	} else if rng.Intn(4) == 0 {
 		batchSize = DefaultBatchSize
 	}
 	rowW, vecW := &captureWriter{}, &captureWriter{}
-	rowProc := &stageProcessor{batchSize: 0, tableWidths: widths}
-	rowEm := &emitter{spec: spec, writer: rowW, proc: rowProc, tables: tables}
-	vecProc := &stageProcessor{batchSize: batchSize, tableWidths: widths}
-	vecEm := &emitter{spec: spec, writer: vecW, proc: vecProc, tables: tables}
-	if !vecProc.vecEligible(&spec) {
-		t.Fatalf("trial %d: spec unexpectedly ineligible for the batch path", trial)
-	}
-	vecEm.vec = newVecEmitter(vecEm, batchSize)
+	rowEm := &emitter{spec: spec, writer: rowW, tables: tables}
+	vecEm := newVecEmitter(spec, vecW, tables, batchSize)
 
 	nrows := rng.Intn(120) // 0 exercises the empty-input flush
 	var enc []byte
@@ -176,33 +209,60 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int) {
 			w = 1 + rng.Intn(4) // width change mid-stream forces an early flush
 		}
 		r := randVecRow(rng, w)
+		if fanOut {
+			r[0] = row.Int(int64(rng.Intn(4))) // 3 means no match
+		}
 		if err := rowEm.emit(r); err != nil {
 			t.Fatalf("trial %d row path: %v", trial, err)
 		}
 		enc = row.Encode(enc[:0], r)
-		if err := vecEm.vec.add(enc); err != nil {
+		if err := vecEm.add(enc); err != nil {
 			t.Fatalf("trial %d vec path: %v", trial, err)
 		}
 	}
-	if err := rowEm.finish(); err != nil {
-		t.Fatalf("trial %d row finish: %v", trial, err)
-	}
-	if err := vecEm.finish(); err != nil {
-		t.Fatalf("trial %d vec finish: %v", trial, err)
+	if err := vecEm.flush(); err != nil {
+		t.Fatalf("trial %d vec flush: %v", trial, err)
 	}
 
+	vecKVs := vecW.kvs
+	if spec.Kind == EmitBroadcast {
+		// Unpack the frames into the per-row records the oracle writes.
+		vecKVs = nil
+		for _, kv := range vecW.kvs {
+			b, err := col.DecodeBatch(kv.val)
+			if err != nil {
+				t.Fatalf("trial %d: broadcast frame: %v", trial, err)
+			}
+			if b.Len() == 0 || b.Len() > batchSize {
+				t.Fatalf("trial %d: terminal got a batch of %d rows, batch size %d", trial, b.Len(), batchSize)
+			}
+			for i := 0; i < b.Len(); i++ {
+				vecKVs = append(vecKVs, capturedKV{val: row.Encode(nil, b.MaterializeRow(i))})
+			}
+		}
+	}
 	if rowEm.count != vecEm.count {
 		t.Fatalf("trial %d: row path emitted %d, vec path %d", trial, rowEm.count, vecEm.count)
 	}
-	if len(rowW.kvs) != len(vecW.kvs) {
-		t.Fatalf("trial %d: row path wrote %d records, vec path %d", trial, len(rowW.kvs), len(vecW.kvs))
+	if len(rowW.kvs) != len(vecKVs) {
+		t.Fatalf("trial %d: row path wrote %d records, vec path %d", trial, len(rowW.kvs), len(vecKVs))
 	}
 	for i := range rowW.kvs {
-		if !bytes.Equal(rowW.kvs[i].key, vecW.kvs[i].key) {
-			t.Fatalf("trial %d record %d: key mismatch\nrow: %x\nvec: %x", trial, i, rowW.kvs[i].key, vecW.kvs[i].key)
+		if !bytes.Equal(rowW.kvs[i].key, vecKVs[i].key) {
+			t.Fatalf("trial %d record %d: key mismatch\nrow: %x\nvec: %x", trial, i, rowW.kvs[i].key, vecKVs[i].key)
 		}
-		if !bytes.Equal(rowW.kvs[i].val, vecW.kvs[i].val) {
-			t.Fatalf("trial %d record %d: value mismatch\nrow: %x\nvec: %x", trial, i, rowW.kvs[i].val, vecW.kvs[i].val)
+		if !bytes.Equal(rowW.kvs[i].val, vecKVs[i].val) {
+			t.Fatalf("trial %d record %d: value mismatch\nrow: %x\nvec: %x", trial, i, rowW.kvs[i].val, vecKVs[i].val)
+		}
+	}
+	if len(rowEm.deferred) != len(vecEm.deferred) {
+		t.Fatalf("trial %d: row path deferred %d values, vec path %d", trial, len(rowEm.deferred), len(vecEm.deferred))
+	}
+	for i := range rowEm.deferred {
+		a := row.Encode(nil, row.Row{rowEm.deferred[i]})
+		b := row.Encode(nil, row.Row{vecEm.deferred[i]})
+		if !bytes.Equal(a, b) {
+			t.Fatalf("trial %d deferred value %d: row %v vec %v", trial, i, rowEm.deferred[i], vecEm.deferred[i])
 		}
 	}
 }
@@ -210,7 +270,7 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int) {
 func TestVecPipeIdentityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 150; trial++ {
-		runPipeIdentityTrial(t, rng, trial)
+		runPipeIdentityTrial(t, rng, trial, trial%10 == 9)
 	}
 }
 
@@ -221,7 +281,7 @@ func TestVecAggIdentityRandom(t *testing.T) {
 		gw := rng.Intn(3)
 		extra := 1 + rng.Intn(3)
 		width := gw + extra
-		g := &GroupOp{Kind: "agg", GroupWidth: gw, Vectorize: true}
+		g := &GroupOp{Kind: "agg", GroupWidth: gw}
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			g.Aggs = append(g.Aggs, AggFuncSpec{
 				Func: funcs[rng.Intn(len(funcs))],
@@ -269,7 +329,7 @@ func TestVecAggIdentityRandom(t *testing.T) {
 // rows, sum/min/max skip them, avg of an all-null column is null only
 // when the group is empty (count counts nulls too).
 func TestVecAggAllNullColumn(t *testing.T) {
-	g := &GroupOp{Kind: "agg", GroupWidth: 1, Vectorize: true, Aggs: []AggFuncSpec{
+	g := &GroupOp{Kind: "agg", GroupWidth: 1, Aggs: []AggFuncSpec{
 		{Func: "count", Col: 1}, {Func: "sum", Col: 1}, {Func: "min", Col: 1}, {Func: "avg", Col: 1},
 	}}
 	var values [][]byte
@@ -289,11 +349,13 @@ func TestVecAggAllNullColumn(t *testing.T) {
 	}
 }
 
-// TestVectorizedEndToEndByteIdentity runs one DAG — broadcast join with
-// a batched edge, filter, arithmetic projection, aggregation, ordered
-// store — once vectorized and once forced row-at-a-time (compile-time
-// escape hatch plus runtime knob), and compares the stored part files
-// byte for byte.
+// TestVectorizedEndToEndByteIdentity runs one DAG — broadcast join,
+// filter, arithmetic projection, aggregation, ordered store — and compares
+// the stored part files with the digest the row engine produced for this
+// plan at the last commit that had one (recorded there with
+// DisableVectorized + RelopBatchSize -1, equal to the batch engine's,
+// stable over 20 runs). Auto-parallelism is off so the part-file layout
+// does not follow timing.
 func TestVectorizedEndToEndByteIdentity(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
@@ -329,34 +391,27 @@ func TestVectorizedEndToEndByteIdentity(t *testing.T) {
 		return []*Node{StoreNode(srt, out)}
 	}
 
-	run := func(name string, exec Config, amCfg am.Config) string {
-		out := "/out/" + name
-		sess := am.NewSession(h.plat, amCfg)
-		defer sess.Close()
-		if _, err := RunTez(sess, exec, name, mkPlan(out)); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return out
+	const golden = "103309526e6093a683fa69cd004a4414937e977dd253a6ec11ffcb7ca7af63ef"
+	sess := am.NewSession(h.plat, am.Config{Name: "e2e", DisableAutoParallelism: true})
+	defer sess.Close()
+	if _, err := RunTez(sess, Config{}, "e2e", mkPlan("/out/e2e")); err != nil {
+		t.Fatal(err)
 	}
-	outVec := run("e2e-vec", Config{}, am.Config{Name: "e2e-vec"})
-	outRow := run("e2e-row", Config{DisableVectorized: true}, am.Config{Name: "e2e-row", RelopBatchSize: -1})
-
-	vecFiles := h.plat.FS.List(outVec + "/part-")
-	rowFiles := h.plat.FS.List(outRow + "/part-")
-	if len(vecFiles) == 0 || len(vecFiles) != len(rowFiles) {
-		t.Fatalf("part file mismatch: vec %v row %v", vecFiles, rowFiles)
+	files := h.plat.FS.List("/out/e2e/part-")
+	sort.Strings(files)
+	if len(files) == 0 {
+		t.Fatal("no part files stored")
 	}
-	for i := range vecFiles {
-		vb, err := h.plat.FS.ReadFile(vecFiles[i], "")
+	digest := sha256.New()
+	for _, f := range files {
+		blob, err := h.plat.FS.ReadFile(f, "")
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := h.plat.FS.ReadFile(rowFiles[i], "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(vb, rb) {
-			t.Fatalf("stored bytes differ between engines in %s vs %s", vecFiles[i], rowFiles[i])
-		}
+		fmt.Fprintf(digest, "%s %d\n", path.Base(f), len(blob))
+		digest.Write(blob)
+	}
+	if got := fmt.Sprintf("%x", digest.Sum(nil)); got != golden {
+		t.Fatalf("stored bytes differ from the row engine's: digest %s, want %s", got, golden)
 	}
 }

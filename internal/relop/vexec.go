@@ -4,30 +4,48 @@ import (
 	"fmt"
 
 	"tez/internal/col"
+	"tez/internal/event"
+	"tez/internal/plugin"
 	"tez/internal/row"
+	"tez/internal/runtime"
 )
 
-// vecEmitter runs one EmitSpec batch-at-a-time: input rows accumulate
-// into a columnar batch (parsed straight from their wire encoding, no
-// row.Row boxing), the pipeline applies whole-batch kernels (filters
-// narrow the selection vector, projects swap in computed vectors, hash
-// joins fan out into a fixed-shape output batch), and the terminal
-// re-encodes live rows with byte-identical framing to the row engine.
+// vecEmitter is one EmitSpec bound to its writer, run batch-at-a-time:
+// input rows accumulate into a columnar batch (parsed straight from their
+// wire encoding, no row.Row boxing), the pipeline applies whole-batch
+// kernels (filters narrow the selection vector, projects swap in computed
+// vectors, hash joins fan out into bounded output batches), and the
+// terminal re-encodes live rows in the row wire format. The downstream
+// writers copy what they are handed (sort arenas, unordered buffers,
+// record files), so the scratch buffers are reused across rows.
 type vecEmitter struct {
-	em    *emitter
-	size  int
-	batch *col.Batch
-	// joinBatches holds one reusable output batch per hashjoin op
-	// position (nested joins must not share).
-	joinBatches map[int]*col.Batch
-	keyVecs     []col.Vector
-	keyBuf      []byte
-	valBuf      []byte
-	frameBuf    []byte
+	spec   EmitSpec
+	writer runtime.KVWriter
+	tables map[string]map[string][]row.Row
+	size   int
+	batch  *col.Batch
+	// joins holds the reusable scratch of a hashjoin at each Pipe
+	// position: a nested join runs while the outer join's probe loop is
+	// still live, so positions must not share.
+	joins    []joinScratch
+	keyVecs  []col.Vector
+	keyBuf   []byte
+	valBuf   []byte
+	frameBuf []byte
+	// deferred collects key values for initializer/vm emits, sent once at
+	// stage end.
+	deferred []row.Value
+	count    int64
 }
 
-func newVecEmitter(em *emitter, size int) *vecEmitter {
-	return &vecEmitter{em: em, size: size, batch: col.NewBatch()}
+type joinScratch struct {
+	out  *col.Batch
+	keys []col.Vector
+}
+
+func newVecEmitter(spec EmitSpec, w runtime.KVWriter, tables map[string]map[string][]row.Row, size int) *vecEmitter {
+	return &vecEmitter{spec: spec, writer: w, tables: tables, size: size,
+		batch: col.NewBatch(), joins: make([]joinScratch, len(spec.Pipe))}
 }
 
 // add appends one encoded input row, flushing on batch-full or on a row
@@ -68,18 +86,22 @@ func (ve *vecEmitter) addRow(r row.Row) error {
 	return nil
 }
 
+// flush runs the buffered input rows through the pipeline.
 func (ve *vecEmitter) flush() error {
 	if ve.batch.Len() == 0 {
 		return nil
 	}
-	err := ve.run(ve.batch)
+	err := ve.run(ve.batch, 0)
 	ve.batch.Reset()
 	return err
 }
 
-func (ve *vecEmitter) run(b *col.Batch) error {
-	ops := ve.em.spec.Pipe
-	for i := range ops {
+// run applies ops[from:] to b and hands what survives to the terminal. A
+// hash join feeds the ops after it itself, one bounded output batch at a
+// time.
+func (ve *vecEmitter) run(b *col.Batch, from int) error {
+	ops := ve.spec.Pipe
+	for i := from; i < len(ops); i++ {
 		op := &ops[i]
 		switch op.Kind {
 		case "filter":
@@ -95,14 +117,7 @@ func (ve *vecEmitter) run(b *col.Batch) error {
 			}
 			b = col.FromVectors(b.Len(), b.Sel(), vecs)
 		case "hashjoin":
-			nb, err := ve.hashJoin(i, op, b)
-			if err != nil {
-				return err
-			}
-			b = nb
-			if b.Live() == 0 {
-				return nil
-			}
+			return ve.hashJoin(i, op, b)
 		default:
 			return fmt.Errorf("relop: unknown pipe op %q", op.Kind)
 		}
@@ -110,106 +125,161 @@ func (ve *vecEmitter) run(b *col.Batch) error {
 	return ve.terminal(b)
 }
 
-// hashJoin probes the build table per live row, appending probe ++ build
-// into a dense output batch. vecEligible guarantees a fixed build width.
-func (ve *vecEmitter) hashJoin(opIdx int, op *PipeOp, b *col.Batch) (*col.Batch, error) {
-	table := ve.em.tables[op.HJ.Input]
-	if table == nil {
-		return nil, fmt.Errorf("relop: hash join against unknown build input %q", op.HJ.Input)
+// evalKeys evaluates key expressions over b into dst.
+func evalKeys(dst []col.Vector, exprs []*Expr, b *col.Batch) []col.Vector {
+	for _, kx := range exprs {
+		dst = append(dst, evalVec(kx, b))
 	}
-	bw := ve.em.proc.tableWidths[op.HJ.Input]
-	if ve.joinBatches == nil {
-		ve.joinBatches = map[int]*col.Batch{}
-	}
-	out := ve.joinBatches[opIdx]
-	if out == nil {
-		out = col.NewBatch()
-		ve.joinBatches[opIdx] = out
-	} else {
-		out.Reset()
-	}
-	pw := b.Width()
-	out.EnsureWidth(pw + bw)
+	return dst
+}
 
-	ve.keyVecs = ve.keyVecs[:0]
-	for _, kx := range op.HJ.ProbeKeys {
-		ve.keyVecs = append(ve.keyVecs, evalVec(kx, b))
+// appendKey appends the orderable key of physical row i: one
+// row.EncodeKey segment per key vector, a descending one flipped in place.
+func appendKey(dst []byte, keys []col.Vector, i int, desc []bool) []byte {
+	for j := range keys {
+		start := len(dst)
+		dst = col.AppendKeyEncoded(dst, &keys[j], i)
+		if j < len(desc) && desc[j] {
+			flipBytes(dst[start:])
+		}
 	}
-	rows := 0
+	return dst
+}
+
+// hashJoin probes the build table per live row and appends probe ++ build
+// to the op's output batch, which goes through ops[opIdx+1:] whenever it
+// reaches the batch size — a fan-out join never materializes more than
+// that — and whenever a build row changes the output width (the rule
+// Batch.AppendEncoded applies to ragged input). Write order is the probe
+// order times the table's match order either way.
+func (ve *vecEmitter) hashJoin(opIdx int, op *PipeOp, b *col.Batch) error {
+	table := ve.tables[op.HJ.Input]
+	if table == nil {
+		return fmt.Errorf("relop: hash join against unknown build input %q", op.HJ.Input)
+	}
+	js := &ve.joins[opIdx]
+	if js.out == nil {
+		js.out = col.NewBatch()
+	}
+	out := js.out
+	rows, width := 0, -1 // pending output rows and their shape (-1: none yet)
+	flush := func() error {
+		if rows == 0 {
+			return nil
+		}
+		out.SetRowCount(rows)
+		err := ve.run(out, opIdx+1)
+		out.Reset()
+		rows, width = 0, -1
+		return err
+	}
+
+	pw := b.Width()
+	js.keys = evalKeys(js.keys[:0], op.HJ.ProbeKeys, b)
 	for k := 0; k < b.Live(); k++ {
 		i := b.RowAt(k)
-		key := ve.keyBuf[:0]
-		for j := range ve.keyVecs {
-			key = col.AppendKeyEncoded(key, &ve.keyVecs[j], i)
-		}
-		ve.keyBuf = key
-		for _, build := range table[string(key)] {
+		// The key scratch is consumed by the map lookup before a nested
+		// join or the terminal can overwrite it.
+		ve.keyBuf = appendKey(ve.keyBuf[:0], js.keys, i, nil)
+		for _, build := range table[string(ve.keyBuf)] {
+			if w := pw + len(build); w != width {
+				if err := flush(); err != nil {
+					return err
+				}
+				out.EnsureWidth(w)
+				width = w
+			}
 			for c := 0; c < pw; c++ {
 				out.Col(c).AppendFrom(b.Col(c), i)
 			}
 			for c, val := range build {
 				out.Col(pw + c).AppendValue(val)
 			}
-			rows++
+			if rows++; rows >= ve.size {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
 		}
 	}
-	out.SetRowCount(rows)
-	return out, nil
+	return flush()
 }
 
 func (ve *vecEmitter) terminal(b *col.Batch) error {
-	em := ve.em
-	switch em.spec.Kind {
-	case EmitShuffle:
-		ve.keyVecs = ve.keyVecs[:0]
-		for _, kx := range em.spec.Keys {
-			ve.keyVecs = append(ve.keyVecs, evalVec(kx, b))
-		}
+	if ve.spec.SampleRate > 0 {
+		keep := col.NewBool(b.Len())
 		for k := 0; k < b.Live(); k++ {
 			i := b.RowAt(k)
-			key := ve.keyBuf[:0]
-			for j := range ve.keyVecs {
-				start := len(key)
-				key = col.AppendKeyEncoded(key, &ve.keyVecs[j], i)
-				if j < len(em.spec.Desc) && em.spec.Desc[j] {
-					flipBytes(key[start:])
-				}
+			ve.valBuf = col.AppendRowEncoded(ve.valBuf[:0], b, i)
+			if sampled(ve.valBuf, ve.spec.SampleRate) {
+				keep.SetTrue(i)
 			}
-			ve.keyBuf = key
+		}
+		b.Filter(&keep)
+		if b.Live() == 0 {
+			return nil
+		}
+	}
+	switch ve.spec.Kind {
+	case EmitShuffle:
+		ve.keyVecs = evalKeys(ve.keyVecs[:0], ve.spec.Keys, b)
+		for k := 0; k < b.Live(); k++ {
+			i := b.RowAt(k)
+			ve.keyBuf = appendKey(ve.keyBuf[:0], ve.keyVecs, i, ve.spec.Desc)
 			val := ve.valBuf[:0]
-			if em.spec.Tag >= 0 {
-				val = append(val, byte(em.spec.Tag))
+			if ve.spec.Tag >= 0 {
+				val = append(val, byte(ve.spec.Tag))
 			}
 			val = col.AppendRowEncoded(val, b, i)
 			ve.valBuf = val
-			em.count++
-			if err := em.writer.Write(key, val); err != nil {
+			ve.count++
+			if err := ve.writer.Write(ve.keyBuf, val); err != nil {
 				return err
 			}
 		}
 		return nil
 	case EmitBroadcast:
-		if em.spec.Batched {
-			ve.frameBuf = col.EncodeBatch(ve.frameBuf[:0], b)
-			em.count += int64(b.Live())
-			return em.writer.Write(nil, ve.frameBuf)
-		}
-		return ve.writeRows(b)
+		ve.frameBuf = col.EncodeBatch(ve.frameBuf[:0], b)
+		ve.count += int64(b.Live())
+		return ve.writer.Write(nil, ve.frameBuf)
 	case EmitSink:
-		return ve.writeRows(b)
+		for k := 0; k < b.Live(); k++ {
+			ve.valBuf = col.AppendRowEncoded(ve.valBuf[:0], b, b.RowAt(k))
+			ve.count++
+			if err := ve.writer.Write(nil, ve.valBuf); err != nil {
+				return err
+			}
+		}
+		return nil
+	case EmitInitializer, EmitVM:
+		vals := evalVec(ve.spec.Keys[0], b)
+		for k := 0; k < b.Live(); k++ {
+			ve.deferred = append(ve.deferred, vals.Value(b.RowAt(k)))
+			ve.count++
+		}
+		return nil
 	}
-	// initializer/vm emits are never vectorized (vectorize.go).
-	return fmt.Errorf("relop: emit kind %q cannot run vectorized", em.spec.Kind)
+	return fmt.Errorf("relop: unknown emit kind %q", ve.spec.Kind)
 }
 
-func (ve *vecEmitter) writeRows(b *col.Batch) error {
-	em := ve.em
-	for k := 0; k < b.Live(); k++ {
-		ve.valBuf = col.AppendRowEncoded(ve.valBuf[:0], b, b.RowAt(k))
-		em.count++
-		if err := em.writer.Write(nil, ve.valBuf); err != nil {
-			return err
-		}
+// sendDeferred sends the control events of initializer/vm emits (§3.3:
+// opaque payloads routed by the framework).
+func (ve *vecEmitter) sendDeferred(ctx *runtime.Context) {
+	switch ve.spec.Kind {
+	case EmitInitializer:
+		ctx.Emit(event.InputInitializerEvent{
+			TargetVertex:     ve.spec.Output,
+			TargetDataSource: ve.spec.TargetSource,
+			SrcVertex:        ctx.Meta.Vertex,
+			SrcTask:          ctx.Meta.Task,
+			Payload:          plugin.MustEncode(PruneValues{Values: ve.deferred}),
+		})
+	case EmitVM:
+		ctx.Emit(event.VertexManagerEvent{
+			TargetVertex: ve.spec.Output,
+			SrcVertex:    ctx.Meta.Vertex,
+			SrcTask:      ctx.Meta.Task,
+			Payload:      plugin.MustEncode(PruneValues{Values: ve.deferred}),
+		})
 	}
-	return nil
 }

@@ -6,18 +6,17 @@ import (
 	"tez/internal/col"
 )
 
-// Vectorized expression kernels (DESIGN.md §13). evalVec computes an
-// Expr over every physical row of a batch at once — type-specialized
-// loops for the common int64/bytes comparators and int/float arithmetic,
-// with boxed per-row fallbacks (via col.CompareAt / arithValues) that
-// replicate the row engine's dynamic-typing rules exactly. The lint gate
-// forbids per-record Expr evaluation in this file: everything here must
-// stay batch-shaped.
+// Expression kernels (DESIGN.md §13). evalVec computes an Expr over every
+// physical row of a batch at once — type-specialized loops for the common
+// int64/bytes comparators and int/float arithmetic, with boxed per-row
+// fallbacks (via col.CompareAt / arithValues) for kind-mixed columns. The
+// dynamic-typing rules are those of the row-at-a-time oracle
+// (oracle_test.go), which the identity tests hold every kernel to.
 //
 // Null discipline: fast kernels may leave garbage payload bits at null
 // positions; every consumer (truthyWords, encoders, CompareAt) checks
-// the null overlay first, mirroring how the row engine checks IsNull
-// before touching a value.
+// the null overlay first, the way the oracle checks IsNull before
+// touching a value.
 
 func evalVec(e *Expr, b *col.Batch) col.Vector {
 	n := b.Len()
@@ -281,7 +280,7 @@ func cmpIntsInts(out *col.Vector, xs, ys []int64, op string) {
 
 // cmpFloatsConst phrases every operator in terms of strict < and >, the
 // way row.Compare does: NaN is unordered, so Compare returns 0 and the
-// row engine treats NaN "=", "<=", ">=" anything as true. Native ==, !=
+// row oracle treats NaN "=", "<=", ">=" anything as true. Native ==, !=
 // and <= would diverge on NaN operands.
 func cmpFloatsConst(out *col.Vector, xs []float64, lit float64, op string) {
 	switch op {
@@ -366,7 +365,7 @@ func arithVec(op string, a, c *col.Vector, n int) col.Vector {
 	switch op {
 	case "+", "-", "*", "/":
 	default:
-		return col.ConstNull(n) // unknown operator yields null on the row path too
+		return col.ConstNull(n) // an unknown operator yields null
 	}
 	if a.Kind() == col.Unset || c.Kind() == col.Unset {
 		return col.ConstNull(n) // an all-null operand nulls every row
@@ -379,7 +378,7 @@ func arithVec(op string, a, c *col.Vector, n int) col.Vector {
 		}
 		return out
 	}
-	// Per-vector kinds are uniform, so the row engine's per-row "both
+	// Per-vector kinds are uniform, so the row oracle's per-row "both
 	// ints and not division" test is uniform across the batch.
 	if numericIntKind(a) && numericIntKind(c) && op != "/" {
 		return arithInts(op, a, c, n)

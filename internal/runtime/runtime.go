@@ -61,11 +61,6 @@ type Services struct {
 	// Timeline, when set, receives data-plane spans (sort spills, run
 	// merges) from this task's shuffle transports; nil records nothing.
 	Timeline *timeline.Journal
-	// RelopBatchSize tunes the relational stage processor's vectorized
-	// execution: 0 uses the engine default, > 0 sets the rows-per-batch
-	// flush threshold, < 0 forces row-at-a-time execution for this
-	// session (batched wire contracts still honored).
-	RelopBatchSize int
 }
 
 // Context is handed to every Input, Processor and Output at Initialize.
