@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check check-benchmark bench bench-shuffle bench-controlplane bench-service bench-graph fuzz-short chaos trace
+.PHONY: build vet lint test race check check-benchmark bench profile bench-shuffle bench-controlplane bench-service bench-graph fuzz-short chaos trace
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,23 @@ check-benchmark:
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 
+# profile runs the profilable copies of the repository benchmark's
+# workloads (BenchmarkHiveSession/{scanagg,joinagg} and BenchmarkSmallMRDAG
+# in bench_test.go) under the CPU and allocation profilers, then prints
+# what payload encoding costs: the cumulative share of internal/plugin and
+# encoding/gob frames. Binary and profiles stay in $(PROFILE_DIR); look
+# further with `go tool pprof $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out`
+# (or mem.out with -sample_index=alloc_space). PROFILE_BENCH narrows the
+# run to one workload, e.g. PROFILE_BENCH=HiveSession/scanagg.
+PROFILE_DIR ?= .profile
+PROFILE_BENCH ?= HiveSession|SmallMRDAG
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
+		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
+	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.' | head -24
+
 # bench-shuffle measures the shuffle data plane: the go-bench view of the
 # sort/merge ablations plus the grouped-read allocation benchmark, then
 # the structured run that persists BENCH_shuffle.json (ns/op, B/op,
@@ -70,16 +87,18 @@ bench-service:
 bench-graph:
 	$(GO) run ./cmd/tez-bench -exp graph -graph-json BENCH_graph.json
 
-# fuzz-short gives the record-framing decoders, the sort order (prefix
-# index sort against the full-comparator oracle) and the shuffle's
-# control-plane payloads (legacy gob shapes must keep decoding) a brief
-# coverage-guided shake on every run (the checked-in corpus under
-# testdata/fuzz replays regardless, as ordinary tests).
+# fuzz-short gives the record-framing decoders (plain and block-padded),
+# the sort order (prefix index sort against the full-comparator oracle) and
+# the binary codecs of the hot control-plane payloads (no panic, nothing
+# allocated beyond the input's size, decode-then-encode is the identity,
+# gob streams refused) a brief coverage-guided shake on every run (the
+# checked-in corpus under testdata/fuzz replays regardless, as ordinary
+# tests).
 fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzBufferReader -fuzztime 5s ./internal/library/
-	$(GO) test -run XXX -fuzz FuzzDMInfo -fuzztime 5s ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzPayloadCodecs -fuzztime 5s ./internal/library/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and

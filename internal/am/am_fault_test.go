@@ -3,6 +3,7 @@ package am
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -480,5 +481,52 @@ func TestSessionSurvivesFailedDAG(t *testing.T) {
 	}
 	if readCounts(t, plat, "/out/after")["ok"] != 2 {
 		t.Fatal("wrong output")
+	}
+}
+
+// garbageSplits is an initializer whose per-task payloads are not split
+// assignments.
+type garbageSplits struct{}
+
+func (garbageSplits) Run(*runtime.InitializerContext) (*runtime.InitializerResult, error) {
+	return &runtime.InitializerResult{
+		Parallelism:    2,
+		PerTaskPayload: [][]byte{[]byte("not a split assignment"), nil},
+	}, nil
+}
+
+// TestCorruptSplitAssignmentFailsAttempt: a root input whose assignment
+// does not decode fails its attempts with the decode error, at once. Its
+// handler's error is dropped by the task runner, and Reader used to wait
+// for the assignment until something killed the attempt — here nothing
+// would have, and the DAG hung.
+func TestCorruptSplitAssignmentFailsAttempt(t *testing.T) {
+	runtime.RegisterInitializer("amtest.garbage_splits", func() runtime.Initializer { return garbageSplits{} })
+	plat := newTestPlatform(2)
+	defer plat.Stop()
+	d := wordCountDAG("badsplits", "/in/none", "/out/badsplits", 1)
+	d.Vertex("tokenizer").Sources[0].Initializer = plugin.Desc("amtest.garbage_splits", nil)
+
+	type outcome struct {
+		res DAGResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := RunDAG(plat, Config{Name: "t"}, d)
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.res.Status != DAGFailed || o.err == nil {
+			t.Fatalf("status %v err %v, want DAGFailed", o.res.Status, o.err)
+		}
+		for _, want := range []string{"lines", "split assignment", "decode"} {
+			if !strings.Contains(o.err.Error(), want) {
+				t.Fatalf("diagnostics %q do not mention %q", o.err, want)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("attempts are waiting for a split assignment that failed to decode")
 	}
 }

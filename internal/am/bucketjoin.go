@@ -1,6 +1,8 @@
 package am
 
 import (
+	"fmt"
+
 	"tez/internal/dag"
 	"tez/internal/event"
 	"tez/internal/library"
@@ -72,6 +74,7 @@ func (m *BucketGroupingVertexManager) OnVertexManagerEvent(ev event.VertexManage
 	m.reported[key] = true
 	var stats library.VMStats
 	if err := plugin.Decode(ev.Payload, &stats); err != nil {
+		m.ctx.Fail(fmt.Errorf("statistics from %s: %w", key, err))
 		return
 	}
 	if len(m.sizes) < len(stats.PartitionSizes) {

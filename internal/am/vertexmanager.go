@@ -6,6 +6,7 @@ import (
 
 	"tez/internal/dag"
 	"tez/internal/event"
+	"tez/internal/library"
 	"tez/internal/plugin"
 )
 
@@ -53,6 +54,10 @@ type VertexManagerContext interface {
 	SetOutEdgePayload(destVertex string, payload []byte) error
 	// SessionConfig exposes the session tuning knobs.
 	SessionConfig() Config
+	// Fail aborts the DAG with err: for a manager that cannot do its job —
+	// statistics it cannot decode, say — and would otherwise decide on
+	// numbers it does not have.
+	Fail(err error)
 }
 
 // VertexManager adapts a vertex's execution at runtime (§3.4): it decides
@@ -151,8 +156,11 @@ func (m *ShuffleVertexManager) OnVertexManagerEvent(ev event.VertexManagerEvent)
 		return
 	}
 	m.statsSender[key] = true
-	var stats struct{ PartitionSizes []int64 }
+	var stats library.VMStats
 	if err := plugin.Decode(ev.Payload, &stats); err != nil {
+		// Not ignorable: with no bytes counted the estimate below is zero
+		// and the vertex would quietly run as a single task.
+		m.ctx.Fail(fmt.Errorf("statistics from %s: %w", key, err))
 		return
 	}
 	for _, s := range stats.PartitionSizes {

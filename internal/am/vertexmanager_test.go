@@ -1,12 +1,14 @@
 package am
 
 import (
+	"strings"
 	"testing"
 
 	"tez/internal/dag"
 	"tez/internal/event"
 	"tez/internal/library"
 	"tez/internal/plugin"
+	"tez/internal/runtime"
 )
 
 // fakeVMContext drives vertex managers without a live DAG.
@@ -24,6 +26,7 @@ type fakeVMContext struct {
 	taskDone  map[string]map[int]bool
 	outEdge   map[string][]byte
 	vmPayload []byte
+	failed    []error
 }
 
 func newFakeVMContext(par int) *fakeVMContext {
@@ -91,6 +94,8 @@ func (c *fakeVMContext) SetOutEdgePayload(dest string, payload []byte) error {
 	return nil
 }
 
+func (c *fakeVMContext) Fail(err error) { c.failed = append(c.failed, err) }
+
 func stats(sizes ...int64) []byte {
 	return plugin.MustEncode(library.VMStats{PartitionSizes: sizes})
 }
@@ -150,6 +155,82 @@ func TestSVMAutoParallelismEstimate(t *testing.T) {
 	m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: 0, Payload: stats(9999)})
 	if m.statsBytes != 1000 {
 		t.Fatalf("statsBytes = %d after duplicate", m.statsBytes)
+	}
+}
+
+// A statistics payload that does not decode must not be skipped: with no
+// bytes counted, ShuffleVertexManager's estimate is zero and the vertex
+// shrinks to MinReducers without a failure anywhere (what a look-alike
+// struct decoded through gob did when VMStats changed encoding). Both
+// built-in managers fail the DAG instead, naming the sender.
+func TestVMStatsDecodeFailureIsVisible(t *testing.T) {
+	lookAlike := plugin.MustEncode(struct{ PartitionSizes []int64 }{[]int64{250, 250}}) // gob, not VMStats' codec
+	truncated := stats(250, 250)
+	truncated = truncated[:len(truncated)-1]
+	for name, payload := range map[string][]byte{"gob": lookAlike, "truncated": truncated, "empty": nil} {
+		managers := map[string]VertexManager{
+			"shuffle": &ShuffleVertexManager{},
+			"bucket":  &BucketGroupingVertexManager{},
+		}
+		for mname, m := range managers {
+			ctx := newFakeVMContext(8)
+			ctx.cfg.DesiredBytesPerReducer = 1000
+			ctx.cfg.SlowStartMin, ctx.cfg.SlowStartMax = 0.5, 0.5
+			ctx.addSource("map", 2, dag.ScatterGather)
+			if err := m.Initialize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			m.OnVertexStarted()
+			m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: 0, Payload: payload})
+			if len(ctx.failed) != 1 || !strings.Contains(ctx.failed[0].Error(), "map/0") {
+				t.Fatalf("%s manager, %s payload: Fail calls = %v, want one naming map/0", mname, name, ctx.failed)
+			}
+			if len(ctx.setPar) != 0 || len(ctx.scheduled) != 0 {
+				t.Fatalf("%s manager, %s payload: acted on statistics it could not read (setPar %v, scheduled %v)",
+					mname, name, ctx.setPar, ctx.scheduled)
+			}
+		}
+	}
+}
+
+// badStatsProducer announces statistics no manager can decode.
+type badStatsProducer struct{ ctx *runtime.Context }
+
+func (p *badStatsProducer) Initialize(ctx *runtime.Context) error { p.ctx = ctx; return nil }
+func (p *badStatsProducer) Run(map[string]runtime.Input, map[string]runtime.Output) error {
+	p.ctx.Emit(event.VertexManagerEvent{
+		TargetVertex: "consumer", SrcVertex: p.ctx.Meta.Vertex, SrcTask: p.ctx.Meta.Task,
+		Payload: []byte("not statistics"),
+	})
+	return nil
+}
+func (p *badStatsProducer) Close() error { return nil }
+
+// End to end: the DAG fails, with the manager, the sender and the decode
+// error in its diagnostics, rather than succeeding with one reducer.
+func TestCorruptVMStatsFailsDAG(t *testing.T) {
+	runtime.RegisterProcessor("amtest.bad_stats", func() runtime.Processor { return &badStatsProducer{} })
+	plat := newTestPlatform(2)
+	defer plat.Stop()
+	d := dag.New("badstats")
+	prod := d.AddVertex("producer", plugin.Desc("amtest.bad_stats", nil), 2)
+	cons := d.AddVertex("consumer", plugin.Desc("amdl.sleep", nil), 4)
+	d.Connect(prod, cons, dag.EdgeProperty{
+		Movement: dag.ScatterGather,
+		Output:   plugin.Desc(library.OrderedPartitionedOutputName, library.OrderedPartitionedConfig{NoStats: true}),
+		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
+	})
+	res, err := RunDAG(plat, Config{Name: "t"}, d)
+	if err == nil && res.Err != nil {
+		err = res.Err
+	}
+	if res.Status != DAGFailed || err == nil {
+		t.Fatalf("status %v err %v, want DAGFailed", res.Status, err)
+	}
+	for _, want := range []string{"vertex manager of consumer", "producer/", "decode"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("diagnostics %q do not mention %q", err, want)
+		}
 	}
 }
 

@@ -20,6 +20,10 @@ func (c *vmContext) Payload() []byte       { return c.vs.v.Manager.Payload }
 func (c *vmContext) Parallelism() int      { return c.vs.parallelism }
 func (c *vmContext) SessionConfig() Config { return c.run.cfg }
 
+func (c *vmContext) Fail(err error) {
+	c.run.fail(DAGFailed, fmt.Errorf("am: vertex manager of %s: %w", c.vs.v.Name, err))
+}
+
 // SetParallelism applies a runtime parallelism change (Figure 6): tasks
 // are rebuilt and every in/out edge manager is re-initialised with the new
 // geometry. Scatter-gather in-edges keep their original partition count

@@ -78,14 +78,19 @@ func DecodeRecord(buf []byte) (key, value []byte, consumed int, err error) {
 }
 
 // BufferReader iterates records in an encoded byte buffer (one shuffle
-// partition, or one padded DFS block). It implements runtime.KVReader.
+// partition, or the padded blocks of a DFS split or file). It implements
+// runtime.KVReader.
 type BufferReader struct {
-	buf  []byte
-	pos  int
-	key  []byte
-	val  []byte
-	err  error
-	done bool
+	buf []byte
+	pos int
+	// padded: zero bytes at a record boundary are block padding to step
+	// over, not the end of the stream. Records never begin with a 0x00
+	// header byte, so the two cannot be confused.
+	padded bool
+	key    []byte
+	val    []byte
+	err    error
+	done   bool
 }
 
 // NewBufferReader wraps an encoded buffer.
@@ -95,6 +100,11 @@ func NewBufferReader(buf []byte) *BufferReader { return &BufferReader{buf: buf} 
 func (r *BufferReader) Next() bool {
 	if r.done || r.err != nil {
 		return false
+	}
+	if r.padded {
+		for r.pos < len(r.buf) && r.buf[r.pos] == paddingByte {
+			r.pos++
+		}
 	}
 	k, v, n, err := DecodeRecord(r.buf[r.pos:])
 	if err != nil {
@@ -115,33 +125,15 @@ func (r *BufferReader) Key() []byte { return r.key }
 // Value returns the current value.
 func (r *BufferReader) Value() []byte { return r.val }
 
-// Err reports a decoding error, if any.
+// Err reports a decoding error, if any: a malformed record ends the
+// iteration here, it does not pass for the end of the data.
 func (r *BufferReader) Err() error { return r.err }
 
-// StripPadding removes block-padding zero bytes between records: records
-// never begin with a 0x00 header byte, so zeros at record boundaries are
-// unambiguous padding. Returns a compact record stream.
-func StripPadding(data []byte) []byte {
-	out := make([]byte, 0, len(data))
-	for len(data) > 0 {
-		if data[0] == paddingByte {
-			data = data[1:]
-			continue
-		}
-		_, _, n, err := DecodeRecord(data)
-		if err != nil || n == 0 {
-			break
-		}
-		out = append(out, data[:n]...)
-		data = data[n:]
-	}
-	return out
-}
-
 // NewPaddedReader iterates the records of a (possibly block-padded)
-// buffer, e.g. a whole record file or a committed sink part file.
+// buffer, e.g. a split, a whole record file or a committed sink part file.
+// It reads data in place, stepping over the padding between blocks.
 func NewPaddedReader(data []byte) *BufferReader {
-	return NewBufferReader(StripPadding(data))
+	return &BufferReader{buf: data, padded: true}
 }
 
 // CountRecords counts records in an encoded buffer.

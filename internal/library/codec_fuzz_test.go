@@ -55,12 +55,12 @@ func TestPaddingByteCollision(t *testing.T) {
 	if k, v, n, err := DecodeRecord(rec); err != nil || n != len(rec) || len(k) != 0 || len(v) != 0 {
 		t.Fatalf("empty record: k=%q v=%q n=%d err=%v", k, v, n, err)
 	}
-	// StripPadding keeps interior zeros and drops boundary ones.
+	// The padded reader keeps interior zeros and steps over boundary ones.
 	padded := append([]byte{0x00, 0x00}, AppendRecord(nil, key, val)...)
 	padded = append(padded, 0x00)
-	stripped := StripPadding(padded)
-	if k, v, _, err := DecodeRecord(stripped); err != nil || !bytes.Equal(k, key) || !bytes.Equal(v, val) {
-		t.Fatalf("strip padding: k=%q v=%q err=%v", k, v, err)
+	r := NewPaddedReader(padded)
+	if !r.Next() || !bytes.Equal(r.Key(), key) || !bytes.Equal(r.Value(), val) || r.Next() || r.Err() != nil {
+		t.Fatalf("padded reader: k=%q v=%q err=%v", r.Key(), r.Value(), r.Err())
 	}
 }
 
@@ -119,21 +119,45 @@ func FuzzDecodeRecord(f *testing.F) {
 }
 
 func FuzzBufferReader(f *testing.F) {
+	two := AppendRecord(AppendRecord(nil, []byte("a"), []byte("1")), []byte("b"), []byte("2"))
 	f.Add([]byte{})
-	f.Add(AppendRecord(AppendRecord(nil, []byte("a"), []byte("1")), []byte("b"), []byte("2")))
+	f.Add(two)
 	f.Add([]byte{0x05, 0x01, 0x02})
 	f.Add(bytes.Repeat([]byte{0xff}, 16))
+	// Padded shapes: padding before, between and after records; padding
+	// only; and a record corrupted behind padding.
+	f.Add(append(append([]byte{0x00, 0x00}, two[:len(two)/2]...), append([]byte{0x00, 0x00, 0x00}, two[len(two)/2:]...)...))
+	f.Add(append(append([]byte{}, two...), 0x00, 0x00))
+	f.Add(make([]byte, 9))
+	f.Add(append(append([]byte{}, two...), 0x00, 0xff, 0x01))
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		r := NewBufferReader(buf)
+		// Both readers terminate without panics and without reading past
+		// the buffer (Err may or may not be set). The padded one reads a
+		// superset: the same records up to the first padding byte, where
+		// the plain reader stops and the padded one steps over.
+		plain, padded := NewBufferReader(buf), NewPaddedReader(buf)
 		total := 0
-		for r.Next() {
-			total += RecordSize(r.Key(), r.Value())
-			if total > len(buf) {
-				t.Fatalf("decoded more bytes than the buffer holds (%d > %d)", total, len(buf))
+		for plain.Next() {
+			if !padded.Next() || !bytes.Equal(padded.Key(), plain.Key()) || !bytes.Equal(padded.Value(), plain.Value()) {
+				t.Fatalf("padded reader diverged from the plain one before any padding")
 			}
+			total += RecordSize(plain.Key(), plain.Value())
 		}
-		// Err may or may not be set; the invariant is termination without
-		// panics and without reading past the buffer.
-		_ = r.Err()
+		for padded.Next() {
+			total += RecordSize(padded.Key(), padded.Value())
+		}
+		zeros := bytes.Count(buf, []byte{paddingByte})
+		if total > len(buf) {
+			t.Fatalf("decoded more bytes than the buffer holds (%d > %d)", total, len(buf))
+		}
+		// Whatever the padded reader did not hand out as records is padding
+		// or the tail behind an error: with no error and no zero byte
+		// anywhere, every byte was a record's.
+		if padded.Err() == nil && zeros == 0 && total != len(buf) {
+			t.Fatalf("clean %d-byte buffer read as %d bytes of records", len(buf), total)
+		}
+		if plain.Err() != nil && padded.Err() == nil {
+			t.Fatalf("padded reader swallowed the plain reader's error %v", plain.Err())
+		}
 	})
 }

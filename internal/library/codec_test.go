@@ -67,6 +67,89 @@ func TestBufferReaderStream(t *testing.T) {
 	}
 }
 
+// padRecords lays records out as a record file does: pad[i] zero bytes
+// before record i (cycling through pad), and pad[0] more after the last.
+func padRecords(pairs [][2][]byte, pad []int) []byte {
+	var buf []byte
+	for i, p := range pairs {
+		buf = append(buf, make([]byte, pad[i%len(pad)])...)
+		buf = AppendRecord(buf, p[0], p[1])
+	}
+	return append(buf, make([]byte, pad[0])...)
+}
+
+// The padded reader reads a block-padded buffer in place: every record, in
+// order, whatever padding sits before, between and after them — including
+// records whose keys and values themselves start with or consist of zero
+// bytes — and keys and values alias the buffer it was given.
+func TestPaddedReaderSkipsPaddingInPlace(t *testing.T) {
+	pairs := [][2][]byte{
+		{[]byte("a"), []byte("1")},
+		{{0x00}, {0x00, 0x00}},
+		{nil, nil},
+		{[]byte("b"), bytes.Repeat([]byte{0x00}, 300)},
+		{[]byte("c"), []byte("3")},
+	}
+	for _, pad := range [][]int{{0}, {1}, {3, 0, 7}, {0, 513}} {
+		buf := padRecords(pairs, pad)
+		r := NewPaddedReader(buf)
+		for i, p := range pairs {
+			if !r.Next() {
+				t.Fatalf("pad %v: stopped before record %d (err %v)", pad, i, r.Err())
+			}
+			if !bytes.Equal(r.Key(), p[0]) || !bytes.Equal(r.Value(), p[1]) {
+				t.Fatalf("pad %v: record %d = %q/%q", pad, i, r.Key(), r.Value())
+			}
+		}
+		if r.Next() || r.Err() != nil {
+			t.Fatalf("pad %v: after the last record: err %v", pad, r.Err())
+		}
+	}
+	// In place: the key handed out is the buffer's own bytes.
+	buf := padRecords(pairs, []int{5})
+	r := NewPaddedReader(buf)
+	r.Next()
+	buf[bytes.IndexByte(buf, 'a')] = 'z'
+	if string(r.Key()) != "z" {
+		t.Fatalf("key %q does not alias the buffer", r.Key())
+	}
+	// An unpadded reader still ends at the first padding byte.
+	if n, err := CountRecords(padRecords(pairs, []int{0, 4})); err != nil || n != 1 {
+		t.Fatalf("unpadded reader over padding: %d records, err %v", n, err)
+	}
+	// All padding, and nothing at all.
+	for _, buf := range [][]byte{nil, make([]byte, 64)} {
+		if r := NewPaddedReader(buf); r.Next() || r.Err() != nil {
+			t.Fatalf("padding-only buffer of %d bytes: err %v", len(buf), r.Err())
+		}
+	}
+}
+
+// A record corrupted in mid-stream ends the iteration with an error. It
+// used to end it silently (StripPadding returned the prefix that decoded),
+// so a damaged block dropped the rest of its split's rows unnoticed.
+func TestPaddedReaderSurfacesCorruption(t *testing.T) {
+	var pairs [][2][]byte
+	for i := 0; i < 10; i++ {
+		pairs = append(pairs, [2][]byte{[]byte(fmt.Sprintf("k%d", i)), []byte("value")})
+	}
+	buf := padRecords(pairs, []int{2})
+	rec := len(AppendRecord(nil, pairs[0][0], pairs[0][1]))
+	// Record 4's key length now claims more bytes than the buffer holds.
+	buf[2+4*(rec+2)] = 0xff
+	r := NewPaddedReader(buf)
+	n := 0
+	for r.Next() {
+		n++
+	}
+	if n != 4 || r.Err() == nil {
+		t.Fatalf("read %d records, err %v; want 4 and an error", n, r.Err())
+	}
+	if r.Next() {
+		t.Fatal("reader advanced past the corrupt record")
+	}
+}
+
 func TestQuickRecordRoundTrip(t *testing.T) {
 	f := func(pairs [][2][]byte) bool {
 		var buf []byte
@@ -85,6 +168,23 @@ func TestQuickRecordRoundTrip(t *testing.T) {
 		return !r.Next() && r.Err() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+	// The same records behind arbitrary padding, through the padded reader.
+	g := func(pairs [][2][]byte, pad []uint8) bool {
+		pads := []int{0}
+		for _, p := range pad {
+			pads = append(pads, int(p))
+		}
+		r := NewPaddedReader(padRecords(pairs, pads))
+		for _, p := range pairs {
+			if !r.Next() || !bytes.Equal(r.Key(), p[0]) || !bytes.Equal(r.Value(), p[1]) {
+				return false
+			}
+		}
+		return !r.Next() && r.Err() == nil
+	}
+	if err := quick.Check(g, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -113,7 +113,7 @@ func (r *splitRecordReader) Next() bool {
 				r.err = err
 				return false
 			}
-			r.cur = multiBlockReader{data: data}.reader()
+			r.cur = NewPaddedReader(data) // splits carry whole, padded blocks
 		}
 		if r.cur.Next() {
 			return true
@@ -130,16 +130,6 @@ func (r *splitRecordReader) Key() []byte   { return r.cur.Key() }
 func (r *splitRecordReader) Value() []byte { return r.cur.Value() }
 func (r *splitRecordReader) Err() error    { return r.err }
 
-// multiBlockReader handles padded blocks inside a split: a BufferReader
-// stops at padding, so we must skip to the next block boundary. For
-// simplicity splits carry whole blocks and block size is recovered from
-// the padding itself: we scan past zero bytes to the next record.
-type multiBlockReader struct{ data []byte }
-
-func (m multiBlockReader) reader() *BufferReader {
-	return NewPaddedReader(m.data)
-}
-
 // DFSSourceInput is the root input of a vertex reading a DFS data source.
 // Its split assignment arrives from the initializer as a
 // RootInputDataInformation event; Reader blocks until it does.
@@ -148,7 +138,8 @@ type DFSSourceInput struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	splits []dfs.Split
-	have   bool
+	err    error // the assignment arrived but did not decode
+	have   bool  // splits or err is set
 }
 
 // Initialize stores the context.
@@ -158,22 +149,25 @@ func (in *DFSSourceInput) Initialize(ctx *runtime.Context) error {
 	return nil
 }
 
-// HandleEvent accepts the split assignment.
+// HandleEvent accepts the split assignment. The task runner drops handler
+// errors (a failure surfaces on the task's own read path), so an
+// assignment that does not decode is kept for Reader to return — the
+// attempt fails with it instead of waiting for splits that never come.
 func (in *DFSSourceInput) HandleEvent(ev event.Event) error {
 	ri, ok := ev.(event.RootInputDataInformation)
 	if !ok {
 		return nil
 	}
 	var asn SplitAssignment
-	if err := plugin.Decode(ri.Payload, &asn); err != nil {
-		return err
+	err := plugin.Decode(ri.Payload, &asn)
+	if err != nil {
+		err = fmt.Errorf("library: %s: split assignment: %w", in.ctx.Name, err)
 	}
 	in.mu.Lock()
-	in.splits = asn.Splits
-	in.have = true
+	in.splits, in.err, in.have = asn.Splits, err, true
 	in.mu.Unlock()
 	in.cond.Broadcast()
-	return nil
+	return err
 }
 
 // Start arms a kill-watcher so Reader never blocks past attempt death.
@@ -197,8 +191,11 @@ func (in *DFSSourceInput) Reader() (any, error) {
 		}
 		in.cond.Wait()
 	}
-	splits := in.splits
+	splits, err := in.splits, in.err
 	in.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 	return &splitRecordReader{
 		fs:     in.ctx.Services.FS,
 		node:   in.ctx.Services.Node,

@@ -3,7 +3,9 @@ package library
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"tez/internal/dfs"
 	"tez/internal/event"
@@ -408,6 +410,42 @@ func TestSplitInitializer(t *testing.T) {
 	}
 	if res2.Parallelism != 2 {
 		t.Fatalf("capped parallelism = %d", res2.Parallelism)
+	}
+}
+
+// A split assignment that does not decode must fail the attempt, not hang
+// it: the task runner drops HandleEvent's error by design, so the input
+// keeps it and Reader returns it. (Reader used to wait for an assignment
+// that would never come, until the attempt was killed.)
+func TestDFSSourceInputCorruptAssignment(t *testing.T) {
+	svc := testServices(t)
+	good := plugin.MustEncode(SplitAssignment{Splits: []dfs.Split{{Path: "/in/a", Length: 10}}})
+	gobBytes := plugin.MustEncode(struct{ Splits []dfs.Split }{[]dfs.Split{{Path: "/in/a", Length: 10}}})
+	for name, payload := range map[string][]byte{"truncated": good[:len(good)-2], "gob": gobBytes, "empty": nil} {
+		in := &DFSSourceInput{}
+		ctx := ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "map"}, "lines", nil, 1)
+		stop := make(chan struct{})
+		ctx.Stop = stop
+		if err := in.Initialize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		read := make(chan error, 1)
+		go func() { _, err := in.Reader(); read <- err }() // parked on the assignment
+		if err := in.HandleEvent(event.RootInputDataInformation{Payload: payload}); err == nil {
+			t.Fatalf("%s payload: HandleEvent accepted it", name)
+		}
+		select {
+		case err := <-read:
+			if err == nil || !strings.Contains(err.Error(), "split assignment") || !strings.Contains(err.Error(), "lines") {
+				t.Fatalf("%s payload: Reader returned %v, want the decode error naming the input", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s payload: Reader still waiting for an assignment that failed to decode", name)
+		}
+		close(stop) // releases Start's kill-watcher
 	}
 }
 

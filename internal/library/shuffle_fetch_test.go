@@ -166,80 +166,3 @@ func TestFetchRetractionStress(t *testing.T) {
 	}
 	t.Logf("%d clean reads, %d retracted-after-merge", clean, lost)
 }
-
-// Payload shapes of the deleted spill-increment protocol. Gob matches
-// fields by name and skips the ones the receiver lacks, so movements a
-// checkpoint still carries in these shapes must decode into today's types
-// with every surviving field intact.
-type legacyOutputID struct {
-	DAG, Vertex, Name    string
-	Task, Attempt, Spill int
-}
-
-type legacyDMInfo struct {
-	ID            legacyOutputID
-	Partition     int
-	Size, RawSize int64
-	Codec         string
-	Spill         int
-	Final         bool
-}
-
-type legacyDataMovement struct {
-	SrcVertex                                     string
-	SrcTask, SrcAttempt, SrcOutputIndex, SrcSpill int
-	SrcMore                                       bool
-	TargetVertex, TargetInput                     string
-	TargetTask, TargetInputIndex                  int
-	Payload                                       []byte
-}
-
-// FuzzDMInfo shakes the decoders of the shuffle's control-plane payloads:
-// arbitrary bytes must never panic, and whatever decodes in a legacy shape
-// must decode in the current one to the same surviving fields.
-func FuzzDMInfo(f *testing.F) {
-	oldInfo := legacyDMInfo{
-		ID:        legacyOutputID{DAG: "d", Vertex: "map", Name: "red", Task: 3, Attempt: 1, Spill: 2},
-		Partition: 1, Size: 10, RawSize: 20, Codec: "flate", Spill: 2, Final: true,
-	}
-	f.Add(plugin.MustEncode(DMInfo{ID: shuffle.OutputID{DAG: "d", Task: 3}, Partition: 1, Size: 10, Codec: "flate"}))
-	f.Add(plugin.MustEncode(DMInfo{}))
-	f.Add(plugin.MustEncode(oldInfo))
-	f.Add(plugin.MustEncode(legacyDMInfo{Spill: -3}))
-	f.Add(plugin.MustEncode(legacyDataMovement{
-		SrcVertex: "map", SrcTask: 3, SrcAttempt: 1, SrcOutputIndex: 1, SrcSpill: 2, SrcMore: true,
-		TargetVertex: "red", TargetInput: "map", TargetInputIndex: 3, Payload: plugin.MustEncode(oldInfo),
-	}))
-	f.Add(plugin.MustEncode(event.DataMovement{SrcVertex: "map", TargetVertex: "red", Payload: []byte{1}}))
-	f.Add([]byte{})
-	f.Add([]byte{0x42, 0xff, 0x00, 0x07, 0x80})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		// Errors are not compared: a wire type that shares no field with
-		// the current shape is one, and leaves the zero value — which is
-		// then exactly what that payload says about the surviving fields.
-		var info DMInfo
-		_ = plugin.Decode(payload, &info)
-		var dm event.DataMovement
-		_ = plugin.Decode(payload, &dm)
-
-		var old legacyDMInfo
-		if plugin.Decode(payload, &old) == nil {
-			id := shuffle.OutputID{DAG: old.ID.DAG, Vertex: old.ID.Vertex, Name: old.ID.Name, Task: old.ID.Task, Attempt: old.ID.Attempt}
-			if want := (DMInfo{ID: id, Partition: old.Partition, Size: old.Size, RawSize: old.RawSize, Codec: old.Codec}); info != want {
-				t.Fatalf("legacy payload %+v decoded to %+v", old, info)
-			}
-		}
-		var oldDM legacyDataMovement
-		if plugin.Decode(payload, &oldDM) == nil {
-			want := event.DataMovement{
-				SrcVertex: oldDM.SrcVertex, SrcTask: oldDM.SrcTask, SrcAttempt: oldDM.SrcAttempt,
-				SrcOutputIndex: oldDM.SrcOutputIndex, TargetVertex: oldDM.TargetVertex,
-				TargetTask: oldDM.TargetTask, TargetInput: oldDM.TargetInput,
-				TargetInputIndex: oldDM.TargetInputIndex, Payload: oldDM.Payload,
-			}
-			if !reflect.DeepEqual(dm, want) {
-				t.Fatalf("legacy movement %+v decoded to %+v", oldDM, dm)
-			}
-		}
-	})
-}

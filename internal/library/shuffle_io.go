@@ -32,7 +32,9 @@ func init() {
 // DMInfo is the DataMovement payload of the built-in shuffle outputs: the
 // "access URL" metadata of §3.3 — which registered output and partition to
 // fetch, plus the block codec the bytes crossed the wire in (the fetched
-// block is self-describing; there is no out-of-band codec negotiation).
+// block is self-describing; there is no out-of-band codec negotiation). It
+// is encoded once per producer partition and decoded once per fetch, so it
+// has a binary codec (payload.go).
 type DMInfo struct {
 	ID        shuffle.OutputID
 	Partition int
@@ -54,13 +56,14 @@ type VMStats struct {
 
 // OrderedPartitionedConfig configures OrderedPartitionedKVOutput (and is
 // reused, partitioner and codec fields only, by the unordered partitioned
-// output). All additions must keep the gob zero value meaning "default"
-// so old payloads stay decodable.
+// output). The zero value of every field means "default" — most edges
+// carry no payload at all — and every field is written by the binary codec
+// in payload.go, which an addition must extend.
 type OrderedPartitionedConfig struct {
 	Partitioner PartitionerSpec
 	// NoStats suppresses the VMStats event to the consumer vertex manager
-	// (stats are sent by default; the field is inverted so the gob
-	// zero-value default keeps them on).
+	// (stats are sent by default; the field is inverted so the zero value
+	// keeps them on).
 	NoStats bool
 	// Combiner names a RegisterCombineFunc pre-aggregator applied to each
 	// sorted spill and to the final merge. Empty means none.

@@ -8,6 +8,7 @@ import (
 	"tez/internal/am"
 	"tez/internal/library"
 	"tez/internal/platform"
+	"tez/internal/plugin"
 	"tez/internal/runtime"
 )
 
@@ -147,5 +148,44 @@ func TestBadJobConf(t *testing.T) {
 	}
 	if _, err := BuildDAG(JobConf{Name: "x", Map: "m", InputPaths: []string{"/i"}}); err == nil {
 		t.Fatal("missing output accepted")
+	}
+}
+
+// TestNoGobOnTheTaskPath: every payload a MapReduce DAG moves — processor,
+// split, sink and edge configuration per task, a DataMovement payload per
+// producer partition and per fetch, statistics per producer — has a binary
+// codec, so a 16-map × 4-reduce job (20 tasks, 64 fetches) builds no gob
+// decoder at all. Auto-parallelism is off so that all four reducers run.
+func TestNoGobOnTheTaskPath(t *testing.T) {
+	plat := platform.New(platform.Fast(4))
+	defer plat.Stop()
+	var inputs []string
+	for i := 0; i < 16; i++ {
+		p := "/in/g/" + strconv.Itoa(i)
+		writeText(t, plat, p, []string{"a b c d e f g h", "a c e g"})
+		inputs = append(inputs, p)
+	}
+	sess := am.NewSession(plat, am.Config{Name: "nogob", DisableAutoParallelism: true})
+	defer sess.Close()
+	d, err := BuildDAG(JobConf{Name: "nogob", Map: "mrtest.tokenize", Reduce: "mrtest.sum",
+		InputPaths: inputs, OutputPath: "/out/g", Reducers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := plugin.GobDecodes()
+	res, err := sess.Run(d)
+	decodes := plugin.GobDecodes() - before
+	if err != nil || res.Status != am.DAGSucceeded {
+		t.Fatalf("%v %v", res.Status, err)
+	}
+	tasks, fetches := res.Counters.Get("TASKS_SUCCEEDED"), res.Counters.Get("SHUFFLE_FETCHES")
+	if tasks != 20 || fetches != 64 {
+		t.Fatalf("%d tasks and %d fetches, want 20 and 64 — the job is not the shape this test is about", tasks, fetches)
+	}
+	if decodes != 0 {
+		t.Fatalf("%d gob decodes in a job of %d tasks and %d fetches, want none", decodes, tasks, fetches)
+	}
+	if got := readKV(t, plat, "/out/g"); got["a"] != "32" || got["h"] != "16" {
+		t.Fatalf("counts %v", got)
 	}
 }

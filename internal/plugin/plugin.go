@@ -7,15 +7,19 @@
 //
 // The JVM loads such entities by class name; Go has no dynamic class
 // loading, so implementations register factories in a process-wide registry
-// keyed by (kind, name). Payloads are encoded with encoding/gob.
+// keyed by (kind, name). Payloads are encoded by Encode: a type that
+// implements encoding.BinaryMarshaler and BinaryUnmarshaler (see wire.go)
+// speaks for itself, everything else goes through encoding/gob.
 package plugin
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind partitions the registry namespace.
@@ -42,7 +46,8 @@ type Descriptor struct {
 // IsZero reports whether the descriptor is unset.
 func (d Descriptor) IsZero() bool { return d.Name == "" }
 
-// Desc builds a descriptor, gob-encoding payload (nil payload allowed).
+// Desc builds a descriptor, encoding payload with Encode (nil payload
+// allowed).
 func Desc(name string, payload any) Descriptor {
 	d := Descriptor{Name: name}
 	if payload != nil {
@@ -93,8 +98,20 @@ func Names(kind Kind) []string {
 	return out
 }
 
-// Encode gob-encodes v.
+// Encode encodes a payload. The Go type decides how, and Decode decides the
+// same way, so the two always agree: a type with MarshalBinary encodes
+// itself (the hand-written codecs of the per-task, per-partition and
+// per-fetch payloads); any other type is gob-encoded, which costs a fresh
+// type description and a compiled decode engine per payload and is meant
+// for the cold, deep or application-defined ones.
 func Encode(v any) ([]byte, error) {
+	if m, ok := v.(encoding.BinaryMarshaler); ok {
+		b, err := m.MarshalBinary()
+		if err != nil {
+			return nil, fmt.Errorf("plugin: encode %T: %w", v, err)
+		}
+		return b, nil
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, fmt.Errorf("plugin: encode %T: %w", v, err)
@@ -112,10 +129,25 @@ func MustEncode(v any) []byte {
 	return b
 }
 
-// Decode gob-decodes data into out (a pointer).
+// Decode decodes data into out (a pointer): through out's UnmarshalBinary
+// when it has one, through gob otherwise.
 func Decode(data []byte, out any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(out); err != nil {
+	var err error
+	if u, ok := out.(encoding.BinaryUnmarshaler); ok {
+		err = u.UnmarshalBinary(data)
+	} else {
+		gobDecodes.Add(1)
+		err = gob.NewDecoder(bytes.NewReader(data)).Decode(out)
+	}
+	if err != nil {
 		return fmt.Errorf("plugin: decode into %T: %w", out, err)
 	}
 	return nil
 }
+
+var gobDecodes atomic.Int64
+
+// GobDecodes returns how many payloads this process has decoded through
+// gob — each one a decoder built from nothing. Tests use it to hold the
+// count to O(vertices × containers) per DAG, never O(tasks) or O(fetches).
+func GobDecodes() int64 { return gobDecodes.Load() }

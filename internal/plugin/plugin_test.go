@@ -101,3 +101,92 @@ func TestQuickEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wirePayload has a binary codec, so Encode and Decode must leave gob out
+// of it.
+type wirePayload struct {
+	N  int64
+	S  string
+	Bs []byte
+	Ok bool
+}
+
+func (p wirePayload) MarshalBinary() ([]byte, error) {
+	b := AppendHeader(nil, 7)
+	b = AppendInt(b, p.N)
+	b = AppendString(b, p.S)
+	b = AppendBytes(b, p.Bs)
+	return AppendBool(b, p.Ok), nil
+}
+
+func (p *wirePayload) UnmarshalBinary(data []byte) error {
+	r := NewReader(data, 7)
+	*p = wirePayload{N: r.Int64(), S: r.String(), Bs: r.Bytes(), Ok: r.Bool()}
+	return r.Finish()
+}
+
+// The Go type picks the encoding: a type with a binary codec never reaches
+// gob, a type without one always does, and GobDecodes counts exactly the
+// latter.
+func TestEncodeDecodeDispatch(t *testing.T) {
+	in := wirePayload{N: -5, S: "a\x00b", Bs: []byte{0, 1}, Ok: true}
+	before := GobDecodes()
+	data := MustEncode(in)
+	if want, _ := in.MarshalBinary(); string(data) != string(want) {
+		t.Fatalf("Encode = % x, MarshalBinary = % x", data, want)
+	}
+	var out wirePayload
+	if err := Decode(data, &out); err != nil || out.N != in.N || out.S != in.S || string(out.Bs) != string(in.Bs) || !out.Ok {
+		t.Fatalf("decoded %+v, err %v", out, err)
+	}
+	if n := GobDecodes() - before; n != 0 {
+		t.Fatalf("%d gob decodes for a type with a binary codec", n)
+	}
+	type plain struct{ A int }
+	var p plain
+	if err := Decode(MustEncode(plain{A: 3}), &p); err != nil || p.A != 3 {
+		t.Fatalf("gob fallback: %+v, %v", p, err)
+	}
+	if n := GobDecodes() - before; n != 1 {
+		t.Fatalf("GobDecodes moved by %d for one gob decode", n)
+	}
+	// Each encoding refuses the other's bytes.
+	if err := Decode(MustEncode(plain{A: 3}), &out); err == nil {
+		t.Fatal("gob stream decoded as a binary payload")
+	}
+	if err := Decode(data, &p); err == nil {
+		t.Fatal("binary payload decoded as a gob stream")
+	}
+}
+
+// The reader is strict, and a failure sticks: later reads return zero
+// values and Finish reports the first error.
+func TestWireReaderStrict(t *testing.T) {
+	good := MustEncode(wirePayload{N: 1 << 40, S: "s", Bs: []byte("b")})
+	var out wirePayload
+	for n := 0; n < len(good); n++ {
+		if err := Decode(good[:n], &out); err == nil {
+			t.Fatalf("%d-byte prefix decoded", n)
+		}
+	}
+	for name, data := range map[string][]byte{
+		"trailing byte":      append(append([]byte(nil), good...), 0),
+		"gob-like first":     append([]byte{0x22}, good[1:]...),
+		"other version":      append([]byte{0x00, 0x02}, good[2:]...),
+		"other kind":         append([]byte{0x00, 0x01, 0x08}, good[3:]...),
+		"non-minimal varint": {0x00, 0x01, 0x07, 0x82, 0x00, 0x00, 0x00, 0x00},
+		"length past end":    {0x00, 0x01, 0x07, 0x02, 0x09, 's', 0x00, 0x00},
+		"bool of 2":          {0x00, 0x01, 0x07, 0x02, 0x00, 0x00, 0x02},
+	} {
+		if err := Decode(data, &out); err == nil {
+			t.Errorf("%s: decoded to %+v", name, out)
+		}
+	}
+	r := NewReader([]byte{0x00, 0x01, 0x07, 0x03, 0xff}, 7) // count 3, one byte behind it
+	if n := r.Count(1); n != 0 {
+		t.Fatalf("Count = %d for a count larger than the data", n)
+	}
+	if r.Uvarint() != 0 || r.String() != "" || r.Bytes() != nil || r.Bool() || r.Finish() == nil {
+		t.Fatal("reads after a failure did not stay failed")
+	}
+}

@@ -29,14 +29,42 @@ type PruneValues struct {
 	Values []row.Value
 }
 
+// stageProcessor runs one task of a stage. spec is shared, read-only, with
+// every other task of the vertex that runs in this container: nothing
+// under relop may write through it (TestStageSpecSharedReadOnly).
 type stageProcessor struct {
 	ctx  *runtime.Context
-	spec StageSpec
+	spec *StageSpec
 }
 
 func (p *stageProcessor) Initialize(ctx *runtime.Context) error {
 	p.ctx = ctx
-	return plugin.Decode(ctx.Payload, &p.spec)
+	var err error
+	p.spec, err = loadStageSpec(ctx)
+	return err
+}
+
+// loadStageSpec decodes the stage program the first time a container runs
+// a task of the vertex and keeps it in the container's object registry for
+// the vertex's lifetime (§4.2; SweepVertex retires it): the program is the
+// same for every task of a vertex, deep (Expr trees), and gob-encoded, so
+// decoding it per task used to cost more than a small task's own work.
+func loadStageSpec(ctx *runtime.Context) (*StageSpec, error) {
+	reg := ctx.Services.Registry
+	key := "relop/stage/" + ctx.Meta.DAG + "/" + ctx.Meta.Vertex
+	if reg != nil {
+		if v, ok := reg.Get(ctx.Meta, key); ok {
+			return v.(*StageSpec), nil
+		}
+	}
+	spec := new(StageSpec)
+	if err := plugin.Decode(ctx.Payload, spec); err != nil {
+		return nil, err
+	}
+	if reg != nil {
+		reg.Add(runtime.LifetimeVertex, ctx.Meta, key, spec)
+	}
+	return spec, nil
 }
 
 func (p *stageProcessor) Close() error { return nil }

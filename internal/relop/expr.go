@@ -1,11 +1,11 @@
 // Package relop is the shared relational execution layer used by the
 // Hive-style SQL engine and the Pig-style ETL engine in this repository.
-// It provides a logical plan, a gob-encodable stage language, a stage
-// processor registered with the Tez runtime, and two compilers: one that
-// emits a single Tez DAG (stage chaining, broadcast edges, auto reduce
-// parallelism), and one that emits a chain of MapReduce-shaped jobs with
-// DFS materialisation between them — the baseline the paper's Figures 8–10
-// compare against.
+// It provides a logical plan, a stage language that travels as an opaque
+// processor payload, a stage processor registered with the Tez runtime,
+// and two compilers: one that emits a single Tez DAG (stage chaining,
+// broadcast edges, auto reduce parallelism), and one that emits a chain of
+// MapReduce-shaped jobs with DFS materialisation between them — the
+// baseline the paper's Figures 8–10 compare against.
 package relop
 
 import (
@@ -14,9 +14,11 @@ import (
 	"tez/internal/row"
 )
 
-// Expr is a gob-encodable expression tree, evaluated a batch at a time by
-// evalVec (vexpr.go). Comparison and logical operators yield
-// Int(1)/Int(0); null propagates through arithmetic.
+// Expr is an expression tree, evaluated a batch at a time by evalVec
+// (vexpr.go). Comparison and logical operators yield Int(1)/Int(0); null
+// propagates through arithmetic. It is plain exported data because it
+// travels inside a StageSpec payload, and read-only once decoded: the
+// tasks of a vertex that share a container share one decoded tree.
 type Expr struct {
 	// Kind: "col", "lit", "cmp", "and", "or", "not", "arith".
 	Kind string

@@ -129,7 +129,10 @@ func validateEmit(es *EmitSpec) error {
 	return nil
 }
 
-// StageSpec is the full program of one stage.
+// StageSpec is the full program of one stage. It is the same for every
+// task of a vertex and deep, so it stays gob-encoded (plugin's generic
+// path) and is decoded once per container, not per task: loadStageSpec
+// shares the decoded value, read-only, through the object registry.
 type StageSpec struct {
 	Inputs []StageInput
 	Group  *GroupOp // nil for map stages
