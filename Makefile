@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check check-benchmark bench profile bench-shuffle bench-controlplane bench-service bench-graph fuzz-short chaos trace
+.PHONY: build vet lint test race check check-benchmark bench profile fuzz-short chaos trace
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,10 @@ check-benchmark:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
+# bench regenerates every experiment table once (BenchmarkExperiments/<key>
+# over the internal/bench table, opt-in rows excluded) and runs the
+# profilable workload copies once each. It prints and persists nothing:
+# numbers compared from commit to commit come from benchmark/run.sh.
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
 
@@ -55,37 +59,6 @@ profile:
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
 		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.' | head -24
-
-# bench-shuffle measures the shuffle data plane: the go-bench view of the
-# sort/merge ablations plus the grouped-read allocation benchmark, then
-# the structured run that persists BENCH_shuffle.json (ns/op, B/op,
-# allocs/op for serial-boxed vs arena vs arena+spill vs arena+flate, and
-# the end-to-end codec rows). CI uploads the JSON as an artifact.
-bench-shuffle:
-	$(GO) test -run XXX -bench BenchmarkGroupedRead -benchmem ./internal/library/
-	$(GO) run ./cmd/tez-bench -exp shuffle-sort,shuffle-codec -shuffle-json BENCH_shuffle.json
-
-# bench-controlplane drives the scheduler at 10k simulated nodes, the
-# event plane at 1M events, and a 100k-task DAG end to end, comparing
-# against the checked-in pre-optimisation baseline (PR 6).
-bench-controlplane:
-	$(GO) run ./cmd/tez-bench -exp controlplane -controlplane-json BENCH_controlplane.json
-
-# bench-service floods the multi-tenant DAG service with ≥1000 small DAGs
-# from 4 weighted tenants through bounded admission queues (typed
-# rejections must engage) and persists throughput + p50/p99 to
-# BENCH_service.json. CI uploads the JSON as an artifact.
-bench-service:
-	$(GO) run ./cmd/tez-bench -exp service -service-json BENCH_service.json
-
-# bench-graph runs the BSP graph engine: PageRank with the registry-cached
-# vs cold-load ablation (identical fixed-horizon runs, the only difference
-# is whether compute tasks may reuse cached partition snapshots), plus
-# connected components and SSSP with vote-to-halt termination. Persists
-# supersteps/sec, messages/sec and the ablation to BENCH_graph.json; CI
-# uploads the JSON as an artifact.
-bench-graph:
-	$(GO) run ./cmd/tez-bench -exp graph -graph-json BENCH_graph.json
 
 # fuzz-short gives the record-framing decoders (plain and block-padded),
 # the sort order (prefix index sort against the full-comparator oracle) and

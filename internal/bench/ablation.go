@@ -398,30 +398,6 @@ func AblationObjectRegistry(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// Ablations runs the whole ablation suite.
-func Ablations(sc Scale) ([]*Report, error) {
-	runners := []func(Scale) (*Report, error){
-		AblationContainerReuse,
-		AblationSession,
-		AblationAutoParallelism,
-		AblationPartitionPruning,
-		AblationLocality,
-		AblationSlowStart,
-		AblationParallelFetch,
-		AblationObjectRegistry,
-		AblationSpeculation,
-	}
-	var out []*Report
-	for _, r := range runners {
-		rep, err := r(sc)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rep)
-	}
-	return out, nil
-}
-
 // slowFirstAttempt simulates an environment-induced straggler: one task's
 // first attempt stalls until killed; any re-attempt is fast.
 type slowFirstAttempt struct{ ctx *runtime.Context }

@@ -2,7 +2,10 @@
 // the simulated cluster, plus ablation experiments for the design choices
 // the paper credits (container reuse, sessions, auto parallelism, dynamic
 // partition pruning, locality, speculation, slow start, the shared object
-// registry). Each runner builds a fresh platform with realistic simulated
+// registry) and two scale experiments nothing else covers. Every
+// experiment is one row of the Experiments table and prints one Report;
+// numbers compared from commit to commit belong to benchmark/, not here.
+// Each runner builds a fresh platform with realistic simulated
 // overheads (platform.Default), generates synthetic data at the requested
 // scale, runs the Tez and baseline variants, and reports the same rows or
 // series the paper's figure shows. Absolute numbers are simulation-scale;

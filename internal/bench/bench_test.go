@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"path"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,81 +116,118 @@ func TestSparkReports(t *testing.T) {
 	requireRows(t, lat, 1)
 }
 
-func TestAblationSuite(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	reps, err := Ablations(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 9 {
-		t.Fatalf("ablations = %d", len(reps))
-	}
-	for _, r := range reps {
-		requireRows(t, r, 2)
+// TestExperimentsSmoke ranges over the table: keys are unique, and every
+// row returns a report at tiny scale that is non-empty, rectangular and
+// renders. The opt-in rows (sized down at tiny) are skipped under -short.
+func TestExperimentsSmoke(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Experiments {
+		if e.Key == "" || seen[e.Key] {
+			t.Fatalf("experiment key %q is empty or registered twice", e.Key)
+		}
+		seen[e.Key] = true
+		if e.OptIn && testing.Short() {
+			continue
+		}
+		rep, err := e.Run(tiny)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Key, err)
+		}
+		requireRows(t, rep, 1)
+		for _, row := range rep.Rows {
+			if len(row) != len(rep.Headers) {
+				t.Errorf("%s: row %q has %d cells under %d headers", e.Key, row, len(row), len(rep.Headers))
+			}
+		}
 	}
 }
 
-// TestShuffleSortAblation is the arena acceptance gate: the pointer sort
-// must at least halve allocations per record and not be slower than the
-// boxed baseline it replaced.
-func TestShuffleSortAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
+func TestSelect(t *testing.T) {
+	var all, ablations []string
+	for _, e := range Experiments {
+		if !e.OptIn {
+			all = append(all, e.Key)
+		}
+		if e.Group == "ablations" {
+			ablations = append(ablations, e.Key)
+		}
 	}
-	rows, err := ShuffleSortResults(tiny)
-	if err != nil {
-		t.Fatal(err)
+	if len(ablations) != 9 {
+		t.Fatalf("ablations group has %d rows, want 9", len(ablations))
 	}
-	byVariant := map[string]ShuffleBenchResult{}
-	for _, r := range rows {
-		byVariant[r.Variant] = r
+	cases := []struct {
+		spec string
+		want []string // nil: an error naming the valid keys
+	}{
+		{"all", all},
+		{"ablations", ablations},
+		{"controlplane", []string{"controlplane"}},
+		{" Graph ,f11,f8", []string{"f8", "f11", "graph"}},
+		{"f8,all,f8,chaos", all},
+		{"f8,relop", nil},
+		{"", nil},
 	}
-	boxed, arena := byVariant["serial-boxed"], byVariant["arena"]
-	if boxed.Records == 0 || arena.Records == 0 {
-		t.Fatalf("missing variants in %+v", rows)
+	for _, c := range cases {
+		got, err := Select(c.spec)
+		if c.want == nil {
+			if err == nil || !strings.Contains(err.Error(), "valid: all, f8,") || !strings.Contains(err.Error(), "ablations") {
+				t.Errorf("Select(%q) = %v, want an error listing the valid keys", c.spec, err)
+			}
+			continue
+		}
+		var keys []string
+		for _, e := range got {
+			keys = append(keys, e.Key)
+		}
+		if err != nil || !reflect.DeepEqual(keys, c.want) {
+			t.Errorf("Select(%q) = %v, %v; want %v", c.spec, keys, err, c.want)
+		}
 	}
-	if arena.AllocsPerRecord*2 > boxed.AllocsPerRecord {
-		t.Fatalf("arena allocs/record %.3f not ≥2x better than boxed %.3f",
-			arena.AllocsPerRecord, boxed.AllocsPerRecord)
+}
+
+// TestDivergedRowFails: an experiment that compares answers must fail when
+// its own table says one diverged, and name the row.
+func TestDivergedRowFails(t *testing.T) {
+	rep := &Report{Title: "T", Headers: []string{"scenario", "result"}}
+	rep.AddRow("fault-free", "baseline")
+	rep.AddRow("dfs-read", "identical")
+	if err := divergedErr(rep); err != nil {
+		t.Fatalf("clean report: %v", err)
 	}
-	if arena.NsPerOp >= boxed.NsPerOp {
-		t.Fatalf("arena ns/op %d not below boxed %d", arena.NsPerOp, boxed.NsPerOp)
+	rep.AddRow("node-crash", "DIVERGED")
+	if err := divergedErr(rep); err == nil || !strings.Contains(err.Error(), "node-crash") || strings.Contains(err.Error(), "dfs-read") {
+		t.Fatalf("diverged report: err = %v, want one naming node-crash only", err)
 	}
-	rep, err := AblationShuffleSort(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRows(t, rep, 4)
 }
 
 // TestShuffleCodecAblation is the end-to-end codec acceptance: flate must
 // round-trip byte-identically through Register→Fetch→merge on wordcount,
 // Hive and Pig workloads while moving fewer wire bytes than raw.
 func TestShuffleCodecAblation(t *testing.T) {
-	rows, err := ShuffleCodecResults(tiny)
+	rep, err := AblationShuffleCodec(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
+	if len(rep.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rep.Rows))
 	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s under %s diverged from codec=none", r.Workload, r.Codec)
+	for i, row := range rep.Rows {
+		workload, codec := row[0], row[1]
+		wire, raw := cell(t, rep, i, 3), cell(t, rep, i, 4)
+		if row[6] != "identical" {
+			t.Errorf("%s under %s diverged from codec=none", workload, codec)
 		}
-		if r.BytesRaw <= 0 {
-			t.Errorf("%s under %s: no raw shuffle bytes recorded", r.Workload, r.Codec)
+		if raw <= 0 {
+			t.Errorf("%s under %s: no raw shuffle bytes recorded", workload, codec)
 		}
-		switch r.Codec {
+		switch codec {
 		case "none":
-			if r.BytesWire != r.BytesRaw {
-				t.Errorf("%s: codec=none wire %d != raw %d", r.Workload, r.BytesWire, r.BytesRaw)
+			if wire != raw {
+				t.Errorf("%s: codec=none wire %.0f != raw %.0f", workload, wire, raw)
 			}
 		case "flate":
-			if r.BytesWire >= r.BytesRaw {
-				t.Errorf("%s: flate wire %d not below raw %d", r.Workload, r.BytesWire, r.BytesRaw)
+			if wire >= raw {
+				t.Errorf("%s: flate wire %.0f not below raw %.0f", workload, wire, raw)
 			}
 		}
 	}

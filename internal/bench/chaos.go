@@ -10,6 +10,7 @@ import (
 	"tez/internal/chaos"
 	"tez/internal/library"
 	"tez/internal/mapreduce"
+	"tez/internal/metrics"
 	"tez/internal/platform"
 )
 
@@ -38,74 +39,84 @@ func chaosScenarios() []chaosScenario {
 	}
 }
 
+// chaosRun is what one wordcount run under a fault schedule left behind.
+type chaosRun struct {
+	counts map[string]int
+	res    am.DAGResult
+	health metrics.NodeHealthReport
+	dur    time.Duration
+}
+
+// runChaosWordcount runs the workload on a fresh 8-node platform with the
+// given fault plane (nil for none) and tears both down before returning,
+// on every path.
+func runChaosWordcount(lines int, plane *chaos.Plane, mut func(am.Config) am.Config) (chaosRun, error) {
+	pcfg := platform.Fast(8)
+	pcfg.Chaos = plane
+	plat := platform.New(pcfg)
+	defer plat.Stop()
+	if err := writeWords(plat, "/bench/chaos/words", lines); err != nil {
+		return chaosRun{}, err
+	}
+	sess := am.NewSession(plat, mut(am.Config{Name: "chaos", MaxTaskAttempts: 8}))
+	defer sess.Close()
+	start := time.Now()
+	res, err := mapreduce.RunOnTez(sess, mapreduce.JobConf{
+		Name: "wc", Map: "bench.tokenize", Reduce: "bench.count",
+		InputPaths: []string{"/bench/chaos/words"}, OutputPath: "/bench/chaos/out",
+		Reducers: 4,
+	})
+	dur := time.Since(start)
+	if err != nil {
+		return chaosRun{}, err
+	}
+	counts, err := readCountsDFS(plat, "/bench/chaos/out")
+	return chaosRun{counts: counts, res: res, health: sess.NodeHealth(), dur: dur}, err
+}
+
 // ChaosRobustness runs the same wordcount workload under each seeded fault
 // schedule and reports whether the output stayed identical to the
 // fault-free run, what the faults cost, and what node health saw — the
-// robustness counterpart of the timing figures.
+// robustness counterpart of the timing figures. A scenario whose answer
+// diverged fails the run after the table is built.
 func ChaosRobustness(sc Scale) (*Report, error) {
 	lines := sc.PigRows
 	if lines <= 0 {
 		lines = 3000
 	}
-	run := func(plane *chaos.Plane, mut func(am.Config) am.Config) (map[string]int, am.DAGResult, *am.Session, *platform.Platform, time.Duration, error) {
-		pcfg := platform.Fast(8)
-		pcfg.Chaos = plane
-		plat := platform.New(pcfg)
-		if err := writeWords(plat, "/bench/chaos/words", lines); err != nil {
-			plat.Stop()
-			return nil, am.DAGResult{}, nil, nil, 0, err
-		}
-		cfg := mut(am.Config{Name: "chaos", MaxTaskAttempts: 8})
-		sess := am.NewSession(plat, cfg)
-		start := time.Now()
-		res, err := mapreduce.RunOnTez(sess, mapreduce.JobConf{
-			Name: "wc", Map: "bench.tokenize", Reduce: "bench.count",
-			InputPaths: []string{"/bench/chaos/words"}, OutputPath: "/bench/chaos/out",
-			Reducers: 4,
-		})
-		dur := time.Since(start)
-		if err != nil {
-			return nil, res, sess, plat, dur, err
-		}
-		counts, err := readCountsDFS(plat, "/bench/chaos/out")
-		return counts, res, sess, plat, dur, err
-	}
-
 	rep := &Report{
 		Figure:  "Chaos",
 		Title:   "seeded fault injection vs fault-free wordcount (8 nodes)",
 		Headers: []string{"scenario", "seed", "result", "time_ms", "injected", "att_failed", "reexecuted", "blacklisted"},
 	}
 
-	want, _, sess, plat, cleanDur, err := run(nil, func(c am.Config) am.Config { return c })
+	clean, err := runChaosWordcount(lines, nil, func(c am.Config) am.Config { return c })
 	if err != nil {
 		return nil, fmt.Errorf("fault-free run: %w", err)
 	}
-	sess.Close()
-	plat.Stop()
-	rep.AddRow("fault-free", "-", "baseline", ms(cleanDur), "0", "0", "0", "0")
+	rep.AddRow("fault-free", "-", "baseline", ms(clean.dur), "0", "0", "0", "0")
 
 	for _, s := range chaosScenarios() {
 		plane := chaos.New(s.seed, s.spec)
-		got, res, sess, plat, dur, err := run(plane, s.cfg)
+		run, err := runChaosWordcount(lines, plane, s.cfg)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", s.name, err)
 		}
 		verdict := "identical"
-		if !reflect.DeepEqual(got, want) {
+		if !reflect.DeepEqual(run.counts, clean.counts) {
 			verdict = "DIVERGED"
 		}
 		var injected int64
 		for _, v := range plane.Injected() {
 			injected += v
 		}
-		rep.AddRow(s.name, strconv.FormatInt(s.seed, 10), verdict, ms(dur),
+		rep.AddRow(s.name, strconv.FormatInt(s.seed, 10), verdict, ms(run.dur),
 			strconv.FormatInt(injected, 10),
-			strconv.FormatInt(res.Counters.Get("ATTEMPTS_FAILED"), 10),
-			strconv.FormatInt(res.Counters.Get("TASKS_REEXECUTED"), 10),
-			strconv.FormatInt(res.Counters.Get("NODES_BLACKLISTED"), 10))
+			strconv.FormatInt(run.res.Counters.Get("ATTEMPTS_FAILED"), 10),
+			strconv.FormatInt(run.res.Counters.Get("TASKS_REEXECUTED"), 10),
+			strconv.FormatInt(run.res.Counters.Get("NODES_BLACKLISTED"), 10))
 		if s.name == "sick-node" {
-			for _, h := range sess.NodeHealth() {
+			for _, h := range run.health {
 				mark := ""
 				if h.Blacklisted {
 					mark = " BLACKLISTED"
@@ -115,13 +126,11 @@ func ChaosRobustness(sc Scale) (*Report, error) {
 					h.Node, h.TaskFailures, h.FetchFailures, mark))
 			}
 		}
-		sess.Close()
-		plat.Stop()
 	}
 	rep.Notes = append(rep.Notes,
 		"every scenario must read `identical`: chaos may slow a DAG down, never change its answer",
 		"same seed ⇒ same schedule and decision stream (internal/chaos determinism tests)")
-	return rep, nil
+	return rep, divergedErr(rep)
 }
 
 // readCountsDFS aggregates committed wordcount output across part files.

@@ -3,82 +3,38 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"tez/internal/am"
 	"tez/internal/cluster"
 	"tez/internal/dag"
-	"tez/internal/mailbox"
 	"tez/internal/platform"
 	"tez/internal/plugin"
 	"tez/internal/runtime"
 )
 
-// The control-plane bench answers ROADMAP item 2 ("Control-plane raw
-// throughput: 10k simulated nodes, 100k-task DAGs") with four fixed-size
-// experiments. Sizes are deliberately NOT tied to Scale: the acceptance
-// bar is absolute (10k nodes, 100k tasks), and cross-PR trajectory
-// tracking needs identical workloads run after run.
+// The control-plane experiment weighs the scheduler and the AM at a size
+// nothing else in the repository reaches: 10k simulated nodes, a 100k-task
+// DAG (benchmark/'s scheduler probe runs at its workloads' 6–16 nodes).
+// Sizes are deliberately NOT tied to Scale — the bar is absolute — except
+// that the package's smoke test shrinks them.
 //
-//   - sched:        raw RM scheduling decisions/sec. 10k nodes, 8 apps,
-//     5 waves of 2000 mixed-locality requests, driven by ScheduleNow so
-//     only scheduler cost is on the clock.
-//   - events-*:     mailbox event-plane throughput, one-at-a-time
-//     (Put/Get) vs batched (PutAll/GetAll) delivery.
-//   - dag-churn:    whole small DAGs through a session, DAGs/sec.
-//   - dag-100k:     the flagship: one 100k-task DAG on a 10k-node
-//     cluster through the full AM, tasks/sec.
+//   - sched:    raw RM scheduling decisions/sec. 8 apps, 5 waves of mixed-
+//     locality requests, driven by ScheduleNow so only scheduler cost is on
+//     the clock.
+//   - dag-100k: one 100k-task DAG through the full AM — every task is a
+//     real attempt with a real container allocation — as tasks/sec.
 const (
-	cpSchedNodes    = 10_000
-	cpSchedPerRack  = 40
-	cpSchedApps     = 8
-	cpSchedWaves    = 5
-	cpSchedPerWave  = 2_000
-	cpEventsTotal   = 1_000_000
-	cpEventsProds   = 4
-	cpChurnNodes    = 32
-	cpChurnDAGs     = 40
-	cpChurnTasks    = 250
-	cpBigDAGNodes   = 10_000
-	cpBigDAGTasks   = 100_000
-	cpBigDAGPerRack = 40
+	cpNodes        = 10_000
+	cpNodesPerRack = 40
+	cpSchedApps    = 8
+	cpSchedWaves   = 5
+	cpSchedPerWave = 2_000
+	cpDAGTasks     = 100_000
 )
 
-// ControlPlaneResult is one row of BENCH_controlplane.json.
-type ControlPlaneResult struct {
-	Experiment string  `json:"experiment"`
-	Nodes      int     `json:"nodes,omitempty"`
-	Items      int     `json:"items"` // decisions, events or tasks processed
-	DurationMS float64 `json:"duration_ms"`
-	PerSec     float64 `json:"per_sec"`
-	Unit       string  `json:"unit"`
-}
-
-func cpRow(exp string, nodes, items int, d time.Duration, unit string) ControlPlaneResult {
-	return ControlPlaneResult{
-		Experiment: exp,
-		Nodes:      nodes,
-		Items:      items,
-		DurationMS: float64(d.Microseconds()) / 1000,
-		PerSec:     float64(items) / d.Seconds(),
-		Unit:       unit,
-	}
-}
-
-var noopProcOnce sync.Once
-
-// registerNoopProcessor installs the bench's no-op task body: the point of
-// dag-churn/dag-100k is to weigh the control plane, so the data plane must
-// cost nothing.
-func registerNoopProcessor() {
-	noopProcOnce.Do(func() {
-		runtime.RegisterProcessor("bench.noop", func() runtime.Processor {
-			return noopProcessor{}
-		})
-	})
-}
-
+// noopProcessor is dag-100k's task body: the point is to weigh the control
+// plane, so the data plane must cost nothing.
 type noopProcessor struct{}
 
 func (noopProcessor) Initialize(*runtime.Context) error { return nil }
@@ -87,15 +43,49 @@ func (noopProcessor) Run(map[string]runtime.Input, map[string]runtime.Output) er
 }
 func (noopProcessor) Close() error { return nil }
 
-// ControlPlaneSched measures raw scheduling decisions/sec against a
-// 10k-node RM. Requests arrive in waves with a fixed-seed mix of
-// node-local / rack-local / any locality; ScheduleNow drives passes until
-// every request in the wave is satisfied (delay scheduling relaxes the
-// contended node-local ones), so the measured time is pure scheduler work.
-func ControlPlaneSched() (ControlPlaneResult, error) {
+func init() {
+	runtime.RegisterProcessor("bench.noop", func() runtime.Processor { return noopProcessor{} })
+}
+
+// ControlPlane runs sched and dag-100k and reports each as one throughput
+// row.
+func ControlPlane(sc Scale) (*Report, error) {
+	nodes, perWave, tasks := cpNodes, cpSchedPerWave, cpDAGTasks
+	if sc.Name == "tiny" {
+		nodes, perWave, tasks = 200, 100, 2_000
+	}
+	rep := &Report{
+		Figure:  "CP",
+		Title:   "control-plane throughput (10k nodes / 100k tasks)",
+		Headers: []string{"experiment", "nodes", "items", "ms", "per_sec", "unit"},
+	}
+	add := func(exp string, items int, d time.Duration, unit string) {
+		rep.AddRow(exp, fmt.Sprintf("%d", nodes), fmt.Sprintf("%d", items), ms(d),
+			fmt.Sprintf("%.0f", float64(items)/d.Seconds()), unit)
+	}
+
+	placed, d, err := controlPlaneSched(nodes, perWave)
+	if err != nil {
+		return nil, err
+	}
+	add("sched", placed, d, "decisions/sec")
+
+	if d, err = controlPlaneDAG(nodes, tasks); err != nil {
+		return nil, err
+	}
+	add("dag-100k", tasks, d, "tasks/sec")
+	return rep, nil
+}
+
+// controlPlaneSched times scheduling decisions against an RM of the given
+// size. Requests arrive in waves with a fixed-seed mix of node-local /
+// rack-local / any locality; ScheduleNow drives passes until every request
+// in the wave is satisfied (delay scheduling relaxes the contended
+// node-local ones), so the measured time is pure scheduler work.
+func controlPlaneSched(nodeCount, perWave int) (int, time.Duration, error) {
 	rm := cluster.New(cluster.Config{
-		Nodes:        cpSchedNodes,
-		NodesPerRack: cpSchedPerRack,
+		Nodes:        nodeCount,
+		NodesPerRack: cpNodesPerRack,
 		NodeResource: cluster.Resource{MemoryMB: 8192, VCores: 8},
 		// The bench drives passes explicitly; park the heartbeat.
 		ScheduleInterval:  time.Hour,
@@ -110,12 +100,19 @@ func ControlPlaneSched() (ControlPlaneResult, error) {
 		apps[i] = rm.Submit(fmt.Sprintf("cp-sched-%d", i))
 		defer apps[i].Unregister()
 	}
+	held := func() int {
+		n := 0
+		for _, a := range apps {
+			n += a.HeldContainers()
+		}
+		return n
+	}
 
 	rng := rand.New(rand.NewSource(42))
 	want := 0
 	start := time.Now()
 	for wave := 0; wave < cpSchedWaves; wave++ {
-		for i := 0; i < cpSchedPerWave; i++ {
+		for i := 0; i < perWave; i++ {
 			req := &cluster.ContainerRequest{
 				Priority:      i % 3,
 				Resource:      cluster.Resource{MemoryMB: 1024, VCores: 1},
@@ -133,216 +130,32 @@ func ControlPlaneSched() (ControlPlaneResult, error) {
 		// Drive passes until the wave is fully placed. Contended
 		// node-local requests need extra passes to accrue missed
 		// opportunities and relax; cap defensively.
-		for pass := 0; pass < 10_000; pass++ {
+		for pass := 0; pass < 10_000 && held() < want; pass++ {
 			rm.ScheduleNow()
-			held := 0
-			for _, a := range apps {
-				held += a.HeldContainers()
-			}
-			if held >= want {
-				break
-			}
 		}
 	}
 	elapsed := time.Since(start)
 
-	held := 0
-	for _, a := range apps {
-		held += a.HeldContainers()
+	if got := held(); got != want {
+		return 0, 0, fmt.Errorf("sched: placed %d of %d requests", got, want)
 	}
-	if held != want {
-		return ControlPlaneResult{}, fmt.Errorf("sched: placed %d of %d requests", held, want)
-	}
-	return cpRow("sched", cpSchedNodes, held, elapsed, "decisions/sec"), nil
+	return want, elapsed, nil
 }
 
-// ControlPlaneEvents measures event-plane throughput through one mailbox:
-// the one-at-a-time path every producer used before batching, and the
-// PutAll/GetAll path the AM and RM use now.
-func ControlPlaneEvents() []ControlPlaneResult {
-	type ev struct {
-		kind int
-		seq  int
-	}
-	run := func(batch bool) time.Duration {
-		m := mailbox.New[ev]()
-		per := cpEventsTotal / cpEventsProds
-		start := time.Now()
-		var wg sync.WaitGroup
-		for p := 0; p < cpEventsProds; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				if batch {
-					buf := make([]ev, 0, 128)
-					for i := 0; i < per; i++ {
-						buf = append(buf, ev{kind: p, seq: i})
-						if len(buf) == cap(buf) {
-							m.PutAll(buf)
-							buf = buf[:0]
-						}
-					}
-					m.PutAll(buf)
-				} else {
-					for i := 0; i < per; i++ {
-						m.Put(ev{kind: p, seq: i})
-					}
-				}
-			}(p)
-		}
-		go func() {
-			wg.Wait()
-			m.Close()
-		}()
-		got := 0
-		if batch {
-			var buf []ev
-			for {
-				var ok bool
-				buf, ok = m.GetAll(buf)
-				if !ok {
-					break
-				}
-				got += len(buf)
-			}
-		} else {
-			for {
-				if _, ok := m.Get(); !ok {
-					break
-				}
-				got++
-			}
-		}
-		if got != per*cpEventsProds {
-			panic(fmt.Sprintf("events: drained %d of %d", got, per*cpEventsProds))
-		}
-		return time.Since(start)
-	}
-	return []ControlPlaneResult{
-		cpRow("events-single", 0, cpEventsTotal, run(false), "events/sec"),
-		cpRow("events-batch", 0, cpEventsTotal, run(true), "events/sec"),
-	}
-}
-
-// ControlPlaneDAGChurn measures whole-DAG turnaround: submit/run/finish
-// many small no-op DAGs through one session, back to back.
-func ControlPlaneDAGChurn() (ControlPlaneResult, error) {
-	registerNoopProcessor()
-	plat := platform.New(platform.Fast(cpChurnNodes))
-	defer plat.Stop()
-	sess := am.NewSession(plat, am.Config{Name: "cp-churn"})
-	defer sess.Close()
-
-	start := time.Now()
-	for i := 0; i < cpChurnDAGs; i++ {
-		d := dag.New(fmt.Sprintf("churn-%03d", i))
-		d.AddVertex("work", plugin.Desc("bench.noop", nil), cpChurnTasks)
-		if _, err := sess.Run(d); err != nil {
-			return ControlPlaneResult{}, fmt.Errorf("dag-churn: %w", err)
-		}
-	}
-	return cpRow("dag-churn", cpChurnNodes, cpChurnDAGs, time.Since(start), "dags/sec"), nil
-}
-
-// ControlPlaneDAG100k is the flagship run from the acceptance bar: one
-// 100,000-task DAG on a 10,000-node cluster through the full AM — every
-// task is a real attempt with a real container allocation. Reported as
-// tasks/sec.
-func ControlPlaneDAG100k() (ControlPlaneResult, error) {
-	registerNoopProcessor()
-	cfg := platform.Fast(cpBigDAGNodes)
-	cfg.Cluster.NodesPerRack = cpBigDAGPerRack
+// controlPlaneDAG times one no-op DAG of the given width through a session.
+func controlPlaneDAG(nodes, tasks int) (time.Duration, error) {
+	cfg := platform.Fast(nodes)
+	cfg.Cluster.NodesPerRack = cpNodesPerRack
 	plat := platform.New(cfg)
 	defer plat.Stop()
 	sess := am.NewSession(plat, am.Config{Name: "cp-100k"})
 	defer sess.Close()
 
 	d := dag.New("dag-100k")
-	d.AddVertex("work", plugin.Desc("bench.noop", nil), cpBigDAGTasks)
+	d.AddVertex("work", plugin.Desc("bench.noop", nil), tasks)
 	start := time.Now()
 	if _, err := sess.Run(d); err != nil {
-		return ControlPlaneResult{}, fmt.Errorf("dag-100k: %w", err)
+		return 0, fmt.Errorf("dag-100k: %w", err)
 	}
-	return cpRow("dag-100k", cpBigDAGNodes, cpBigDAGTasks, time.Since(start), "tasks/sec"), nil
-}
-
-// ControlPlaneResults runs the suite. include100k gates the flagship DAG,
-// which is only tractable on the sharded/bucketed scheduler — the
-// pre-refactor baseline was captured without it.
-func ControlPlaneResults(include100k bool) ([]ControlPlaneResult, error) {
-	var rows []ControlPlaneResult
-	sched, err := ControlPlaneSched()
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, sched)
-	rows = append(rows, ControlPlaneEvents()...)
-	churn, err := ControlPlaneDAGChurn()
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, churn)
-	if include100k {
-		big, err := ControlPlaneDAG100k()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, big)
-	}
-	return rows, nil
-}
-
-// ControlPlaneBaseline holds the pre-refactor numbers for the same
-// workloads, captured at the commit before the sharded node index /
-// priority-bucket scheduler landed (see DESIGN.md §10). dag-100k has no
-// baseline row: the O(pending²·log) per-pass sorting made the run
-// intractable before the refactor.
-var ControlPlaneBaseline = []ControlPlaneResult{
-	{Experiment: "sched", Nodes: 10000, Items: 10000, DurationMS: 2732.5, PerSec: 3660, Unit: "decisions/sec"},
-	{Experiment: "events-single", Items: 1000000, DurationMS: 56.8, PerSec: 17609974, Unit: "events/sec"},
-	{Experiment: "events-batch", Items: 1000000, DurationMS: 9.8, PerSec: 102494312, Unit: "events/sec"},
-	{Experiment: "dag-churn", Nodes: 32, Items: 40, DurationMS: 203.1, PerSec: 197, Unit: "dags/sec"},
-}
-
-// ControlPlaneSpeedup returns current/baseline throughput for an
-// experiment, or 0 if either side is missing.
-func ControlPlaneSpeedup(rows []ControlPlaneResult, exp string) float64 {
-	var cur, base float64
-	for _, r := range rows {
-		if r.Experiment == exp {
-			cur = r.PerSec
-		}
-	}
-	for _, r := range ControlPlaneBaseline {
-		if r.Experiment == exp {
-			base = r.PerSec
-		}
-	}
-	if base == 0 {
-		return 0
-	}
-	return cur / base
-}
-
-// ControlPlaneReport renders the rows (and baseline comparison when
-// recorded) as a printable table.
-func ControlPlaneReport(rows []ControlPlaneResult) *Report {
-	r := &Report{
-		Figure:  "CP",
-		Title:   "control-plane throughput (10k nodes / 100k tasks)",
-		Headers: []string{"experiment", "nodes", "items", "ms", "per_sec", "unit", "vs_baseline"},
-	}
-	for _, row := range rows {
-		vs := "-"
-		if s := ControlPlaneSpeedup(rows, row.Experiment); s > 0 {
-			vs = fmt.Sprintf("%.1fx", s)
-		}
-		r.AddRow(row.Experiment,
-			fmt.Sprintf("%d", row.Nodes),
-			fmt.Sprintf("%d", row.Items),
-			fmt.Sprintf("%.1f", row.DurationMS),
-			fmt.Sprintf("%.0f", row.PerSec),
-			row.Unit, vs)
-	}
-	return r
+	return time.Since(start), nil
 }

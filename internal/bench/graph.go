@@ -1,8 +1,7 @@
-// BSP graph-engine benchmark (ISSUE 8 acceptance): PageRank, connected
-// components and SSSP compiled onto session DAGs, reported as
-// supersteps/sec and messages/sec, with a registry-cached vs cold-load
-// ablation isolating what the per-container ObjectRegistry buys each
-// superstep. Persisted to BENCH_graph.json by tez-bench.
+// BSP graph-engine experiment: PageRank, connected components and SSSP
+// compiled onto session DAGs, reported as supersteps/sec and messages/sec,
+// with a registry-cached vs cold-load ablation isolating what the
+// per-container ObjectRegistry buys each superstep.
 package bench
 
 import (
@@ -23,24 +22,17 @@ const (
 	graphSupersteps = 12 // fixed horizon: cached and cold must do identical work
 )
 
-// GraphBenchResult is one JSON row of BENCH_graph.json.
-type GraphBenchResult struct {
-	Experiment       string  `json:"experiment"`
-	Nodes            int     `json:"nodes"`
-	Vertices         int64   `json:"vertices"`
-	Edges            int64   `json:"edges"`
-	Partitions       int     `json:"partitions"`
-	Supersteps       int     `json:"supersteps"`
-	Converged        bool    `json:"converged"`
-	DurationMS       float64 `json:"duration_ms"`
-	SuperstepsPerSec float64 `json:"supersteps_per_sec"`
-	MessagesPerSec   float64 `json:"messages_per_sec"`
-	RegistryHits     int64   `json:"registry_hits"`
-	ColdLoads        int64   `json:"cold_loads"`
-	StateLoadMS      float64 `json:"state_load_ms"`
+// graphRun is what one job of the graph experiment measured.
+type graphRun struct {
+	supersteps   int
+	sent         int64
+	registryHits int64
+	coldLoads    int64
+	stateLoad    time.Duration
+	wall         time.Duration
 }
 
-func runGraphBench(plat *platform.Platform, name string, job graph.Job) (GraphBenchResult, error) {
+func runGraphJob(plat *platform.Platform, name string, job graph.Job) (graphRun, error) {
 	sess := am.NewSession(plat, am.Config{
 		Name:                 "bench-" + name,
 		PrewarmContainers:    4,
@@ -50,43 +42,32 @@ func runGraphBench(plat *platform.Platform, name string, job graph.Job) (GraphBe
 	start := time.Now()
 	res, err := graph.Run(sess, plat, job)
 	if err != nil {
-		return GraphBenchResult{}, fmt.Errorf("graph bench %s: %w", name, err)
+		return graphRun{}, fmt.Errorf("graph %s: %w", name, err)
 	}
-	dur := time.Since(start)
-	row := GraphBenchResult{
-		Experiment: name,
-		Nodes:      graphNodes,
-		Vertices:   job.Graph.NumVertices(),
-		Edges:      job.Graph.NumEdges(),
-		Partitions: job.Partitions,
-		Supersteps: res.Supersteps,
-		Converged:  res.Converged,
-		DurationMS: round1(float64(dur.Microseconds()) / 1e3),
-	}
-	var sent int64
-	var load time.Duration
+	run := graphRun{supersteps: res.Supersteps, wall: time.Since(start)}
 	for _, s := range res.Stats {
-		sent += s.Sent
-		load += s.StateLoad
-		row.RegistryHits += s.RegistryHits
-		row.ColdLoads += s.ColdLoads
+		run.sent += s.Sent
+		run.stateLoad += s.StateLoad
+		run.registryHits += s.RegistryHits
+		run.coldLoads += s.ColdLoads
 	}
-	row.SuperstepsPerSec = round1(float64(res.Supersteps) / dur.Seconds())
-	row.MessagesPerSec = float64(int(float64(sent) / dur.Seconds()))
-	row.StateLoadMS = round1(float64(load.Microseconds()) / 1e3)
-	return row, nil
+	return run, nil
 }
 
-// GraphResults runs the graph benchmark suite on one simulated cluster:
-// PageRank twice (warm registry vs the DisableRegistryCache ablation —
-// identical DAGs, identical superstep count, the only difference is
-// whether compute tasks may reuse cached partition snapshots), then
-// connected components and SSSP with vote-to-halt termination.
-func GraphResults() ([]GraphBenchResult, error) {
+// GraphEngine runs the graph suite on one simulated cluster: PageRank
+// twice (warm registry vs the DisableRegistryCache ablation — identical
+// DAGs, identical superstep count, the only difference is whether compute
+// tasks may reuse cached partition snapshots), then connected components
+// and SSSP with vote-to-halt termination.
+func GraphEngine(sc Scale) (*Report, error) {
+	vertices := graphVertices
+	if sc.Name == "tiny" {
+		vertices = 2000
+	}
 	plat := platform.New(platform.Default(graphNodes))
 	defer plat.Stop()
 
-	directed := graph.Generate(graphVertices, graphDegree, graphSeed)
+	directed := graph.Generate(vertices, graphDegree, graphSeed)
 	undirected := graph.NewGraph()
 	for _, id := range directed.VertexIDs() {
 		for _, e := range directed.Edges(id) {
@@ -104,88 +85,66 @@ func GraphResults() ([]GraphBenchResult, error) {
 		Partitions:    graphPartitions,
 		MaxSupersteps: graphSupersteps,
 	}
-	rows := make([]GraphBenchResult, 0, 4)
-	cached, err := runGraphBench(plat, "pagerank-cached", prJob)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, cached)
-
 	coldJob := prJob
 	coldJob.Name = "bench-pr-cold"
 	coldJob.DisableRegistryCache = true
-	cold, err := runGraphBench(plat, "pagerank-cold", coldJob)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, cold)
 
-	if cached.RegistryHits == 0 {
-		return nil, fmt.Errorf("graph bench: cached run scored no registry hits — the ablation compares nothing")
-	}
-	if cold.RegistryHits != 0 {
-		return nil, fmt.Errorf("graph bench: ablation run hit the registry %d times", cold.RegistryHits)
-	}
-
-	ccRow, err := runGraphBench(plat, "cc", graph.Job{
-		Name:       "bench-cc",
-		Program:    graph.CCProgram,
-		Graph:      undirected,
-		Partitions: graphPartitions,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, ccRow)
-
-	ssspRow, err := runGraphBench(plat, "sssp", graph.Job{
-		Name:          "bench-sssp",
-		Program:       graph.SSSPProgram,
-		ProgramConfig: graph.SSSPConfig{Source: 0},
-		Graph:         directed,
-		Partitions:    graphPartitions,
-		MaxSupersteps: 60,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, ssspRow)
-	return rows, nil
-}
-
-// GraphReport renders the rows as a table with the ablation delta.
-func GraphReport(rows []GraphBenchResult) *Report {
 	rep := &Report{
 		Figure:  "graph",
 		Title:   "BSP graph engine on session DAGs (Pregel-style supersteps)",
 		Headers: []string{"experiment", "vertices", "supersteps", "ss/sec", "msgs/sec", "reg hits", "cold", "state-load ms", "wall ms"},
 	}
-	var cachedRow, coldRow *GraphBenchResult
-	for i := range rows {
-		r := &rows[i]
-		rep.AddRow(r.Experiment,
-			fmt.Sprintf("%d", r.Vertices),
-			fmt.Sprintf("%d", r.Supersteps),
-			fmt.Sprintf("%.1f", r.SuperstepsPerSec),
-			fmt.Sprintf("%.0f", r.MessagesPerSec),
-			fmt.Sprintf("%d", r.RegistryHits),
-			fmt.Sprintf("%d", r.ColdLoads),
-			fmt.Sprintf("%.1f", r.StateLoadMS),
-			fmt.Sprintf("%.1f", r.DurationMS))
-		switch r.Experiment {
-		case "pagerank-cached":
-			cachedRow = r
-		case "pagerank-cold":
-			coldRow = r
+	runs := map[string]graphRun{}
+	for _, j := range []struct {
+		name string
+		job  graph.Job
+	}{
+		{"pagerank-cached", prJob},
+		{"pagerank-cold", coldJob},
+		{"cc", graph.Job{
+			Name:       "bench-cc",
+			Program:    graph.CCProgram,
+			Graph:      undirected,
+			Partitions: graphPartitions,
+		}},
+		{"sssp", graph.Job{
+			Name:          "bench-sssp",
+			Program:       graph.SSSPProgram,
+			ProgramConfig: graph.SSSPConfig{Source: 0},
+			Graph:         directed,
+			Partitions:    graphPartitions,
+			MaxSupersteps: 60,
+		}},
+	} {
+		r, err := runGraphJob(plat, j.name, j.job)
+		if err != nil {
+			return nil, err
 		}
+		runs[j.name] = r
+		rep.AddRow(j.name,
+			fmt.Sprintf("%d", j.job.Graph.NumVertices()),
+			fmt.Sprintf("%d", r.supersteps),
+			fmt.Sprintf("%.1f", float64(r.supersteps)/r.wall.Seconds()),
+			fmt.Sprintf("%.0f", float64(r.sent)/r.wall.Seconds()),
+			fmt.Sprintf("%d", r.registryHits),
+			fmt.Sprintf("%d", r.coldLoads),
+			ms(r.stateLoad), ms(r.wall))
 	}
-	if cachedRow != nil && coldRow != nil && cachedRow.StateLoadMS > 0 {
+
+	cached, cold := runs["pagerank-cached"], runs["pagerank-cold"]
+	if cached.registryHits == 0 {
+		return nil, fmt.Errorf("graph: cached run scored no registry hits — the ablation compares nothing")
+	}
+	if cold.registryHits != 0 {
+		return nil, fmt.Errorf("graph: ablation run hit the registry %d times", cold.registryHits)
+	}
+	if cached.stateLoad > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
-			"registry ablation: cached run spent %.1fms (re)loading state vs %.1fms cold (%.1fx), wall %.1fms vs %.1fms",
-			cachedRow.StateLoadMS, coldRow.StateLoadMS, coldRow.StateLoadMS/cachedRow.StateLoadMS,
-			cachedRow.DurationMS, coldRow.DurationMS))
+			"registry ablation: cached run spent %sms (re)loading state vs %sms cold (%s), wall %sms vs %sms",
+			ms(cached.stateLoad), ms(cold.stateLoad), speedup(cold.stateLoad, cached.stateLoad),
+			ms(cached.wall), ms(cold.wall)))
 	}
 	rep.Notes = append(rep.Notes,
 		"each superstep is one compute→inbox DAG in a shared session; partitions cached in the per-container ObjectRegistry, only messages shuffle")
-	return rep
+	return rep, nil
 }

@@ -142,11 +142,14 @@ func SparkTimelines(sc Scale) (*Report, error) {
 	rep := &Report{
 		Figure:  "Figure 12",
 		Title:   "Sharing a cluster across concurrent Spark-style jobs (" + sc.Name + " scale)",
-		Headers: []string{"mode", "t (ms)", "u1", "u2", "u3", "u4", "u5"},
+		Headers: []string{"mode", "t (ms)"},
 		Notes: []string{
 			"containers held per user, sampled during the run",
 			"service daemons hold executors for the app lifetime; Tez releases idle containers to later users",
 		},
+	}
+	for u := 1; u <= sc.SparkUsers; u++ {
+		rep.Headers = append(rep.Headers, fmt.Sprintf("u%d", u))
 	}
 	for _, service := range []bool{true, false} {
 		plat := platform.New(sparkCluster(sc))

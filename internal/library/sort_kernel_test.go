@@ -349,44 +349,56 @@ func TestArenaLimitSpillsBeforeWrapping(t *testing.T) {
 // come from the pooled sortBuffer, not be sized per task. That code
 // measured 90 objects and 15 456–15 462 bytes per task here (the bytes
 // move a little with goroutine start-up in Close); a per-task scratch
-// alone would add 19 200.
+// alone would add 19 200. The second input is the arena's own bar: 12 000
+// `word-NNNN` records over 8 partitions at no more than 0.01 objects a
+// record (a boxed pair per record, which the arena replaced, cost 2.0);
+// it measures 74 objects and 153 KB, 144 KB of which is the copy the
+// shuffle service keeps of the registered output.
 func TestSmallTaskFixedCost(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	const (
-		parts, records = 2, 800
-		maxAllocs      = 90
-		maxBytes       = 16_000
-	)
-	keys := zipfWords(1, 300, records)
-	svc := testServices(t)
-	one := []byte("1")
-	task := func() {
-		produceCfg(t, svc, nil, 0, parts, func(w runtime.KVWriter) {
-			for _, k := range keys {
-				if err := w.Write(k, one); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+	wordKeys := make([][]byte, 12_000)
+	for i := range wordKeys {
+		wordKeys[i] = []byte(fmt.Sprintf("word-%04d", i%997))
 	}
 	// No collection while measuring: one would empty the buffer pools and
 	// charge their refill to whichever task ran next.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	task()
-	if allocs := testing.AllocsPerRun(20, task); allocs > maxAllocs {
-		t.Errorf("an %d-record task allocates %.0f objects, the ceiling is %d", records, allocs, maxAllocs)
-	}
-	var m0, m1 goruntime.MemStats
-	const runs = 200
-	goruntime.ReadMemStats(&m0)
-	for i := 0; i < runs; i++ {
+	for _, c := range []struct {
+		parts     int
+		keys      [][]byte
+		maxAllocs float64
+		maxBytes  uint64
+	}{
+		{2, zipfWords(1, 300, 800), 90, 16_000},
+		{8, wordKeys, 120, 170_000},
+	} {
+		svc := testServices(t)
+		one := []byte("1")
+		task := func() {
+			produceCfg(t, svc, nil, 0, c.parts, func(w runtime.KVWriter) {
+				for _, k := range c.keys {
+					if err := w.Write(k, one); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
 		task()
-	}
-	goruntime.ReadMemStats(&m1)
-	if got := (m1.TotalAlloc - m0.TotalAlloc) / runs; got > maxBytes {
-		t.Errorf("an %d-record task allocates %d bytes, the ceiling is %d", records, got, maxBytes)
+		if allocs := testing.AllocsPerRun(20, task); allocs > c.maxAllocs {
+			t.Errorf("a task of %d records allocates %.0f objects, the ceiling is %.0f", len(c.keys), allocs, c.maxAllocs)
+		}
+		var m0, m1 goruntime.MemStats
+		const runs = 200
+		goruntime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			task()
+		}
+		goruntime.ReadMemStats(&m1)
+		if got := (m1.TotalAlloc - m0.TotalAlloc) / runs; got > c.maxBytes {
+			t.Errorf("a task of %d records allocates %d bytes, the ceiling is %d", len(c.keys), got, c.maxBytes)
+		}
 	}
 }
 
