@@ -61,17 +61,19 @@ profile:
 		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.' | head -24
 
 # fuzz-short gives the record-framing decoders (plain and block-padded),
-# the sort order (prefix index sort against the full-comparator oracle) and
+# the sort order (prefix index sort against the full-comparator oracle),
 # the binary codecs of the hot control-plane payloads (no panic, nothing
 # allocated beyond the input's size, decode-then-encode is the identity,
-# gob streams refused) a brief coverage-guided shake on every run (the
-# checked-in corpus under testdata/fuzz replays regardless, as ordinary
-# tests).
+# gob streams refused) and split grouping (every split in one group, the
+# result independent of input order, group size and hint rules) a brief
+# coverage-guided shake on every run (the checked-in corpus under
+# testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzBufferReader -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzPayloadCodecs -fuzztime 5s ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzGroupSplits -fuzztime 5s ./internal/library/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and

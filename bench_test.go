@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -101,6 +102,8 @@ func BenchmarkHiveSession(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				job(i)
 			}
+			// A warm session must not collect goroutines job after job.
+			b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
 		})
 	}
 }

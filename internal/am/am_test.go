@@ -2,6 +2,7 @@ package am
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -362,5 +363,56 @@ func TestInputReadErrorTriggersProducerReexecution(t *testing.T) {
 	counts := readCounts(t, plat, "/out/lossy")
 	if counts["k"] != 1 {
 		t.Fatalf("counts = %v", counts)
+	}
+}
+
+// TestWarmSessionDoesNotCollectGoroutines: a container that is reused keeps
+// its kill channel open across tasks, so anything a task parks on it must
+// also end with the task. The root input's kill-watcher did not: one
+// goroutine per map task stayed until the container was released (over
+// 10 000 after a hundred Hive queries). Nothing is released here, so the
+// count after the eighth DAG must be about the count after the first.
+func TestWarmSessionDoesNotCollectGoroutines(t *testing.T) {
+	plat := newTestPlatform(4)
+	defer plat.Stop()
+	lines := make([]string, 4000)
+	for i := range lines {
+		lines[i] = "the quick brown fox jumps over the lazy dog"
+	}
+	writeLines(t, plat, "/in/warm", lines)
+	sess := NewSession(plat, Config{Name: "warm", ContainerIdleRelease: time.Minute})
+	defer sess.Close()
+	const dags = 8
+	var mapTasks int64
+	// settled waits out the goroutines a finished DAG is still winding down
+	// and returns the count once two readings a moment apart agree.
+	settled := func() int {
+		n := goruntime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(5 * time.Millisecond)
+			m := goruntime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	var first int
+	for i := 0; i < dags; i++ {
+		res, err := sess.Run(wordCountDAG(fmt.Sprintf("warm%d", i), "/in/warm", fmt.Sprintf("/out/warm%d", i), 2))
+		if err != nil || res.Status != DAGSucceeded {
+			t.Fatalf("dag %d: %v %v", i, res.Status, err)
+		}
+		mapTasks = res.Counters.Get("TASKS_SUCCEEDED") - 2
+		if i == 0 {
+			first = settled()
+		}
+	}
+	if mapTasks < 20 {
+		t.Fatalf("%d map tasks per DAG: too few for a leak of one goroutine each to show", mapTasks)
+	}
+	if last := settled(); last > first+10 {
+		t.Fatalf("%d goroutines after the first DAG, %d after %d DAGs of %d root-input tasks each", first, last, dags, mapTasks)
 	}
 }

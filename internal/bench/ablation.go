@@ -377,7 +377,10 @@ func AblationObjectRegistry(sc Scale) (*Report, error) {
 	for _, disable := range []bool{true, false} {
 		eng := hive.NewEngine()
 		eng.BroadcastThreshold = 1 << 30 // force map join
-		eng.Exec = relop.Config{DefaultPartitions: 8, DisableRegistryCache: disable}
+		// One probe task per block of store_sales: the registry is about
+		// many probe tasks sharing a container's table, and library-sized
+		// scan tasks would leave this small fact a single task.
+		eng.Exec = relop.Config{DefaultPartitions: 8, DisableRegistryCache: disable, SplitSize: plat.FS.BlockSize()}
 		eng.Register(td.Tables()...)
 		sess := am.NewSession(plat, am.Config{Name: fmt.Sprintf("reg-%v", !disable)})
 		start := time.Now()

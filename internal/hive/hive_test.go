@@ -2,11 +2,13 @@ package hive
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"tez/internal/am"
+	"tez/internal/library"
 	"tez/internal/platform"
 	"tez/internal/relop"
 	"tez/internal/row"
@@ -322,5 +324,84 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := h.eng.Explain("SELECT nope FROM orders"); err == nil {
 		t.Fatal("explain of invalid query succeeded")
+	}
+}
+
+// TestSplitGroupingSameRows: who sizes the scan tasks changes how many
+// there are and nothing else. The same table in 64 small files, the same
+// aggregate query: with SplitSize at the block size the scan vertex has one
+// task per block; with SplitSize 0 the library groups the same blocks to
+// DefaultGroupBytes a task; the rows are identical, on Tez and through the
+// MapReduce chain (whose map side is sized by the same rule).
+func TestSplitGroupingSameRows(t *testing.T) {
+	const sql = `SELECT g, count(*) AS n, sum(v) AS s, max(k) AS m FROM t WHERE k >= 100 GROUP BY g ORDER BY g`
+	plat := platform.New(platform.Fast(8))
+	defer plat.Stop()
+	rows := make([]row.Row, 40_000)
+	for i := range rows {
+		rows[i] = row.Row{row.Int(int64(i)), row.Int(int64(i % 11)), row.Float(float64(i%97) / 4)}
+	}
+	tbl := &relop.Table{Name: "t", Schema: row.NewSchema("k:int", "g:int", "v:float")}
+	if err := relop.WriteTable(plat.FS, tbl, 64, rows); err != nil {
+		t.Fatal(err)
+	}
+	var total, blocks int64
+	for _, f := range tbl.Files {
+		sz, err := plat.FS.Size(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += sz
+		blocks += (sz + plat.FS.BlockSize() - 1) / plat.FS.BlockSize()
+	}
+	want := total/library.DefaultGroupBytes + 1
+	if want < 2 || want >= blocks/4 {
+		t.Fatalf("%d bytes in %d blocks: grouping to %d tasks is not exercised", total, blocks, want)
+	}
+
+	sess := am.NewSession(plat, am.Config{Name: "grouping"})
+	defer sess.Close()
+	read := func(out string) []string {
+		stored, err := relop.ReadStored(plat.FS, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return renderRows(stored)
+	}
+	run := func(name string, splitSize int64) (scanTasks int64, tez, mr []string) {
+		eng := NewEngine()
+		eng.Register(tbl)
+		eng.Exec.SplitSize = splitSize
+		res, err := eng.RunTez(sess, name, sql, "/results/"+name)
+		if err != nil || res.Status != am.DAGSucceeded {
+			t.Fatalf("%s on tez: %v %v", name, res.Status, err)
+		}
+		scans := map[int]bool{}
+		for _, r := range res.Trace.Records() {
+			if strings.Contains(r.Vertex, "scan") {
+				scans[r.Task] = true
+			}
+		}
+		if _, err := eng.RunMR(plat, am.Config{Name: name + "-mr"}, name+"-mr", sql, "/results/"+name+"-mr"); err != nil {
+			t.Fatalf("%s on mr: %v", name, err)
+		}
+		return int64(len(scans)), read("/results/" + name), read("/results/" + name + "-mr")
+	}
+	perBlock, rowsBlock, mrBlock := run("per-block", plat.FS.BlockSize())
+	grouped, rowsGrouped, mrGrouped := run("grouped", 0)
+	t.Logf("%d bytes, %d blocks: %d scan tasks per block, %d grouped (want %d)", total, blocks, perBlock, grouped, want)
+	if perBlock != blocks {
+		t.Errorf("SplitSize = block size: %d scan tasks for %d blocks", perBlock, blocks)
+	}
+	if grouped < want || grouped > want+1 {
+		t.Errorf("SplitSize 0: %d scan tasks, want %d (one more if the remainder stands alone)", grouped, want)
+	}
+	if len(rowsBlock) != 11 {
+		t.Fatalf("%d result rows: %v", len(rowsBlock), rowsBlock)
+	}
+	for name, got := range map[string][]string{"grouped tez": rowsGrouped, "per-block mr": mrBlock, "grouped mr": mrGrouped} {
+		if !reflect.DeepEqual(got, rowsBlock) {
+			t.Errorf("%s rows differ from per-block tez:\n%v\n%v", name, got, rowsBlock)
+		}
 	}
 }

@@ -38,6 +38,9 @@ func TestGobDecodesFollowContainersNotTasks(t *testing.T) {
 		}
 		eng := NewEngine()
 		eng.Register(tbl)
+		// One scan task per block, so the file count sets the task count
+		// (left to the library, either layout groups into one task).
+		eng.Exec.SplitSize = plat.FS.BlockSize()
 		sess := am.NewSession(plat, am.Config{Name: "gobcost", ContainerIdleRelease: 10 * time.Second})
 		defer sess.Close()
 		roots, err := eng.Plan(sql, "/results/gobcost", false)

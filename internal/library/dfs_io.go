@@ -140,12 +140,16 @@ type DFSSourceInput struct {
 	splits []dfs.Split
 	err    error // the assignment arrived but did not decode
 	have   bool  // splits or err is set
+	// quit is closed by Close and ends the watcher Start parked.
+	quit      chan struct{}
+	closeOnce sync.Once
 }
 
 // Initialize stores the context.
 func (in *DFSSourceInput) Initialize(ctx *runtime.Context) error {
 	in.ctx = ctx
 	in.cond = sync.NewCond(&in.mu)
+	in.quit = make(chan struct{})
 	return nil
 }
 
@@ -170,11 +174,16 @@ func (in *DFSSourceInput) HandleEvent(ev event.Event) error {
 	return err
 }
 
-// Start arms a kill-watcher so Reader never blocks past attempt death.
+// Start arms a kill-watcher so Reader never blocks past a kill. ctx.Stop is
+// the container's channel, not the attempt's, so the watcher also exits on
+// Close: a reused container must not collect one per task it has run.
 func (in *DFSSourceInput) Start() error {
 	go func() {
-		<-in.ctx.Stop
-		in.cond.Broadcast()
+		select {
+		case <-in.ctx.Stop:
+			in.cond.Broadcast()
+		case <-in.quit:
+		}
 	}()
 	return nil
 }
@@ -203,8 +212,11 @@ func (in *DFSSourceInput) Reader() (any, error) {
 	}, nil
 }
 
-// Close is a no-op.
-func (in *DFSSourceInput) Close() error { return nil }
+// Close ends the kill-watcher.
+func (in *DFSSourceInput) Close() error {
+	in.closeOnce.Do(func() { close(in.quit) })
+	return nil
+}
 
 // DFSSinkConfig configures DFSSinkOutput and DFSCommitter with the final
 // output directory.
@@ -308,16 +320,17 @@ func (DFSCommitter) Commit(ctx *runtime.CommitContext) error {
 type SplitSourceConfig struct {
 	// Paths to read. All splits are concatenated.
 	Paths []string
-	// DesiredSplitSize in bytes (0: one block per split).
+	// DesiredSplitSize in bytes says who sizes the tasks. > 0: the caller
+	// does — files are cut at that size, one task per split. 0: the library
+	// does — files are cut at block size and the splits grouped by bytes
+	// and locality to DefaultGroupBytes per task (GroupSplits).
 	DesiredSplitSize int64
-	// MaxParallelism caps the task count (0: unlimited).
-	MaxParallelism int
 }
 
 // SplitInitializer is the built-in "split calculation" initializer (§3.5):
-// it consults the DFS for data distribution and locality and produces one
-// task per split (subject to MaxParallelism, in which case splits are
-// round-robined across tasks) along with location hints.
+// it consults the DFS for data distribution and locality and decides at run
+// time how many tasks read the source, which splits each reads and where it
+// would best run (SplitTasks).
 type SplitInitializer struct{}
 
 // Run computes the split assignment.
@@ -326,33 +339,5 @@ func (SplitInitializer) Run(ctx *runtime.InitializerContext) (*runtime.Initializ
 	if err := plugin.Decode(ctx.Payload, &cfg); err != nil {
 		return nil, err
 	}
-	var all []dfs.Split
-	for _, p := range cfg.Paths {
-		splits, err := ctx.FS.Splits(p, cfg.DesiredSplitSize)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, splits...)
-	}
-	par := len(all)
-	if par == 0 {
-		par = 1
-	}
-	if cfg.MaxParallelism > 0 && par > cfg.MaxParallelism {
-		par = cfg.MaxParallelism
-	}
-	perTask := make([][]dfs.Split, par)
-	for i, s := range all {
-		perTask[i%par] = append(perTask[i%par], s)
-	}
-	res := &runtime.InitializerResult{Parallelism: par}
-	for _, splits := range perTask {
-		res.PerTaskPayload = append(res.PerTaskPayload, plugin.MustEncode(SplitAssignment{Splits: splits}))
-		var hints []string
-		if len(splits) > 0 {
-			hints = splits[0].Hosts
-		}
-		res.LocationHints = append(res.LocationHints, hints)
-	}
-	return res, nil
+	return SplitTasks(ctx.FS, cfg.Paths, cfg.DesiredSplitSize)
 }

@@ -1,6 +1,7 @@
 package library
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -360,56 +361,100 @@ func TestCommitterMissingAttemptFails(t *testing.T) {
 
 func TestSplitInitializer(t *testing.T) {
 	svc := testServices(t)
-	w, err := CreateRecordFile(svc.FS, "/in/a", "n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		_ = w.Write([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
-	}
-	_ = w.Close()
-
-	init := SplitInitializer{}
-	res, err := init.Run(&runtime.InitializerContext{
-		DAG: "d", Vertex: "v", Source: "src",
-		Payload: plugin.MustEncode(SplitSourceConfig{Paths: []string{"/in/a"}, DesiredSplitSize: 256}),
-		FS:      svc.FS,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallelism < 2 {
-		t.Fatalf("parallelism = %d", res.Parallelism)
-	}
-	if len(res.PerTaskPayload) != res.Parallelism || len(res.LocationHints) != res.Parallelism {
-		t.Fatal("per-task payloads/hints size mismatch")
-	}
-	// Sum of split lengths must equal the file size.
-	var total int64
-	for _, p := range res.PerTaskPayload {
-		var asn SplitAssignment
-		if err := plugin.Decode(p, &asn); err != nil {
+	write := func(path string, records int, val []byte) int64 {
+		t.Helper()
+		w, err := CreateRecordFile(svc.FS, path, "n1")
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range asn.Splits {
-			total += s.Length
+		for i := 0; i < records; i++ {
+			if err := w.Write([]byte(fmt.Sprintf("k%d", i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sz, _ := svc.FS.Size(path)
+		return sz
+	}
+	// run returns each task's splits; the per-task payloads, hints and
+	// parallelism must agree in number and the splits must tile the input.
+	run := func(cfg SplitSourceConfig, wantBytes int64) [][]dfs.Split {
+		t.Helper()
+		res, err := SplitInitializer{}.Run(&runtime.InitializerContext{
+			DAG: "d", Vertex: "v", Source: "src", Payload: plugin.MustEncode(cfg), FS: svc.FS,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.PerTaskPayload) != res.Parallelism || len(res.LocationHints) != res.Parallelism {
+			t.Fatal("per-task payloads/hints size mismatch")
+		}
+		var tasks [][]dfs.Split
+		var total int64
+		for _, p := range res.PerTaskPayload {
+			var asn SplitAssignment
+			if err := plugin.Decode(p, &asn); err != nil {
+				t.Fatal(err)
+			}
+			tasks = append(tasks, asn.Splits)
+			for _, s := range asn.Splits {
+				total += s.Length
+			}
+		}
+		if total != wantBytes {
+			t.Fatalf("splits cover %d of %d bytes", total, wantBytes)
+		}
+		return tasks
+	}
+	small := write("/in/a", 300, []byte("v"))
+	big := write("/in/big", 3000, bytes.Repeat([]byte("v"), 200)) // one record per 256-byte block
+
+	// The caller fixed the unit of work: one task per split, at any size.
+	blocks := int((small + 255) / 256)
+	for _, tc := range []struct {
+		size  int64
+		tasks int
+	}{{256, blocks}, {512, (blocks + 1) / 2}, {1 << 20, 1}} {
+		tasks := run(SplitSourceConfig{Paths: []string{"/in/a"}, DesiredSplitSize: tc.size}, small)
+		if len(tasks) != tc.tasks {
+			t.Errorf("DesiredSplitSize %d: %d tasks, want %d", tc.size, len(tasks), tc.tasks)
+		}
+		for i, task := range tasks {
+			if len(task) != 1 {
+				t.Errorf("DesiredSplitSize %d: task %d reads %d splits", tc.size, i, len(task))
+			}
 		}
 	}
-	sz, _ := svc.FS.Size("/in/a")
-	if total != sz {
-		t.Fatalf("splits cover %d of %d bytes", total, sz)
+	one := run(SplitSourceConfig{Paths: []string{"/in/big"}, DesiredSplitSize: 256}, big)
+	if len(one) != 3000 {
+		t.Errorf("explicit block-size splits of the large file: %d tasks, want 3000", len(one))
 	}
 
-	// Cap parallelism.
-	res2, err := init.Run(&runtime.InitializerContext{
-		Payload: plugin.MustEncode(SplitSourceConfig{Paths: []string{"/in/a"}, DesiredSplitSize: 256, MaxParallelism: 2}),
-		FS:      svc.FS,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// The library sizes the tasks: block-size splits, grouped to
+	// DefaultGroupBytes — a small file is one task, the large one
+	// total/DefaultGroupBytes+1.
+	if tasks := run(SplitSourceConfig{Paths: []string{"/in/a"}}, small); len(tasks) != 1 || len(tasks[0]) != blocks {
+		t.Errorf("small file, library-sized: %d tasks, first reads %d splits; want 1 task of %d", len(tasks), len(tasks[0]), blocks)
 	}
-	if res2.Parallelism != 2 {
-		t.Fatalf("capped parallelism = %d", res2.Parallelism)
+	want := int(big/DefaultGroupBytes) + 1
+	if want < 2 {
+		t.Fatalf("the large file (%d bytes) does not exercise grouping", big)
+	}
+	tasks := run(SplitSourceConfig{Paths: []string{"/in/big", "/in/a"}}, big+small)
+	if len(tasks) < want || len(tasks) > want+1 {
+		t.Errorf("library-sized: %d tasks, want %d or %d", len(tasks), want, want+1)
+	}
+	for i, task := range tasks {
+		if len(task) < 2 {
+			t.Errorf("library-sized task %d reads %d splits of 256 bytes", i, len(task))
+		}
+	}
+
+	// A source without data is still one (empty) task.
+	if tasks := run(SplitSourceConfig{}, 0); len(tasks) != 1 || len(tasks[0]) != 0 {
+		t.Errorf("empty source: %v", tasks)
 	}
 }
 

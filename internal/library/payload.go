@@ -157,7 +157,6 @@ func (c SplitSourceConfig) MarshalBinary() ([]byte, error) {
 	b := plugin.AppendHeader(nil, kindSplitSourceConfig)
 	b = appendStrings(b, c.Paths)
 	b = plugin.AppendInt(b, c.DesiredSplitSize)
-	b = plugin.AppendInt(b, int64(c.MaxParallelism))
 	return b, nil
 }
 
@@ -167,7 +166,6 @@ func (c *SplitSourceConfig) UnmarshalBinary(data []byte) error {
 	var v SplitSourceConfig
 	v.Paths = readStrings(&r)
 	v.DesiredSplitSize = r.Int64()
-	v.MaxParallelism = r.Int()
 	if err := r.Finish(); err != nil {
 		return err
 	}

@@ -30,12 +30,18 @@ var hotPayloads = []any{
 	}},
 	FuncConfig{Func: "wc.tokenize"},
 	DFSSinkConfig{Path: "/out/wc"},
-	SplitSourceConfig{Paths: []string{"/in/a", "/in/b"}, DesiredSplitSize: 1 << 16, MaxParallelism: 8},
+	SplitSourceConfig{Paths: []string{"/in/a", "/in/b"}, DesiredSplitSize: 1 << 16},
 	OrderedPartitionedConfig{
 		Partitioner: PartitionerSpec{Kind: "range", Points: [][]byte{[]byte("g"), {0x00, 0xff}, []byte("p")}},
 		NoStats:     true, Combiner: "sum", Codec: "flate", SortBytes: -1,
 	},
 }
+
+// oldSplitSourceConfig is a SplitSourceConfig as encoded while the type
+// still had a parallelism cap (8 here) after DesiredSplitSize; the decoder
+// must refuse the extra varint, not misread it.
+var oldSplitSourceConfig = plugin.AppendInt(plugin.MustEncode(
+	SplitSourceConfig{Paths: []string{"/in/a", "/in/b"}, DesiredSplitSize: 1 << 16}), 8)
 
 // newOf returns a pointer to a fresh zero value of v's type.
 func newOf(v any) any { return reflect.New(reflect.TypeOf(v)).Interface() }
@@ -149,8 +155,8 @@ func TestQuickPayloadRoundTrip(t *testing.T) {
 		SplitAssignment{Splits: []dfs.Split{{Path: nul, Offset: math.MaxInt64, Length: math.MinInt64, Hosts: []string{}}, {Hosts: []string{"", nul}}}},
 		FuncConfig{Func: nul},
 		DFSSinkConfig{Path: "\x00"},
-		SplitSourceConfig{Paths: []string{}, DesiredSplitSize: math.MinInt64, MaxParallelism: math.MinInt},
-		SplitSourceConfig{Paths: []string{"", nul}, DesiredSplitSize: math.MaxInt64, MaxParallelism: math.MaxInt},
+		SplitSourceConfig{Paths: []string{}, DesiredSplitSize: math.MinInt64},
+		SplitSourceConfig{Paths: []string{"", nul}, DesiredSplitSize: math.MaxInt64},
 		OrderedPartitionedConfig{Partitioner: PartitionerSpec{Points: [][]byte{}}, SortBytes: math.MinInt64},
 		OrderedPartitionedConfig{Partitioner: PartitionerSpec{Kind: nul, Points: [][]byte{nil, {}, {0x00}}}, SortBytes: math.MaxInt64},
 	} {
@@ -213,6 +219,10 @@ func TestBinaryPayloadStrictDecode(t *testing.T) {
 			t.Errorf("%s: decoded to %+v", name, s)
 		}
 	}
+	var sc SplitSourceConfig
+	if err := plugin.Decode(oldSplitSourceConfig, &sc); err == nil {
+		t.Errorf("SplitSourceConfig with the deleted third field decoded to %+v", sc)
+	}
 	var c OrderedPartitionedConfig
 	bad := plugin.MustEncode(OrderedPartitionedConfig{NoStats: true})
 	bad[bytes.IndexByte(bad[3:], 1)+3] = 2 // the NoStats byte
@@ -252,6 +262,7 @@ func FuzzPayloadCodecs(f *testing.F) {
 		f.Add(plugin.MustEncode(v))
 		f.Add(gobStream(v))
 	}
+	f.Add(oldSplitSourceConfig)
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Add([]byte{0x42, 0xff, 0x00, 0x07, 0x80})

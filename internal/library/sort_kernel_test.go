@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"reflect"
 	goruntime "runtime"
@@ -389,14 +390,21 @@ func TestSmallTaskFixedCost(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, task); allocs > c.maxAllocs {
 			t.Errorf("a task of %d records allocates %.0f objects, the ceiling is %.0f", len(c.keys), allocs, c.maxAllocs)
 		}
-		var m0, m1 goruntime.MemStats
+		// TotalAlloc is process-wide, so a round also counts whatever
+		// goroutines left by earlier tests allocate meanwhile: the least of
+		// three rounds is the task's own.
 		const runs = 200
-		goruntime.ReadMemStats(&m0)
-		for i := 0; i < runs; i++ {
-			task()
+		got := uint64(math.MaxUint64)
+		for round := 0; round < 3; round++ {
+			var m0, m1 goruntime.MemStats
+			goruntime.ReadMemStats(&m0)
+			for i := 0; i < runs; i++ {
+				task()
+			}
+			goruntime.ReadMemStats(&m1)
+			got = min(got, (m1.TotalAlloc-m0.TotalAlloc)/runs)
 		}
-		goruntime.ReadMemStats(&m1)
-		if got := (m1.TotalAlloc - m0.TotalAlloc) / runs; got > c.maxBytes {
+		if got > c.maxBytes {
 			t.Errorf("a task of %d records allocates %d bytes, the ceiling is %d", len(c.keys), got, c.maxBytes)
 		}
 	}

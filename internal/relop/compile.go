@@ -15,7 +15,9 @@ type Config struct {
 	DefaultPartitions int
 	// SortParallelism is the parallelism of global sorts (default 1).
 	SortParallelism int
-	// SplitSize feeds the split initializer.
+	// SplitSize is the DesiredSplitSize of every scan's split initializer:
+	// 0 lets the library group splits into tasks by bytes and locality,
+	// > 0 fixes one task per split of that size.
 	SplitSize int64
 	// DisableRegistryCache turns off object-registry sharing of broadcast
 	// hash tables (ablation).
@@ -30,9 +32,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SortParallelism <= 0 {
 		c.SortParallelism = 1
-	}
-	if c.SplitSize <= 0 {
-		c.SplitSize = 16 * 1024
 	}
 	if c.TempRoot == "" {
 		c.TempRoot = "/tmp/relop"

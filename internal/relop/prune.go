@@ -1,7 +1,6 @@
 package relop
 
 import (
-	"tez/internal/dfs"
 	"tez/internal/library"
 	"tez/internal/plugin"
 	"tez/internal/row"
@@ -35,8 +34,8 @@ type PruneInitializerConfig struct {
 
 type pruneInitializer struct{}
 
-// Run waits for the pruning events, filters the file list, and computes
-// splits.
+// Run waits for the pruning events, filters the file list, and hands the
+// survivors to the library's split calculation.
 func (pruneInitializer) Run(ctx *runtime.InitializerContext) (*runtime.InitializerResult, error) {
 	var cfg PruneInitializerConfig
 	if err := plugin.Decode(ctx.Payload, &cfg); err != nil {
@@ -74,30 +73,5 @@ func (pruneInitializer) Run(ctx *runtime.InitializerContext) (*runtime.Initializ
 		keep = append(keep, f)
 	}
 
-	var all []dfs.Split
-	for _, p := range keep {
-		splits, err := ctx.FS.Splits(p, cfg.DesiredSplitSize)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, splits...)
-	}
-	par := len(all)
-	if par == 0 {
-		par = 1 // a vertex needs at least one (empty) task
-	}
-	res := &runtime.InitializerResult{Parallelism: par}
-	for t := 0; t < par; t++ {
-		var mine []dfs.Split
-		if t < len(all) {
-			mine = []dfs.Split{all[t]}
-		}
-		res.PerTaskPayload = append(res.PerTaskPayload, plugin.MustEncode(library.SplitAssignment{Splits: mine}))
-		var hints []string
-		if len(mine) > 0 {
-			hints = mine[0].Hosts
-		}
-		res.LocationHints = append(res.LocationHints, hints)
-	}
-	return res, nil
+	return library.SplitTasks(ctx.FS, keep, cfg.DesiredSplitSize)
 }

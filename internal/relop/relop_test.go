@@ -162,7 +162,10 @@ func TestBroadcastJoinTezOnly(t *testing.T) {
 	}
 	sess := am.NewSession(h.plat, am.Config{Name: "bj"})
 	defer sess.Close()
-	res, err := RunTez(sess, Config{}, "bj", plan("/out/bj"))
+	// One probe task per shard of big (library-sized, three tiny shards
+	// are one task and the cache-off count below has nothing to count).
+	perBlock := Config{SplitSize: h.plat.FS.BlockSize()}
+	res, err := RunTez(sess, perBlock, "bj", plan("/out/bj"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +176,13 @@ func TestBroadcastJoinTezOnly(t *testing.T) {
 		t.Fatal("no hash table build recorded")
 	}
 	// MR must reject broadcast joins.
-	if _, err := RunMR(h.plat, am.Config{Name: "bjmr"}, Config{}, "bjmr", plan("/out/bjmr")); err == nil {
+	if _, err := RunMR(h.plat, am.Config{Name: "bjmr"}, perBlock, "bjmr", plan("/out/bjmr")); err == nil {
 		t.Fatal("MR accepted a broadcast join")
 	}
 	// With the registry cache off every probe task (one per shard of big)
 	// builds its own table, and the counter says so.
-	res, err = RunTez(sess, Config{DisableRegistryCache: true}, "bj-nocache", plan("/out/bj-nocache"))
+	perBlock.DisableRegistryCache = true
+	res, err = RunTez(sess, perBlock, "bj-nocache", plan("/out/bj-nocache"))
 	if err != nil {
 		t.Fatal(err)
 	}

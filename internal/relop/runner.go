@@ -37,14 +37,7 @@ func (mrTempInitializer) Run(ctx *runtime.InitializerContext) (*runtime.Initiali
 	if err := plugin.Decode(ctx.Payload, &cfg); err != nil {
 		return nil, err
 	}
-	files := ctx.FS.List(cfg.Dir + "/part-")
-	inner := library.SplitInitializer{}
-	ctx2 := *ctx
-	ctx2.Payload = plugin.MustEncode(library.SplitSourceConfig{
-		Paths:            files,
-		DesiredSplitSize: cfg.DesiredSplitSize,
-	})
-	return inner.Run(&ctx2)
+	return library.SplitTasks(ctx.FS, ctx.FS.List(cfg.Dir+"/part-"), cfg.DesiredSplitSize)
 }
 
 // RunTez compiles the plan to one DAG and runs it in the session.

@@ -109,7 +109,8 @@ func TestStageSpecSharedReadOnly(t *testing.T) {
 		{Func: "count", Name: "n"}, {Func: "max", Arg: Col(3), Name: "w"},
 	})
 	sorted := SortNode(agg, []*Expr{Col(0)}, []bool{true}, 3)
-	d, err := NewCompiler(Config{}).CompileTez("shared", []*Node{StoreNode(sorted, "/out/shared")})
+	// One scan task per block: twelve shards are twelve tasks.
+	d, err := NewCompiler(Config{SplitSize: plat.FS.BlockSize()}).CompileTez("shared", []*Node{StoreNode(sorted, "/out/shared")})
 	if err != nil {
 		t.Fatal(err)
 	}
