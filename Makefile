@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check check-benchmark bench profile fuzz-short chaos trace
+.PHONY: build vet lint test race check check-benchmark examples bench profile fuzz-short chaos trace
 
 build:
 	$(GO) build ./...
@@ -8,11 +8,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint: go vet, the control-plane invariant (every lifecycle state change
-# in internal/am must flow through the internal/fsm transition tables —
-# no raw `.state = ...` assignments), and staticcheck when installed
-# (skipped gracefully where it is not; CI does not install it).
+# lint: go vet, gofmt (any file it would rewrite fails the target), the
+# control-plane invariant (every lifecycle state change in internal/am must
+# flow through the internal/fsm transition tables — no raw `.state = ...`
+# assignments), and staticcheck when installed (skipped gracefully where it
+# is not; CI does not install it).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo 'lint: gofmt would rewrite:'; echo "$$unformatted"; exit 1; \
+	fi
 	@if grep -rnE '\.state[[:space:]]*=[^=]' internal/am --include='*.go'; then \
 		echo 'lint: raw lifecycle state assignment in internal/am (use the fsm tables)'; exit 1; \
 	fi
@@ -25,9 +29,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the tier-1 gate plus lint, the race detector and the benchmark
-# module; CI runs exactly this.
-check: build lint race check-benchmark
+# check is the tier-1 gate plus lint, the race detector, the benchmark
+# module and the example programs; CI runs exactly this.
+check: build lint race check-benchmark examples
 
 # check-benchmark vets and tests benchmark/, a Go module of its own that
 # `./...` at the root does not reach, so that a rename under internal/ that
@@ -35,6 +39,14 @@ check: build lint race check-benchmark
 check-benchmark:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# examples runs every program under examples/ and cmd/tez-dag, which build
+# their DAGs by hand and which no test executes; a non-zero exit fails the
+# target. A few seconds each.
+examples:
+	@for d in examples/*/ cmd/tez-dag; do \
+		echo "run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 # bench regenerates every experiment table once (BenchmarkExperiments/<key>
 # over the internal/bench table, opt-in rows excluded) and runs the

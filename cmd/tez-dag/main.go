@@ -74,22 +74,10 @@ func main() {
 		_ = w.Close()
 		d = dag.New("wordcount")
 		tok := d.AddVertex("tokenizer", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "dagdemo.tokenize"}), -1)
-		tok.Sources = []dag.DataSource{{
-			Name:        "text",
-			Input:       plugin.Desc(library.DFSSourceInputName, nil),
-			Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{"/in/demo"}}),
-		}}
+		tok.Sources = []dag.DataSource{library.DFSSource("text", []string{"/in/demo"}, 0)}
 		sum := d.AddVertex("summation", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "dagdemo.sum"}), 4)
-		sum.Sinks = []dag.DataSink{{
-			Name:      "counts",
-			Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/dag-demo"}),
-			Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/dag-demo"}),
-		}}
-		d.Connect(tok, sum, dag.EdgeProperty{
-			Movement: dag.ScatterGather,
-			Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-			Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-		})
+		sum.Sinks = []dag.DataSink{library.DFSSink("counts", "/out/dag-demo")}
+		d.Connect(tok, sum, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	}
 
 	fmt.Printf("logical DAG %q:\n", d.Name)

@@ -131,22 +131,10 @@ func runWordcount(nodes, lines int, chaosSeed int64) []timeline.Event {
 
 	d := dag.New("wordcount")
 	tok := d.AddVertex("tokenizer", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "timeline.tokenize"}), -1)
-	tok.Sources = []dag.DataSource{{
-		Name:        "text",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{"/in/text"}}),
-	}}
+	tok.Sources = []dag.DataSource{library.DFSSource("text", []string{"/in/text"}, 0)}
 	sum := d.AddVertex("summation", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "timeline.sum"}), 4)
-	sum.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/wc"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/wc"}),
-	}}
-	d.Connect(tok, sum, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	sum.Sinks = []dag.DataSink{library.DFSSink("counts", "/out/wc")}
+	d.Connect(tok, sum, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 
 	amCfg := am.Config{Name: "tez-timeline", Timeline: j, Chaos: plane}
 	sess := am.NewSession(plat, amCfg)

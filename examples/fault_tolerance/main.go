@@ -74,22 +74,10 @@ func (p *stuckOnce) Close() error { return nil }
 func wordCount(name, in, out, reduceFn string, reducers int) *dag.DAG {
 	d := dag.New(name)
 	m := d.AddVertex("map", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "ft.tokenize"}), -1)
-	m.Sources = []dag.DataSource{{
-		Name:        "text",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{in}}),
-	}}
+	m.Sources = []dag.DataSource{library.DFSSource("text", []string{in}, 0)}
 	r := d.AddVertex("reduce", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: reduceFn}), reducers)
-	r.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: out}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: out}),
-	}}
-	d.Connect(m, r, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	r.Sinks = []dag.DataSink{library.DFSSink("counts", out)}
+	d.Connect(m, r, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	return d
 }
 
@@ -161,11 +149,7 @@ func main() {
 	})
 	straggle := dag.New("straggler")
 	v := straggle.AddVertex("work", plugin.Desc("ft.straggler", nil), 8)
-	v.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/spec"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/spec"}),
-	}}
+	v.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/spec")}
 	res2, err := specSess.Run(straggle)
 	if err != nil {
 		log.Fatal(err)

@@ -65,25 +65,11 @@ func main() {
 	d := dag.New("wordcount")
 	tokenizer := d.AddVertex("tokenizer",
 		plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "wc.tokenize"}), -1)
-	tokenizer.Sources = []dag.DataSource{{
-		Name:  "text",
-		Input: plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-			Paths: []string{"/input/shakespeare"},
-		}),
-	}}
+	tokenizer.Sources = []dag.DataSource{library.DFSSource("text", []string{"/input/shakespeare"}, 0)}
 	summation := d.AddVertex("summation",
 		plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "wc.sum"}), 4)
-	summation.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/output/wc"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/output/wc"}),
-	}}
-	d.Connect(tokenizer, summation, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	summation.Sinks = []dag.DataSink{library.DFSSink("counts", "/output/wc")}
+	d.Connect(tokenizer, summation, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 
 	// Run it in a Tez session.
 	sess := am.NewSession(plat, am.Config{Name: "quickstart"})

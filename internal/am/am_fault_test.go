@@ -46,11 +46,7 @@ func TestSpeculationMitigatesStraggler(t *testing.T) {
 	defer plat.Stop()
 	d := dag.New("spec")
 	v := d.AddVertex("v", plugin.Desc("amtest.straggler", nil), 6)
-	v.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/spec"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/spec"}),
-	}}
+	v.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/spec")}
 	cfg := Config{
 		Name:                    "t",
 		Speculation:             true,
@@ -139,16 +135,8 @@ func TestDeadlockPreemptionResolvesInversion(t *testing.T) {
 	prod.Manager = plugin.Desc("amtest.gated", nil)
 	cons := d.AddVertex("consumer", plugin.Desc("amtest.poke_read", nil), 1)
 	cons.Manager = plugin.Desc(ImmediateStartVertexManagerName, nil)
-	cons.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/dl"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/dl"}),
-	}}
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/dl")}
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	amCfg := Config{
 		Name:                  "t",
 		DeadlockCheckInterval: 2 * time.Millisecond,
@@ -225,16 +213,8 @@ func TestNodeFailureProactiveReexecution(t *testing.T) {
 	d := dag.New("nodeloss")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.emit3", nil), 2)
 	cons := d.AddVertex("consumer", plugin.Desc("amtest.slowreduce", nil), 1)
-	cons.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/nl"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/nl"}),
-	}}
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/nl")}
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 
 	s := NewSession(plat, Config{Name: "t"})
 	defer s.Close()
@@ -314,23 +294,19 @@ func TestAMRecoveryFromCheckpoint(t *testing.T) {
 		d := dag.New("recover-me")
 		prod := d.AddVertex("stage1", plugin.Desc("amtest.emit4", nil), 2)
 		cons := d.AddVertex("stage2", plugin.Desc("amtest.failgate", nil), 1)
-		cons.Sinks = []dag.DataSink{{
-			Name:      "sink",
-			Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/rec"}),
-			Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/rec"}),
-		}}
+		cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/rec")}
 		// stage1's output must survive the first AM: emitProducer writes
 		// to the edge named "consumer"; rename target vertex accordingly.
-		d.Connect(prod, cons, dag.EdgeProperty{
-			Movement: dag.ScatterGather,
-			Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-			Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-		})
+		d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 		return d
 	}
-	// No slow-start: stage2 must not start (and fail the DAG) before stage1
-	// has completed and been checkpointed, which is what the test is about.
-	cfg := Config{Name: "am1", CheckpointPath: "/_cp", MaxTaskAttempts: 1, DisableSlowStart: true}
+	// No slow-start (SlowStartMin/Max 1): stage2 must not start (and fail
+	// the DAG) before stage1 has completed and been checkpointed, which is
+	// what the test is about. This quiets a 3-in-30 failure under the
+	// default slow-start; whether the AM may launch a consumer before its
+	// producer vertex is checkpointed is ROADMAP item 2(c)'s open
+	// question, which this setting sidesteps and does not answer.
+	cfg := Config{Name: "am1", CheckpointPath: "/_cp", MaxTaskAttempts: 1, SlowStartMin: 1, SlowStartMax: 1}
 
 	// First AM: stage1 succeeds, stage2 fails → DAG failed, checkpoint has
 	// stage1 complete.
@@ -414,11 +390,7 @@ func TestKillDAG(t *testing.T) {
 	d := dag.New("killme")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.emit", nil), 1)
 	cons := d.AddVertex("consumer", plugin.Desc("amtest.sleepy", nil), 1)
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	s := NewSession(plat, Config{Name: "t"})
 	defer s.Close()
 	h, err := s.Submit(d)

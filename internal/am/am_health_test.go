@@ -38,17 +38,14 @@ func sickNodeDAG(name, out string) *dag.DAG {
 	// Pin the task to the sick node: locality preference plus container
 	// reuse keep every retry there until blacklisting intervenes.
 	v.LocationHints = [][]string{{"node-000"}}
-	v.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: out}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: out}),
-	}}
+	v.Sinks = []dag.DataSink{library.DFSSink("sink", out)}
 	return d
 }
 
 // TestBlacklistRescuesDAGFromSickNode is the tentpole acceptance check: a
-// single permanently failing node exhausts MaxTaskAttempts when health
-// tracking is off (the seed behaviour), and with blacklisting on the same
+// single permanently failing node exhausts MaxTaskAttempts when the
+// blacklist threshold is out of reach (the seed behaviour), and with a
+// reachable one the same
 // schedule succeeds because retries are steered off the sick machine
 // before the attempt budget runs out.
 func TestBlacklistRescuesDAGFromSickNode(t *testing.T) {
@@ -58,9 +55,10 @@ func TestBlacklistRescuesDAGFromSickNode(t *testing.T) {
 		plat := newTestPlatform(4)
 		defer plat.Stop()
 		res, err := RunDAG(plat, Config{
-			Name:                "nohealth",
-			MaxTaskAttempts:     3,
-			DisableBlacklisting: true,
+			Name:            "nohealth",
+			MaxTaskAttempts: 3,
+			// One task × 3 attempts never reaches 1000 failures.
+			NodeMaxTaskFailures: 1000,
 		}, sickNodeDAG("sick-off", "/out/sick-off"))
 		if err == nil || res.Status != DAGFailed {
 			t.Fatalf("expected MaxTaskAttempts exhaustion, got %v %v", res.Status, err)
@@ -187,11 +185,7 @@ func TestAttemptFailureRacingNodeLossIsCasualty(t *testing.T) {
 	defer plat.Stop()
 	d := dag.New("race")
 	v := d.AddVertex("v", plugin.Desc("amtest.gatedfail", nil), 1)
-	v.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/race"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/race"}),
-	}}
+	v.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/race")}
 	// MaxTaskAttempts 1: if the raced failure counted, the DAG would die.
 	s := NewSession(plat, Config{Name: "t", MaxTaskAttempts: 1, NodeMaxTaskFailures: 1})
 	defer s.Close()
@@ -232,16 +226,8 @@ func TestDecommissionDrainDoesNotBlacklist(t *testing.T) {
 	d := dag.New("drain")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.emit5", nil), 2)
 	cons := d.AddVertex("consumer", plugin.Desc("amtest.slowreduce2", nil), 1)
-	cons.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/drain"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/drain"}),
-	}}
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/drain")}
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 
 	s := NewSession(plat, Config{Name: "t"})
 	defer s.Close()

@@ -64,22 +64,10 @@ func writeLines(t *testing.T, plat *platform.Platform, path string, lines []stri
 func wordCountDAG(name, in, out string, reducers int) *dag.DAG {
 	d := dag.New(name)
 	tok := d.AddVertex("tokenizer", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "amtest.tokenize"}), -1)
-	tok.Sources = []dag.DataSource{{
-		Name:        "lines",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{in}, DesiredSplitSize: 4 * 1024}),
-	}}
+	tok.Sources = []dag.DataSource{library.DFSSource("lines", []string{in}, 4*1024)}
 	sum := d.AddVertex("summation", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "amtest.sum"}), reducers)
-	sum.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: out}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: out}),
-	}}
-	d.Connect(tok, sum, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	sum.Sinks = []dag.DataSink{library.DFSSink("counts", out)}
+	d.Connect(tok, sum, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	return d
 }
 
@@ -237,11 +225,7 @@ func TestTaskRetryOnFailure(t *testing.T) {
 	defer plat.Stop()
 	d := dag.New("flaky")
 	v := d.AddVertex("v", plugin.Desc("amtest.flaky", nil), 3)
-	v.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/flaky"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/flaky"}),
-	}}
+	v.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/flaky")}
 	res, err := RunDAG(plat, Config{Name: "t"}, d)
 	if err != nil || res.Status != DAGSucceeded {
 		t.Fatalf("%v %v", res.Status, err)
@@ -340,16 +324,8 @@ func TestInputReadErrorTriggersProducerReexecution(t *testing.T) {
 	d := dag.New("lossy")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.emit", nil), 1)
 	cons := d.AddVertex("consumer", plugin.Desc("amtest.sabotage", nil), 1)
-	cons.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/lossy"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/lossy"}),
-	}}
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/lossy")}
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	res, err := RunDAG(plat, Config{Name: "t"}, d)
 	if err != nil || res.Status != DAGSucceeded {
 		t.Fatalf("%v %v", res.Status, err)

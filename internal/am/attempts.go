@@ -9,6 +9,7 @@ import (
 	"tez/internal/dag"
 	"tez/internal/event"
 	"tez/internal/mailbox"
+	"tez/internal/plugin"
 	"tez/internal/runtime"
 	"tez/internal/timeline"
 )
@@ -135,8 +136,6 @@ func (r *dagRun) onAssigned(at *attemptState, pc *pooledContainer) {
 		Counters:         r.counters,
 		Token:            r.token,
 		FetchParallelism: r.session.cfg.ShuffleFetchParallelism,
-		SortMB:           r.session.cfg.ShuffleSortMB,
-		MergeFactor:      r.session.cfg.ShuffleMergeFactor,
 		Codec:            r.session.cfg.ShuffleCodec,
 		Timeline:         r.tl(),
 	}
@@ -432,7 +431,7 @@ func (r *dagRun) commitSinks(vs *vertexState, success map[int]int) error {
 		if sink.Committer.IsZero() {
 			continue
 		}
-		c, err := runtime.NewCommitter(sink.Committer)
+		c, err := plugin.New[runtime.Committer](plugin.KindCommitter, sink.Committer)
 		if err != nil {
 			return err
 		}

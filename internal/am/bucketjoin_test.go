@@ -88,19 +88,15 @@ func TestDynamicallyPartitionedHashJoin(t *testing.T) {
 		// its own group; tiny buckets pack together.
 		TargetBytesPerTask: 600,
 	})
-	cons.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/dphj"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/dphj"}),
-	}}
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.CustomMovement,
-		Manager:  plugin.Desc(library.GroupedShuffleEdgeManagerName, nil),
-		Output: plugin.Desc(library.OrderedPartitionedOutputName, library.OrderedPartitionedConfig{
-			Partitioner: library.PartitionerSpec{Kind: "range", Points: points},
-		}),
-		Input: plugin.Desc(library.OrderedGroupedInputName, nil),
+	cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/dphj")}
+	// The shuffle's IO pair under a custom movement: the grouped edge
+	// manager routes, the ordered output/input still carry the data.
+	edge := library.OrderedEdge(library.OrderedPartitionedConfig{
+		Partitioner: library.PartitionerSpec{Kind: "range", Points: points},
 	})
+	edge.Movement = dag.CustomMovement
+	edge.Manager = plugin.Desc(library.GroupedShuffleEdgeManagerName, nil)
+	d.Connect(prod, cons, edge)
 
 	res, err := RunDAG(plat, Config{Name: "dphj", DisableAutoParallelism: true}, d)
 	if err != nil || res.Status != DAGSucceeded {

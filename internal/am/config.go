@@ -56,12 +56,10 @@ type Config struct {
 
 	// SlowStartMin/Max control shuffle consumer scheduling: consumers are
 	// scheduled proportionally as the source-complete fraction moves from
-	// Min to Max (defaults 0.25 / 0.75; 0/0 schedules immediately).
+	// Min to Max (defaults 0.25 / 0.75; 1/1 makes consumers wait for all
+	// sources, the no-slow-start ablation).
 	SlowStartMin float64
 	SlowStartMax float64
-	// DisableSlowStart makes shuffle consumers wait for all sources
-	// (ablation knob).
-	DisableSlowStart bool
 
 	// DisableAutoParallelism turns off the ShuffleVertexManager's runtime
 	// partition-cardinality estimation (Figure 6; ablation knob).
@@ -69,25 +67,12 @@ type Config struct {
 	// DesiredBytesPerReducer is the auto-parallelism heuristic target
 	// (default 32 KiB at simulation scale).
 	DesiredBytesPerReducer int64
-	// MinReducers floors the auto-parallelism estimate (default 1).
-	MinReducers int
 
 	// ShuffleFetchParallelism sets the per-task shuffle fetcher-pool size
 	// (parallel fetcher goroutines per consumer, the fetcher threads of
 	// real Tez). Zero means the library default (4); 1 or less forces
 	// serial fetching (the ablation setting for §3.4 overlap).
 	ShuffleFetchParallelism int
-	// ShuffleSortMB caps the map-side sort buffer of ordered shuffle
-	// outputs (MiB): past the cap a sorted run is spilled and merged back
-	// at close, the ExternalSorter discipline. Zero or negative means
-	// unbounded; a per-edge library.OrderedPartitionedConfig.SortBytes
-	// takes precedence.
-	ShuffleSortMB int
-	// ShuffleMergeFactor bounds how many sorted runs a reduce-side input
-	// merges at once; beyond it, runs that have already arrived are
-	// pre-merged while stragglers are still fetching. Zero means the
-	// library default (64); negative disables intermediate merges.
-	ShuffleMergeFactor int
 	// ShuffleCodec names the wire block codec for shuffle partitions
 	// ("none", "flate"). Empty means "none"; a per-edge
 	// library.OrderedPartitionedConfig.Codec takes precedence.
@@ -109,7 +94,9 @@ type Config struct {
 	// NodeMaxTaskFailures blacklists a node once that many genuine attempt
 	// failures — or that many fetch-failure retractions — have been
 	// attributed to it (default 3). Casualties (container kills, input-
-	// error kills, failures racing a node loss) never count.
+	// error kills, failures racing a node loss) never count. A value no
+	// run reaches (above tasks × MaxTaskAttempts) is the no-blacklisting
+	// ablation.
 	NodeMaxTaskFailures int
 	// NodeBlacklistDecay un-blacklists a node after this long, wiping its
 	// failure counters (default 10s — effectively "for the rest of the
@@ -122,9 +109,6 @@ type Config struct {
 	// cluster instead of excluding everything during a cluster-wide
 	// problem.
 	MaxBlacklistFraction float64
-	// DisableBlacklisting turns node health tracking off entirely
-	// (ablation knob; restores the pre-blacklist scheduler behaviour).
-	DisableBlacklisting bool
 
 	// Chaos, when set, lets the chaos plane crash the AM between vertex
 	// completions (§4.3 AM recovery drill). Data-plane injection is wired
@@ -175,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DesiredBytesPerReducer <= 0 {
 		c.DesiredBytesPerReducer = 32 * 1024
-	}
-	if c.MinReducers <= 0 {
-		c.MinReducers = 1
 	}
 	if c.DeadlockCheckInterval <= 0 {
 		c.DeadlockCheckInterval = 5 * time.Millisecond

@@ -172,11 +172,9 @@ func TestCustomBinaryFormatThroughCustomIO(t *testing.T) {
 	d := dag.New("columnar")
 	prod := d.AddVertex("produce", plugin.Desc("amtest.col_produce", nil), 2)
 	sum := d.AddVertex("sum", plugin.Desc("amtest.col_sum", nil), 2)
-	sum.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/col"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/col"}),
-	}}
+	sum.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/col")}
+	// The test's own output/input classes: the one case that writes the
+	// pair out instead of calling a library constructor.
 	d.Connect(prod, sum, dag.EdgeProperty{
 		Movement: dag.OneToOne,
 		Output:   plugin.Desc("amtest.col_out", nil),

@@ -12,6 +12,7 @@ import (
 	"tez/internal/fsm"
 	"tez/internal/mailbox"
 	"tez/internal/metrics"
+	"tez/internal/plugin"
 	"tez/internal/runtime"
 	"tez/internal/security"
 	"tez/internal/timeline"
@@ -553,7 +554,7 @@ func (r *dagRun) runInitializers(vs *vertexState) {
 			},
 		}
 		go func() {
-			init, err := runtime.NewInitializer(src.Initializer)
+			init, err := plugin.New[runtime.Initializer](plugin.KindInitializer, src.Initializer)
 			if err != nil {
 				r.mb.Put(msgInitDone{vs: vs, source: src.Name, err: err})
 				return

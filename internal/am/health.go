@@ -66,9 +66,9 @@ func newNodeHealth(cfg Config, totalNodes int) *nodeHealth {
 }
 
 // taskFailed attributes one genuine attempt failure to node and reports
-// whether this newly blacklisted it. Nil-safe (blacklisting disabled).
+// whether this newly blacklisted it.
 func (h *nodeHealth) taskFailed(node string) bool {
-	if h == nil || node == "" {
+	if node == "" {
 		return false
 	}
 	h.mu.Lock()
@@ -82,7 +82,7 @@ func (h *nodeHealth) taskFailed(node string) bool {
 // fetchFailed attributes one fetch-failure retraction (a consumer reported
 // the node's shuffle output unreadable) and reports new blacklisting.
 func (h *nodeHealth) fetchFailed(node string) bool {
-	if h == nil || node == "" {
+	if node == "" {
 		return false
 	}
 	h.mu.Lock()
@@ -95,9 +95,6 @@ func (h *nodeHealth) fetchFailed(node string) bool {
 
 // isBlacklisted reports whether node is currently excluded.
 func (h *nodeHealth) isBlacklisted(node string) bool {
-	if h == nil {
-		return false
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.decayLocked()
@@ -107,9 +104,6 @@ func (h *nodeHealth) isBlacklisted(node string) bool {
 
 // excludedIDs returns the current blacklist for RM requests, sorted.
 func (h *nodeHealth) excludedIDs() []cluster.NodeID {
-	if h == nil {
-		return nil
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.decayLocked()
@@ -125,9 +119,6 @@ func (h *nodeHealth) excludedIDs() []cluster.NodeID {
 
 // report snapshots every node with recorded history, sorted by node id.
 func (h *nodeHealth) report() metrics.NodeHealthReport {
-	if h == nil {
-		return nil
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.decayLocked()

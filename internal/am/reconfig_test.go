@@ -69,29 +69,17 @@ func TestParallelismShrinkRefusedAfterConsumerScheduled(t *testing.T) {
 	}
 	writeLines(t, plat, "/in/shrink", lines)
 
-	sg := dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	}
+	sg := library.OrderedEdge(library.OrderedPartitionedConfig{})
 	d := dag.New("shrink-race")
 	tok := d.AddVertex("tokenizer", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "amtest.tokenize"}), -1)
-	tok.Sources = []dag.DataSource{{
-		Name:        "lines",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{"/in/shrink"}, DesiredSplitSize: 4 * 1024}),
-	}}
+	tok.Sources = []dag.DataSource{library.DFSSource("lines", []string{"/in/shrink"}, 4*1024)}
 	mid := d.AddVertex("mid", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "amtest.sum"}), 4)
 	mid.Manager = plugin.Desc("amtest.late_shrink", nil)
 	final := d.AddVertex("final", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "amtest.sum"}), 2)
 	// The consumer schedules all its tasks the moment the vertex starts —
 	// before mid's manager gets its first source-completion callback.
 	final.Manager = plugin.Desc(ImmediateStartVertexManagerName, nil)
-	final.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/shrink"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/shrink"}),
-	}}
+	final.Sinks = []dag.DataSink{library.DFSSink("counts", "/out/shrink")}
 	d.Connect(tok, mid, sg)
 	d.Connect(mid, final, sg)
 

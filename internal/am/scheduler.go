@@ -97,9 +97,8 @@ type schedStats struct {
 type scheduler struct {
 	cfg Config
 	app *cluster.Application
-	// health is the session's node blacklist; nil when blacklisting is
-	// disabled. Blacklisted nodes are excluded from RM requests and from
-	// idle-container reuse.
+	// health is the session's node blacklist. Blacklisted nodes are
+	// excluded from RM requests and from idle-container reuse.
 	health *nodeHealth
 	now    timeline.Clock    // injectable (Config.Clock)
 	tl     *timeline.Journal // nil-safe event sink

@@ -15,7 +15,8 @@ func newTestScheduler(t *testing.T, nodes int) (*platform.Platform, *cluster.App
 	t.Helper()
 	plat := platform.New(platform.Fast(nodes))
 	app := plat.RM.Submit("sched-test")
-	sched := newScheduler(Config{}.withDefaults(), app, nil)
+	cfg := Config{}.withDefaults()
+	sched := newScheduler(cfg, app, newNodeHealth(cfg, nodes))
 	t.Cleanup(func() {
 		sched.close()
 		app.Unregister()

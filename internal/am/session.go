@@ -19,7 +19,7 @@ type Session struct {
 	plat   *platform.Platform
 	app    *cluster.Application
 	sched  *scheduler
-	health *nodeHealth // nil when blacklisting is disabled
+	health *nodeHealth
 
 	mu     sync.Mutex
 	seq    int
@@ -41,9 +41,7 @@ func NewSession(plat *platform.Platform, cfg Config) *Session {
 		stopCh: make(chan struct{}),
 	}
 	s.app = plat.RM.SubmitTenant(cfg.Name, cfg.Tenant)
-	if !cfg.DisableBlacklisting {
-		s.health = newNodeHealth(cfg, len(plat.RM.Nodes()))
-	}
+	s.health = newNodeHealth(cfg, len(plat.RM.Nodes()))
 	s.sched = newScheduler(cfg, s.app, s.health)
 	s.wg.Add(2)
 	go s.drainClusterEvents()

@@ -74,12 +74,9 @@ type VertexManager interface {
 	OnVertexManagerEvent(ev event.VertexManagerEvent)
 }
 
-// VertexManagerFactory builds managers.
-type VertexManagerFactory func() VertexManager
-
 // RegisterVertexManager installs a custom manager under a name usable in
 // vertex descriptors.
-func RegisterVertexManager(name string, f VertexManagerFactory) {
+func RegisterVertexManager(name string, f func() VertexManager) {
 	plugin.Register(plugin.KindVertexManager, name, f)
 }
 
@@ -101,15 +98,7 @@ func newVertexManager(d plugin.Descriptor) (VertexManager, error) {
 	if d.IsZero() {
 		return &ShuffleVertexManager{}, nil
 	}
-	f, err := plugin.Lookup(plugin.KindVertexManager, d.Name)
-	if err != nil {
-		return nil, err
-	}
-	vf, ok := f.(VertexManagerFactory)
-	if !ok {
-		return nil, fmt.Errorf("am: vertex manager %q factory has type %T", d.Name, f)
-	}
-	return vf(), nil
+	return plugin.New[VertexManager](plugin.KindVertexManager, d)
 }
 
 // ShuffleVertexManager is the built-in manager of Figure 6. It handles any
@@ -229,9 +218,6 @@ func (m *ShuffleVertexManager) reevaluate() {
 		frac = float64(sgDone) / float64(sgTotal)
 	}
 	minF, maxF := cfg.SlowStartMin, cfg.SlowStartMax
-	if cfg.DisableSlowStart {
-		minF, maxF = 1.0, 1.0
-	}
 	if sgTotal > 0 && frac < minF {
 		return
 	}
@@ -242,8 +228,8 @@ func (m *ShuffleVertexManager) reevaluate() {
 		if sgTotal > 0 && !cfg.DisableAutoParallelism && sgDone > 0 {
 			est := float64(m.statsBytes) / frac // extrapolated total bytes
 			want := int(math.Ceil(est / float64(cfg.DesiredBytesPerReducer)))
-			if want < cfg.MinReducers {
-				want = cfg.MinReducers
+			if want < 1 {
+				want = 1
 			}
 			if cur := m.ctx.Parallelism(); want < cur {
 				// Shrinking fails on an impossible geometry, or when a

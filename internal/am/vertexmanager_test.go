@@ -160,7 +160,7 @@ func TestSVMAutoParallelismEstimate(t *testing.T) {
 
 // A statistics payload that does not decode must not be skipped: with no
 // bytes counted, ShuffleVertexManager's estimate is zero and the vertex
-// shrinks to MinReducers without a failure anywhere (what a look-alike
+// shrinks to one reducer without a failure anywhere (what a look-alike
 // struct decoded through gob did when VMStats changed encoding). Both
 // built-in managers fail the DAG instead, naming the sender.
 func TestVMStatsDecodeFailureIsVisible(t *testing.T) {
@@ -215,11 +215,7 @@ func TestCorruptVMStatsFailsDAG(t *testing.T) {
 	d := dag.New("badstats")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.bad_stats", nil), 2)
 	cons := d.AddVertex("consumer", plugin.Desc("amdl.sleep", nil), 4)
-	d.Connect(prod, cons, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, library.OrderedPartitionedConfig{NoStats: true}),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{NoStats: true}))
 	res, err := RunDAG(plat, Config{Name: "t"}, d)
 	if err == nil && res.Err != nil {
 		err = res.Err

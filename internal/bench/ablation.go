@@ -298,7 +298,10 @@ func AblationSlowStart(sc Scale) (*Report, error) {
 		Headers: []string{"mode", "total (ms)"},
 	}
 	for _, disable := range []bool{true, false} {
-		cfg := am.Config{Name: fmt.Sprintf("ss-%v", !disable), DisableSlowStart: disable}
+		cfg := am.Config{Name: fmt.Sprintf("ss-%v", !disable)}
+		if disable {
+			cfg.SlowStartMin, cfg.SlowStartMax = 1, 1
+		}
 		dur, _, _, err := timeWordCountSession(plat, cfg, 2)
 		if err != nil {
 			return nil, err
@@ -442,11 +445,7 @@ func AblationSpeculation(sc Scale) (*Report, error) {
 		plat := platform.New(platform.Default(4))
 		d := dagpkg.New("straggle")
 		v := d.AddVertex("v", plugin.Desc("bench.straggler", nil), 8)
-		v.Sinks = []dagpkg.DataSink{{
-			Name:      "sink",
-			Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/bench/abl/spec"}),
-			Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/bench/abl/spec"}),
-		}}
+		v.Sinks = []dagpkg.DataSink{library.DFSSink("sink", "/bench/abl/spec")}
 		cfg := am.Config{
 			Name:                    fmt.Sprintf("spec-%v", speculate),
 			Speculation:             speculate,

@@ -84,7 +84,7 @@ func runSparkUsers(plat *platform.Platform, tables []*relop.Table, execs int, se
 				ContainerIdleRelease: 10 * time.Millisecond,
 				// A 2-stage repartition gains nothing from early reducers;
 				// waiting reducers would hold slots other tenants need.
-				DisableSlowStart: true,
+				SlowStartMin: 1, SlowStartMax: 1,
 			})
 			defer sess.Close()
 			for j := 0; j < jobsPerUser; j++ {

@@ -252,10 +252,14 @@ func (p *Plane) Schedule() []NodeAction {
 }
 
 // SickNodes returns the bound always-failing node set, sorted.
-func (p *Plane) SickNodes() []string { return p.nodeSet(func(p *Plane) map[string]bool { return p.sick }) }
+func (p *Plane) SickNodes() []string {
+	return p.nodeSet(func(p *Plane) map[string]bool { return p.sick })
+}
 
 // SlowNodes returns the bound slow node set, sorted.
-func (p *Plane) SlowNodes() []string { return p.nodeSet(func(p *Plane) map[string]bool { return p.slow }) }
+func (p *Plane) SlowNodes() []string {
+	return p.nodeSet(func(p *Plane) map[string]bool { return p.slow })
+}
 
 func (p *Plane) nodeSet(get func(*Plane) map[string]bool) []string {
 	if p == nil {

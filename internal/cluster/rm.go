@@ -27,8 +27,8 @@ type ResourceManager struct {
 	nodeList  []*Node // stable order for deterministic iteration
 	shards    map[string]*rackShard
 	shardList []*rackShard // stable rack order for deterministic placement
-	apps     map[AppID]*Application
-	appOrder []AppID // submission order
+	apps      map[AppID]*Application
+	appOrder  []AppID // submission order
 	// schedTenants is the two-level fairness order: tenant groups sorted
 	// by weighted allocation, each holding its apps sorted by allocation.
 	// Untenanted apps ride in anonymous singleton groups, reducing the

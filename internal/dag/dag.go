@@ -73,7 +73,10 @@ type EdgeProperty struct {
 	Scheduling SchedulingType
 	Resilience DataSourceType
 	// Output is the producer-side output class; Input is the consumer-side
-	// input class. They must be a compatible pair (§3.1).
+	// input class. They must be a compatible pair (§3.1): the built-in
+	// pairs come from the constructors in internal/library (OrderedEdge,
+	// BroadcastEdge, …), and only an application with its own IO classes
+	// fills them in by hand.
 	Output plugin.Descriptor
 	Input  plugin.Descriptor
 	// Manager configures a custom EdgeManager (Movement == CustomMovement).

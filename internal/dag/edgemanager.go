@@ -54,15 +54,10 @@ func NewEdgeManager(p EdgeProperty, ctx EdgeContext) (EdgeManager, error) {
 	case ScatterGather:
 		m = &ScatterGatherEdgeManager{}
 	case CustomMovement:
-		f, err := plugin.Lookup(plugin.KindEdgeManager, p.Manager.Name)
-		if err != nil {
+		var err error
+		if m, err = plugin.New[EdgeManager](plugin.KindEdgeManager, p.Manager); err != nil {
 			return nil, err
 		}
-		factory, ok := f.(func() EdgeManager)
-		if !ok {
-			return nil, fmt.Errorf("dag: edge manager %q has factory type %T", p.Manager.Name, f)
-		}
-		m = factory()
 		ctx.Payload = p.Manager.Payload
 	default:
 		return nil, fmt.Errorf("dag: unknown movement %v", p.Movement)

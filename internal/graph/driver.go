@@ -261,46 +261,26 @@ func superstepDAG(job *Job, progCfg []byte, prog Program, specs []AggSpec,
 		AggSpecs:     specs,
 		DisableCache: job.DisableRegistryCache,
 	}), job.Partitions)
-	compute.Sources = []dag.DataSource{{
-		Name:  "state",
-		Input: plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(StateInitializerName, stateInitConfig{
-			Dir: stateDir(work, it), Partitions: job.Partitions, PrevNodes: prevNodes,
-		}),
-	}}
-	snapSink := library.DFSSinkConfig{Path: stateDir(work, it + 1)}
-	aggSink := library.DFSSinkConfig{Path: aggDir(work, it)}
-	compute.Sinks = []dag.DataSink{{
-		Name:      "snapshot",
-		Output:    plugin.Desc(library.DFSSinkOutputName, snapSink),
-		Committer: plugin.Desc(library.DFSCommitterName, snapSink),
-	}, {
-		Name:      "agg",
-		Output:    plugin.Desc(library.DFSSinkOutputName, aggSink),
-		Committer: plugin.Desc(library.DFSCommitterName, aggSink),
-	}}
+	state := library.DFSSource("state", nil, 0)
+	state.Initializer = plugin.Desc(StateInitializerName, stateInitConfig{
+		Dir: stateDir(work, it), Partitions: job.Partitions, PrevNodes: prevNodes,
+	})
+	compute.Sources = []dag.DataSource{state}
+	compute.Sinks = []dag.DataSink{
+		library.DFSSink("snapshot", stateDir(work, it+1)),
+		library.DFSSink("agg", aggDir(work, it)),
+	}
 
 	inboxV := d.AddVertex("inbox", plugin.Desc(InboxProcessorName, inboxConfig{
 		Combine: prog.Combiner(),
 	}), job.Partitions)
-	outSink := library.DFSSinkConfig{Path: inboxDir(work, it+1)}
-	mstatsSink := library.DFSSinkConfig{Path: mstatsDir(work, it)}
-	inboxV.Sinks = []dag.DataSink{{
-		Name:      "out",
-		Output:    plugin.Desc(library.DFSSinkOutputName, outSink),
-		Committer: plugin.Desc(library.DFSCommitterName, outSink),
-	}, {
-		Name:      "mstats",
-		Output:    plugin.Desc(library.DFSSinkOutputName, mstatsSink),
-		Committer: plugin.Desc(library.DFSCommitterName, mstatsSink),
-	}}
+	inboxV.Sinks = []dag.DataSink{
+		library.DFSSink("out", inboxDir(work, it+1)),
+		library.DFSSink("mstats", mstatsDir(work, it)),
+	}
 
-	d.Connect(compute, inboxV, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output: plugin.Desc(library.OrderedPartitionedOutputName, library.OrderedPartitionedConfig{
-			Combiner: prog.Combiner().FuncName(),
-		}),
-		Input: plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	d.Connect(compute, inboxV, library.OrderedEdge(library.OrderedPartitionedConfig{
+		Combiner: prog.Combiner().FuncName(),
+	}))
 	return d
 }

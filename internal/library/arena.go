@@ -111,7 +111,7 @@ func (sb *sortBuffer) raw(off, n uint32) []byte {
 func (sb *sortBuffer) key(r *recRef) []byte { return sb.raw(r.off, r.klen) }
 func (sb *sortBuffer) val(r *recRef) []byte { return sb.raw(r.off+r.klen, r.vlen) }
 
-// used is the memory charged against the SortMB budget.
+// used is the memory charged against the SortBytes budget.
 func (sb *sortBuffer) used() int64 {
 	return int64(len(sb.arena)) + int64(len(sb.refs))*recRefSize
 }

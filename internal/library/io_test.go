@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -561,6 +562,92 @@ func TestPartitionedOutputsRejectOutOfRangePartition(t *testing.T) {
 		}
 		if _, err := out.Close(); err != nil {
 			t.Errorf("%s output: close after refused writes: %v", name, err)
+		}
+	}
+	// The one-partition form never asks: whatever a partitioner would have
+	// said, every record lands in the single partition.
+	single := &UnorderedPartitionedKVOutput{single: true, partitioner: p}
+	if err := single.Initialize(ctxFor(testServices(t), runtime.Meta{DAG: "d", Vertex: "map"}, "red", nil, parts)); err != nil {
+		t.Fatal(err)
+	}
+	wAny, _ := single.Writer()
+	for answer = -1; answer <= parts+1; answer++ {
+		if err := wAny.(runtime.KVWriter).Write([]byte("k"), []byte("v")); err != nil {
+			t.Errorf("one-partition output consulted the partitioner (answer %d): %v", answer, err)
+		}
+	}
+	if events, err := single.Close(); err != nil || len(events) != 1 {
+		t.Errorf("one-partition output announced %d events, err %v", len(events), err)
+	}
+}
+
+// TestOutputsAnnounceExactBytes pins what each registered shuffle output
+// announces, byte for byte: one DataMovement per partition whose payload is
+// the DMInfo written out here field by field (the unordered outputs carry
+// no RawSize and no Codec), then one VMStats — raw sizes from the ordered
+// output, registered sizes from the unordered partitioned one, none from
+// the one-partition form broadcast and one-to-one edges use.
+func TestOutputsAnnounceExactBytes(t *testing.T) {
+	const parts = 2
+	recs := [][2]string{{"a", "1"}, {"b", "22"}, {"c", "333"}, {"d", ""}}
+	for _, tc := range []struct {
+		name    string
+		ordered bool
+		parts   int
+		stats   bool
+	}{
+		{OrderedPartitionedOutputName, true, parts, true},
+		{UnorderedPartitionedOutputName, false, parts, true},
+		{UnorderedOutputName, false, 1, false},
+	} {
+		svc := testServices(t)
+		out, err := plugin.New[runtime.Output](plugin.KindOutput, plugin.Descriptor{Name: tc.name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta := runtime.Meta{DAG: "d", Vertex: "map", Task: 3, Attempt: 1}
+		if err := out.Initialize(ctxFor(svc, meta, "red", nil, parts)); err != nil {
+			t.Fatal(err)
+		}
+		wAny, _ := out.Writer()
+		want := make([][]byte, tc.parts) // records are written in key order, so sorted already
+		for _, r := range recs {
+			k, v := []byte(r[0]), []byte(r[1])
+			if err := wAny.(runtime.KVWriter).Write(k, v); err != nil {
+				t.Fatal(err)
+			}
+			p := HashPartitioner{}.Partition(k, tc.parts)
+			want[p] = AppendRecord(want[p], k, v)
+		}
+		events, err := out.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := shuffle.OutputID{DAG: "d", Vertex: "map", Name: "red", Task: 3, Attempt: 1}
+		var wantEvents []event.Event
+		sizes := make([]int64, tc.parts)
+		for i, data := range want {
+			sizes[i] = int64(len(data))
+			info := DMInfo{ID: id, Partition: i, Size: sizes[i]}
+			if tc.ordered {
+				info.RawSize = sizes[i]
+			}
+			wantEvents = append(wantEvents, event.DataMovement{
+				SrcVertex: "map", SrcTask: 3, SrcAttempt: 1, SrcOutputIndex: i,
+				TargetVertex: "red", Payload: plugin.MustEncode(info),
+			})
+			if got, err := svc.Shuffle.Fetch(id, i, "n0"); err != nil || !bytes.Equal(got, data) {
+				t.Errorf("%s: partition %d registered as %q (%v), want %q", tc.name, i, got, err, data)
+			}
+		}
+		if tc.stats {
+			wantEvents = append(wantEvents, event.VertexManagerEvent{
+				TargetVertex: "red", SrcVertex: "map", SrcTask: 3,
+				Payload: plugin.MustEncode(VMStats{PartitionSizes: sizes}),
+			})
+		}
+		if !reflect.DeepEqual(events, wantEvents) {
+			t.Errorf("%s announced\n %+v\nwant\n %+v", tc.name, events, wantEvents)
 		}
 	}
 }

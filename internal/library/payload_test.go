@@ -301,3 +301,37 @@ func FuzzPayloadCodecs(f *testing.F) {
 		}
 	})
 }
+
+// TestOrderedConfigIsZero: OrderedEdge encodes no payload for a config
+// isZero accepts, so isZero must notice every field — a field added to the
+// struct and its codec but not to isZero would be dropped from every edge
+// that sets only it. Each leaf field is set alone, by reflection.
+func TestOrderedConfigIsZero(t *testing.T) {
+	if !(OrderedPartitionedConfig{}).isZero() {
+		t.Fatal("the zero config is not zero")
+	}
+	rng := rand.New(rand.NewSource(3))
+	var setEach func(root reflect.Value, at reflect.Value, path string)
+	setEach = func(root, at reflect.Value, path string) {
+		for i := 0; i < at.NumField(); i++ {
+			f, name := at.Field(i), path+"."+at.Type().Field(i).Name
+			if f.Kind() == reflect.Struct {
+				setEach(root, f, name)
+				continue
+			}
+			for f.IsZero() || (f.Kind() == reflect.Slice && f.Len() == 0) {
+				v, ok := quick.Value(f.Type(), rng)
+				if !ok {
+					t.Fatalf("%s: testing/quick cannot generate a %s", name, f.Type())
+				}
+				f.Set(v)
+			}
+			if root.Interface().(OrderedPartitionedConfig).isZero() {
+				t.Errorf("isZero ignores %s", name)
+			}
+			f.Set(reflect.Zero(f.Type()))
+		}
+	}
+	root := reflect.New(reflect.TypeOf(OrderedPartitionedConfig{})).Elem()
+	setEach(root, root, "OrderedPartitionedConfig")
+}

@@ -54,11 +54,12 @@ type VMStats struct {
 	PartitionSizes []int64
 }
 
-// OrderedPartitionedConfig configures OrderedPartitionedKVOutput (and is
-// reused, partitioner and codec fields only, by the unordered partitioned
-// output). The zero value of every field means "default" — most edges
-// carry no payload at all — and every field is written by the binary codec
-// in payload.go, which an addition must extend.
+// OrderedPartitionedConfig configures OrderedPartitionedKVOutput; the
+// unordered partitioned output decodes the same payload and reads
+// Partitioner and NoStats only. The zero value of every field means
+// "default" — most edges carry no payload at all (OrderedEdge encodes none
+// for the zero config) — and every field is written by the binary codec in
+// payload.go, which an addition must extend.
 type OrderedPartitionedConfig struct {
 	Partitioner PartitionerSpec
 	// NoStats suppresses the VMStats event to the consumer vertex manager
@@ -72,10 +73,9 @@ type OrderedPartitionedConfig struct {
 	// "flate", or a registered name); empty defers to the session's
 	// runtime.Services.Codec.
 	Codec string
-	// SortBytes overrides the sort-spill budget in bytes: > 0 caps the
-	// in-memory sort buffer, < 0 forces unbounded, 0 defers to the
-	// session's runtime.Services.SortMB. Mainly for tests — the session
-	// knob speaks megabytes.
+	// SortBytes is the sort-spill budget in bytes: > 0 caps the in-memory
+	// sort buffer, anything else leaves it unbounded (no spills). There is
+	// no session-wide budget; an edge that must spill says so here.
 	SortBytes int64
 }
 
@@ -87,7 +87,7 @@ const (
 	DefaultFetchParallelism = 4
 	// DefaultMergeFactor bounds how many sorted runs the reduce side
 	// merges at once; above it, arrived runs are pre-merged while
-	// stragglers are still fetching.
+	// stragglers are still fetching. It is a constant, not a knob.
 	DefaultMergeFactor = 64
 )
 
@@ -97,43 +97,27 @@ type shuffleKnobs struct {
 	codec            string // wire block codec name; "" or "none" = raw
 	sortBytes        int64  // map-side sort budget; 0 = unbounded
 	fetchParallelism int    // fetcher-pool size, at least 1
-	mergeFactor      int    // reduce-side merge width; 0 = no intermediate merges
 }
 
-// resolveShuffleKnobs is the one place a shuffle knob gets its value: the
-// per-edge payload where it has the field, then the session value in
-// Services (am.Config.Shuffle*), then the library default. Inputs carry no
-// payload and pass the zero config.
+// resolveShuffleKnobs is the one place a shuffle knob gets its value. The
+// codec has two tiers — the per-edge payload, then the session value in
+// Services (am.Config.ShuffleCodec) — the sort budget is per edge only and
+// the fetcher pool per session only; each falls back to the library
+// default. Inputs carry no payload and pass the zero config.
 func resolveShuffleKnobs(edge OrderedPartitionedConfig, svc runtime.Services) shuffleKnobs {
 	k := shuffleKnobs{
 		codec:            edge.Codec,
-		sortBytes:        edge.SortBytes,
+		sortBytes:        max(edge.SortBytes, 0),
 		fetchParallelism: svc.FetchParallelism,
-		mergeFactor:      svc.MergeFactor,
 	}
 	if k.codec == "" {
 		k.codec = svc.Codec
-	}
-	if k.sortBytes == 0 {
-		k.sortBytes = int64(svc.SortMB) << 20
-	}
-	if k.sortBytes < 0 {
-		k.sortBytes = 0 // negative at either tier forces unbounded
 	}
 	if k.fetchParallelism == 0 {
 		k.fetchParallelism = DefaultFetchParallelism
 	}
 	if k.fetchParallelism < 1 {
 		k.fetchParallelism = 1 // serial
-	}
-	if k.mergeFactor == 0 {
-		k.mergeFactor = DefaultMergeFactor
-	}
-	switch {
-	case k.mergeFactor < 0:
-		k.mergeFactor = 0 // negative disables intermediate merges
-	case k.mergeFactor < 2:
-		k.mergeFactor = 2 // narrower than a pair is meaningless
 	}
 	return k
 }
@@ -142,7 +126,7 @@ func resolveShuffleKnobs(edge OrderedPartitionedConfig, svc runtime.Services) sh
 // in-process analog of Tez's ExternalSorter + IFile. Records are appended
 // to a contiguous byte arena with a compact index; the index is sorted
 // into (partition, key, value) order on its cached key prefixes; a
-// configured memory budget (SortBytes / SortMB) spills sorted encoded
+// configured memory budget (SortBytes) spills sorted encoded
 // runs, each optionally pre-aggregated by a registered combiner; Close
 // merges spills with the in-memory remainder per partition (fanned out
 // across a small worker pool), compresses each partition with the
@@ -333,44 +317,13 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 		o.recordSpan(timeline.ShuffleMerge, "final "+o.ctx.Name, time.Since(mergeStart), totalRaw)
 	}
 
-	id := shuffle.OutputID{
-		DAG:     o.ctx.Meta.DAG,
-		Vertex:  o.ctx.Meta.Vertex,
-		Name:    o.ctx.Name,
-		Task:    o.ctx.Meta.Task,
-		Attempt: o.ctx.Meta.Attempt,
-	}
-	if err := o.ctx.Services.Shuffle.Register(o.ctx.Services.Node, id, wire, o.ctx.Services.Token); err != nil {
-		return nil, err
-	}
 	codecName := ""
 	if o.codec != nil {
 		codecName = o.codec.Name()
 	}
-	events := make([]event.Event, 0, o.parts+1)
-	for i := 0; i < o.parts; i++ {
-		events = append(events, event.DataMovement{
-			SrcVertex:      o.ctx.Meta.Vertex,
-			SrcTask:        o.ctx.Meta.Task,
-			SrcAttempt:     o.ctx.Meta.Attempt,
-			SrcOutputIndex: i,
-			TargetVertex:   o.ctx.Name,
-			Payload: plugin.MustEncode(DMInfo{
-				ID:        id,
-				Partition: i,
-				Size:      int64(len(wire[i])),
-				RawSize:   rawSizes[i],
-				Codec:     codecName,
-			}),
-		})
-	}
-	if !o.cfg.NoStats {
-		events = append(events, event.VertexManagerEvent{
-			TargetVertex: o.ctx.Name,
-			SrcVertex:    o.ctx.Meta.Vertex,
-			SrcTask:      o.ctx.Meta.Task,
-			Payload:      plugin.MustEncode(VMStats{PartitionSizes: rawSizes}),
-		})
+	events, err := announce(o.ctx, wire, rawSizes, codecName, !o.cfg.NoStats)
+	if err != nil {
+		return nil, err
 	}
 	// Register copied the partitions, so every producer-side buffer is
 	// recyclable from here.
@@ -382,6 +335,56 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	sortBufferPool.Put(o.sb)
 	o.sb = nil
 	o.spills = nil
+	return events, nil
+}
+
+// announce is the last step of every shuffle output: it registers one
+// attempt's partitions with the node's shuffle service under the attempt's
+// OutputID and returns the events that make them fetchable — one
+// DataMovement per partition and, with stats, one VMStats for the
+// consumer's vertex manager. rawSizes are the pre-codec sizes of the
+// ordered output; the unordered outputs pass nil (their DMInfo carries no
+// RawSize and their statistics are the registered sizes).
+func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec string, stats bool) ([]event.Event, error) {
+	id := shuffle.OutputID{
+		DAG:     ctx.Meta.DAG,
+		Vertex:  ctx.Meta.Vertex,
+		Name:    ctx.Name,
+		Task:    ctx.Meta.Task,
+		Attempt: ctx.Meta.Attempt,
+	}
+	if err := ctx.Services.Shuffle.Register(ctx.Services.Node, id, parts, ctx.Services.Token); err != nil {
+		return nil, err
+	}
+	events := make([]event.Event, 0, len(parts)+1)
+	statSizes := rawSizes
+	if stats && rawSizes == nil {
+		statSizes = make([]int64, len(parts))
+	}
+	for i, p := range parts {
+		info := DMInfo{ID: id, Partition: i, Size: int64(len(p)), Codec: codec}
+		if rawSizes != nil {
+			info.RawSize = rawSizes[i]
+		} else if stats {
+			statSizes[i] = info.Size
+		}
+		events = append(events, event.DataMovement{
+			SrcVertex:      ctx.Meta.Vertex,
+			SrcTask:        ctx.Meta.Task,
+			SrcAttempt:     ctx.Meta.Attempt,
+			SrcOutputIndex: i,
+			TargetVertex:   ctx.Name,
+			Payload:        plugin.MustEncode(info),
+		})
+	}
+	if stats {
+		events = append(events, event.VertexManagerEvent{
+			TargetVertex: ctx.Name,
+			SrcVertex:    ctx.Meta.Vertex,
+			SrcTask:      ctx.Meta.Task,
+			Payload:      plugin.MustEncode(VMStats{PartitionSizes: statSizes}),
+		})
+	}
 	return events, nil
 }
 
@@ -458,6 +461,9 @@ type fetchSet struct {
 	ctx     *runtime.Context
 	knobs   shuffleKnobs
 	fetcher *shuffle.Fetcher // shared by all fetcher goroutines
+	// mergeFactor is DefaultMergeFactor; a field so tests can narrow it
+	// (0 disables intermediate merges).
+	mergeFactor int
 
 	mu   sync.Mutex
 	work *sync.Cond
@@ -492,15 +498,16 @@ type fetchSet struct {
 
 func newFetchSet(ctx *runtime.Context) *fetchSet {
 	fs := &fetchSet{
-		ctx:      ctx,
-		fetcher:  &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
-		knobs:    resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
-		expect:   make(map[int]int),
-		runs:     make(map[int][]byte),
-		merged:   make(map[int]bool),
-		inflight: make(map[int]bool),
-		stash:    make(map[int][]event.DataMovement),
-		quit:     make(chan struct{}),
+		ctx:         ctx,
+		fetcher:     &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
+		knobs:       resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
+		mergeFactor: DefaultMergeFactor,
+		expect:      make(map[int]int),
+		runs:        make(map[int][]byte),
+		merged:      make(map[int]bool),
+		inflight:    make(map[int]bool),
+		stash:       make(map[int][]event.DataMovement),
+		quit:        make(chan struct{}),
 	}
 	fs.work = sync.NewCond(&fs.mu)
 	fs.done = sync.NewCond(&fs.mu)
@@ -920,9 +927,9 @@ func (in *OrderedGroupedKVInput) HandleEvent(ev event.Event) error { return in.f
 func (in *OrderedGroupedKVInput) Start() error { in.fs.start(); return nil }
 
 // Reader blocks for all inputs (merging early arrivals along the way),
-// then returns a GroupedKVReader over at most MergeFactor runs.
+// then returns a GroupedKVReader over at most DefaultMergeFactor runs.
 func (in *OrderedGroupedKVInput) Reader() (any, error) {
-	runs, err := in.fs.collectMerged(in.fs.knobs.mergeFactor)
+	runs, err := in.fs.collectMerged(in.fs.mergeFactor)
 	if err != nil {
 		return nil, err
 	}

@@ -119,12 +119,20 @@ func TestSpillOutputByteIdentical(t *testing.T) {
 // grouped input and drains it into a key->joined-values map.
 func consumeGrouped(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks int) map[string]string {
 	t.Helper()
+	return consumeGroupedMerging(t, svc, events, partition, srcTasks, DefaultMergeFactor)
+}
+
+// consumeGroupedMerging is consumeGrouped with the merge width narrowed
+// through the fetch set's test seam (0 disables intermediate merges).
+func consumeGroupedMerging(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks, mergeFactor int) map[string]string {
+	t.Helper()
 	in := &OrderedGroupedKVInput{}
 	meta := runtime.Meta{DAG: "d", Vertex: "red", Task: partition, Attempt: 0}
 	ctx := ctxFor(svc, meta, "map", nil, srcTasks)
 	if err := in.Initialize(ctx); err != nil {
 		t.Fatal(err)
 	}
+	in.fs.mergeFactor = mergeFactor
 	if err := in.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +209,8 @@ func TestFlateCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecKnobResolution checks the edge payload → session (Services) →
-// library default chain for the codec, sort-budget and merge-factor knobs.
+// library default chain for the codec, the per-edge sort budget and the
+// constant merge width.
 func TestCodecKnobResolution(t *testing.T) {
 	svc := testServices(t)
 	mk := func(svc runtime.Services, payload []byte) *OrderedPartitionedKVOutput {
@@ -217,21 +226,19 @@ func TestCodecKnobResolution(t *testing.T) {
 	}
 	svc2 := svc
 	svc2.Codec = "flate"
-	svc2.SortMB = 2
-	if o := mk(svc2, nil); o.codec == nil || o.codec.Name() != "flate" || o.limit != 2<<20 {
+	if o := mk(svc2, nil); o.codec == nil || o.codec.Name() != "flate" || o.limit != 0 {
 		t.Fatalf("services knobs not honoured: codec=%v limit=%d", o.codec, o.limit)
 	}
-	// Payload overrides Services.
+	// Payload overrides Services; a negative budget is unbounded.
 	payload := plugin.MustEncode(OrderedPartitionedConfig{Codec: "none", SortBytes: -1})
 	if o := mk(svc2, payload); o.codec != nil || o.limit != 0 {
 		t.Fatalf("payload override lost: codec=%v limit=%d", o.codec, o.limit)
 	}
-	for session, want := range map[int]int{0: DefaultMergeFactor, 7: 7, 1: 2, -1: 0} {
-		svc2.MergeFactor = session
-		fs := newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1))
-		if got := fs.knobs.mergeFactor; got != want {
-			t.Fatalf("session merge factor %d resolved to %d, want %d", session, got, want)
-		}
+	if o := mk(svc2, plugin.MustEncode(OrderedPartitionedConfig{SortBytes: 4096})); o.limit != 4096 {
+		t.Fatalf("per-edge sort budget lost: limit=%d", o.limit)
+	}
+	if fs := newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1)); fs.mergeFactor != DefaultMergeFactor {
+		t.Fatalf("merge factor %d, want the constant %d", fs.mergeFactor, DefaultMergeFactor)
 	}
 	if err := func() error {
 		o := &OrderedPartitionedKVOutput{}
@@ -254,7 +261,6 @@ func TestMergeFactorBoundsAndOverlap(t *testing.T) {
 		tl := timeline.New()
 		svc.Counters = ctr
 		svc.Timeline = tl
-		svc.MergeFactor = factor
 		var all []event.Event
 		for s := 0; s < srcTasks; s++ {
 			evs, _ := produceCfg(t, svc, nil, s, parts, func(w runtime.KVWriter) {
@@ -266,10 +272,10 @@ func TestMergeFactorBoundsAndOverlap(t *testing.T) {
 			})
 			all = append(all, evs...)
 		}
-		return consumeGrouped(t, svc, all, 0, srcTasks), ctr, tl
+		return consumeGroupedMerging(t, svc, all, 0, srcTasks, factor), ctr, tl
 	}
 	bounded, ctr, tl := run(2)
-	unbounded, _, _ := run(-1)
+	unbounded, _, _ := run(0)
 	if len(bounded) == 0 {
 		t.Fatal("no groups read")
 	}

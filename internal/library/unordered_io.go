@@ -2,65 +2,14 @@ package library
 
 import (
 	"tez/internal/event"
-	"tez/internal/plugin"
 	"tez/internal/runtime"
-	"tez/internal/shuffle"
 )
 
-// Registered names of the unordered transports (broadcast and one-to-one
-// edges).
-const (
-	UnorderedOutputName = "tez.unordered_output"
-	UnorderedInputName  = "tez.unordered_input"
-)
+// UnorderedInputName is the consumer side of every unsorted output.
+const UnorderedInputName = "tez.unordered_input"
 
 func init() {
-	runtime.RegisterOutput(UnorderedOutputName, func() runtime.Output { return &UnorderedKVOutput{} })
 	runtime.RegisterInput(UnorderedInputName, func() runtime.Input { return &UnorderedKVInput{} })
-}
-
-// UnorderedKVOutput writes a single unsorted partition and announces it
-// with one DataMovement event — the transport of broadcast and one-to-one
-// edges.
-type UnorderedKVOutput struct {
-	ctx *runtime.Context
-	buf []byte
-}
-
-// Initialize stores the context.
-func (o *UnorderedKVOutput) Initialize(ctx *runtime.Context) error {
-	o.ctx = ctx
-	return nil
-}
-
-// Writer returns a runtime.KVWriter appending to the single partition.
-func (o *UnorderedKVOutput) Writer() (any, error) {
-	return kvWriterFunc(func(k, v []byte) error {
-		o.buf = AppendRecord(o.buf, k, v)
-		return nil
-	}), nil
-}
-
-// Close registers the partition and announces it.
-func (o *UnorderedKVOutput) Close() ([]event.Event, error) {
-	id := shuffle.OutputID{
-		DAG:     o.ctx.Meta.DAG,
-		Vertex:  o.ctx.Meta.Vertex,
-		Name:    o.ctx.Name,
-		Task:    o.ctx.Meta.Task,
-		Attempt: o.ctx.Meta.Attempt,
-	}
-	if err := o.ctx.Services.Shuffle.Register(o.ctx.Services.Node, id, [][]byte{o.buf}, o.ctx.Services.Token); err != nil {
-		return nil, err
-	}
-	return []event.Event{event.DataMovement{
-		SrcVertex:      o.ctx.Meta.Vertex,
-		SrcTask:        o.ctx.Meta.Task,
-		SrcAttempt:     o.ctx.Meta.Attempt,
-		SrcOutputIndex: 0,
-		TargetVertex:   o.ctx.Name,
-		Payload:        plugin.MustEncode(DMInfo{ID: id, Partition: 0, Size: int64(len(o.buf))}),
-	}}, nil
 }
 
 // UnorderedKVInput fetches its physical inputs and exposes them as one

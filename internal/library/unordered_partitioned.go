@@ -6,27 +6,38 @@ import (
 	"tez/internal/event"
 	"tez/internal/plugin"
 	"tez/internal/runtime"
-	"tez/internal/shuffle"
 )
 
-// UnorderedPartitionedOutputName is the partitioned-but-unsorted map-side
-// transport (Tez's UnorderedPartitionedKVOutput): rows are bucketed by the
-// partitioner without any ordering guarantee, for consumers that do not
-// need sorted/grouped input (e.g. repartitioning jobs). Pair it with
-// UnorderedInputName on a scatter-gather edge.
-const UnorderedPartitionedOutputName = "tez.unordered_partitioned_output"
+// Registered names of the unsorted outputs. UnorderedPartitionedOutputName
+// is the partitioned-but-unsorted map-side transport (Tez's
+// UnorderedPartitionedKVOutput): rows are bucketed by the partitioner
+// without any ordering guarantee, for consumers that do not need
+// sorted/grouped input (e.g. repartitioning jobs). UnorderedOutputName is
+// the same output in its one-partition form — the transport of broadcast
+// and one-to-one edges, where every consumer reads the whole output.
+const (
+	UnorderedOutputName            = "tez.unordered_output"
+	UnorderedPartitionedOutputName = "tez.unordered_partitioned_output"
+)
 
 func init() {
+	runtime.RegisterOutput(UnorderedOutputName, func() runtime.Output {
+		return &UnorderedPartitionedKVOutput{single: true}
+	})
 	runtime.RegisterOutput(UnorderedPartitionedOutputName, func() runtime.Output {
 		return &UnorderedPartitionedKVOutput{}
 	})
 }
 
 // UnorderedPartitionedKVOutput buckets pairs by the configured partitioner
-// and registers the unsorted partitions with the shuffle service.
+// and registers the unsorted partitions with the shuffle service. In the
+// one-partition form it reads no configuration, asks no partitioner and
+// sends no statistics: there is one bucket whatever the edge manager's
+// physical count, and no consumer parallelism to estimate from it.
 type UnorderedPartitionedKVOutput struct {
 	ctx         *runtime.Context
-	cfg         OrderedPartitionedConfig // same config shape (partitioner + stats)
+	single      bool
+	cfg         OrderedPartitionedConfig // Partitioner and NoStats only
 	partitioner Partitioner
 	parts       [][]byte
 }
@@ -34,6 +45,10 @@ type UnorderedPartitionedKVOutput struct {
 // Initialize decodes configuration and prepares partition buffers.
 func (o *UnorderedPartitionedKVOutput) Initialize(ctx *runtime.Context) error {
 	o.ctx = ctx
+	if o.single {
+		o.parts = make([][]byte, 1)
+		return nil
+	}
 	if len(ctx.Payload) > 0 {
 		if err := plugin.Decode(ctx.Payload, &o.cfg); err != nil {
 			return err
@@ -53,6 +68,12 @@ func (o *UnorderedPartitionedKVOutput) Initialize(ctx *runtime.Context) error {
 
 // Writer returns a runtime.KVWriter bucketing into partitions.
 func (o *UnorderedPartitionedKVOutput) Writer() (any, error) {
+	if o.single {
+		return kvWriterFunc(func(k, v []byte) error {
+			o.parts[0] = AppendRecord(o.parts[0], k, v)
+			return nil
+		}), nil
+	}
 	return kvWriterFunc(func(k, v []byte) error {
 		p := o.partitioner.Partition(k, len(o.parts))
 		if p < 0 || p >= len(o.parts) {
@@ -65,36 +86,5 @@ func (o *UnorderedPartitionedKVOutput) Writer() (any, error) {
 
 // Close registers and announces the partitions.
 func (o *UnorderedPartitionedKVOutput) Close() ([]event.Event, error) {
-	id := shuffle.OutputID{
-		DAG:     o.ctx.Meta.DAG,
-		Vertex:  o.ctx.Meta.Vertex,
-		Name:    o.ctx.Name,
-		Task:    o.ctx.Meta.Task,
-		Attempt: o.ctx.Meta.Attempt,
-	}
-	if err := o.ctx.Services.Shuffle.Register(o.ctx.Services.Node, id, o.parts, o.ctx.Services.Token); err != nil {
-		return nil, err
-	}
-	events := make([]event.Event, 0, len(o.parts)+1)
-	sizes := make([]int64, len(o.parts))
-	for i, p := range o.parts {
-		sizes[i] = int64(len(p))
-		events = append(events, event.DataMovement{
-			SrcVertex:      o.ctx.Meta.Vertex,
-			SrcTask:        o.ctx.Meta.Task,
-			SrcAttempt:     o.ctx.Meta.Attempt,
-			SrcOutputIndex: i,
-			TargetVertex:   o.ctx.Name,
-			Payload:        plugin.MustEncode(DMInfo{ID: id, Partition: i, Size: sizes[i]}),
-		})
-	}
-	if !o.cfg.NoStats {
-		events = append(events, event.VertexManagerEvent{
-			TargetVertex: o.ctx.Name,
-			SrcVertex:    o.ctx.Meta.Vertex,
-			SrcTask:      o.ctx.Meta.Task,
-			Payload:      plugin.MustEncode(VMStats{PartitionSizes: sizes}),
-		})
-	}
-	return events, nil
+	return announce(o.ctx, o.parts, nil, "", !o.single && !o.cfg.NoStats)
 }

@@ -49,34 +49,15 @@ func BuildDAG(j JobConf) (*dag.DAG, error) {
 	}
 	d := dag.New(j.Name)
 	m := d.AddVertex("map", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: j.Map}), -1)
-	m.Sources = []dag.DataSource{{
-		Name:  "input",
-		Input: plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-			Paths:            j.InputPaths,
-			DesiredSplitSize: j.SplitSize,
-		}),
-	}}
-	sink := dag.DataSink{
-		Name:      "output",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: j.OutputPath}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: j.OutputPath}),
-	}
+	m.Sources = []dag.DataSource{library.DFSSource("input", j.InputPaths, j.SplitSize)}
+	sink := library.DFSSink("output", j.OutputPath)
 	if j.Reduce == "" {
 		m.Sinks = []dag.DataSink{sink}
 		return d, nil
 	}
 	r := d.AddVertex("reduce", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: j.Reduce}), j.Reducers)
 	r.Sinks = []dag.DataSink{sink}
-	var outPayload any
-	if j.Combiner != "" {
-		outPayload = library.OrderedPartitionedConfig{Combiner: j.Combiner}
-	}
-	d.Connect(m, r, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, outPayload),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	d.Connect(m, r, library.OrderedEdge(library.OrderedPartitionedConfig{Combiner: j.Combiner}))
 	return d, nil
 }
 

@@ -30,17 +30,6 @@ func StitchWorkflow(name string, jobs []JobConf) (*dag.DAG, error) {
 	d := dag.New(name)
 	var prev *dag.Vertex // tail vertex of the previous job
 
-	sgEdge := dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	}
-	oneToOne := dag.EdgeProperty{
-		Movement: dag.OneToOne,
-		Output:   plugin.Desc(library.UnorderedOutputName, nil),
-		Input:    plugin.Desc(library.UnorderedInputName, nil),
-	}
-
 	for i, j := range jobs {
 		j = j.withDefaults()
 		if j.Map == "" {
@@ -56,36 +45,25 @@ func StitchWorkflow(name string, jobs []JobConf) (*dag.DAG, error) {
 		m := d.AddVertex(fmt.Sprintf("map%d", i),
 			plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: j.Map}), -1)
 		if i == 0 {
-			m.Sources = []dag.DataSource{{
-				Name:  "input",
-				Input: plugin.Desc(library.DFSSourceInputName, nil),
-				Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-					Paths:            j.InputPaths,
-					DesiredSplitSize: j.SplitSize,
-				}),
-			}}
+			m.Sources = []dag.DataSource{library.DFSSource("input", j.InputPaths, j.SplitSize)}
 		} else {
 			// The stitched boundary: one-to-one from the previous tail;
 			// parallelism is inherited through the edge.
-			d.Connect(prev, m, oneToOne)
+			d.Connect(prev, m, library.OneToOneEdge())
 		}
 
 		tail := m
 		if j.Reduce != "" {
 			r := d.AddVertex(fmt.Sprintf("reduce%d", i),
 				plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: j.Reduce}), j.Reducers)
-			d.Connect(m, r, sgEdge)
+			d.Connect(m, r, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 			tail = r
 		}
 		if i == len(jobs)-1 {
 			if j.OutputPath == "" {
 				return nil, fmt.Errorf("mapreduce: final job needs an output path")
 			}
-			tail.Sinks = []dag.DataSink{{
-				Name:      "output",
-				Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: j.OutputPath}),
-				Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: j.OutputPath}),
-			}}
+			tail.Sinks = []dag.DataSink{library.DFSSink("output", j.OutputPath)}
 		}
 		prev = tail
 	}

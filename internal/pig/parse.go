@@ -133,7 +133,7 @@ func tokenize(src string) ([]stmtTok, error) {
 
 // stmtParser walks a single statement's tokens.
 type stmtParser struct {
-	src  string
+	src  []rune // token offsets index runes, not bytes
 	toks []stmtTok
 	pos  int
 }
@@ -236,7 +236,7 @@ func (p *stmtParser) exprUntil(schema row.Schema, stops ...string) (*relop.Expr,
 	if p.pos == start {
 		return nil, fmt.Errorf("empty expression near %q", p.peek().text)
 	}
-	span := p.src[p.toks[start].start:p.toks[p.pos-1].end]
+	span := string(p.src[p.toks[start].start:p.toks[p.pos-1].end])
 	return relop.ParseExpr(span, schema)
 }
 
@@ -245,7 +245,7 @@ func parseStatement(s *Script, env map[string]*Dataset, cat Catalog, src string,
 	if err != nil {
 		return err
 	}
-	p := &stmtParser{src: src, toks: toks}
+	p := &stmtParser{src: []rune(src), toks: toks}
 
 	// Non-assignment forms first.
 	if p.kw("split") {

@@ -172,3 +172,95 @@ func TestSplitStatements(t *testing.T) {
 		}
 	}
 }
+
+// exprStrings renders expressions for comparison across the two front
+// doors (script text and the Dataset API).
+func exprStrings(es ...*relop.Expr) []string {
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = e.String()
+	}
+	return out
+}
+
+// TestParseNonASCIIBeforeExpression: token offsets index runes, so a
+// multi-byte rune anywhere before the end of an expression must not
+// shorten (or shift) the text handed to the expression parser. Sliced as
+// bytes, `age >= 18` after 'dé' parsed as `age >= 1` and `age + 10` as
+// `age + 1`, silently.
+func TestParseNonASCIIBeforeExpression(t *testing.T) {
+	plat, sess, cat := parseSetup(t)
+	script := `
+	u = LOAD 'users';
+	adults = FILTER u BY country != 'dé' AND age >= 18;
+	f = FOREACH u GENERATE uid, country == 'dé' AS isde, age + 10 AS older;
+	SPLIT u INTO grown IF country != 'dé' AND age >= 18, minor IF age < 18;
+	STORE adults INTO '/out/na_adults';
+	STORE f INTO '/out/na_f';
+	STORE grown INTO '/out/na_grown';
+	STORE minor INTO '/out/na_minor';
+	`
+	s, err := ParseScript("na", script, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	api := NewScript("api")
+	u := api.Load(cat["users"])
+	pred := relop.And(
+		relop.Cmp("!=", u.Col("country"), relop.LitString("dé")),
+		relop.Cmp(">=", u.Col("age"), relop.LitInt(18)))
+	wantPred := pred.String()
+	wantExprs := exprStrings(
+		u.Col("uid"),
+		relop.Eq(u.Col("country"), relop.LitString("dé")),
+		relop.Arith("+", u.Col("age"), relop.LitInt(10)))
+	wantMinor := relop.Cmp("<", u.Col("age"), relop.LitInt(18)).String()
+
+	roots := s.Roots()
+	if len(roots) != 4 {
+		t.Fatalf("%d stores", len(roots))
+	}
+	adults, f, grown, minor := roots[0].Children[0], roots[1].Children[0], roots[2].Children[0], roots[3].Children[0]
+	if got := adults.Filter.String(); got != wantPred {
+		t.Errorf("FILTER predicate = %s, want %s", got, wantPred)
+	}
+	if got := exprStrings(f.Exprs...); strings.Join(got, "; ") != strings.Join(wantExprs, "; ") {
+		t.Errorf("FOREACH expressions = %v, want %v", got, wantExprs)
+	}
+	if got := grown.Filter.String(); got != wantPred {
+		t.Errorf("SPLIT first predicate = %s, want %s", got, wantPred)
+	}
+	if got := minor.Filter.String(); got != wantMinor {
+		t.Errorf("SPLIT second predicate = %s, want %s", got, wantMinor)
+	}
+
+	// The same rows as the API-built filter: uids 1, 2, 3 (uid 4 is 17).
+	api.Store(u.Filter(pred), "/out/na_api")
+	for _, sc := range []*Script{s, api} {
+		if res, err := sc.RunTez(sess); err != nil || res.Status != am.DAGSucceeded {
+			t.Fatalf("%s: %v %v", sc.Name, res.Status, err)
+		}
+	}
+	uids := func(path string) []int64 {
+		rows, err := relop.ReadStored(plat.FS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []int64
+		for _, r := range rows {
+			out = append(out, r[0].Int)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		return out
+	}
+	want := uids("/out/na_api")
+	if len(want) != 3 {
+		t.Fatalf("API filter kept %v", want)
+	}
+	for _, path := range []string{"/out/na_adults", "/out/na_grown"} {
+		if got := uids(path); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+			t.Errorf("%s kept uids %v, want %v", path, got, want)
+		}
+	}
+}

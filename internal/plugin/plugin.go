@@ -63,7 +63,8 @@ var (
 
 // Register installs a factory for (kind, name). Factories are usually
 // registered from init functions; re-registration replaces (tests).
-// The factory's concrete type is owned by the consuming package.
+// The factory is a func() T for the consuming package's entity type T,
+// which is what New asserts.
 func Register(kind Kind, name string, factory any) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -75,15 +76,22 @@ func Register(kind Kind, name string, factory any) {
 	m[name] = factory
 }
 
-// Lookup returns the factory for (kind, name).
-func Lookup(kind Kind, name string) (any, error) {
+// New instantiates the implementation registered for (kind, d.Name). T is
+// the entity's interface in the consuming package; its factories are
+// registered as func() T.
+func New[T any](kind Kind, d Descriptor) (T, error) {
 	regMu.RLock()
-	defer regMu.RUnlock()
-	f, ok := registry[kind][name]
+	f, ok := registry[kind][d.Name]
+	regMu.RUnlock()
+	var zero T
 	if !ok {
-		return nil, fmt.Errorf("plugin: no %s registered as %q", kind, name)
+		return zero, fmt.Errorf("plugin: no %s registered as %q", kind, d.Name)
 	}
-	return f, nil
+	factory, ok := f.(func() T)
+	if !ok {
+		return zero, fmt.Errorf("plugin: %s %q has factory type %T", kind, d.Name, f)
+	}
+	return factory(), nil
 }
 
 // Names lists registered names for a kind, sorted (diagnostics).

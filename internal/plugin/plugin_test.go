@@ -7,30 +7,25 @@ import (
 )
 
 func TestRegisterLookup(t *testing.T) {
-	type factory func() int
-	Register(KindProcessor, "pt.one", factory(func() int { return 1 }))
-	Register(KindProcessor, "pt.two", factory(func() int { return 2 }))
-	Register(KindInput, "pt.one", factory(func() int { return 3 })) // same name, other kind
+	Register(KindProcessor, "pt.one", func() int { return 1 })
+	Register(KindProcessor, "pt.two", func() int { return 2 })
+	Register(KindInput, "pt.one", func() int { return 3 }) // same name, other kind
 
-	f, err := Lookup(KindProcessor, "pt.one")
-	if err != nil {
-		t.Fatal(err)
+	if got, err := New[int](KindProcessor, Descriptor{Name: "pt.one"}); err != nil || got != 1 {
+		t.Fatalf("got %d, %v", got, err)
 	}
-	if got := f.(factory)(); got != 1 {
-		t.Fatalf("got %d", got)
+	if got, err := New[int](KindInput, Descriptor{Name: "pt.one"}); err != nil || got != 3 {
+		t.Fatalf("kinds collided: got %d, %v", got, err)
 	}
-	f, err = Lookup(KindInput, "pt.one")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.(factory)(); got != 3 {
-		t.Fatalf("kinds collided: got %d", got)
-	}
-	if _, err := Lookup(KindOutput, "pt.one"); err == nil {
+	if _, err := New[int](KindOutput, Descriptor{Name: "pt.one"}); err == nil {
 		t.Fatal("lookup across kinds succeeded")
 	}
-	if _, err := Lookup(KindProcessor, "pt.missing"); err == nil {
+	if _, err := New[int](KindProcessor, Descriptor{Name: "pt.missing"}); err == nil {
 		t.Fatal("missing lookup succeeded")
+	}
+	// A factory registered for another entity type is an error, not a panic.
+	if _, err := New[string](KindProcessor, Descriptor{Name: "pt.one"}); err == nil || !strings.Contains(err.Error(), "func() int") {
+		t.Fatalf("factory of the wrong type: %v", err)
 	}
 
 	names := Names(KindProcessor)
@@ -44,9 +39,8 @@ func TestRegisterLookup(t *testing.T) {
 		t.Fatalf("Names = %v", names)
 	}
 	// Re-registration replaces.
-	Register(KindProcessor, "pt.one", factory(func() int { return 11 }))
-	f, _ = Lookup(KindProcessor, "pt.one")
-	if got := f.(factory)(); got != 11 {
+	Register(KindProcessor, "pt.one", func() int { return 11 })
+	if got, _ := New[int](KindProcessor, Descriptor{Name: "pt.one"}); got != 11 {
 		t.Fatalf("re-registration ignored: %d", got)
 	}
 }

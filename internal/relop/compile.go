@@ -190,10 +190,7 @@ func withAll(cs []cursor, op PipeOp) []cursor {
 
 func (c *Compiler) compileScan(n *Node) ([]cursor, error) {
 	st := c.newStage("scan_" + n.Table.Name)
-	src := dag.DataSource{
-		Name:  "src",
-		Input: plugin.Desc(library.DFSSourceInputName, nil),
-	}
+	src := library.DFSSource("src", n.Table.Files, c.cfg.SplitSize)
 	if n.Prune != nil {
 		if c.forMR {
 			return nil, fmt.Errorf("relop: dynamic partition pruning requires the Tez backend")
@@ -202,11 +199,6 @@ func (c *Compiler) compileScan(n *Node) ([]cursor, error) {
 		// placeholder resolved in finishPruning.
 		c.pending = append(c.pending, pendingPrune{node: n, stage: st})
 		src.Initializer = plugin.Descriptor{Name: PruneInitializerName}
-	} else {
-		src.Initializer = plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-			Paths:            n.Table.Files,
-			DesiredSplitSize: c.cfg.SplitSize,
-		})
 	}
 	st.sources = append(st.sources, src)
 	st.spec.Inputs = append(st.spec.Inputs, StageInput{Name: "src", Mode: InSource})
@@ -387,11 +379,7 @@ func (c *Compiler) compileStore(n *Node) error {
 	for _, cur := range in {
 		c.sinkSeq++
 		sinkName := fmt.Sprintf("sink%02d", c.sinkSeq)
-		cur.st.sinks = append(cur.st.sinks, dag.DataSink{
-			Name:      sinkName,
-			Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: n.StorePath}),
-			Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: n.StorePath}),
-		})
+		cur.st.sinks = append(cur.st.sinks, library.DFSSink(sinkName, n.StorePath))
 		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
 			Input: cur.input, Output: sinkName, Kind: EmitSink,
 			Pipe: cur.pipe, Tag: -1,
@@ -479,17 +467,9 @@ func (c *Compiler) emitDAG(name string, stages []*bStage) (*dag.DAG, error) {
 			var prop dag.EdgeProperty
 			switch e.movement {
 			case dag.ScatterGather:
-				prop = dag.EdgeProperty{
-					Movement: dag.ScatterGather,
-					Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-					Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-				}
+				prop = library.OrderedEdge(library.OrderedPartitionedConfig{})
 			case dag.Broadcast:
-				prop = dag.EdgeProperty{
-					Movement: dag.Broadcast,
-					Output:   plugin.Desc(library.UnorderedOutputName, nil),
-					Input:    plugin.Desc(library.UnorderedInputName, nil),
-				}
+				prop = library.BroadcastEdge()
 			default:
 				return nil, fmt.Errorf("relop: unsupported movement %v", e.movement)
 			}

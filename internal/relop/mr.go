@@ -70,23 +70,16 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 				}
 			}
 		} else {
-			// Re-read the producer's materialised output.
-			sources = []dag.DataSource{{
-				Name:  "src",
-				Input: plugin.Desc(library.DFSSourceInputName, nil),
-				Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-					Paths:            []string{},
-					DesiredSplitSize: cfg.SplitSize,
-				}),
-			}}
-			// The initializer needs the committed part files; they are
-			// only known at run time, so point it at the directory via a
-			// glob-style prefix: the split initializer takes exact paths,
-			// so we record the temp DIRECTORY and resolve in RunMRJobs.
-			sources[0].Initializer = plugin.Desc(mrTempInitializerName, mrTempInitializerConfig{
+			// Re-read the producer's materialised output. The committed
+			// part files are only known at run time and the split
+			// initializer takes exact paths, so the source's own
+			// initializer is given the temp DIRECTORY and lists it then.
+			src := library.DFSSource("src", nil, 0)
+			src.Initializer = plugin.Desc(mrTempInitializerName, mrTempInitializerConfig{
 				Dir:              tempPath(p),
 				DesiredSplitSize: cfg.SplitSize,
 			})
+			sources = []dag.DataSource{src}
 			spec.Inputs = []StageInput{{Name: "src", Mode: InSource}}
 			for _, em := range p.spec.Emits {
 				if em.Output == g.name && em.Kind == EmitShuffle {
@@ -114,11 +107,7 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 				return nil, "", err
 			}
 			rspec.Inputs = append(rspec.Inputs, StageInput{Name: e.from.name, Mode: InGrouped})
-			d.Connect(mv, rv, dag.EdgeProperty{
-				Movement: dag.ScatterGather,
-				Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-				Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-			})
+			d.Connect(mv, rv, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 		}
 		if g.grouped && g.spec.Group.Kind == "sort" {
 			rv.Parallelism = cfg.SortParallelism
@@ -133,11 +122,7 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 		}
 		if len(consumers[g]) > 0 {
 			sinkName := "mr_temp"
-			rv.Sinks = append(rv.Sinks, dag.DataSink{
-				Name:      sinkName,
-				Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: tempPath(g)}),
-				Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: tempPath(g)}),
-			})
+			rv.Sinks = append(rv.Sinks, library.DFSSink(sinkName, tempPath(g)))
 			rspec.Emits = append(rspec.Emits, EmitSpec{Input: "", Output: sinkName, Kind: EmitSink, Tag: -1})
 		}
 		rv.Processor = plugin.Desc(StageProcessorName, rspec)

@@ -177,38 +177,24 @@ func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row
 	return nil
 }
 
-// ReadRecordFile reads all rows of one table record file.
+// ReadRecordFile reads all rows of one block-padded record file (a table
+// file or a committed part file).
 func ReadRecordFile(fs *dfs.FileSystem, path string) ([]row.Row, error) {
-	splits, err := fs.Splits(path, 0)
+	data, err := fs.ReadFile(path, "")
 	if err != nil {
 		return nil, err
 	}
 	var out []row.Row
-	for _, s := range splits {
-		data, err := fs.ReadAt(path, "", s.Offset, s.Length)
+	r := library.NewPaddedReader(data)
+	for r.Next() {
+		rr, err := row.Decode(r.Value())
 		if err != nil {
 			return nil, err
 		}
-		// Skip block padding between records.
-		for len(data) > 0 {
-			if data[0] == 0x00 {
-				data = data[1:]
-				continue
-			}
-			_, v, n, err := library.DecodeRecord(data)
-			if err != nil {
-				return nil, err
-			}
-			if n == 0 {
-				break
-			}
-			r, err := row.Decode(v)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, r)
-			data = data[n:]
-		}
+		out = append(out, rr)
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -217,21 +203,11 @@ func ReadRecordFile(fs *dfs.FileSystem, path string) ([]row.Row, error) {
 func ReadStored(fs *dfs.FileSystem, path string) ([]row.Row, error) {
 	var out []row.Row
 	for _, f := range fs.List(path + "/part-") {
-		data, err := fs.ReadFile(f, "")
+		rows, err := ReadRecordFile(fs, f)
 		if err != nil {
 			return nil, err
 		}
-		r := library.NewPaddedReader(data)
-		for r.Next() {
-			rr, err := row.Decode(r.Value())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rr)
-		}
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
+		out = append(out, rows...)
 	}
 	return out, nil
 }

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"tez/internal/dfs"
 	"tez/internal/event"
 	"tez/internal/mailbox"
@@ -52,25 +50,9 @@ type Initializer interface {
 	Run(ctx *InitializerContext) (*InitializerResult, error)
 }
 
-// InitializerFactory builds initializers.
-type InitializerFactory func() Initializer
-
 // RegisterInitializer installs an initializer factory.
-func RegisterInitializer(name string, f InitializerFactory) {
+func RegisterInitializer(name string, f func() Initializer) {
 	plugin.Register(plugin.KindInitializer, name, f)
-}
-
-// NewInitializer instantiates a registered initializer.
-func NewInitializer(d plugin.Descriptor) (Initializer, error) {
-	f, err := plugin.Lookup(plugin.KindInitializer, d.Name)
-	if err != nil {
-		return nil, err
-	}
-	inf, ok := f.(InitializerFactory)
-	if !ok {
-		return nil, fmt.Errorf("runtime: initializer %q factory has type %T", d.Name, f)
-	}
-	return inf(), nil
 }
 
 // CommitContext is handed to a committer after its vertex succeeds.
@@ -94,23 +76,7 @@ type Committer interface {
 	Commit(ctx *CommitContext) error
 }
 
-// CommitterFactory builds committers.
-type CommitterFactory func() Committer
-
 // RegisterCommitter installs a committer factory.
-func RegisterCommitter(name string, f CommitterFactory) {
+func RegisterCommitter(name string, f func() Committer) {
 	plugin.Register(plugin.KindCommitter, name, f)
-}
-
-// NewCommitter instantiates a registered committer.
-func NewCommitter(d plugin.Descriptor) (Committer, error) {
-	f, err := plugin.Lookup(plugin.KindCommitter, d.Name)
-	if err != nil {
-		return nil, err
-	}
-	cf, ok := f.(CommitterFactory)
-	if !ok {
-		return nil, fmt.Errorf("runtime: committer %q factory has type %T", d.Name, f)
-	}
-	return cf(), nil
 }

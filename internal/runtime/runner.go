@@ -61,7 +61,7 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 		}
 	}()
 
-	proc, err := NewProcessor(r.Spec.Processor)
+	proc, err := plugin.New[Processor](plugin.KindProcessor, r.Spec.Processor)
 	if err != nil {
 		return err
 	}
@@ -71,7 +71,9 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 	// Inputs are closed on every exit path: a shuffle input's fetcher pool
 	// and the runs it fetched live until Close, and stop is the container's
 	// kill channel, not the attempt's, so in a reused container nothing
-	// else would release them.
+	// else would release them. Inputs and outputs are started and closed
+	// in spec order, never map order, so the events a task announces and
+	// the error it reports do not vary from run to run.
 	inputsClosed := false
 	closeInputs := func() error {
 		if inputsClosed {
@@ -79,9 +81,13 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 		}
 		inputsClosed = true
 		var first error
-		for name, in := range inputs {
+		for _, spec := range r.Spec.Inputs {
+			in, ok := inputs[spec.Name] // absent when initialization stopped short
+			if !ok {
+				continue
+			}
 			if err := in.Close(); err != nil && first == nil {
-				first = fmt.Errorf("close input %s: %w", name, err)
+				first = fmt.Errorf("close input %s: %w", spec.Name, err)
 			}
 		}
 		return first
@@ -106,7 +112,7 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 		return fmt.Errorf("initialize processor: %w", err)
 	}
 	for _, spec := range r.Spec.Inputs {
-		in, err := NewInput(spec.Descriptor)
+		in, err := plugin.New[Input](plugin.KindInput, spec.Descriptor)
 		if err != nil {
 			return err
 		}
@@ -116,7 +122,7 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 		inputs[spec.Name] = in
 	}
 	for _, spec := range r.Spec.Outputs {
-		out, err := NewOutput(spec.Descriptor)
+		out, err := plugin.New[Output](plugin.KindOutput, spec.Descriptor)
 		if err != nil {
 			return err
 		}
@@ -147,9 +153,9 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 	}()
 	defer func() { r.Incoming.Close(); <-pumpDone }()
 
-	for name, in := range inputs {
-		if err := in.Start(); err != nil {
-			return fmt.Errorf("start input %s: %w", name, err)
+	for _, spec := range r.Spec.Inputs {
+		if err := inputs[spec.Name].Start(); err != nil {
+			return fmt.Errorf("start input %s: %w", spec.Name, err)
 		}
 	}
 
@@ -162,10 +168,10 @@ func (r *TaskRunner) Run(stop <-chan struct{}) (err error) {
 	if err := closeInputs(); err != nil {
 		return err
 	}
-	for name, out := range outputs {
-		events, err := out.Close()
+	for _, spec := range r.Spec.Outputs {
+		events, err := outputs[spec.Name].Close()
 		if err != nil {
-			return fmt.Errorf("close output %s: %w", name, err)
+			return fmt.Errorf("close output %s: %w", spec.Name, err)
 		}
 		for _, ev := range events {
 			r.Emit(ev)

@@ -50,13 +50,11 @@ type Services struct {
 	// Token is the DAG's shuffle-access credential on secure clusters
 	// (§4.3); nil when security is off.
 	Token security.Token
-	// FetchParallelism, SortMB, MergeFactor and Codec carry the session's
-	// shuffle knobs (am.Config.Shuffle*, which documents their values) to
-	// the library, which resolves each against the per-edge payload and
-	// its own default.
+	// FetchParallelism and Codec carry the session's two shuffle knobs
+	// (am.Config.Shuffle*, which documents their values) to the library,
+	// which resolves the codec against the per-edge payload and both
+	// against its own defaults.
 	FetchParallelism int
-	SortMB           int
-	MergeFactor      int
 	Codec            string
 	// Timeline, when set, receives data-plane spans (sort spills, run
 	// merges) from this task's shuffle transports; nil records nothing.
@@ -117,62 +115,17 @@ type Processor interface {
 	Close() error
 }
 
-// Factory signatures registered under the plugin kinds.
-type (
-	ProcessorFactory func() Processor
-	InputFactory     func() Input
-	OutputFactory    func() Output
-)
-
-// RegisterProcessor, RegisterInput and RegisterOutput install factories.
-func RegisterProcessor(name string, f ProcessorFactory) {
+// RegisterProcessor, RegisterInput and RegisterOutput install factories;
+// plugin.New instantiates them.
+func RegisterProcessor(name string, f func() Processor) {
 	plugin.Register(plugin.KindProcessor, name, f)
 }
 
 // RegisterInput installs an input factory.
-func RegisterInput(name string, f InputFactory) { plugin.Register(plugin.KindInput, name, f) }
+func RegisterInput(name string, f func() Input) { plugin.Register(plugin.KindInput, name, f) }
 
 // RegisterOutput installs an output factory.
-func RegisterOutput(name string, f OutputFactory) { plugin.Register(plugin.KindOutput, name, f) }
-
-// NewProcessor instantiates a registered processor.
-func NewProcessor(d plugin.Descriptor) (Processor, error) {
-	f, err := plugin.Lookup(plugin.KindProcessor, d.Name)
-	if err != nil {
-		return nil, err
-	}
-	pf, ok := f.(ProcessorFactory)
-	if !ok {
-		return nil, fmt.Errorf("runtime: processor %q factory has type %T", d.Name, f)
-	}
-	return pf(), nil
-}
-
-// NewInput instantiates a registered input.
-func NewInput(d plugin.Descriptor) (Input, error) {
-	f, err := plugin.Lookup(plugin.KindInput, d.Name)
-	if err != nil {
-		return nil, err
-	}
-	inf, ok := f.(InputFactory)
-	if !ok {
-		return nil, fmt.Errorf("runtime: input %q factory has type %T", d.Name, f)
-	}
-	return inf(), nil
-}
-
-// NewOutput instantiates a registered output.
-func NewOutput(d plugin.Descriptor) (Output, error) {
-	f, err := plugin.Lookup(plugin.KindOutput, d.Name)
-	if err != nil {
-		return nil, err
-	}
-	of, ok := f.(OutputFactory)
-	if !ok {
-		return nil, fmt.Errorf("runtime: output %q factory has type %T", d.Name, f)
-	}
-	return of(), nil
-}
+func RegisterOutput(name string, f func() Output) { plugin.Register(plugin.KindOutput, name, f) }
 
 // InputReadError marks a task failure caused by unreadable upstream data.
 // The runner converts it into an event.InputReadError so the AM re-executes

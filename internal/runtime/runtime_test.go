@@ -113,6 +113,42 @@ func TestRunnerHappyPath(t *testing.T) {
 	}
 }
 
+// orderedOutput announces its own name when closed.
+type orderedOutput struct{ name string }
+
+func (o *orderedOutput) Initialize(ctx *Context) error { o.name = ctx.Name; return nil }
+func (o *orderedOutput) Writer() (any, error)          { return KVWriter(nil), nil }
+func (o *orderedOutput) Close() ([]event.Event, error) {
+	return []event.Event{event.DataMovement{TargetVertex: o.name}}, nil
+}
+
+// TestRunnerAnnouncesOutputsInSpecOrder: a multi-output task closes its
+// outputs, and so announces their DataMovements, in TaskSpec order on
+// every run. Ranging over the outputs map, the order changed from run to
+// run (three outputs agree by chance one time in six).
+func TestRunnerAnnouncesOutputsInSpecOrder(t *testing.T) {
+	RegisterProcessor("rt.order_proc", func() Processor { return &fakeProcessor{} })
+	RegisterOutput("rt.order_out", func() Output { return &orderedOutput{} })
+	want := []string{"zeta", "alpha", "mid"}
+	for run := 0; run < 50; run++ {
+		var got []string
+		r := &TaskRunner{
+			Spec:     TaskSpec{Processor: plugin.Desc("rt.order_proc", nil)},
+			Incoming: mailbox.New[event.Event](),
+			Emit:     func(ev event.Event) { got = append(got, ev.(event.DataMovement).TargetVertex) },
+		}
+		for _, name := range want {
+			r.Spec.Outputs = append(r.Spec.Outputs, IOSpec{Name: name, Descriptor: plugin.Desc("rt.order_out", nil), PhysicalCount: 1})
+		}
+		if err := r.Run(make(chan struct{})); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("run %d announced %v, want spec order %v", run, got, want)
+		}
+	}
+}
+
 func TestRunnerEmitsInputReadError(t *testing.T) {
 	RegisterProcessor("rt.proc_read", func() Processor {
 		return &fakeProcessor{run: func(in map[string]Input, _ map[string]Output) error {

@@ -70,22 +70,10 @@ func seedWords(t *testing.T, plat *platform.Platform) {
 func wcDAG(name, outPath string) *dag.DAG {
 	d := dag.New(name)
 	tok := d.AddVertex("tokenize", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "svciso.tokenize"}), -1)
-	tok.Sources = []dag.DataSource{{
-		Name:        "words",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{"/in/words"}}),
-	}}
+	tok.Sources = []dag.DataSource{library.DFSSource("words", []string{"/in/words"}, 0)}
 	sum := d.AddVertex("sum", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "svciso.sum"}), 2)
-	sum.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: outPath}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: outPath}),
-	}}
-	d.Connect(tok, sum, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	sum.Sinks = []dag.DataSink{library.DFSSink("counts", outPath)}
+	d.Connect(tok, sum, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	return d
 }
 

@@ -126,24 +126,10 @@ func (p *kmCenter) Close() error { return nil }
 func KMeansIterationDAG(name string, points *relop.Table, centroids [][2]float64, outPath string) *dag.DAG {
 	d := dag.New(name)
 	assign := d.AddVertex("assign", plugin.Desc(kmAssignProcessor, kmConfig{Centroids: centroids}), -1)
-	assign.Sources = []dag.DataSource{{
-		Name:  "points",
-		Input: plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-			Paths: points.Files, DesiredSplitSize: 64 * 1024,
-		}),
-	}}
+	assign.Sources = []dag.DataSource{library.DFSSource("points", points.Files, 64*1024)}
 	center := d.AddVertex("center", plugin.Desc(kmCenterProcessor, nil), 2)
-	center.Sinks = []dag.DataSink{{
-		Name:      "centroids",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: outPath}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: outPath}),
-	}}
-	d.Connect(assign, center, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	center.Sinks = []dag.DataSink{library.DFSSink("centroids", outPath)}
+	d.Connect(assign, center, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	return d
 }
 

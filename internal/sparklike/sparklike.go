@@ -242,24 +242,9 @@ func (p *partReduce) Close() error { return nil }
 func partitionDAG(name string, job PartitionJob) *dag.DAG {
 	d := dag.New(name)
 	m := d.AddVertex("map", plugin.Desc(partMapProcessor, partCfg{KeyCol: job.KeyCol}), -1)
-	m.Sources = []dag.DataSource{{
-		Name:  "rows",
-		Input: plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{
-			Paths:            job.Table.Files,
-			DesiredSplitSize: 256 * 1024,
-		}),
-	}}
+	m.Sources = []dag.DataSource{library.DFSSource("rows", job.Table.Files, 256*1024)}
 	r := d.AddVertex("reduce", plugin.Desc(partReduceProcessor, nil), job.Partitions)
-	r.Sinks = []dag.DataSink{{
-		Name:      "sink",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: job.OutPath}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: job.OutPath}),
-	}}
-	d.Connect(m, r, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.UnorderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.UnorderedInputName, nil),
-	})
+	r.Sinks = []dag.DataSink{library.DFSSink("sink", job.OutPath)}
+	d.Connect(m, r, library.UnorderedPartitionedEdge())
 	return d
 }

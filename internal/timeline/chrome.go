@@ -16,12 +16,12 @@ import (
 // tids within it, which is what gives Perfetto its swimlanes.
 
 type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"` // microseconds
 	// Dur is never omitted: complete ("X") spans require the key even
 	// when the modelled duration rounds to zero.
-	Dur float64 `json:"dur"`
+	Dur  float64        `json:"dur"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	S    string         `json:"s,omitempty"` // instant scope

@@ -61,22 +61,10 @@ func writeLines(t *testing.T, plat *platform.Platform, path string, lines []stri
 func wordCountDAG(name, in, out string, reducers int) *dag.DAG {
 	d := dag.New(name)
 	tok := d.AddVertex("tokenizer", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "tltest.tokenize"}), -1)
-	tok.Sources = []dag.DataSource{{
-		Name:        "lines",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{in}, DesiredSplitSize: 512}),
-	}}
+	tok.Sources = []dag.DataSource{library.DFSSource("lines", []string{in}, 512)}
 	sum := d.AddVertex("summation", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "tltest.sum"}), reducers)
-	sum.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: out}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: out}),
-	}}
-	d.Connect(tok, sum, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		Output:   plugin.Desc(library.OrderedPartitionedOutputName, nil),
-		Input:    plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	sum.Sinks = []dag.DataSink{library.DFSSink("counts", out)}
+	d.Connect(tok, sum, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	return d
 }
 
@@ -361,27 +349,15 @@ func TestShuffleDataPlaneCountersInJournal(t *testing.T) {
 
 	d := dag.New("dp")
 	tok := d.AddVertex("tokenizer", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "tltest.tokenize2"}), -1)
-	tok.Sources = []dag.DataSource{{
-		Name:        "lines",
-		Input:       plugin.Desc(library.DFSSourceInputName, nil),
-		Initializer: plugin.Desc(library.SplitInitializerName, library.SplitSourceConfig{Paths: []string{"/in/dataplane"}, DesiredSplitSize: 512}),
-	}}
+	tok.Sources = []dag.DataSource{library.DFSSource("lines", []string{"/in/dataplane"}, 512)}
 	sum := d.AddVertex("summation", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "tltest.sumv"}), 2)
-	sum.Sinks = []dag.DataSink{{
-		Name:      "counts",
-		Output:    plugin.Desc(library.DFSSinkOutputName, library.DFSSinkConfig{Path: "/out/dataplane"}),
-		Committer: plugin.Desc(library.DFSCommitterName, library.DFSSinkConfig{Path: "/out/dataplane"}),
-	}}
-	d.Connect(tok, sum, dag.EdgeProperty{
-		Movement: dag.ScatterGather,
-		// A few-KiB spill budget so this small run still spills, plus the
-		// sum combiner — the knobs an application would set per edge.
-		Output: plugin.Desc(library.OrderedPartitionedOutputName, library.OrderedPartitionedConfig{
-			SortBytes: 2048,
-			Combiner:  "tltest.sumv",
-		}),
-		Input: plugin.Desc(library.OrderedGroupedInputName, nil),
-	})
+	sum.Sinks = []dag.DataSink{library.DFSSink("counts", "/out/dataplane")}
+	// A few-KiB spill budget so this small run still spills, plus the
+	// sum combiner — the knobs an application would set per edge.
+	d.Connect(tok, sum, library.OrderedEdge(library.OrderedPartitionedConfig{
+		SortBytes: 2048,
+		Combiner:  "tltest.sumv",
+	}))
 
 	sess := am.NewSession(plat, am.Config{
 		Name:         "dataplane",
