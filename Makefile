@@ -76,8 +76,10 @@ profile:
 # the sort order (prefix index sort against the full-comparator oracle),
 # the binary codecs of the hot control-plane payloads (no panic, nothing
 # allocated beyond the input's size, decode-then-encode is the identity,
-# gob streams refused) and split grouping (every split in one group, the
-# result independent of input order, group size and hint rules) a brief
+# gob streams refused), split grouping (every split in one group, the
+# result independent of input order, group size and hint rules) and the
+# three doors text from outside comes in by — relop.ParseExpr, hive.Parse
+# and pig.ParseScript: no panic, no stack exhaustion — a brief
 # coverage-guided shake on every run (the checked-in corpus under
 # testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
@@ -86,6 +88,9 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzBufferReader -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzPayloadCodecs -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzGroupSplits -fuzztime 5s ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzParseExpr -fuzztime 5s ./internal/relop/
+	$(GO) test -run XXX -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/hive/
+	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s ./internal/pig/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and

@@ -43,13 +43,13 @@ func (e *Engine) Register(tables ...*relop.Table) {
 // forMR restricts physical choices to what the MapReduce backend supports.
 func (e *Engine) Plan(sql, outPath string, forMR bool) ([]*relop.Node, error) {
 	st, err := Parse(sql)
-	if err != nil {
-		return nil, err
+	var root *relop.Node
+	if err == nil {
+		pc := &planContext{eng: e, forMR: forMR}
+		root, err = pc.plan(st, outPath)
 	}
-	pc := &planContext{eng: e, forMR: forMR}
-	root, err := pc.plan(st, outPath)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("hive: %w", err)
 	}
 	return []*relop.Node{root}, nil
 }

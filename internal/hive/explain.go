@@ -24,40 +24,11 @@ func (e *Engine) Explain(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	b.WriteString("tez dag:\n")
-	order, err := d.TopoOrder()
+	dagText, err := relop.ExplainDAG(d)
 	if err != nil {
 		return "", err
 	}
-	for _, name := range order {
-		v := d.Vertex(name)
-		par := "runtime"
-		if v.Parallelism > 0 {
-			par = fmt.Sprintf("%d", v.Parallelism)
-		}
-		fmt.Fprintf(&b, "  vertex %-24s tasks=%s", name, par)
-		if len(v.Sources) > 0 {
-			fmt.Fprintf(&b, " sources=%d", len(v.Sources))
-			for _, s := range v.Sources {
-				if s.Initializer.Name == relop.PruneInitializerName {
-					b.WriteString(" [dynamic partition pruning]")
-				}
-			}
-		}
-		if len(v.Sinks) > 0 {
-			fmt.Fprintf(&b, " sinks=%d", len(v.Sinks))
-		}
-		b.WriteString("\n")
-	}
-	for _, ed := range d.Edges {
-		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s\n", ed.From, ed.To, ed.Property.Movement)
-	}
-	if vs := relop.ExplainStages(d); vs != "" {
-		b.WriteString("stages:\n")
-		for _, line := range strings.Split(strings.TrimRight(vs, "\n"), "\n") {
-			b.WriteString("  " + line + "\n")
-		}
-	}
+	b.WriteString("tez dag:\n" + dagText)
 	return b.String(), nil
 }
 

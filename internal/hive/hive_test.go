@@ -77,6 +77,33 @@ func TestParserIn(t *testing.T) {
 	}
 }
 
+// FuzzParse: no statement text panics the statement grammar, the shared
+// expression grammar under it, or the case folding after it.
+func FuzzParse(f *testing.F) {
+	for _, q := range []string{
+		`SELECT l_returnflag, sum(l_quantity) AS q, count(*) AS n
+		FROM lineitem WHERE l_shipdate <= 19980902 AND l_discount BETWEEN 0.01 AND 0.05
+		GROUP BY l_returnflag ORDER BY q DESC LIMIT 5`,
+		`SELECT c.c_name, o.o_totalprice FROM orders o
+		JOIN customer c ON o.o_custkey = c.c_custkey
+		WHERE c.c_mktsegment = 'BUILDING' AND o.o_orderdate < 19950315`,
+		"SELECT a FROM t WHERE a IN (1, 2, 3)",
+		"SELECT o_custkey, count(*) AS n FROM orders GROUP BY o_custkey HAVING n >= 2 ORDER BY o_custkey",
+		"SELECT * FROM t", "SELECT -a * (b + 1) FROM t WHERE NOT a <> 1 OR b == 2",
+		"", "SELECT", "SELECT a FROM", "SELECT a FROM t WHERE", "SELECT a FROM t LIMIT x",
+		"SELECT a FROM t trailing garbage ,", "SELECT a FROM t WHERE 'unterminated",
+		"SELECT a FROM t LIMIT 99999999999999999999", "SELECT sum(*) FROM t",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		st, err := Parse(sql)
+		if err == nil && (st == nil || len(st.Select) == 0 || st.From.Name == "") {
+			t.Fatalf("%q parsed to %+v", sql, st)
+		}
+	})
+}
+
 // --- end-to-end: tiny warehouse with hand-checked answers ---
 
 type hiveHarness struct {
@@ -286,6 +313,49 @@ func TestUnknownTableAndColumnErrors(t *testing.T) {
 	if _, err := h.eng.Plan("SELECT o_custkey, sum(o_totalprice) FROM orders", "/out/x", false); err == nil {
 		t.Fatal("non-grouped select item with aggregate accepted")
 	}
+}
+
+// TestStarOnlyUnderCount: * is an argument of count and of nothing else.
+// sum(*) used to plan and answer 4 on the four-row table (min(*) answered
+// 1); an unknown function and a call without exactly one argument are
+// refused by the same function (relop.ResolveAgg).
+func TestStarOnlyUnderCount(t *testing.T) {
+	h := newHiveHarness(t)
+	for _, q := range []string{
+		"SELECT sum(*) FROM orders",
+		"SELECT avg(*) FROM orders",
+		"SELECT min(*) FROM orders",
+		"SELECT max(*) FROM orders",
+		"SELECT median(o_totalprice) FROM orders",
+		"SELECT sum() FROM orders",
+		"SELECT sum(o_totalprice, o_custkey) FROM orders",
+		"SELECT o_custkey FROM orders WHERE count(*) > 1",
+	} {
+		if _, err := h.eng.Plan(q, "/out/x", false); err == nil {
+			t.Errorf("planned %q", q)
+		}
+	}
+	expectRows(t, h.query("star", "SELECT COUNT(*) AS n, Sum(o_totalprice) AS s FROM orders"), []string{"4|650"}, false)
+}
+
+// TestLimitOutOfRange: a LIMIT that does not fit an int is an error (the
+// conversion error used to be dropped and the query planned).
+func TestLimitOutOfRange(t *testing.T) {
+	h := newHiveHarness(t)
+	if _, err := h.eng.Plan("SELECT o_orderkey FROM orders LIMIT 99999999999999999999", "/out/x", false); err == nil {
+		t.Fatal("planned an out-of-range LIMIT")
+	}
+	expectRows(t, h.query("lim", "SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 2"), []string{"1", "2"}, true)
+}
+
+// TestIdentifiersFoldCase: table names, aliases and column references are
+// case-insensitive (folded once, after parsing); string literals are not.
+func TestIdentifiersFoldCase(t *testing.T) {
+	h := newHiveHarness(t)
+	expectRows(t, h.query("upper", "SELECT O_CUSTKEY FROM ORDERS WHERE O_CUSTKEY = 10"), []string{"10", "10"}, false)
+	expectRows(t, h.query("upper-join", `SELECT C.C_NAME FROM ORDERS O JOIN CUSTOMER C ON O.O_CUSTKEY = C.C_CUSTKEY
+		WHERE C.C_MKTSEGMENT == 'BUILDING' AND O.O_TOTALPRICE BETWEEN 60 AND 150`), []string{"alice"}, false)
+	expectRows(t, h.query("upper-lit", "SELECT c_name FROM customer WHERE c_mktsegment = 'building'"), nil, false)
 }
 
 func TestHaving(t *testing.T) {

@@ -1,5 +1,6 @@
 // Package hive is the SQL-on-Tez engine of §5.2 in miniature: a SQL-subset
-// parser, a catalog, and a planner that lowers queries to relop plans.
+// statement grammar on relop's token stream and expression language, a
+// catalog, and a planner that lowers queries to relop plans.
 // Like Hive 0.13+, it compiles to a single Tez DAG with broadcast (map)
 // joins and dynamic partition pruning when allowed, or to a chain of
 // MapReduce-shaped jobs (the pre-Tez Hive execution model) for the
@@ -7,9 +8,9 @@
 package hive
 
 import (
-	"fmt"
-	"strconv"
 	"strings"
+
+	"tez/internal/relop"
 )
 
 // --- AST ---
@@ -18,15 +19,15 @@ type selectStmt struct {
 	Select  []selectItem
 	From    tableRef
 	Joins   []joinClause
-	Where   *astExpr
-	GroupBy []*astExpr
-	Having  *astExpr
+	Where   *relop.ExprTree
+	GroupBy []*relop.ExprTree
+	Having  *relop.ExprTree
 	OrderBy []orderItem
 	Limit   int // 0 = none
 }
 
 type selectItem struct {
-	Expr  *astExpr
+	Expr  *relop.ExprTree
 	Alias string
 }
 
@@ -37,528 +38,173 @@ type tableRef struct {
 
 type joinClause struct {
 	Table tableRef
-	On    *astExpr
+	On    *relop.ExprTree
 }
 
 type orderItem struct {
-	Expr *astExpr
+	Expr *relop.ExprTree
 	Desc bool
 }
 
-// astExpr is an unresolved expression.
-type astExpr struct {
-	// Kind: ident, int, float, str, star, call, binop, not
-	Kind  string
-	Name  string // ident (possibly qualified), call func name
-	Int   int64
-	Float float64
-	Str   string
-	Op    string
-	Args  []*astExpr
-}
-
-// --- Lexer ---
-
-type token struct {
-	kind string // ident, int, float, str, op, eof
-	text string
-}
-
-type lexer struct {
-	src []rune
-	pos int
-}
-
-func isIdentStart(r rune) bool {
-	return r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-}
-
-func isIdent(r rune) bool {
-	return isIdentStart(r) || (r >= '0' && r <= '9') || r == '.'
-}
-
-func (l *lexer) next() (token, error) {
-	for l.pos < len(l.src) && (l.src[l.pos] == ' ' || l.src[l.pos] == '\n' || l.src[l.pos] == '\t' || l.src[l.pos] == '\r') {
-		l.pos++
-	}
-	if l.pos >= len(l.src) {
-		return token{kind: "eof"}, nil
-	}
-	r := l.src[l.pos]
-	switch {
-	case isIdentStart(r):
-		start := l.pos
-		for l.pos < len(l.src) && isIdent(l.src[l.pos]) {
-			l.pos++
-		}
-		return token{kind: "ident", text: string(l.src[start:l.pos])}, nil
-	case r >= '0' && r <= '9':
-		start := l.pos
-		isFloat := false
-		for l.pos < len(l.src) && ((l.src[l.pos] >= '0' && l.src[l.pos] <= '9') || l.src[l.pos] == '.') {
-			if l.src[l.pos] == '.' {
-				isFloat = true
-			}
-			l.pos++
-		}
-		kind := "int"
-		if isFloat {
-			kind = "float"
-		}
-		return token{kind: kind, text: string(l.src[start:l.pos])}, nil
-	case r == '\'':
-		l.pos++
-		start := l.pos
-		for l.pos < len(l.src) && l.src[l.pos] != '\'' {
-			l.pos++
-		}
-		if l.pos >= len(l.src) {
-			return token{}, fmt.Errorf("hive: unterminated string literal")
-		}
-		text := string(l.src[start:l.pos])
-		l.pos++
-		return token{kind: "str", text: text}, nil
-	default:
-		two := ""
-		if l.pos+1 < len(l.src) {
-			two = string(l.src[l.pos : l.pos+2])
-		}
-		for _, op := range []string{"<=", ">=", "!=", "<>"} {
-			if two == op {
-				l.pos += 2
-				if op == "<>" {
-					op = "!="
-				}
-				return token{kind: "op", text: op}, nil
-			}
-		}
-		l.pos++
-		return token{kind: "op", text: string(r)}, nil
-	}
-}
-
-// --- Parser ---
-
-type parser struct {
-	toks []token
-	pos  int
-}
-
-// Parse parses one SELECT statement.
+// Parse parses one SELECT statement. Table names, table aliases and
+// column references are case-insensitive: they are folded to lower case
+// here, once, after parsing (select aliases stay as written).
 func Parse(sql string) (*selectStmt, error) {
-	lx := &lexer{src: []rune(sql)}
-	var toks []token
-	for {
-		t, err := lx.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.kind == "eof" {
-			break
-		}
-	}
-	p := &parser{toks: toks}
-	st, err := p.parseSelect()
+	p, err := relop.NewParser(sql)
 	if err != nil {
 		return nil, err
 	}
-	if !p.at("eof") {
-		return nil, fmt.Errorf("hive: trailing input near %q", p.peek().text)
+	st, err := parseSelect(p)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.ExpectEOF(); err != nil {
+		return nil, err
+	}
+	for _, it := range st.Select {
+		lowerIdents(it.Expr)
+	}
+	st.From = st.From.lower()
+	for i := range st.Joins {
+		st.Joins[i].Table = st.Joins[i].Table.lower()
+		lowerIdents(st.Joins[i].On)
+	}
+	lowerIdents(st.Where)
+	for _, g := range st.GroupBy {
+		lowerIdents(g)
+	}
+	lowerIdents(st.Having)
+	for _, o := range st.OrderBy {
+		lowerIdents(o.Expr)
 	}
 	return st, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-
-func (p *parser) at(kind string) bool { return p.peek().kind == kind }
-
-func (p *parser) kw(word string) bool {
-	t := p.peek()
-	if t.kind == "ident" && strings.EqualFold(t.text, word) {
-		p.pos++
-		return true
-	}
-	return false
+func (tr tableRef) lower() tableRef {
+	return tableRef{Name: strings.ToLower(tr.Name), Alias: strings.ToLower(tr.Alias)}
 }
 
-func (p *parser) expectKw(word string) error {
-	if !p.kw(word) {
-		return fmt.Errorf("hive: expected %s near %q", word, p.peek().text)
+func lowerIdents(e *relop.ExprTree) {
+	if e == nil {
+		return
 	}
-	return nil
+	if e.Kind == "ident" {
+		e.Name = strings.ToLower(e.Name)
+	}
+	for _, a := range e.Args {
+		lowerIdents(a)
+	}
 }
 
-func (p *parser) op(text string) bool {
-	t := p.peek()
-	if t.kind == "op" && t.text == text {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expectOp(text string) error {
-	if !p.op(text) {
-		return fmt.Errorf("hive: expected %q near %q", text, p.peek().text)
-	}
-	return nil
-}
-
-func (p *parser) parseSelect() (*selectStmt, error) {
+func parseSelect(p *relop.Parser) (*selectStmt, error) {
 	st := &selectStmt{}
-	if err := p.expectKw("select"); err != nil {
+	if err := p.ExpectKw("select"); err != nil {
 		return nil, err
 	}
+	var err error
 	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
+		item := selectItem{}
+		if item.Expr, err = p.Expr(); err != nil {
 			return nil, err
 		}
+		if p.Kw("as") {
+			if item.Alias, err = p.Ident(); err != nil {
+				return nil, err
+			}
+		}
 		st.Select = append(st.Select, item)
-		if !p.op(",") {
+		if !p.Op(",") {
 			break
 		}
 	}
-	if err := p.expectKw("from"); err != nil {
+	if err := p.ExpectKw("from"); err != nil {
 		return nil, err
 	}
-	tr, err := p.parseTableRef()
-	if err != nil {
+	if st.From, err = parseTableRef(p); err != nil {
 		return nil, err
 	}
-	st.From = tr
-	for p.kw("join") {
-		jt, err := p.parseTableRef()
-		if err != nil {
+	for p.Kw("join") {
+		jc := joinClause{}
+		if jc.Table, err = parseTableRef(p); err != nil {
 			return nil, err
 		}
-		if err := p.expectKw("on"); err != nil {
+		if err := p.ExpectKw("on"); err != nil {
 			return nil, err
 		}
-		on, err := p.parseExpr()
-		if err != nil {
+		if jc.On, err = p.Expr(); err != nil {
 			return nil, err
 		}
-		st.Joins = append(st.Joins, joinClause{Table: jt, On: on})
+		st.Joins = append(st.Joins, jc)
 	}
-	if p.kw("where") {
-		w, err := p.parseExpr()
-		if err != nil {
+	if p.Kw("where") {
+		if st.Where, err = p.Expr(); err != nil {
 			return nil, err
 		}
-		st.Where = w
 	}
-	if p.kw("group") {
-		if err := p.expectKw("by"); err != nil {
+	if p.Kw("group") {
+		if err := p.ExpectKw("by"); err != nil {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.Expr()
 			if err != nil {
 				return nil, err
 			}
 			st.GroupBy = append(st.GroupBy, e)
-			if !p.op(",") {
+			if !p.Op(",") {
 				break
 			}
 		}
 	}
-	if p.kw("having") {
-		h, err := p.parseExpr()
-		if err != nil {
+	if p.Kw("having") {
+		if st.Having, err = p.Expr(); err != nil {
 			return nil, err
 		}
-		st.Having = h
 	}
-	if p.kw("order") {
-		if err := p.expectKw("by"); err != nil {
+	if p.Kw("order") {
+		if err := p.ExpectKw("by"); err != nil {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.Expr()
 			if err != nil {
 				return nil, err
 			}
-			it := orderItem{Expr: e}
-			if p.kw("desc") {
-				it.Desc = true
-			} else {
-				p.kw("asc")
+			it := orderItem{Expr: e, Desc: p.Kw("desc")}
+			if !it.Desc {
+				p.Kw("asc")
 			}
 			st.OrderBy = append(st.OrderBy, it)
-			if !p.op(",") {
+			if !p.Op(",") {
 				break
 			}
 		}
 	}
-	if p.kw("limit") {
-		t := p.peek()
-		if t.kind != "int" {
-			return nil, fmt.Errorf("hive: LIMIT needs an integer")
+	if p.Kw("limit") {
+		if st.Limit, err = p.Int(); err != nil {
+			return nil, err
 		}
-		n, _ := strconv.Atoi(t.text)
-		st.Limit = n
-		p.pos++
 	}
 	return st, nil
 }
 
-func (p *parser) parseSelectItem() (selectItem, error) {
-	e, err := p.parseExpr()
+// parseTableRef parses "name [alias]"; the alias defaults to the name.
+func parseTableRef(p *relop.Parser) (tableRef, error) {
+	name, err := p.Ident()
 	if err != nil {
-		return selectItem{}, err
+		return tableRef{}, err
 	}
-	item := selectItem{Expr: e}
-	if p.kw("as") {
-		t := p.peek()
-		if t.kind != "ident" {
-			return item, fmt.Errorf("hive: expected alias near %q", t.text)
-		}
-		item.Alias = t.text
-		p.pos++
-	}
-	return item, nil
-}
-
-func (p *parser) parseTableRef() (tableRef, error) {
-	t := p.peek()
-	if t.kind != "ident" {
-		return tableRef{}, fmt.Errorf("hive: expected table name near %q", t.text)
-	}
-	p.pos++
-	tr := tableRef{Name: strings.ToLower(t.text), Alias: strings.ToLower(t.text)}
-	nt := p.peek()
-	if nt.kind == "ident" && !isKeyword(nt.text) {
-		tr.Alias = strings.ToLower(nt.text)
-		p.pos++
+	tr := tableRef{Name: name, Alias: name}
+	if t := p.Peek(); t.Kind == relop.TokIdent && !keywords[strings.ToLower(t.Text)] {
+		tr.Alias, _ = p.Ident() // cannot fail: the token is an identifier
 	}
 	return tr, nil
 }
 
+// keywords are the words that cannot be a table alias.
 var keywords = map[string]bool{
 	"select": true, "from": true, "join": true, "on": true, "where": true,
 	"group": true, "by": true, "order": true, "limit": true, "as": true,
 	"and": true, "or": true, "not": true, "desc": true, "asc": true,
 	"between": true, "in": true, "having": true,
-}
-
-func isKeyword(s string) bool { return keywords[strings.ToLower(s)] }
-
-// Expression precedence: OR < AND < NOT < cmp/between/in < addsub < muldiv < unary.
-func (p *parser) parseExpr() (*astExpr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (*astExpr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.kw("or") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &astExpr{Kind: "binop", Op: "or", Args: []*astExpr{left, right}}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (*astExpr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.kw("and") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &astExpr{Kind: "binop", Op: "and", Args: []*astExpr{left, right}}
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (*astExpr, error) {
-	if p.kw("not") {
-		e, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &astExpr{Kind: "not", Args: []*astExpr{e}}, nil
-	}
-	return p.parseCmp()
-}
-
-func (p *parser) parseCmp() (*astExpr, error) {
-	left, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if p.kw("between") {
-		lo, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("and"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &astExpr{Kind: "binop", Op: "and", Args: []*astExpr{
-			{Kind: "binop", Op: ">=", Args: []*astExpr{left, lo}},
-			{Kind: "binop", Op: "<=", Args: []*astExpr{left, hi}},
-		}}, nil
-	}
-	if p.kw("in") {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var ors []*astExpr
-		for {
-			v, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			ors = append(ors, &astExpr{Kind: "binop", Op: "=", Args: []*astExpr{left, v}})
-			if !p.op(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		out := ors[0]
-		for _, o := range ors[1:] {
-			out = &astExpr{Kind: "binop", Op: "or", Args: []*astExpr{out, o}}
-		}
-		return out, nil
-	}
-	for _, op := range []string{"<=", ">=", "!=", "=", "<", ">"} {
-		if p.op(op) {
-			right, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &astExpr{Kind: "binop", Op: op, Args: []*astExpr{left, right}}, nil
-		}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdd() (*astExpr, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.op("+"):
-			op = "+"
-		case p.op("-"):
-			op = "-"
-		default:
-			return left, nil
-		}
-		right, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &astExpr{Kind: "binop", Op: op, Args: []*astExpr{left, right}}
-	}
-}
-
-func (p *parser) parseMul() (*astExpr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.op("*"):
-			op = "*"
-		case p.op("/"):
-			op = "/"
-		default:
-			return left, nil
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &astExpr{Kind: "binop", Op: op, Args: []*astExpr{left, right}}
-	}
-}
-
-var aggFuncs = map[string]bool{"sum": true, "count": true, "avg": true, "min": true, "max": true}
-
-func (p *parser) parseUnary() (*astExpr, error) {
-	t := p.peek()
-	switch t.kind {
-	case "int":
-		p.pos++
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return &astExpr{Kind: "int", Int: n}, nil
-	case "float":
-		p.pos++
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
-			return nil, err
-		}
-		return &astExpr{Kind: "float", Float: f}, nil
-	case "str":
-		p.pos++
-		return &astExpr{Kind: "str", Str: t.text}, nil
-	case "ident":
-		name := strings.ToLower(t.text)
-		p.pos++
-		if aggFuncs[name] && p.op("(") {
-			if p.op("*") {
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return &astExpr{Kind: "call", Name: name, Args: []*astExpr{{Kind: "star"}}}, nil
-			}
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &astExpr{Kind: "call", Name: name, Args: []*astExpr{arg}}, nil
-		}
-		return &astExpr{Kind: "ident", Name: name}, nil
-	case "op":
-		if t.text == "(" {
-			p.pos++
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		if t.text == "*" {
-			p.pos++
-			return &astExpr{Kind: "star"}, nil
-		}
-		if t.text == "-" {
-			p.pos++
-			e, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &astExpr{Kind: "binop", Op: "-", Args: []*astExpr{{Kind: "int", Int: 0}, e}}, nil
-		}
-	}
-	return nil, fmt.Errorf("hive: unexpected token %q", t.text)
 }

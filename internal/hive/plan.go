@@ -8,73 +8,8 @@ import (
 	"tez/internal/row"
 )
 
-// resolver lowers AST expressions against a schema.
-type resolver struct {
-	schema row.Schema
-}
-
-func (rs *resolver) resolve(e *astExpr) (*relop.Expr, row.Kind, error) {
-	switch e.Kind {
-	case "int":
-		return relop.LitInt(e.Int), row.KindInt, nil
-	case "float":
-		return relop.LitFloat(e.Float), row.KindFloat, nil
-	case "str":
-		return relop.LitString(e.Str), row.KindString, nil
-	case "ident":
-		idx := rs.schema.Index(e.Name)
-		if idx < 0 {
-			return nil, 0, fmt.Errorf("hive: unknown column %q (have %v)", e.Name, colNames(rs.schema))
-		}
-		return relop.Col(idx), rs.schema.Cols[idx].Kind, nil
-	case "binop":
-		l, lk, err := rs.resolve(e.Args[0])
-		if err != nil {
-			return nil, 0, err
-		}
-		r, rk, err := rs.resolve(e.Args[1])
-		if err != nil {
-			return nil, 0, err
-		}
-		switch e.Op {
-		case "and":
-			return relop.And(l, r), row.KindInt, nil
-		case "or":
-			return relop.Or(l, r), row.KindInt, nil
-		case "=", "!=", "<", "<=", ">", ">=":
-			return relop.Cmp(e.Op, l, r), row.KindInt, nil
-		case "+", "-", "*", "/":
-			k := row.KindFloat
-			if lk == row.KindInt && rk == row.KindInt && e.Op != "/" {
-				k = row.KindInt
-			}
-			return relop.Arith(e.Op, l, r), k, nil
-		}
-		return nil, 0, fmt.Errorf("hive: unknown operator %q", e.Op)
-	case "not":
-		a, _, err := rs.resolve(e.Args[0])
-		if err != nil {
-			return nil, 0, err
-		}
-		return relop.Not(a), row.KindInt, nil
-	case "call":
-		return nil, 0, fmt.Errorf("hive: aggregate %s not allowed here", e.Name)
-	case "star":
-		return nil, 0, fmt.Errorf("hive: * not allowed here")
-	}
-	return nil, 0, fmt.Errorf("hive: cannot resolve %v", e.Kind)
-}
-
-func colNames(s row.Schema) []string {
-	out := make([]string, len(s.Cols))
-	for i, c := range s.Cols {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // identRefs collects the table aliases an expression references.
-func identRefs(e *astExpr, out map[string]bool) {
+func identRefs(e *relop.ExprTree, out map[string]bool) {
 	if e == nil {
 		return
 	}
@@ -91,33 +26,34 @@ func identRefs(e *astExpr, out map[string]bool) {
 }
 
 // splitConjuncts flattens a predicate into ANDed conjuncts.
-func splitConjuncts(e *astExpr) []*astExpr {
+func splitConjuncts(e *relop.ExprTree) []*relop.ExprTree {
 	if e == nil {
 		return nil
 	}
 	if e.Kind == "binop" && e.Op == "and" {
 		return append(splitConjuncts(e.Args[0]), splitConjuncts(e.Args[1])...)
 	}
-	return []*astExpr{e}
+	return []*relop.ExprTree{e}
 }
 
-func joinAst(conjuncts []*astExpr) *astExpr {
+func joinAst(conjuncts []*relop.ExprTree) *relop.ExprTree {
 	if len(conjuncts) == 0 {
 		return nil
 	}
 	out := conjuncts[0]
 	for _, c := range conjuncts[1:] {
-		out = &astExpr{Kind: "binop", Op: "and", Args: []*astExpr{out, c}}
+		out = &relop.ExprTree{Kind: "binop", Op: "and", Args: []*relop.ExprTree{out, c}}
 	}
 	return out
 }
 
-// hasAgg reports whether the expression contains an aggregate call.
-func hasAgg(e *astExpr) bool {
+// hasAgg reports whether the expression contains a call: every call is an
+// aggregate call, or relop.ResolveAgg refuses it.
+func hasAgg(e *relop.ExprTree) bool {
 	if e == nil {
 		return false
 	}
-	if e.Kind == "call" && aggFuncs[e.Name] {
+	if e.Kind == "call" {
 		return true
 	}
 	for _, a := range e.Args {
@@ -150,13 +86,13 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 	mkScan := func(tr tableRef) (*scanInfo, error) {
 		t, ok := eng.tables[tr.Name]
 		if !ok {
-			return nil, fmt.Errorf("hive: unknown table %q", tr.Name)
+			return nil, fmt.Errorf("unknown table %q", tr.Name)
 		}
 		n := relop.Scan(t)
 		n.OutSchema = t.Schema.Qualify(tr.Alias)
 		si := &scanInfo{node: n, scanNode: n, alias: tr.Alias, table: t}
 		if scans[tr.Alias] != nil {
-			return nil, fmt.Errorf("hive: duplicate alias %q", tr.Alias)
+			return nil, fmt.Errorf("duplicate alias %q", tr.Alias)
 		}
 		scans[tr.Alias] = si
 		return si, nil
@@ -167,7 +103,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 	}
 
 	// WHERE: push single-table conjuncts into scans.
-	aliasOf := func(e *astExpr) string {
+	aliasOf := func(e *relop.ExprTree) string {
 		refs := map[string]bool{}
 		identRefs(e, refs)
 		if len(refs) == 1 {
@@ -177,8 +113,8 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 		}
 		return ""
 	}
-	var postJoin []*astExpr
-	pushed := map[string][]*astExpr{}
+	var postJoin []*relop.ExprTree
+	pushed := map[string][]*relop.ExprTree{}
 	for _, c := range splitConjuncts(st.Where) {
 		a := aliasOf(c)
 		if a != "" && scans[a] == nil {
@@ -190,7 +126,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 	// Create join scans before classification completes.
 	type joinInfo struct {
 		si *scanInfo
-		on *astExpr
+		on *relop.ExprTree
 	}
 	var joins []joinInfo
 	for _, jc := range st.Joins {
@@ -207,8 +143,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 			continue
 		}
 		si := scans[a]
-		rs := &resolver{schema: si.node.OutSchema}
-		pred, _, err := rs.resolve(joinAst(cs))
+		pred, _, err := relop.Resolve(joinAst(cs), si.node.OutSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -224,21 +159,20 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 		// Split the ON condition into equality keys (left vs right) and
 		// residual predicates.
 		var lKeys, rKeys []*relop.Expr
-		var residual []*astExpr
+		var residual []*relop.ExprTree
 		for _, c := range splitConjuncts(j.on) {
 			if c.Kind == "binop" && c.Op == "=" {
-				lRes := &resolver{schema: cur.OutSchema}
-				rRes := &resolver{schema: right.node.OutSchema}
-				if le, _, err := lRes.resolve(c.Args[0]); err == nil {
-					if re, _, err := rRes.resolve(c.Args[1]); err == nil {
+				lSchema, rSchema := cur.OutSchema, right.node.OutSchema
+				if le, _, err := relop.Resolve(c.Args[0], lSchema); err == nil {
+					if re, _, err := relop.Resolve(c.Args[1], rSchema); err == nil {
 						lKeys = append(lKeys, le)
 						rKeys = append(rKeys, re)
 						continue
 					}
 				}
 				// Try swapped sides.
-				if le, _, err := lRes.resolve(c.Args[1]); err == nil {
-					if re, _, err := rRes.resolve(c.Args[0]); err == nil {
+				if le, _, err := relop.Resolve(c.Args[1], lSchema); err == nil {
+					if re, _, err := relop.Resolve(c.Args[0], rSchema); err == nil {
 						lKeys = append(lKeys, le)
 						rKeys = append(rKeys, re)
 						continue
@@ -248,7 +182,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 			residual = append(residual, c)
 		}
 		if len(lKeys) == 0 {
-			return nil, fmt.Errorf("hive: join with %s has no equality condition", right.alias)
+			return nil, fmt.Errorf("join with %s has no equality condition", right.alias)
 		}
 		broadcast := !pc.forMR && right.table.SizeBytes > 0 &&
 			right.table.SizeBytes <= eng.BroadcastThreshold
@@ -268,8 +202,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 
 		cur = relop.JoinNode(cur, right.node, lKeys, rKeys, broadcast)
 		for _, c := range residual {
-			rs := &resolver{schema: cur.OutSchema}
-			pred, _, err := rs.resolve(c)
+			pred, _, err := relop.Resolve(c, cur.OutSchema)
 			if err != nil {
 				return nil, err
 			}
@@ -279,8 +212,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 
 	// Residual WHERE conjuncts.
 	if len(postJoin) > 0 {
-		rs := &resolver{schema: cur.OutSchema}
-		pred, _, err := rs.resolve(joinAst(postJoin))
+		pred, _, err := relop.Resolve(joinAst(postJoin), cur.OutSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -303,8 +235,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 		if st.Having != nil {
 			// HAVING references select-output names (group keys, agg
 			// aliases); resolve against the projected schema.
-			rs := &resolver{schema: cur.OutSchema}
-			pred, _, err := rs.resolve(st.Having)
+			pred, _, err := relop.Resolve(st.Having, cur.OutSchema)
 			if err != nil {
 				return nil, err
 			}
@@ -312,9 +243,8 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 		}
 	} else {
 		if st.Having != nil {
-			return nil, fmt.Errorf("hive: HAVING without aggregation")
+			return nil, fmt.Errorf("HAVING without aggregation")
 		}
-		rs := &resolver{schema: cur.OutSchema}
 		var exprs []*relop.Expr
 		var kinds []row.Kind
 		for i, it := range st.Select {
@@ -326,7 +256,7 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 				}
 				continue
 			}
-			e, k, err := rs.resolve(it.Expr)
+			e, k, err := relop.Resolve(it.Expr, cur.OutSchema)
 			if err != nil {
 				return nil, err
 			}
@@ -359,13 +289,12 @@ func (pc *planContext) plan(st *selectStmt, outPath string) (*relop.Node, error)
 
 // planAggregate lowers GROUP BY + aggregate select lists.
 func (pc *planContext) planAggregate(st *selectStmt, cur *relop.Node) (*relop.Node, []string, error) {
-	rs := &resolver{schema: cur.OutSchema}
 	// Group expressions (may also appear in the select list).
 	var groupExprs []*relop.Expr
 	var groupNames []string
 	groupPos := map[string]int{} // rendered ast -> position
 	for _, g := range st.GroupBy {
-		e, _, err := rs.resolve(g)
+		e, _, err := relop.Resolve(g, cur.OutSchema)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -385,25 +314,21 @@ func (pc *planContext) planAggregate(st *selectStmt, cur *relop.Node) (*relop.No
 		e := it.Expr
 		if hasAgg(e) {
 			if e.Kind != "call" {
-				return nil, nil, fmt.Errorf("hive: composite aggregate expressions unsupported")
-			}
-			var arg *relop.Expr
-			if e.Args[0].Kind != "star" {
-				a, _, err := rs.resolve(e.Args[0])
-				if err != nil {
-					return nil, nil, err
-				}
-				arg = a
+				return nil, nil, fmt.Errorf("composite aggregate expressions unsupported")
 			}
 			name := selectName(it, i)
-			aggs = append(aggs, relop.AggDef{Func: e.Name, Arg: arg, Name: name})
+			def, err := relop.ResolveAgg(e, cur.OutSchema, name)
+			if err != nil {
+				return nil, nil, err
+			}
+			aggs = append(aggs, def)
 			outs = append(outs, outCol{fromGroup: -1, fromAgg: len(aggs) - 1})
 			outNames = append(outNames, name)
 			continue
 		}
 		pos, ok := groupPos[astKey(e)]
 		if !ok {
-			return nil, nil, fmt.Errorf("hive: select item %d is neither grouped nor aggregated", i)
+			return nil, nil, fmt.Errorf("select item %d is neither grouped nor aggregated", i)
 		}
 		outs = append(outs, outCol{fromGroup: pos, fromAgg: -1})
 		outNames = append(outNames, selectName(it, i))
@@ -426,7 +351,7 @@ func (pc *planContext) planAggregate(st *selectStmt, cur *relop.Node) (*relop.No
 }
 
 // resolveOrderItem finds the select-output column an ORDER BY item names.
-func resolveOrderItem(e *astExpr, outNames []string, items []selectItem) (int, error) {
+func resolveOrderItem(e *relop.ExprTree, outNames []string, items []selectItem) (int, error) {
 	if e.Kind == "ident" {
 		for i, n := range outNames {
 			if strings.EqualFold(n, e.Name) || strings.HasSuffix(n, "."+e.Name) {
@@ -440,7 +365,7 @@ func resolveOrderItem(e *astExpr, outNames []string, items []selectItem) (int, e
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("hive: ORDER BY item must name a select column")
+	return 0, fmt.Errorf("ORDER BY item must name a select column")
 }
 
 func selectName(it selectItem, i int) string {
@@ -450,9 +375,9 @@ func selectName(it selectItem, i int) string {
 	return exprNameIdx(it.Expr, i)
 }
 
-func exprName(e *astExpr) string { return exprNameIdx(e, 0) }
+func exprName(e *relop.ExprTree) string { return exprNameIdx(e, 0) }
 
-func exprNameIdx(e *astExpr, i int) string {
+func exprNameIdx(e *relop.ExprTree, i int) string {
 	if e.Kind == "ident" {
 		return e.Name
 	}
@@ -463,7 +388,7 @@ func exprNameIdx(e *astExpr, i int) string {
 }
 
 // astKey renders an AST expression canonically for equality checks.
-func astKey(e *astExpr) string {
+func astKey(e *relop.ExprTree) string {
 	if e == nil {
 		return ""
 	}

@@ -264,3 +264,99 @@ func TestParseNonASCIIBeforeExpression(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupKeyNames: a GROUP key that is a bare column keeps its base
+// name; any other expression is k<i>, read off the parsed tree. `age + 1`
+// used to be named after its first token (so `age + 1, age` gave two key
+// columns called age) and `5` was named "5".
+func TestGroupKeyNames(t *testing.T) {
+	_, _, cat := parseSetup(t)
+	for by, want := range map[string][]string{
+		"age + 1, age":    {"k0", "age"},
+		"5":               {"k0"},
+		"country, (age)":  {"country", "age"},
+		"country, -age":   {"country", "k1"},
+		"age / 10, uid*2": {"k0", "k1"},
+	} {
+		s, err := ParseScript("g", "u = LOAD 'users'; g = GROUP u BY "+by+" GENERATE count(*) AS n; STORE g INTO '/o';", cat)
+		if err != nil {
+			t.Fatalf("BY %s: %v", by, err)
+		}
+		agg := s.Roots()[0].Children[0]
+		var got []string
+		for _, c := range agg.OutSchema.Cols[:len(agg.GroupBy)] {
+			got = append(got, c.Name)
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("GROUP u BY %s: key columns %v, want %v", by, got, want)
+		}
+	}
+}
+
+// TestScriptExplain: the script's DAG through the one renderer
+// (relop.ExplainDAG): vertices with their sources and sinks, edges with
+// their movement, and the stages section.
+func TestScriptExplain(t *testing.T) {
+	_, _, cat := parseSetup(t)
+	s, err := ParseScript("ex", `
+	u = LOAD 'users';
+	e = LOAD 'events';
+	j = JOIN u BY uid, e BY uid;
+	g = GROUP j BY country GENERATE sum(n) AS events;
+	STORE g INTO '/out/ex';
+	`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := s.Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"tez dag ex:\n", "sources=1", "sinks=1", "SCATTER_GATHER",
+		"stages:\n", "group join\n", "group agg\n", "emit sink -> ",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("explain missing %q:\n%s", want, text)
+		}
+	}
+	if got := strings.Count(text, "  vertex "); got != 4 {
+		t.Errorf("%d vertices, want two scans, the join and the aggregate:\n%s", got, text)
+	}
+	if got := strings.Count(text, "  edge "); got != 3 {
+		t.Errorf("%d edges, want 3:\n%s", got, text)
+	}
+	if _, err := NewScript("empty").Explain(); err == nil {
+		t.Error("explained a script that stores nothing")
+	}
+}
+
+// FuzzParseScript: no script text panics splitStatements, the statement
+// grammar or the shared expression grammar under it.
+func FuzzParseScript(f *testing.F) {
+	for _, src := range []string{
+		`u = LOAD 'users'; e = LOAD 'events'; adults = FILTER u BY age >= 18;
+		j = JOIN adults BY uid, e BY uid; agg = GROUP j BY country GENERATE sum(n) AS events;
+		STORE agg INTO '/out/pp_agg';`,
+		`e = LOAD 'events'; ids = FOREACH e GENERATE uid, n * 2 AS doubled;
+		SPLIT ids INTO small IF uid < 2, big IF uid >= 2; all = UNION small, big; d = DISTINCT all;
+		o = ORDER d BY doubled DESC LIMIT 3 PARTITIONS 2; STORE o INTO '/o'; STORE small INTO '/s';`,
+		`u = LOAD 'users'; e = LOAD 'events'; j = SKEWJOIN e BY uid, u BY uid PARTITIONS 3;
+		c = GROUP j BY kind GENERATE count(*) AS n; STORE c INTO '/o';`,
+		"-- comment\nu = LOAD 'users'; v = FILTER u BY country != 'dé' AND age BETWEEN 1 AND 99; STORE v INTO '/o';",
+		`u = LOAD 'users'; v = GROUP u BY uid GENERATE median(age); STORE v INTO '/o';`,
+		`u = LOAD 'users' extra; STORE u INTO '/o';`, `u = LOAD 'users'; STORE u INTO 1;`, ``,
+	} {
+		f.Add(src)
+	}
+	cat := Catalog{
+		"users":  {Name: "users", Schema: row.NewSchema("uid:int", "country", "age:int")},
+		"events": {Name: "events", Schema: row.NewSchema("uid:int", "kind", "n:int")},
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := ParseScript("fuzz", src, cat)
+		if err == nil && len(s.Roots()) == 0 {
+			t.Fatalf("%q parsed to a script that stores nothing", src)
+		}
+	})
+}

@@ -9,7 +9,6 @@ package pig
 
 import (
 	"fmt"
-	"strings"
 
 	"tez/internal/am"
 	"tez/internal/platform"
@@ -126,34 +125,11 @@ func (s *Script) Explain() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "tez dag %s:\n", d.Name)
-	order, err := d.TopoOrder()
+	dagText, err := relop.ExplainDAG(d)
 	if err != nil {
 		return "", err
 	}
-	for _, name := range order {
-		v := d.Vertex(name)
-		par := "runtime"
-		if v.Parallelism > 0 {
-			par = fmt.Sprintf("%d", v.Parallelism)
-		}
-		fmt.Fprintf(&b, "  vertex %-24s tasks=%s", name, par)
-		if len(v.Sinks) > 0 {
-			fmt.Fprintf(&b, " sinks=%d", len(v.Sinks))
-		}
-		b.WriteString("\n")
-	}
-	for _, ed := range d.Edges {
-		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s\n", ed.From, ed.To, ed.Property.Movement)
-	}
-	if vs := relop.ExplainStages(d); vs != "" {
-		b.WriteString("stages:\n")
-		for _, line := range strings.Split(strings.TrimRight(vs, "\n"), "\n") {
-			b.WriteString("  " + line + "\n")
-		}
-	}
-	return b.String(), nil
+	return fmt.Sprintf("tez dag %s:\n%s", d.Name, dagText), nil
 }
 
 // RunTez executes the whole script as one Tez DAG in the session.

@@ -9,6 +9,47 @@ import (
 	"tez/internal/plugin"
 )
 
+// ExplainDAG renders a compiled DAG: one line per vertex in topological
+// order (task count, sources — marking a dynamically pruned one — and
+// sinks), one per edge with its movement, then ExplainStages' section.
+func ExplainDAG(d *dag.DAG) (string, error) {
+	order, err := d.TopoOrder()
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, name := range order {
+		v := d.Vertex(name)
+		par := "runtime"
+		if v.Parallelism > 0 {
+			par = fmt.Sprintf("%d", v.Parallelism)
+		}
+		fmt.Fprintf(&b, "  vertex %-24s tasks=%s", name, par)
+		if len(v.Sources) > 0 {
+			fmt.Fprintf(&b, " sources=%d", len(v.Sources))
+			for _, s := range v.Sources {
+				if s.Initializer.Name == PruneInitializerName {
+					b.WriteString(" [dynamic partition pruning]")
+				}
+			}
+		}
+		if len(v.Sinks) > 0 {
+			fmt.Fprintf(&b, " sinks=%d", len(v.Sinks))
+		}
+		b.WriteString("\n")
+	}
+	for _, ed := range d.Edges {
+		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s\n", ed.From, ed.To, ed.Property.Movement)
+	}
+	if vs := ExplainStages(d); vs != "" {
+		b.WriteString("stages:\n")
+		for _, line := range strings.Split(strings.TrimRight(vs, "\n"), "\n") {
+			b.WriteString("  " + line + "\n")
+		}
+	}
+	return b.String(), nil
+}
+
 // ExplainStages renders what each stage vertex of a compiled DAG
 // executes: one line for its group op and one per emit (kind, target,
 // number of pipeline ops).
