@@ -58,8 +58,10 @@ bench:
 # profile runs the profilable copies of the repository benchmark's
 # workloads (BenchmarkHiveSession/{scanagg,joinagg} and BenchmarkSmallMRDAG
 # in bench_test.go) under the CPU and allocation profilers, then prints
-# what payload encoding costs: the cumulative share of internal/plugin and
-# encoding/gob frames. Binary and profiles stay in $(PROFILE_DIR); look
+# the cumulative CPU share of two costs that should read near zero on the
+# Hive workloads: payload encoding (internal/plugin and encoding/gob
+# frames) and boxing relational rows (row.Decode, row.Row.Clone,
+# col.(*Batch).AppendRow). Binary and profiles stay in $(PROFILE_DIR); look
 # further with `go tool pprof $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out`
 # (or mem.out with -sample_index=alloc_space). PROFILE_BENCH narrows the
 # run to one workload, e.g. PROFILE_BENCH=HiveSession/scanagg.
@@ -70,7 +72,7 @@ profile:
 	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
-		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.' | head -24
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.AppendRow\b' | head -30
 
 # fuzz-short gives the record-framing decoders (plain and block-padded),
 # the sort order (prefix index sort against the full-comparator oracle),
@@ -79,7 +81,9 @@ profile:
 # gob streams refused), split grouping (every split in one group, the
 # result independent of input order, group size and hint rules) and the
 # three doors text from outside comes in by — relop.ParseExpr, hive.Parse
-# and pig.ParseScript: no panic, no stack exhaustion — a brief
+# and pig.ParseScript: no panic, no stack exhaustion — and the two row
+# decoders (row.Decode and col.Batch.AppendEncoded accept and refuse the
+# same inputs and read them alike) a brief
 # coverage-guided shake on every run (the checked-in corpus under
 # testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
@@ -91,6 +95,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzParseExpr -fuzztime 5s ./internal/relop/
 	$(GO) test -run XXX -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/hive/
 	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s ./internal/pig/
+	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s ./internal/col/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and

@@ -749,6 +749,11 @@ func (b *Batch) AppendEncoded(buf []byte) (bool, error) {
 	if hdr <= 0 {
 		return false, fmt.Errorf("col: corrupt row header")
 	}
+	// Every column takes at least its kind byte: a header claiming more
+	// must not size the batch.
+	if cols > uint64(len(buf)-hdr) {
+		return false, fmt.Errorf("col: row header claims %d columns in %d bytes", cols, len(buf)-hdr)
+	}
 	if b.width < 0 {
 		b.setWidth(int(cols))
 	}

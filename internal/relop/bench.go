@@ -3,7 +3,6 @@ package relop
 import (
 	"fmt"
 
-	"tez/internal/col"
 	"tez/internal/row"
 	"tez/internal/runtime"
 )
@@ -38,10 +37,26 @@ func RunEmitBench(spec EmitSpec, tables map[string]map[string][]row.Row, widths 
 }
 
 // RunAggBench runs the grouped-aggregation kernel over one group's
-// encoded values in chunks of batchSize (> 0).
+// encoded values in chunks of batchSize (> 0) and hands emit the group's
+// output row.
 func RunAggBench(g *GroupOp, values [][]byte, batchSize int, emit func(row.Row) error) error {
 	if batchSize <= 0 {
 		return fmt.Errorf("relop: batch size %d, want > 0", batchSize)
 	}
-	return aggGroupVec(g, values, batchSize, col.NewBatch(), emit)
+	ve := newVecEmitter(EmitSpec{Kind: EmitSink, Tag: -1}, decodingWriter(emit), nil, batchSize)
+	if err := aggGroupVec(g, values, batchSize, &aggScratch{}, []*vecEmitter{ve}); err != nil {
+		return err
+	}
+	return ve.flush()
+}
+
+// decodingWriter hands each written value to a callback as a row.
+type decodingWriter func(row.Row) error
+
+func (w decodingWriter) Write(_, value []byte) error {
+	r, err := row.Decode(value)
+	if err != nil {
+		return err
+	}
+	return w(r)
 }

@@ -258,7 +258,11 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 }
 
 // runGrouped applies the stage's GroupOp per key group and feeds the
-// group-output emits. Multiple grouped inputs are merged by key.
+// group-output emits. Multiple grouped inputs are merged by key. No group
+// op boxes a row: sort and distinct hand the encoded value to the emitters
+// as runStream does, a join writes its product column to column from
+// per-side segments, and an aggregate writes its key columns and typed
+// results.
 func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters []*vecEmitter) error {
 	g := p.spec.Group
 	if g == nil {
@@ -271,26 +275,19 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 			bound = append(bound, em)
 		}
 	}
-	emitRow := func(r row.Row) error {
-		for _, em := range bound {
-			if err := em.addRow(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 
-	aggScratch := col.NewBatch()
+	var join joinGroups
+	var agg aggScratch
 	emitted := 0
 	for gr.Next() {
 		values := gr.Values()
 		switch g.Kind {
 		case "join":
-			if err := p.joinGroup(g, values, emitRow); err != nil {
+			if err := join.run(g, values, bound); err != nil {
 				return err
 			}
 		case "agg":
-			if err := aggGroupVec(g, values, DefaultBatchSize, aggScratch, emitRow); err != nil {
+			if err := aggGroupVec(g, values, DefaultBatchSize, &agg, bound); err != nil {
 				return err
 			}
 		case "sort":
@@ -298,21 +295,13 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 				if g.Limit > 0 && emitted >= g.Limit {
 					return gr.Err()
 				}
-				r, err := row.Decode(v)
-				if err != nil {
-					return err
-				}
-				if err := emitRow(r); err != nil {
+				if err := addEach(bound, v); err != nil {
 					return err
 				}
 				emitted++
 			}
 		case "distinct":
-			r, err := row.Decode(values[0])
-			if err != nil {
-				return err
-			}
-			if err := emitRow(r); err != nil {
+			if err := addEach(bound, values[0]); err != nil {
 				return err
 			}
 		default:
@@ -322,9 +311,65 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 	return gr.Err()
 }
 
-// joinGroup splits tagged values by side and emits the cartesian product.
-func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Row) error) error {
-	sides := make([][]row.Row, g.Sides)
+// addEach appends one encoded row to every emitter.
+func addEach(ems []*vecEmitter, encoded []byte) error {
+	for _, em := range ems {
+		if err := em.add(encoded); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinGroups is the reduce side of a shuffle join. Each group's tagged
+// values are parsed per side into column segments — a new segment
+// wherever the row width changes, so ragged rows keep their shape — and
+// the segments are reused from group to group.
+type joinGroups struct {
+	sides []joinSide
+	cur   []joinCursor // the product row being written: one row per side
+}
+
+// joinSide holds one side of the current group in segs[:n].
+type joinSide struct {
+	segs []*col.Batch
+	n    int
+}
+
+type joinCursor struct {
+	seg *col.Batch
+	row int
+}
+
+// add appends one encoded row, opening a segment for the side's first row
+// or on a width change.
+func (s *joinSide) add(encoded []byte) error {
+	if s.n > 0 {
+		if ok, err := s.segs[s.n-1].AppendEncoded(encoded); err != nil || ok {
+			return err
+		}
+	}
+	if s.n == len(s.segs) {
+		s.segs = append(s.segs, col.NewBatch())
+	} else {
+		s.segs[s.n].Reset()
+	}
+	s.n++
+	_, err := s.segs[s.n-1].AppendEncoded(encoded) // an empty batch takes any width
+	return err
+}
+
+// run splits tagged values by side and writes their cartesian product,
+// side 0 outermost, into every emitter's batch column to column; each
+// batch flushes on a width change or when full, as in hashJoin.
+func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
+	if len(j.sides) != g.Sides {
+		j.sides = make([]joinSide, g.Sides)
+		j.cur = make([]joinCursor, g.Sides)
+	}
+	for t := range j.sides {
+		j.sides[t].n = 0
+	}
 	for _, v := range values {
 		if len(v) == 0 {
 			return fmt.Errorf("relop: untagged join value")
@@ -333,67 +378,48 @@ func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Ro
 		if tag >= g.Sides {
 			return fmt.Errorf("relop: join tag %d out of %d sides", tag, g.Sides)
 		}
-		r, err := row.Decode(v[1:])
-		if err != nil {
+		if err := j.sides[tag].add(v[1:]); err != nil {
 			return err
 		}
-		sides[tag] = append(sides[tag], r)
 	}
-	for _, s := range sides {
-		if len(s) == 0 {
+	for _, s := range j.sides {
+		if s.n == 0 {
 			return nil // inner join: some side empty
 		}
 	}
-	var rec func(i int, acc row.Row) error
-	rec = func(i int, acc row.Row) error {
-		if i == len(sides) {
-			return emit(acc)
-		}
-		for _, r := range sides[i] {
-			next := append(acc.Clone(), r...)
-			if err := rec(i+1, next); err != nil {
+	return j.product(0, 0, ems)
+}
+
+// product fixes side s's row in turn (the sides before it are fixed in
+// cur) and writes each complete combination to every emitter.
+func (j *joinGroups) product(s, width int, ems []*vecEmitter) error {
+	if s == len(j.sides) {
+		for _, em := range ems {
+			b, err := em.beginRow(width)
+			if err != nil {
+				return err
+			}
+			c := 0
+			for _, cur := range j.cur {
+				for k := 0; k < cur.seg.Width(); k++ {
+					b.Col(c).AppendFrom(cur.seg.Col(k), cur.row)
+					c++
+				}
+			}
+			if err := em.endRow(); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	return rec(0, row.Row{})
-}
-
-// aggState accumulates one aggregate: count includes nulls, sum
-// accumulates float64 in row order, min/max keep the first value on
-// Compare ties (observeChunk in vagg.go applies the rules).
-type aggState struct {
-	sum   float64
-	count int64
-	min   row.Value
-	max   row.Value
-	init  bool
-}
-
-// finalizeAgg appends the aggregate outputs to the group key columns.
-func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, error) {
-	out := groupVals.Clone()
-	for i, a := range g.Aggs {
-		st := states[i]
-		switch a.Func {
-		case "sum":
-			out = append(out, row.Float(st.sum))
-		case "count":
-			out = append(out, row.Int(st.count))
-		case "avg":
-			if st.count == 0 {
-				out = append(out, row.Null())
-			} else {
-				out = append(out, row.Float(st.sum/float64(st.count)))
+	side := &j.sides[s]
+	for _, seg := range side.segs[:side.n] {
+		for i := 0; i < seg.Len(); i++ {
+			j.cur[s] = joinCursor{seg: seg, row: i}
+			if err := j.product(s+1, width+seg.Width(), ems); err != nil {
+				return err
 			}
-		case "min":
-			out = append(out, st.min)
-		case "max":
-			out = append(out, st.max)
-		default:
-			return nil, fmt.Errorf("relop: unknown aggregate %q", a.Func)
 		}
 	}
-	return out, nil
+	return nil
 }

@@ -10,9 +10,9 @@ import (
 
 // The row-at-a-time reference the identity tests compare the batch engine
 // against (vec_identity_test.go): the per-record expression evaluator,
-// emit pipeline and aggregation that were the production engine before
-// the columnar one, kept unchanged in behaviour. Nothing outside tests
-// may call them.
+// emit pipeline, aggregation and reduce-side join that were the
+// production engine before the columnar one, kept unchanged in
+// behaviour. Nothing outside tests may call them.
 
 // Eval evaluates the expression against r.
 func (e *Expr) Eval(r row.Row) row.Value {
@@ -258,4 +258,69 @@ func (p *stageProcessor) aggGroup(g *GroupOp, values [][]byte, emit func(row.Row
 		return err
 	}
 	return emit(out)
+}
+
+// finalizeAgg appends the aggregate outputs to the group key columns.
+func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, error) {
+	out := groupVals.Clone()
+	for i, a := range g.Aggs {
+		st := states[i]
+		switch a.Func {
+		case "sum":
+			out = append(out, row.Float(st.sum))
+		case "count":
+			out = append(out, row.Int(st.count))
+		case "avg":
+			if st.count == 0 {
+				out = append(out, row.Null())
+			} else {
+				out = append(out, row.Float(st.sum/float64(st.count)))
+			}
+		case "min":
+			out = append(out, st.min)
+		case "max":
+			out = append(out, st.max)
+		default:
+			return nil, fmt.Errorf("relop: unknown aggregate %q", a.Func)
+		}
+	}
+	return out, nil
+}
+
+// joinGroup splits tagged values by side and emits the cartesian product.
+func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Row) error) error {
+	sides := make([][]row.Row, g.Sides)
+	for _, v := range values {
+		if len(v) == 0 {
+			return fmt.Errorf("relop: untagged join value")
+		}
+		tag := int(v[0])
+		if tag >= g.Sides {
+			return fmt.Errorf("relop: join tag %d out of %d sides", tag, g.Sides)
+		}
+		r, err := row.Decode(v[1:])
+		if err != nil {
+			return err
+		}
+		sides[tag] = append(sides[tag], r)
+	}
+	for _, s := range sides {
+		if len(s) == 0 {
+			return nil // inner join: some side empty
+		}
+	}
+	var rec func(i int, acc row.Row) error
+	rec = func(i int, acc row.Row) error {
+		if i == len(sides) {
+			return emit(acc)
+		}
+		for _, r := range sides[i] {
+			next := append(acc.Clone(), r...)
+			if err := rec(i+1, next); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return rec(0, row.Row{})
 }

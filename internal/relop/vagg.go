@@ -8,61 +8,94 @@ import (
 	"tez/internal/row"
 )
 
+// aggState accumulates one aggregate: count includes nulls, sum
+// accumulates float64 in row order, min/max keep the first value on
+// Compare ties (observeChunk applies the rules).
+type aggState struct {
+	sum   float64
+	count int64
+	min   row.Value
+	max   row.Value
+	init  bool
+}
+
 // aggNeed records which aggState fields a given aggregate function reads,
-// so the chunk kernels skip updates the finalizer will never look at
-// (the row oracle updates everything unconditionally; skipping is pure
+// so the chunk kernels skip updates the result will never look at (the
+// row oracle updates everything unconditionally; skipping is pure
 // optimization and cannot change output).
 type aggNeed struct {
 	sum bool
 	mm  bool
 }
 
-func aggNeeds(fn string) aggNeed {
-	switch fn {
-	case "sum", "avg":
-		return aggNeed{sum: true}
-	case "min", "max":
-		return aggNeed{mm: true}
-	}
-	return aggNeed{} // count needs only the bulk row count
+// aggNeeds lists the aggregate functions; count needs only the bulk row
+// count.
+var aggNeeds = map[string]aggNeed{
+	"sum": {sum: true}, "avg": {sum: true},
+	"min": {mm: true}, "max": {mm: true},
+	"count": {},
+}
+
+// aggScratch is aggGroupVec's storage, reused from group to group.
+type aggScratch struct {
+	chunk  *col.Batch // the group's values, batchSize rows at a time
+	key    *col.Batch // the group key columns, copied from the first chunk
+	states []aggState
+	needs  []aggNeed
 }
 
 // aggGroupVec computes one group's aggregates batch-at-a-time: the
-// encoded values are parsed straight into a scratch batch (no row.Row
-// boxing), and typed column kernels update the group's aggStates —
-// count includes nulls, the float sum accumulates in row order, min/max
-// keep the first value on ties.
-func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, scratch *col.Batch, emit func(row.Row) error) error {
-	states := make([]aggState, len(g.Aggs))
-	var groupVals row.Row
-	if len(values) > 0 {
-		first, err := row.Decode(values[0])
-		if err != nil {
-			return err
-		}
-		groupVals = first[:g.GroupWidth].Clone()
+// encoded values are parsed straight into a chunk batch, typed column
+// kernels update the group's aggStates — count includes nulls, the float
+// sum accumulates in row order, min/max keep the first value on ties —
+// and every emitter gets the key columns followed by the typed results.
+func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems []*vecEmitter) error {
+	if s.chunk == nil {
+		s.chunk, s.key = col.NewBatch(), col.NewBatch()
 	}
+	s.states, s.needs = s.states[:0], s.needs[:0]
+	for _, a := range g.Aggs {
+		need, ok := aggNeeds[a.Func]
+		if !ok {
+			return fmt.Errorf("relop: unknown aggregate %q", a.Func)
+		}
+		s.states = append(s.states, aggState{})
+		s.needs = append(s.needs, need)
+	}
+	chunk := s.chunk // empty: the last group's final flush reset it
+	keyWidth := -1   // fixed by the first chunk
 	flush := func() error {
-		n := scratch.Len()
+		n := chunk.Len()
 		if n == 0 {
 			return nil
 		}
-		w := scratch.Width()
+		w := chunk.Width()
+		if keyWidth < 0 {
+			if w < g.GroupWidth {
+				return fmt.Errorf("relop: %d-column row under a %d-column group key", w, g.GroupWidth)
+			}
+			keyWidth = g.GroupWidth
+			s.key.Reset()
+			s.key.EnsureWidth(keyWidth)
+			for c := 0; c < keyWidth; c++ {
+				s.key.Col(c).AppendFrom(chunk.Col(c), 0)
+			}
+		}
 		for i := range g.Aggs {
 			a := &g.Aggs[i]
 			if a.Col < 0 || a.Col >= w {
 				// An out-of-range column is all-null: it still counts
 				// every row.
-				states[i].count += int64(n)
+				s.states[i].count += int64(n)
 				continue
 			}
-			observeChunk(&states[i], scratch.Col(a.Col), n, aggNeeds(a.Func))
+			observeChunk(&s.states[i], chunk.Col(a.Col), n, s.needs[i])
 		}
-		scratch.Reset()
+		chunk.Reset()
 		return nil
 	}
 	for _, v := range values {
-		ok, err := scratch.AppendEncoded(v)
+		ok, err := chunk.AppendEncoded(v)
 		if err != nil {
 			return err
 		}
@@ -72,13 +105,11 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, scratch *col.Batch,
 			if err := flush(); err != nil {
 				return err
 			}
-			if ok, err = scratch.AppendEncoded(v); err != nil {
+			if _, err = chunk.AppendEncoded(v); err != nil {
 				return err
-			} else if !ok {
-				return fmt.Errorf("relop: agg batch rejected row after reset")
 			}
 		}
-		if scratch.Len() >= batchSize {
+		if chunk.Len() >= batchSize {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -87,11 +118,41 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, scratch *col.Batch,
 	if err := flush(); err != nil {
 		return err
 	}
-	out, err := finalizeAgg(g, groupVals, states)
-	if err != nil {
-		return err
+	if keyWidth < 0 {
+		keyWidth = 0 // no values: the aggregates alone
 	}
-	return emit(out)
+	for _, em := range ems {
+		b, err := em.beginRow(keyWidth + len(g.Aggs))
+		if err != nil {
+			return err
+		}
+		for c := 0; c < keyWidth; c++ {
+			b.Col(c).AppendFrom(s.key.Col(c), 0)
+		}
+		for i, a := range g.Aggs {
+			v, st := b.Col(keyWidth+i), &s.states[i]
+			switch a.Func {
+			case "sum":
+				v.AppendFloat(st.sum)
+			case "count":
+				v.AppendInt(st.count)
+			case "avg":
+				if st.count == 0 {
+					v.AppendNull()
+				} else {
+					v.AppendFloat(st.sum / float64(st.count))
+				}
+			case "min":
+				v.AppendValue(st.min)
+			case "max":
+				v.AppendValue(st.max)
+			}
+		}
+		if err := em.endRow(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // observeChunk folds n rows of one column into st. Chunk-local min/max

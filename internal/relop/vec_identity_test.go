@@ -13,6 +13,7 @@ import (
 	"tez/internal/am"
 	"tez/internal/col"
 	"tez/internal/row"
+	"tez/internal/runtime"
 )
 
 // The batch engine's contract is byte-identity with the row-at-a-time
@@ -274,9 +275,33 @@ func TestVecPipeIdentityRandom(t *testing.T) {
 	}
 }
 
+// sinkEmitter is a pipeline-less sink emit at batch size size, with the
+// writer that records what it writes.
+func sinkEmitter(size int) (*vecEmitter, *captureWriter) {
+	w := &captureWriter{}
+	return newVecEmitter(EmitSpec{Kind: EmitSink, Output: "sink", Tag: -1}, w, nil, size), w
+}
+
+// sameRecords fails unless the two writers hold the same records.
+func sameRecords(t *testing.T, what string, want, got []capturedKV) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: oracle wrote %d records, batch engine %d", what, len(want), len(got))
+	}
+	for i := range want {
+		if !bytes.Equal(want[i].key, got[i].key) || !bytes.Equal(want[i].val, got[i].val) {
+			t.Fatalf("%s record %d:\noracle: %x %x\nbatch:  %x %x", what, i, want[i].key, want[i].val, got[i].key, got[i].val)
+		}
+	}
+}
+
 func TestVecAggIdentityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	funcs := []string{"sum", "count", "min", "max", "avg"}
+	// One scratch and one emitter for every trial: both are reused from
+	// group to group in a task.
+	var agg aggScratch
+	em, vecW := sinkEmitter(3)
 	for trial := 0; trial < 150; trial++ {
 		gw := rng.Intn(3)
 		extra := 1 + rng.Intn(3)
@@ -296,32 +321,23 @@ func TestVecAggIdentityRandom(t *testing.T) {
 			}
 			values = append(values, row.Encode(nil, randVecRow(rng, w)))
 		}
-		var rowOut, vecOut []row.Row
+		var rowOut []capturedKV
 		p := &stageProcessor{}
 		if err := p.aggGroup(g, values, func(r row.Row) error {
-			rowOut = append(rowOut, r.Clone())
+			rowOut = append(rowOut, capturedKV{val: row.Encode(nil, r)})
 			return nil
 		}); err != nil {
 			t.Fatalf("trial %d row agg: %v", trial, err)
 		}
+		vecW.kvs = nil
 		batchSize := 1 + rng.Intn(32)
-		if err := aggGroupVec(g, values, batchSize, col.NewBatch(), func(r row.Row) error {
-			vecOut = append(vecOut, r.Clone())
-			return nil
-		}); err != nil {
+		if err := aggGroupVec(g, values, batchSize, &agg, []*vecEmitter{em}); err != nil {
 			t.Fatalf("trial %d vec agg: %v", trial, err)
 		}
-		if len(rowOut) != len(vecOut) {
-			t.Fatalf("trial %d: row agg emitted %d rows, vec %d", trial, len(rowOut), len(vecOut))
+		if err := em.flush(); err != nil {
+			t.Fatal(err)
 		}
-		for i := range rowOut {
-			a := row.Encode(nil, rowOut[i])
-			b := row.Encode(nil, vecOut[i])
-			if !bytes.Equal(a, b) {
-				t.Fatalf("trial %d row %d: agg mismatch\nrow: %v (%x)\nvec: %v (%x)",
-					trial, i, rowOut[i], a, vecOut[i], b)
-			}
-		}
+		sameRecords(t, fmt.Sprintf("trial %d agg", trial), rowOut, vecW.kvs)
 	}
 }
 
@@ -336,16 +352,259 @@ func TestVecAggAllNullColumn(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		values = append(values, row.Encode(nil, row.Row{row.Int(7), row.Null()}))
 	}
-	var got row.Row
-	if err := aggGroupVec(g, values, 4, col.NewBatch(), func(r row.Row) error {
-		got = r.Clone()
-		return nil
-	}); err != nil {
+	em, w := sinkEmitter(DefaultBatchSize)
+	if err := aggGroupVec(g, values, 4, &aggScratch{}, []*vecEmitter{em}); err != nil {
+		t.Fatal(err)
+	}
+	if err := em.flush(); err != nil {
 		t.Fatal(err)
 	}
 	want := row.Row{row.Int(7), row.Int(10), row.Float(0), row.Null(), row.Float(0)}
-	if !bytes.Equal(row.Encode(nil, got), row.Encode(nil, want)) {
-		t.Fatalf("got %v want %v", got, want)
+	sameRecords(t, "all-null column", []capturedKV{{val: row.Encode(nil, want)}}, w.kvs)
+}
+
+// groupEmits binds the two emits a group feeds in the reduce-side
+// identity tests to an oracle emitter and a batch emitter each, every one
+// with its own writer. The first emit filters, so a selection it narrows
+// must not reach the second one's rows; the second shuffles by a column.
+type groupEmits struct {
+	rowEms       []*emitter
+	vecEms       []*vecEmitter
+	rowWs, vecWs []*captureWriter
+}
+
+func newGroupEmits(rng *rand.Rand, width, batchSize int) *groupEmits {
+	ge := &groupEmits{}
+	for _, spec := range []EmitSpec{
+		{Kind: EmitSink, Output: "a", Tag: -1, Pipe: []PipeOp{{Kind: "filter", Filter: randVecExpr(rng, width, 2)}}},
+		{Kind: EmitShuffle, Output: "b", Tag: rng.Intn(2), Keys: []*Expr{Col(rng.Intn(width))}, Desc: []bool{rng.Intn(2) == 0}},
+	} {
+		rowW, vecW := &captureWriter{}, &captureWriter{}
+		ge.rowWs, ge.vecWs = append(ge.rowWs, rowW), append(ge.vecWs, vecW)
+		ge.rowEms = append(ge.rowEms, &emitter{spec: spec, writer: rowW})
+		ge.vecEms = append(ge.vecEms, newVecEmitter(spec, vecW, nil, batchSize))
+	}
+	return ge
+}
+
+// emitRow feeds one oracle row to every oracle emitter.
+func (ge *groupEmits) emitRow(r row.Row) error {
+	for _, em := range ge.rowEms {
+		if err := em.emit(r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check flushes the batch emitters and compares each with its oracle.
+func (ge *groupEmits) check(t *testing.T, what string) {
+	t.Helper()
+	for i, em := range ge.vecEms {
+		if err := em.flush(); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("%s emit %d", what, i)
+		if ge.rowEms[i].count != em.count {
+			t.Fatalf("%s: oracle emitted %d rows, batch engine %d", what, ge.rowEms[i].count, em.count)
+		}
+		sameRecords(t, what, ge.rowWs[i].kvs, ge.vecWs[i].kvs)
+	}
+}
+
+// randJoinGroup builds one join group's tagged values: n[s] rows of side
+// s, interleaved in random order (the merged readers do not sort by tag),
+// with ragged widths within and across sides when ragged is set.
+func randJoinGroup(rng *rand.Rand, widths []int, ragged bool) [][]byte {
+	var tags []int
+	for s := range widths {
+		for i := rng.Intn(7); i > 0; i-- { // 0: an empty side
+			tags = append(tags, s)
+		}
+	}
+	rng.Shuffle(len(tags), func(i, j int) { tags[i], tags[j] = tags[j], tags[i] })
+	values := make([][]byte, len(tags))
+	for i, s := range tags {
+		w := widths[s]
+		if ragged && rng.Intn(3) == 0 {
+			w = 1 + rng.Intn(4)
+		}
+		values[i] = row.Encode([]byte{byte(s)}, randVecRow(rng, w))
+	}
+	return values
+}
+
+// TestVecJoinIdentityRandom byte-compares the reduce-side join (per-side
+// column segments, product written column to column) with the oracle's
+// joinGroup feeding row emitters: nulls, kind-mixed columns, NaN, -0.0
+// and zero-byte strings; ragged widths within and across sides; empty
+// sides; products past the batch size at batch sizes ≤ 8; two bound
+// emitters, the first filtering. The joinGroups and emitters are reused
+// across every group of a trial, as in a task.
+func TestVecJoinIdentityRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var join joinGroups
+	for trial := 0; trial < 150; trial++ {
+		g := &GroupOp{Kind: "join", Sides: 2}
+		if trial%10 == 9 {
+			g.Sides = 1 + rng.Intn(3)
+		}
+		widths := make([]int, g.Sides)
+		total := 0
+		for s := range widths {
+			widths[s] = 1 + rng.Intn(4)
+			total += widths[s]
+		}
+		ragged := rng.Intn(3) == 0
+		ge := newGroupEmits(rng, total+2, 1+rng.Intn(8))
+		p := &stageProcessor{}
+		for grp := 1 + rng.Intn(6); grp > 0; grp-- {
+			values := randJoinGroup(rng, widths, ragged)
+			if err := p.joinGroup(g, values, ge.emitRow); err != nil {
+				t.Fatalf("trial %d oracle join: %v", trial, err)
+			}
+			if err := join.run(g, values, ge.vecEms); err != nil {
+				t.Fatalf("trial %d batch join: %v", trial, err)
+			}
+		}
+		ge.check(t, fmt.Sprintf("trial %d", trial))
+	}
+}
+
+// TestVecJoinGroupErrors: an untagged value, a tag past the last side and
+// a truncated row fail the group on both the oracle and the batch join.
+func TestVecJoinGroupErrors(t *testing.T) {
+	g := &GroupOp{Kind: "join", Sides: 2}
+	good := row.Encode([]byte{0}, row.Row{row.Int(1), row.String("x")})
+	for name, bad := range map[string][]byte{
+		"untagged":  {},
+		"tag 2":     row.Encode([]byte{2}, row.Row{row.Int(1)}),
+		"tag 255":   row.Encode([]byte{255}, row.Row{row.Int(1)}),
+		"truncated": good[:len(good)-1],
+		"no header": {1},
+	} {
+		values := [][]byte{good, row.Encode([]byte{1}, row.Row{row.Int(2)}), bad}
+		p := &stageProcessor{}
+		if err := p.joinGroup(g, values, func(row.Row) error { return nil }); err == nil {
+			t.Errorf("%s: oracle accepted the group", name)
+		}
+		em, _ := sinkEmitter(DefaultBatchSize)
+		var join joinGroups
+		if err := join.run(g, values, []*vecEmitter{em}); err == nil {
+			t.Errorf("%s: batch join accepted the group", name)
+		}
+	}
+}
+
+// TestVecSortDistinctIdentityRandom runs sort (with and without a limit)
+// and distinct stages through runGrouped over random groups and compares
+// two bound emitters, the first filtering, with the oracle decoding each
+// value into row emitters.
+func TestVecSortDistinctIdentityRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 100; trial++ {
+		g := &GroupOp{Kind: "sort"}
+		switch trial % 3 {
+		case 1:
+			g.Limit = 1 + rng.Intn(30)
+		case 2:
+			g.Kind = "distinct"
+		}
+		width := 1 + rng.Intn(4)
+		groups := &sliceGroups{}
+		for k := rng.Intn(12); k > 0; k-- {
+			var vals [][]byte
+			for i := 1 + rng.Intn(6); i > 0; i-- {
+				w := width
+				if rng.Intn(8) == 0 {
+					w = 1 + rng.Intn(4)
+				}
+				vals = append(vals, row.Encode(nil, randVecRow(rng, w)))
+			}
+			groups.keys = append(groups.keys, []byte{byte(k)})
+			groups.vals = append(groups.vals, vals)
+		}
+		ge := newGroupEmits(rng, width+1, 1+rng.Intn(8))
+		emitted := 0
+	oracle:
+		for _, vals := range groups.vals {
+			if g.Kind == "distinct" {
+				vals = vals[:1]
+			}
+			for _, v := range vals {
+				if g.Limit > 0 && emitted >= g.Limit {
+					break oracle
+				}
+				r, err := row.Decode(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ge.emitRow(r); err != nil {
+					t.Fatal(err)
+				}
+				emitted++
+			}
+		}
+
+		p := &stageProcessor{spec: &StageSpec{Group: g}}
+		if err := p.runGrouped([]runtime.GroupedKVReader{groups}, ge.vecEms); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		ge.check(t, fmt.Sprintf("trial %d %s", trial, g.Kind))
+	}
+}
+
+type discardWriter struct{}
+
+func (discardWriter) Write(key, value []byte) error { return nil }
+
+// TestJoinGroupAllocsBounded holds the reduce-side join to a constant
+// number of allocations per group once its segments and the emitter's
+// batch are warm, whatever the row width or fan-out. (The row path it
+// replaced allocated at least two per output row and one per decoded
+// row: 13 per 1 × 4 group.)
+func TestJoinGroupAllocsBounded(t *testing.T) {
+	for _, shape := range []struct{ width, fanOut int }{{10, 4}, {20, 4}, {10, 16}} {
+		rng := rand.New(rand.NewSource(23))
+		mkRow := func(key int64) row.Row {
+			r := row.Row{row.Int(key)}
+			for len(r) < shape.width {
+				switch len(r) % 3 {
+				case 0:
+					r = append(r, row.Int(rng.Int63n(1000)))
+				case 1:
+					r = append(r, row.Float(rng.Float64()))
+				default:
+					r = append(r, row.String(fmt.Sprintf("Customer#%06d", rng.Intn(1e6))))
+				}
+			}
+			return r
+		}
+		groups := make([][][]byte, 64)
+		for k := range groups {
+			groups[k] = append(groups[k], row.Encode([]byte{0}, mkRow(int64(k))))
+			for i := 0; i < shape.fanOut; i++ {
+				groups[k] = append(groups[k], row.Encode([]byte{1}, mkRow(int64(k))))
+			}
+		}
+		g := &GroupOp{Kind: "join", Sides: 2}
+		spec := EmitSpec{Kind: EmitShuffle, Output: "o", Tag: -1, Keys: []*Expr{Col(0)}}
+		ems := []*vecEmitter{newVecEmitter(spec, discardWriter{}, nil, DefaultBatchSize)}
+		var join joinGroups
+		run := func() {
+			for _, values := range groups {
+				if err := join.run(g, values, ems); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run() // warm the segments and the emitter's batch
+		perGroup := testing.AllocsPerRun(20, run) / float64(len(groups))
+		t.Logf("%d-column rows, 1 × %d: %.3f allocations per group", shape.width, shape.fanOut, perGroup)
+		if perGroup > 0.5 {
+			t.Errorf("%d-column rows, 1 × %d groups: %.2f allocations per group, want ≤ 0.5",
+				shape.width, shape.fanOut, perGroup)
+		}
 	}
 }
 

@@ -72,14 +72,22 @@ func (ve *vecEmitter) add(encoded []byte) error {
 	return nil
 }
 
-// addRow appends an already-decoded row (group outputs).
-func (ve *vecEmitter) addRow(r row.Row) error {
-	if !ve.batch.AppendRow(r) {
+// beginRow readies the input batch for one width-w row that the caller
+// appends column by column (join products, aggregate results), flushing
+// first on a width change as add does. endRow commits it.
+func (ve *vecEmitter) beginRow(w int) (*col.Batch, error) {
+	if ve.batch.Len() > 0 && ve.batch.Width() != w {
 		if err := ve.flush(); err != nil {
-			return err
+			return nil, err
 		}
-		ve.batch.AppendRow(r) // width unlocked by Reset
 	}
+	ve.batch.EnsureWidth(w)
+	return ve.batch, nil
+}
+
+// endRow commits the row beginRow opened, flushing on batch-full.
+func (ve *vecEmitter) endRow() error {
+	ve.batch.SetRowCount(ve.batch.Len() + 1)
 	if ve.batch.Len() >= ve.size {
 		return ve.flush()
 	}

@@ -237,11 +237,17 @@ func Encode(dst []byte, r Row) []byte {
 	return dst
 }
 
-// Decode parses one row from buf.
+// Decode parses one row from buf. Trailing bytes after the row are
+// ignored.
 func Decode(buf []byte) (Row, error) {
 	cols, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, fmt.Errorf("row: corrupt header")
+	}
+	// Every column takes at least its kind byte, so the header is bounded
+	// by what remains before it sizes anything.
+	if cols > uint64(len(buf)-n) {
+		return nil, fmt.Errorf("row: header claims %d columns in %d bytes", cols, len(buf)-n)
 	}
 	pos := n
 	r := make(Row, cols)
@@ -273,11 +279,13 @@ func Decode(buf []byte) (Row, error) {
 				return nil, fmt.Errorf("row: corrupt string at col %d", i)
 			}
 			pos += n
-			if pos+int(l) > len(buf) {
+			if uint64(len(buf)-pos) < l {
 				return nil, fmt.Errorf("row: truncated string at col %d", i)
 			}
 			r[i] = String(string(buf[pos : pos+int(l)]))
 			pos += int(l)
+		default:
+			return nil, fmt.Errorf("row: unknown value kind %d at col %d", kind, i)
 		}
 	}
 	return r, nil
