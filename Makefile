@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint test race check check-benchmark examples bench profile fuzz-short chaos trace
+.PHONY: build vet lint test race check check-benchmark examples bench profile fuzz-short chaos stress trace
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,19 @@ fuzz-short:
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 	$(GO) test -race -count=1 -run 'TestChaos|TestBlacklist|TestAttemptFailureRacingNodeLoss|TestDecommissionDrain|TestRetractAnnouncedAttempt' ./internal/am/
+
+# stress repeats the tests of four fixes whose failures depended on
+# goroutine ordering, each run enough times that its old failure rate
+# (one in a few to one in a hundred) would show: the stage-program
+# sharing test with the whole relop package (50 runs), a session closed
+# mid-run leaking nothing under the race detector (500), AM recovery
+# under default slow-start (200), and the chaos table's node-crash row,
+# which loops thirty runs under a wall-clock bound itself.
+stress:
+	$(GO) test -count=50 ./internal/relop/
+	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
+	$(GO) test -count=200 -run 'TestAMRecoveryFromCheckpoint$$' ./internal/am/
+	$(GO) test -count=1 -run 'TestChaosNodeCrashRecoversPromptly$$' ./internal/bench/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

@@ -24,6 +24,7 @@ import (
 	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/runtime"
+	"tez/internal/timeline"
 )
 
 func init() {
@@ -104,7 +105,8 @@ func main() {
 		fmt.Printf("  edge   %-24s -> %-22s %s\n", e.From, e.To, e.Property.Movement)
 	}
 
-	sess := am.NewSession(plat, am.Config{Name: "tez-dag"})
+	journal := timeline.New()
+	sess := am.NewSession(plat, am.Config{Name: "tez-dag", Timeline: journal})
 	defer sess.Close()
 	res, err := sess.Run(d)
 	if err != nil {
@@ -113,11 +115,26 @@ func main() {
 	fmt.Printf("\nexecution: %s in %v\n", res.Status, res.Duration.Round(time.Millisecond))
 	fmt.Printf("counters: %s\n\nphysical execution trace:\n", res.Counters)
 
-	recs := res.Trace.Records()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Start.Before(recs[j].Start) })
-	for _, r := range recs {
+	// Each attempt's span closes with ATTEMPT_FINISHED; its locality was
+	// journalled when it started.
+	type attempt struct {
+		vertex        string
+		task, attempt int
+	}
+	locality := map[attempt]string{}
+	var finished []timeline.Event
+	for _, e := range journal.Events() {
+		switch e.Type {
+		case timeline.AttemptStarted:
+			locality[attempt{e.Vertex, e.Task, e.Attempt}] = e.Info
+		case timeline.AttemptFinished:
+			finished = append(finished, e)
+		}
+	}
+	sort.Slice(finished, func(i, j int) bool { return finished[i].Start().Before(finished[j].Start()) })
+	for _, e := range finished {
 		fmt.Printf("  %-24s task %02d attempt %d  %-11s on %-8s %-10s %6.2fms\n",
-			r.Vertex, r.Task, r.Attempt, r.Locality, r.Node, r.Outcome,
-			float64(r.End.Sub(r.Start).Microseconds())/1000)
+			e.Vertex, e.Task, e.Attempt, locality[attempt{e.Vertex, e.Task, e.Attempt}], e.Node, e.Info,
+			float64(e.Dur.Microseconds())/1000)
 	}
 }

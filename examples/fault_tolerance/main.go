@@ -145,7 +145,7 @@ func main() {
 	fmt.Println("2) environment-stuck attempt rescued by speculation")
 	specSess := am.NewSession(plat, am.Config{
 		Name: "ft-spec", Speculation: true,
-		SpeculationInterval: 2 * time.Millisecond, SpeculationFactor: 4, SpeculationMinCompleted: 3,
+		SpeculationInterval: 2 * time.Millisecond, SpeculationFactor: 4,
 	})
 	straggle := dag.New("straggler")
 	v := straggle.AddVertex("work", plugin.Desc("ft.straggler", nil), 8)

@@ -97,14 +97,13 @@ func TestBlacklistRescuesDAGFromSickNode(t *testing.T) {
 	})
 }
 
-// TestBlacklistDecayRestoresNode: after NodeBlacklistDecay the node is
+// TestBlacklistDecayRestoresNode: after blacklistDecay the node is
 // un-blacklisted with a clean slate. Driven by the injectable clock — no
 // sleeping, and the decay boundary is tested exactly.
 func TestBlacklistDecayRestoresNode(t *testing.T) {
 	now := time.Unix(1000, 0)
 	cfg := Config{
 		NodeMaxTaskFailures: 1,
-		NodeBlacklistDecay:  10 * time.Millisecond,
 		Clock:               func() time.Time { return now },
 	}.withDefaults()
 	h := newNodeHealth(cfg, 8)
@@ -114,9 +113,9 @@ func TestBlacklistDecayRestoresNode(t *testing.T) {
 	if !h.isBlacklisted("n1") || len(h.excludedIDs()) != 1 {
 		t.Fatal("n1 should be excluded")
 	}
-	now = now.Add(9 * time.Millisecond)
+	now = now.Add(blacklistDecay - time.Millisecond)
 	if !h.isBlacklisted("n1") {
-		t.Fatal("n1 decayed before NodeBlacklistDecay elapsed")
+		t.Fatal("n1 decayed before blacklistDecay elapsed")
 	}
 	now = now.Add(time.Millisecond)
 	if h.isBlacklisted("n1") {
@@ -128,11 +127,11 @@ func TestBlacklistDecayRestoresNode(t *testing.T) {
 	}
 }
 
-// TestBlacklistCapRefusesExcess: the MaxBlacklistFraction cap keeps a
+// TestBlacklistCapRefusesExcess: the maxBlacklistFraction cap keeps a
 // cluster-wide problem from excluding more than its share of nodes.
 func TestBlacklistCapRefusesExcess(t *testing.T) {
-	cfg := Config{NodeMaxTaskFailures: 1, MaxBlacklistFraction: 0.34}.withDefaults()
-	h := newNodeHealth(cfg, 3) // cap = max(1, floor(0.34*3)) = 1
+	cfg := Config{NodeMaxTaskFailures: 1}.withDefaults()
+	h := newNodeHealth(cfg, 3) // cap = max(1, floor(0.33*3)) = 1
 	if !h.taskFailed("n1") {
 		t.Fatal("first node should blacklist")
 	}

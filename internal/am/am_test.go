@@ -165,7 +165,7 @@ func TestAutoParallelismShrinks(t *testing.T) {
 	defer plat.Stop()
 	writeLines(t, plat, "/in/text", []string{"x y z x y x"})
 	d := wordCountDAG("wc-auto", "/in/text", "/out/auto", 8)
-	cfg := Config{Name: "t", DesiredBytesPerReducer: 1 << 20} // tiny data → 1 reducer
+	cfg := Config{Name: "t"} // tiny data → 1 reducer
 	res, err := RunDAG(plat, cfg, d)
 	if err != nil || res.Status != DAGSucceeded {
 		t.Fatalf("%v %v", res.Status, err)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tez/internal/chaos"
-	"tez/internal/cluster"
 	"tez/internal/timeline"
 )
 
@@ -29,8 +28,6 @@ type Config struct {
 	// individually. The session's timeline streams are tagged with the
 	// tenant so per-tenant traces can be filtered from a shared journal.
 	Tenant string
-	// ContainerResource is the per-task container size.
-	ContainerResource cluster.Resource
 	// MaxTaskAttempts bounds re-execution of a failing task (default 4).
 	MaxTaskAttempts int
 	// DisableContainerReuse releases each container after a single task
@@ -50,9 +47,6 @@ type Config struct {
 	// SpeculationFactor: an attempt running longer than factor × the mean
 	// completed-task runtime of its vertex is a straggler (default 3).
 	SpeculationFactor float64
-	// SpeculationMinCompleted completed tasks are required in a vertex
-	// before estimating stragglers (default 3).
-	SpeculationMinCompleted int
 
 	// SlowStartMin/Max control shuffle consumer scheduling: consumers are
 	// scheduled proportionally as the source-complete fraction moves from
@@ -64,9 +58,6 @@ type Config struct {
 	// DisableAutoParallelism turns off the ShuffleVertexManager's runtime
 	// partition-cardinality estimation (Figure 6; ablation knob).
 	DisableAutoParallelism bool
-	// DesiredBytesPerReducer is the auto-parallelism heuristic target
-	// (default 32 KiB at simulation scale).
-	DesiredBytesPerReducer int64
 
 	// ShuffleFetchParallelism sets the per-task shuffle fetcher-pool size
 	// (parallel fetcher goroutines per consumer, the fetcher threads of
@@ -77,14 +68,6 @@ type Config struct {
 	// ("none", "flate"). Empty means "none"; a per-edge
 	// library.OrderedPartitionedConfig.Codec takes precedence.
 	ShuffleCodec string
-
-	// DeadlockCheckInterval / DeadlockWait configure detection of
-	// scheduling deadlocks caused by out-of-order task scheduling: when
-	// requests have been starved for DeadlockWait while a descendant of
-	// the starved vertex occupies a container, the descendant attempt is
-	// preempted (§3.4). Defaults 5ms / 50ms.
-	DeadlockCheckInterval time.Duration
-	DeadlockWait          time.Duration
 
 	// CheckpointPath, when set, makes DAG runs checkpoint their state to
 	// the DFS under this directory after every vertex completion so a new
@@ -98,17 +81,6 @@ type Config struct {
 	// run reaches (above tasks × MaxTaskAttempts) is the no-blacklisting
 	// ablation.
 	NodeMaxTaskFailures int
-	// NodeBlacklistDecay un-blacklists a node after this long, wiping its
-	// failure counters (default 10s — effectively "for the rest of the
-	// run" at simulation timescales; lower it to model transient
-	// sickness).
-	NodeBlacklistDecay time.Duration
-	// MaxBlacklistFraction caps how much of the cluster may be blacklisted
-	// at once (default 0.33, minimum one node). At the cap, further
-	// blacklisting is refused: placement relaxes back to the whole
-	// cluster instead of excluding everything during a cluster-wide
-	// problem.
-	MaxBlacklistFraction float64
 
 	// Chaos, when set, lets the chaos plane crash the AM between vertex
 	// completions (§4.3 AM recovery drill). Data-plane injection is wired
@@ -133,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.Name == "" {
 		c.Name = "tez-session"
 	}
-	if c.ContainerResource.IsZero() {
-		c.ContainerResource = cluster.Resource{MemoryMB: 1024, VCores: 1}
-	}
 	if c.MaxTaskAttempts <= 0 {
 		c.MaxTaskAttempts = 4
 	}
@@ -148,32 +117,14 @@ func (c Config) withDefaults() Config {
 	if c.SpeculationFactor <= 1 {
 		c.SpeculationFactor = 3
 	}
-	if c.SpeculationMinCompleted <= 0 {
-		c.SpeculationMinCompleted = 3
-	}
 	if c.SlowStartMin <= 0 && c.SlowStartMax <= 0 {
 		c.SlowStartMin, c.SlowStartMax = 0.25, 0.75
 	}
 	if c.SlowStartMax < c.SlowStartMin {
 		c.SlowStartMax = c.SlowStartMin
 	}
-	if c.DesiredBytesPerReducer <= 0 {
-		c.DesiredBytesPerReducer = 32 * 1024
-	}
-	if c.DeadlockCheckInterval <= 0 {
-		c.DeadlockCheckInterval = 5 * time.Millisecond
-	}
-	if c.DeadlockWait <= 0 {
-		c.DeadlockWait = 50 * time.Millisecond
-	}
 	if c.NodeMaxTaskFailures <= 0 {
 		c.NodeMaxTaskFailures = 3
-	}
-	if c.NodeBlacklistDecay <= 0 {
-		c.NodeBlacklistDecay = 10 * time.Second
-	}
-	if c.MaxBlacklistFraction <= 0 || c.MaxBlacklistFraction > 1 {
-		c.MaxBlacklistFraction = 0.33
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now

@@ -48,7 +48,6 @@ type DAGResult struct {
 	Err      error
 	Duration time.Duration
 	Counters *metrics.Counters
-	Trace    *metrics.Trace
 }
 
 // Vertex / task / attempt entities. Their lifecycle state lives in fsm
@@ -283,7 +282,6 @@ type dagRun struct {
 	outEdges map[string][]*edgeState
 
 	counters *metrics.Counters
-	trace    *metrics.Trace
 	token    security.Token
 
 	// deadNodes records nodes this run has seen fail or drain. A genuine
@@ -350,7 +348,6 @@ func newDAGRun(s *Session, d *dag.DAG, id string) (*dagRun, error) {
 		inEdges:   make(map[string][]*edgeState),
 		outEdges:  make(map[string][]*edgeState),
 		counters:  metrics.NewCounters(),
-		trace:     metrics.NewTrace(),
 		deadNodes: make(map[string]bool),
 		done:      make(chan struct{}),
 	}
@@ -380,10 +377,7 @@ func (r *dagRun) start() {
 		r.token = a.Issue(r.id)
 	}
 	r.tickerStop = make(chan struct{})
-	interval := r.cfg.SpeculationInterval
-	if r.cfg.DeadlockCheckInterval < interval {
-		interval = r.cfg.DeadlockCheckInterval
-	}
+	interval := min(r.cfg.SpeculationInterval, deadlockCheckInterval)
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
@@ -441,7 +435,6 @@ func (r *dagRun) loop() {
 	// observer: it is a span closer needing the post-teardown duration.
 	r.result.Duration = r.clock().Sub(r.started)
 	r.result.Counters = r.counters
-	r.result.Trace = r.trace
 	r.tl().Record(timeline.Event{
 		Type: timeline.DAGFinished, DAG: r.id,
 		Info: r.result.Status.String(), Dur: r.result.Duration,

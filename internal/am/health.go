@@ -19,14 +19,13 @@ import (
 // attributed to the node they ran on / the producer's node; once either
 // counter reaches NodeMaxTaskFailures the node is blacklisted: the
 // scheduler stops reusing idle containers there and excludes it from RM
-// requests. Blacklisting decays after NodeBlacklistDecay (the node gets a
-// clean slate), and at most MaxBlacklistFraction of the cluster may be
+// requests. Blacklisting decays after blacklistDecay (the node gets a
+// clean slate), and at most maxBlacklistFraction of the cluster may be
 // blacklisted at once — at the cap further blacklisting is refused, so a
 // cluster-wide problem degrades to normal retry behaviour instead of
 // excluding every node.
 type nodeHealth struct {
 	maxFailures int
-	decay       time.Duration
 	capCount    int
 	now         timeline.Clock    // injectable (Config.Clock)
 	tl          *timeline.Journal // nil-safe event sink
@@ -44,10 +43,20 @@ type nodeRecord struct {
 	enters, exits int
 }
 
+const (
+	// blacklistDecay un-blacklists a node after this long, wiping its
+	// failure counters — effectively "for the rest of the run" at
+	// simulation timescales.
+	blacklistDecay = 10 * time.Second
+	// maxBlacklistFraction caps how much of the cluster may be blacklisted
+	// at once (minimum one node).
+	maxBlacklistFraction = 0.33
+)
+
 // newNodeHealth sizes the blacklist cap from the cluster's node count:
-// max(1, floor(fraction × total)).
+// max(1, floor(maxBlacklistFraction × total)).
 func newNodeHealth(cfg Config, totalNodes int) *nodeHealth {
-	capCount := int(cfg.MaxBlacklistFraction * float64(totalNodes))
+	capCount := int(maxBlacklistFraction * float64(totalNodes))
 	if capCount < 1 {
 		capCount = 1
 	}
@@ -57,7 +66,6 @@ func newNodeHealth(cfg Config, totalNodes int) *nodeHealth {
 	}
 	return &nodeHealth{
 		maxFailures: cfg.NodeMaxTaskFailures,
-		decay:       cfg.NodeBlacklistDecay,
 		capCount:    capCount,
 		now:         now,
 		tl:          cfg.Timeline,
@@ -171,12 +179,9 @@ func (h *nodeHealth) maybeBlacklistLocked(node string, r *nodeRecord) bool {
 // decayLocked un-blacklists nodes whose sentence has elapsed, wiping their
 // counters so they re-earn trust from zero.
 func (h *nodeHealth) decayLocked() {
-	if h.decay <= 0 {
-		return
-	}
 	now := h.now()
 	for node, r := range h.nodes {
-		if r.blacklisted && now.Sub(r.blacklistedAt) >= h.decay {
+		if r.blacklisted && now.Sub(r.blacklistedAt) >= blacklistDecay {
 			r.blacklisted = false
 			r.exits++
 			r.taskFailures = 0

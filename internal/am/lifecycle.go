@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tez/internal/fsm"
-	"tez/internal/metrics"
 	"tez/internal/timeline"
 )
 
@@ -408,9 +407,8 @@ func newTaskMachine(r *dagRun, ts *taskState) *fsm.Machine[*taskState, tState, t
 
 // newAttemptMachine wires an attempt machine. The observer owns
 // ATTEMPT_STARTED (on assignment) and — for every attempt that actually
-// ran — the ATTEMPT_FINISHED journal entry and metrics trace record, so
-// speculation losers and teardown kills now close their spans uniformly
-// instead of vanishing.
+// ran — the ATTEMPT_FINISHED journal entry, so speculation losers and
+// teardown kills close their spans uniformly instead of vanishing.
 func newAttemptMachine(r *dagRun, at *attemptState) *fsm.Machine[*attemptState, aState, aEvent] {
 	return attemptLifecycle.New(at).
 		Observe(func(at *attemptState, from, to aState, on aEvent) {
@@ -435,21 +433,9 @@ func newAttemptMachine(r *dagRun, at *attemptState) *fsm.Machine[*attemptState, 
 		})
 }
 
-// closeAttemptSpan records a ran-to-terminal attempt in the metrics trace
-// and the journal.
+// closeAttemptSpan journals a ran-to-terminal attempt.
 func (r *dagRun) closeAttemptSpan(at *attemptState, outcome string) {
 	end := r.clock()
-	r.trace.Record(metrics.AttemptRecord{
-		Vertex:      at.task.vertex.v.Name,
-		Task:        at.task.idx,
-		Attempt:     at.id,
-		Node:        at.node,
-		Locality:    at.locality.String(),
-		Speculative: at.speculative,
-		Start:       at.start,
-		End:         end,
-		Outcome:     outcome,
-	})
 	var cid int64
 	if at.pc != nil {
 		cid = int64(at.pc.c.ID)

@@ -30,12 +30,11 @@ const (
 )
 
 // propRun builds the minimal dagRun harness the machine observers need:
-// a journal, counters, a trace and the run-level machine.
+// a journal, counters and the run-level machine.
 func propRun() *dagRun {
 	r := &dagRun{
 		id:       "prop",
 		counters: metrics.NewCounters(),
-		trace:    metrics.NewTrace(),
 		cfg:      Config{Timeline: timeline.New()},
 	}
 	r.lc = newDAGMachine(r)

@@ -83,6 +83,26 @@ type pooledContainer struct {
 	execs     int // assignments so far (reuse accounting; 0 = never ran a task)
 }
 
+// live reports whether the cluster has not stopped pc's container. A
+// container stopped under a task (node loss, preemption) is never reused,
+// whether or not the session has drained the stop notice yet: reusing it
+// fails the next attempt at once, and when that attempt's node is already
+// known dead the failure is a casualty that costs no attempt budget — so
+// the task would be handed the same dead container again, for as long as
+// the notice took to arrive.
+func (pc *pooledContainer) live() bool {
+	select {
+	case <-pc.c.Killed():
+		return false
+	default:
+		return true
+	}
+}
+
+// containerResource is the size of every container the scheduler asks
+// the RM for: one task's worth.
+var containerResource = cluster.Resource{MemoryMB: 1024, VCores: 1}
+
 // schedStats counts scheduler activity for tests and benchmarks.
 type schedStats struct {
 	Allocated int // fresh containers launched
@@ -174,7 +194,7 @@ func (s *scheduler) enqueue(req *taskRequest) {
 	s.pushPendingLocked(req)
 	rmReq := &cluster.ContainerRequest{
 		Priority:      req.priority,
-		Resource:      s.cfg.ContainerResource,
+		Resource:      containerResource,
 		Nodes:         req.hosts,
 		Racks:         req.racks,
 		RelaxLocality: true,
@@ -219,7 +239,7 @@ func (s *scheduler) takeIdleLocked(req *taskRequest) *pooledContainer {
 	pick := -1
 	bestClass := 3
 	for i, pc := range s.idle {
-		if s.health.isBlacklisted(string(pc.c.Node())) {
+		if !pc.live() || s.health.isBlacklisted(string(pc.c.Node())) {
 			continue
 		}
 		class := 2
@@ -298,7 +318,7 @@ func (s *scheduler) onAllocated(c *cluster.Container, rmReq *cluster.ContainerRe
 // release returns a container after a task: hand it to a waiting request
 // (reuse), park it idle, or give it back to the RM.
 func (s *scheduler) release(pc *pooledContainer, reusable bool) {
-	if reusable && s.health.isBlacklisted(string(pc.c.Node())) {
+	if reusable && (!pc.live() || s.health.isBlacklisted(string(pc.c.Node()))) {
 		reusable = false
 	}
 	s.mu.Lock()

@@ -121,3 +121,49 @@ func TestSchedulerLaunchFailureResubmitsRequest(t *testing.T) {
 		t.Fatal("task request stranded after container-launch failure")
 	}
 }
+
+// Regression: a container stopped under its task (here, its node failed)
+// is not handed to the next request when released, even before the
+// session has seen the stop notice. Handing it on made the chaos suite's
+// node-crash row spend seconds cycling a task through a dead node's
+// container: each attempt died at once, as a casualty that costs no
+// attempt budget, until the notice happened to arrive while the container
+// sat idle.
+func TestSchedulerNeverReusesStoppedContainer(t *testing.T) {
+	plat, app, sched := newTestScheduler(t, 2)
+	assigned := make(chan *pooledContainer, 2)
+	go func() {
+		for {
+			ev, ok := app.Events().Get()
+			if !ok {
+				return
+			}
+			// Only grants reach the scheduler: stop notices stay undelivered.
+			if e, isAlloc := ev.(cluster.AllocatedEvent); isAlloc {
+				sched.onAllocated(e.Container, e.Request)
+			}
+		}
+	}()
+	sched.submit(&taskRequest{assign: func(pc *pooledContainer) { assigned <- pc }})
+	var pc *pooledContainer
+	select {
+	case pc = <-assigned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no container granted")
+	}
+	node := pc.c.Node()
+	plat.FailNode(node)
+	// The retry prefers the dead node, as a task retried after its node's
+	// loss does when its input hints name that node.
+	sched.submit(&taskRequest{hosts: []cluster.NodeID{node}, assign: func(pc *pooledContainer) { assigned <- pc }})
+	sched.release(pc, true)
+	select {
+	case next := <-assigned:
+		if next == pc || next.c.Node() == node {
+			t.Fatalf("request handed container %d on failed node %s", next.c.ID, node)
+		}
+		sched.release(next, false)
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never granted a live container")
+	}
+}

@@ -11,6 +11,18 @@ import (
 // healthy run (backlog ~0–2) does not spam the timeline.
 const amBacklogReportThreshold = 16
 
+const (
+	// speculationMinCompleted completed tasks are required in a vertex
+	// before its stragglers are estimated.
+	speculationMinCompleted = 3
+	// deadlockCheckInterval and deadlockWait pace deadlock detection: when
+	// requests have been starved for deadlockWait while a descendant of
+	// the starved vertex occupies a container, the descendant attempt is
+	// preempted (§3.4).
+	deadlockCheckInterval = 5 * time.Millisecond
+	deadlockWait          = 50 * time.Millisecond
+)
+
 // onTick runs the periodic checks: straggler speculation (§4.2),
 // out-of-order scheduling deadlock preemption (§3.4), and the dispatcher
 // backlog gauge.
@@ -47,7 +59,7 @@ func (r *dagRun) observeBacklog() {
 func (r *dagRun) checkSpeculation() {
 	now := r.clock()
 	for _, vs := range r.vertices {
-		if !vs.lc.In(vRunning) || len(vs.durations) < r.cfg.SpeculationMinCompleted {
+		if !vs.lc.In(vRunning) || len(vs.durations) < speculationMinCompleted {
 			continue
 		}
 		var total time.Duration
@@ -94,7 +106,7 @@ func (r *dagRun) checkSpeculation() {
 // The DAG dependency identifies the descendant, which is preempted.
 func (r *dagRun) checkDeadlock() {
 	n, oldest, sinceAssign, minPrio := r.session.sched.pendingInfo(r)
-	if n == 0 || oldest < r.cfg.DeadlockWait || sinceAssign < r.cfg.DeadlockWait {
+	if n == 0 || oldest < deadlockWait || sinceAssign < deadlockWait {
 		return
 	}
 	// Preempt the most-downstream, youngest running attempt of a vertex

@@ -101,6 +101,11 @@ func newVertexManager(d plugin.Descriptor) (VertexManager, error) {
 	return plugin.New[VertexManager](plugin.KindVertexManager, d)
 }
 
+// desiredBytesPerReducer is the auto-parallelism target of the
+// ShuffleVertexManager: the shuffle bytes one consumer task should read
+// (32 KiB at simulation scale).
+const desiredBytesPerReducer = 32 * 1024
+
 // ShuffleVertexManager is the built-in manager of Figure 6. It handles any
 // vertex (with or without shuffle inputs):
 //
@@ -108,7 +113,7 @@ func newVertexManager(d plugin.Descriptor) (VertexManager, error) {
 //     per-partition output sizes in VMStats events; once the slow-start
 //     threshold of producers has reported, the manager extrapolates the
 //     total shuffle volume and shrinks this vertex's parallelism so that
-//     each task reads about DesiredBytesPerReducer (consumers then own
+//     each task reads about desiredBytesPerReducer (consumers then own
 //     contiguous partition ranges).
 //   - Slow-start scheduling: consumer tasks are scheduled gradually as the
 //     source-complete fraction moves across [SlowStartMin, SlowStartMax],
@@ -227,7 +232,7 @@ func (m *ShuffleVertexManager) reevaluate() {
 		m.decided = true
 		if sgTotal > 0 && !cfg.DisableAutoParallelism && sgDone > 0 {
 			est := float64(m.statsBytes) / frac // extrapolated total bytes
-			want := int(math.Ceil(est / float64(cfg.DesiredBytesPerReducer)))
+			want := int(math.Ceil(est / desiredBytesPerReducer))
 			if want < 1 {
 				want = 1
 			}

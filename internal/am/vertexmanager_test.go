@@ -133,7 +133,6 @@ func TestSVMSlowStartProgression(t *testing.T) {
 
 func TestSVMAutoParallelismEstimate(t *testing.T) {
 	ctx := newFakeVMContext(8)
-	ctx.cfg.DesiredBytesPerReducer = 1000
 	ctx.cfg.SlowStartMin, ctx.cfg.SlowStartMax = 0.5, 0.5
 	ctx.addSource("map", 4, dag.ScatterGather)
 	m := &ShuffleVertexManager{}
@@ -141,10 +140,11 @@ func TestSVMAutoParallelismEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.OnVertexStarted()
-	// Two of four producers report 500 bytes each → extrapolated total
-	// 2000 bytes → 2 reducers.
+	// Two of four producers report half a reducer's bytes each →
+	// extrapolated total two reducers' worth → 2 reducers.
+	const half = desiredBytesPerReducer / 2
 	for i := 0; i < 2; i++ {
-		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: i, Payload: stats(250, 250)})
+		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: i, Payload: stats(half/2, half/2)})
 		ctx.complete("map", i)
 		m.OnSourceTaskCompleted("map", i)
 	}
@@ -153,7 +153,7 @@ func TestSVMAutoParallelismEstimate(t *testing.T) {
 	}
 	// Duplicate stats from a speculative attempt must not double-count.
 	m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: 0, Payload: stats(9999)})
-	if m.statsBytes != 1000 {
+	if m.statsBytes != 2*half {
 		t.Fatalf("statsBytes = %d after duplicate", m.statsBytes)
 	}
 }
@@ -174,7 +174,6 @@ func TestVMStatsDecodeFailureIsVisible(t *testing.T) {
 		}
 		for mname, m := range managers {
 			ctx := newFakeVMContext(8)
-			ctx.cfg.DesiredBytesPerReducer = 1000
 			ctx.cfg.SlowStartMin, ctx.cfg.SlowStartMax = 0.5, 0.5
 			ctx.addSource("map", 2, dag.ScatterGather)
 			if err := m.Initialize(ctx); err != nil {

@@ -16,6 +16,7 @@ import (
 	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/runtime"
+	"tez/internal/timeline"
 )
 
 func init() {
@@ -160,22 +161,23 @@ func AblationAutoParallelism(sc Scale) (*Report, error) {
 		Notes:   []string{"DAG submitted with 16 reducers; tiny shuffle volume"},
 	}
 	for _, disable := range []bool{true, false} {
-		cfg := am.Config{Name: fmt.Sprintf("auto-%v", !disable), DisableAutoParallelism: disable}
+		journal := timeline.New()
+		cfg := am.Config{Name: fmt.Sprintf("auto-%v", !disable), DisableAutoParallelism: disable, Timeline: journal}
 		sess := am.NewSession(plat, cfg)
 		job := mapreduce.JobConf{
 			Name: "wc", Map: "bench.tokenize", Reduce: "bench.count", Reducers: 16,
 			InputPaths: []string{"/bench/words"}, OutputPath: fmt.Sprintf("/bench/abl/auto-%v", disable),
 		}
 		start := time.Now()
-		res, err := mapreduce.RunOnTez(sess, job)
+		_, err := mapreduce.RunOnTez(sess, job)
 		dur := time.Since(start)
 		sess.Close()
 		if err != nil {
 			return nil, err
 		}
 		reduces := 0
-		for _, rec := range res.Trace.Records() {
-			if rec.Vertex == "reduce" && rec.Outcome == "SUCCEEDED" {
+		for _, e := range journal.Events() {
+			if e.Type == timeline.AttemptFinished && e.Vertex == "reduce" && e.Info == "SUCCEEDED" {
 				reduces++
 			}
 		}
@@ -447,12 +449,11 @@ func AblationSpeculation(sc Scale) (*Report, error) {
 		v := d.AddVertex("v", plugin.Desc("bench.straggler", nil), 8)
 		v.Sinks = []dagpkg.DataSink{library.DFSSink("sink", "/bench/abl/spec")}
 		cfg := am.Config{
-			Name:                    fmt.Sprintf("spec-%v", speculate),
-			Speculation:             speculate,
-			SpeculationInterval:     2 * time.Millisecond,
-			SpeculationFactor:       4,
-			SpeculationMinCompleted: 3,
-			MaxTaskAttempts:         4,
+			Name:                fmt.Sprintf("spec-%v", speculate),
+			Speculation:         speculate,
+			SpeculationInterval: 2 * time.Millisecond,
+			SpeculationFactor:   4,
+			MaxTaskAttempts:     4,
 		}
 		start := time.Now()
 		res, err := am.RunDAG(plat, cfg, d)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tez/internal/am"
+	"tez/internal/chaos"
 	"tez/internal/data"
 	"tez/internal/hive"
 	"tez/internal/platform"
@@ -353,5 +354,42 @@ func TestChaosRobustnessReport(t *testing.T) {
 		if row[2] != "identical" {
 			t.Fatalf("scenario %s diverged from the fault-free run:\n%s", row[0], rep)
 		}
+	}
+}
+
+// TestChaosNodeCrashRecoversPromptly: the chaos table's node-crash row
+// (seed 104, the table's 3000 lines) recovers from its crash by events,
+// not by luck — thirty runs each finish inside a bound a hundred times
+// their usual ≈15 ms and match the fault-free answer. Before the
+// scheduler stopped reusing stopped containers, about one run in six
+// under load spent 12–37 s handing a task the dead node's container.
+func TestChaosNodeCrashRecoversPromptly(t *testing.T) {
+	const runs, lines, bound = 30, 3000, 2 * time.Second
+	var s chaosScenario
+	for _, c := range chaosScenarios() {
+		if c.name == "node-crash" {
+			s = c
+		}
+	}
+	clean, err := runChaosWordcount(lines, nil, s.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var observed int64
+	for i := 0; i < runs; i++ {
+		run, err := runChaosWordcount(lines, chaos.New(s.seed, s.spec), s.cfg)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if run.dur > bound {
+			t.Fatalf("run %d took %v, bound %v", i, run.dur, bound)
+		}
+		if !reflect.DeepEqual(run.counts, clean.counts) {
+			t.Fatalf("run %d diverged from the fault-free answer", i)
+		}
+		observed += run.res.Counters.Get("NODE_FAILURES_OBSERVED")
+	}
+	if observed == 0 {
+		t.Fatal("no run saw its node crash")
 	}
 }

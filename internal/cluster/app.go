@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -130,25 +131,48 @@ func (a *Application) Release(c *Container) {
 }
 
 // Unregister releases everything the application holds and stops event
-// delivery. Call exactly once when the AM exits.
+// delivery. Call exactly once when the AM exits. One rm.mu critical
+// section refuses further grants, withdraws every staged and queued
+// request, detaches the held containers and takes the app out of the
+// fairness order, so no grant or release racing the unregister can leave
+// a container attached to it; the detached containers are stopped after.
 func (a *Application) Unregister() {
+	rm := a.rm
+	rm.mu.Lock()
 	a.mu.Lock()
 	if a.finished {
 		a.mu.Unlock()
+		rm.mu.Unlock()
 		return
 	}
 	a.finished = true
+	for _, req := range a.staged {
+		req.state.CompareAndSwap(reqStaged, reqCancelled)
+	}
 	a.staged = nil
-	var held []*Container
+	held := make([]*Container, 0, len(a.containers))
 	for _, c := range a.containers {
 		held = append(held, c)
 	}
+	clear(a.containers)
+	a.allocated = Resource{}
 	a.mu.Unlock()
+	for _, q := range a.sched.buckets {
+		for _, req := range q.reqs {
+			if req.state.CompareAndSwap(reqQueued, reqCancelled) {
+				rm.settleLocked(req)
+			}
+		}
+	}
+	a.sched.buckets, a.sched.prios = nil, nil
+	rm.removeAppLocked(a)
+	delete(rm.apps, a.ID)
+	rm.appOrder = slices.DeleteFunc(rm.appOrder, func(id AppID) bool { return id == a.ID })
+	rm.mu.Unlock()
 	for _, c := range held {
-		a.rm.stopContainer(c, StopReleased, false)
+		rm.stopContainerQuiet(c, StopReleased)
 	}
 	a.events.Close()
-	a.rm.removeApp(a)
 }
 
 // removeContainer detaches a container from the app's accounting,

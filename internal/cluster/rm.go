@@ -231,19 +231,6 @@ func (rm *ResourceManager) TenantUsage(tenant string) (allocMB, quotaMB int) {
 	return 0, 0
 }
 
-func (rm *ResourceManager) removeApp(a *Application) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	delete(rm.apps, a.ID)
-	rm.removeAppLocked(a)
-	for i, id := range rm.appOrder {
-		if id == a.ID {
-			rm.appOrder = append(rm.appOrder[:i], rm.appOrder[i+1:]...)
-			break
-		}
-	}
-}
-
 // FailNode simulates losing a machine: its containers are killed with
 // StopNodeLost and every application is told about the node failure.
 // Wiring the same failure into the DFS and shuffle service is the job of

@@ -48,8 +48,6 @@ type Config struct {
 	// ReadDelayPerByteRemote simulates per-byte cost of a non-local read.
 	// Local reads are free.
 	ReadDelayPerByteRemote time.Duration
-	// Seed makes replica placement deterministic. Zero means 1.
-	Seed int64
 	// Chaos, when set, injects transient read faults into reads issued
 	// from a task node (nil means no injection).
 	Chaos *chaos.Plane
@@ -61,9 +59,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replication <= 0 {
 		c.Replication = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -84,12 +79,9 @@ type FileSystem struct {
 	cfg Config
 
 	mu    sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // replica placement, seeded alike in every filesystem
 	files map[string]*file
 	nodes map[string]*nodeInfo // node id -> info
-
-	// sleep is replaceable in tests.
-	sleep func(time.Duration)
 
 	bytesWritten int64
 	bytesRead    int64
@@ -115,10 +107,9 @@ func New(cfg Config) *FileSystem {
 	cfg = cfg.withDefaults()
 	return &FileSystem{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rand.New(rand.NewSource(1)),
 		files: make(map[string]*file),
 		nodes: make(map[string]*nodeInfo),
-		sleep: time.Sleep,
 	}
 }
 
@@ -350,10 +341,9 @@ func (fs *FileSystem) ReadAt(path, localNode string, offset, length int64) ([]by
 	}
 	fs.bytesRead += int64(len(out))
 	delay := time.Duration(remote) * fs.cfg.ReadDelayPerByteRemote
-	sleep := fs.sleep
 	fs.mu.Unlock()
 	if delay > 0 {
-		sleep(delay)
+		time.Sleep(delay)
 	}
 	return out, nil
 }
@@ -529,12 +519,11 @@ func (w *Writer) flushBlock(data []byte) {
 	w.f.size += int64(len(b.data))
 	w.fs.bytesWritten += int64(len(b.data))
 	cfg := w.fs.cfg
-	sleep := w.fs.sleep
 	w.fs.mu.Unlock()
 	delay := cfg.WriteDelayPerBlock +
 		time.Duration(int64(len(data))*int64(cfg.Replication))*cfg.WriteDelayPerByte
 	if delay > 0 {
-		sleep(delay)
+		time.Sleep(delay)
 	}
 }
 

@@ -34,10 +34,9 @@ type Job struct {
 	Partitions int
 	// MaxSupersteps bounds the loop (default 50).
 	MaxSupersteps int
-	// WorkDir is the DFS work area (default "/graph/<name>").
+	// WorkDir is the DFS work area (default "/graph/<name>"), deleted
+	// after the run.
 	WorkDir string
-	// KeepWork leaves the work area on the DFS after the run.
-	KeepWork bool
 	// DisableRegistryCache makes every superstep cold-load state from the
 	// DFS (the ablation knob of the graph bench).
 	DisableRegistryCache bool
@@ -152,9 +151,7 @@ func Run(sess *am.Session, plat *platform.Platform, j Job) (*Result, error) {
 
 	fs := plat.FS
 	fs.DeletePrefix(job.WorkDir + "/")
-	if !job.KeepWork {
-		defer fs.DeletePrefix(job.WorkDir + "/")
-	}
+	defer fs.DeletePrefix(job.WorkDir + "/")
 	if err := writeInitialState(fs, stateDir(job.WorkDir, 0), job.Graph, prog, job.Partitions); err != nil {
 		return nil, err
 	}

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"tez/internal/am"
+	"tez/internal/cluster"
 	"tez/internal/platform"
+	"tez/internal/plugin"
 	"tez/internal/timeline"
 )
 
@@ -410,5 +412,39 @@ func TestCanonicalBytes(t *testing.T) {
 	ids := sortedIDs(r.Values)
 	if fmt.Sprint(ids) != "[1 2 3]" {
 		t.Fatalf("ids = %v", ids)
+	}
+}
+
+// TestGobDecodesFollowContainers: every superstep DAG decodes its compute
+// and inbox payloads once per container, not once per task — eight
+// partitions on four containers stay at or below vertices × containers
+// gob decodes per superstep. (A Configurable program's own payload is
+// decoded with the compute payload, one more per container.)
+func TestGobDecodesFollowContainers(t *testing.T) {
+	cfg := platform.Fast(4)
+	cfg.Cluster.NodeResource = cluster.Resource{MemoryMB: 1024, VCores: 1}
+	plat := platform.New(cfg)
+	defer plat.Stop()
+	sess := am.NewSession(plat, am.Config{Name: "gobcost", ContainerIdleRelease: 10 * time.Second})
+	defer sess.Close()
+	before := plugin.GobDecodes()
+	res, err := Run(sess, plat, Job{Name: "gobcost", Program: CCProgram, Graph: Generate(400, 3, 5), Partitions: 8})
+	decodes := plugin.GobDecodes() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	containers, _ := sess.SchedulerStats()
+	var tasks int64
+	for _, s := range res.Stats {
+		tasks += int64(8 + s.InboxTasks)
+	}
+	bound := int64(2 * res.Supersteps * containers)
+	t.Logf("%d supersteps, %d tasks on %d containers: %d gob decodes (bound %d)", res.Supersteps, tasks, containers, decodes, bound)
+	if containers > 4 || tasks <= bound {
+		t.Fatalf("%d tasks on %d containers: not the many-tasks-few-containers shape this test is about", tasks, containers)
+	}
+	if !res.Converged || decodes == 0 || decodes > bound {
+		t.Fatalf("converged %v, %d gob decodes: want at least one and at most 2 vertices × %d containers × %d supersteps",
+			res.Converged, decodes, containers, res.Supersteps)
 	}
 }

@@ -79,9 +79,18 @@ type computeConfig struct {
 	Aggs map[string]float64
 	// AggSpecs declares the aggregator kinds (built-ins + program's).
 	AggSpecs []AggSpec
-	// DisableCache bypasses the ObjectRegistry entirely (the cold-load
-	// ablation of the graph bench).
+	// DisableCache makes every task cold-load its partition snapshot from
+	// the DFS instead of the ObjectRegistry (the cold-load ablation of the
+	// graph bench).
 	DisableCache bool
+}
+
+// computeVertex is what the compute tasks of a superstep share in a
+// container, one task at a time: the decoded payload and the configured
+// program, built once (runtime.VertexObject) and read-only after.
+type computeVertex struct {
+	cfg  computeConfig
+	prog Program
 }
 
 // computeProc executes Program.Compute over one graph partition: load the
@@ -91,25 +100,31 @@ type computeConfig struct {
 // sinks.
 type computeProc struct {
 	ctx *runtime.Context
-	cfg computeConfig
+	*computeVertex
 }
 
 func (p *computeProc) Initialize(ctx *runtime.Context) error {
 	p.ctx = ctx
-	return plugin.Decode(ctx.Payload, &p.cfg)
+	var err error
+	p.computeVertex, err = runtime.VertexObject(ctx, "graph/compute", func() (*computeVertex, error) {
+		v := &computeVertex{}
+		if err := plugin.Decode(ctx.Payload, &v.cfg); err != nil {
+			return nil, err
+		}
+		var err error
+		v.prog, err = newProgram(v.cfg.Program, v.cfg.ProgramCfg)
+		return v, err
+	})
+	return err
 }
 
 func (p *computeProc) Close() error { return nil }
 
 func (p *computeProc) Run(in map[string]runtime.Input, out map[string]runtime.Output) error {
-	cfg, meta := &p.cfg, p.ctx.Meta
+	cfg, meta, prog := &p.cfg, p.ctx.Meta, p.prog
 	part := meta.Task
 	if part >= cfg.Partitions {
 		return fmt.Errorf("graph: compute task %d beyond %d partitions", part, cfg.Partitions)
-	}
-	prog, err := newProgram(cfg.Program, cfg.ProgramCfg)
-	if err != nil {
-		return err
 	}
 	snap, err := p.loadState(in)
 	if err != nil {
@@ -314,12 +329,17 @@ type inboxConfig struct {
 // driver's timeline span.
 type inboxProc struct {
 	ctx *runtime.Context
-	cfg inboxConfig
+	cfg *inboxConfig
 }
 
 func (p *inboxProc) Initialize(ctx *runtime.Context) error {
 	p.ctx = ctx
-	return plugin.Decode(ctx.Payload, &p.cfg)
+	var err error
+	p.cfg, err = runtime.VertexObject(ctx, "graph/inbox", func() (*inboxConfig, error) {
+		cfg := new(inboxConfig)
+		return cfg, plugin.Decode(ctx.Payload, cfg)
+	})
+	return err
 }
 
 func (p *inboxProc) Close() error { return nil }

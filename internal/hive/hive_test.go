@@ -12,6 +12,7 @@ import (
 	"tez/internal/platform"
 	"tez/internal/relop"
 	"tez/internal/row"
+	"tez/internal/timeline"
 )
 
 func TestParserShapes(t *testing.T) {
@@ -429,8 +430,6 @@ func TestSplitGroupingSameRows(t *testing.T) {
 		t.Fatalf("%d bytes in %d blocks: grouping to %d tasks is not exercised", total, blocks, want)
 	}
 
-	sess := am.NewSession(plat, am.Config{Name: "grouping"})
-	defer sess.Close()
 	read := func(out string) []string {
 		stored, err := relop.ReadStored(plat.FS, out)
 		if err != nil {
@@ -442,14 +441,17 @@ func TestSplitGroupingSameRows(t *testing.T) {
 		eng := NewEngine()
 		eng.Register(tbl)
 		eng.Exec.SplitSize = splitSize
+		journal := timeline.New()
+		sess := am.NewSession(plat, am.Config{Name: name, Timeline: journal})
+		defer sess.Close()
 		res, err := eng.RunTez(sess, name, sql, "/results/"+name)
 		if err != nil || res.Status != am.DAGSucceeded {
 			t.Fatalf("%s on tez: %v %v", name, res.Status, err)
 		}
 		scans := map[int]bool{}
-		for _, r := range res.Trace.Records() {
-			if strings.Contains(r.Vertex, "scan") {
-				scans[r.Task] = true
+		for _, e := range journal.Events() {
+			if e.Type == timeline.AttemptFinished && strings.Contains(e.Vertex, "scan") {
+				scans[e.Task] = true
 			}
 		}
 		if _, err := eng.RunMR(plat, am.Config{Name: name + "-mr"}, name+"-mr", sql, "/results/"+name+"-mr"); err != nil {

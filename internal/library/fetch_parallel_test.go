@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tez/internal/chaos"
 	"tez/internal/event"
 	"tez/internal/metrics"
 	"tez/internal/plugin"
@@ -212,7 +213,7 @@ func TestStaleFetchErrorIsDropped(t *testing.T) {
 // transient errors plus mid-flight retractions, under -race in CI.
 func TestParallelFetchStress(t *testing.T) {
 	fsys := testServices(t)
-	sh := shuffle.New(shuffle.Config{TransientErrorRate: 0.3, Seed: 11})
+	sh := shuffle.New(shuffle.Config{Chaos: chaos.New(11, chaos.Spec{TransientFetchProb: 0.3})})
 	for i := 0; i < 3; i++ {
 		sh.AddNode(fmt.Sprintf("n%d", i), "r0")
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tez/internal/chaos"
 	"tez/internal/event"
 	"tez/internal/metrics"
 	"tez/internal/plugin"
@@ -118,7 +119,7 @@ func TestFetchRetractionStress(t *testing.T) {
 	clean, lost := 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
 		svc := testServices(t)
-		svc.Shuffle = shuffle.New(shuffle.Config{TransientErrorRate: 0.3, Seed: seed})
+		svc.Shuffle = shuffle.New(shuffle.Config{Chaos: chaos.New(seed, chaos.Spec{TransientFetchProb: 0.3})})
 		for i := 0; i < 3; i++ {
 			svc.Shuffle.AddNode(fmt.Sprintf("n%d", i), "r0")
 		}

@@ -721,7 +721,7 @@ func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
 		ctr.SetMax("SHUFFLE_FETCHES_INFLIGHT_PEAK", cur)
 	}
 	start := time.Now()
-	data, retries, err := f.fetcher.FetchCounted(info.ID, info.Partition, f.ctx.Services.Node)
+	data, retries, err := f.fetcher.Fetch(info.ID, info.Partition, f.ctx.Services.Node)
 	if f.testHookFetched != nil {
 		f.testHookFetched(dm)
 	}

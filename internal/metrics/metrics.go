@@ -1,4 +1,4 @@
-// Package metrics collects the counters, task-attempt records and cluster
+// Package metrics collects the counters, node-health reports and cluster
 // utilisation timelines that the benchmark harness uses to regenerate the
 // paper's figures (notably the Figure 12 per-application container
 // timelines) and that the AM publishes for monitoring, mirroring the
@@ -170,58 +170,6 @@ func AllocWaitReport(c *Counters) []AllocWait {
 	return out
 }
 
-// ShuffleDataPlane summarises the shuffle data-plane counters of one run:
-// map-side sort/spill/merge work, combiner effectiveness, and wire-vs-raw
-// transfer volume (they differ only when a block codec is on).
-type ShuffleDataPlane struct {
-	SortTime   time.Duration
-	MergeTime  time.Duration
-	Spills     int64
-	CombineIn  int64
-	CombineOut int64
-	// BytesWire/BytesRaw count what consumers actually folded into their
-	// merges — charged once per stored run, so retracted, stale and
-	// duplicate transfers never inflate them.
-	BytesWire int64
-	BytesRaw  int64
-	// Fetches counts transfers; Increments counts the runs consumers
-	// stored, one per physical input (Fetches > Increments when a fetched
-	// run was retracted, stale or a duplicate).
-	Fetches        int64
-	Increments     int64
-	FetchTime      time.Duration
-	CompressionPct float64 // wire bytes as % of raw (100 = incompressible/off)
-}
-
-// ShuffleReport extracts the data-plane summary from a counter set.
-func ShuffleReport(c *Counters) ShuffleDataPlane {
-	snap := c.Snapshot()
-	r := ShuffleDataPlane{
-		SortTime:   time.Duration(snap["SHUFFLE_SORT_TIME_NS"]),
-		MergeTime:  time.Duration(snap["SHUFFLE_MERGE_TIME_NS"]),
-		Spills:     snap["SHUFFLE_SPILLS"],
-		CombineIn:  snap["COMBINE_INPUT_RECORDS"],
-		CombineOut: snap["COMBINE_OUTPUT_RECORDS"],
-		BytesWire:  snap["SHUFFLE_BYTES_WIRE"],
-		BytesRaw:   snap["SHUFFLE_BYTES_RAW"],
-		Fetches:    snap["SHUFFLE_FETCHES"],
-		Increments: snap["SHUFFLE_INCREMENTS"],
-		FetchTime:  time.Duration(snap["SHUFFLE_FETCH_TIME_NS"]),
-	}
-	if r.BytesRaw > 0 {
-		r.CompressionPct = 100 * float64(r.BytesWire) / float64(r.BytesRaw)
-	}
-	return r
-}
-
-// String renders the summary as one line per concern.
-func (r ShuffleDataPlane) String() string {
-	return fmt.Sprintf(
-		"shuffle: sort=%v merge=%v spills=%d combine=%d->%d wire=%dB raw=%dB (%.1f%%) fetches=%d stored=%d fetch=%v",
-		r.SortTime, r.MergeTime, r.Spills, r.CombineIn, r.CombineOut,
-		r.BytesWire, r.BytesRaw, r.CompressionPct, r.Fetches, r.Increments, r.FetchTime)
-}
-
 // NodeHealth is one node's failure-tracking snapshot from the AM's
 // blacklisting subsystem: how many genuine attempt failures and fetch-
 // failure retractions were attributed to it, and its blacklist history.
@@ -260,50 +208,4 @@ func (r NodeHealthReport) String() string {
 			h.Node, h.TaskFailures, h.FetchFailures, h.BlacklistEnters, h.BlacklistExits, mark)
 	}
 	return b.String()
-}
-
-// AttemptRecord is one task attempt's lifecycle, used for execution traces
-// and speculation/straggler analysis.
-type AttemptRecord struct {
-	Vertex      string
-	Task        int
-	Attempt     int
-	Node        string
-	Locality    string
-	Speculative bool
-	Start       time.Time
-	End         time.Time
-	Outcome     string // SUCCEEDED, FAILED, KILLED
-}
-
-// Trace accumulates attempt records.
-type Trace struct {
-	mu      sync.Mutex
-	records []AttemptRecord
-}
-
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{} }
-
-// Record appends r.
-func (t *Trace) Record(r AttemptRecord) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.records = append(t.records, r)
-}
-
-// Records returns a copy of all records.
-func (t *Trace) Records() []AttemptRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]AttemptRecord(nil), t.records...)
-}
-
-// CountBy tallies records by an extractor (e.g. outcome or locality).
-func (t *Trace) CountBy(f func(AttemptRecord) string) map[string]int {
-	out := map[string]int{}
-	for _, r := range t.Records() {
-		out[f(r)]++
-	}
-	return out
 }

@@ -56,19 +56,3 @@ func TestTimelineSampler(t *testing.T) {
 		t.Fatalf("names = %v", names)
 	}
 }
-
-func TestTrace(t *testing.T) {
-	tr := NewTrace()
-	tr.Record(AttemptRecord{Vertex: "v1", Outcome: "SUCCEEDED"})
-	tr.Record(AttemptRecord{Vertex: "v1", Outcome: "FAILED"})
-	tr.Record(AttemptRecord{Vertex: "v2", Outcome: "SUCCEEDED"})
-	byOutcome := tr.CountBy(func(r AttemptRecord) string { return r.Outcome })
-	if byOutcome["SUCCEEDED"] != 2 || byOutcome["FAILED"] != 1 {
-		t.Fatalf("byOutcome = %v", byOutcome)
-	}
-	recs := tr.Records()
-	recs[0].Vertex = "zzz"
-	if tr.Records()[0].Vertex != "v1" {
-		t.Fatal("Records aliases internal slice")
-	}
-}

@@ -2,9 +2,12 @@ package pig
 
 import (
 	"testing"
+	"time"
 
 	"tez/internal/am"
+	"tez/internal/cluster"
 	"tez/internal/platform"
+	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/row"
 )
@@ -169,5 +172,65 @@ func TestEmptyScriptRejected(t *testing.T) {
 	s := NewScript("empty")
 	if _, err := s.RunTez(sess); err == nil {
 		t.Fatal("empty script accepted")
+	}
+}
+
+// TestGobDecodesFollowContainers: a script's stage programs are decoded
+// once per container and vertex, never per task. Forty scan tasks of a
+// filter → join → group → order script share four containers, and the
+// gob decodes stay at or below vertices × containers.
+func TestGobDecodesFollowContainers(t *testing.T) {
+	cfg := platform.Fast(4)
+	cfg.Cluster.NodeResource = cluster.Resource{MemoryMB: 1024, VCores: 1}
+	plat := platform.New(cfg)
+	defer plat.Stop()
+	users := &relop.Table{Name: "users", Schema: row.NewSchema("uid:int", "country", "age:int")}
+	var uRows []row.Row
+	for i := int64(0); i < 4000; i++ {
+		uRows = append(uRows, row.Row{row.Int(i), row.String([]string{"de", "us", "fr"}[i%3]), row.Int(10 + i%60)})
+	}
+	if err := relop.WriteTable(plat.FS, users, 40, uRows); err != nil {
+		t.Fatal(err)
+	}
+	countries := &relop.Table{Name: "countries", Schema: row.NewSchema("code", "region")}
+	if err := relop.WriteTable(plat.FS, countries, 1, []row.Row{
+		{row.String("de"), row.String("eu")}, {row.String("fr"), row.String("eu")}, {row.String("us"), row.String("am")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sess := am.NewSession(plat, am.Config{Name: "gobcost", ContainerIdleRelease: 10 * time.Second})
+	defer sess.Close()
+
+	s := NewScript("gobcost")
+	s.Exec.SplitSize = plat.FS.BlockSize() // one scan task per block
+	u := s.Load(users)
+	c := s.Load(countries)
+	adults := u.Filter(relop.Cmp(">=", u.Col("age"), relop.LitInt(18)))
+	joined := adults.Join(c, []*relop.Expr{adults.Col("country")}, []*relop.Expr{c.Col("code")})
+	byRegion := joined.GroupBy([]*relop.Expr{relop.Col(4)}, []string{"region"},
+		[]relop.AggDef{{Func: "count", Name: "n"}})
+	s.Store(byRegion.OrderBy([]*relop.Expr{relop.Col(0)}, []bool{false}, 0, 2), "/out/gobcost")
+
+	before := plugin.GobDecodes()
+	res, err := s.RunTez(sess)
+	decodes := plugin.GobDecodes() - before
+	if err != nil || res.Status != am.DAGSucceeded {
+		t.Fatalf("%v %v", res.Status, err)
+	}
+	containers, _ := sess.SchedulerStats()
+	tasks, vertices := res.Counters.Get("TASKS_SUCCEEDED"), res.Counters.Get("VERTICES_SUCCEEDED")
+	t.Logf("%d tasks in %d vertices on %d containers: %d gob decodes", tasks, vertices, containers, decodes)
+	if tasks < 40 || containers > 4 {
+		t.Fatalf("%d tasks on %d containers: not the many-tasks-few-containers shape this test is about", tasks, containers)
+	}
+	if decodes == 0 || decodes > vertices*int64(containers) {
+		t.Fatalf("%d gob decodes, want at least one and at most %d vertices × %d containers", decodes, vertices, containers)
+	}
+	rows, err := relop.ReadStored(plat.FS, "/out/gobcost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0][0].Str != "am" || rows[1][0].Str != "eu" {
+		t.Fatalf("rows = %v", rows)
 	}
 }

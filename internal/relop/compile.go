@@ -13,8 +13,6 @@ type Config struct {
 	// DefaultPartitions is the submitted parallelism of shuffle consumers
 	// (shrunk at runtime by the ShuffleVertexManager on Tez).
 	DefaultPartitions int
-	// SortParallelism is the parallelism of global sorts (default 1).
-	SortParallelism int
 	// SplitSize is the DesiredSplitSize of every scan's split initializer:
 	// 0 lets the library group splits into tasks by bytes and locality,
 	// > 0 fixes one task per split of that size.
@@ -30,14 +28,15 @@ func (c Config) withDefaults() Config {
 	if c.DefaultPartitions <= 0 {
 		c.DefaultPartitions = 4
 	}
-	if c.SortParallelism <= 0 {
-		c.SortParallelism = 1
-	}
 	if c.TempRoot == "" {
 		c.TempRoot = "/tmp/relop"
 	}
 	return c
 }
+
+// sortParallelism is the task count of a global sort: one task writes the
+// whole ordered result.
+const sortParallelism = 1
 
 // bStage is a stage under construction.
 type bStage struct {
@@ -330,7 +329,7 @@ func (c *Compiler) compileSort(n *Node) ([]cursor, error) {
 	}
 	st := c.newStage("sort")
 	st.grouped = true
-	st.par = c.cfg.SortParallelism
+	st.par = sortParallelism
 	st.spec.Group = &GroupOp{Kind: "sort", Limit: n.Limit}
 	for _, cur := range in {
 		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{

@@ -44,27 +44,15 @@ func (p *stageProcessor) Initialize(ctx *runtime.Context) error {
 	return err
 }
 
-// loadStageSpec decodes the stage program the first time a container runs
-// a task of the vertex and keeps it in the container's object registry for
-// the vertex's lifetime (§4.2; SweepVertex retires it): the program is the
-// same for every task of a vertex, deep (Expr trees), and gob-encoded, so
-// decoding it per task used to cost more than a small task's own work.
+// loadStageSpec decodes the stage program once per container and vertex
+// (runtime.VertexObject): the program is the same for every task of a
+// vertex, deep (Expr trees), and gob-encoded, so decoding it per task used
+// to cost more than a small task's own work.
 func loadStageSpec(ctx *runtime.Context) (*StageSpec, error) {
-	reg := ctx.Services.Registry
-	key := "relop/stage/" + ctx.Meta.DAG + "/" + ctx.Meta.Vertex
-	if reg != nil {
-		if v, ok := reg.Get(ctx.Meta, key); ok {
-			return v.(*StageSpec), nil
-		}
-	}
-	spec := new(StageSpec)
-	if err := plugin.Decode(ctx.Payload, spec); err != nil {
-		return nil, err
-	}
-	if reg != nil {
-		reg.Add(runtime.LifetimeVertex, ctx.Meta, key, spec)
-	}
-	return spec, nil
+	return runtime.VertexObject(ctx, "relop/stage", func() (*StageSpec, error) {
+		spec := new(StageSpec)
+		return spec, plugin.Decode(ctx.Payload, spec)
+	})
 }
 
 func (p *stageProcessor) Close() error { return nil }

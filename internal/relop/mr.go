@@ -110,7 +110,7 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 			d.Connect(mv, rv, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 		}
 		if g.grouped && g.spec.Group.Kind == "sort" {
-			rv.Parallelism = cfg.SortParallelism
+			rv.Parallelism = sortParallelism
 		}
 		// Final sinks stay; edges to other grouped stages become a temp
 		// materialisation.

@@ -118,3 +118,25 @@ func (r *ObjectRegistry) Len() int {
 	defer r.mu.Unlock()
 	return len(r.entries)
 }
+
+// VertexObject returns what build made for the task's vertex in this
+// container: the vertex's first task in the container builds it, and the
+// container's registry keeps it for the rest of the vertex's tasks there
+// until SweepVertex retires it (§4.2). It is how a task decodes a payload
+// once per (container, vertex) instead of once per task; the object is
+// shared, so nothing may write through it. Without a registry every task
+// builds its own.
+func VertexObject[T any](ctx *Context, kind string, build func() (T, error)) (T, error) {
+	reg := ctx.Services.Registry
+	key := kind + "/" + ctx.Meta.DAG + "/" + ctx.Meta.Vertex
+	if reg != nil {
+		if v, ok := reg.Get(ctx.Meta, key); ok {
+			return v.(T), nil
+		}
+	}
+	v, err := build()
+	if err == nil && reg != nil {
+		reg.Add(LifetimeVertex, ctx.Meta, key, v)
+	}
+	return v, err
+}

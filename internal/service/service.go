@@ -109,17 +109,11 @@ type Config struct {
 	// JournalPath, when set with Journal, is where Drain writes the
 	// journal as JSONL.
 	JournalPath string
-	// DrainTimeout bounds how long Drain(DrainFinish) waits for in-
-	// flight work before escalating to kills (default 30s).
-	DrainTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -129,7 +123,7 @@ type DrainPolicy int
 
 const (
 	// DrainFinish runs queued and running DAGs to completion (kills only
-	// after DrainTimeout).
+	// after drainTimeout).
 	DrainFinish DrainPolicy = iota
 	// DrainKill fails queued DAGs and kills running ones immediately.
 	DrainKill
@@ -381,9 +375,13 @@ func (s *Service) finish(t *tenant, sub *Submission, res Result) {
 	close(sub.done)
 }
 
+// drainTimeout bounds how long Drain(DrainFinish) waits for in-flight work
+// before escalating to kills.
+const drainTimeout = 30 * time.Second
+
 // Drain stops admission and settles in-flight work: DrainFinish lets
 // queued and running DAGs complete (escalating to kills after
-// DrainTimeout); DrainKill fails queued submissions and kills running
+// drainTimeout); DrainKill fails queued submissions and kills running
 // DAGs immediately. Both flush the journal to JournalPath once workers
 // are idle. Drain is idempotent; concurrent calls all block until the
 // drain completes.
@@ -409,7 +407,7 @@ func (s *Service) Drain(policy DrainPolicy) {
 	} else {
 		select {
 		case <-done:
-		case <-time.After(s.cfg.DrainTimeout):
+		case <-time.After(drainTimeout):
 			s.killAdmitted() // finish took too long; escalate
 			<-done
 		}

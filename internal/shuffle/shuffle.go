@@ -6,10 +6,10 @@
 // the data plane; producers register partitioned output under their node,
 // consumers fetch partitions by output id. The cost model charges per-byte
 // transfer delays by topology distance (same node / same rack / cross
-// rack), transient network errors can be injected and are retried with
-// backoff by Fetcher, and node failure makes data unavailable, which is
-// what drives the InputReadError → producer re-execution fault-tolerance
-// path (§4.3).
+// rack), transient network errors injected by the chaos plane are
+// retried with backoff by Fetcher, and node failure makes data
+// unavailable, which is what drives the InputReadError → producer
+// re-execution fault-tolerance path (§4.3).
 package shuffle
 
 import (
@@ -42,14 +42,9 @@ type Config struct {
 	DelayPerByteLocal  time.Duration
 	DelayPerByteRack   time.Duration
 	DelayPerByteRemote time.Duration
-	// TransientErrorRate in [0,1) injects retryable fetch failures.
-	TransientErrorRate float64
-	// Seed for the error-injection RNG. Zero means 1.
-	Seed int64
 	// Chaos, when set, injects transient/permanent fetch faults and slow-
-	// node transfer multipliers (nil means no injection). Unlike
-	// TransientErrorRate's shared RNG, chaos decisions are deterministic
-	// per fetch site.
+	// node transfer multipliers, deterministic per fetch site (nil means
+	// no injection).
 	Chaos *chaos.Plane
 	// Timeline, when set, receives a ShuffleFetch span per successful
 	// fetch and a ShuffleFetchError per failed one (nil records nothing).
@@ -82,11 +77,9 @@ type Service struct {
 	auth *security.Authority
 
 	mu      sync.Mutex
-	rng     *rand.Rand
 	outputs map[OutputID]*output
 	racks   map[string]string
 	live    map[string]bool
-	sleep   func(time.Duration)
 
 	bytesFetched int64
 	localFetches int64
@@ -96,16 +89,11 @@ type Service struct {
 
 // New creates an empty shuffle service.
 func New(cfg Config) *Service {
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	return &Service{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		outputs: make(map[OutputID]*output),
 		racks:   make(map[string]string),
 		live:    make(map[string]bool),
-		sleep:   time.Sleep,
 	}
 }
 
@@ -233,7 +221,7 @@ func (s *Service) Fetch(id OutputID, partition int, readerNode string, tok ...se
 		return nil, err
 	}
 	if delay > 0 {
-		s.sleep(delay)
+		time.Sleep(delay)
 	}
 	return data, nil
 }
@@ -275,12 +263,6 @@ func (s *Service) FetchNoWait(id OutputID, partition int, readerNode string, tok
 	if partition < 0 || partition >= len(o.partitions) {
 		s.mu.Unlock()
 		return nil, 0, fmt.Errorf("shuffle: %s has no partition %d", id, partition)
-	}
-	if s.cfg.TransientErrorRate > 0 && s.rng.Float64() < s.cfg.TransientErrorRate {
-		node := o.node
-		s.mu.Unlock()
-		s.recordFetchErr(id, partition, readerNode, node, "TRANSIENT")
-		return nil, 0, fmt.Errorf("shuffle: %s p%d: %w", id, partition, ErrTransient)
 	}
 	if s.cfg.Chaos != nil {
 		site := fmt.Sprintf("%s/p%d/%s", id, partition, readerNode)
@@ -363,35 +345,24 @@ type Fetcher struct {
 	// all (the fetch fails on the first transient error); a positive
 	// value retries exactly that many times (total attempts = retries+1).
 	MaxRetries int
-	Backoff    time.Duration // initial backoff, doubled per retry; default 1ms
-	// MaxBackoff caps the exponential growth of the backoff ceiling;
-	// default 250ms. The actual sleep before retry n is drawn uniformly
-	// from [0, min(MaxBackoff, Backoff·2ⁿ)) — "full jitter", which
+	// Backoff is the initial backoff ceiling, doubled per retry up to
+	// maxBackoff; default 1ms. The sleep before retry n is drawn uniformly
+	// from [0, min(maxBackoff, Backoff·2ⁿ)) — "full jitter", which
 	// decorrelates the retry storms of many consumers hammering the same
 	// recovering server.
-	MaxBackoff time.Duration
-	// Rand supplies the jitter draw in [0,1). Defaults to a private
-	// seeded source; inject for deterministic tests. Called under the
-	// Fetcher's lock, so a plain rand.Float64 closure is safe.
-	Rand func() float64
+	Backoff time.Duration
 
 	// Token authenticates fetches when the service has an authority.
 	Token security.Token
 
-	mu      sync.Mutex
-	retries int64
-	jrng    *rand.Rand
+	mu   sync.Mutex
+	jrng *rand.Rand // jitter draws, seeded on first use
 	// owed accumulates transfer delay until it is worth an OS sleep.
 	owed time.Duration
 }
 
-// RetryCount returns the transient errors absorbed so far (observable in
-// tests and metrics; safe to call concurrently).
-func (f *Fetcher) RetryCount() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.retries
-}
+// maxBackoff caps the exponential growth of a Fetcher's backoff ceiling.
+const maxBackoff = 250 * time.Millisecond
 
 // retryBudget resolves the MaxRetries semantics: <0 none, 0 default, >0 n.
 func (f *Fetcher) retryBudget() int {
@@ -405,24 +376,14 @@ func (f *Fetcher) retryBudget() int {
 	}
 }
 
-// Fetch retrieves one partition, retrying transient failures.
-func (f *Fetcher) Fetch(id OutputID, partition int, readerNode string) ([]byte, error) {
-	data, _, err := f.FetchCounted(id, partition, readerNode)
-	return data, err
-}
-
-// FetchCounted is Fetch plus the number of transient retries this call
-// absorbed (per-call, unlike the shared RetryCount total — useful when
-// several goroutines share the Fetcher and want per-fetch metrics).
-func (f *Fetcher) FetchCounted(id OutputID, partition int, readerNode string) ([]byte, int, error) {
+// Fetch retrieves one partition, retrying transient failures, and
+// reports how many retries this call absorbed (per call, so goroutines
+// sharing the Fetcher can each count their own).
+func (f *Fetcher) Fetch(id OutputID, partition int, readerNode string) ([]byte, int, error) {
 	budget := f.retryBudget()
 	ceiling := f.Backoff
 	if ceiling <= 0 {
 		ceiling = time.Millisecond
-	}
-	maxBackoff := f.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 250 * time.Millisecond
 	}
 	retried := 0
 	var lastErr error
@@ -441,31 +402,18 @@ func (f *Fetcher) FetchCounted(id OutputID, partition int, readerNode string) ([
 		}
 		retried++
 		f.mu.Lock()
-		f.retries++
-		u := f.jitterLocked()
-		f.mu.Unlock()
-		if ceiling > maxBackoff {
-			ceiling = maxBackoff
+		if f.jrng == nil {
+			f.jrng = rand.New(rand.NewSource(1))
 		}
+		u := f.jrng.Float64()
+		f.mu.Unlock()
+		ceiling = min(ceiling, maxBackoff)
 		if sleep := time.Duration(u * float64(ceiling)); sleep > 0 {
 			time.Sleep(sleep)
 		}
-		if ceiling < maxBackoff {
-			ceiling *= 2
-		}
+		ceiling *= 2
 	}
 	return nil, retried, fmt.Errorf("shuffle: retries exhausted: %w", lastErr)
-}
-
-// jitterLocked draws the full-jitter fraction in [0,1). Caller holds f.mu.
-func (f *Fetcher) jitterLocked() float64 {
-	if f.Rand != nil {
-		return f.Rand()
-	}
-	if f.jrng == nil {
-		f.jrng = rand.New(rand.NewSource(1))
-	}
-	return f.jrng.Float64()
 }
 
 // sleepOwed adds delay to the shared owed accumulator and, once it is

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"tez/internal/chaos"
 )
 
 func newService(nodes int) *Service {
@@ -127,12 +129,18 @@ func TestRegisterCopiesData(t *testing.T) {
 	}
 }
 
-func TestFetcherRetriesTransient(t *testing.T) {
-	s := New(Config{TransientErrorRate: 0.5, Seed: 42})
+// flaky is a one-node service on which the chaos plane fails each fetch
+// transiently with probability p.
+func flaky(seed int64, p float64) *Service {
+	s := New(Config{Chaos: chaos.New(seed, chaos.Spec{TransientFetchProb: p})})
 	s.AddNode("n0", "r0")
 	_ = s.Register("n0", oid(0, 0), [][]byte{[]byte("x")})
-	f := &Fetcher{Service: s, MaxRetries: 50, Backoff: 1}
-	got, err := f.Fetch(oid(0, 0), 0, "n0")
+	return s
+}
+
+func TestFetcherRetriesTransient(t *testing.T) {
+	f := &Fetcher{Service: flaky(42, 0.5), MaxRetries: 50, Backoff: 1}
+	got, _, err := f.Fetch(oid(0, 0), 0, "n0")
 	if err != nil {
 		t.Fatalf("fetch with retries: %v", err)
 	}
@@ -140,12 +148,15 @@ func TestFetcherRetriesTransient(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 	// With a 50% error rate and 200 fetches, some retries must occur.
+	total := 0
 	for i := 0; i < 200; i++ {
-		if _, err := f.Fetch(oid(0, 0), 0, "n0"); err != nil {
+		_, retried, err := f.Fetch(oid(0, 0), 0, "n0")
+		if err != nil {
 			t.Fatal(err)
 		}
+		total += retried
 	}
-	if f.RetryCount() == 0 {
+	if total == 0 {
 		t.Fatal("expected transient retries")
 	}
 }
@@ -153,59 +164,43 @@ func TestFetcherRetriesTransient(t *testing.T) {
 func TestFetcherFatalIsNotRetried(t *testing.T) {
 	s := newService(1)
 	f := &Fetcher{Service: s, MaxRetries: 3, Backoff: 1}
-	if _, err := f.Fetch(oid(0, 0), 0, "n0"); !errors.Is(err, ErrDataLost) {
-		t.Fatalf("err = %v", err)
-	}
-	if f.RetryCount() != 0 {
-		t.Fatal("fatal error was retried")
+	if _, retried, err := f.Fetch(oid(0, 0), 0, "n0"); !errors.Is(err, ErrDataLost) || retried != 0 {
+		t.Fatalf("err = %v after %d retries, want ErrDataLost after none", err, retried)
 	}
 }
 
-func TestFetcherNoRetriesWhenNegative(t *testing.T) {
-	// Every fetch fails transiently; a negative MaxRetries must fail on
-	// the first attempt with no retries recorded.
-	s := New(Config{TransientErrorRate: 1, Seed: 1})
-	s.AddNode("n0", "r0")
-	_ = s.Register("n0", oid(0, 0), [][]byte{[]byte("x")})
-	f := &Fetcher{Service: s, MaxRetries: -1, Backoff: 1}
-	if _, err := f.Fetch(oid(0, 0), 0, "n0"); !errors.Is(err, ErrTransient) {
+// retriesUntilFailure runs one fetch against a service on which every
+// fetch fails transiently and returns how many retries it absorbed.
+func retriesUntilFailure(t *testing.T, maxRetries int) int {
+	t.Helper()
+	f := &Fetcher{Service: flaky(1, 1), MaxRetries: maxRetries, Backoff: 1}
+	_, retried, err := f.Fetch(oid(0, 0), 0, "n0")
+	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("err = %v", err)
 	}
-	if f.RetryCount() != 0 {
-		t.Fatalf("retries = %d, want 0", f.RetryCount())
+	return retried
+}
+
+func TestFetcherNoRetriesWhenNegative(t *testing.T) {
+	if got := retriesUntilFailure(t, -1); got != 0 {
+		t.Fatalf("retries = %d, want 0", got)
 	}
 }
 
 func TestFetcherUnsetRetriesDefaultsToThree(t *testing.T) {
-	s := New(Config{TransientErrorRate: 1, Seed: 1})
-	s.AddNode("n0", "r0")
-	_ = s.Register("n0", oid(0, 0), [][]byte{[]byte("x")})
-	f := &Fetcher{Service: s, Backoff: 1} // MaxRetries unset
-	if _, err := f.Fetch(oid(0, 0), 0, "n0"); !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v", err)
-	}
-	if f.RetryCount() != 3 {
-		t.Fatalf("retries = %d, want 3", f.RetryCount())
+	if got := retriesUntilFailure(t, 0); got != 3 {
+		t.Fatalf("retries = %d, want 3", got)
 	}
 }
 
 func TestFetcherExactRetryBudget(t *testing.T) {
-	s := New(Config{TransientErrorRate: 1, Seed: 1})
-	s.AddNode("n0", "r0")
-	_ = s.Register("n0", oid(0, 0), [][]byte{[]byte("x")})
-	f := &Fetcher{Service: s, MaxRetries: 7, Backoff: 1}
-	_, retried, err := f.FetchCounted(oid(0, 0), 0, "n0")
-	if !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v", err)
-	}
-	if retried != 7 || f.RetryCount() != 7 {
-		t.Fatalf("retried = %d total = %d, want 7", retried, f.RetryCount())
+	if got := retriesUntilFailure(t, 7); got != 7 {
+		t.Fatalf("retries = %d, want 7", got)
 	}
 }
 
 func TestFetcherConcurrentUse(t *testing.T) {
-	s := New(Config{TransientErrorRate: 0.3, Seed: 7})
-	s.AddNode("n0", "r0")
+	s := flaky(7, 0.3)
 	s.AddNode("n1", "r0")
 	_ = s.Register("n0", oid(0, 0), [][]byte{[]byte("shared")})
 	f := &Fetcher{Service: s, MaxRetries: 50, Backoff: 1}
@@ -216,7 +211,7 @@ func TestFetcherConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 25; j++ {
-				got, err := f.Fetch(oid(0, 0), 0, "n1")
+				got, _, err := f.Fetch(oid(0, 0), 0, "n1")
 				if err != nil {
 					errs <- err
 					return

@@ -79,7 +79,7 @@ func (s *Service) RunPartition(jobID string, job PartitionJob) error {
 			fetcher := &shuffle.Fetcher{Service: s.plat.Shuffle}
 			for m := range splits {
 				id := shuffle.OutputID{DAG: dagID, Vertex: "map", Name: "reduce", Task: m}
-				data, err := fetcher.Fetch(id, p, node(p))
+				data, _, err := fetcher.Fetch(id, p, node(p))
 				if err != nil {
 					return err
 				}

@@ -308,11 +308,11 @@ func TestCrashRecoveryJournalCoherence(t *testing.T) {
 	}
 }
 
-// TestShuffleDataPlaneCountersInJournal runs a wordcount with a spill-
+// TestShuffleCountersInJournal runs a wordcount with a spill-
 // constrained, combined, flate-compressed shuffle and asserts the data
 // plane shows up both in the run's counters and as journalled spill/merge
 // spans — the counters-audit contract of the shuffle data plane.
-func TestShuffleDataPlaneCountersInJournal(t *testing.T) {
+func TestShuffleCountersInJournal(t *testing.T) {
 	library.RegisterMapFunc("tltest.tokenize2", func(_, line []byte, out runtime.KVWriter) error {
 		for _, w := range strings.Fields(string(line)) {
 			if err := out.Write([]byte(w), []byte("1")); err != nil {
