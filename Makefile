@@ -80,8 +80,9 @@ profile:
 # allocated beyond the input's size, decode-then-encode is the identity,
 # gob streams refused), split grouping (every split in one group, the
 # result independent of input order, group size and hint rules) and the
-# three doors text from outside comes in by — relop.ParseExpr, hive.Parse
-# and pig.ParseScript: no panic, no stack exhaustion — and the two row
+# three doors text from outside comes in by — relop's expression grammar
+# (Parser.Expr, then Resolve), hive.Parse and pig.ParseScript: no panic, no
+# stack exhaustion — and the two row
 # decoders (row.Decode and col.Batch.AppendEncoded accept and refuse the
 # same inputs and read them alike) a brief
 # coverage-guided shake on every run (the checked-in corpus under
@@ -112,12 +113,16 @@ chaos:
 # sharing test with the whole relop package (50 runs), a session closed
 # mid-run leaking nothing under the race detector (500), AM recovery
 # under default slow-start (200), and the chaos table's node-crash row,
-# which loops thirty runs under a wall-clock bound itself.
+# which loops thirty runs under a wall-clock bound itself. Last, the
+# shuffle consumer's retraction race under the race detector (50 runs of
+# eight seeds each): a 128-input consumer whose stored runs are retracted
+# and replaced must read the surviving attempts on every seed.
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
 	$(GO) test -count=200 -run 'TestAMRecoveryFromCheckpoint$$' ./internal/am/
 	$(GO) test -count=1 -run 'TestChaosNodeCrashRecoversPromptly$$' ./internal/bench/
+	$(GO) test -race -count=50 -run 'TestFetchRetractionStress$$' ./internal/library/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

@@ -2,6 +2,7 @@ package am
 
 import (
 	"fmt"
+	"strconv"
 
 	"tez/internal/dag"
 	"tez/internal/event"
@@ -67,7 +68,7 @@ func (m *BucketGroupingVertexManager) OnSourceTaskCompleted(string, int) { m.may
 
 // OnVertexManagerEvent accumulates per-bucket sizes.
 func (m *BucketGroupingVertexManager) OnVertexManagerEvent(ev event.VertexManagerEvent) {
-	key := ev.SrcVertex + "/" + itoa(ev.SrcTask)
+	key := ev.SrcVertex + "/" + strconv.Itoa(ev.SrcTask)
 	if m.reported[key] {
 		return
 	}
@@ -127,6 +128,8 @@ func (m *BucketGroupingVertexManager) maybeGo() {
 			library.GroupedShuffleConfig{Groups: groups})
 	}
 	if err := m.ctx.SetParallelismWithEdges(len(groups), managers); err != nil {
+		// Not ignorable: the vertex's tasks would never be scheduled.
+		m.ctx.Fail(fmt.Errorf("regrouping %d buckets into %d tasks: %w", len(m.sizes), len(groups), err))
 		return
 	}
 	tasks := make([]int, len(groups))
@@ -134,26 +137,4 @@ func (m *BucketGroupingVertexManager) maybeGo() {
 		tasks[i] = i
 	}
 	m.ctx.ScheduleTasks(tasks)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
 }

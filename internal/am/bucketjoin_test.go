@@ -1,11 +1,13 @@
 package am
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"testing"
 
 	"tez/internal/dag"
+	"tez/internal/event"
 	"tez/internal/library"
 	"tez/internal/plugin"
 	"tez/internal/runtime"
@@ -120,6 +122,29 @@ func TestDynamicallyPartitionedHashJoin(t *testing.T) {
 	joins := res.Counters.Get("TASKS_SUCCEEDED") - producers
 	if joins < 2 || joins >= int64(len(bucketWeights)) {
 		t.Fatalf("join tasks = %d, want grouped (2..7)", joins)
+	}
+}
+
+// A reconfiguration the AM refuses must fail the DAG: the manager used to
+// return without scheduling anything, and the vertex waited for tasks that
+// would never run until a deadline, if any, killed the DAG.
+func TestBucketGroupingReconfigErrorFails(t *testing.T) {
+	ctx := newFakeVMContext(8)
+	ctx.addSource("producer", 1, dag.CustomMovement)
+	ctx.reconfigErr = errors.New("refused")
+	m := &BucketGroupingVertexManager{}
+	if err := m.Initialize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m.OnVertexStarted()
+	m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "producer", SrcTask: 0, Payload: stats(10, 20, 30)})
+	ctx.complete("producer", 0)
+	m.OnSourceTaskCompleted("producer", 0)
+	if len(ctx.failed) != 1 || !errors.Is(ctx.failed[0], ctx.reconfigErr) {
+		t.Fatalf("Fail calls = %v, want one wrapping the refusal", ctx.failed)
+	}
+	if len(ctx.scheduled) != 0 {
+		t.Fatalf("scheduled %v on a refused reconfiguration", ctx.scheduled)
 	}
 }
 

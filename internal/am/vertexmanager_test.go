@@ -27,6 +27,8 @@ type fakeVMContext struct {
 	outEdge   map[string][]byte
 	vmPayload []byte
 	failed    []error
+	// reconfigErr, when set, is what SetParallelismWithEdges refuses with.
+	reconfigErr error
 }
 
 func newFakeVMContext(par int) *fakeVMContext {
@@ -65,6 +67,9 @@ func (c *fakeVMContext) SetParallelism(n int) error {
 	return nil
 }
 func (c *fakeVMContext) SetParallelismWithEdges(n int, _ map[string]plugin.Descriptor) error {
+	if c.reconfigErr != nil {
+		return c.reconfigErr
+	}
 	return c.SetParallelism(n)
 }
 func (c *fakeVMContext) ScheduleTasks(tasks []int) {
@@ -214,7 +219,7 @@ func TestCorruptVMStatsFailsDAG(t *testing.T) {
 	d := dag.New("badstats")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.bad_stats", nil), 2)
 	cons := d.AddVertex("consumer", plugin.Desc("amdl.sleep", nil), 4)
-	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{NoStats: true}))
+	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))
 	res, err := RunDAG(plat, Config{Name: "t"}, d)
 	if err == nil && res.Err != nil {
 		err = res.Err

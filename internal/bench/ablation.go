@@ -72,9 +72,9 @@ func timeWordCountSession(plat *platform.Platform, cfg am.Config, jobs int) (tim
 	return dur, alloc, reused, nil
 }
 
-// AblationContainerReuse measures §4.2 container reuse: the same DAG
+// ablationContainerReuse measures §4.2 container reuse: the same DAG
 // sequence with and without reuse.
-func AblationContainerReuse(sc Scale) (*Report, error) {
+func ablationContainerReuse(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(6))
 	defer plat.Stop()
 	if err := writeWords(plat, "/bench/words", sc.PigRows/2); err != nil {
@@ -101,9 +101,9 @@ func AblationContainerReuse(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationSession measures session pre-warming (§4.2): first-DAG latency
+// ablationSession measures session pre-warming (§4.2): first-DAG latency
 // with a cold vs pre-warmed session.
-func AblationSession(sc Scale) (*Report, error) {
+func ablationSession(sc Scale) (*Report, error) {
 	cfg := platform.Default(6)
 	// Make process start-up visible at simulation scale (a real YARN
 	// container localisation + JVM launch is seconds).
@@ -146,9 +146,9 @@ func AblationSession(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationAutoParallelism measures the ShuffleVertexManager estimate
+// ablationAutoParallelism measures the ShuffleVertexManager estimate
 // (Figure 6): reducer waves with and without runtime shrinking.
-func AblationAutoParallelism(sc Scale) (*Report, error) {
+func ablationAutoParallelism(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(6))
 	defer plat.Stop()
 	if err := writeWords(plat, "/bench/words", sc.PigRows/2); err != nil {
@@ -190,9 +190,9 @@ func AblationAutoParallelism(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationPartitionPruning measures §3.5 dynamic partition pruning: bytes
+// ablationPartitionPruning measures §3.5 dynamic partition pruning: bytes
 // of the partitioned fact actually read.
-func AblationPartitionPruning(sc Scale) (*Report, error) {
+func ablationPartitionPruning(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(6))
 	defer plat.Stop()
 	td, err := data.GenTPCDS(plat.FS, sc.TPCDSSales, 13)
@@ -235,9 +235,9 @@ func AblationPartitionPruning(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationLocality measures locality-aware scheduling with delay
+// ablationLocality measures locality-aware scheduling with delay
 // scheduling (§4.2) against placement-oblivious allocation.
-func AblationLocality(sc Scale) (*Report, error) {
+func ablationLocality(sc Scale) (*Report, error) {
 	rep := &Report{
 		Figure:  "Ablation",
 		Title:   "Locality-aware scheduling + delay scheduling (§4.2)",
@@ -281,9 +281,9 @@ func AblationLocality(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationSlowStart measures shuffle slow-start (§3.4): overlapping the
+// ablationSlowStart measures shuffle slow-start (§3.4): overlapping the
 // fetch with remaining producers versus waiting for all of them.
-func AblationSlowStart(sc Scale) (*Report, error) {
+func ablationSlowStart(sc Scale) (*Report, error) {
 	cfg := platform.Default(6)
 	// Slow start pays off when the shuffle transfer is expensive enough to
 	// be worth overlapping with the tail of the map phase.
@@ -317,11 +317,11 @@ func AblationSlowStart(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationParallelFetch measures the parallel shuffle fetcher pool
+// ablationParallelFetch measures the parallel shuffle fetcher pool
 // (§3.4): with per-byte transfer costs dominated by remote fetches, a
 // reducer pulling many producer outputs pays the max of overlapping
 // transfer delays instead of their sum.
-func AblationParallelFetch(sc Scale) (*Report, error) {
+func ablationParallelFetch(sc Scale) (*Report, error) {
 	cfg := platform.Default(6)
 	// Make the shuffle remote-heavy so serial fetching is the bottleneck:
 	// transfer delay well above the slow-start ablation's, plus a per-fetch
@@ -362,9 +362,9 @@ func AblationParallelFetch(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// AblationObjectRegistry measures the shared object registry (§4.2): how
+// ablationObjectRegistry measures the shared object registry (§4.2): how
 // many broadcast-join hash tables are built with and without caching.
-func AblationObjectRegistry(sc Scale) (*Report, error) {
+func ablationObjectRegistry(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(4))
 	defer plat.Stop()
 	td, err := data.GenTPCDS(plat.FS, sc.TPCDSSales, 14)
@@ -432,11 +432,11 @@ func init() {
 	runtime.RegisterProcessor("bench.straggler", func() runtime.Processor { return &slowFirstAttempt{} })
 }
 
-// AblationSpeculation measures straggler mitigation (§4.2): a DAG with one
+// ablationSpeculation measures straggler mitigation (§4.2): a DAG with one
 // environment-stuck task, with and without speculative execution. Without
 // speculation the straggler runs to its 2s timeout and fails the attempt;
 // with it, a speculative twin finishes the task long before.
-func AblationSpeculation(sc Scale) (*Report, error) {
+func ablationSpeculation(sc Scale) (*Report, error) {
 	rep := &Report{
 		Figure:  "Ablation",
 		Title:   "Speculative execution (§4.2)",

@@ -50,7 +50,7 @@ func cell(t *testing.T, rep *Report, r, c int) float64 {
 }
 
 func TestHiveTPCDSReport(t *testing.T) {
-	rep, err := HiveTPCDS(tiny)
+	rep, err := hiveTPCDS(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestHiveTPCDSReport(t *testing.T) {
 }
 
 func TestHiveTPCHReport(t *testing.T) {
-	rep, err := HiveTPCH(tiny)
+	rep, err := hiveTPCH(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestHiveTPCHReport(t *testing.T) {
 }
 
 func TestPigProductionReport(t *testing.T) {
-	rep, err := PigProduction(tiny)
+	rep, err := pigProduction(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPigProductionReport(t *testing.T) {
 }
 
 func TestKMeansReport(t *testing.T) {
-	rep, err := KMeansIterations(tiny)
+	rep, err := kMeansIterations(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +105,12 @@ func TestKMeansReport(t *testing.T) {
 }
 
 func TestSparkReports(t *testing.T) {
-	tl, err := SparkTimelines(tiny)
+	tl, err := sparkTimelines(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireRows(t, tl, 4)
-	lat, err := SparkLatency(tiny)
+	lat, err := sparkLatency(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestDivergedRowFails(t *testing.T) {
 // round-trip byte-identically through Register→Fetch→merge on wordcount,
 // Hive and Pig workloads while moving fewer wire bytes than raw.
 func TestShuffleCodecAblation(t *testing.T) {
-	rep, err := AblationShuffleCodec(tiny)
+	rep, err := ablationShuffleCodec(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestReportRendering(t *testing.T) {
 }
 
 func TestChaosRobustnessReport(t *testing.T) {
-	rep, err := ChaosRobustness(tiny)
+	rep, err := chaosRobustness(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,12 +74,12 @@ func runChaosWordcount(lines int, plane *chaos.Plane, mut func(am.Config) am.Con
 	return chaosRun{counts: counts, res: res, health: sess.NodeHealth(), dur: dur}, err
 }
 
-// ChaosRobustness runs the same wordcount workload under each seeded fault
+// chaosRobustness runs the same wordcount workload under each seeded fault
 // schedule and reports whether the output stayed identical to the
 // fault-free run, what the faults cost, and what node health saw — the
 // robustness counterpart of the timing figures. A scenario whose answer
 // diverged fails the run after the table is built.
-func ChaosRobustness(sc Scale) (*Report, error) {
+func chaosRobustness(sc Scale) (*Report, error) {
 	lines := sc.PigRows
 	if lines <= 0 {
 		lines = 3000

@@ -47,9 +47,9 @@ func init() {
 	runtime.RegisterProcessor("bench.noop", func() runtime.Processor { return noopProcessor{} })
 }
 
-// ControlPlane runs sched and dag-100k and reports each as one throughput
+// controlPlane runs sched and dag-100k and reports each as one throughput
 // row.
-func ControlPlane(sc Scale) (*Report, error) {
+func controlPlane(sc Scale) (*Report, error) {
 	nodes, perWave, tasks := cpNodes, cpSchedPerWave, cpDAGTasks
 	if sc.Name == "tiny" {
 		nodes, perWave, tasks = 200, 100, 2_000

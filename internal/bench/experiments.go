@@ -20,27 +20,27 @@ type Experiment struct {
 // the root BenchmarkExperiments loop and this package's smoke test all
 // range over it.
 var Experiments = []Experiment{
-	{Key: "f8", Run: HiveTPCDS},
-	{Key: "f9", Run: HiveTPCH},
-	{Key: "f10", Run: PigProduction},
-	{Key: "f11", Run: KMeansIterations},
-	{Key: "f12", Run: SparkTimelines},
-	{Key: "f13", Run: SparkLatency},
-	{Key: "chaos", Run: ChaosRobustness},
-	{Key: "reuse", Group: "ablations", Run: AblationContainerReuse},
-	{Key: "prewarm", Group: "ablations", Run: AblationSession},
-	{Key: "auto-parallelism", Group: "ablations", Run: AblationAutoParallelism},
-	{Key: "pruning", Group: "ablations", Run: AblationPartitionPruning},
-	{Key: "locality", Group: "ablations", Run: AblationLocality},
-	{Key: "slow-start", Group: "ablations", Run: AblationSlowStart},
-	{Key: "parallel-fetch", Group: "ablations", Run: AblationParallelFetch},
-	{Key: "registry", Group: "ablations", Run: AblationObjectRegistry},
-	{Key: "speculation", Group: "ablations", Run: AblationSpeculation},
-	{Key: "shuffle-codec", Run: AblationShuffleCodec},
+	{Key: "f8", Run: hiveTPCDS},
+	{Key: "f9", Run: hiveTPCH},
+	{Key: "f10", Run: pigProduction},
+	{Key: "f11", Run: kMeansIterations},
+	{Key: "f12", Run: sparkTimelines},
+	{Key: "f13", Run: sparkLatency},
+	{Key: "chaos", Run: chaosRobustness},
+	{Key: "reuse", Group: "ablations", Run: ablationContainerReuse},
+	{Key: "prewarm", Group: "ablations", Run: ablationSession},
+	{Key: "auto-parallelism", Group: "ablations", Run: ablationAutoParallelism},
+	{Key: "pruning", Group: "ablations", Run: ablationPartitionPruning},
+	{Key: "locality", Group: "ablations", Run: ablationLocality},
+	{Key: "slow-start", Group: "ablations", Run: ablationSlowStart},
+	{Key: "parallel-fetch", Group: "ablations", Run: ablationParallelFetch},
+	{Key: "registry", Group: "ablations", Run: ablationObjectRegistry},
+	{Key: "speculation", Group: "ablations", Run: ablationSpeculation},
+	{Key: "shuffle-codec", Run: ablationShuffleCodec},
 	// Load, not paper figures: the 100k-task DAG alone takes ten seconds
 	// on a quiet box and a minute on a busy one.
-	{Key: "controlplane", Run: ControlPlane, OptIn: true},
-	{Key: "graph", Run: GraphEngine, OptIn: true},
+	{Key: "controlplane", Run: controlPlane, OptIn: true},
+	{Key: "graph", Run: graphEngine, OptIn: true},
 }
 
 // Select resolves a comma-separated list of experiment keys, group keys

@@ -54,12 +54,12 @@ func runGraphJob(plat *platform.Platform, name string, job graph.Job) (graphRun,
 	return run, nil
 }
 
-// GraphEngine runs the graph suite on one simulated cluster: PageRank
+// graphEngine runs the graph suite on one simulated cluster: PageRank
 // twice (warm registry vs the DisableRegistryCache ablation — identical
 // DAGs, identical superstep count, the only difference is whether compute
 // tasks may reuse cached partition snapshots), then connected components
 // and SSSP with vote-to-halt termination.
-func GraphEngine(sc Scale) (*Report, error) {
+func graphEngine(sc Scale) (*Report, error) {
 	vertices := graphVertices
 	if sc.Name == "tiny" {
 		vertices = 2000

@@ -135,8 +135,8 @@ func runHiveSuite(figure, title string, nodes int, queries []namedQuery,
 	return rep, nil
 }
 
-// HiveTPCDS regenerates Figure 8: Hive, TPC-DS derived workload, Tez vs MR.
-func HiveTPCDS(sc Scale) (*Report, error) {
+// hiveTPCDS regenerates Figure 8: Hive, TPC-DS derived workload, Tez vs MR.
+func hiveTPCDS(sc Scale) (*Report, error) {
 	return runHiveSuite("Figure 8", "Hive: TPC-DS derived workload ("+sc.Name+" scale)",
 		sc.NodesF8, tpcdsQueries,
 		func(plat *platform.Platform, eng *hive.Engine) error {
@@ -149,9 +149,9 @@ func HiveTPCDS(sc Scale) (*Report, error) {
 		})
 }
 
-// HiveTPCH regenerates Figure 9: Hive, TPC-H derived workload at larger
+// hiveTPCH regenerates Figure 9: Hive, TPC-H derived workload at larger
 // cluster scale, Tez vs MR.
-func HiveTPCH(sc Scale) (*Report, error) {
+func hiveTPCH(sc Scale) (*Report, error) {
 	return runHiveSuite("Figure 9", "Hive: TPC-H derived workload ("+sc.Name+" scale)",
 		sc.NodesF9, tpchQueries,
 		func(plat *platform.Platform, eng *hive.Engine) error {

@@ -10,11 +10,11 @@ import (
 	"tez/internal/sparklike"
 )
 
-// KMeansIterations regenerates Figure 11: the iterative K-means job run
+// kMeansIterations regenerates Figure 11: the iterative K-means job run
 // with per-iteration DAGs in one shared pre-warmed Tez session (container
 // reuse across iterations) versus one isolated AM per iteration (the
 // MR-style baseline of §6.4).
-func KMeansIterations(sc Scale) (*Report, error) {
+func kMeansIterations(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(4))
 	defer plat.Stop()
 	points, truth, err := data.GenPoints(plat.FS, "kmeans", sc.KMeansPoints, 3, 11)

@@ -77,8 +77,8 @@ var pigWorkloads = []pigWorkload{
 	}},
 }
 
-// PigProduction regenerates Figure 10: the production ETL mix, Tez vs MR.
-func PigProduction(sc Scale) (*Report, error) {
+// pigProduction regenerates Figure 10: the production ETL mix, Tez vs MR.
+func pigProduction(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(10))
 	defer plat.Stop()
 	t1, err := data.GenZipfPairs(plat.FS, "etl_a", sc.PigRows, 200, 1.3, 10)

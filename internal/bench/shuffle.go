@@ -13,11 +13,11 @@ import (
 	"tez/internal/relop"
 )
 
-// AblationShuffleCodec runs wordcount, a Hive query and a Pig script end to
+// ablationShuffleCodec runs wordcount, a Hive query and a Pig script end to
 // end under codec none and flate: the flate runs must commit byte-identical
 // answers while moving fewer bytes over the simulated wire. A diverged
 // answer fails the run after the table is built.
-func AblationShuffleCodec(sc Scale) (*Report, error) {
+func ablationShuffleCodec(sc Scale) (*Report, error) {
 	plat := platform.New(platform.Default(6))
 	defer plat.Stop()
 	if err := writeWords(plat, "/bench/codec/words", sc.PigRows); err != nil {

@@ -136,9 +136,9 @@ func genUserTables(plat *platform.Platform, users, rows int) ([]*relop.Table, er
 	return tables, nil
 }
 
-// SparkTimelines regenerates Figure 12: per-user container holdings over
+// sparkTimelines regenerates Figure 12: per-user container holdings over
 // time, service-based vs Tez-based, 5 concurrent users.
-func SparkTimelines(sc Scale) (*Report, error) {
+func sparkTimelines(sc Scale) (*Report, error) {
 	rep := &Report{
 		Figure:  "Figure 12",
 		Title:   "Sharing a cluster across concurrent Spark-style jobs (" + sc.Name + " scale)",
@@ -181,9 +181,9 @@ func SparkTimelines(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
-// SparkLatency regenerates Figure 13: mean job latency under 5-user
+// sparkLatency regenerates Figure 13: mean job latency under 5-user
 // concurrency across scale factors, service vs Tez.
-func SparkLatency(sc Scale) (*Report, error) {
+func sparkLatency(sc Scale) (*Report, error) {
 	rep := &Report{
 		Figure:  "Figure 13",
 		Title:   "Spark multi-tenancy on YARN: latency vs scale (" + sc.Name + " scale)",

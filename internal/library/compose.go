@@ -84,5 +84,5 @@ func DFSSink(name, path string) dag.DataSink {
 // output needs no payload.
 func (c OrderedPartitionedConfig) isZero() bool {
 	return c.Partitioner.Kind == "" && len(c.Partitioner.Points) == 0 &&
-		!c.NoStats && c.Combiner == "" && c.Codec == "" && c.SortBytes == 0
+		c.Combiner == "" && c.Codec == "" && c.SortBytes == 0
 }

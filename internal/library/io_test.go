@@ -499,7 +499,6 @@ func TestRangePartitionedOutputConfig(t *testing.T) {
 	svc := testServices(t)
 	cfg := plugin.MustEncode(OrderedPartitionedConfig{
 		Partitioner: PartitionerSpec{Kind: "range", Points: [][]byte{[]byte("m")}},
-		NoStats:     true,
 	})
 	out := &OrderedPartitionedKVOutput{}
 	meta := runtime.Meta{DAG: "d", Vertex: "map", Task: 0}
@@ -510,14 +509,8 @@ func TestRangePartitionedOutputConfig(t *testing.T) {
 	w := wAny.(runtime.KVWriter)
 	_ = w.Write([]byte("apple"), []byte("1"))
 	_ = w.Write([]byte("zebra"), []byte("2"))
-	events, err := out.Close()
-	if err != nil {
+	if _, err := out.Close(); err != nil {
 		t.Fatal(err)
-	}
-	for _, ev := range events {
-		if _, ok := ev.(event.VertexManagerEvent); ok {
-			t.Fatal("stats sent despite NoStats=true")
-		}
 	}
 	id := shuffle.OutputID{DAG: "d", Vertex: "map", Name: "red", Task: 0}
 	p0, _ := svc.Shuffle.Fetch(id, 0, "n0")
@@ -628,7 +621,7 @@ func TestOutputsAnnounceExactBytes(t *testing.T) {
 		sizes := make([]int64, tc.parts)
 		for i, data := range want {
 			sizes[i] = int64(len(data))
-			info := DMInfo{ID: id, Partition: i, Size: sizes[i]}
+			info := DMInfo{ID: id, Partition: i}
 			if tc.ordered {
 				info.RawSize = sizes[i]
 			}

@@ -44,7 +44,6 @@ func (d DMInfo) MarshalBinary() ([]byte, error) {
 	b = plugin.AppendInt(b, int64(d.ID.Task))
 	b = plugin.AppendInt(b, int64(d.ID.Attempt))
 	b = plugin.AppendInt(b, int64(d.Partition))
-	b = plugin.AppendInt(b, d.Size)
 	b = plugin.AppendInt(b, d.RawSize)
 	b = plugin.AppendString(b, d.Codec)
 	return b, nil
@@ -60,7 +59,6 @@ func (d *DMInfo) UnmarshalBinary(data []byte) error {
 	v.ID.Task = r.Int()
 	v.ID.Attempt = r.Int()
 	v.Partition = r.Int()
-	v.Size = r.Int64()
 	v.RawSize = r.Int64()
 	v.Codec = r.String()
 	if err := r.Finish(); err != nil {
@@ -181,7 +179,6 @@ func (c OrderedPartitionedConfig) MarshalBinary() ([]byte, error) {
 	for _, p := range c.Partitioner.Points {
 		b = plugin.AppendBytes(b, p)
 	}
-	b = plugin.AppendBool(b, c.NoStats)
 	b = plugin.AppendString(b, c.Combiner)
 	b = plugin.AppendString(b, c.Codec)
 	b = plugin.AppendInt(b, c.SortBytes)
@@ -199,7 +196,6 @@ func (c *OrderedPartitionedConfig) UnmarshalBinary(data []byte) error {
 			v.Partitioner.Points[i] = r.Bytes()
 		}
 	}
-	v.NoStats = r.Bool()
 	v.Combiner = r.String()
 	v.Codec = r.String()
 	v.SortBytes = r.Int64()

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -21,7 +22,7 @@ import (
 var hotPayloads = []any{
 	DMInfo{
 		ID:        shuffle.OutputID{DAG: "s.q1.7", Vertex: "map", Name: "reduce", Task: 3, Attempt: 1},
-		Partition: 2, Size: 1 << 20, RawSize: 3 << 20, Codec: "flate",
+		Partition: 2, RawSize: 3 << 20, Codec: "flate",
 	},
 	VMStats{PartitionSizes: []int64{0, 17, 1 << 40}},
 	SplitAssignment{Splits: []dfs.Split{
@@ -33,7 +34,7 @@ var hotPayloads = []any{
 	SplitSourceConfig{Paths: []string{"/in/a", "/in/b"}, DesiredSplitSize: 1 << 16},
 	OrderedPartitionedConfig{
 		Partitioner: PartitionerSpec{Kind: "range", Points: [][]byte{[]byte("g"), {0x00, 0xff}, []byte("p")}},
-		NoStats:     true, Combiner: "sum", Codec: "flate", SortBytes: -1,
+		Combiner:    "sum", Codec: "flate", SortBytes: -1,
 	},
 }
 
@@ -42,6 +43,13 @@ var hotPayloads = []any{
 // must refuse the extra varint, not misread it.
 var oldSplitSourceConfig = plugin.AppendInt(plugin.MustEncode(
 	SplitSourceConfig{Paths: []string{"/in/a", "/in/b"}, DesiredSplitSize: 1 << 16}), 8)
+
+// oldOrderedConfig is an OrderedPartitionedConfig{Combiner: "sum"} as
+// encoded while the type still had a stats switch: a 0 byte after the
+// three-byte header, the empty partitioner kind and the zero point count.
+// Read with today's layout its fields shift by one and a byte is left
+// over, so the decoder must refuse it.
+var oldOrderedConfig = slices.Insert(plugin.MustEncode(OrderedPartitionedConfig{Combiner: "sum"}), 5, 0)
 
 // newOf returns a pointer to a fresh zero value of v's type.
 func newOf(v any) any { return reflect.New(reflect.TypeOf(v)).Interface() }
@@ -148,7 +156,7 @@ func TestQuickPayloadRoundTrip(t *testing.T) {
 	nul := "a\x00b\x00"
 	for _, v := range []any{
 		DMInfo{ID: shuffle.OutputID{DAG: nul, Vertex: "", Name: "\x00", Task: math.MaxInt, Attempt: math.MinInt},
-			Partition: -1, Size: math.MaxInt64, RawSize: math.MinInt64, Codec: nul},
+			Partition: -1, RawSize: math.MinInt64, Codec: nul},
 		VMStats{PartitionSizes: []int64{}},
 		VMStats{PartitionSizes: []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}},
 		SplitAssignment{Splits: []dfs.Split{}},
@@ -224,10 +232,8 @@ func TestBinaryPayloadStrictDecode(t *testing.T) {
 		t.Errorf("SplitSourceConfig with the deleted third field decoded to %+v", sc)
 	}
 	var c OrderedPartitionedConfig
-	bad := plugin.MustEncode(OrderedPartitionedConfig{NoStats: true})
-	bad[bytes.IndexByte(bad[3:], 1)+3] = 2 // the NoStats byte
-	if err := plugin.Decode(bad, &c); err == nil {
-		t.Error("bool byte 2 accepted")
+	if err := plugin.Decode(oldOrderedConfig, &c); err == nil {
+		t.Errorf("OrderedPartitionedConfig with the deleted stats byte decoded to %+v", c)
 	}
 }
 

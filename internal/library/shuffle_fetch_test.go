@@ -37,7 +37,11 @@ func TestShuffleCountersExact(t *testing.T) {
 		if err := plugin.Decode(dm.Payload, &info); err != nil {
 			t.Fatal(err)
 		}
-		wantWire, wantRaw = wantWire+info.Size, wantRaw+info.RawSize
+		wire, err := svc.Shuffle.Fetch(info.ID, info.Partition, "n0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWire, wantRaw = wantWire+int64(len(wire)), wantRaw+info.RawSize
 	}
 	if spills := svc.Counters.Get("SHUFFLE_SPILLS"); spills <= srcTasks || wantWire >= wantRaw {
 		t.Fatalf("%d spills, %d wire vs %d raw bytes: want several spills per producer and a shrunk wire", spills, wantWire, wantRaw)
@@ -96,27 +100,32 @@ func TestShuffleCountersExact(t *testing.T) {
 	}
 }
 
-// TestFetchRetractionStress races run arrival against InputFailed
-// retraction and against the reader's intermediate merges, under -race
-// with 30% injected transient fetch errors: 24 sources, 5 of them
-// re-executed. A retraction that lands after its run was merged must fail
-// the read with an InputReadError; otherwise the merged stream must be
-// exactly the surviving attempts' records. Nothing in between.
+// TestFetchRetractionStress re-executes producers whose runs a consumer
+// has already stored, on a consumer of 128 physical inputs — wider than
+// any merge would be bounded to — under -race with 30% injected transient
+// fetch errors. The events arrive in mailbox order: every first-attempt
+// movement but the last source's, which holds the read open; then, once
+// the consumer has stored all of them, a retraction and a replacement for
+// each of 16 sources spread over the index range; then the last movement.
+// A retraction only drops a stored run, so on every seed the ordered
+// input's Reader must return exactly the surviving attempts' records, with
+// no InputReadError, and each stored run must be counted once.
 func TestFetchRetractionStress(t *testing.T) {
-	const phys, retracted, factor = 24, 5, 4
+	const phys = 128
+	rerun := func(i int) bool { return i%8 == 3 }
 	id := func(task, attempt int) shuffle.OutputID {
 		return shuffle.OutputID{DAG: "d", Vertex: "map", Task: task, Attempt: attempt}
 	}
 	var want []string
+	reruns := 0
 	for i := 0; i < phys; i++ {
 		attempt := 0
-		if i < retracted {
-			attempt = 1
+		if rerun(i) {
+			attempt, reruns = 1, reruns+1
 		}
 		want = append(want, fmt.Sprintf("t%d-a%d", i, attempt))
 	}
 	sort.Strings(want)
-	clean, lost := 0, 0
 	for seed := int64(1); seed <= 8; seed++ {
 		svc := testServices(t)
 		svc.Shuffle = shuffle.New(shuffle.Config{Chaos: chaos.New(seed, chaos.Spec{TransientFetchProb: 0.3})})
@@ -124,46 +133,61 @@ func TestFetchRetractionStress(t *testing.T) {
 			svc.Shuffle.AddNode(fmt.Sprintf("n%d", i), "r0")
 		}
 		svc.Counters = metrics.NewCounters()
-		fs := newFetchSet(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, phys))
-		fs.fetcher.MaxRetries = 100 // absorb the injected transient errors
-		fs.fetcher.Backoff = time.Microsecond
-		for i := 0; i < phys+retracted; i++ {
-			task, attempt := i%phys, i/phys
-			registerRun(t, svc, fmt.Sprintf("n%d", i%3), id(task, attempt), fmt.Sprintf("t%d-a%d", task, attempt))
+		for i := 0; i < phys; i++ {
+			registerRun(t, svc, fmt.Sprintf("n%d", i%3), id(i, 0), fmt.Sprintf("t%d-a0", i))
+			if rerun(i) {
+				registerRun(t, svc, fmt.Sprintf("n%d", (i+1)%3), id(i, 1), fmt.Sprintf("t%d-a1", i))
+			}
 		}
-		// One goroutine delivers the event stream in mailbox order — every
-		// attempt-0 movement, then retraction plus replacement for each
-		// re-executed source — while fetchers and the merging reader race it.
+		in := &OrderedGroupedKVInput{}
+		if err := in.Initialize(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, phys)); err != nil {
+			t.Fatal(err)
+		}
+		in.fs.fetcher.MaxRetries = 100 // absorb the injected transient errors
+		in.fs.fetcher.Backoff = time.Microsecond
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			for i := 0; i < phys-1; i++ {
+				_ = in.HandleEvent(dmFor(i, i, 0, id(i, 0)))
+			}
+			// Wait for the stores: every store is counted and broadcast
+			// on done under the fetch set's lock.
+			in.fs.mu.Lock()
+			for svc.Counters.Get("SHUFFLE_INCREMENTS") < phys-1 && in.fs.failure == nil && !in.fs.stopped {
+				in.fs.done.Wait()
+			}
+			in.fs.mu.Unlock()
 			for i := 0; i < phys; i++ {
-				_ = fs.handleEvent(dmFor(i, i, 0, id(i, 0)))
+				if rerun(i) {
+					_ = in.HandleEvent(event.InputFailed{TargetInputIndex: i, SrcTask: i, SrcAttempt: 0})
+					_ = in.HandleEvent(dmFor(i, i, 1, id(i, 1)))
+				}
 			}
-			for i := 0; i < retracted; i++ {
-				_ = fs.handleEvent(event.InputFailed{TargetInputIndex: i, SrcTask: i, SrcAttempt: 0})
-				_ = fs.handleEvent(dmFor(i, i, 1, id(i, 1)))
-			}
+			_ = in.HandleEvent(dmFor(phys-1, phys-1, 0, id(phys-1, 0)))
 		}()
-		fs.start()
-		runs, err := fs.collectMerged(factor)
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		rAny, err := in.Reader()
 		wg.Wait()
-		if cerr := fs.close(); cerr != nil {
-			t.Fatal(cerr)
+		if err != nil {
+			in.Close()
+			t.Fatalf("seed %d: read failed: %v", seed, err)
 		}
-		if _, ok := runtime.AsInputReadError(err); ok {
-			lost++
-			continue
-		}
-		clean++
 		var got []string
-		for r := newMergeReader(runs); r.Next(); {
-			got = append(got, string(r.Key()))
+		for g := rAny.(runtime.GroupedKVReader); g.Next(); {
+			got = append(got, string(g.Key()))
 		}
-		if n := svc.Counters.Get("SHUFFLE_INCREMENTS"); err != nil || len(runs) > factor || !reflect.DeepEqual(got, want) || n < phys {
-			t.Fatalf("seed %d: err %v, %d runs, %d stored, keys %v, want %v", seed, err, len(runs), n, got, want)
+		if err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: keys %v, want %v", seed, got, want)
+		}
+		if n := svc.Counters.Get("SHUFFLE_INCREMENTS"); n != int64(phys+reruns) {
+			t.Fatalf("seed %d: %d runs stored, want %d", seed, n, phys+reruns)
 		}
 	}
-	t.Logf("%d clean reads, %d retracted-after-merge", clean, lost)
 }

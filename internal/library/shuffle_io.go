@@ -3,7 +3,6 @@ package library
 import (
 	"fmt"
 	goruntime "runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,10 +37,9 @@ func init() {
 type DMInfo struct {
 	ID        shuffle.OutputID
 	Partition int
-	// Size is the registered (wire) size; RawSize the decoded record-
-	// stream size. They are equal under the default "none" codec, where
-	// Codec stays empty.
-	Size    int64
+	// RawSize is the decoded record-stream size the block codec needs;
+	// the ordered output sets it, the unordered outputs (no codec) leave
+	// it zero, as they leave Codec empty.
 	RawSize int64
 	Codec   string
 }
@@ -56,16 +54,12 @@ type VMStats struct {
 
 // OrderedPartitionedConfig configures OrderedPartitionedKVOutput; the
 // unordered partitioned output decodes the same payload and reads
-// Partitioner and NoStats only. The zero value of every field means
-// "default" — most edges carry no payload at all (OrderedEdge encodes none
-// for the zero config) — and every field is written by the binary codec in
-// payload.go, which an addition must extend.
+// Partitioner only. The zero value of every field means "default" — most
+// edges carry no payload at all (OrderedEdge encodes none for the zero
+// config) — and every field is written by the binary codec in payload.go,
+// which an addition must extend.
 type OrderedPartitionedConfig struct {
 	Partitioner PartitionerSpec
-	// NoStats suppresses the VMStats event to the consumer vertex manager
-	// (stats are sent by default; the field is inverted so the zero value
-	// keeps them on).
-	NoStats bool
 	// Combiner names a RegisterCombineFunc pre-aggregator applied to each
 	// sorted spill and to the final merge. Empty means none.
 	Combiner string
@@ -79,17 +73,11 @@ type OrderedPartitionedConfig struct {
 	SortBytes int64
 }
 
-// Data-plane defaults when no knob overrides them. The sort budget has
-// none: unset, the map-side sort buffer is unbounded and never spills.
-const (
-	// DefaultFetchParallelism is the fetcher-pool size of a shuffle
-	// consumer — the counterpart of real Tez's parallel fetcher threads.
-	DefaultFetchParallelism = 4
-	// DefaultMergeFactor bounds how many sorted runs the reduce side
-	// merges at once; above it, arrived runs are pre-merged while
-	// stragglers are still fetching. It is a constant, not a knob.
-	DefaultMergeFactor = 64
-)
+// DefaultFetchParallelism is the fetcher-pool size of a shuffle consumer —
+// the counterpart of real Tez's parallel fetcher threads — when no knob
+// overrides it. The sort budget has no default: unset, the map-side sort
+// buffer is unbounded and never spills.
+const DefaultFetchParallelism = 4
 
 // shuffleKnobs is the resolved data-plane configuration of one end of a
 // shuffle edge.
@@ -321,7 +309,7 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	if o.codec != nil {
 		codecName = o.codec.Name()
 	}
-	events, err := announce(o.ctx, wire, rawSizes, codecName, !o.cfg.NoStats)
+	events, err := announce(o.ctx, wire, rawSizes, codecName, true)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +332,9 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 // DataMovement per partition and, with stats, one VMStats for the
 // consumer's vertex manager. rawSizes are the pre-codec sizes of the
 // ordered output; the unordered outputs pass nil (their DMInfo carries no
-// RawSize and their statistics are the registered sizes).
+// RawSize and their statistics are the registered sizes). Only the
+// one-partition output, which has no consumer parallelism to estimate,
+// announces without stats.
 func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec string, stats bool) ([]event.Event, error) {
 	id := shuffle.OutputID{
 		DAG:     ctx.Meta.DAG,
@@ -362,11 +352,11 @@ func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec stri
 		statSizes = make([]int64, len(parts))
 	}
 	for i, p := range parts {
-		info := DMInfo{ID: id, Partition: i, Size: int64(len(p)), Codec: codec}
+		info := DMInfo{ID: id, Partition: i, Codec: codec}
 		if rawSizes != nil {
 			info.RawSize = rawSizes[i]
 		} else if stats {
-			statSizes[i] = info.Size
+			statSizes[i] = int64(len(p))
 		}
 		events = append(events, event.DataMovement{
 			SrcVertex:      ctx.Meta.Vertex,
@@ -461,21 +451,16 @@ type fetchSet struct {
 	ctx     *runtime.Context
 	knobs   shuffleKnobs
 	fetcher *shuffle.Fetcher // shared by all fetcher goroutines
-	// mergeFactor is DefaultMergeFactor; a field so tests can narrow it
-	// (0 disables intermediate merges).
-	mergeFactor int
 
 	mu   sync.Mutex
 	work *sync.Cond
 	done *sync.Cond
 	// expect is the latest announced producer attempt per physical input
-	// index; runs and merged only ever describe that attempt, because
-	// whatever changes expect retracts the index first.
-	expect    map[int]int
-	runs      map[int][]byte // physical input index -> fetched run awaiting the merge
-	merged    map[int]bool   // indexes whose run was folded into an intermediate merge
-	inflight  map[int]bool   // physical input indexes currently being fetched
-	premerged [][]byte       // intermediate merge outputs (ordered path)
+	// index; runs only ever describe that attempt, because whatever
+	// changes expect drops the index's run first.
+	expect   map[int]int
+	runs     map[int][]byte // physical input index -> fetched run awaiting the reader
+	inflight map[int]bool   // physical input indexes currently being fetched
 	// pending is a FIFO consumed through a head cursor (compacted when
 	// the dead prefix dominates) — the previous re-slice-on-every-scan
 	// made each wake O(queue) and the whole drain O(n²). Movements whose
@@ -498,16 +483,14 @@ type fetchSet struct {
 
 func newFetchSet(ctx *runtime.Context) *fetchSet {
 	fs := &fetchSet{
-		ctx:         ctx,
-		fetcher:     &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
-		knobs:       resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
-		mergeFactor: DefaultMergeFactor,
-		expect:      make(map[int]int),
-		runs:        make(map[int][]byte),
-		merged:      make(map[int]bool),
-		inflight:    make(map[int]bool),
-		stash:       make(map[int][]event.DataMovement),
-		quit:        make(chan struct{}),
+		ctx:      ctx,
+		fetcher:  &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
+		knobs:    resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
+		expect:   make(map[int]int),
+		runs:     make(map[int][]byte),
+		inflight: make(map[int]bool),
+		stash:    make(map[int][]event.DataMovement),
+		quit:     make(chan struct{}),
 	}
 	fs.work = sync.NewCond(&fs.mu)
 	fs.done = sync.NewCond(&fs.mu)
@@ -517,7 +500,9 @@ func newFetchSet(ctx *runtime.Context) *fetchSet {
 // handleEvent records a DataMovement for fetching or an InputFailed
 // retraction. Attempt tracking is upgrade-only: a movement from an attempt
 // older than the latest announced one is dropped, and a newer attempt's
-// movement discards the older attempt's run.
+// movement discards the older attempt's run. A retraction only ever drops
+// a stored run: nothing is merged before the reader asks, so no run is
+// past recalling and the replacement is simply fetched.
 func (f *fetchSet) handleEvent(ev event.Event) error {
 	switch e := ev.(type) {
 	case event.DataMovement:
@@ -529,7 +514,7 @@ func (f *fetchSet) handleEvent(ev event.Event) error {
 			return nil // stale announcement of a superseded attempt
 		}
 		if ok && e.SrcAttempt > cur {
-			f.retractLocked(idx, e.SrcTask, cur)
+			delete(f.runs, idx)
 		}
 		f.expect[idx] = e.SrcAttempt
 		f.pending = append(f.pending, e)
@@ -539,31 +524,11 @@ func (f *fetchSet) handleEvent(ev event.Event) error {
 		f.mu.Lock()
 		if at, ok := f.expect[e.TargetInputIndex]; ok && at == e.SrcAttempt {
 			delete(f.expect, e.TargetInputIndex)
-			f.retractLocked(e.TargetInputIndex, e.SrcTask, at)
+			delete(f.runs, e.TargetInputIndex)
 		}
 		f.mu.Unlock()
 	}
 	return nil
-}
-
-// retractLocked drops what idx holds of producer attempt `attempt`. A run
-// already folded into an intermediate merge cannot be separated back out;
-// surface the loss so this consumer attempt is re-run against the
-// replacement data.
-func (f *fetchSet) retractLocked(idx, srcTask, attempt int) {
-	if f.merged[idx] && f.failure == nil {
-		f.failure = &runtime.InputReadError{
-			InputName:  f.ctx.Name,
-			SrcVertex:  f.ctx.Name,
-			SrcTask:    srcTask,
-			SrcAttempt: attempt,
-			Err:        fmt.Errorf("library: input retracted after merge"),
-		}
-		f.work.Broadcast()
-		f.done.Broadcast()
-	}
-	delete(f.runs, idx)
-	delete(f.merged, idx)
 }
 
 // start launches the fetcher pool. Fetches overlap with remaining
@@ -621,8 +586,8 @@ func (f *fetchSet) nextLocked() (event.DataMovement, bool) {
 			// its own DataMovement.
 			continue
 		}
-		if _, ok := f.runs[idx]; ok || f.merged[idx] {
-			continue // duplicate announcement of a run already stored or merged
+		if _, ok := f.runs[idx]; ok {
+			continue // duplicate announcement of a run already stored
 		}
 		if f.inflight[idx] {
 			f.stash[idx] = append(f.stash[idx], dm)
@@ -668,7 +633,7 @@ func (f *fetchSet) fetchLoop() {
 		// attempt that replaced it.
 		at, live := f.expect[idx]
 		current := live && at == dm.SrcAttempt
-		if _, ok := f.runs[idx]; ok || f.merged[idx] {
+		if _, ok := f.runs[idx]; ok {
 			current = false // duplicate of an already-accounted run
 		}
 		switch {
@@ -688,10 +653,9 @@ func (f *fetchSet) fetchLoop() {
 			f.runs[idx] = data
 			// Byte counters accumulate here, in the store-success branch,
 			// so a stale or duplicate transfer never inflates them — they
-			// stay an exact account of the runs the merge consumed
+			// stay an exact account of the runs the reader consumed
 			// (SHUFFLE_INCREMENTS counts those stored runs).
 			if ctr := f.ctx.Services.Counters; ctr != nil {
-				ctr.Add("SHUFFLE_BYTES", int64(wireLen))
 				ctr.Add("SHUFFLE_BYTES_WIRE", int64(wireLen))
 				ctr.Add("SHUFFLE_BYTES_RAW", int64(len(data)))
 				ctr.Add("SHUFFLE_INCREMENTS", 1)
@@ -740,14 +704,13 @@ func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
 	return data, wireLen, err
 }
 
-// completeLocked reports whether every physical input's run has arrived
-// (fetched, or already folded into a merge).
+// completeLocked reports whether every physical input's run has arrived.
 func (f *fetchSet) completeLocked() bool {
-	if len(f.runs)+len(f.merged) < f.ctx.PhysicalCount {
+	if len(f.runs) < f.ctx.PhysicalCount {
 		return false
 	}
 	for i := 0; i < f.ctx.PhysicalCount; i++ {
-		if _, ok := f.runs[i]; !ok && !f.merged[i] {
+		if _, ok := f.runs[i]; !ok {
 			return false
 		}
 	}
@@ -792,103 +755,6 @@ func (f *fetchSet) wait() ([][]byte, error) {
 	return f.flattenStoredLocked(), nil
 }
 
-// collectMerged is the ordered path's wait(): while stragglers are still
-// fetching, every time `factor` unmerged runs have arrived they are
-// k-way merged into one intermediate run outside the lock (merge/fetch
-// overlap), and the final result is bounded to at most `factor` runs for
-// the reader's heap. factor 0 disables intermediate merging. The merge is
-// content-deterministic — runs are merged by (key, value) order — so the
-// output bytes do not depend on arrival order or batch shape.
-func (f *fetchSet) collectMerged(factor int) ([][]byte, error) {
-	f.mu.Lock()
-	for {
-		if f.failure != nil {
-			f.mu.Unlock()
-			return nil, f.failure
-		}
-		if f.completeLocked() {
-			break
-		}
-		if f.stopped {
-			f.mu.Unlock()
-			return nil, fmt.Errorf("library: input %s: attempt killed while fetching", f.ctx.Name)
-		}
-		if factor >= 2 && len(f.runs) >= factor {
-			batch := f.takeMergeBatchLocked(factor)
-			f.mu.Unlock()
-			m, err := f.mergeRuns(batch)
-			f.mu.Lock()
-			if err != nil {
-				f.mu.Unlock()
-				return nil, err
-			}
-			f.premerged = append(f.premerged, m)
-			continue
-		}
-		f.done.Wait()
-	}
-	stored := f.flattenStoredLocked()
-	runs := make([][]byte, 0, len(f.premerged)+len(stored))
-	runs = append(runs, f.premerged...)
-	runs = append(runs, stored...)
-	f.mu.Unlock()
-	for factor >= 2 && len(runs) > factor {
-		m, err := f.mergeRuns(runs[:factor])
-		if err != nil {
-			return nil, err
-		}
-		runs = append([][]byte{m}, runs[factor:]...)
-	}
-	return runs, nil
-}
-
-// takeMergeBatchLocked removes the `factor` stored runs of lowest input
-// index (for tidy accounting — any choice yields the same final bytes) and
-// marks them merged.
-func (f *fetchSet) takeMergeBatchLocked(factor int) [][]byte {
-	idxs := make([]int, 0, len(f.runs))
-	for i := range f.runs {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	batch := make([][]byte, 0, factor)
-	for _, i := range idxs[:factor] {
-		batch = append(batch, f.runs[i])
-		f.merged[i] = true
-		delete(f.runs, i)
-	}
-	return batch
-}
-
-// mergeRuns k-way merges sorted runs into one (no combiner on the reduce
-// side), charging merge time and journalling the span.
-func (f *fetchSet) mergeRuns(runs [][]byte) ([]byte, error) {
-	start := time.Now()
-	var total int64
-	for _, r := range runs {
-		total += int64(len(r))
-	}
-	out, err := mergeEncodedRuns(runs, nil, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	if ctr := f.ctx.Services.Counters; ctr != nil {
-		ctr.Add("SHUFFLE_MERGE_TIME_NS", time.Since(start).Nanoseconds())
-	}
-	f.ctx.Services.Timeline.Record(timeline.Event{
-		Type:    timeline.ShuffleMerge,
-		DAG:     f.ctx.Meta.DAG,
-		Vertex:  f.ctx.Meta.Vertex,
-		Task:    f.ctx.Meta.Task,
-		Attempt: f.ctx.Meta.Attempt,
-		Node:    f.ctx.Services.Node,
-		Info:    "reduce " + f.ctx.Name,
-		Dur:     time.Since(start),
-		Val:     total,
-	})
-	return out, nil
-}
-
 func (f *fetchSet) close() error {
 	f.mu.Lock()
 	f.stopped = true
@@ -905,11 +771,12 @@ func (f *fetchSet) close() error {
 
 // OrderedGroupedKVInput is the reduce-side shuffle transport: it fetches
 // every expected physical input (one per producer task per owned
-// partition), k-way merges the sorted runs — pre-merging arrived runs
-// while stragglers are still in flight when the count exceeds the merge
-// factor — and exposes a runtime.GroupedKVReader of keys with grouped
-// values. Keys and values are served zero-copy out of the fetched runs;
-// they are valid until the next call to Next.
+// partition), k-way merges all the sorted runs once, lazily, as the
+// reader advances, and exposes a runtime.GroupedKVReader of keys with
+// grouped values. Every run is an in-memory buffer, so the merge width
+// needs no bound and no run is merged before the last one arrives. Keys
+// and values are served zero-copy out of the fetched runs; they are valid
+// until the next call to Next.
 type OrderedGroupedKVInput struct {
 	fs *fetchSet
 }
@@ -926,10 +793,10 @@ func (in *OrderedGroupedKVInput) HandleEvent(ev event.Event) error { return in.f
 // Start begins fetching as soon as movements arrive.
 func (in *OrderedGroupedKVInput) Start() error { in.fs.start(); return nil }
 
-// Reader blocks for all inputs (merging early arrivals along the way),
-// then returns a GroupedKVReader over at most DefaultMergeFactor runs.
+// Reader blocks for all inputs, then returns a GroupedKVReader merging
+// every fetched run.
 func (in *OrderedGroupedKVInput) Reader() (any, error) {
-	runs, err := in.fs.collectMerged(in.fs.mergeFactor)
+	runs, err := in.fs.wait()
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,10 @@ package library
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"tez/internal/event"
@@ -119,20 +122,12 @@ func TestSpillOutputByteIdentical(t *testing.T) {
 // grouped input and drains it into a key->joined-values map.
 func consumeGrouped(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks int) map[string]string {
 	t.Helper()
-	return consumeGroupedMerging(t, svc, events, partition, srcTasks, DefaultMergeFactor)
-}
-
-// consumeGroupedMerging is consumeGrouped with the merge width narrowed
-// through the fetch set's test seam (0 disables intermediate merges).
-func consumeGroupedMerging(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks, mergeFactor int) map[string]string {
-	t.Helper()
 	in := &OrderedGroupedKVInput{}
 	meta := runtime.Meta{DAG: "d", Vertex: "red", Task: partition, Attempt: 0}
 	ctx := ctxFor(svc, meta, "map", nil, srcTasks)
 	if err := in.Initialize(ctx); err != nil {
 		t.Fatal(err)
 	}
-	in.fs.mergeFactor = mergeFactor
 	if err := in.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +204,7 @@ func TestFlateCodecRoundTrip(t *testing.T) {
 }
 
 // TestCodecKnobResolution checks the edge payload → session (Services) →
-// library default chain for the codec, the per-edge sort budget and the
-// constant merge width.
+// library default chain for the codec and the per-edge sort budget.
 func TestCodecKnobResolution(t *testing.T) {
 	svc := testServices(t)
 	mk := func(svc runtime.Services, payload []byte) *OrderedPartitionedKVOutput {
@@ -237,9 +231,6 @@ func TestCodecKnobResolution(t *testing.T) {
 	if o := mk(svc2, plugin.MustEncode(OrderedPartitionedConfig{SortBytes: 4096})); o.limit != 4096 {
 		t.Fatalf("per-edge sort budget lost: limit=%d", o.limit)
 	}
-	if fs := newFetchSet(ctxFor(svc2, runtime.Meta{}, "map", nil, 1)); fs.mergeFactor != DefaultMergeFactor {
-		t.Fatalf("merge factor %d, want the constant %d", fs.mergeFactor, DefaultMergeFactor)
-	}
 	if err := func() error {
 		o := &OrderedPartitionedKVOutput{}
 		meta := runtime.Meta{DAG: "d", Vertex: "map", Task: 0, Attempt: 0}
@@ -249,84 +240,97 @@ func TestCodecKnobResolution(t *testing.T) {
 	}
 }
 
-// TestMergeFactorBoundsAndOverlap runs many producers through a consumer
-// with a tiny merge factor: intermediate merges must happen (journalled
-// as ShuffleMerge spans, charged to SHUFFLE_MERGE_TIME_NS) and the
-// grouped output must equal the unbounded-merge run.
-func TestMergeFactorBoundsAndOverlap(t *testing.T) {
-	const srcTasks, parts = 9, 1
-	run := func(factor int) (map[string]string, *metrics.Counters, *timeline.Journal) {
-		svc := testServices(t)
-		ctr := metrics.NewCounters()
-		tl := timeline.New()
-		svc.Counters = ctr
-		svc.Timeline = tl
-		var all []event.Event
-		for s := 0; s < srcTasks; s++ {
-			evs, _ := produceCfg(t, svc, nil, s, parts, func(w runtime.KVWriter) {
-				for i := 0; i < 50; i++ {
-					if err := w.Write([]byte(fmt.Sprintf("k%02d", i)), []byte(fmt.Sprintf("v%d-%d", s, i))); err != nil {
-						t.Fatal(err)
-					}
+// TestWideConsumerMergesOnce runs 120 producers into one consumer — more
+// runs than Tez would merge in one pass from disk — and requires the
+// oracle's groups, every value in (key, value) order, from the single lazy
+// merge of the reader: no intermediate merge runs on the reduce side, so
+// the consumer journals no ShuffleMerge span.
+func TestWideConsumerMergesOnce(t *testing.T) {
+	const srcTasks, keys = 120, 50
+	svc := testServices(t)
+	tl := timeline.New()
+	svc.Timeline = tl
+	var all []event.Event
+	want := map[string][]string{}
+	for s := 0; s < srcTasks; s++ {
+		evs, _ := produceCfg(t, svc, nil, s, 1, func(w runtime.KVWriter) {
+			for i := 0; i < keys; i++ {
+				k, v := fmt.Sprintf("k%02d", i), fmt.Sprintf("v%03d-%d", s, i)
+				if err := w.Write([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
 				}
-			})
-			all = append(all, evs...)
+				want[k] = append(want[k], v)
+			}
+		})
+		all = append(all, evs...)
+	}
+	got := consumeGrouped(t, svc, all, 0, srcTasks)
+	if len(got) != keys {
+		t.Fatalf("%d groups, want %d", len(got), keys)
+	}
+	for k, vs := range want {
+		sort.Strings(vs)
+		if g := got[k]; g != strings.Join(vs, ",")+"," {
+			t.Fatalf("group %q = %q, want %d values in order", k, g, len(vs))
 		}
-		return consumeGroupedMerging(t, svc, all, 0, srcTasks, factor), ctr, tl
 	}
-	bounded, ctr, tl := run(2)
-	unbounded, _, _ := run(0)
-	if len(bounded) == 0 {
-		t.Fatal("no groups read")
-	}
-	for k, v := range unbounded {
-		if bounded[k] != v {
-			t.Fatalf("group %q differs under merge factor 2: %q vs %q", k, bounded[k], v)
-		}
-	}
-	if ctr.Get("SHUFFLE_MERGE_TIME_NS") <= 0 {
-		t.Fatalf("no merge time charged: %v", ctr)
-	}
-	merges := 0
 	for _, e := range tl.Events() {
-		if e.Type == timeline.ShuffleMerge {
-			merges++
+		if e.Type == timeline.ShuffleMerge && e.Vertex == "red" {
+			t.Fatalf("the consumer journalled a merge span: %+v", e)
 		}
-	}
-	if merges == 0 {
-		t.Fatal("no ShuffleMerge spans journalled")
 	}
 }
 
-// TestRetractionAfterMergeFails: once a run has been folded into an
-// intermediate merge it cannot be retracted; an InputFailed for it must
-// surface as an InputReadError so the whole attempt re-runs.
-func TestRetractionAfterMergeFails(t *testing.T) {
+// TestRetractedStoredRunReplaced: an InputFailed for a run the consumer
+// has already stored drops that run, the re-executed attempt's run is
+// fetched in its place, and the reader sees the replacement's record once
+// and the retracted one's not at all — the read does not fail.
+func TestRetractedStoredRunReplaced(t *testing.T) {
 	svc := testServices(t)
-	fs := newFetchSet(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, 4))
-	fs.mu.Lock()
-	for i := 0; i < 2; i++ {
-		fs.runs[i] = AppendRecord(nil, []byte("k"), []byte("v"))
-		fs.expect[i] = 0
+	svc.Counters = metrics.NewCounters()
+	id := func(task, attempt int) shuffle.OutputID {
+		return shuffle.OutputID{DAG: "d", Vertex: "map", Task: task, Attempt: attempt}
 	}
-	batch := fs.takeMergeBatchLocked(2)
-	fs.mu.Unlock()
-	if len(batch) != 2 {
-		t.Fatalf("batch = %d runs", len(batch))
-	}
-	// Retracting an unmerged (or unknown) index is still fine...
-	if err := fs.handleEvent(event.InputFailed{TargetInputIndex: 3, SrcAttempt: 0}); err != nil {
+	stored := registerRun(t, svc, "n1", id(0, 0), "t0-a0")
+	registerRun(t, svc, "n2", id(0, 1), "t0-a1")
+	registerRun(t, svc, "n0", id(1, 0), "t1-a0")
+	in := &OrderedGroupedKVInput{}
+	if err := in.Initialize(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if fs.failure != nil {
-		t.Fatal("spurious failure")
+	t.Cleanup(func() { in.Close() })
+	// Source 0's first attempt has been fetched and stored.
+	in.fs.mu.Lock()
+	in.fs.expect[0], in.fs.runs[0] = 0, stored
+	in.fs.mu.Unlock()
+	for _, ev := range []event.Event{
+		event.InputFailed{TargetInputIndex: 0, SrcTask: 0, SrcAttempt: 0},
+		dmFor(0, 0, 1, id(0, 1)),
+		dmFor(1, 1, 0, id(1, 0)),
+	} {
+		if err := in.HandleEvent(ev); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// ...retracting a merged one is not.
-	if err := fs.handleEvent(event.InputFailed{TargetInputIndex: 1, SrcAttempt: 0}); err != nil {
+	if _, ok := in.fs.storedRun(0); ok {
+		t.Fatal("the retracted run is still stored")
+	}
+	if err := in.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if fs.failure == nil {
-		t.Fatal("retraction of merged input not surfaced")
+	rAny, err := in.Reader()
+	if err != nil {
+		t.Fatalf("read failed: %v", err)
+	}
+	var got []string
+	for g := rAny.(runtime.GroupedKVReader); g.Next(); {
+		got = append(got, fmt.Sprintf("%s:%d", g.Key(), len(g.Values())))
+	}
+	if want := []string{"t0-a1:1", "t1-a0:1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %v, want %v", got, want)
+	}
+	if n := svc.Counters.Get("SHUFFLE_FETCHES"); n != 2 {
+		t.Fatalf("%d fetches, want the replacement and source 1 once each", n)
 	}
 }
 

@@ -37,7 +37,7 @@ func init() {
 type UnorderedPartitionedKVOutput struct {
 	ctx         *runtime.Context
 	single      bool
-	cfg         OrderedPartitionedConfig // Partitioner and NoStats only
+	cfg         OrderedPartitionedConfig // Partitioner only
 	partitioner Partitioner
 	parts       [][]byte
 }
@@ -86,5 +86,5 @@ func (o *UnorderedPartitionedKVOutput) Writer() (any, error) {
 
 // Close registers and announces the partitions.
 func (o *UnorderedPartitionedKVOutput) Close() ([]event.Event, error) {
-	return announce(o.ctx, o.parts, nil, "", !o.single && !o.cfg.NoStats)
+	return announce(o.ctx, o.parts, nil, "", !o.single)
 }

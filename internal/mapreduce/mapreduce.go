@@ -101,18 +101,3 @@ func RunChainOnTez(sess *am.Session, jobs []JobConf) error {
 	}
 	return nil
 }
-
-// RunChainClassic runs the workflow the pre-Tez way: every job pays a
-// fresh AM and cold containers.
-func RunChainClassic(plat *platform.Platform, jobs []JobConf) error {
-	for _, j := range jobs {
-		res, err := RunClassic(plat, j)
-		if err != nil {
-			return err
-		}
-		if res.Status != am.DAGSucceeded {
-			return fmt.Errorf("mapreduce: job %s: %v", j.Name, res.Status)
-		}
-	}
-	return nil
-}

@@ -102,20 +102,18 @@ type wirePayload struct {
 	N  int64
 	S  string
 	Bs []byte
-	Ok bool
 }
 
 func (p wirePayload) MarshalBinary() ([]byte, error) {
 	b := AppendHeader(nil, 7)
 	b = AppendInt(b, p.N)
 	b = AppendString(b, p.S)
-	b = AppendBytes(b, p.Bs)
-	return AppendBool(b, p.Ok), nil
+	return AppendBytes(b, p.Bs), nil
 }
 
 func (p *wirePayload) UnmarshalBinary(data []byte) error {
 	r := NewReader(data, 7)
-	*p = wirePayload{N: r.Int64(), S: r.String(), Bs: r.Bytes(), Ok: r.Bool()}
+	*p = wirePayload{N: r.Int64(), S: r.String(), Bs: r.Bytes()}
 	return r.Finish()
 }
 
@@ -123,14 +121,14 @@ func (p *wirePayload) UnmarshalBinary(data []byte) error {
 // gob, a type without one always does, and GobDecodes counts exactly the
 // latter.
 func TestEncodeDecodeDispatch(t *testing.T) {
-	in := wirePayload{N: -5, S: "a\x00b", Bs: []byte{0, 1}, Ok: true}
+	in := wirePayload{N: -5, S: "a\x00b", Bs: []byte{0, 1}}
 	before := GobDecodes()
 	data := MustEncode(in)
 	if want, _ := in.MarshalBinary(); string(data) != string(want) {
 		t.Fatalf("Encode = % x, MarshalBinary = % x", data, want)
 	}
 	var out wirePayload
-	if err := Decode(data, &out); err != nil || out.N != in.N || out.S != in.S || string(out.Bs) != string(in.Bs) || !out.Ok {
+	if err := Decode(data, &out); err != nil || out.N != in.N || out.S != in.S || string(out.Bs) != string(in.Bs) {
 		t.Fatalf("decoded %+v, err %v", out, err)
 	}
 	if n := GobDecodes() - before; n != 0 {
@@ -170,7 +168,6 @@ func TestWireReaderStrict(t *testing.T) {
 		"other kind":         append([]byte{0x00, 0x01, 0x08}, good[3:]...),
 		"non-minimal varint": {0x00, 0x01, 0x07, 0x82, 0x00, 0x00, 0x00, 0x00},
 		"length past end":    {0x00, 0x01, 0x07, 0x02, 0x09, 's', 0x00, 0x00},
-		"bool of 2":          {0x00, 0x01, 0x07, 0x02, 0x00, 0x00, 0x02},
 	} {
 		if err := Decode(data, &out); err == nil {
 			t.Errorf("%s: decoded to %+v", name, out)
@@ -180,7 +177,7 @@ func TestWireReaderStrict(t *testing.T) {
 	if n := r.Count(1); n != 0 {
 		t.Fatalf("Count = %d for a count larger than the data", n)
 	}
-	if r.Uvarint() != 0 || r.String() != "" || r.Bytes() != nil || r.Bool() || r.Finish() == nil {
+	if r.Uvarint() != 0 || r.String() != "" || r.Bytes() != nil || r.Finish() == nil {
 		t.Fatal("reads after a failure did not stay failed")
 	}
 }

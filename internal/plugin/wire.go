@@ -38,14 +38,6 @@ func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(ds
 // AppendInt appends a signed integer (zig-zag varint).
 func AppendInt(dst []byte, v int64) []byte { return binary.AppendVarint(dst, v) }
 
-// AppendBool appends one byte, 0 or 1.
-func AppendBool(dst []byte, v bool) []byte {
-	if v {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
 // AppendString appends a length-prefixed string.
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -124,20 +116,6 @@ func (r *Reader) Int() int {
 		return 0
 	}
 	return int(v)
-}
-
-// Bool reads one byte that must be 0 or 1.
-func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if len(r.buf) == 0 || r.buf[0] > 1 {
-		r.fail("bad bool")
-		return false
-	}
-	v := r.buf[0] == 1
-	r.buf = r.buf[1:]
-	return v
 }
 
 // Count reads an element count and checks it against the bytes that

@@ -342,31 +342,6 @@ func (p *Parser) parseUnary() (*ExprTree, error) {
 	return nil, fmt.Errorf("unexpected token %q", t.Text)
 }
 
-// ParseExpr parses src as one whole expression and resolves it against
-// schema: the expression language on its own, as the statement grammars of
-// internal/hive and internal/pig reach it through Parser.Expr and Resolve.
-// Identifiers (optionally qualified), integer / float / 'string'
-// literals, = == != <> < <= > >=, BETWEEN, IN, + - * /, AND / OR / NOT
-// and parentheses.
-func ParseExpr(src string, schema row.Schema) (*Expr, error) {
-	p, err := NewParser(src)
-	var tree *ExprTree
-	if err == nil {
-		tree, err = p.Expr()
-	}
-	if err == nil {
-		err = p.ExpectEOF()
-	}
-	var e *Expr
-	if err == nil {
-		e, _, err = Resolve(tree, schema)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("relop: %w in %q", err, src)
-	}
-	return e, nil
-}
-
 // Resolve lowers a parsed expression against a schema, binding
 // identifiers to column indices, and reports the kind it evaluates to
 // (comparisons and logic yield an int 0/1; arithmetic is int only for

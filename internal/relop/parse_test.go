@@ -1,10 +1,33 @@
 package relop
 
 import (
+	"fmt"
 	"testing"
 
 	"tez/internal/row"
 )
+
+// parseExpr parses src as one whole expression and resolves it against
+// schema, the way the statement grammars of internal/hive and internal/pig
+// reach the expression language: Parser.Expr, then Resolve.
+func parseExpr(src string, schema row.Schema) (*Expr, error) {
+	p, err := NewParser(src)
+	var tree *ExprTree
+	if err == nil {
+		tree, err = p.Expr()
+	}
+	if err == nil {
+		err = p.ExpectEOF()
+	}
+	var e *Expr
+	if err == nil {
+		e, _, err = Resolve(tree, schema)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("relop: %w in %q", err, src)
+	}
+	return e, nil
+}
 
 func TestParseExprEvaluation(t *testing.T) {
 	schema := row.NewSchema("a:int", "b:float", "name")
@@ -32,7 +55,7 @@ func TestParseExprEvaluation(t *testing.T) {
 		{"3.5 + 1", row.Float(4.5)},
 	}
 	for _, c := range cases {
-		e, err := ParseExpr(c.src, schema)
+		e, err := parseExpr(c.src, schema)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.src, err)
 		}
@@ -50,7 +73,7 @@ func TestParseExprErrors(t *testing.T) {
 		"a # 2", "a 5",
 	}
 	for _, src := range bad {
-		if _, err := ParseExpr(src, schema); err == nil {
+		if _, err := parseExpr(src, schema); err == nil {
 			t.Fatalf("parsed invalid expression %q", src)
 		}
 	}
@@ -58,7 +81,7 @@ func TestParseExprErrors(t *testing.T) {
 
 func TestParseExprQualifiedNames(t *testing.T) {
 	schema := row.NewSchema("t.a:int", "u.a:int")
-	e, err := ParseExpr("u.a + t.a", schema)
+	e, err := parseExpr("u.a + t.a", schema)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +92,7 @@ func TestParseExprQualifiedNames(t *testing.T) {
 }
 
 // TestParseExprBetweenIn: BETWEEN and IN are part of the one grammar, so
-// ParseExpr (and Pig) read them as Hive always has: desugared to AND / OR
+// the bare expression grammar (and Pig) reads them as Hive always has: desugared to AND / OR
 // of comparisons, binding tighter than AND.
 func TestParseExprBetweenIn(t *testing.T) {
 	schema := row.NewSchema("a:int", "name")
@@ -78,7 +101,7 @@ func TestParseExprBetweenIn(t *testing.T) {
 		"name IN ('x', 'y') OR a IN (1)":   "((($1 = x) or ($1 = y)) or ($0 = 1))",
 		"NOT a BETWEEN 1 + 1 AND 2 * 3":    "not (($0 >= (1 + 1)) and ($0 <= (2 * 3)))",
 	} {
-		e, err := ParseExpr(src, schema)
+		e, err := parseExpr(src, schema)
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
@@ -165,7 +188,7 @@ func FuzzParseExpr(f *testing.F) {
 	}
 	schema := row.NewSchema("t.a:int", "b:float", "name")
 	f.Fuzz(func(t *testing.T, src string) {
-		e, err := ParseExpr(src, schema)
+		e, err := parseExpr(src, schema)
 		if err != nil {
 			return
 		}

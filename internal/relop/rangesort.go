@@ -2,6 +2,7 @@ package relop
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tez/internal/am"
@@ -264,12 +265,17 @@ func (m *rangePartitionVM) OnVertexStarted() {
 
 func (m *rangePartitionVM) OnSourceTaskCompleted(string, int) {}
 
+// OnVertexManagerEvent reads the histogram. Events from the vertex's own
+// sources are the statistics their shuffle outputs send every consumer's
+// manager; this one partitions by sample, not by size, and skips them.
 func (m *rangePartitionVM) OnVertexManagerEvent(ev event.VertexManagerEvent) {
-	if m.points != nil {
+	if m.points != nil || slices.Contains(m.ctx.SourceVertices(), ev.SrcVertex) {
 		return
 	}
 	var pv PruneValues
 	if err := plugin.Decode(ev.Payload, &pv); err != nil {
+		// Not ignorable: without split points the vertex is never scheduled.
+		m.ctx.Fail(fmt.Errorf("%s: histogram from %s/%d: %w", RangePartitionVMName, ev.SrcVertex, ev.SrcTask, err))
 		return
 	}
 	keys := make([][]byte, 0, len(pv.Values))
@@ -297,6 +303,7 @@ func (m *rangePartitionVM) maybeGo() {
 		Partitioner: library.PartitionerSpec{Kind: "range", Points: m.points},
 	})
 	if err := m.ctx.SetOutEdgePayload(m.cfg.DestVertex, payload); err != nil {
+		m.ctx.Fail(fmt.Errorf("%s: range partitioner for %s: %w", RangePartitionVMName, m.cfg.DestVertex, err))
 		return
 	}
 	p := m.ctx.Parallelism()

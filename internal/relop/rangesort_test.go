@@ -1,12 +1,122 @@
 package relop
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"tez/internal/am"
+	"tez/internal/dag"
+	"tez/internal/event"
+	"tez/internal/library"
+	"tez/internal/platform"
+	"tez/internal/plugin"
 	"tez/internal/row"
+	"tez/internal/runtime"
 )
+
+// badHistogram sends vertex "part" a histogram nothing can decode.
+type badHistogram struct{ ctx *runtime.Context }
+
+func (p *badHistogram) Initialize(ctx *runtime.Context) error { p.ctx = ctx; return nil }
+func (p *badHistogram) Run(map[string]runtime.Input, map[string]runtime.Output) error {
+	p.ctx.Emit(event.VertexManagerEvent{
+		TargetVertex: "part", SrcVertex: p.ctx.Meta.Vertex, SrcTask: p.ctx.Meta.Task,
+		Payload: []byte("not a histogram"),
+	})
+	return nil
+}
+func (p *badHistogram) Close() error { return nil }
+
+// A histogram the range-partition manager cannot decode fails the DAG, with
+// the manager and the sender in its diagnostics. The manager used to drop
+// the event, so its vertex was never scheduled and the DAG ran until its
+// deadline.
+func TestCorruptHistogramFailsDAG(t *testing.T) {
+	runtime.RegisterProcessor("relop.test.bad_histogram", func() runtime.Processor { return &badHistogram{} })
+	plat := platform.New(platform.Fast(2))
+	defer plat.Stop()
+	d := dag.New("badhist")
+	proc := plugin.Desc("relop.test.bad_histogram", nil) // only "hist" ever runs a task
+	d.AddVertex("hist", proc, 1)
+	part := d.AddVertex("part", proc, 2)
+	part.Manager = plugin.Desc(RangePartitionVMName, RangePartitionVMConfig{DestVertex: "sink", Partitions: 2})
+	d.Connect(part, d.AddVertex("sink", proc, 2), library.OrderedEdge(library.OrderedPartitionedConfig{}))
+	sess := am.NewSession(plat, am.Config{Name: "badhist"})
+	defer sess.Close()
+	res, err := sess.Run(d, am.WithDeadline(20*time.Second))
+	if res.Status != am.DAGFailed || err == nil {
+		t.Fatalf("status %v err %v, want DAGFailed", res.Status, err)
+	}
+	for _, want := range []string{"vertex manager of part", RangePartitionVMName, "hist/0", "decode"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("diagnostics %q do not mention %q", err, want)
+		}
+	}
+}
+
+// rangeVMContext is the part of the vertex-manager context the
+// range-partition manager uses; any other method panics.
+type rangeVMContext struct {
+	am.VertexManagerContext
+	outErr    error
+	scheduled []int
+	failed    []error
+}
+
+func (c *rangeVMContext) Payload() []byte {
+	return plugin.MustEncode(RangePartitionVMConfig{DestVertex: "sink", Partitions: 2})
+}
+func (c *rangeVMContext) Parallelism() int                       { return 2 }
+func (c *rangeVMContext) SourceVertices() []string               { return []string{"scan"} }
+func (c *rangeVMContext) SetOutEdgePayload(string, []byte) error { return c.outErr }
+func (c *rangeVMContext) ScheduleTasks(tasks []int)              { c.scheduled = append(c.scheduled, tasks...) }
+func (c *rangeVMContext) Fail(err error)                         { c.failed = append(c.failed, err) }
+
+// The range-partition manager fails the DAG, and schedules nothing, on a
+// histogram it cannot decode and on an out-edge reconfiguration the AM
+// refuses; a good histogram schedules every task. The size statistics its
+// source's shuffle output sends come first and are not a histogram.
+func TestRangePartitionVMFailsInsteadOfHanging(t *testing.T) {
+	good := plugin.MustEncode(PruneValues{Values: []row.Value{row.Int(1), row.Int(5), row.Int(9)}})
+	refused := errors.New("refused")
+	for name, tc := range map[string]struct {
+		payload []byte
+		outErr  error
+		fails   bool
+	}{
+		"good":            {good, nil, false},
+		"undecodable":     {[]byte("junk"), nil, true},
+		"refused payload": {good, refused, true},
+	} {
+		ctx := &rangeVMContext{outErr: tc.outErr}
+		m := &rangePartitionVM{}
+		if err := m.Initialize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		m.OnVertexStarted()
+		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "scan", Payload: plugin.MustEncode(library.VMStats{PartitionSizes: []int64{7, 9}})})
+		if len(ctx.failed) != 0 || len(ctx.scheduled) != 0 {
+			t.Fatalf("%s: source statistics taken for a histogram: failed %v, scheduled %v", name, ctx.failed, ctx.scheduled)
+		}
+		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "hist", Payload: tc.payload})
+		if !tc.fails {
+			if len(ctx.failed) != 0 || len(ctx.scheduled) != 2 {
+				t.Fatalf("%s: failed %v, scheduled %v", name, ctx.failed, ctx.scheduled)
+			}
+			continue
+		}
+		if len(ctx.failed) != 1 || !strings.Contains(ctx.failed[0].Error(), RangePartitionVMName) ||
+			(tc.outErr != nil && !errors.Is(ctx.failed[0], tc.outErr)) {
+			t.Fatalf("%s: Fail calls = %v, want one naming the manager", name, ctx.failed)
+		}
+		if len(ctx.scheduled) != 0 {
+			t.Fatalf("%s: scheduled %v", name, ctx.scheduled)
+		}
+	}
+}
 
 func TestRangeSortGlobalOrder(t *testing.T) {
 	h := newHarness(t)
