@@ -99,13 +99,14 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s ./internal/col/
 
 # chaos runs the seed-pinned fault-injection suite under the race
-# detector: the determinism contract, the blacklisting/casualty paths and
-# the retraction of an announced-then-failed attempt in the AM, and the
+# detector: the determinism contract, the blacklisting/casualty paths and,
+# in the AM, an attempt that announced early and then failed or lost to
+# its speculative twin (never published, so no consumer sees it), and the
 # end-to-end seeds×DAGs matrix (results must be identical to a fault-free
 # run). Seeds are fixed in the tests, so failures reproduce exactly.
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
-	$(GO) test -race -count=1 -run 'TestChaos|TestBlacklist|TestAttemptFailureRacingNodeLoss|TestDecommissionDrain|TestRetractAnnouncedAttempt' ./internal/am/
+	$(GO) test -race -count=1 -run 'TestChaos|TestBlacklist|TestAttemptFailureRacingNodeLoss|TestDecommissionDrain|TestRetractAnnouncedAttempt|TestAnnouncedTwinLosesUnseen' ./internal/am/
 
 # stress repeats the tests of four fixes whose failures depended on
 # goroutine ordering, each run enough times that its old failure rate
@@ -116,13 +117,17 @@ chaos:
 # which loops thirty runs under a wall-clock bound itself. Last, the
 # shuffle consumer's retraction race under the race detector (50 runs of
 # eight seeds each): a 128-input consumer whose stored runs are retracted
-# and replaced must read the surviving attempts on every seed.
+# and replaced must read the surviving attempts on every seed. Then the
+# AM's publish-at-success rule under the race detector (100 runs each): an
+# attempt that announced through ctx.Emit and then failed, or lost to its
+# speculative twin, is never seen by a consumer or a vertex manager.
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
 	$(GO) test -count=200 -run 'TestAMRecoveryFromCheckpoint$$' ./internal/am/
 	$(GO) test -count=1 -run 'TestChaosNodeCrashRecoversPromptly$$' ./internal/bench/
 	$(GO) test -race -count=50 -run 'TestFetchRetractionStress$$' ./internal/library/
+	$(GO) test -race -count=100 -run 'TestRetractAnnouncedAttempt$$|TestAnnouncedTwinLosesUnseen$$' ./internal/am/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

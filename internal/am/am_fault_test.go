@@ -101,13 +101,24 @@ func (m *vmEventGated) OnVertexManagerEvent(event.VertexManagerEvent) {
 	m.ctx.ScheduleTasks(ids)
 }
 
-// pokeThenRead emits a VMEvent to the producer vertex, then blocks reading
-// its (not yet produced) input — occupying the only container.
-type pokeThenRead struct{ ctx *runtime.Context }
+// pokeProducer sends the gated producer its VertexManagerEvent and
+// succeeds. The event is published at that success — after the poker's
+// container has already gone to the request waiting for it.
+type pokeProducer struct{ ctx *runtime.Context }
 
-func (p *pokeThenRead) Initialize(ctx *runtime.Context) error { p.ctx = ctx; return nil }
-func (p *pokeThenRead) Run(in map[string]runtime.Input, out map[string]runtime.Output) error {
+func (p *pokeProducer) Initialize(ctx *runtime.Context) error { p.ctx = ctx; return nil }
+func (p *pokeProducer) Run(map[string]runtime.Input, map[string]runtime.Output) error {
 	p.ctx.Emit(event.VertexManagerEvent{TargetVertex: "producer", SrcVertex: p.ctx.Meta.Vertex})
+	return nil
+}
+func (p *pokeProducer) Close() error { return nil }
+
+// readProducer blocks reading its (not yet produced) input — occupying
+// the only container.
+type readProducer struct{}
+
+func (p *readProducer) Initialize(*runtime.Context) error { return nil }
+func (p *readProducer) Run(in map[string]runtime.Input, out map[string]runtime.Output) error {
 	r, err := in["producer"].Reader() // blocks until data or kill
 	if err != nil {
 		return err
@@ -125,15 +136,18 @@ func (p *pokeThenRead) Run(in map[string]runtime.Input, out map[string]runtime.O
 	}
 	return g.Err()
 }
-func (p *pokeThenRead) Close() error { return nil }
+func (p *readProducer) Close() error { return nil }
 
 func TestDeadlockPreemptionResolvesInversion(t *testing.T) {
 	RegisterVertexManager("amtest.gated", func() VertexManager { return &vmEventGated{} })
-	runtime.RegisterProcessor("amtest.poke_read", func() runtime.Processor { return &pokeThenRead{} })
+	runtime.RegisterProcessor("amtest.poke", func() runtime.Processor { return &pokeProducer{} })
+	runtime.RegisterProcessor("amtest.read", func() runtime.Processor { return &readProducer{} })
 	runtime.RegisterProcessor("amtest.emit2", func() runtime.Processor { return &emitProducer{} })
 
-	// One node, one slot: the consumer grabs it first (the producer is
-	// gated until the consumer pokes it) — a genuine scheduling deadlock.
+	// One node, one slot. The producer is gated until the poker succeeds;
+	// the poker's container goes to the waiting consumer before the poke
+	// is published, so the consumer holds the only slot while the producer
+	// it reads from starves — a genuine scheduling deadlock.
 	cfg := platform.Fast(1)
 	cfg.Cluster.NodeResource = cluster.Resource{MemoryMB: 1024, VCores: 1}
 	plat := platform.New(cfg)
@@ -142,7 +156,9 @@ func TestDeadlockPreemptionResolvesInversion(t *testing.T) {
 	d := dag.New("deadlock")
 	prod := d.AddVertex("producer", plugin.Desc("amtest.emit2", nil), 1)
 	prod.Manager = plugin.Desc("amtest.gated", nil)
-	cons := d.AddVertex("consumer", plugin.Desc("amtest.poke_read", nil), 1)
+	poker := d.AddVertex("poker", plugin.Desc("amtest.poke", nil), 1)
+	poker.Manager = plugin.Desc(ImmediateStartVertexManagerName, nil)
+	cons := d.AddVertex("consumer", plugin.Desc("amtest.read", nil), 1)
 	cons.Manager = plugin.Desc(ImmediateStartVertexManagerName, nil)
 	cons.Sinks = []dag.DataSink{library.DFSSink("sink", "/out/dl")}
 	d.Connect(prod, cons, library.OrderedEdge(library.OrderedPartitionedConfig{}))

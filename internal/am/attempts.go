@@ -82,12 +82,8 @@ func (r *dagRun) taskHosts(ts *taskState) []cluster.NodeID {
 			continue
 		}
 		if ts.idx < len(es.from.tasks) {
-			src := es.from.tasks[ts.idx]
-			if w := src.winner; w != nil && w.node != "" {
-				return []cluster.NodeID{cluster.NodeID(w.node)}
-			}
-			if src.restored && src.restoredNode != "" {
-				return []cluster.NodeID{cluster.NodeID(src.restoredNode)}
+			if w := es.from.tasks[ts.idx].winner; w != nil && w.Node != "" {
+				return []cluster.NodeID{cluster.NodeID(w.Node)}
 			}
 		}
 	}
@@ -226,10 +222,10 @@ func (r *dagRun) replayEvents(at *attemptState) {
 		}
 	}
 	for _, es := range r.inEdges[vs.v.Name] {
-		for srcTask, sm := range es.srcs {
-			// Replay only the delivered attempt's movements, in emission
-			// order, so a late-joining consumer sees what a running one did.
-			for _, dm := range sm.deliveredMovements() {
+		// Source tasks in order, each winner's movements in emission order:
+		// a late-joining consumer sees what a running one did.
+		for srcTask, moved := range es.published {
+			for _, dm := range moved {
 				for destTask, inputIdx := range es.mgr.Route(srcTask, dm.SrcOutputIndex) {
 					if destTask != ts.idx {
 						continue
@@ -296,14 +292,12 @@ func (r *dagRun) onAttemptDone(at *attemptState, err error) {
 		if d.cause != "" {
 			r.counters.Add(d.cause, 1)
 		}
-		r.retractAttemptMovements(at)
 	case aFailed:
 		ts.failures++
 		r.counters.Add("ATTEMPTS_FAILED", 1)
 		if r.session.health.taskFailed(at.node) {
 			r.counters.Add("NODES_BLACKLISTED", 1)
 		}
-		r.retractAttemptMovements(at)
 	}
 	if ts.lc.In(tSucceeded) {
 		return // a speculative twin already won
@@ -322,12 +316,12 @@ func (r *dagRun) onAttemptDone(at *attemptState, err error) {
 
 // attemptSucceeded commits a winning attempt's success into the task and
 // vertex (the lost-race case was already classified aKilled by the A_DONE
-// selector and never reaches here).
+// selector and never reaches here) and publishes its events.
 func (r *dagRun) attemptSucceeded(at *attemptState) {
 	ts := at.task
 	vs := ts.vertex
 	ts.lc.Fire(tEvSucceeded)
-	ts.winner = at
+	ts.winner = &taskSuccess{Attempt: at.id, Node: at.node}
 	vs.completed++
 	vs.durations = append(vs.durations, r.clock().Sub(at.start))
 	r.counters.Add("TASKS_SUCCEEDED", 1)
@@ -353,12 +347,12 @@ func (r *dagRun) attemptSucceeded(at *attemptState) {
 		}
 	}
 
-	// The winner's published movements become the delivered stream on
-	// every out-edge; a losing twin's partially-delivered stream is
-	// retracted and its buffers pruned.
-	r.promoteWinnerMovements(at)
-
-	// Tell downstream vertex managers.
+	// Publish before the completion, so managers see the task's
+	// statistics first. A manager may fail the DAG on them.
+	r.publishEvents(at)
+	if r.isFinished() {
+		return
+	}
 	for _, es := range r.outEdges[vs.v.Name] {
 		if es.to.managerStarted {
 			es.to.manager.OnSourceTaskCompleted(vs.v.Name, ts.idx)
@@ -382,35 +376,7 @@ func (r *dagRun) vertexSucceeded(vs *vertexState) {
 	r.counters.Add("VERTICES_SUCCEEDED", 1)
 	r.session.sched.sweepVertexRegistries(r.id, vs.v.Name)
 	if len(vs.v.Sinks) > 0 && !vs.committed {
-		vs.committed = true
-		r.pendingCommits++
-		// Snapshot the winning attempts on the event loop, not inside the
-		// commit goroutine: a node failure can roll a succeeded task back
-		// (reexecuteTask, for ephemeral-edge consumers) while the commit is
-		// in flight, nilling ts.winner under it. The attempts that were
-		// winners at success time wrote their sink temp files to reliable
-		// storage, so committing them stays correct regardless of later
-		// re-execution for shuffle regeneration.
-		success := make(map[int]int, len(vs.tasks))
-		var missing error
-		for _, ts := range vs.tasks {
-			if ts.winner != nil {
-				success[ts.idx] = ts.winner.id
-			} else if ts.restored {
-				success[ts.idx] = ts.restoredAttempt
-			} else {
-				missing = fmt.Errorf("am: commit %s: task %d has no successful attempt", vs.v.Name, ts.idx)
-				break
-			}
-		}
-		vsCopy := vs
-		go func() {
-			err := missing
-			if err == nil {
-				err = r.commitSinks(vsCopy, success)
-			}
-			r.mb.Put(msgCommitDone{vs: vsCopy, err: err})
-		}()
+		r.startCommit(vs)
 	}
 	if r.cfg.CheckpointPath != "" {
 		r.saveCheckpoint()
@@ -422,6 +388,34 @@ func (r *dagRun) vertexSucceeded(vs *vertexState) {
 		return
 	}
 	r.maybeFinish()
+}
+
+// startCommit launches a succeeded vertex's sink commit. The winners are
+// snapshotted here, on the event loop, not inside the commit goroutine: a
+// node failure can roll a succeeded task back (reexecuteTask, for
+// ephemeral-edge consumers) while the commit is in flight, nilling
+// ts.winner under it. The attempts that were winners at success time
+// wrote their sink temp files to reliable storage, so committing them
+// stays correct regardless of later re-execution for shuffle regeneration.
+func (r *dagRun) startCommit(vs *vertexState) {
+	vs.committed = true
+	r.pendingCommits++
+	success := make(map[int]int, len(vs.tasks))
+	var missing error
+	for _, ts := range vs.tasks {
+		if ts.winner == nil {
+			missing = fmt.Errorf("am: commit %s: task %d has no successful attempt", vs.v.Name, ts.idx)
+			break
+		}
+		success[ts.idx] = ts.winner.Attempt
+	}
+	go func() {
+		err := missing
+		if err == nil {
+			err = r.commitSinks(vs, success)
+		}
+		r.mb.Put(msgCommitDone{vs: vs, err: err})
+	}()
 }
 
 // commitSinks runs each sink's committer exactly once (§3.1), with the

@@ -101,13 +101,16 @@ type taskState struct {
 	idx      int
 	lc       *fsm.Machine[*taskState, tState, tEvent]
 	attempts []*attemptState
-	winner   *attemptState // the succeeded attempt
+	winner   *taskSuccess // nil unless the task is succeeded
 	failures int
-	// restored marks tasks recovered from a checkpoint (not re-run);
-	// restoredAttempt/restoredNode identify the recovered success.
-	restored        bool
-	restoredAttempt int
-	restoredNode    string
+}
+
+// taskSuccess is a task's one success record: the winning attempt and the
+// node holding its output. attemptSucceeded and applyCheckpoint set it,
+// reexecuteTask clears it, and a checkpoint stores it as is.
+type taskSuccess struct {
+	Attempt int
+	Node    string
 }
 
 // newTaskState builds a task entity with its lifecycle machine.
@@ -142,6 +145,11 @@ type attemptState struct {
 	// allocWait is the request→launch span closed at assignment: how long
 	// the attempt waited for its container (AttemptStarted's Val).
 	allocWait time.Duration
+	// events holds the DataMovement, VertexManager and InputInitializer
+	// events the attempt sent, in emission order. attemptSucceeded
+	// publishes them; an attempt that ends any other way is never read
+	// again, so its events die with it unseen.
+	events []event.Event
 }
 
 // newAttemptState builds an attempt entity with its lifecycle machine.
@@ -157,31 +165,18 @@ type edgeState struct {
 	from, to  *vertexState
 	mgr       dag.EdgeManager
 	baseParts int
-	// srcs holds each source task's published DataMovements so
-	// late-starting consumers can be replayed the full history. An attempt
-	// may announce through ctx.Emit before it finishes, and speculation
-	// can have two attempts of a task publishing concurrently, so
-	// movements are buffered per attempt and exactly one attempt's are
-	// "delivered" — visible to consumers — at a time: the one-winner-per-
-	// task rule, applied to data movement.
-	srcs map[int]*srcMovements
+	// published[t] is source task t's winner's DataMovements in emission
+	// order, kept so late-starting consumers and checkpoints see the full
+	// history. Only a succeeded attempt's movements ever land here.
+	published [][]event.DataMovement
 }
 
-// srcMovements buffers one source task's DataMovements by attempt. Only
-// the delivered attempt's movements reach consumers; when that attempt
-// dies after announcing, its movements are retracted and a surviving
-// attempt's buffered ones (if any) are delivered in their place.
-type srcMovements struct {
-	delivered int                          // attempt visible to consumers; -1 none
-	byAttempt map[int][]event.DataMovement // attempt -> movements, emission order
-}
-
-// deliveredMovements returns the consumer-visible stream (nil if none).
-func (sm *srcMovements) deliveredMovements() []event.DataMovement {
-	if sm == nil || sm.delivered < 0 {
-		return nil
+// publish appends a winner's movement to its source task's stream.
+func (es *edgeState) publish(dm event.DataMovement) {
+	if n := dm.SrcTask + 1; n > len(es.published) {
+		es.published = append(es.published, make([][]event.DataMovement, n-len(es.published))...)
 	}
-	return sm.byAttempt[sm.delivered]
+	es.published[dm.SrcTask] = append(es.published[dm.SrcTask], dm)
 }
 
 // Internal dispatcher messages. The three hot-path messages — assignment,
@@ -357,12 +352,7 @@ func newDAGRun(s *Session, d *dag.DAG, id string) (*dagRun, error) {
 	}
 	r.topo = topo
 	for _, e := range d.Edges {
-		es := &edgeState{
-			e:    e,
-			from: r.vertices[e.From],
-			to:   r.vertices[e.To],
-			srcs: make(map[int]*srcMovements),
-		}
+		es := &edgeState{e: e, from: r.vertices[e.From], to: r.vertices[e.To]}
 		r.edges = append(r.edges, es)
 		r.inEdges[e.To] = append(r.inEdges[e.To], es)
 		r.outEdges[e.From] = append(r.outEdges[e.From], es)
@@ -801,7 +791,9 @@ func (r *dagRun) maybeFinish() {
 	r.result = DAGResult{Status: DAGSucceeded}
 	// Intermediate data is no longer needed.
 	r.session.plat.Shuffle.DeleteDAG(r.id)
-	r.session.plat.FS.Delete(r.checkpointPath())
+	if r.cfg.CheckpointPath != "" {
+		r.session.plat.FS.Delete(checkpointPath(r.cfg, r.d.Name))
+	}
 }
 
 // teardown cancels outstanding requests and frees containers of running

@@ -7,8 +7,12 @@ import (
 	"tez/internal/timeline"
 )
 
-// onTaskEvent routes a control event emitted by a task (§3.3): the
-// framework inspects only the envelope and routes the opaque payload.
+// onTaskEvent takes a control event emitted by a task (§3.3): the
+// framework inspects only the envelope and routes the opaque payload. An
+// InputReadError acts at once — the attempt reporting it is failing.
+// Everything else waits on the attempt until it succeeds (publishEvents),
+// so no consumer, manager or initializer ever hears from an attempt that
+// does not win its task.
 func (r *dagRun) onTaskEvent(at *attemptState, ev event.Event) {
 	if r.isFinished() {
 		return
@@ -19,42 +23,47 @@ func (r *dagRun) onTaskEvent(at *attemptState, ev event.Event) {
 		return
 	}
 	switch e := ev.(type) {
-	case event.DataMovement:
-		r.routeDataMovement(e)
-	case event.VertexManagerEvent:
-		r.routeVMEvent(e)
-	case event.InputInitializerEvent:
-		r.routeInitializerEvent(e)
 	case event.InputReadError:
 		r.onInputReadError(e)
+	case event.DataMovement, event.VertexManagerEvent, event.InputInitializerEvent:
+		at.events = append(at.events, e)
 	}
 }
 
-// routeDataMovement buffers a movement under its attempt and delivers it
-// to running consumer attempts per the edge manager's connection pattern
-// (Figure 5) — but only when the emitting attempt owns the source task's
-// delivered stream. The first attempt to publish claims delivery; a
-// speculative twin's movements stay buffered until a retraction or winner
-// switchover promotes them, so consumers never see two attempts of one
-// task at once.
-func (r *dagRun) routeDataMovement(dm event.DataMovement) {
+// publishEvents releases a winning attempt's events in emission order:
+// each movement joins its source task's published stream and reaches the
+// running consumer attempts, statistics reach their vertex manager and
+// pruning values their initializer.
+func (r *dagRun) publishEvents(at *attemptState) {
+	for _, ev := range at.events {
+		switch e := ev.(type) {
+		case event.DataMovement:
+			r.routeDataMovement(at.task, e)
+		case event.VertexManagerEvent:
+			r.routeVMEvent(e)
+		case event.InputInitializerEvent:
+			r.routeInitializerEvent(e)
+		}
+	}
+	at.events = nil
+}
+
+// routeDataMovement records a winner's movement and delivers it to running
+// consumer attempts per the edge manager's connection pattern (Figure 5).
+// If the consumer's routing table does not exist yet (producer ran ahead
+// of consumer configuration), the stored movement is replayed when
+// consumer attempts start. A movement naming another task than its sender
+// is dropped: a task publishes only its own stream.
+func (r *dagRun) routeDataMovement(ts *taskState, dm event.DataMovement) {
+	if dm.SrcVertex != ts.vertex.v.Name || dm.SrcTask != ts.idx {
+		return
+	}
 	es := r.findEdge(dm.SrcVertex, dm.TargetVertex)
 	if es == nil {
 		return
 	}
-	// Always record the movement; if the consumer's routing table does not
-	// exist yet (producer ran ahead of consumer configuration), the stored
-	// movement is replayed when consumer attempts start.
-	sm := es.srcs[dm.SrcTask]
-	if sm == nil {
-		sm = &srcMovements{delivered: -1, byAttempt: make(map[int][]event.DataMovement)}
-		es.srcs[dm.SrcTask] = sm
-	}
-	sm.byAttempt[dm.SrcAttempt] = append(sm.byAttempt[dm.SrcAttempt], dm)
-	if sm.delivered < 0 {
-		sm.delivered = dm.SrcAttempt
-	}
-	if sm.delivered == dm.SrcAttempt && es.mgr != nil {
+	es.publish(dm)
+	if es.mgr != nil {
 		r.deliverMovement(es, dm)
 	}
 }
@@ -73,127 +82,6 @@ func (r *dagRun) deliverMovement(es *edgeState, dm event.DataMovement) {
 			if cat.lc.In(aRunning) {
 				cat.mbox.Put(routed)
 			}
-		}
-	}
-}
-
-// sendRetractions tells running consumer attempts that every movement in
-// moved (one attempt's published stream for srcTask) is obsolete. One
-// InputFailed per routed (consumer task, input index) suffices: the
-// consumer drops what it holds for that input on attempt match. FIFO
-// mailboxes and the single-threaded dispatcher guarantee the
-// retraction is observed before any replacement movement sent afterwards.
-func (r *dagRun) sendRetractions(es *edgeState, srcTask, attempt int, moved []event.DataMovement) {
-	if es.mgr == nil {
-		return
-	}
-	notified := make(map[[2]int]bool)
-	for _, dm := range moved {
-		for destTask, inputIdx := range es.mgr.Route(srcTask, dm.SrcOutputIndex) {
-			if destTask >= len(es.to.tasks) || notified[[2]int{destTask, inputIdx}] {
-				continue
-			}
-			notified[[2]int{destTask, inputIdx}] = true
-			retract := event.InputFailed{
-				TargetVertex:     es.to.v.Name,
-				TargetTask:       destTask,
-				TargetInput:      es.e.From,
-				TargetInputIndex: inputIdx,
-				SrcTask:          srcTask,
-				SrcAttempt:       attempt,
-			}
-			for _, cat := range es.to.tasks[destTask].attempts {
-				if cat.lc.In(aRunning) {
-					cat.mbox.Put(retract)
-				}
-			}
-		}
-	}
-}
-
-// retractAttemptMovements discards a dead attempt's buffered movements on
-// every out-edge. If the attempt owned the delivered stream, consumers
-// are told to drop it and a surviving twin's buffered stream (the winner,
-// or a still-running speculative attempt — later attempts preferred) is
-// delivered in its place. Without this, an attempt that announced data
-// through ctx.Emit and then died would leave consumers holding (or
-// fetching) a failed attempt's output.
-func (r *dagRun) retractAttemptMovements(at *attemptState) {
-	ts := at.task
-	for _, es := range r.outEdges[ts.vertex.v.Name] {
-		sm := es.srcs[ts.idx]
-		if sm == nil {
-			continue
-		}
-		moved := sm.byAttempt[at.id]
-		delete(sm.byAttempt, at.id)
-		if sm.delivered != at.id {
-			if len(sm.byAttempt) == 0 && sm.delivered < 0 {
-				delete(es.srcs, ts.idx)
-			}
-			continue
-		}
-		sm.delivered = -1
-		r.sendRetractions(es, ts.idx, at.id, moved)
-		// Promote a replacement stream: the winner's, else the newest
-		// still-running attempt's.
-		var cand *attemptState
-		for _, other := range ts.attempts {
-			if other == at || len(sm.byAttempt[other.id]) == 0 {
-				continue
-			}
-			if other == ts.winner || other.lc.In(aRunning) {
-				if cand == nil || other.id > cand.id {
-					cand = other
-				}
-			}
-		}
-		if cand != nil {
-			sm.delivered = cand.id
-			if es.mgr != nil {
-				for _, dm := range sm.byAttempt[cand.id] {
-					r.deliverMovement(es, dm)
-				}
-			}
-		} else if len(sm.byAttempt) == 0 {
-			delete(es.srcs, ts.idx)
-		}
-	}
-}
-
-// promoteWinnerMovements makes the winning attempt's stream the delivered
-// one on every out-edge, retracting a losing twin's stream if that one had
-// been delivered first, and prunes the losers' buffers — after success
-// only the winner's movements matter for replay and recovery.
-func (r *dagRun) promoteWinnerMovements(at *attemptState) {
-	ts := at.task
-	for _, es := range r.outEdges[ts.vertex.v.Name] {
-		sm := es.srcs[ts.idx]
-		if sm == nil {
-			continue
-		}
-		if sm.delivered != at.id {
-			old := sm.delivered
-			if old >= 0 {
-				r.sendRetractions(es, ts.idx, old, sm.byAttempt[old])
-			}
-			sm.delivered = -1
-			if len(sm.byAttempt[at.id]) > 0 {
-				sm.delivered = at.id
-				if es.mgr != nil {
-					for _, dm := range sm.byAttempt[at.id] {
-						r.deliverMovement(es, dm)
-					}
-				}
-			}
-		}
-		for id := range sm.byAttempt {
-			if id != at.id {
-				delete(sm.byAttempt, id)
-			}
-		}
-		if len(sm.byAttempt) == 0 {
-			delete(es.srcs, ts.idx)
 		}
 	}
 }
@@ -244,13 +132,7 @@ func (r *dagRun) onInputReadError(e event.InputReadError) {
 		return
 	}
 	ts := vs.tasks[e.SrcTask]
-	current := -1
-	if ts.winner != nil {
-		current = ts.winner.id
-	} else if ts.restored {
-		current = ts.restoredAttempt
-	}
-	if !ts.lc.In(tSucceeded) || current != e.SrcAttempt {
+	if ts.winner == nil || ts.winner.Attempt != e.SrcAttempt {
 		// Stale report: the producer is already being handled.
 		return
 	}
@@ -258,12 +140,7 @@ func (r *dagRun) onInputReadError(e event.InputReadError) {
 	// Attribute the loss to the producer's node — unless that node is
 	// already known dead (the loss is then the node failure's doing, not
 	// evidence of a sick-but-alive machine).
-	node := ""
-	if ts.winner != nil {
-		node = ts.winner.node
-	} else if ts.restored {
-		node = ts.restoredNode
-	}
+	node := ts.winner.Node
 	r.tl().Record(timeline.Event{
 		Type: timeline.InputReadError, DAG: r.id,
 		Vertex: e.SrcVertex, Task: e.SrcTask, Attempt: e.SrcAttempt, Node: node,
@@ -276,17 +153,16 @@ func (r *dagRun) onInputReadError(e event.InputReadError) {
 	r.reexecuteTask(ts)
 }
 
-// reexecuteTask rolls a succeeded task back and schedules a fresh attempt,
-// retracting its published data movements from running consumers.
+// reexecuteTask rolls a succeeded task back and schedules a fresh attempt.
+// Its published movements are withdrawn, and every running consumer attempt
+// is told to drop the lost output: one InputFailed per routed (consumer
+// task, input index), which the consumer applies on attempt match. This is
+// the only sender of InputFailed. FIFO mailboxes and the single-threaded
+// dispatcher order it before the rerun's movements, which are published
+// when the rerun succeeds.
 func (r *dagRun) reexecuteTask(ts *taskState) {
 	vs := ts.vertex
-	oldAttempt := -1
-	if ts.winner != nil {
-		oldAttempt = ts.winner.id
-	} else if ts.restored {
-		oldAttempt = ts.restoredAttempt
-	}
-	ts.restored = false
+	lost := ts.winner.Attempt
 	ts.winner = nil
 	ts.lc.Fire(tEvRerun)
 	vs.completed--
@@ -295,17 +171,37 @@ func (r *dagRun) reexecuteTask(ts *taskState) {
 	}
 	r.counters.Add("TASKS_REEXECUTED", 1)
 
-	// Retract stored movements of this task and notify running consumers;
-	// the rerun attempt announces its own.
 	for _, es := range r.outEdges[vs.v.Name] {
-		sm := es.srcs[ts.idx]
-		if sm == nil {
+		if ts.idx >= len(es.published) {
 			continue
 		}
-		if sm.delivered >= 0 {
-			r.sendRetractions(es, ts.idx, oldAttempt, sm.deliveredMovements())
+		moved := es.published[ts.idx]
+		es.published[ts.idx] = nil
+		if es.mgr == nil {
+			continue
 		}
-		delete(es.srcs, ts.idx)
+		notified := make(map[[2]int]bool)
+		for _, dm := range moved {
+			for destTask, inputIdx := range es.mgr.Route(ts.idx, dm.SrcOutputIndex) {
+				if destTask >= len(es.to.tasks) || notified[[2]int{destTask, inputIdx}] {
+					continue
+				}
+				notified[[2]int{destTask, inputIdx}] = true
+				retract := event.InputFailed{
+					TargetVertex:     es.to.v.Name,
+					TargetTask:       destTask,
+					TargetInput:      es.e.From,
+					TargetInputIndex: inputIdx,
+					SrcTask:          ts.idx,
+					SrcAttempt:       lost,
+				}
+				for _, cat := range es.to.tasks[destTask].attempts {
+					if cat.lc.In(aRunning) {
+						cat.mbox.Put(retract)
+					}
+				}
+			}
+		}
 	}
 	r.newAttempt(ts, false)
 }
@@ -340,12 +236,7 @@ func (r *dagRun) onNodeFailed(node cluster.NodeID, planned bool) {
 			continue
 		}
 		for _, ts := range vs.tasks {
-			if !ts.lc.In(tSucceeded) {
-				continue
-			}
-			onNode := ts.restored && ts.restoredNode == string(node) ||
-				(ts.winner != nil && ts.winner.node == string(node))
-			if onNode {
+			if ts.winner != nil && ts.winner.Node == string(node) {
 				r.reexecuteTask(ts)
 			}
 		}

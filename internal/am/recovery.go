@@ -2,7 +2,6 @@ package am
 
 import (
 	"fmt"
-	"sort"
 
 	"tez/internal/dag"
 	"tez/internal/event"
@@ -15,16 +14,12 @@ import (
 // checkpoint (§4.3). We checkpoint after every vertex completion (and
 // after every sink commit): completed vertices are restored — their
 // shuffle outputs are still on the cluster, which survives AM death — and
-// unfinished vertices re-run.
-
-type taskCheckpoint struct {
-	Attempt int
-	Node    string
-}
+// unfinished vertices re-run. Checkpoints are written, and Recover reads
+// them, only when Config.CheckpointPath is set.
 
 type vertexCheckpoint struct {
 	Parallelism int
-	Tasks       []taskCheckpoint
+	Tasks       []taskSuccess
 	Committed   bool
 }
 
@@ -45,12 +40,9 @@ type checkpoint struct {
 	Timeline []timeline.Event
 }
 
-func (r *dagRun) checkpointPath() string {
-	dir := r.cfg.CheckpointPath
-	if dir == "" {
-		dir = "/_tez_checkpoints"
-	}
-	return fmt.Sprintf("%s/%s", dir, r.d.Name)
+// checkpointPath names a DAG's checkpoint file under Config.CheckpointPath.
+func checkpointPath(cfg Config, dagName string) string {
+	return cfg.CheckpointPath + "/" + dagName
 }
 
 // saveCheckpoint snapshots completed vertices and their movement history.
@@ -66,15 +58,7 @@ func (r *dagRun) saveCheckpoint() {
 		}
 		vc := vertexCheckpoint{Parallelism: vs.parallelism, Committed: vs.commitComplete}
 		for _, ts := range vs.tasks {
-			tc := taskCheckpoint{}
-			if ts.winner != nil {
-				tc.Attempt = ts.winner.id
-				tc.Node = ts.winner.node
-			} else {
-				tc.Attempt = ts.restoredAttempt
-				tc.Node = ts.restoredNode
-			}
-			vc.Tasks = append(vc.Tasks, tc)
+			vc.Tasks = append(vc.Tasks, *ts.winner)
 		}
 		cp.Vertices[name] = vc
 	}
@@ -83,35 +67,27 @@ func (r *dagRun) saveCheckpoint() {
 			continue
 		}
 		ec := edgeCheckpoint{From: es.e.From, To: es.e.To, BaseParts: es.baseParts}
-		// Persist each source's delivered stream in ascending task order
-		// (and emission order within a task) so recovery replays the same
+		// Task order, then emission order: recovery replays the same
 		// movements a live consumer saw.
-		srcTasks := make([]int, 0, len(es.srcs))
-		for srcTask := range es.srcs {
-			srcTasks = append(srcTasks, srcTask)
-		}
-		sort.Ints(srcTasks)
-		for _, srcTask := range srcTasks {
-			ec.Movements = append(ec.Movements, es.srcs[srcTask].deliveredMovements()...)
+		for _, moved := range es.published {
+			ec.Movements = append(ec.Movements, moved...)
 		}
 		cp.Edges = append(cp.Edges, ec)
 	}
 	cp.Timeline = r.tl().DAGEvents(r.id)
 	data := plugin.MustEncode(cp)
 	fs := r.session.plat.FS
-	path := r.checkpointPath()
+	path := checkpointPath(r.cfg, r.d.Name)
 	fs.Delete(path)
 	_ = fs.WriteFile(path, "", data)
 }
 
-// loadCheckpoint reads a DAG's checkpoint, if any.
+// loadCheckpoint reads a DAG's checkpoint, if the session keeps any.
 func loadCheckpoint(s *Session, dagName string) (*checkpoint, bool) {
-	dir := s.cfg.CheckpointPath
-	if dir == "" {
-		dir = "/_tez_checkpoints"
+	if s.cfg.CheckpointPath == "" {
+		return nil, false
 	}
-	path := fmt.Sprintf("%s/%s", dir, dagName)
-	data, err := s.plat.FS.ReadFile(path, "")
+	data, err := s.plat.FS.ReadFile(checkpointPath(s.cfg, dagName), "")
 	if err != nil {
 		return nil, false
 	}
@@ -136,9 +112,7 @@ func (r *dagRun) applyCheckpoint(cp *checkpoint) {
 		vs.tasks = make([]*taskState, vc.Parallelism)
 		for i := range vs.tasks {
 			ts := newTaskState(r, vs, i)
-			ts.restored = true
-			ts.restoredAttempt = vc.Tasks[i].Attempt
-			ts.restoredNode = vc.Tasks[i].Node
+			ts.winner = &vc.Tasks[i]
 			// Replay the checkpointed completion through the lifecycle
 			// table instead of reconstructing the state by hand.
 			ts.lc.Fire(tEvRestored)
@@ -163,50 +137,22 @@ func (r *dagRun) applyCheckpoint(cp *checkpoint) {
 		}
 		es.baseParts = ec.BaseParts
 		for _, dm := range ec.Movements {
-			sm := es.srcs[dm.SrcTask]
-			if sm == nil {
-				sm = &srcMovements{delivered: dm.SrcAttempt, byAttempt: make(map[int][]event.DataMovement)}
-				es.srcs[dm.SrcTask] = sm
-			}
-			sm.byAttempt[dm.SrcAttempt] = append(sm.byAttempt[dm.SrcAttempt], dm)
+			es.publish(dm)
 		}
 	}
 	// Restored vertices with unfinished commits must still commit.
 	for name, vc := range cp.Vertices {
 		vs, ok := r.vertices[name]
-		if !ok || !vs.lc.In(vSucceeded) {
-			continue
-		}
-		if len(vs.v.Sinks) > 0 && !vc.Committed {
-			vs.committed = true
-			r.pendingCommits++
-			success := make(map[int]int, len(vs.tasks))
-			var missing error
-			for _, ts := range vs.tasks {
-				if ts.winner != nil {
-					success[ts.idx] = ts.winner.id
-				} else if ts.restored {
-					success[ts.idx] = ts.restoredAttempt
-				} else {
-					missing = fmt.Errorf("am: commit %s: task %d has no successful attempt", vs.v.Name, ts.idx)
-					break
-				}
-			}
-			vsCopy := vs
-			go func() {
-				err := missing
-				if err == nil {
-					err = r.commitSinks(vsCopy, success)
-				}
-				r.mb.Put(msgCommitDone{vs: vsCopy, err: err})
-			}()
+		if ok && vs.lc.In(vSucceeded) && len(vs.v.Sinks) > 0 && !vc.Committed {
+			r.startCommit(vs)
 		}
 	}
 }
 
 // Recover submits a DAG, resuming from its checkpoint when one exists: the
 // run keeps its original id so still-registered shuffle outputs remain
-// addressable.
+// addressable. A session without a CheckpointPath keeps no checkpoints,
+// so for it Recover is Submit.
 func (s *Session) Recover(d *dag.DAG) (*DAGRun, error) {
 	cp, ok := loadCheckpoint(s, d.Name)
 	if !ok {

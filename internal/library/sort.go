@@ -2,8 +2,8 @@ package library
 
 // mergeReader k-way merges sorted runs (each an encoded buffer) into a
 // single stream ordered by (key, value). It implements runtime.KVReader
-// and serves the map-side final merge, the reduce-side pre-merge and the
-// grouped reader alike.
+// and serves the map-side final merge and the reduce side's one merge of
+// every fetched run, under the grouped reader, alike.
 //
 // It is a binary min-heap of small entries, one per unexhausted run, each
 // carrying its run's current key prefix so that most comparisons are one

@@ -27,7 +27,8 @@ type PruneInitializerConfig struct {
 	// the rows whose partition column equals PartitionVals[i].
 	Files         []string
 	PartitionVals []row.Value
-	// SourceVertex produces the key values; one event per task is awaited.
+	// SourceVertex produces the key values; an event from each of its
+	// tasks is awaited.
 	SourceVertex     string
 	DesiredSplitSize int64
 }
@@ -47,12 +48,17 @@ func (pruneInitializer) Run(ctx *runtime.InitializerContext) (*runtime.Initializ
 			expect = p
 		}
 	}
+	// Count source tasks, not events: a source task that succeeds again
+	// after re-execution sends its values again, and stopping on the
+	// duplicate would prune partitions a task not yet heard from needs.
 	wanted := map[string]bool{}
-	for seen := 0; seen < expect; seen++ {
+	heard := map[int]bool{}
+	for len(heard) < expect {
 		ev, ok := ctx.Events.Get()
 		if !ok {
 			break // DAG torn down
 		}
+		heard[ev.SrcTask] = true
 		var pv PruneValues
 		if err := plugin.Decode(ev.Payload, &pv); err != nil {
 			return nil, err

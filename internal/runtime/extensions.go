@@ -23,8 +23,10 @@ type InitializerContext struct {
 	// capacity for split planning.
 	FS           *dfs.FileSystem
 	ClusterNodes []string
-	// Events delivers InputInitializerEvents from running tasks of other
-	// vertices — the dynamic partition pruning channel.
+	// Events delivers InputInitializerEvents from succeeded tasks of other
+	// vertices — the dynamic partition pruning channel. The AM publishes a
+	// task's events when an attempt of it succeeds, so a task that is
+	// re-executed and succeeds again sends its events again.
 	Events *mailbox.Mailbox[event.InputInitializerEvent]
 	// VertexParallelism blocks until the named vertex's task count is
 	// decided and returns it (-1 if the DAG ends first). Initializers use

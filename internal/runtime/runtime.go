@@ -74,6 +74,8 @@ type Context struct {
 	// outputs (for an Output) as computed by the edge manager.
 	PhysicalCount int
 	// Emit sends a control event to the AM (asynchronous, never blocks).
+	// DataMovement, VertexManager and InputInitializer events reach their
+	// targets only if this attempt succeeds, in the order they were sent.
 	Emit func(event.Event)
 	// Stop is closed when the attempt is being killed; long operations
 	// should observe it at I/O boundaries.
