@@ -54,7 +54,7 @@ func TestHiveTPCDSReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRows(t, rep, len(tpcdsQueries))
+	requireRows(t, rep, len(data.TPCDSQueries))
 	// Tez should win on the large majority of queries.
 	wins := 0
 	for i := range rep.Rows {
@@ -72,7 +72,7 @@ func TestHiveTPCHReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireRows(t, rep, len(tpchQueries))
+	requireRows(t, rep, len(data.TPCHQueries))
 	wins := 0
 	for i := range rep.Rows {
 		if cell(t, rep, i, 3) > 1.0 {
@@ -285,11 +285,11 @@ func TestRelationalGoldenDigests(t *testing.T) {
 		run    func(*am.Session, string) error
 		golden string
 	}{
-		{"hive-tpch-q1", hiveRun(tpchQueries[0].sql, tp.Tables()),
+		{"hive-tpch-q1", hiveRun(data.TPCHQueries[0].SQL, tp.Tables()),
 			"12a0f4840f489019e26736e9b7c9559068a4046406c288bd43baef10fa1d49ac"},
-		{"hive-tpch-q18", hiveRun(tpchQueries[4].sql, tp.Tables()),
+		{"hive-tpch-q18", hiveRun(data.TPCHQueries[4].SQL, tp.Tables()),
 			"cb243c6d546cf7119f1d92976717bc89b4bb527617700d1bc3ce231921ca34e7"},
-		{"hive-tpcds-q55", hiveRun(tpcdsQueries[0].sql, td.Tables()),
+		{"hive-tpcds-q55", hiveRun(data.TPCDSQueries[0].SQL, td.Tables()),
 			"679f5c79155c42f731afae60359611931dcd7247374e3097e06d416e941b24bf"},
 		{"pig-group_agg", pigRun(pigWorkloads[0]),
 			"03272a09fe3e5088936538d983d9bcf10f69ba55d6ab64d7ec80cfb96344c481"},

@@ -47,7 +47,7 @@ func ablationShuffleCodec(sc Scale) (*Report, error) {
 			eng := hive.NewEngine()
 			eng.Exec = relop.Config{DefaultPartitions: 8}
 			eng.Register(td.Tables()...)
-			return eng.RunTez(sess, "codec-q7", tpcdsQueries[2].sql, out)
+			return eng.RunTez(sess, "codec-q7", data.TPCDSQueries[2].SQL, out)
 		}, func(out string) (any, error) { return relop.ReadStored(plat.FS, out) }},
 		{"pig-group_agg", func(sess *am.Session, out string) (am.DAGResult, error) {
 			return pigWorkloads[0].build(t1, nil, out).RunTez(sess)

@@ -1,13 +1,17 @@
 package hive
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"tez/internal/am"
+	"tez/internal/data"
 	"tez/internal/library"
 	"tez/internal/platform"
 	"tez/internal/relop"
@@ -370,6 +374,47 @@ func TestHaving(t *testing.T) {
 	}
 }
 
+// TestAggregatesSkipNulls: count(x), sum and avg ignore NULL arguments, as
+// in Hive and Pig — count(*) still counts every row, and a sum or avg over
+// only NULLs is NULL — on both backends, over a table and through an
+// aggregate that runs inside its join.
+func TestAggregatesSkipNulls(t *testing.T) {
+	h := newHiveHarness(t)
+	h.eng.BroadcastThreshold = 0 // shuffle joins only
+	vals := &relop.Table{Name: "vals", Schema: row.NewSchema("k:int", "v:int")}
+	if err := relop.WriteTable(h.plat.FS, vals, 2, []row.Row{
+		{row.Int(1), row.Int(1)}, {row.Int(1), row.Null()},
+		{row.Int(2), row.Null()}, {row.Int(2), row.Null()},
+		{row.Int(3), row.Int(4)}, {row.Int(3), row.Int(6)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	names := &relop.Table{Name: "names", Schema: row.NewSchema("k:int", "name")}
+	if err := relop.WriteTable(h.plat.FS, names, 1, []row.Row{
+		{row.Int(1), row.String("a")}, {row.Int(2), row.String("b")}, {row.Int(3), row.String("c")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h.eng.Register(vals, names)
+	want := []string{"1|2|1|1|1", "2|2|0|NULL|NULL", "3|2|2|10|5"}
+	fused := `SELECT n.k, count(*) AS rows, count(v.v) AS nv, sum(v.v) AS s, avg(v.v) AS a
+		FROM names n JOIN vals v ON n.k = v.k GROUP BY n.k`
+	text, err := h.eng.Explain(fused)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "group join -> agg group=1 aggs=[count count sum avg]") {
+		t.Fatalf("the aggregate did not run inside the join:\n%s", text)
+	}
+	for i, q := range []string{
+		"SELECT k, count(*) AS rows, count(v) AS nv, sum(v) AS s, avg(v) AS a FROM vals GROUP BY k",
+		fused,
+	} {
+		expectRows(t, h.query(fmt.Sprintf("nulls-%d", i), q), want, false)
+		expectRows(t, h.queryMR(fmt.Sprintf("nulls-mr-%d", i), q), want, false)
+	}
+}
+
 func TestExplain(t *testing.T) {
 	h := newHiveHarness(t)
 	text, err := h.eng.Explain(`SELECT c.c_name, sum(o.o_totalprice) AS rev
@@ -395,6 +440,67 @@ func TestExplain(t *testing.T) {
 	}
 	if _, err := h.eng.Explain("SELECT nope FROM orders"); err == nil {
 		t.Fatal("explain of invalid query succeeded")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/explain from the current planner")
+
+// TestExplainGolden pins the -explain output — logical plan, DAG, and what
+// each stage runs and ships — of the benchmark's TPC-H and TPC-DS queries
+// (data.TPCHQueries, data.TPCDSQueries) over the data `tez-bench -exp
+// f8,f9` generates at its default scale, planned as it plans them. After a
+// deliberate plan change, rerun with -update and read the diff.
+func TestExplainGolden(t *testing.T) {
+	plat := platform.New(platform.Fast(4))
+	defer plat.Stop()
+	tp, err := data.GenTPCH(plat.FS, 800, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := data.GenTPCDS(plat.FS, 4000, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suite := range []struct {
+		name    string
+		tables  []*relop.Table
+		queries []data.Query
+	}{
+		{"tpch", tp.Tables(), data.TPCHQueries},
+		{"tpcds", td.Tables(), data.TPCDSQueries},
+	} {
+		eng := NewEngine()
+		eng.Exec = relop.Config{DefaultPartitions: 8}
+		eng.Register(suite.tables...)
+		for _, q := range suite.queries {
+			text, err := eng.Explain(q.SQL)
+			if err != nil {
+				t.Fatalf("%s %s: %v", suite.name, q.Name, err)
+			}
+			path := filepath.Join("testdata", "explain", suite.name+"-"+q.Name+".txt")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (run with -update to record it)", err)
+			}
+			if text != string(want) {
+				t.Errorf("%s differs from the planner's explain:\n%s", path, text)
+			}
+			// q18 aggregates inside its join: two scans, the join, the sort.
+			if suite.name == "tpch" && q.Name == "q18" {
+				if n := strings.Count(text, "  vertex "); n != 4 {
+					t.Errorf("q18 compiles to %d vertices, want 4:\n%s", n, text)
+				}
+			}
+		}
 	}
 }
 

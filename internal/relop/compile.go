@@ -2,6 +2,7 @@ package relop
 
 import (
 	"fmt"
+	"slices"
 
 	"tez/internal/dag"
 	"tez/internal/library"
@@ -83,6 +84,7 @@ type Compiler struct {
 	pending []pendingPrune
 	// forMR rejects Tez-only features (broadcast joins, pruning).
 	forMR bool
+	use   usage
 }
 
 // NewCompiler creates a compiler.
@@ -222,8 +224,21 @@ func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
 	st.grouped = true
 	st.par = c.cfg.DefaultPartitions
 	st.spec.Group = &GroupOp{Kind: "join", Sides: 2}
-	emitSide := func(curs []cursor, keys []*Expr, tag int) error {
+	// A side that does not ship every column ends its emit with a
+	// projection to the shipped ones, its keys remapped onto them.
+	shipL, shipR := c.use.shipped(n)
+	emitSide := func(curs []cursor, keys []*Expr, ship []int, tag int) error {
+		var narrow []*Expr
+		if ship != nil {
+			for _, k := range ship {
+				narrow = append(narrow, Col(k))
+			}
+			keys = substituteAll(keys, within(ship))
+		}
 		for _, cur := range curs {
+			if narrow != nil {
+				cur = cur.with(PipeOp{Kind: "project", Project: narrow})
+			}
 			cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
 				Input: cur.input, Output: st.name, Kind: EmitShuffle,
 				Pipe: cur.pipe, Keys: keys, Tag: tag,
@@ -234,13 +249,43 @@ func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
 		}
 		return nil
 	}
-	if err := emitSide(left, n.JoinL, 0); err != nil {
+	if err := emitSide(left, n.JoinL, shipL, 0); err != nil {
 		return nil, err
 	}
-	if err := emitSide(right, n.JoinR, 1); err != nil {
+	if err := emitSide(right, n.JoinR, shipR, 1); err != nil {
 		return nil, err
 	}
-	return []cursor{{st: st}}, nil
+	out := cursor{st: st}
+	if shipL != nil || shipR != nil {
+		// The product holds the shipped columns only; the join's consumers
+		// read it re-widened, a null wherever a column was not shipped.
+		out.pipe = []PipeOp{{Kind: "project", Project: rewiden(n, shipL, shipR)}}
+	}
+	return []cursor{out}, nil
+}
+
+// rewiden maps the join's output columns onto its product's: side by
+// side, each side's shipped columns in order, a null for the others.
+func rewiden(n *Node, shipL, shipR []int) []*Expr {
+	var out []*Expr
+	off := 0
+	for s, ship := range [][]int{shipL, shipR} {
+		w := n.Children[s].OutSchema.Width()
+		for c := 0; c < w; c++ {
+			if ship == nil {
+				out = append(out, Col(off+c))
+			} else if i, ok := slices.BinarySearch(ship, c); ok {
+				out = append(out, Col(off+i))
+			} else {
+				out = append(out, nullLit())
+			}
+		}
+		if ship != nil {
+			w = len(ship)
+		}
+		off += w
+	}
+	return out
 }
 
 func (c *Compiler) compileBroadcastJoin(n *Node) ([]cursor, error) {
@@ -285,12 +330,9 @@ func (c *Compiler) compileBroadcastJoin(n *Node) ([]cursor, error) {
 }
 
 func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
-	in, err := c.compile(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
 	gw := len(n.GroupBy)
-	// Map side projects [group..., args...]; key = leading group columns.
+	// The rows aggregated are [group..., args...]; key = leading group
+	// columns.
 	project := append([]*Expr{}, n.GroupBy...)
 	aggs := make([]AggFuncSpec, len(n.Aggs))
 	for i, a := range n.Aggs {
@@ -301,6 +343,21 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 		project = append(project, arg)
 		aggs[i] = AggFuncSpec{Func: a.Func, Col: gw + i}
 	}
+	in, err := c.compile(n.Children[0])
+	if err != nil {
+		return nil, err
+	}
+	if c.use.fusesWithJoin(n) {
+		// No stage of its own: the join's tasks aggregate their product,
+		// read through the join's re-widening when its sides were pruned.
+		j := in[0]
+		for i := len(j.pipe) - 1; i >= 0; i-- {
+			project = substituteAll(project, inline(j.pipe[i].Project))
+		}
+		g := j.st.spec.Group
+		g.GroupWidth, g.Aggs, g.AggInput = gw, aggs, project
+		return []cursor{{st: j.st}}, nil
+	}
 	keys := make([]*Expr, gw)
 	for i := range keys {
 		keys[i] = Col(i)
@@ -310,10 +367,10 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 	st.par = c.cfg.DefaultPartitions
 	st.spec.Group = &GroupOp{Kind: "agg", GroupWidth: gw, Aggs: aggs}
 	for _, cur := range in {
-		pipe := append(append([]PipeOp{}, cur.pipe...), PipeOp{Kind: "project", Project: project})
+		cur = cur.with(PipeOp{Kind: "project", Project: project})
 		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
 			Input: cur.input, Output: st.name, Kind: EmitShuffle,
-			Pipe: pipe, Keys: keys, Tag: -1,
+			Pipe: cur.pipe, Keys: keys, Tag: -1,
 		})
 		if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
 			return nil, err
@@ -332,9 +389,12 @@ func (c *Compiler) compileSort(n *Node) ([]cursor, error) {
 	st.par = sortParallelism
 	st.spec.Group = &GroupOp{Kind: "sort", Limit: n.Limit}
 	for _, cur := range in {
+		// The one sort task keeps the first Limit records by (key, value),
+		// so they are among each producer task's first Limit.
 		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
 			Input: cur.input, Output: st.name, Kind: EmitShuffle,
 			Pipe: cur.pipe, Keys: n.SortKeys, Desc: n.SortDesc, Tag: -1,
+			Limit: n.Limit,
 		})
 		if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
 			return nil, err
@@ -426,15 +486,25 @@ func (c *Compiler) finishPruning() error {
 	return nil
 }
 
-// CompileTez lowers the plan roots to a single Tez DAG.
-func (c *Compiler) CompileTez(name string, roots []*Node) (*dag.DAG, error) {
+// compileRoots validates the plan, analyses what each node's consumers
+// read, and lowers every store.
+func (c *Compiler) compileRoots(roots []*Node) error {
 	if err := Validate(roots); err != nil {
-		return nil, err
+		return err
 	}
+	c.use = analyzeUsage(roots)
 	for _, r := range roots {
 		if err := c.compileStore(r); err != nil {
-			return nil, err
+			return err
 		}
+	}
+	return nil
+}
+
+// CompileTez lowers the plan roots to a single Tez DAG.
+func (c *Compiler) CompileTez(name string, roots []*Node) (*dag.DAG, error) {
+	if err := c.compileRoots(roots); err != nil {
+		return nil, err
 	}
 	if err := c.finishPruning(); err != nil {
 		return nil, err

@@ -138,7 +138,7 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 		}
 	}
 	for _, em := range emitters {
-		if err := em.flush(); err != nil {
+		if err := em.close(); err != nil {
 			return err
 		}
 	}
@@ -249,8 +249,8 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 // group-output emits. Multiple grouped inputs are merged by key. No group
 // op boxes a row: sort and distinct hand the encoded value to the emitters
 // as runStream does, a join writes its product column to column from
-// per-side segments, and an aggregate writes its key columns and typed
-// results.
+// per-side segments (into its aggregate, when it carries one), and an
+// aggregate writes its key columns and typed results.
 func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters []*vecEmitter) error {
 	g := p.spec.Group
 	if g == nil {
@@ -296,7 +296,10 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 			return fmt.Errorf("relop: unknown group op %q", g.Kind)
 		}
 	}
-	return gr.Err()
+	if err := gr.Err(); err != nil {
+		return err
+	}
+	return join.close()
 }
 
 // addEach appends one encoded row to every emitter.
@@ -316,6 +319,17 @@ func addEach(ems []*vecEmitter, encoded []byte) error {
 type joinGroups struct {
 	sides []joinSide
 	cur   []joinCursor // the product row being written: one row per side
+	// agg takes the product instead of the emitters when the group op
+	// carries an aggregate; it batches size rows (0: DefaultBatchSize).
+	agg  *joinAgg
+	size int
+}
+
+// rowSink takes rows appended column by column: an emitter, or the
+// join's aggregate.
+type rowSink interface {
+	beginRow(w int) (*col.Batch, error)
+	endRow() error
 }
 
 // joinSide holds one side of the current group in segs[:n].
@@ -375,26 +389,38 @@ func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
 			return nil // inner join: some side empty
 		}
 	}
+	if g.AggInput != nil {
+		if j.agg == nil {
+			size := j.size
+			if size <= 0 {
+				size = DefaultBatchSize
+			}
+			j.agg = &joinAgg{g: g, size: size, in: col.NewBatch()}
+		}
+		j.agg.ems = ems
+		j.agg.startGroup()
+	}
 	return j.product(0, 0, ems)
 }
 
+// close writes what the join's aggregate still holds.
+func (j *joinGroups) close() error {
+	if j.agg == nil {
+		return nil
+	}
+	return j.agg.close()
+}
+
 // product fixes side s's row in turn (the sides before it are fixed in
-// cur) and writes each complete combination to every emitter.
+// cur) and writes each complete combination to the aggregate or to every
+// emitter.
 func (j *joinGroups) product(s, width int, ems []*vecEmitter) error {
 	if s == len(j.sides) {
+		if j.agg != nil {
+			return j.writeRow(j.agg, width)
+		}
 		for _, em := range ems {
-			b, err := em.beginRow(width)
-			if err != nil {
-				return err
-			}
-			c := 0
-			for _, cur := range j.cur {
-				for k := 0; k < cur.seg.Width(); k++ {
-					b.Col(c).AppendFrom(cur.seg.Col(k), cur.row)
-					c++
-				}
-			}
-			if err := em.endRow(); err != nil {
+			if err := j.writeRow(em, width); err != nil {
 				return err
 			}
 		}
@@ -410,4 +436,20 @@ func (j *joinGroups) product(s, width int, ems []*vecEmitter) error {
 		}
 	}
 	return nil
+}
+
+// writeRow writes the product row fixed in cur to dst.
+func (j *joinGroups) writeRow(dst rowSink, width int) error {
+	b, err := dst.beginRow(width)
+	if err != nil {
+		return err
+	}
+	c := 0
+	for _, cur := range j.cur {
+		for k := 0; k < cur.seg.Width(); k++ {
+			b.Col(c).AppendFrom(cur.seg.Col(k), cur.row)
+			c++
+		}
+	}
+	return dst.endRow()
 }

@@ -51,8 +51,10 @@ func ExplainDAG(d *dag.DAG) (string, error) {
 }
 
 // ExplainStages renders what each stage vertex of a compiled DAG
-// executes: one line for its group op and one per emit (kind, target,
-// number of pipeline ops).
+// executes: one line for its group op (a join that aggregates its product
+// shows the aggregate) and one per emit (kind, target, number of pipeline
+// ops; for a shuffle emit the columns it ships when its pipeline ends in a
+// projection, and a producer-side limit).
 func ExplainStages(d *dag.DAG) string {
 	var sb strings.Builder
 	verts := append([]*dag.Vertex{}, d.Vertices...)
@@ -68,10 +70,25 @@ func ExplainStages(d *dag.DAG) string {
 		}
 		fmt.Fprintf(&sb, "%s:\n", v.Name)
 		if g := spec.Group; g != nil {
-			fmt.Fprintf(&sb, "  group %s\n", g.Kind)
+			fmt.Fprintf(&sb, "  group %s", g.Kind)
+			if g.AggInput != nil {
+				funcs := make([]string, len(g.Aggs))
+				for i, a := range g.Aggs {
+					funcs[i] = a.Func
+				}
+				fmt.Fprintf(&sb, " -> agg group=%d aggs=%v", g.GroupWidth, funcs)
+			}
+			sb.WriteString("\n")
 		}
 		for _, es := range spec.Emits {
-			fmt.Fprintf(&sb, "  emit %s -> %s (%d ops)\n", es.Kind, es.Output, len(es.Pipe))
+			fmt.Fprintf(&sb, "  emit %s -> %s (%d ops)", es.Kind, es.Output, len(es.Pipe))
+			if n := len(es.Pipe); es.Kind == EmitShuffle && n > 0 && es.Pipe[n-1].Kind == "project" {
+				fmt.Fprintf(&sb, " cols=%d", len(es.Pipe[n-1].Project))
+			}
+			if es.Limit > 0 {
+				fmt.Fprintf(&sb, " limit=%d", es.Limit)
+			}
+			sb.WriteString("\n")
 		}
 	}
 	return sb.String()

@@ -27,13 +27,8 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 	cfg = cfg.withDefaults()
 	c := NewCompiler(cfg)
 	c.forMR = true
-	if err := Validate(roots); err != nil {
+	if err := c.compileRoots(roots); err != nil {
 		return nil, "", err
-	}
-	for _, r := range roots {
-		if err := c.compileStore(r); err != nil {
-			return nil, "", err
-		}
 	}
 	tempRoot := fmt.Sprintf("%s/%s", cfg.TempRoot, name)
 

@@ -220,8 +220,8 @@ func sampledRow(r row.Row, rate float64) bool {
 }
 
 func (st *aggState) observe(av row.Value) {
-	st.count++
 	if !av.IsNull() {
+		st.count++
 		st.sum += av.AsFloat()
 		if !st.init || row.Compare(av, st.min) < 0 {
 			st.min = av
@@ -267,7 +267,11 @@ func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, err
 		st := states[i]
 		switch a.Func {
 		case "sum":
-			out = append(out, row.Float(st.sum))
+			if st.count == 0 {
+				out = append(out, row.Null())
+			} else {
+				out = append(out, row.Float(st.sum))
+			}
 		case "count":
 			out = append(out, row.Int(st.count))
 		case "avg":

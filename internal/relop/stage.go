@@ -40,6 +40,10 @@ type GroupOp struct {
 	// reads value column GroupWidth+i.
 	GroupWidth int
 	Aggs       []AggFuncSpec
+	// join fused with an aggregate whose group key is the join key: each
+	// product row is projected by AggInput to the agg layout above
+	// ([group..., args...]) and the group output is the aggregated rows.
+	AggInput []*Expr
 	// sort: stop after Limit rows (0 = all).
 	Limit int
 }
@@ -99,6 +103,9 @@ type EmitSpec struct {
 	Desc []bool
 	// Tag >= 0 prefixes values with a join-side tag byte.
 	Tag int
+	// Limit > 0 (shuffle into a limited sort) writes only the task's Limit
+	// smallest (key, value) records, at task end.
+	Limit int
 	// SampleRate in (0,1] emits only a deterministic sample of rows.
 	SampleRate float64
 	// initializer: the data source name at the target vertex.

@@ -8,9 +8,10 @@ import (
 	"tez/internal/row"
 )
 
-// aggState accumulates one aggregate: count includes nulls, sum
-// accumulates float64 in row order, min/max keep the first value on
-// Compare ties (observeChunk applies the rules).
+// aggState accumulates one aggregate over its non-null arguments: count
+// counts them, sum accumulates their float64 values in row order (a sum or
+// avg of no values is null), min/max keep the first value on Compare ties
+// (observeChunk applies the rules).
 type aggState struct {
 	sum   float64
 	count int64
@@ -19,38 +20,36 @@ type aggState struct {
 	init  bool
 }
 
-// aggNeed records which aggState fields a given aggregate function reads,
-// so the chunk kernels skip updates the result will never look at (the
-// row oracle updates everything unconditionally; skipping is pure
-// optimization and cannot change output).
+// aggNeed records which aggState fields a given aggregate function reads
+// besides count, so the chunk kernels skip updates the result will never
+// look at (the row oracle updates everything unconditionally; skipping is
+// pure optimization and cannot change output).
 type aggNeed struct {
 	sum bool
 	mm  bool
 }
 
-// aggNeeds lists the aggregate functions; count needs only the bulk row
-// count.
+// aggNeeds lists the aggregate functions; count needs only the count of
+// non-null arguments.
 var aggNeeds = map[string]aggNeed{
 	"sum": {sum: true}, "avg": {sum: true},
 	"min": {mm: true}, "max": {mm: true},
 	"count": {},
 }
 
-// aggScratch is aggGroupVec's storage, reused from group to group.
+// aggScratch is one group's aggregation storage, reused from group to
+// group. The rows it folds are laid out [group..., args...]: the first
+// GroupWidth columns are the key, aggregate i reads column Aggs[i].Col.
 type aggScratch struct {
-	chunk  *col.Batch // the group's values, batchSize rows at a time
-	key    *col.Batch // the group key columns, copied from the first chunk
+	chunk  *col.Batch // aggGroupVec: the group's values, batchSize rows at a time
+	key    *col.Batch // the group key columns, copied from its first row
 	states []aggState
 	needs  []aggNeed
 }
 
-// aggGroupVec computes one group's aggregates batch-at-a-time: the
-// encoded values are parsed straight into a chunk batch, typed column
-// kernels update the group's aggStates — count includes nulls, the float
-// sum accumulates in row order, min/max keep the first value on ties —
-// and every emitter gets the key columns followed by the typed results.
-func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems []*vecEmitter) error {
-	if s.chunk == nil {
+// begin readies the scratch for a new group.
+func (s *aggScratch) begin(g *GroupOp) error {
+	if s.key == nil {
 		s.chunk, s.key = col.NewBatch(), col.NewBatch()
 	}
 	s.states, s.needs = s.states[:0], s.needs[:0]
@@ -62,6 +61,72 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems 
 		s.states = append(s.states, aggState{})
 		s.needs = append(s.needs, need)
 	}
+	return nil
+}
+
+// setKey copies the first w columns of b's row i as the group key.
+func (s *aggScratch) setKey(b *col.Batch, i, w int) {
+	s.key.Reset()
+	s.key.EnsureWidth(w)
+	for c := 0; c < w; c++ {
+		s.key.Col(c).AppendFrom(b.Col(c), i)
+	}
+}
+
+// observe folds rows [lo, hi) of b into the group's states. An
+// out-of-range column is all-null: it adds nothing.
+func (s *aggScratch) observe(g *GroupOp, b *col.Batch, lo, hi int) {
+	for i := range g.Aggs {
+		if c := g.Aggs[i].Col; c >= 0 && c < b.Width() {
+			observeChunk(&s.states[i], b.Col(c), lo, hi, s.needs[i])
+		}
+	}
+}
+
+// write appends the group's result row — its keyWidth key columns, then
+// the typed results — to every emitter: the one result writer of both
+// aggregate paths (aggGroupVec and joinAgg).
+func (s *aggScratch) write(g *GroupOp, keyWidth int, ems []*vecEmitter) error {
+	for _, em := range ems {
+		b, err := em.beginRow(keyWidth + len(g.Aggs))
+		if err != nil {
+			return err
+		}
+		for c := 0; c < keyWidth; c++ {
+			b.Col(c).AppendFrom(s.key.Col(c), 0)
+		}
+		for i, a := range g.Aggs {
+			v, st := b.Col(keyWidth+i), &s.states[i]
+			switch {
+			case a.Func == "count":
+				v.AppendInt(st.count)
+			case a.Func == "min":
+				v.AppendValue(st.min)
+			case a.Func == "max":
+				v.AppendValue(st.max)
+			case st.count == 0: // sum or avg of no values
+				v.AppendNull()
+			case a.Func == "sum":
+				v.AppendFloat(st.sum)
+			case a.Func == "avg":
+				v.AppendFloat(st.sum / float64(st.count))
+			}
+		}
+		if err := em.endRow(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// aggGroupVec computes one group's aggregates batch-at-a-time: the
+// encoded values are parsed straight into a chunk batch, typed column
+// kernels update the group's aggStates, and every emitter gets the key
+// columns followed by the typed results.
+func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems []*vecEmitter) error {
+	if err := s.begin(g); err != nil {
+		return err
+	}
 	chunk := s.chunk // empty: the last group's final flush reset it
 	keyWidth := -1   // fixed by the first chunk
 	flush := func() error {
@@ -69,28 +134,14 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems 
 		if n == 0 {
 			return nil
 		}
-		w := chunk.Width()
 		if keyWidth < 0 {
-			if w < g.GroupWidth {
+			if w := chunk.Width(); w < g.GroupWidth {
 				return fmt.Errorf("relop: %d-column row under a %d-column group key", w, g.GroupWidth)
 			}
 			keyWidth = g.GroupWidth
-			s.key.Reset()
-			s.key.EnsureWidth(keyWidth)
-			for c := 0; c < keyWidth; c++ {
-				s.key.Col(c).AppendFrom(chunk.Col(c), 0)
-			}
+			s.setKey(chunk, 0, keyWidth)
 		}
-		for i := range g.Aggs {
-			a := &g.Aggs[i]
-			if a.Col < 0 || a.Col >= w {
-				// An out-of-range column is all-null: it still counts
-				// every row.
-				s.states[i].count += int64(n)
-				continue
-			}
-			observeChunk(&s.states[i], chunk.Col(a.Col), n, s.needs[i])
-		}
+		s.observe(g, chunk, 0, n)
 		chunk.Reset()
 		return nil
 	}
@@ -121,58 +172,129 @@ func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems 
 	if keyWidth < 0 {
 		keyWidth = 0 // no values: the aggregates alone
 	}
-	for _, em := range ems {
-		b, err := em.beginRow(keyWidth + len(g.Aggs))
-		if err != nil {
-			return err
+	return s.write(g, keyWidth, ems)
+}
+
+// joinAgg aggregates a join's product in the join's task (a join GroupOp
+// with AggInput). The join groups are the aggregate groups, so a group's
+// rows arrive together, in product order. Product rows accumulate in one
+// batch across groups; a flush projects the batch by AggInput and folds
+// each group's run of rows into that group's states as aggGroupVec folds
+// a chunk. A group may start mid-batch and continue past a flush; its
+// result row is written when the next group starts or the rows end.
+type joinAgg struct {
+	g       *GroupOp
+	size    int
+	ems     []*vecEmitter
+	in      *col.Batch
+	starts  []int // rows of in at which a group starts
+	pending bool  // a group has started and has no row yet
+	open    bool  // s holds a group whose row is unwritten
+	s       aggScratch
+	vecs    []col.Vector
+}
+
+// startGroup makes the next row the first of a new group.
+func (f *joinAgg) startGroup() { f.pending = true }
+
+// beginRow readies the batch for one width-w product row, flushing first
+// on a width change; endRow commits it.
+func (f *joinAgg) beginRow(w int) (*col.Batch, error) {
+	if f.in.Len() > 0 && f.in.Width() != w {
+		if err := f.flush(); err != nil {
+			return nil, err
 		}
-		for c := 0; c < keyWidth; c++ {
-			b.Col(c).AppendFrom(s.key.Col(c), 0)
-		}
-		for i, a := range g.Aggs {
-			v, st := b.Col(keyWidth+i), &s.states[i]
-			switch a.Func {
-			case "sum":
-				v.AppendFloat(st.sum)
-			case "count":
-				v.AppendInt(st.count)
-			case "avg":
-				if st.count == 0 {
-					v.AppendNull()
-				} else {
-					v.AppendFloat(st.sum / float64(st.count))
-				}
-			case "min":
-				v.AppendValue(st.min)
-			case "max":
-				v.AppendValue(st.max)
-			}
-		}
-		if err := em.endRow(); err != nil {
-			return err
-		}
+	}
+	f.in.EnsureWidth(w)
+	if f.pending {
+		f.starts = append(f.starts, f.in.Len())
+		f.pending = false
+	}
+	return f.in, nil
+}
+
+func (f *joinAgg) endRow() error {
+	f.in.SetRowCount(f.in.Len() + 1)
+	if f.in.Len() >= f.size {
+		return f.flush()
 	}
 	return nil
 }
 
-// observeChunk folds n rows of one column into st. Chunk-local min/max
+// flush folds the batched rows group by group.
+func (f *joinAgg) flush() error {
+	n := f.in.Len()
+	if n == 0 {
+		return nil
+	}
+	f.vecs = f.vecs[:0]
+	for _, e := range f.g.AggInput {
+		f.vecs = append(f.vecs, evalVec(e, f.in))
+	}
+	b := col.FromVectors(n, nil, f.vecs)
+	lo := 0
+	for k := 0; k <= len(f.starts); k++ {
+		hi := n
+		if k < len(f.starts) {
+			hi = f.starts[k]
+		}
+		if hi > lo {
+			f.s.observe(f.g, b, lo, hi)
+			lo = hi
+		}
+		if k == len(f.starts) {
+			break
+		}
+		if err := f.finishGroup(); err != nil {
+			return err
+		}
+		if err := f.s.begin(f.g); err != nil {
+			return err
+		}
+		f.s.setKey(b, hi, f.g.GroupWidth)
+		f.open = true
+	}
+	f.in.Reset()
+	f.starts = f.starts[:0]
+	return nil
+}
+
+// finishGroup writes the open group's row.
+func (f *joinAgg) finishGroup() error {
+	if !f.open {
+		return nil
+	}
+	f.open = false
+	return f.s.write(f.g, f.g.GroupWidth, f.ems)
+}
+
+// close folds the batched rows and writes the last group's row.
+func (f *joinAgg) close() error {
+	if err := f.flush(); err != nil {
+		return err
+	}
+	return f.finishGroup()
+}
+
+// observeChunk folds rows [lo, hi) of one column into st: count counts
+// the non-null ones and the other fields skip nulls. Chunk-local min/max
 // use strict comparisons (first occurrence wins within the chunk) and
 // merge into the running extremes with strict row.Compare (the earlier
 // chunk wins ties) — exactly the order a row-at-a-time scan observes.
-func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
-	st.count += int64(n)
-	if !need.sum && !need.mm {
+func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
+	if hi <= lo {
 		return
 	}
 	switch {
 	case v.Kind() == col.Unset:
-		return // every row null: count only
+		return // every row null
 	case v.IsConst() || v.Kind() == col.Any || v.Kind() == col.Bool:
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			val := v.Value(i)
 			if val.IsNull() {
 				continue
 			}
+			st.count++
 			if need.sum {
 				st.sum += val.AsFloat()
 			}
@@ -184,14 +306,15 @@ func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
 		var mn, mx int64
 		found := false
 		if !v.HasNulls() {
+			st.count += int64(hi - lo)
 			if need.sum {
-				for _, x := range v.Ints[:n] {
+				for _, x := range v.Ints[lo:hi] {
 					st.sum += float64(x)
 				}
 			}
 			if need.mm {
-				mn, mx = v.Ints[0], v.Ints[0]
-				for _, x := range v.Ints[1:n] {
+				mn, mx = v.Ints[lo], v.Ints[lo]
+				for _, x := range v.Ints[lo+1 : hi] {
 					if x < mn {
 						mn = x
 					}
@@ -202,10 +325,11 @@ func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
 				found = true
 			}
 		} else {
-			for i := 0; i < n; i++ {
+			for i := lo; i < hi; i++ {
 				if v.IsNull(i) {
 					continue
 				}
+				st.count++
 				x := v.Ints[i]
 				if need.sum {
 					st.sum += float64(x)
@@ -227,10 +351,11 @@ func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
 	case v.Kind() == col.Float64:
 		var mn, mx float64
 		found := false
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			if v.IsNull(i) {
 				continue
 			}
+			st.count++
 			x := v.Floats[i]
 			if need.sum {
 				st.sum += x
@@ -253,14 +378,15 @@ func observeChunk(st *aggState, v *col.Vector, n int, need aggNeed) {
 	case v.Kind() == col.Bytes:
 		// Strings coerce to float 0 under AsFloat; adding +0 never
 		// changes a float64 sum (the accumulator cannot be -0: it starts
-		// at +0 and x + -0 == x for any reachable x), so only min/max
-		// need the scan.
-		if !need.mm {
-			return
-		}
+		// at +0 and x + -0 == x for any reachable x), so only count and
+		// min/max need the scan.
 		mnI, mxI := -1, -1
-		for i := 0; i < n; i++ {
+		for i := lo; i < hi; i++ {
 			if v.IsNull(i) {
+				continue
+			}
+			st.count++
+			if !need.mm {
 				continue
 			}
 			if mnI < 0 {

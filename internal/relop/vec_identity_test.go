@@ -341,9 +341,9 @@ func TestVecAggIdentityRandom(t *testing.T) {
 	}
 }
 
-// TestVecAggAllNullColumn pins the null accounting: count includes null
-// rows, sum/min/max skip them, avg of an all-null column is null only
-// when the group is empty (count counts nulls too).
+// TestVecAggAllNullColumn pins the null accounting: count, sum, min, max
+// and avg all skip null arguments, so over an all-null column count is 0
+// and the others are null.
 func TestVecAggAllNullColumn(t *testing.T) {
 	g := &GroupOp{Kind: "agg", GroupWidth: 1, Aggs: []AggFuncSpec{
 		{Func: "count", Col: 1}, {Func: "sum", Col: 1}, {Func: "min", Col: 1}, {Func: "avg", Col: 1},
@@ -359,7 +359,7 @@ func TestVecAggAllNullColumn(t *testing.T) {
 	if err := em.flush(); err != nil {
 		t.Fatal(err)
 	}
-	want := row.Row{row.Int(7), row.Int(10), row.Float(0), row.Null(), row.Float(0)}
+	want := row.Row{row.Int(7), row.Int(0), row.Null(), row.Null(), row.Null()}
 	sameRecords(t, "all-null column", []capturedKV{{val: row.Encode(nil, want)}}, w.kvs)
 }
 

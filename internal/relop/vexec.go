@@ -1,7 +1,9 @@
 package relop
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"tez/internal/col"
 	"tez/internal/event"
@@ -35,7 +37,9 @@ type vecEmitter struct {
 	// deferred collects key values for initializer/vm emits, sent once at
 	// stage end.
 	deferred []row.Value
-	count    int64
+	// top keeps a limited shuffle emit's records until close.
+	top   *topK
+	count int64
 }
 
 type joinScratch struct {
@@ -44,8 +48,12 @@ type joinScratch struct {
 }
 
 func newVecEmitter(spec EmitSpec, w runtime.KVWriter, tables map[string]map[string][]row.Row, size int) *vecEmitter {
-	return &vecEmitter{spec: spec, writer: w, tables: tables, size: size,
+	ve := &vecEmitter{spec: spec, writer: w, tables: tables, size: size,
 		batch: col.NewBatch(), joins: make([]joinScratch, len(spec.Pipe))}
+	if spec.Kind == EmitShuffle && spec.Limit > 0 {
+		ve.top = &topK{k: spec.Limit}
+	}
+	return ve
 }
 
 // add appends one encoded input row, flushing on batch-full or on a row
@@ -102,6 +110,21 @@ func (ve *vecEmitter) flush() error {
 	err := ve.run(ve.batch, 0)
 	ve.batch.Reset()
 	return err
+}
+
+// close flushes the buffered rows and writes the records a limited
+// shuffle emit kept, in (key, value) order.
+func (ve *vecEmitter) close() error {
+	if err := ve.flush(); err != nil || ve.top == nil {
+		return err
+	}
+	for _, r := range ve.top.sorted() {
+		ve.count++
+		if err := ve.writer.Write(r.key, r.val); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // run applies ops[from:] to b and hands what survives to the terminal. A
@@ -240,6 +263,10 @@ func (ve *vecEmitter) terminal(b *col.Batch) error {
 			}
 			val = col.AppendRowEncoded(val, b, i)
 			ve.valBuf = val
+			if ve.top != nil {
+				ve.top.offer(ve.keyBuf, val)
+				continue
+			}
 			ve.count++
 			if err := ve.writer.Write(ve.keyBuf, val); err != nil {
 				return err
@@ -290,4 +317,53 @@ func (ve *vecEmitter) sendDeferred(ctx *runtime.Context) {
 			Payload:      plugin.MustEncode(PruneValues{Values: ve.deferred}),
 		})
 	}
+}
+
+// topK keeps the k smallest (key, value) records offered to it. Records
+// are buffered up to 2k, then sorted and cut back to k; once a cut has
+// happened, a record not below the k-th kept one is dropped on arrival.
+// Cut records' buffers are reused, so a warm topK does not allocate.
+type topK struct {
+	k    int
+	recs []kvRecord // recs[:n] are live
+	n    int
+	full bool // recs[k-1] is the k-th smallest record so far
+}
+
+type kvRecord struct{ key, val []byte }
+
+func compareRecords(a, b kvRecord) int {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.val, b.val)
+}
+
+// offer copies the record in if it may be among the k smallest.
+func (t *topK) offer(key, val []byte) {
+	if t.full && compareRecords(kvRecord{key, val}, t.recs[t.k-1]) >= 0 {
+		return
+	}
+	if t.n == len(t.recs) {
+		t.recs = append(t.recs, kvRecord{})
+	}
+	r := &t.recs[t.n]
+	r.key, r.val = append(r.key[:0], key...), append(r.val[:0], val...)
+	if t.n++; t.n == 2*t.k {
+		t.cut()
+	}
+}
+
+// cut sorts the live records and keeps the k smallest.
+func (t *topK) cut() {
+	slices.SortFunc(t.recs[:t.n], compareRecords)
+	if t.n >= t.k {
+		t.n, t.full = t.k, true
+	}
+}
+
+// sorted returns the kept records in ascending order.
+func (t *topK) sorted() []kvRecord {
+	t.cut()
+	return t.recs[:t.n]
 }
