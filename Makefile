@@ -11,14 +11,20 @@ vet:
 # lint: go vet, gofmt (any file it would rewrite fails the target), the
 # control-plane invariant (every lifecycle state change in internal/am must
 # flow through the internal/fsm transition tables — no raw `.state = ...`
-# assignments), and staticcheck when installed (skipped gracefully where it
-# is not; CI does not install it).
+# assignments), the value-format invariant (the row and key formats are
+# written only by internal/row: no other non-test Go writes a value kind
+# tag, `byte(row.Kind...)`, or the key's zero-byte escape, `0x00, 0xFF` —
+# it calls row's appenders), and staticcheck when installed (skipped
+# gracefully where it is not; CI does not install it).
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo 'lint: gofmt would rewrite:'; echo "$$unformatted"; exit 1; \
 	fi
 	@if grep -rnE '\.state[[:space:]]*=[^=]' internal/am --include='*.go'; then \
 		echo 'lint: raw lifecycle state assignment in internal/am (use the fsm tables)'; exit 1; \
+	fi
+	@if grep -rnE 'byte\(row\.Kind|0x00, 0xFF' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/row/'; then \
+		echo 'lint: value format written outside internal/row (use its appenders)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -84,8 +90,9 @@ profile:
 # (Parser.Expr, then Resolve), hive.Parse and pig.ParseScript: no panic, no
 # stack exhaustion — and the two row
 # decoders (row.Decode and col.Batch.AppendEncoded accept and refuse the
-# same inputs and read them alike) a brief
-# coverage-guided shake on every run (the checked-in corpus under
+# same inputs and read them alike) and the batch frame decoder
+# (col.DecodeBatch: a frame it accepts re-encodes to the same rows) a
+# brief coverage-guided shake on every run (the checked-in corpus under
 # testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s ./internal/library/
@@ -97,6 +104,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/hive/
 	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s ./internal/pig/
 	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s ./internal/col/
+	$(GO) test -run XXX -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/col/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and,

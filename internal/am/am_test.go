@@ -267,18 +267,21 @@ func TestDAGFailsAfterMaxAttempts(t *testing.T) {
 
 // sabotageReduce deletes the producer's shuffle data on the consumer's
 // first attempt, forcing the InputReadError → producer re-execution path.
-type sabotageReduce struct {
-	ctx *runtime.Context
-}
+// It does so in Initialize, which runs before the task's inputs start
+// fetching, so no fetch can get the data first.
+type sabotageReduce struct{}
 
-func (p *sabotageReduce) Initialize(ctx *runtime.Context) error { p.ctx = ctx; return nil }
-func (p *sabotageReduce) Run(in map[string]runtime.Input, out map[string]runtime.Output) error {
-	if p.ctx.Meta.Attempt == 0 {
+func (p *sabotageReduce) Initialize(ctx *runtime.Context) error {
+	if ctx.Meta.Attempt == 0 {
 		// Destroy all producer outputs, simulating intermediate data loss.
-		p.ctx.Services.Shuffle.Unregister(shuffle.OutputID{
-			DAG: p.ctx.Meta.DAG, Vertex: "producer", Name: "consumer", Task: 0, Attempt: 0,
+		ctx.Services.Shuffle.Unregister(shuffle.OutputID{
+			DAG: ctx.Meta.DAG, Vertex: "producer", Name: "consumer", Task: 0, Attempt: 0,
 		})
 	}
+	return nil
+}
+
+func (p *sabotageReduce) Run(in map[string]runtime.Input, out map[string]runtime.Output) error {
 	r, err := in["producer"].Reader()
 	if err != nil {
 		return err

@@ -286,8 +286,8 @@ type dagRun struct {
 	deadNodes map[string]bool
 
 	// lc is the run-level machine: DAGRunning until dEvSucceed / dEvFail /
-	// dEvKill moves it to its terminal status. The old `finished bool` is
-	// exactly lc.Terminal().
+	// dEvKill moves it to its terminal status. The run is finished exactly
+	// when lc.Terminal().
 	lc             *fsm.Machine[*dagRun, DAGStatus, dEvent]
 	started        time.Time
 	result         DAGResult
@@ -402,7 +402,7 @@ func (r *dagRun) loop() {
 	r.bootstrap()
 	// Drain the mailbox in batches: one lock round-trip per backlog, not
 	// per message. Messages left in the batch after a terminal transition
-	// are dropped, exactly as the old per-message loop left them queued.
+	// are never dispatched.
 	var batch []amMsg
 	for !r.isFinished() {
 		var ok bool

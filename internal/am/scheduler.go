@@ -36,10 +36,10 @@ type taskRequest struct {
 
 // amBucket is one priority's pending FIFO. Entries are addressed by a
 // stable absolute index (base + position), so a request records where it
-// sits and removal is an O(1) nil-tombstone instead of the old O(R) scan
-// — which ran once per allocation and made a 100k-task DAG O(R²). The
-// head cursor pops over tombstones; compaction slides the live tail down
-// (adjusting base so recorded slots stay valid) once the dead prefix
+// sits and removal is an O(1) nil-tombstone, never a scan: removal runs
+// once per allocation, so a scan would make a 100k-task DAG quadratic.
+// The head cursor pops over tombstones; compaction slides the live tail
+// down (adjusting base so recorded slots stay valid) once the dead prefix
 // dominates, bounding retained memory the same way mailbox does.
 type amBucket struct {
 	priority int
@@ -127,7 +127,7 @@ type scheduler struct {
 	idle []*pooledContainer
 	// pending holds waiting requests in per-priority FIFO buckets; prios
 	// keeps the bucket keys sorted ascending so takePendingLocked pops the
-	// most urgent request without the old per-release stable sort.
+	// most urgent request without sorting anything.
 	// livePending counts non-cancelled queued requests across all buckets.
 	pending     map[int]*amBucket
 	prios       []int
@@ -403,8 +403,8 @@ func (s *scheduler) pushPendingLocked(req *taskRequest) {
 }
 
 // takePendingLocked pops the most urgent live pending request: the first
-// non-tombstone entry of the lowest-priority non-empty bucket. FIFO within
-// a bucket preserves the old stable-sort arrival order.
+// non-tombstone entry of the lowest-priority non-empty bucket. Requests of
+// one priority leave in arrival order.
 func (s *scheduler) takePendingLocked() *taskRequest {
 	if s.livePending == 0 {
 		return nil

@@ -168,13 +168,6 @@ type Node struct {
 	shardIdx   int
 }
 
-// Available returns the node's free capacity.
-func (n *Node) Available() Resource {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.capacity.Sub(n.used)
-}
-
 // Live reports whether the node is up.
 func (n *Node) Live() bool {
 	n.mu.Lock()

@@ -3,21 +3,19 @@ package cluster
 import "time"
 
 // RM-owned request queues and the incrementally-maintained fairness
-// order. The old scheduler copied and stable-sorted every app's pending
-// slice on every pass (O(R log R) per grant) and stable-sorted the app
-// list by current allocation (another per-pass sort); at 100k outstanding
-// requests those sorts were the control plane's floor. Both orders are
-// now maintained incrementally:
+// order. No scheduling pass sorts anything — at 100k outstanding requests
+// a per-pass sort would be the control plane's floor — because both
+// orders are maintained as requests and allocations change:
 //
-//   - per app, requests live in per-priority FIFO buckets (arrival order
-//     within a priority == the old stable sort by Priority);
+//   - per app, requests live in per-priority FIFO buckets (by Priority,
+//     then arrival order);
 //   - apps live in a two-level tenant→app hierarchy: tenant groups are
 //     sorted by weighted allocation (allocMB/weight asc, creation seq
 //     asc) and each group's apps by (allocated memory asc, submission
 //     seq asc). Positions are repaired by local bubbles whenever an
 //     allocation changes. An app submitted without a tenant gets a
-//     private singleton group of weight 1, which makes the two-level
-//     order reduce exactly to the old flat most-starved-first order.
+//     private singleton group of weight 1, so with no tenants the order
+//     is a flat most-starved-first order over apps.
 //
 // Request lifecycle is an atomic state machine:
 //
@@ -28,11 +26,10 @@ import "time"
 // Staged requests belong to the application (a.mu); queued requests
 // belong to the RM (rm.mu). Cancel uses CAS so that a request can win
 // exactly one terminal transition — cancelled and allocated are mutually
-// exclusive by construction, where the old code could allocate a request
-// that was concurrently cancelled. missedNode/missedRack are only ever
-// touched under rm.mu after ingestion, fixing the old split-brain where
-// place() mutated them under rm.mu while the app compacted the same
-// request under a.mu.
+// exclusive by construction: a request concurrently cancelled is never
+// allocated. missedNode/missedRack are only ever touched under rm.mu after
+// ingestion, so place() and the app never touch one request's fields
+// under different locks.
 const (
 	reqStaged int32 = iota
 	reqQueued
@@ -111,7 +108,7 @@ func (rm *ResourceManager) settleLocked(req *ContainerRequest) {
 // tenantLess is the cross-tenant fairness order: smallest weighted
 // allocation (allocMB/weight, compared multiplicatively to stay in
 // integers) first, creation order as the stable tiebreak. With all
-// weights 1 this is exactly the old (allocMB, seq) order.
+// weights 1 this is the (allocMB, seq) order.
 func tenantLess(a, b *tenantGroup) bool {
 	wa, wb := a.allocMB*b.weight, b.allocMB*a.weight
 	if wa != wb {

@@ -31,8 +31,8 @@ type ResourceManager struct {
 	appOrder  []AppID // submission order
 	// schedTenants is the two-level fairness order: tenant groups sorted
 	// by weighted allocation, each holding its apps sorted by allocation.
-	// Untenanted apps ride in anonymous singleton groups, reducing the
-	// hierarchy to the old flat order. tenantCfg keeps named groups (and
+	// Untenanted apps ride in anonymous singleton groups, so with no
+	// tenants the order is flat over apps. tenantCfg keeps named groups (and
 	// their weight/quota) resolvable even while they have no apps.
 	schedTenants []*tenantGroup
 	tenantCfg    map[string]*tenantGroup
@@ -159,7 +159,7 @@ func (rm *ResourceManager) Submit(name string) *Application {
 
 // SubmitTenant registers a new application under the named tenant: the
 // app shares that tenant's weighted fair share and memory quota with its
-// other apps. An empty tenant means a private share (the old behaviour).
+// other apps. An empty tenant means a private share.
 // Unknown tenant names are materialised with weight 1 and no quota; use
 // SetTenant to configure them.
 func (rm *ResourceManager) SubmitTenant(name, tenant string) *Application {
@@ -447,8 +447,7 @@ func (rm *ResourceManager) schedulePass(order []*Application, grants []grant) ([
 	// Snapshot the fairness order — tenant groups by weighted allocation,
 	// apps within each group by allocation — flattened at pass start:
 	// grants made during the pass reposition apps and groups immediately,
-	// but (as with the old per-pass sort) the pass processes the order
-	// fixed at its start.
+	// but the pass processes the order fixed at its start.
 	order = order[:0]
 	for _, g := range rm.schedTenants {
 		order = append(order, g.apps...)
@@ -491,8 +490,8 @@ func (rm *ResourceManager) ingestLocked() {
 }
 
 // scheduleOneForLocked grants at most one container to app a, honouring
-// request priority order (bucket order, FIFO within a bucket — the old
-// stable sort), delay scheduling, and the tenant's memory quota: a grant
+// request priority order (bucket order, FIFO within a bucket), delay
+// scheduling, and the tenant's memory quota: a grant
 // that would push the tenant past its quota is withheld before placement
 // is even attempted, so delay-scheduling counters do not advance while
 // the tenant is quota-bound. Cancelled requests encountered during the
@@ -704,7 +703,7 @@ func (rm *ResourceManager) commitLocked(a *Application, req *ContainerRequest, n
 // share for at least PreemptionStarvation, the newest containers of the
 // most-over-share groups are killed with StopPreempted until shares
 // balance. Untenanted apps are their own singleton groups of weight 1,
-// so with no tenants configured this is the old per-app preemption.
+// so with no tenants configured preemption balances apps.
 // Called only from the RM loop goroutine; starvedSince needs no lock.
 func (rm *ResourceManager) maybePreempt() {
 	rm.mu.Lock()

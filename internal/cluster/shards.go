@@ -1,13 +1,12 @@
 package cluster
 
-// The rack-sharded node index. place() used to walk the full nodeList per
-// request — O(nodes) with a per-node mutex acquisition, the dominant cost
-// of a scheduling pass at 10k nodes. The index keeps one shard per rack
+// The rack-sharded node index. A placement never walks every node — at
+// 10k nodes that walk, with a per-node mutex acquisition, would be the
+// dominant cost of a scheduling pass. The index keeps one shard per rack
 // with nodes sorted by (free memory desc, NodeID asc); the head of a shard
 // is therefore both an O(1) "can anything here fit?" capacity bound and
 // the shard's argmax for the least-loaded placement policy. A whole-
-// cluster placement inspects one shard head per rack instead of every
-// node.
+// cluster placement inspects one shard head per rack.
 //
 // Everything in this file is guarded by rm.mu. The scheduler reads the
 // Node.schedAvail mirror, never n.used directly, so placement takes no
@@ -21,8 +20,8 @@ type rackShard struct {
 }
 
 // nodeLess is the shard sort order: most free memory first, NodeID as the
-// deterministic tiebreak — exactly the old linear scan's moreAvailable
-// argmax, so placement decisions are unchanged.
+// deterministic tiebreak, so a shard's first fitting node is the rack's
+// least-loaded one.
 func nodeLess(a, b *Node) bool {
 	if a.schedAvail.MemoryMB != b.schedAvail.MemoryMB {
 		return a.schedAvail.MemoryMB > b.schedAvail.MemoryMB

@@ -8,13 +8,16 @@
 // in a per-vector byte heap indexed by offsets, in the style of the
 // shuffle sort arena (library/arena.go).
 //
-// The package mirrors the row package's wire formats exactly
-// (AppendRowEncoded == row.Encode, AppendKeyEncoded == row.EncodeKey),
-// so the vectorized engine can produce byte-identical output to the
-// row-at-a-time engine.
+// The row and key formats belong to the row package: the encoders here
+// write them with row's appenders (AppendRowEncoded == row.Encode,
+// AppendKeyEncoded == row.EncodeKey), so the vectorized engine produces
+// byte-identical output to the row-at-a-time engine.
 package col
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 
 	"tez/internal/row"
@@ -245,59 +248,33 @@ func (v *Vector) NumAt(i int) (iv int64, fv float64, isInt, null bool) {
 // CompareAt orders row i of a against row j of b under row.Compare
 // semantics (null < numeric < string), without materializing values.
 func CompareAt(a *Vector, i int, b *Vector, j int) int {
-	ra, rb := a.rankAt(i), b.rankAt(j)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
+	ra := a.rankAt(i)
+	if c := cmp.Compare(ra, b.rankAt(j)); c != 0 {
+		return c
 	}
 	switch ra {
 	case 0:
 		return 0
 	case 2:
-		return bytesCompare(a.bytesView(i), b.bytesView(j))
+		return bytes.Compare(a.bytesView(i), b.bytesView(j))
 	}
-	// Numeric: exact int-int compare when both sides are integers.
 	ai, af, aInt, _ := a.NumAt(i)
 	bi, bf, bInt, _ := b.NumAt(j)
-	if aInt && bInt {
-		switch {
-		case ai < bi:
-			return -1
-		case ai > bi:
-			return 1
-		}
-		return 0
-	}
-	if aInt {
-		af = float64(ai)
-	}
-	if bInt {
-		bf = float64(bi)
-	}
-	switch {
-	case af < bf:
-		return -1
-	case af > bf:
-		return 1
-	}
-	return 0
+	return row.CompareNumeric(ai, af, aInt, bi, bf, bInt)
 }
 
+// rankAt is row i's row.Rank.
 func (v *Vector) rankAt(i int) int {
-	if v.IsNull(i) {
-		return 0
+	k := row.KindInt // every other typed kind is numeric
+	switch {
+	case v.IsNull(i):
+		k = row.KindNull
+	case v.kind == Bytes:
+		k = row.KindString
+	case v.kind == Any:
+		k = v.Vals[v.phys(i)].Kind
 	}
-	switch v.kind {
-	case Bytes:
-		return 2
-	case Any:
-		if v.Vals[v.phys(i)].Kind == row.KindString {
-			return 2
-		}
-	}
-	return 1
+	return row.Rank(k)
 }
 
 // bytesView returns the string payload at i without copying when
@@ -308,28 +285,6 @@ func (v *Vector) bytesView(i int) []byte {
 		return v.Heap[v.Offs[i]:v.Offs[i+1]]
 	}
 	return []byte(v.Vals[i].Str) // Any holding a string; rare path
-}
-
-func bytesCompare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
 }
 
 // --- construction -----------------------------------------------------
@@ -590,14 +545,9 @@ func (v *Vector) AppendValue(val row.Value) {
 			v.n++
 			return
 		}
-		v.AppendBytes(unsafeStringBytes(val.Str))
+		v.AppendBytes([]byte(val.Str))
 	}
 }
-
-// unsafeStringBytes would be the zero-copy view; we keep the safe copy —
-// AppendBytes copies into the heap immediately, so a plain conversion is
-// both safe and the only allocation-free option without unsafe.
-func unsafeStringBytes(s string) []byte { return []byte(s) }
 
 // AppendFrom appends row i of src (any kind, nulls preserved).
 func (v *Vector) AppendFrom(src *Vector, i int) {
@@ -717,13 +667,6 @@ func (b *Batch) EnsureWidth(w int) {
 // into column vectors (join fan-out construction).
 func (b *Batch) SetRowCount(n int) { b.n = n }
 
-// ReplaceCols swaps in a new column set, keeping row count and
-// selection (the project operator's output: same live rows, new shape).
-func (b *Batch) ReplaceCols(cols []Vector) {
-	b.cols = cols
-	b.width = len(cols)
-}
-
 // AppendRow appends a decoded row. Returns false (without appending) on
 // a width mismatch — the caller flushes and retries.
 func (b *Batch) AppendRow(r row.Row) bool {
@@ -743,28 +686,24 @@ func (b *Batch) AppendRow(r row.Row) bool {
 // AppendEncoded parses one row.Encode payload straight into the column
 // vectors, without materializing a row.Row. Returns (false, nil) on a
 // width mismatch; a corrupt payload rolls the batch back to its prior
-// row count and returns the error.
+// row count and returns the error. The header is checked by
+// row.DecodeHeader; the elements are parsed inline, per kind, because
+// this is the decode every scanned and shuffled row takes, and a refused
+// row's error is row.Decode's.
 func (b *Batch) AppendEncoded(buf []byte) (bool, error) {
-	cols, hdr := uvarint(buf)
-	if hdr <= 0 {
-		return false, fmt.Errorf("col: corrupt row header")
-	}
-	// Every column takes at least its kind byte: a header claiming more
-	// must not size the batch.
-	if cols > uint64(len(buf)-hdr) {
-		return false, fmt.Errorf("col: row header claims %d columns in %d bytes", cols, len(buf)-hdr)
+	cols, pos, err := row.DecodeHeader(buf)
+	if err != nil {
+		return false, err
 	}
 	if b.width < 0 {
-		b.setWidth(int(cols))
+		b.setWidth(cols)
 	}
-	if int(cols) != b.width {
+	if cols != b.width {
 		return false, nil
 	}
-	pos := hdr
 	for i := 0; i < b.width; i++ {
 		if pos >= len(buf) {
-			b.rollback()
-			return false, fmt.Errorf("col: truncated at col %d", i)
+			return false, b.refuse(buf)
 		}
 		kind := row.Kind(buf[pos])
 		pos++
@@ -773,40 +712,42 @@ func (b *Batch) AppendEncoded(buf []byte) (bool, error) {
 		case row.KindNull:
 			v.AppendNull()
 		case row.KindInt:
-			x, n := varint(buf[pos:])
+			x, n := binary.Varint(buf[pos:])
 			if n <= 0 {
-				b.rollback()
-				return false, fmt.Errorf("col: corrupt int at col %d", i)
+				return false, b.refuse(buf)
 			}
 			pos += n
 			v.AppendInt(x)
 		case row.KindFloat:
 			if pos+8 > len(buf) {
-				b.rollback()
-				return false, fmt.Errorf("col: truncated float at col %d", i)
+				return false, b.refuse(buf)
 			}
 			v.AppendFloat(beFloat(buf[pos:]))
 			pos += 8
 		case row.KindString:
-			l, n := uvarint(buf[pos:])
-			if n <= 0 {
-				b.rollback()
-				return false, fmt.Errorf("col: corrupt string at col %d", i)
+			l, n := binary.Uvarint(buf[pos:])
+			if n <= 0 || uint64(len(buf)-pos-n) < l {
+				return false, b.refuse(buf)
 			}
 			pos += n
-			if uint64(len(buf)-pos) < l {
-				b.rollback()
-				return false, fmt.Errorf("col: truncated string at col %d", i)
-			}
 			v.AppendBytes(buf[pos : pos+int(l)])
 			pos += int(l)
 		default:
-			b.rollback()
-			return false, fmt.Errorf("col: unknown value kind %d at col %d", kind, i)
+			return false, b.refuse(buf)
 		}
 	}
 	b.n++
 	return true, nil
+}
+
+// refuse rolls back the row the inline parse rejected and returns
+// row.Decode's reason for rejecting it.
+func (b *Batch) refuse(buf []byte) error {
+	b.rollback()
+	if _, err := row.Decode(buf); err != nil {
+		return err
+	}
+	return fmt.Errorf("col: row decoders disagree on %x", buf)
 }
 
 // rollback truncates every column to the batch's committed row count

@@ -122,7 +122,7 @@ func encodeCol(dst []byte, v *Vector, b *Batch, live int) []byte {
 		}
 	case Any:
 		for k := 0; k < live; k++ {
-			dst = appendBoxedEncoded(dst, v.Vals[v.phys(b.RowAt(k))])
+			dst = row.AppendValue(dst, v.Vals[v.phys(b.RowAt(k))])
 		}
 	}
 	return dst
@@ -281,11 +281,12 @@ func decodeCol(v *Vector, buf []byte, pos, rows int) (int, error) {
 		}
 		v.promote(Any)
 		for k := 0; k < rows; k++ {
-			var err error
-			pos, err = decodeBoxed(v, buf, pos)
+			val, n, err := row.DecodeValue(buf[pos:])
 			if err != nil {
-				return 0, fmt.Errorf("row %d: %w", k, err)
+				return 0, fmt.Errorf("col: boxed row %d: %w", k, err)
 			}
+			v.AppendValue(val)
+			pos += n
 		}
 	}
 	if v.n != rows {
@@ -294,42 +295,6 @@ func decodeCol(v *Vector, buf []byte, pos, rows int) (int, error) {
 	return pos, nil
 }
 
-func decodeBoxed(v *Vector, buf []byte, pos int) (int, error) {
-	if pos >= len(buf) {
-		return 0, fmt.Errorf("col: truncated boxed value")
-	}
-	kind := row.Kind(buf[pos])
-	pos++
-	switch kind {
-	case row.KindNull:
-		v.Vals = append(v.Vals, row.Null())
-	case row.KindInt:
-		x, n := binary.Varint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("col: corrupt boxed int")
-		}
-		pos += n
-		v.Vals = append(v.Vals, row.Int(x))
-	case row.KindFloat:
-		if pos+8 > len(buf) {
-			return 0, fmt.Errorf("col: truncated boxed float")
-		}
-		v.Vals = append(v.Vals, row.Float(beFloat(buf[pos:])))
-		pos += 8
-	case row.KindString:
-		l, n := binary.Uvarint(buf[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("col: corrupt boxed string")
-		}
-		pos += n
-		if uint64(len(buf)-pos) < l {
-			return 0, fmt.Errorf("col: truncated boxed string")
-		}
-		v.Vals = append(v.Vals, row.String(string(buf[pos:pos+int(l)])))
-		pos += int(l)
-	default:
-		return 0, fmt.Errorf("col: unknown boxed kind %d", kind)
-	}
-	v.n++
-	return pos, nil
+func beFloat(buf []byte) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(buf))
 }

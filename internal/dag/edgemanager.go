@@ -37,9 +37,6 @@ type EdgeManager interface {
 	// Route maps (srcTask, srcOutputIndex) to destination tasks and the
 	// physical input index at each destination.
 	Route(srcTask, srcOutputIndex int) map[int]int
-	// SourceTaskOfInput inverts Route for input-error handling: which
-	// source task produced the data arriving at (destTask, inputIndex).
-	SourceTaskOfInput(destTask, inputIndex int) int
 }
 
 // NewEdgeManager instantiates the manager for an edge property: a built-in
@@ -93,9 +90,6 @@ func (m *OneToOneEdgeManager) Route(srcTask, srcOutputIndex int) map[int]int {
 	return map[int]int{srcTask: 0}
 }
 
-// SourceTaskOfInput is the identity.
-func (m *OneToOneEdgeManager) SourceTaskOfInput(destTask, _ int) int { return destTask }
-
 // BroadcastEdgeManager sends each source task's single output to every
 // destination task; destination input index i carries source task i.
 type BroadcastEdgeManager struct{ ctx EdgeContext }
@@ -116,9 +110,6 @@ func (m *BroadcastEdgeManager) Route(srcTask, srcOutputIndex int) map[int]int {
 	}
 	return out
 }
-
-// SourceTaskOfInput: input index == source task.
-func (m *BroadcastEdgeManager) SourceTaskOfInput(_, inputIndex int) int { return inputIndex }
 
 // ScatterGatherEdgeManager implements the shuffle pattern. Every source
 // task produces BasePartitions physical outputs (partitions). Destination
@@ -191,9 +182,4 @@ func (m *ScatterGatherEdgeManager) Route(srcTask, srcOutputIndex int) map[int]in
 	start, _ := m.partitionRange(d)
 	j := srcOutputIndex - start
 	return map[int]int{d: j*m.ctx.SrcParallelism + srcTask}
-}
-
-// SourceTaskOfInput inverts the partition-major layout.
-func (m *ScatterGatherEdgeManager) SourceTaskOfInput(_, inputIndex int) int {
-	return inputIndex % m.ctx.SrcParallelism
 }

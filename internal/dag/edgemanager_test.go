@@ -10,8 +10,9 @@ import (
 //     indices within the destination's physical input count;
 //  2. the physical inputs of every destination task are covered exactly
 //     once across all routed outputs (a bijection);
-//  3. SourceTaskOfInput agrees with Route.
-func checkRoutingInvariants(t *testing.T, m EdgeManager, srcN, destN int) {
+//  3. Route, inverted, feeds input idx of dest d from source(d, idx): the
+//     input layout the manager documents.
+func checkRoutingInvariants(t *testing.T, m EdgeManager, srcN, destN int, source func(d, idx int) int) {
 	t.Helper()
 	covered := make([]map[int]bool, destN)
 	for d := 0; d < destN; d++ {
@@ -32,8 +33,8 @@ func checkRoutingInvariants(t *testing.T, m EdgeManager, srcN, destN int) {
 					t.Fatalf("dest %d input %d covered twice", d, idx)
 				}
 				covered[d][idx] = true
-				if got := m.SourceTaskOfInput(d, idx); got != s {
-					t.Fatalf("SourceTaskOfInput(%d,%d) = %d, want %d", d, idx, got, s)
+				if want := source(d, idx); want != s {
+					t.Fatalf("dest %d input %d comes from source %d, want %d", d, idx, s, want)
 				}
 			}
 		}
@@ -51,7 +52,7 @@ func TestOneToOneRouting(t *testing.T) {
 	if err := m.Initialize(EdgeContext{SrcParallelism: 5, DestParallelism: 5}); err != nil {
 		t.Fatal(err)
 	}
-	checkRoutingInvariants(t, m, 5, 5)
+	checkRoutingInvariants(t, m, 5, 5, func(d, _ int) int { return d })
 	if err := (&OneToOneEdgeManager{}).Initialize(EdgeContext{SrcParallelism: 2, DestParallelism: 3}); err == nil {
 		t.Fatal("mismatched one-to-one accepted")
 	}
@@ -62,7 +63,7 @@ func TestBroadcastRouting(t *testing.T) {
 	if err := m.Initialize(EdgeContext{SrcParallelism: 3, DestParallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
-	checkRoutingInvariants(t, m, 3, 4)
+	checkRoutingInvariants(t, m, 3, 4, func(_, idx int) int { return idx })
 	r := m.Route(1, 0)
 	if len(r) != 4 {
 		t.Fatalf("broadcast reached %d dests", len(r))
@@ -80,7 +81,7 @@ func TestScatterGatherIdentity(t *testing.T) {
 	if err := m.Initialize(EdgeContext{SrcParallelism: 4, DestParallelism: 3, BasePartitions: 3}); err != nil {
 		t.Fatal(err)
 	}
-	checkRoutingInvariants(t, m, 4, 3)
+	checkRoutingInvariants(t, m, 4, 3, func(_, idx int) int { return idx % 4 })
 	// Partition p of any src goes to dest p.
 	for s := 0; s < 4; s++ {
 		for p := 0; p < 3; p++ {
@@ -103,7 +104,7 @@ func TestScatterGatherAutoReduceGrouping(t *testing.T) {
 	if err := m.Initialize(EdgeContext{SrcParallelism: 2, DestParallelism: 3, BasePartitions: 10}); err != nil {
 		t.Fatal(err)
 	}
-	checkRoutingInvariants(t, m, 2, 3)
+	checkRoutingInvariants(t, m, 2, 3, func(_, idx int) int { return idx % 2 })
 	// 10 partitions over 3 tasks → 4,3,3; inputs = parts*src.
 	wantInputs := []int{8, 6, 6}
 	for d, want := range wantInputs {
@@ -169,7 +170,7 @@ func TestQuickScatterGatherInvariants(t *testing.T) {
 						}
 						covered[key] = true
 						total++
-						if m.SourceTaskOfInput(d, idx) != s {
+						if idx%src != s { // partition-major: input idx comes from source idx % src
 							ok = false
 							return
 						}

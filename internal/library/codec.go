@@ -135,13 +135,3 @@ func (r *BufferReader) Err() error { return r.err }
 func NewPaddedReader(data []byte) *BufferReader {
 	return &BufferReader{buf: data, padded: true}
 }
-
-// CountRecords counts records in an encoded buffer.
-func CountRecords(buf []byte) (int, error) {
-	r := NewBufferReader(buf)
-	n := 0
-	for r.Next() {
-		n++
-	}
-	return n, r.Err()
-}

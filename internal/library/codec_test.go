@@ -62,9 +62,19 @@ func TestBufferReaderStream(t *testing.T) {
 	if r.Err() != nil || n != 100 {
 		t.Fatalf("n=%d err=%v", n, r.Err())
 	}
-	if cnt, err := CountRecords(buf); err != nil || cnt != 100 {
-		t.Fatalf("CountRecords = %d, %v", cnt, err)
+	if cnt, err := countRecords(buf); err != nil || cnt != 100 {
+		t.Fatalf("countRecords = %d, %v", cnt, err)
 	}
+}
+
+// countRecords counts the records an unpadded reader reads from buf.
+func countRecords(buf []byte) (int, error) {
+	r := NewBufferReader(buf)
+	n := 0
+	for r.Next() {
+		n++
+	}
+	return n, r.Err()
 }
 
 // padRecords lays records out as a record file does: pad[i] zero bytes
@@ -114,7 +124,7 @@ func TestPaddedReaderSkipsPaddingInPlace(t *testing.T) {
 		t.Fatalf("key %q does not alias the buffer", r.Key())
 	}
 	// An unpadded reader still ends at the first padding byte.
-	if n, err := CountRecords(padRecords(pairs, []int{0, 4})); err != nil || n != 1 {
+	if n, err := countRecords(padRecords(pairs, []int{0, 4})); err != nil || n != 1 {
 		t.Fatalf("unpadded reader over padding: %d records, err %v", n, err)
 	}
 	// All padding, and nothing at all.

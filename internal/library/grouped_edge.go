@@ -111,11 +111,6 @@ func (m *GroupedShuffleEdgeManager) Route(srcTask, srcOutputIndex int) map[int]i
 	return map[int]int{t: slot*m.ctx.SrcParallelism + srcTask}
 }
 
-// SourceTaskOfInput inverts the partition-major layout.
-func (m *GroupedShuffleEdgeManager) SourceTaskOfInput(_, inputIndex int) int {
-	return inputIndex % m.ctx.SrcParallelism
-}
-
 // PackPartitions greedily groups partitions so every group's total size
 // stays near targetBytes: the "which subsets of data shards to join with
 // each other" decision of the dynamically partitioned hash join. Oversized

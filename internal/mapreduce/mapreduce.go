@@ -70,19 +70,25 @@ func RunOnTez(sess *am.Session, j JobConf) (am.DAGResult, error) {
 	return sess.Run(d)
 }
 
-// RunClassic executes the job in the pre-Tez mode: a dedicated AM, no
-// container reuse, no runtime parallelism changes.
+// Classic returns cfg under the pre-Tez execution model, whatever the
+// caller set: no container reuse, no pre-warmed containers, and reduce
+// parallelism fixed as submitted. Its callers run each job in an AM of
+// its own — the rest of that model.
+func Classic(cfg am.Config) am.Config {
+	cfg.DisableContainerReuse = true
+	cfg.DisableAutoParallelism = true
+	cfg.PrewarmContainers = 0
+	return cfg
+}
+
+// RunClassic executes the job in the pre-Tez mode: a dedicated AM under
+// Classic.
 func RunClassic(plat *platform.Platform, j JobConf) (am.DAGResult, error) {
 	d, err := BuildDAG(j)
 	if err != nil {
 		return am.DAGResult{}, err
 	}
-	cfg := am.Config{
-		Name:                   "mr-" + j.Name,
-		DisableContainerReuse:  true,
-		DisableAutoParallelism: true,
-	}
-	return am.RunDAG(plat, cfg, d)
+	return am.RunDAG(plat, Classic(am.Config{Name: "mr-" + j.Name}), d)
 }
 
 // RunChainOnTez runs a workflow of jobs in one shared session — what the

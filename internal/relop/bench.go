@@ -36,15 +36,19 @@ func RunEmitBench(spec EmitSpec, tables map[string]map[string][]row.Row, widths 
 	return ve.count, nil
 }
 
-// RunAggBench runs the grouped-aggregation kernel over one group's
-// encoded values in chunks of batchSize (> 0) and hands emit the group's
-// output row.
+// RunAggBench folds one group's encoded values through the grouped
+// aggregate an agg stage runs, in batches of batchSize (> 0), and hands
+// emit the group's output row (none when there are no values).
 func RunAggBench(g *GroupOp, values [][]byte, batchSize int, emit func(row.Row) error) error {
 	if batchSize <= 0 {
 		return fmt.Errorf("relop: batch size %d, want > 0", batchSize)
 	}
 	ve := newVecEmitter(EmitSpec{Kind: EmitSink, Tag: -1}, decodingWriter(emit), nil, batchSize)
-	if err := aggGroupVec(g, values, batchSize, &aggScratch{}, []*vecEmitter{ve}); err != nil {
+	f := newGroupFold(g, batchSize, []*vecEmitter{ve})
+	if err := f.addGroup(values); err != nil {
+		return err
+	}
+	if err := f.close(); err != nil {
 		return err
 	}
 	return ve.flush()

@@ -57,12 +57,6 @@ func loadStageSpec(ctx *runtime.Context) (*StageSpec, error) {
 
 func (p *stageProcessor) Close() error { return nil }
 
-func flipBytes(b []byte) {
-	for i := range b {
-		b[i] = ^b[i]
-	}
-}
-
 // sampled keeps a deterministic share of rows: FNV-1a over the row's
 // wire encoding, so every attempt of a task samples the same rows.
 func sampled(encoded []byte, rate float64) bool {
@@ -250,7 +244,7 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 // op boxes a row: sort and distinct hand the encoded value to the emitters
 // as runStream does, a join writes its product column to column from
 // per-side segments (into its aggregate, when it carries one), and an
-// aggregate writes its key columns and typed results.
+// aggregate folds its groups' values through a groupFold.
 func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters []*vecEmitter) error {
 	g := p.spec.Group
 	if g == nil {
@@ -265,7 +259,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 	}
 
 	var join joinGroups
-	var agg aggScratch
+	agg := newGroupFold(g, DefaultBatchSize, bound)
 	emitted := 0
 	for gr.Next() {
 		values := gr.Values()
@@ -275,7 +269,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 				return err
 			}
 		case "agg":
-			if err := aggGroupVec(g, values, DefaultBatchSize, &agg, bound); err != nil {
+			if err := agg.addGroup(values); err != nil {
 				return err
 			}
 		case "sort":
@@ -297,6 +291,9 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters 
 		}
 	}
 	if err := gr.Err(); err != nil {
+		return err
+	}
+	if err := agg.close(); err != nil {
 		return err
 	}
 	return join.close()
@@ -321,7 +318,7 @@ type joinGroups struct {
 	cur   []joinCursor // the product row being written: one row per side
 	// agg takes the product instead of the emitters when the group op
 	// carries an aggregate; it batches size rows (0: DefaultBatchSize).
-	agg  *joinAgg
+	agg  *groupFold
 	size int
 }
 
@@ -395,7 +392,7 @@ func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
 			if size <= 0 {
 				size = DefaultBatchSize
 			}
-			j.agg = &joinAgg{g: g, size: size, in: col.NewBatch()}
+			j.agg = newGroupFold(g, size, ems)
 		}
 		j.agg.ems = ems
 		j.agg.startGroup()

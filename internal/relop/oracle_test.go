@@ -206,7 +206,7 @@ func (e *emitter) shuffleKey(r row.Row) []byte {
 		start := len(key)
 		key = row.EncodeKey(key, kx.Eval(r))
 		if i < len(e.spec.Desc) && e.spec.Desc[i] {
-			flipBytes(key[start:])
+			row.FlipKey(key[start:])
 		}
 	}
 	e.keyScratch = key

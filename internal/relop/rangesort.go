@@ -74,21 +74,6 @@ func CopyPlan(n *Node) *Node {
 	return &cp
 }
 
-// SampleRateFor picks a sampling rate that yields ~targetSamples rows.
-func SampleRateFor(totalRows int64, targetSamples int) float64 {
-	if totalRows <= 0 {
-		return 1
-	}
-	r := float64(targetSamples) / float64(totalRows)
-	if r > 1 {
-		return 1
-	}
-	if r < 0.001 {
-		r = 0.001
-	}
-	return r
-}
-
 // buildSampler compiles an independent copy of `src` that emits a sampled
 // key stream into a 1-task histogram stage, which forwards the sorted
 // sample to targets as VertexManagerEvents.
@@ -282,7 +267,7 @@ func (m *rangePartitionVM) OnVertexManagerEvent(ev event.VertexManagerEvent) {
 	for _, v := range pv.Values {
 		k := row.EncodeKey(nil, v)
 		if m.cfg.Desc {
-			k = row.DescendingKey(k)
+			row.FlipKey(k)
 		}
 		keys = append(keys, k)
 	}

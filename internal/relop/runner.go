@@ -8,6 +8,7 @@ import (
 	"tez/internal/dag"
 	"tez/internal/dfs"
 	"tez/internal/library"
+	"tez/internal/mapreduce"
 	"tez/internal/platform"
 	"tez/internal/plugin"
 	"tez/internal/row"
@@ -58,17 +59,14 @@ type MRStats struct {
 }
 
 // RunMR compiles the plan to an MR job chain and executes it: one fresh
-// AM per job (no cross-job container reuse), fixed reduce parallelism, all
-// intermediate data through the DFS — the pre-Tez execution model.
+// AM per job under mapreduce.Classic, all intermediate data through the
+// DFS — the pre-Tez execution model.
 func RunMR(plat *platform.Platform, amCfg am.Config, cfg Config, name string, roots []*Node) (MRStats, error) {
 	jobs, tempRoot, err := CompileMR(cfg, name, roots)
 	if err != nil {
 		return MRStats{}, err
 	}
-	// Enforce the MR execution model regardless of caller config.
-	amCfg.DisableContainerReuse = true
-	amCfg.DisableAutoParallelism = true
-	amCfg.PrewarmContainers = 0
+	amCfg = mapreduce.Classic(amCfg)
 
 	var stats MRStats
 	start := time.Now()

@@ -37,66 +37,192 @@ var aggNeeds = map[string]aggNeed{
 	"count": {},
 }
 
-// aggScratch is one group's aggregation storage, reused from group to
-// group. The rows it folds are laid out [group..., args...]: the first
-// GroupWidth columns are the key, aggregate i reads column Aggs[i].Col.
-type aggScratch struct {
-	chunk  *col.Batch // aggGroupVec: the group's values, batchSize rows at a time
-	key    *col.Batch // the group key columns, copied from its first row
+// groupFold folds every sorted-group aggregate: an agg stage's
+// groups and a join's product aggregated in the join's task (a join
+// GroupOp with AggInput, whose join groups are the aggregate groups) both
+// run through it. Rows arrive group by group — startGroup makes the next
+// row a group's first — either encoded (addEncoded, an agg stage's
+// values) or column by column (beginRow/endRow, a join's product rows).
+// They accumulate in one batch across groups; a flush projects the batch
+// by AggInput, if the op has one, to rows laid out [group..., args...]
+// (the first GroupWidth columns are the key, aggregate i reads column
+// Aggs[i].Col) and folds each group's run of rows into that group's
+// states with observeChunk. A group may start mid-batch and continue past
+// a flush; its result row is written when the next group starts or the
+// rows end.
+type groupFold struct {
+	g       *GroupOp
+	size    int
+	ems     []*vecEmitter
+	in      *col.Batch
+	starts  []int // rows of in at which a group starts
+	pending bool  // a group has started and has no row yet
+	vecs    []col.Vector
+	// The open group, reused from group to group: its key columns, copied
+	// from its first row, and one state per aggregate. open says whether
+	// its row is unwritten.
+	open   bool
+	key    *col.Batch
 	states []aggState
 	needs  []aggNeed
 }
 
-// begin readies the scratch for a new group.
-func (s *aggScratch) begin(g *GroupOp) error {
-	if s.key == nil {
-		s.chunk, s.key = col.NewBatch(), col.NewBatch()
-	}
-	s.states, s.needs = s.states[:0], s.needs[:0]
-	for _, a := range g.Aggs {
-		need, ok := aggNeeds[a.Func]
-		if !ok {
-			return fmt.Errorf("relop: unknown aggregate %q", a.Func)
+// newGroupFold folds g's groups in batches of size rows into ems.
+func newGroupFold(g *GroupOp, size int, ems []*vecEmitter) *groupFold {
+	return &groupFold{g: g, size: size, ems: ems, in: col.NewBatch(), key: col.NewBatch()}
+}
+
+// startGroup makes the next row the first of a new group.
+func (f *groupFold) startGroup() { f.pending = true }
+
+// addGroup folds one group of encoded rows.
+func (f *groupFold) addGroup(values [][]byte) error {
+	f.startGroup()
+	for _, v := range values {
+		if err := f.addEncoded(v); err != nil {
+			return err
 		}
-		s.states = append(s.states, aggState{})
-		s.needs = append(s.needs, need)
 	}
 	return nil
 }
 
-// setKey copies the first w columns of b's row i as the group key.
-func (s *aggScratch) setKey(b *col.Batch, i, w int) {
-	s.key.Reset()
-	s.key.EnsureWidth(w)
-	for c := 0; c < w; c++ {
-		s.key.Col(c).AppendFrom(b.Col(c), i)
+// addEncoded parses one encoded row into the batch, flushing first on a
+// width change.
+func (f *groupFold) addEncoded(v []byte) error {
+	ok, err := f.in.AppendEncoded(v)
+	if err == nil && !ok {
+		if err = f.flush(); err == nil {
+			_, err = f.in.AppendEncoded(v) // an empty batch takes any width
+		}
 	}
+	if err != nil {
+		return err
+	}
+	return f.added()
 }
 
-// observe folds rows [lo, hi) of b into the group's states. An
+// beginRow readies the batch for one width-w row, flushing first on a
+// width change; endRow commits it.
+func (f *groupFold) beginRow(w int) (*col.Batch, error) {
+	if f.in.Len() > 0 && f.in.Width() != w {
+		if err := f.flush(); err != nil {
+			return nil, err
+		}
+	}
+	f.in.EnsureWidth(w)
+	return f.in, nil
+}
+
+func (f *groupFold) endRow() error {
+	f.in.SetRowCount(f.in.Len() + 1)
+	return f.added()
+}
+
+// added records a row just appended: the first of its group if one is
+// pending. A full batch flushes.
+func (f *groupFold) added() error {
+	if f.pending {
+		f.starts = append(f.starts, f.in.Len()-1)
+		f.pending = false
+	}
+	if f.in.Len() >= f.size {
+		return f.flush()
+	}
+	return nil
+}
+
+// flush folds the batched rows group by group.
+func (f *groupFold) flush() error {
+	n := f.in.Len()
+	if n == 0 {
+		return nil
+	}
+	b := f.in
+	if f.g.AggInput != nil {
+		f.vecs = f.vecs[:0]
+		for _, e := range f.g.AggInput {
+			f.vecs = append(f.vecs, evalVec(e, f.in))
+		}
+		b = col.FromVectors(n, nil, f.vecs)
+	}
+	lo := 0
+	for k := 0; k <= len(f.starts); k++ {
+		hi := n
+		if k < len(f.starts) {
+			hi = f.starts[k]
+		}
+		if hi > lo {
+			f.observe(b, lo, hi)
+			lo = hi
+		}
+		if k == len(f.starts) {
+			break
+		}
+		if err := f.finishGroup(); err != nil {
+			return err
+		}
+		if err := f.openGroup(b, hi); err != nil {
+			return err
+		}
+	}
+	f.in.Reset()
+	f.starts = f.starts[:0]
+	return nil
+}
+
+// openGroup starts the group whose first row is b's row i: fresh states,
+// and the key copied from that row.
+func (f *groupFold) openGroup(b *col.Batch, i int) error {
+	w := f.g.GroupWidth
+	if b.Width() < w {
+		return fmt.Errorf("relop: %d-column row under a %d-column group key", b.Width(), w)
+	}
+	f.states, f.needs = f.states[:0], f.needs[:0]
+	for _, a := range f.g.Aggs {
+		need, ok := aggNeeds[a.Func]
+		if !ok {
+			return fmt.Errorf("relop: unknown aggregate %q", a.Func)
+		}
+		f.states = append(f.states, aggState{})
+		f.needs = append(f.needs, need)
+	}
+	f.key.Reset()
+	f.key.EnsureWidth(w)
+	for c := 0; c < w; c++ {
+		f.key.Col(c).AppendFrom(b.Col(c), i)
+	}
+	f.open = true
+	return nil
+}
+
+// observe folds rows [lo, hi) of b into the open group's states. An
 // out-of-range column is all-null: it adds nothing.
-func (s *aggScratch) observe(g *GroupOp, b *col.Batch, lo, hi int) {
-	for i := range g.Aggs {
-		if c := g.Aggs[i].Col; c >= 0 && c < b.Width() {
-			observeChunk(&s.states[i], b.Col(c), lo, hi, s.needs[i])
+func (f *groupFold) observe(b *col.Batch, lo, hi int) {
+	for i := range f.g.Aggs {
+		if c := f.g.Aggs[i].Col; c >= 0 && c < b.Width() {
+			observeChunk(&f.states[i], b.Col(c), lo, hi, f.needs[i])
 		}
 	}
 }
 
-// write appends the group's result row — its keyWidth key columns, then
-// the typed results — to every emitter: the one result writer of both
-// aggregate paths (aggGroupVec and joinAgg).
-func (s *aggScratch) write(g *GroupOp, keyWidth int, ems []*vecEmitter) error {
-	for _, em := range ems {
-		b, err := em.beginRow(keyWidth + len(g.Aggs))
+// finishGroup appends the open group's result row — its key columns, then
+// the typed results — to every emitter.
+func (f *groupFold) finishGroup() error {
+	if !f.open {
+		return nil
+	}
+	f.open = false
+	keyWidth := f.g.GroupWidth
+	for _, em := range f.ems {
+		b, err := em.beginRow(keyWidth + len(f.g.Aggs))
 		if err != nil {
 			return err
 		}
 		for c := 0; c < keyWidth; c++ {
-			b.Col(c).AppendFrom(s.key.Col(c), 0)
+			b.Col(c).AppendFrom(f.key.Col(c), 0)
 		}
-		for i, a := range g.Aggs {
-			v, st := b.Col(keyWidth+i), &s.states[i]
+		for i, a := range f.g.Aggs {
+			v, st := b.Col(keyWidth+i), &f.states[i]
 			switch {
 			case a.Func == "count":
 				v.AppendInt(st.count)
@@ -119,157 +245,8 @@ func (s *aggScratch) write(g *GroupOp, keyWidth int, ems []*vecEmitter) error {
 	return nil
 }
 
-// aggGroupVec computes one group's aggregates batch-at-a-time: the
-// encoded values are parsed straight into a chunk batch, typed column
-// kernels update the group's aggStates, and every emitter gets the key
-// columns followed by the typed results.
-func aggGroupVec(g *GroupOp, values [][]byte, batchSize int, s *aggScratch, ems []*vecEmitter) error {
-	if err := s.begin(g); err != nil {
-		return err
-	}
-	chunk := s.chunk // empty: the last group's final flush reset it
-	keyWidth := -1   // fixed by the first chunk
-	flush := func() error {
-		n := chunk.Len()
-		if n == 0 {
-			return nil
-		}
-		if keyWidth < 0 {
-			if w := chunk.Width(); w < g.GroupWidth {
-				return fmt.Errorf("relop: %d-column row under a %d-column group key", w, g.GroupWidth)
-			}
-			keyWidth = g.GroupWidth
-			s.setKey(chunk, 0, keyWidth)
-		}
-		s.observe(g, chunk, 0, n)
-		chunk.Reset()
-		return nil
-	}
-	for _, v := range values {
-		ok, err := chunk.AppendEncoded(v)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// Width change mid-group: aggregate the chunk so far, then
-			// restart with the new shape.
-			if err := flush(); err != nil {
-				return err
-			}
-			if _, err = chunk.AppendEncoded(v); err != nil {
-				return err
-			}
-		}
-		if chunk.Len() >= batchSize {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	if keyWidth < 0 {
-		keyWidth = 0 // no values: the aggregates alone
-	}
-	return s.write(g, keyWidth, ems)
-}
-
-// joinAgg aggregates a join's product in the join's task (a join GroupOp
-// with AggInput). The join groups are the aggregate groups, so a group's
-// rows arrive together, in product order. Product rows accumulate in one
-// batch across groups; a flush projects the batch by AggInput and folds
-// each group's run of rows into that group's states as aggGroupVec folds
-// a chunk. A group may start mid-batch and continue past a flush; its
-// result row is written when the next group starts or the rows end.
-type joinAgg struct {
-	g       *GroupOp
-	size    int
-	ems     []*vecEmitter
-	in      *col.Batch
-	starts  []int // rows of in at which a group starts
-	pending bool  // a group has started and has no row yet
-	open    bool  // s holds a group whose row is unwritten
-	s       aggScratch
-	vecs    []col.Vector
-}
-
-// startGroup makes the next row the first of a new group.
-func (f *joinAgg) startGroup() { f.pending = true }
-
-// beginRow readies the batch for one width-w product row, flushing first
-// on a width change; endRow commits it.
-func (f *joinAgg) beginRow(w int) (*col.Batch, error) {
-	if f.in.Len() > 0 && f.in.Width() != w {
-		if err := f.flush(); err != nil {
-			return nil, err
-		}
-	}
-	f.in.EnsureWidth(w)
-	if f.pending {
-		f.starts = append(f.starts, f.in.Len())
-		f.pending = false
-	}
-	return f.in, nil
-}
-
-func (f *joinAgg) endRow() error {
-	f.in.SetRowCount(f.in.Len() + 1)
-	if f.in.Len() >= f.size {
-		return f.flush()
-	}
-	return nil
-}
-
-// flush folds the batched rows group by group.
-func (f *joinAgg) flush() error {
-	n := f.in.Len()
-	if n == 0 {
-		return nil
-	}
-	f.vecs = f.vecs[:0]
-	for _, e := range f.g.AggInput {
-		f.vecs = append(f.vecs, evalVec(e, f.in))
-	}
-	b := col.FromVectors(n, nil, f.vecs)
-	lo := 0
-	for k := 0; k <= len(f.starts); k++ {
-		hi := n
-		if k < len(f.starts) {
-			hi = f.starts[k]
-		}
-		if hi > lo {
-			f.s.observe(f.g, b, lo, hi)
-			lo = hi
-		}
-		if k == len(f.starts) {
-			break
-		}
-		if err := f.finishGroup(); err != nil {
-			return err
-		}
-		if err := f.s.begin(f.g); err != nil {
-			return err
-		}
-		f.s.setKey(b, hi, f.g.GroupWidth)
-		f.open = true
-	}
-	f.in.Reset()
-	f.starts = f.starts[:0]
-	return nil
-}
-
-// finishGroup writes the open group's row.
-func (f *joinAgg) finishGroup() error {
-	if !f.open {
-		return nil
-	}
-	f.open = false
-	return f.s.write(f.g, f.g.GroupWidth, f.ems)
-}
-
 // close folds the batched rows and writes the last group's row.
-func (f *joinAgg) close() error {
+func (f *groupFold) close() error {
 	if err := f.flush(); err != nil {
 		return err
 	}

@@ -295,12 +295,16 @@ func sameRecords(t *testing.T, what string, want, got []capturedKV) {
 	}
 }
 
+// TestVecAggIdentityRandom byte-compares the agg stage's fold with the
+// oracle's aggGroup over random groups: several groups a trial folded at
+// batch sizes 1–8, so groups start mid-batch and span flushes, and rows
+// whose width changes mid-group (never below the group key). Float sums
+// are compared bit for bit: both fold in value order.
 func TestVecAggIdentityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	funcs := []string{"sum", "count", "min", "max", "avg"}
-	// One scratch and one emitter for every trial: both are reused from
-	// group to group in a task.
-	var agg aggScratch
+	// One emitter for every trial: it is reused from group to group in a
+	// task.
 	em, vecW := sinkEmitter(3)
 	for trial := 0; trial < 150; trial++ {
 		gw := rng.Intn(3)
@@ -313,25 +317,30 @@ func TestVecAggIdentityRandom(t *testing.T) {
 				Col:  rng.Intn(width+2) - 1, // may be out of range
 			})
 		}
-		var values [][]byte
-		for i := 0; i < 1+rng.Intn(200); i++ {
-			w := width
-			if rng.Intn(50) == 0 && gw == 0 {
-				w = 1 + rng.Intn(4) // width drift (only safe with no group key)
-			}
-			values = append(values, row.Encode(nil, randVecRow(rng, w)))
-		}
 		var rowOut []capturedKV
-		p := &stageProcessor{}
-		if err := p.aggGroup(g, values, func(r row.Row) error {
-			rowOut = append(rowOut, capturedKV{val: row.Encode(nil, r)})
-			return nil
-		}); err != nil {
-			t.Fatalf("trial %d row agg: %v", trial, err)
-		}
 		vecW.kvs = nil
-		batchSize := 1 + rng.Intn(32)
-		if err := aggGroupVec(g, values, batchSize, &agg, []*vecEmitter{em}); err != nil {
+		fold := newGroupFold(g, 1+rng.Intn(8), []*vecEmitter{em})
+		p := &stageProcessor{}
+		for grp := 1 + rng.Intn(6); grp > 0; grp-- {
+			var values [][]byte
+			for i := 0; i < 1+rng.Intn(40); i++ {
+				w := width
+				if rng.Intn(10) == 0 {
+					w = max(1, gw+rng.Intn(4)) // width drift, never under the key
+				}
+				values = append(values, row.Encode(nil, randVecRow(rng, w)))
+			}
+			if err := p.aggGroup(g, values, func(r row.Row) error {
+				rowOut = append(rowOut, capturedKV{val: row.Encode(nil, r)})
+				return nil
+			}); err != nil {
+				t.Fatalf("trial %d row agg: %v", trial, err)
+			}
+			if err := fold.addGroup(values); err != nil {
+				t.Fatalf("trial %d vec agg: %v", trial, err)
+			}
+		}
+		if err := fold.close(); err != nil {
 			t.Fatalf("trial %d vec agg: %v", trial, err)
 		}
 		if err := em.flush(); err != nil {
@@ -353,7 +362,11 @@ func TestVecAggAllNullColumn(t *testing.T) {
 		values = append(values, row.Encode(nil, row.Row{row.Int(7), row.Null()}))
 	}
 	em, w := sinkEmitter(DefaultBatchSize)
-	if err := aggGroupVec(g, values, 4, &aggScratch{}, []*vecEmitter{em}); err != nil {
+	fold := newGroupFold(g, 4, []*vecEmitter{em})
+	if err := fold.addGroup(values); err != nil {
+		t.Fatal(err)
+	}
+	if err := fold.close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := em.flush(); err != nil {

@@ -171,7 +171,7 @@ func appendKey(dst []byte, keys []col.Vector, i int, desc []bool) []byte {
 		start := len(dst)
 		dst = col.AppendKeyEncoded(dst, &keys[j], i)
 		if j < len(desc) && desc[j] {
-			flipBytes(dst[start:])
+			row.FlipKey(dst[start:])
 		}
 	}
 	return dst

@@ -5,7 +5,9 @@
 package row
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -90,40 +92,21 @@ func (v Value) String() string {
 
 // Compare orders values: null < int/float (numeric order) < string.
 func Compare(a, b Value) int {
-	ra, rb := rank(a.Kind), rank(b.Kind)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
+	ra := Rank(a.Kind)
+	if c := cmp.Compare(ra, Rank(b.Kind)); c != 0 {
+		return c
 	}
-	switch a.Kind {
-	case KindNull:
+	switch ra {
+	case 0:
 		return 0
-	case KindString:
+	case 2:
 		return strings.Compare(a.Str, b.Str)
-	default:
-		fa, fb := a.AsFloat(), b.AsFloat()
-		if a.Kind == KindInt && b.Kind == KindInt {
-			switch {
-			case a.Int < b.Int:
-				return -1
-			case a.Int > b.Int:
-				return 1
-			}
-			return 0
-		}
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		}
-		return 0
 	}
+	return CompareNumeric(a.Int, a.AsFloat(), a.Kind == KindInt, b.Int, b.AsFloat(), b.Kind == KindInt)
 }
 
-func rank(k Kind) int {
+// Rank is a kind's class in the value order: null 0 < number 1 < string 2.
+func Rank(k Kind) int {
 	switch k {
 	case KindNull:
 		return 0
@@ -132,6 +115,28 @@ func rank(k Kind) int {
 	default:
 		return 2
 	}
+}
+
+// CompareNumeric orders two numbers given as (int, float, isInt): exactly
+// as integers when both are, else as float64s (each int's float is its
+// float64 conversion), with NaN equal to everything.
+func CompareNumeric(ai int64, af float64, aInt bool, bi int64, bf float64, bInt bool) int {
+	if aInt && bInt {
+		switch {
+		case ai < bi:
+			return -1
+		case ai > bi:
+			return 1
+		}
+		return 0
+	}
+	switch {
+	case af < bf:
+		return -1
+	case af > bf:
+		return 1
+	}
+	return 0
 }
 
 // Equal reports value equality under Compare semantics.
@@ -213,82 +218,155 @@ func (s Schema) Qualify(alias string) Schema {
 	return out
 }
 
+// The row format, owned here and written nowhere else: a uvarint column
+// count, then one element per column — its Kind byte and
+//
+//	int     zig-zag varint
+//	float   8 bytes, IEEE-754 bits big-endian
+//	string  uvarint length, then the bytes
+//
+// (null is the kind byte alone). The key format orders byte-wise as
+// Compare orders values: per value a class byte (null 0x00, number 0x01,
+// string 0x02), then for a number its float64 bits with the sign flipped
+// (negatives inverted whole), for a string its bytes with 0x00 escaped as
+// 0x00 0xFF and terminated by 0x00 0x00.
+
+// AppendHeader appends a row's column count.
+func AppendHeader(dst []byte, cols int) []byte { return binary.AppendUvarint(dst, uint64(cols)) }
+
+// AppendNull appends a null element.
+func AppendNull(dst []byte) []byte { return append(dst, byte(KindNull)) }
+
+// AppendInt appends an int element.
+func AppendInt(dst []byte, x int64) []byte {
+	return binary.AppendVarint(append(dst, byte(KindInt)), x)
+}
+
+// AppendFloat appends a float element.
+func AppendFloat(dst []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(f))
+}
+
+// AppendString appends a string element.
+func AppendString(dst, s []byte) []byte {
+	return append(binary.AppendUvarint(append(dst, byte(KindString)), uint64(len(s))), s...)
+}
+
+// AppendValue appends v as one element.
+func AppendValue(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindInt:
+		return AppendInt(dst, v.Int)
+	case KindFloat:
+		return AppendFloat(dst, v.Float)
+	case KindString:
+		return AppendString(dst, []byte(v.Str))
+	}
+	return AppendNull(dst)
+}
+
 // Encode appends a compact binary encoding of the row to dst.
 func Encode(dst []byte, r Row) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(r)))
-	dst = append(dst, tmp[:n]...)
+	dst = AppendHeader(dst, len(r))
 	for _, v := range r {
-		dst = append(dst, byte(v.Kind))
-		switch v.Kind {
-		case KindInt:
-			n := binary.PutVarint(tmp[:], v.Int)
-			dst = append(dst, tmp[:n]...)
-		case KindFloat:
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v.Float))
-			dst = append(dst, b[:]...)
-		case KindString:
-			n := binary.PutUvarint(tmp[:], uint64(len(v.Str)))
-			dst = append(dst, tmp[:n]...)
-			dst = append(dst, v.Str...)
-		}
+		dst = AppendValue(dst, v)
 	}
 	return dst
+}
+
+// DecodeHeader reads a row's column count and the header's length. Every
+// column takes at least its kind byte, so a count larger than the bytes
+// after the header is refused before it can size anything.
+func DecodeHeader(buf []byte) (cols, n int, err error) {
+	c, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return 0, 0, errors.New("row: corrupt header")
+	}
+	if c > uint64(len(buf)-n) {
+		return 0, 0, fmt.Errorf("row: header claims %d columns in %d bytes", c, len(buf)-n)
+	}
+	return int(c), n, nil
+}
+
+// DecodeValue parses the element at the start of buf and returns it with
+// the number of bytes it took.
+func DecodeValue(buf []byte) (Value, int, error) {
+	if len(buf) == 0 {
+		return Value{}, 0, errors.New("truncated")
+	}
+	switch kind := Kind(buf[0]); kind {
+	case KindNull:
+		return Null(), 1, nil
+	case KindInt:
+		x, n := binary.Varint(buf[1:])
+		if n <= 0 {
+			return Value{}, 0, errors.New("corrupt int")
+		}
+		return Int(x), 1 + n, nil
+	case KindFloat:
+		if len(buf) < 9 {
+			return Value{}, 0, errors.New("truncated float")
+		}
+		return Float(math.Float64frombits(binary.BigEndian.Uint64(buf[1:]))), 9, nil
+	case KindString:
+		l, n := binary.Uvarint(buf[1:])
+		if n <= 0 {
+			return Value{}, 0, errors.New("corrupt string")
+		}
+		if uint64(len(buf)-1-n) < l {
+			return Value{}, 0, errors.New("truncated string")
+		}
+		end := 1 + n + int(l)
+		return String(string(buf[1+n : end])), end, nil
+	default:
+		return Value{}, 0, fmt.Errorf("unknown value kind %d", kind)
+	}
 }
 
 // Decode parses one row from buf. Trailing bytes after the row are
 // ignored.
 func Decode(buf []byte) (Row, error) {
-	cols, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("row: corrupt header")
+	cols, pos, err := DecodeHeader(buf)
+	if err != nil {
+		return nil, err
 	}
-	// Every column takes at least its kind byte, so the header is bounded
-	// by what remains before it sizes anything.
-	if cols > uint64(len(buf)-n) {
-		return nil, fmt.Errorf("row: header claims %d columns in %d bytes", cols, len(buf)-n)
-	}
-	pos := n
 	r := make(Row, cols)
 	for i := range r {
-		if pos >= len(buf) {
-			return nil, fmt.Errorf("row: truncated at col %d", i)
+		v, n, err := DecodeValue(buf[pos:])
+		if err != nil {
+			return nil, fmt.Errorf("row: %v at col %d", err, i)
 		}
-		kind := Kind(buf[pos])
-		pos++
-		switch kind {
-		case KindNull:
-			r[i] = Null()
-		case KindInt:
-			v, n := binary.Varint(buf[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("row: corrupt int at col %d", i)
-			}
-			pos += n
-			r[i] = Int(v)
-		case KindFloat:
-			if pos+8 > len(buf) {
-				return nil, fmt.Errorf("row: truncated float at col %d", i)
-			}
-			r[i] = Float(math.Float64frombits(binary.BigEndian.Uint64(buf[pos:])))
-			pos += 8
-		case KindString:
-			l, n := binary.Uvarint(buf[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("row: corrupt string at col %d", i)
-			}
-			pos += n
-			if uint64(len(buf)-pos) < l {
-				return nil, fmt.Errorf("row: truncated string at col %d", i)
-			}
-			r[i] = String(string(buf[pos : pos+int(l)]))
-			pos += int(l)
-		default:
-			return nil, fmt.Errorf("row: unknown value kind %d at col %d", kind, i)
-		}
+		r[i] = v
+		pos += n
 	}
 	return r, nil
+}
+
+// AppendNullKey appends a null's key.
+func AppendNullKey(dst []byte) []byte { return append(dst, 0x00) }
+
+// AppendNumericKey appends a number's key.
+func AppendNumericKey(dst []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if bits&(1<<63) != 0 {
+		bits = ^bits
+	} else {
+		bits |= 1 << 63
+	}
+	return binary.BigEndian.AppendUint64(append(dst, 0x01), bits)
+}
+
+// AppendStringKey appends a string's key.
+func AppendStringKey(dst, s []byte) []byte {
+	dst = append(dst, 0x02)
+	for _, c := range s {
+		if c == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, 0x00, 0x00)
 }
 
 // EncodeKey appends an order-preserving encoding of the values: byte-wise
@@ -299,41 +377,20 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
 		switch v.Kind {
 		case KindNull:
-			dst = append(dst, 0x00)
+			dst = AppendNullKey(dst)
 		case KindInt, KindFloat:
-			dst = append(dst, 0x01)
-			bits := math.Float64bits(v.AsFloat())
-			// Flip for total order: negative floats reverse.
-			if bits&(1<<63) != 0 {
-				bits = ^bits
-			} else {
-				bits |= 1 << 63
-			}
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], bits)
-			dst = append(dst, b[:]...)
+			dst = AppendNumericKey(dst, v.AsFloat())
 		case KindString:
-			dst = append(dst, 0x02)
-			// Escape 0x00 so the terminator is unambiguous.
-			for i := 0; i < len(v.Str); i++ {
-				c := v.Str[i]
-				if c == 0x00 {
-					dst = append(dst, 0x00, 0xFF)
-				} else {
-					dst = append(dst, c)
-				}
-			}
-			dst = append(dst, 0x00, 0x00)
+			dst = AppendStringKey(dst, []byte(v.Str))
 		}
 	}
 	return dst
 }
 
-// DescendingKey inverts an encoded key byte-wise for DESC ordering.
-func DescendingKey(key []byte) []byte {
-	out := make([]byte, len(key))
-	for i, b := range key {
-		out[i] = ^b
+// FlipKey inverts an encoded key byte-wise in place, reversing its order:
+// the key of a DESC column.
+func FlipKey(key []byte) {
+	for i := range key {
+		key[i] = ^key[i]
 	}
-	return out
 }

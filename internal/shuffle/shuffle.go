@@ -80,11 +80,6 @@ type Service struct {
 	outputs map[OutputID]*output
 	racks   map[string]string
 	live    map[string]bool
-
-	bytesFetched int64
-	localFetches int64
-	rackFetches  int64
-	otherFetches int64
 }
 
 // New creates an empty shuffle service.
@@ -284,15 +279,11 @@ func (s *Service) FetchNoWait(id OutputID, partition int, readerNode string, tok
 	switch {
 	case o.node == readerNode:
 		perByte = s.cfg.DelayPerByteLocal
-		s.localFetches++
 	case s.racks[o.node] != "" && s.racks[o.node] == s.racks[readerNode]:
 		perByte = s.cfg.DelayPerByteRack
-		s.rackFetches++
 	default:
 		perByte = s.cfg.DelayPerByteRemote
-		s.otherFetches++
 	}
-	s.bytesFetched += int64(len(data))
 	delay := s.cfg.FetchBaseLatency + time.Duration(len(data))*perByte
 	if f := s.cfg.Chaos.FetchDelayFactor(o.node); f > 1 {
 		delay = time.Duration(float64(delay) * f)
@@ -306,28 +297,6 @@ func (s *Service) FetchNoWait(id OutputID, partition int, readerNode string, tok
 		Dur:  delay, Val: int64(len(data)),
 	})
 	return data, delay, nil
-}
-
-// Stats is a snapshot of fetch-path counters.
-type Stats struct {
-	BytesFetched int64
-	LocalFetches int64
-	RackFetches  int64
-	OtherFetches int64
-	Outputs      int
-}
-
-// Stats returns current counters.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		BytesFetched: s.bytesFetched,
-		LocalFetches: s.localFetches,
-		RackFetches:  s.rackFetches,
-		OtherFetches: s.otherFetches,
-		Outputs:      len(s.outputs),
-	}
 }
 
 // Fetcher wraps Fetch with bounded retry and exponential backoff on

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"tez/internal/chaos"
 )
@@ -92,29 +93,30 @@ func TestDeleteDAG(t *testing.T) {
 	if n := s.DeleteDAG("a"); n != 2 {
 		t.Fatalf("DeleteDAG = %d", n)
 	}
-	if s.Stats().Outputs != 1 {
-		t.Fatalf("outputs left = %d", s.Stats().Outputs)
+	if _, err := s.Fetch(OutputID{DAG: "a", Vertex: "v", Task: 1}, 0, "n0"); !errors.Is(err, ErrDataLost) {
+		t.Fatalf("deleted DAG's output: %v", err)
+	}
+	if _, err := s.Fetch(OutputID{DAG: "b", Vertex: "v", Task: 0}, 0, "n0"); err != nil {
+		t.Fatalf("other DAG's output: %v", err)
 	}
 }
 
+// TestTopologyCounters: a fetch costs the base latency plus its bytes at
+// the per-byte delay of the reader's distance from the output's node.
 func TestTopologyCounters(t *testing.T) {
-	s := newService(4) // n0,n2 on r0; n1,n3 on r1
+	s := New(Config{FetchBaseLatency: 1000, DelayPerByteLocal: 1, DelayPerByteRack: 10, DelayPerByteRemote: 100})
+	for i := 0; i < 4; i++ { // n0,n2 on r0; n1,n3 on r1
+		s.AddNode(fmt.Sprintf("n%d", i), fmt.Sprintf("r%d", i%2))
+	}
 	_ = s.Register("n0", oid(0, 0), [][]byte{[]byte("data")})
-	if _, err := s.Fetch(oid(0, 0), 0, "n0"); err != nil { // local
-		t.Fatal(err)
-	}
-	if _, err := s.Fetch(oid(0, 0), 0, "n2"); err != nil { // same rack
-		t.Fatal(err)
-	}
-	if _, err := s.Fetch(oid(0, 0), 0, "n1"); err != nil { // cross rack
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.LocalFetches != 1 || st.RackFetches != 1 || st.OtherFetches != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.BytesFetched != 12 {
-		t.Fatalf("bytes = %d", st.BytesFetched)
+	for reader, want := range map[string]time.Duration{"n0": 1004, "n2": 1040, "n1": 1400} {
+		data, delay, err := s.FetchNoWait(oid(0, 0), 0, reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != "data" || delay != want {
+			t.Errorf("fetch from %s: %q after %v, want \"data\" after %v", reader, data, delay, want)
+		}
 	}
 }
 

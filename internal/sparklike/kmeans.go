@@ -7,6 +7,7 @@ import (
 	"tez/internal/am"
 	"tez/internal/dag"
 	"tez/internal/library"
+	"tez/internal/mapreduce"
 	"tez/internal/platform"
 	"tez/internal/plugin"
 	"tez/internal/relop"
@@ -166,17 +167,15 @@ func RunKMeans(sess *am.Session, plat *platform.Platform, points *relop.Table,
 	return centroids, nil
 }
 
-// RunKMeansIsolated runs every iteration with a fresh AM, no container
-// reuse and no pre-warming — the per-iteration-job model the paper's
+// RunKMeansIsolated runs every iteration as a job of its own in a fresh
+// AM under mapreduce.Classic — the per-iteration-job model the paper's
 // Figure 11 baseline pays for.
 func RunKMeansIsolated(plat *platform.Platform, amCfg am.Config, points *relop.Table,
 	initial [][2]float64, iterations int, scratch string) ([][2]float64, error) {
 	centroids := append([][2]float64{}, initial...)
 	for it := 0; it < iterations; it++ {
-		cfg := amCfg
+		cfg := mapreduce.Classic(amCfg)
 		cfg.Name = fmt.Sprintf("%s-it%03d", amCfg.Name, it)
-		cfg.DisableContainerReuse = true
-		cfg.PrewarmContainers = 0
 		sess := am.NewSession(plat, cfg)
 		out := fmt.Sprintf("%s/iter%03d", scratch, it)
 		plat.FS.DeletePrefix(out + "/")

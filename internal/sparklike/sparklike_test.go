@@ -12,6 +12,7 @@ import (
 	"tez/internal/platform"
 	"tez/internal/relop"
 	"tez/internal/row"
+	"tez/internal/timeline"
 )
 
 func TestPartitionJobBothExecutors(t *testing.T) {
@@ -148,6 +149,42 @@ func TestKMeansConvergesAndSessionMatchesIsolated(t *testing.T) {
 		}
 		if best > 10 {
 			t.Fatalf("centroid %v too far from any true centre %v", c, truth)
+		}
+	}
+}
+
+// TestKMeansIsolatedKeepsCenterParallelism: the isolated baseline runs
+// every iteration under the MR model, so its 2-task center vertex keeps
+// both tasks even when the shuffle into it is small enough (600 points,
+// well under the ShuffleVertexManager's bytes-per-reducer target) for
+// auto-parallelism to shrink it to one.
+func TestKMeansIsolatedKeepsCenterParallelism(t *testing.T) {
+	plat := platform.New(platform.Fast(4))
+	defer plat.Stop()
+	points, truth, err := data.GenPoints(plat.FS, "pts", 600, 3, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := timeline.New()
+	const iterations = 3
+	if _, err := RunKMeansIsolated(plat, am.Config{Name: "kmiso", Timeline: journal}, points, truth, iterations, "/tmp/kmiso"); err != nil {
+		t.Fatal(err)
+	}
+	tasks := map[string]map[int]bool{} // per iteration DAG, the center tasks scheduled
+	for _, e := range journal.Events() {
+		if e.Type == timeline.TaskScheduled && e.Vertex == "center" {
+			if tasks[e.DAG] == nil {
+				tasks[e.DAG] = map[int]bool{}
+			}
+			tasks[e.DAG][e.Task] = true
+		}
+	}
+	if len(tasks) != iterations {
+		t.Fatalf("center tasks seen in %d DAGs, want %d: %v", len(tasks), iterations, tasks)
+	}
+	for dag, ts := range tasks {
+		if len(ts) != 2 {
+			t.Errorf("%s ran %d center tasks, want 2", dag, len(ts))
 		}
 	}
 }

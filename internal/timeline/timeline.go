@@ -85,8 +85,7 @@ const (
 	// TransitionInvalid records a control-plane event fired at a state
 	// with no declared transition (internal/fsm): the machine's state was
 	// NOT changed. Info carries the machine/state/event triple. A healthy
-	// run journals none of these — each one is a control-plane bug made
-	// visible where the old guard style dropped it on the floor.
+	// run journals none of these — each one is a control-plane bug.
 	TransitionInvalid Type = "TRANSITION_INVALID"
 
 	// GraphSuperstep is one BSP superstep of the graph engine
