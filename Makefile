@@ -14,8 +14,12 @@ vet:
 # assignments), the value-format invariant (the row and key formats are
 # written only by internal/row: no other non-test Go writes a value kind
 # tag, `byte(row.Kind...)`, or the key's zero-byte escape, `0x00, 0xFF` —
-# it calls row's appenders), and staticcheck when installed (skipped
-# gracefully where it is not; CI does not install it).
+# it calls row's appenders), the input-wait invariant (no non-test Go in
+# internal/library uses a condition variable: a task input waits on
+# channels, selecting on the attempt's kill where it blocks, so no input
+# parks a goroutine to translate a kill into a wakeup), and staticcheck
+# when installed (skipped gracefully where it is not; CI does not install
+# it).
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo 'lint: gofmt would rewrite:'; echo "$$unformatted"; exit 1; \
@@ -25,6 +29,9 @@ lint: vet
 	fi
 	@if grep -rnE 'byte\(row\.Kind|0x00, 0xFF' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/row/'; then \
 		echo 'lint: value format written outside internal/row (use its appenders)'; exit 1; \
+	fi
+	@if grep -rnE 'sync\.Cond|NewCond' internal/library --include='*.go' --exclude='*_test.go'; then \
+		echo 'lint: condition variable in internal/library (task inputs wait on channels)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -125,16 +132,21 @@ chaos:
 # which loops thirty runs under a wall-clock bound itself. Last, the
 # shuffle consumer's retraction race under the race detector (50 runs of
 # eight seeds each): a 128-input consumer whose stored runs are retracted
-# and replaced must read the surviving attempts on every seed. Then the
-# AM's publish-at-success rule under the race detector (100 runs each): an
-# attempt that announced through ctx.Emit and then failed, or lost to its
-# speculative twin, is never seen by a consumer or a vertex manager.
+# and replaced must read the surviving attempts on every seed; with it
+# (50 runs) the consumer's stale-fetch guard for a transfer that succeeded
+# or failed after its attempt was retracted, the fetcher pool under
+# injected transient errors, and a kill waking 200 waiting inputs without
+# leaving a goroutine behind. Then the AM's publish-at-success rule under
+# the race detector (100 runs each): an attempt that announced through
+# ctx.Emit and then failed, or lost to its speculative twin, is never seen
+# by a consumer or a vertex manager.
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
 	$(GO) test -count=200 -run 'TestAMRecoveryFromCheckpoint$$' ./internal/am/
 	$(GO) test -count=1 -run 'TestChaosNodeCrashRecoversPromptly$$' ./internal/bench/
 	$(GO) test -race -count=50 -run 'TestFetchRetractionStress$$' ./internal/library/
+	$(GO) test -race -count=50 -run 'TestStaleFetchDoesNotClobberNewerAttempt$$|TestStaleFetchErrorIsDropped$$|TestParallelFetchStress$$|TestKillWhileReaderWaits$$' ./internal/library/
 	$(GO) test -race -count=100 -run 'TestRetractAnnouncedAttempt$$|TestAnnouncedTwinLosesUnseen$$' ./internal/am/
 
 # trace runs a sample wordcount with the timeline journal attached and

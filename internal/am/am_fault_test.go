@@ -2,6 +2,7 @@ package am
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -372,31 +373,37 @@ func TestAMRecoveryFromCheckpoint(t *testing.T) {
 	}
 }
 
+// TestPrewarmedSessionHasIdleContainers: pre-warmed containers are the
+// session's floor. On a fake clock advanced past ContainerIdleRelease, the
+// idle reaper keeps all three, and a DAG submitted afterwards reuses them.
 func TestPrewarmedSessionHasIdleContainers(t *testing.T) {
 	plat := newTestPlatform(4)
 	defer plat.Stop()
+	var fake atomic.Int64 // nanoseconds since the Unix epoch
+	fake.Store(time.Unix(1000, 0).UnixNano())
 	s := NewSession(plat, Config{
 		Name:                 "warm",
 		PrewarmContainers:    3,
 		ContainerIdleRelease: time.Second,
+		Clock:                func() time.Time { return time.Unix(0, fake.Load()) },
 	})
 	defer s.Close()
-	// Wait on the scheduler's own counter, not just HeldContainers: the
-	// RM-side count leads the session event loop, so held can reach 3
-	// before the scheduler has processed a single allocation.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if a, _ := s.SchedulerStats(); a >= 3 && s.app.HeldContainers() >= 3 {
-			break
+	idle := func() int {
+		s.sched.mu.Lock()
+		defer s.sched.mu.Unlock()
+		return len(s.sched.idle)
+	}
+	// Allocation is asynchronous: wait until the scheduler has parked all
+	// three pre-warmed containers in its idle pool.
+	for deadline := time.Now().Add(5 * time.Second); idle() < 3; goruntime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 3 prewarmed containers idle", idle())
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if got := s.app.HeldContainers(); got < 3 {
-		t.Fatalf("prewarmed containers = %d", got)
-	}
-	allocated, _ := s.SchedulerStats()
-	if allocated < 3 {
-		t.Fatalf("allocated = %d", allocated)
+	fake.Add(int64(2 * time.Second))
+	s.sched.reapIdle()
+	if n, held := idle(), s.app.HeldContainers(); n != 3 || held != 3 {
+		t.Fatalf("after the idle timeout: %d idle, %d held; want the 3 prewarmed", n, held)
 	}
 	// A DAG submitted now should reuse the warm containers.
 	writeLines(t, plat, "/in/warm", []string{"a b a"})
@@ -404,8 +411,7 @@ func TestPrewarmedSessionHasIdleContainers(t *testing.T) {
 	if res, err := s.Run(d); err != nil || res.Status != DAGSucceeded {
 		t.Fatalf("%v %v", res.Status, err)
 	}
-	_, reused := s.SchedulerStats()
-	if reused == 0 {
+	if _, reused := s.SchedulerStats(); reused == 0 {
 		t.Fatal("prewarmed containers were not reused")
 	}
 }

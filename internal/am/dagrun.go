@@ -315,12 +315,7 @@ func (r *dagRun) tl() *timeline.Journal { return r.cfg.Timeline }
 // Every AM timestamp — attempt spans, scheduler waits, speculation math,
 // run duration — is measured against it so fake-clock tests see coherent
 // durations.
-func (r *dagRun) clock() time.Time {
-	if r.cfg.Clock != nil {
-		return r.cfg.Clock()
-	}
-	return time.Now()
-}
+func (r *dagRun) clock() time.Time { return r.cfg.Clock() }
 
 // isFinished reports whether the run reached a terminal status.
 func (r *dagRun) isFinished() bool { return r.lc.Terminal() }

@@ -60,14 +60,10 @@ func newNodeHealth(cfg Config, totalNodes int) *nodeHealth {
 	if capCount < 1 {
 		capCount = 1
 	}
-	now := cfg.Clock
-	if now == nil {
-		now = time.Now
-	}
 	return &nodeHealth{
 		maxFailures: cfg.NodeMaxTaskFailures,
 		capCount:    capCount,
-		now:         now,
+		now:         cfg.Clock,
 		tl:          cfg.Timeline,
 		nodes:       make(map[string]*nodeRecord),
 	}

@@ -35,7 +35,7 @@ func propRun() *dagRun {
 	r := &dagRun{
 		id:       "prop",
 		counters: metrics.NewCounters(),
-		cfg:      Config{Timeline: timeline.New()},
+		cfg:      Config{Timeline: timeline.New()}.withDefaults(),
 	}
 	r.lc = newDAGMachine(r)
 	return r

@@ -147,12 +147,8 @@ type scheduler struct {
 }
 
 func newScheduler(cfg Config, app *cluster.Application, health *nodeHealth) *scheduler {
-	now := cfg.Clock
-	if now == nil {
-		now = time.Now
-	}
 	return &scheduler{
-		cfg: cfg, app: app, health: health, now: now, tl: cfg.Timeline,
+		cfg: cfg, app: app, health: health, now: cfg.Clock, tl: cfg.Timeline,
 		pending: make(map[int]*amBucket),
 		held:    make(map[cluster.ContainerID]*pooledContainer),
 	}
@@ -453,15 +449,18 @@ func (s *scheduler) removePendingLocked(req *taskRequest) {
 }
 
 // reapIdle releases containers idle beyond the configured timeout; called
-// periodically by the session. Sessions keep prewarmed/idle capacity only
-// this long, releasing resources to the cluster (§4.3 multi-tenancy).
+// periodically by the session. Sessions keep idle capacity only this long,
+// releasing resources to the cluster (§4.3 multi-tenancy) — down to a
+// floor of PrewarmContainers: like Tez's
+// tez.am.session.min.held-containers, no idle container is released if
+// that would leave the session holding fewer than it pre-warmed.
 func (s *scheduler) reapIdle() {
 	var victims []*pooledContainer
 	s.mu.Lock()
 	now := s.now()
 	kept := s.idle[:0]
 	for _, pc := range s.idle {
-		if now.Sub(pc.idleSince) > s.cfg.ContainerIdleRelease {
+		if now.Sub(pc.idleSince) > s.cfg.ContainerIdleRelease && len(s.held) > s.cfg.PrewarmContainers {
 			victims = append(victims, pc)
 			delete(s.held, pc.c.ID)
 		} else {

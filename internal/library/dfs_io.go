@@ -2,7 +2,6 @@ package library
 
 import (
 	"fmt"
-	"sync"
 
 	"tez/internal/dfs"
 	"tez/internal/event"
@@ -132,24 +131,21 @@ func (r *splitRecordReader) Err() error    { return r.err }
 
 // DFSSourceInput is the root input of a vertex reading a DFS data source.
 // Its split assignment arrives from the initializer as a
-// RootInputDataInformation event; Reader blocks until it does.
+// RootInputDataInformation event; Reader waits until it does or the
+// attempt is killed. It holds no goroutine, so Start and Close do nothing.
 type DFSSourceInput struct {
 	ctx    *runtime.Context
-	mu     sync.Mutex
-	cond   *sync.Cond
 	splits []dfs.Split
 	err    error // the assignment arrived but did not decode
-	have   bool  // splits or err is set
-	// quit is closed by Close and ends the watcher Start parked.
-	quit      chan struct{}
-	closeOnce sync.Once
+	// assigned is closed once splits and err are set; Reader reads them
+	// only after that.
+	assigned chan struct{}
 }
 
 // Initialize stores the context.
 func (in *DFSSourceInput) Initialize(ctx *runtime.Context) error {
 	in.ctx = ctx
-	in.cond = sync.NewCond(&in.mu)
-	in.quit = make(chan struct{})
+	in.assigned = make(chan struct{})
 	return nil
 }
 
@@ -157,66 +153,49 @@ func (in *DFSSourceInput) Initialize(ctx *runtime.Context) error {
 // errors (a failure surfaces on the task's own read path), so an
 // assignment that does not decode is kept for Reader to return — the
 // attempt fails with it instead of waiting for splits that never come.
+// The first assignment stands; the runner's one event pump calls
+// HandleEvent, so checking assigned before closing it needs no lock.
 func (in *DFSSourceInput) HandleEvent(ev event.Event) error {
 	ri, ok := ev.(event.RootInputDataInformation)
 	if !ok {
 		return nil
 	}
+	select {
+	case <-in.assigned:
+		return nil
+	default:
+	}
 	var asn SplitAssignment
-	err := plugin.Decode(ri.Payload, &asn)
-	if err != nil {
-		err = fmt.Errorf("library: %s: split assignment: %w", in.ctx.Name, err)
+	if err := plugin.Decode(ri.Payload, &asn); err != nil {
+		in.err = fmt.Errorf("library: %s: split assignment: %w", in.ctx.Name, err)
 	}
-	in.mu.Lock()
-	in.splits, in.err, in.have = asn.Splits, err, true
-	in.mu.Unlock()
-	in.cond.Broadcast()
-	return err
+	in.splits = asn.Splits
+	close(in.assigned)
+	return in.err
 }
 
-// Start arms a kill-watcher so Reader never blocks past a kill. ctx.Stop is
-// the container's channel, not the attempt's, so the watcher also exits on
-// Close: a reused container must not collect one per task it has run.
-func (in *DFSSourceInput) Start() error {
-	go func() {
-		select {
-		case <-in.ctx.Stop:
-			in.cond.Broadcast()
-		case <-in.quit:
-		}
-	}()
-	return nil
-}
+// Start does nothing: Reader waits on the assignment itself.
+func (in *DFSSourceInput) Start() error { return nil }
 
-// Reader blocks for the split assignment, then streams its records.
+// Reader waits for the split assignment, then streams its records.
 func (in *DFSSourceInput) Reader() (any, error) {
-	in.mu.Lock()
-	for !in.have {
-		select {
-		case <-in.ctx.Stop:
-			in.mu.Unlock()
-			return nil, fmt.Errorf("library: %s: killed before split assignment", in.ctx.Name)
-		default:
-		}
-		in.cond.Wait()
+	select {
+	case <-in.assigned:
+	case <-in.ctx.Stop:
+		return nil, fmt.Errorf("library: %s: killed before split assignment", in.ctx.Name)
 	}
-	splits, err := in.splits, in.err
-	in.mu.Unlock()
-	if err != nil {
-		return nil, err
+	if in.err != nil {
+		return nil, in.err
 	}
 	return &splitRecordReader{
 		fs:     in.ctx.Services.FS,
 		node:   in.ctx.Services.Node,
-		splits: splits,
+		splits: in.splits,
 	}, nil
 }
 
-// Close ends the kill-watcher.
-func (in *DFSSourceInput) Close() error {
-	in.closeOnce.Do(func() { close(in.quit) })
-	return nil
-}
+// Close does nothing: the input holds no goroutine.
+func (in *DFSSourceInput) Close() error { return nil }
 
 // DFSSinkConfig configures DFSSinkOutput and DFSCommitter with the final
 // output directory.

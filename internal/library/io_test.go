@@ -470,8 +470,6 @@ func TestDFSSourceInputCorruptAssignment(t *testing.T) {
 	for name, payload := range map[string][]byte{"truncated": good[:len(good)-2], "gob": gobBytes, "empty": nil} {
 		in := &DFSSourceInput{}
 		ctx := ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "map"}, "lines", nil, 1)
-		stop := make(chan struct{})
-		ctx.Stop = stop
 		if err := in.Initialize(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -491,7 +489,6 @@ func TestDFSSourceInputCorruptAssignment(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s payload: Reader still waiting for an assignment that failed to decode", name)
 		}
-		close(stop) // releases Start's kill-watcher
 	}
 }
 

@@ -145,20 +145,27 @@ func TestFetchRetractionStress(t *testing.T) {
 		}
 		in.fs.fetcher.MaxRetries = 100 // absorb the injected transient errors
 		in.fs.fetcher.Backoff = time.Microsecond
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < phys-1; i++ {
+			_ = in.HandleEvent(dmFor(i, i, 0, id(i, 0)))
+		}
+		// Wait for the stores: every store signals changed, whose only
+		// reader is this loop until Reader is called below.
+		for {
+			in.fs.mu.Lock()
+			n, failed := in.fs.stored, in.fs.err != nil
+			in.fs.mu.Unlock()
+			if n == phys-1 || failed {
+				break
+			}
+			<-in.fs.changed
+		}
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < phys-1; i++ {
-				_ = in.HandleEvent(dmFor(i, i, 0, id(i, 0)))
-			}
-			// Wait for the stores: every store is counted and broadcast
-			// on done under the fetch set's lock.
-			in.fs.mu.Lock()
-			for svc.Counters.Get("SHUFFLE_INCREMENTS") < phys-1 && in.fs.failure == nil && !in.fs.stopped {
-				in.fs.done.Wait()
-			}
-			in.fs.mu.Unlock()
 			for i := 0; i < phys; i++ {
 				if rerun(i) {
 					_ = in.HandleEvent(event.InputFailed{TargetInputIndex: i, SrcTask: i, SrcAttempt: 0})
@@ -167,9 +174,6 @@ func TestFetchRetractionStress(t *testing.T) {
 			}
 			_ = in.HandleEvent(dmFor(phys-1, phys-1, 0, id(phys-1, 0)))
 		}()
-		if err := in.Start(); err != nil {
-			t.Fatal(err)
-		}
 		rAny, err := in.Reader()
 		wg.Wait()
 		if err != nil {

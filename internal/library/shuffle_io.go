@@ -255,7 +255,6 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	}
 
 	var (
-		raw      = make([][]byte, o.parts) // nil once handed to wire/pool
 		wire     = make([][]byte, o.parts)
 		rawSizes = make([]int64, o.parts)
 		errMu    sync.Mutex
@@ -276,7 +275,7 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 		go func() {
 			defer wg.Done()
 			for p := range work {
-				if err := o.finalizePartition(p, raw, wire, rawSizes); err != nil {
+				if err := o.finalizePartition(p, wire, rawSizes); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -378,10 +377,11 @@ func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec stri
 	return events, nil
 }
 
-// finalizePartition produces one partition's final raw and wire buffers:
+// finalizePartition produces one partition's wire buffer and raw size:
 // encode the sorted in-memory segment, merge it with the partition's
-// spill runs (combining), then run the block codec.
-func (o *OrderedPartitionedKVOutput) finalizePartition(p int, raw, wire [][]byte, rawSizes []int64) error {
+// spill runs (combining), then run the block codec, which hands the raw
+// buffer back to the pool.
+func (o *OrderedPartitionedKVOutput) finalizePartition(p int, wire [][]byte, rawSizes []int64) error {
 	ctr := o.ctx.Services.Counters
 	seg := o.sb.partSpan(p)
 	var buf []byte
@@ -416,7 +416,6 @@ func (o *OrderedPartitionedKVOutput) finalizePartition(p int, raw, wire [][]byte
 		}
 		putRunBuf(mem)
 	}
-	raw[p] = buf
 	rawSizes[p] = int64(len(buf))
 	if o.codec == nil {
 		wire[p] = buf
@@ -426,8 +425,7 @@ func (o *OrderedPartitionedKVOutput) finalizePartition(p int, raw, wire [][]byte
 	if err != nil {
 		return err
 	}
-	putRunBuf(raw[p])
-	raw[p] = nil
+	putRunBuf(buf)
 	return nil
 }
 
@@ -437,43 +435,30 @@ type kvWriterFunc func(k, v []byte) error
 func (f kvWriterFunc) Write(k, v []byte) error { return f(k, v) }
 
 // fetchSet is the shared consumer-side machinery of the shuffle inputs:
-// it tracks expected physical inputs, accepts DataMovement events,
+// it holds one slot per physical input, accepts DataMovement events,
 // fetches their data on a pool of parallel fetcher goroutines
 // (overlapping with producer completion and with each other — the
 // latency-hiding overlap of §3.4), honours InputFailed retractions, and
 // surfaces producer data loss as a runtime.InputReadError.
 //
-// Two condition variables split the wakeups by audience: fetchers sleep
-// on work (new movements, stash releases, shutdown), the single reader
-// sleeps on done (stored runs, failure, shutdown) — storing a run no
-// longer wakes every fetcher in the pool.
+// Every wait is on a channel. Fetchers range over todo, which carries an
+// index only while its slot is busy and a slot is busy from its queueing
+// to the end of its fetch, so todo never holds more than PhysicalCount
+// indexes and a send under mu never blocks. The reader waits on changed
+// or the attempt's kill.
 type fetchSet struct {
 	ctx     *runtime.Context
 	knobs   shuffleKnobs
 	fetcher *shuffle.Fetcher // shared by all fetcher goroutines
 
-	mu   sync.Mutex
-	work *sync.Cond
-	done *sync.Cond
-	// expect is the latest announced producer attempt per physical input
-	// index; runs only ever describe that attempt, because whatever
-	// changes expect drops the index's run first.
-	expect   map[int]int
-	runs     map[int][]byte // physical input index -> fetched run awaiting the reader
-	inflight map[int]bool   // physical input indexes currently being fetched
-	// pending is a FIFO consumed through a head cursor (compacted when
-	// the dead prefix dominates) — the previous re-slice-on-every-scan
-	// made each wake O(queue) and the whole drain O(n²). Movements whose
-	// index is in flight are parked in stash and re-queued when that
-	// fetch completes, so scans never revisit them.
-	pending  []event.DataMovement
-	head     int
-	stash    map[int][]event.DataMovement
-	failure  *runtime.InputReadError
-	stopped  bool
+	mu       sync.Mutex
+	slots    []inputSlot   // indexed by physical input
+	stored   int           // slots holding a run; the read is complete at len(slots)
+	err      error         // first failure: an InputReadError or a misrouted movement
+	closed   bool          // todo is closed and later events are ignored
+	todo     chan int      // slot indexes to fetch
+	changed  chan struct{} // capacity 1: a store, drop or failure happened
 	fetchers sync.WaitGroup
-	started  bool
-	quit     chan struct{}
 
 	// testHookFetched, when set, is called by a fetcher goroutine after a
 	// fetch completes and before its result is stored — a deterministic
@@ -481,54 +466,101 @@ type fetchSet struct {
 	testHookFetched func(event.DataMovement)
 }
 
+// inputSlot is one physical input: the latest announced movement, the run
+// fetched for it, and whether a fetcher owns the index.
+type inputSlot struct {
+	dm     event.DataMovement // valid while live
+	live   bool               // dm is announced and not retracted
+	run    []byte             // dm's fetched run, valid while stored
+	stored bool
+	busy   bool // queued on todo or being fetched
+}
+
 func newFetchSet(ctx *runtime.Context) *fetchSet {
-	fs := &fetchSet{
-		ctx:      ctx,
-		fetcher:  &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
-		knobs:    resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
-		expect:   make(map[int]int),
-		runs:     make(map[int][]byte),
-		inflight: make(map[int]bool),
-		stash:    make(map[int][]event.DataMovement),
-		quit:     make(chan struct{}),
+	return &fetchSet{
+		ctx:     ctx,
+		fetcher: &shuffle.Fetcher{Service: ctx.Services.Shuffle, Token: ctx.Services.Token},
+		knobs:   resolveShuffleKnobs(OrderedPartitionedConfig{}, ctx.Services),
+		slots:   make([]inputSlot, ctx.PhysicalCount),
+		todo:    make(chan int, ctx.PhysicalCount),
+		changed: make(chan struct{}, 1),
 	}
-	fs.work = sync.NewCond(&fs.mu)
-	fs.done = sync.NewCond(&fs.mu)
-	return fs
 }
 
 // handleEvent records a DataMovement for fetching or an InputFailed
 // retraction. Attempt tracking is upgrade-only: a movement from an attempt
-// older than the latest announced one is dropped, and a newer attempt's
-// movement discards the older attempt's run. A retraction only ever drops
-// a stored run: nothing is merged before the reader asks, so no run is
-// past recalling and the replacement is simply fetched.
+// older than the slot's is dropped, and a newer attempt's movement drops
+// the older attempt's run. A retraction only ever drops a stored run:
+// nothing is merged before the reader asks, so no run is past recalling
+// and the replacement is simply fetched. A movement for an index outside
+// the physical inputs fails the read.
 func (f *fetchSet) handleEvent(ev event.Event) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		return nil
+	}
 	switch e := ev.(type) {
 	case event.DataMovement:
-		f.mu.Lock()
 		idx := e.TargetInputIndex
-		cur, ok := f.expect[idx]
-		if ok && e.SrcAttempt < cur {
-			f.mu.Unlock()
+		if idx < 0 || idx >= len(f.slots) {
+			err := fmt.Errorf("library: input %s: movement for physical input %d of %d", f.ctx.Name, idx, len(f.slots))
+			f.failLocked(err)
+			return err
+		}
+		s := &f.slots[idx]
+		if s.live && e.SrcAttempt < s.dm.SrcAttempt {
 			return nil // stale announcement of a superseded attempt
 		}
-		if ok && e.SrcAttempt > cur {
-			delete(f.runs, idx)
+		if s.live && e.SrcAttempt > s.dm.SrcAttempt {
+			f.dropLocked(s)
 		}
-		f.expect[idx] = e.SrcAttempt
-		f.pending = append(f.pending, e)
-		f.work.Signal()
-		f.mu.Unlock()
+		s.dm, s.live = e, true
+		f.queueLocked(idx)
 	case event.InputFailed:
-		f.mu.Lock()
-		if at, ok := f.expect[e.TargetInputIndex]; ok && at == e.SrcAttempt {
-			delete(f.expect, e.TargetInputIndex)
-			delete(f.runs, e.TargetInputIndex)
+		idx := e.TargetInputIndex
+		if idx >= 0 && idx < len(f.slots) && f.slots[idx].live && f.slots[idx].dm.SrcAttempt == e.SrcAttempt {
+			f.dropLocked(&f.slots[idx])
+			f.slots[idx].live = false
 		}
-		f.mu.Unlock()
 	}
 	return nil
+}
+
+// queueLocked hands a slot to the fetchers unless one owns it already (its
+// fetch re-queues it on ending), it holds its run, or nothing is announced.
+func (f *fetchSet) queueLocked(idx int) {
+	s := &f.slots[idx]
+	if s.busy || s.stored || !s.live || f.closed {
+		return
+	}
+	s.busy = true
+	f.todo <- idx
+}
+
+// dropLocked discards a slot's stored run.
+func (f *fetchSet) dropLocked(s *inputSlot) {
+	if s.stored {
+		s.run, s.stored = nil, false
+		f.stored--
+		f.signal()
+	}
+}
+
+// failLocked records the read's first failure.
+func (f *fetchSet) failLocked(err error) {
+	if f.err == nil {
+		f.err = err
+	}
+	f.signal()
+}
+
+// signal wakes the reader; a wakeup already pending covers this one.
+func (f *fetchSet) signal() {
+	select {
+	case f.changed <- struct{}{}:
+	default:
+	}
 }
 
 // start launches the fetcher pool. Fetches overlap with remaining
@@ -536,135 +568,68 @@ func (f *fetchSet) handleEvent(ev event.Event) error {
 // §3.4; a reducer with many remote producers pays max, not sum, of the
 // concurrent transfer delays).
 func (f *fetchSet) start() {
-	f.mu.Lock()
-	if f.started {
-		f.mu.Unlock()
-		return
-	}
-	f.started = true
-	f.mu.Unlock()
-	n := f.knobs.fetchParallelism
+	n := min(f.knobs.fetchParallelism, len(f.slots))
 	f.fetchers.Add(n)
 	for i := 0; i < n; i++ {
 		go f.fetchLoop()
 	}
-	// Watch for an attempt kill so blocked waiters wake up; exits with the
-	// fetch set so reused containers don't accumulate watchers.
-	go func() {
-		select {
-		case <-f.ctx.Stop:
-			f.mu.Lock()
-			f.stopped = true
-			f.work.Broadcast()
-			f.done.Broadcast()
-			f.mu.Unlock()
-		case <-f.quit:
-		}
-	}()
 }
 
-// nextLocked pops the next fetchable movement through the head cursor:
-// retracted or already-satisfied entries are dropped, and an index
-// already being fetched is parked in stash so two fetchers never race on
-// the same physical input (in-flight dedup) and later scans skip it.
-func (f *fetchSet) nextLocked() (event.DataMovement, bool) {
-	for f.head < len(f.pending) {
-		dm := f.pending[f.head]
-		f.head++
-		if f.head >= 64 && f.head*2 >= len(f.pending) {
-			n := copy(f.pending, f.pending[f.head:])
-			clearTail := f.pending[n:]
-			for i := range clearTail {
-				clearTail[i] = event.DataMovement{}
-			}
-			f.pending = f.pending[:n]
-			f.head = 0
-		}
-		idx := dm.TargetInputIndex
-		if at, ok := f.expect[idx]; !ok || at != dm.SrcAttempt {
-			// Retracted while queued; the replacement has (or will get)
-			// its own DataMovement.
-			continue
-		}
-		if _, ok := f.runs[idx]; ok {
-			continue // duplicate announcement of a run already stored
-		}
-		if f.inflight[idx] {
-			f.stash[idx] = append(f.stash[idx], dm)
-			continue
-		}
-		return dm, true
-	}
-	return event.DataMovement{}, false
-}
-
-// fetchLoop is one fetcher goroutine. The pool stays alive until close or
-// failure so that replacement movements after an InputFailed retraction
-// are still fetched.
+// fetchLoop is one fetcher goroutine. It runs until close closes todo, so
+// that replacement movements after an InputFailed retraction are still
+// fetched; after a failure or close it drains todo without fetching.
 func (f *fetchSet) fetchLoop() {
 	defer f.fetchers.Done()
-	for {
+	for idx := range f.todo {
 		f.mu.Lock()
-		dm, ok := f.nextLocked()
-		for !ok && f.failure == nil && !f.stopped {
-			f.work.Wait()
-			dm, ok = f.nextLocked()
-		}
-		if f.failure != nil || f.stopped {
+		s := &f.slots[idx]
+		dm := s.dm
+		if !s.live || f.err != nil || f.closed {
+			// Retracted while queued (a replacement queues anew), or the
+			// read is over.
+			s.busy = false
 			f.mu.Unlock()
-			return
+			continue
 		}
-		idx := dm.TargetInputIndex
-		f.inflight[idx] = true
 		f.mu.Unlock()
-
 		data, wireLen, err := f.fetchOne(dm)
-
 		f.mu.Lock()
-		delete(f.inflight, idx)
-		if s, ok := f.stash[idx]; ok {
-			delete(f.stash, idx)
-			f.pending = append(f.pending, s...)
-			f.work.Signal()
-		}
-		// Only store if this movement is still the expected attempt: an
-		// InputFailed retraction may have raced with the fetch, and a
-		// stale in-flight fetch must not clobber (or fail) the newer
-		// attempt that replaced it.
-		at, live := f.expect[idx]
-		current := live && at == dm.SrcAttempt
-		if _, ok := f.runs[idx]; ok {
-			current = false // duplicate of an already-accounted run
-		}
-		switch {
-		case err != nil && current:
-			if f.failure == nil {
-				f.failure = &runtime.InputReadError{
-					InputName:  f.ctx.Name,
-					SrcVertex:  dm.SrcVertex,
-					SrcTask:    dm.SrcTask,
-					SrcAttempt: dm.SrcAttempt,
-					Err:        err,
-				}
-			}
-			f.work.Broadcast()
-			f.done.Broadcast()
-		case err == nil && current:
-			f.runs[idx] = data
-			// Byte counters accumulate here, in the store-success branch,
-			// so a stale or duplicate transfer never inflates them — they
-			// stay an exact account of the runs the reader consumed
-			// (SHUFFLE_INCREMENTS counts those stored runs).
-			if ctr := f.ctx.Services.Counters; ctr != nil {
-				ctr.Add("SHUFFLE_BYTES_WIRE", int64(wireLen))
-				ctr.Add("SHUFFLE_BYTES_RAW", int64(len(data)))
-				ctr.Add("SHUFFLE_INCREMENTS", 1)
-			}
-			f.done.Broadcast()
-		}
-		// A stale fetch result — success or error — is dropped: the
-		// producer attempt was retracted and is being re-executed.
+		f.storeLocked(idx, dm, data, wireLen, err)
 		f.mu.Unlock()
+	}
+}
+
+// storeLocked ends a slot's fetch. A transfer whose attempt is no longer
+// the slot's — retracted, or superseded by a re-executed producer while in
+// the air — is dropped, success or error, and the slot's newer movement
+// is fetched in its place; a current error fails the read.
+func (f *fetchSet) storeLocked(idx int, dm event.DataMovement, data []byte, wireLen int, err error) {
+	s := &f.slots[idx]
+	s.busy = false
+	switch {
+	case !s.live || s.dm.SrcAttempt != dm.SrcAttempt:
+		f.queueLocked(idx)
+	case err != nil:
+		f.failLocked(&runtime.InputReadError{
+			InputName:  f.ctx.Name,
+			SrcVertex:  dm.SrcVertex,
+			SrcTask:    dm.SrcTask,
+			SrcAttempt: dm.SrcAttempt,
+			Err:        err,
+		})
+	default:
+		s.run, s.stored = data, true
+		f.stored++
+		// Byte counters accumulate here, where a run is stored, so a stale
+		// or duplicate transfer never inflates them — they stay an exact
+		// account of the runs the reader consumed (SHUFFLE_INCREMENTS
+		// counts those stored runs).
+		if ctr := f.ctx.Services.Counters; ctr != nil {
+			ctr.Add("SHUFFLE_BYTES_WIRE", int64(wireLen))
+			ctr.Add("SHUFFLE_BYTES_RAW", int64(len(data)))
+			ctr.Add("SHUFFLE_INCREMENTS", 1)
+		}
+		f.signal()
 	}
 }
 
@@ -704,68 +669,56 @@ func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
 	return data, wireLen, err
 }
 
-// completeLocked reports whether every physical input's run has arrived.
-func (f *fetchSet) completeLocked() bool {
-	if len(f.runs) < f.ctx.PhysicalCount {
-		return false
-	}
-	for i := 0; i < f.ctx.PhysicalCount; i++ {
-		if _, ok := f.runs[i]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// flattenStoredLocked returns every stored run ordered by input index — a
-// canonical order so downstream bytes don't depend on map iteration.
-func (f *fetchSet) flattenStoredLocked() [][]byte {
-	out := make([][]byte, 0, len(f.runs))
-	for i := 0; i < f.ctx.PhysicalCount; i++ {
-		if r, ok := f.runs[i]; ok {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // storedRun returns the fetched run for an input index — a test accessor.
 func (f *fetchSet) storedRun(idx int) ([]byte, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	r, ok := f.runs[idx]
-	return r, ok
+	s := f.slots[idx]
+	return s.run, s.stored
 }
 
-// wait blocks until every physical input is fetched, an input failed, or
-// the attempt is killed. It returns the fetched runs ordered by physical
-// input index.
+// wait blocks until every physical input is fetched, the read failed, or
+// the attempt is killed or the set closed. It returns the fetched runs
+// ordered by physical input index.
 func (f *fetchSet) wait() ([][]byte, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for !f.completeLocked() && f.failure == nil && !f.stopped {
-		f.done.Wait()
+	for {
+		f.mu.Lock()
+		err, closed := f.err, f.closed
+		var runs [][]byte
+		if f.stored == len(f.slots) {
+			runs = make([][]byte, len(f.slots))
+			for i := range f.slots {
+				runs[i] = f.slots[i].run
+			}
+		}
+		f.mu.Unlock()
+		switch {
+		case err != nil:
+			return nil, err
+		case runs != nil:
+			return runs, nil
+		case closed:
+			return nil, fmt.Errorf("library: input %s: attempt killed while fetching", f.ctx.Name)
+		}
+		select {
+		case <-f.changed:
+		case <-f.ctx.Stop:
+			return nil, fmt.Errorf("library: input %s: attempt killed while fetching", f.ctx.Name)
+		}
 	}
-	if f.failure != nil {
-		return nil, f.failure
-	}
-	if f.stopped && !f.completeLocked() {
-		return nil, fmt.Errorf("library: input %s: attempt killed while fetching", f.ctx.Name)
-	}
-	return f.flattenStoredLocked(), nil
 }
 
+// close ends the fetcher pool: fetches in the air finish, queued ones are
+// skipped.
 func (f *fetchSet) close() error {
 	f.mu.Lock()
-	f.stopped = true
-	started := f.started
-	f.work.Broadcast()
-	f.done.Broadcast()
-	f.mu.Unlock()
-	if started {
-		close(f.quit)
-		f.fetchers.Wait()
+	if !f.closed {
+		f.closed = true
+		close(f.todo)
+		f.signal()
 	}
+	f.mu.Unlock()
+	f.fetchers.Wait()
 	return nil
 }
 

@@ -301,7 +301,8 @@ func TestRetractedStoredRunReplaced(t *testing.T) {
 	t.Cleanup(func() { in.Close() })
 	// Source 0's first attempt has been fetched and stored.
 	in.fs.mu.Lock()
-	in.fs.expect[0], in.fs.runs[0] = 0, stored
+	in.fs.slots[0] = inputSlot{dm: dmFor(0, 0, 0, id(0, 0)), live: true, run: stored, stored: true}
+	in.fs.stored = 1
 	in.fs.mu.Unlock()
 	for _, ev := range []event.Event{
 		event.InputFailed{TargetInputIndex: 0, SrcTask: 0, SrcAttempt: 0},
