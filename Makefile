@@ -14,10 +14,11 @@ vet:
 # assignments), the value-format invariant (the row and key formats are
 # written only by internal/row: no other non-test Go writes a value kind
 # tag, `byte(row.Kind...)`, or the key's zero-byte escape, `0x00, 0xFF` —
-# it calls row's appenders), the input-wait invariant (no non-test Go in
-# internal/library uses a condition variable: a task input waits on
-# channels, selecting on the attempt's kill where it blocks, so no input
-# parks a goroutine to translate a kill into a wakeup), and staticcheck
+# it calls row's appenders), the wait invariant (no non-test Go uses a
+# condition variable: task inputs, mailboxes and their owners wait on
+# channels, so each owner waits in one select over its mailbox, its kill
+# and its own timers, and no helper goroutine turns a timer or a kill into
+# a wakeup), and staticcheck
 # when installed (skipped gracefully where it is not; CI does not install
 # it).
 lint: vet
@@ -30,8 +31,8 @@ lint: vet
 	@if grep -rnE 'byte\(row\.Kind|0x00, 0xFF' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/row/'; then \
 		echo 'lint: value format written outside internal/row (use its appenders)'; exit 1; \
 	fi
-	@if grep -rnE 'sync\.Cond|NewCond' internal/library --include='*.go' --exclude='*_test.go'; then \
-		echo 'lint: condition variable in internal/library (task inputs wait on channels)'; exit 1; \
+	@if grep -rnE 'sync\.Cond|NewCond' --include='*.go' --exclude='*_test.go' .; then \
+		echo 'lint: condition variable in non-test Go (wait on channels, in one select)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -139,7 +140,10 @@ chaos:
 # leaving a goroutine behind. Then the AM's publish-at-success rule under
 # the race detector (100 runs each): an attempt that announced through
 # ctx.Emit and then failed, or lost to its speculative twin, is never seen
-# by a consumer or a vertex manager.
+# by a consumer or a vertex manager. Last, under the race detector (100
+# runs each), the dispatcher's select: the deadline-vs-completion race, the
+# backlog gauge behind a stalled dispatcher, one goroutine per run and per
+# session, and the mailbox's channel wake-ups.
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
@@ -148,6 +152,8 @@ stress:
 	$(GO) test -race -count=50 -run 'TestFetchRetractionStress$$' ./internal/library/
 	$(GO) test -race -count=50 -run 'TestStaleFetchDoesNotClobberNewerAttempt$$|TestStaleFetchErrorIsDropped$$|TestParallelFetchStress$$|TestKillWhileReaderWaits$$' ./internal/library/
 	$(GO) test -race -count=100 -run 'TestRetractAnnouncedAttempt$$|TestAnnouncedTwinLosesUnseen$$' ./internal/am/
+	$(GO) test -race -count=100 -run 'TestDeadlineCompletionRace$$|TestBacklogGaugeSeesStalledDispatcher$$|TestOneGoroutinePerRunAndSession$$' ./internal/am/
+	$(GO) test -race -count=100 ./internal/mailbox/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

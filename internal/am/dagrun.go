@@ -246,14 +246,9 @@ type msgNodeFailed struct {
 	planned bool // decommission (drain), not a crash
 }
 
-type msgTick struct{}
-
-// msgKill aborts the run. cause, when set, is wrapped into the result's
-// Err so callers can classify the kill with errors.Is (deadline kills
-// carry ErrDeadlineExceeded).
+// msgKill aborts the run (Kill, Session.Close).
 type msgKill struct {
 	reason string
-	cause  error
 }
 
 // ErrDeadlineExceeded marks a DAG killed because its per-submission
@@ -293,14 +288,14 @@ type dagRun struct {
 	result         DAGResult
 	done           chan struct{}
 	pendingCommits int
-	tickerStop     chan struct{}
 	// backlogMax is the dispatcher-mailbox depth high-water mark, sampled
-	// on ticks (AM_MAILBOX_BACKLOG_MAX gauge + AM_BACKLOG journal events).
+	// at every drain (AM_MAILBOX_BACKLOG_MAX gauge + AM_BACKLOG journal
+	// events).
 	backlogMax int64
 
-	// deadline, when positive, bounds the run's wall-clock duration: a
-	// timer goroutine posts a deadline kill if done has not closed first
-	// (Submit's WithDeadline option).
+	// deadline, when positive, bounds the run's wall-clock duration: the
+	// dispatcher kills the run when its timer fires first (Submit's
+	// WithDeadline option).
 	deadline time.Duration
 
 	// recovered checkpoint to apply at start (nil for fresh runs).
@@ -355,66 +350,52 @@ func newDAGRun(s *Session, d *dag.DAG, id string) (*dagRun, error) {
 	return r, nil
 }
 
-// start launches the dispatcher and background ticker.
+// start launches the dispatcher. The tick and, with WithDeadline, the
+// deadline timer start here and live in the dispatcher's select.
 func (r *dagRun) start() {
 	r.started = r.clock()
 	if a := r.session.plat.Authority; a != nil {
 		r.token = a.Issue(r.id)
 	}
-	r.tickerStop = make(chan struct{})
-	interval := min(r.cfg.SpeculationInterval, deadlockCheckInterval)
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.tickerStop:
-				return
-			case <-t.C:
-				r.mb.Put(msgTick{})
-			}
-		}
-	}()
+	tick := time.NewTicker(min(r.cfg.SpeculationInterval, deadlockCheckInterval))
+	var deadline *time.Timer
 	if r.deadline > 0 {
-		go func() {
-			t := time.NewTimer(r.deadline)
-			defer t.Stop()
-			select {
-			case <-r.done:
-				// Completed first; the mailbox may already be abandoned.
-			case <-t.C:
-				r.mb.Put(msgKill{
-					reason: fmt.Sprintf("deadline %v exceeded", r.deadline),
-					cause:  ErrDeadlineExceeded,
-				})
-			}
-		}()
+		deadline = time.NewTimer(r.deadline)
 	}
-	go r.loop()
+	go r.loop(tick, deadline)
 }
 
-func (r *dagRun) loop() {
+func (r *dagRun) loop(tick *time.Ticker, deadline *time.Timer) {
+	defer tick.Stop()
+	var expired <-chan time.Time // nil without a deadline: never fires
+	if deadline != nil {
+		defer deadline.Stop()
+		expired = deadline.C
+	}
 	r.bootstrap()
 	// Drain the mailbox in batches: one lock round-trip per backlog, not
 	// per message. Messages left in the batch after a terminal transition
 	// are never dispatched.
 	var batch []amMsg
 	for !r.isFinished() {
-		var ok bool
-		batch, ok = r.mb.GetAll(batch)
-		if !ok {
-			return
-		}
-		for i, m := range batch {
-			batch[i] = nil
-			r.dispatch(m)
-			if r.isFinished() {
-				break
+		select {
+		case <-r.mb.Ready():
+			batch, _ = r.mb.Drain(batch) // never closed: ok is always true
+			r.observeBacklog(len(batch))
+			for i, m := range batch {
+				batch[i] = nil
+				r.dispatch(m)
+				if r.isFinished() {
+					break
+				}
 			}
+		case <-tick.C:
+			r.onTick()
+		case <-expired:
+			r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: deadline %v exceeded: %w", r.id, r.deadline, ErrDeadlineExceeded))
 		}
 	}
-	// Terminal: stop background work and release everything still held.
-	close(r.tickerStop)
+	// Terminal: release everything still held.
 	r.teardown()
 	// DAGFinished is the one lifecycle event not emitted by a transition
 	// observer: it is a span closer needing the post-teardown duration.
@@ -451,14 +432,8 @@ func (r *dagRun) dispatch(m amMsg) {
 		r.onCommitDone(msg.vs, msg.err)
 	case msgNodeFailed:
 		r.onNodeFailed(msg.node, msg.planned)
-	case msgTick:
-		r.onTick()
 	case msgKill:
-		if msg.cause != nil {
-			r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: %s: %w", r.id, msg.reason, msg.cause))
-		} else {
-			r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: %s", r.id, msg.reason))
-		}
+		r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: %s", r.id, msg.reason))
 	case msgParQuery:
 		r.onParQuery(msg)
 	}

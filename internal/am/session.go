@@ -26,42 +26,48 @@ type Session struct {
 	active map[string]*dagRun
 	closed bool
 
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	done chan struct{} // closed when the event loop returns
 }
 
 // NewSession registers the application with the RM and starts the event
-// drain and housekeeping loops.
+// loop.
 func NewSession(plat *platform.Platform, cfg Config) *Session {
 	cfg = cfg.withDefaults()
 	s := &Session{
 		cfg:    cfg,
 		plat:   plat,
 		active: make(map[string]*dagRun),
-		stopCh: make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	s.app = plat.RM.SubmitTenant(cfg.Name, cfg.Tenant)
 	s.health = newNodeHealth(cfg, len(plat.RM.Nodes()))
 	s.sched = newScheduler(cfg, s.app, s.health)
-	s.wg.Add(2)
-	go s.drainClusterEvents()
-	go s.housekeeping()
+	go s.loop()
 	if cfg.PrewarmContainers > 0 {
 		s.sched.prewarm(cfg.PrewarmContainers)
 	}
 	return s
 }
 
-// drainClusterEvents forwards RM notifications to the scheduler and the
-// active DAG runs.
-func (s *Session) drainClusterEvents() {
-	defer s.wg.Done()
+// loop forwards RM notifications to the scheduler and the active DAG runs,
+// and releases idle containers on its ticker. It returns once the event
+// mailbox is closed and drained, which Close's Unregister does.
+func (s *Session) loop() {
+	defer close(s.done)
+	reap := time.NewTicker(s.cfg.ContainerIdleRelease / 2)
+	defer reap.Stop()
 	// Batch drain: the RM delivers a scheduling pass's grants as one
 	// PutAll, so pick them all up with one lock round-trip too.
 	var batch []cluster.Event
 	for {
+		select {
+		case <-reap.C:
+			s.sched.reapIdle()
+			continue
+		case <-s.app.Events().Ready():
+		}
 		var ok bool
-		batch, ok = s.app.Events().GetAll(batch)
+		batch, ok = s.app.Events().Drain(batch)
 		if !ok {
 			return
 		}
@@ -83,21 +89,6 @@ func (s *Session) drainClusterEvents() {
 					r.mb.Put(msgNodeFailed{node: e.Node, planned: e.Decommissioned})
 				}
 			}
-		}
-	}
-}
-
-// housekeeping releases idle containers periodically.
-func (s *Session) housekeeping() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.ContainerIdleRelease / 2)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-			s.sched.reapIdle()
 		}
 	}
 }
@@ -206,10 +197,9 @@ func (s *Session) Close() {
 		r.mb.Put(msgKill{reason: "session closed"})
 		<-r.done
 	}
-	close(s.stopCh)
 	s.sched.close()
-	s.app.Unregister() // closes the event mailbox, ending the drain loop
-	s.wg.Wait()
+	s.app.Unregister() // closes the event mailbox, ending the event loop
+	<-s.done
 }
 
 // RunDAG is the non-session convenience: a dedicated AM for one DAG, torn

@@ -23,26 +23,22 @@ const (
 	deadlockWait          = 50 * time.Millisecond
 )
 
-// onTick runs the periodic checks: straggler speculation (§4.2),
-// out-of-order scheduling deadlock preemption (§3.4), and the dispatcher
-// backlog gauge.
+// onTick runs the periodic checks: straggler speculation (§4.2) and
+// out-of-order scheduling deadlock preemption (§3.4).
 func (r *dagRun) onTick() {
-	if r.isFinished() {
-		return
-	}
-	r.observeBacklog()
 	if r.cfg.Speculation {
 		r.checkSpeculation()
 	}
 	r.checkDeadlock()
 }
 
-// observeBacklog samples the dispatcher mailbox depth. The high-water
-// mark is kept as the AM_MAILBOX_BACKLOG_MAX gauge; crossing the report
-// threshold also journals an AM_BACKLOG event, making a stuck or starved
-// dispatcher visible in the timeline instead of only as a hang.
-func (r *dagRun) observeBacklog() {
-	n := int64(r.mb.Len())
+// observeBacklog records the size n of a drained batch — the messages
+// that queued while the dispatcher was busy. The high-water mark is kept
+// as the AM_MAILBOX_BACKLOG_MAX gauge; crossing the report threshold also
+// journals an AM_BACKLOG event, making a stuck or starved dispatcher
+// visible in the timeline instead of only as a hang.
+func (r *dagRun) observeBacklog(batch int) {
+	n := int64(batch)
 	if n <= r.backlogMax {
 		return
 	}

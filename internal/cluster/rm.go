@@ -49,8 +49,6 @@ type ResourceManager struct {
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	lastPreempt time.Time
 }
 
 // New builds a cluster per cfg and starts the scheduling loop.
@@ -391,15 +389,20 @@ func (rm *ResourceManager) loop() {
 	defer rm.wg.Done()
 	t := time.NewTicker(rm.cfg.ScheduleInterval)
 	defer t.Stop()
+	var preempt <-chan time.Time // nil without FairPreemption: never fires
+	if rm.cfg.FairPreemption {
+		pt := time.NewTicker(rm.cfg.PreemptionInterval)
+		defer pt.Stop()
+		preempt = pt.C
+	}
 	for {
 		select {
 		case <-rm.stopCh:
 			return
 		case <-t.C:
 			rm.scheduleOnce()
-			if rm.cfg.FairPreemption {
-				rm.maybePreempt()
-			}
+		case <-preempt:
+			rm.maybePreempt()
 		}
 	}
 }
@@ -707,11 +710,6 @@ func (rm *ResourceManager) commitLocked(a *Application, req *ContainerRequest, n
 // Called only from the RM loop goroutine; starvedSince needs no lock.
 func (rm *ResourceManager) maybePreempt() {
 	rm.mu.Lock()
-	if time.Since(rm.lastPreempt) < rm.cfg.PreemptionInterval {
-		rm.mu.Unlock()
-		return
-	}
-	rm.lastPreempt = time.Now()
 	type gstate struct {
 		g       *tenantGroup
 		weight  int

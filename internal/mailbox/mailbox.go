@@ -9,13 +9,18 @@ import "sync"
 
 // Mailbox is an unbounded FIFO of T. The zero value is NOT ready; use New.
 //
+// Readiness is a channel, so an owner can wait on its mailbox and its own
+// timers in one select: a token in ready means "look again" (it may be
+// stale — a reader that finds nothing simply waits again), and Close
+// closes ready, which wakes every reader for good.
+//
 // The queue is a slice with a head cursor: Get advances head instead of
 // re-slicing, so popped slots are released (zeroed) immediately and the
 // backing array is compacted once the dead prefix dominates — a long-lived
 // mailbox retains O(backlog) memory, not O(total ever enqueued).
 type Mailbox[T any] struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
+	ready  chan struct{} // capacity 1; closed by Close
 	items  []T
 	head   int // items[head:] are live; items[:head] are zeroed dead slots
 	closed bool
@@ -29,9 +34,17 @@ const compactThreshold = 32
 
 // New returns an empty, open mailbox.
 func New[T any]() *Mailbox[T] {
-	m := &Mailbox[T]{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
+	return &Mailbox[T]{ready: make(chan struct{}, 1)}
+}
+
+// signalLocked leaves a wake-up token unless one is already pending. The
+// caller holds mu and has checked the mailbox is open (ready is closed
+// once closed is set).
+func (m *Mailbox[T]) signalLocked() {
+	select {
+	case m.ready <- struct{}{}:
+	default:
+	}
 }
 
 // Put enqueues v. Put on a closed mailbox is a silent no-op, so that
@@ -44,7 +57,7 @@ func (m *Mailbox[T]) Put(v T) {
 		return
 	}
 	m.items = append(m.items, v)
-	m.cond.Signal()
+	m.signalLocked()
 }
 
 // PutAll enqueues every element of vs under a single lock acquisition and
@@ -62,7 +75,7 @@ func (m *Mailbox[T]) PutAll(vs []T) {
 		return
 	}
 	m.items = append(m.items, vs...)
-	m.cond.Signal()
+	m.signalLocked()
 }
 
 // popLocked removes and returns the head item. Caller guarantees at least
@@ -93,34 +106,45 @@ func (m *Mailbox[T]) maybeCompactLocked() {
 }
 
 // Get blocks until an item is available or the mailbox is closed and
-// drained. ok is false only when closed and empty.
+// drained. ok is false only when closed and empty. A Get that leaves items
+// behind passes the wake-up token on, so one PutAll wakes as many blocked
+// readers as it has items.
 func (m *Mailbox[T]) Get() (v T, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.head == len(m.items) && !m.closed {
-		m.cond.Wait()
+	for {
+		m.mu.Lock()
+		if m.head < len(m.items) {
+			v = m.popLocked()
+			if m.head < len(m.items) && !m.closed {
+				m.signalLocked()
+			}
+			m.mu.Unlock()
+			return v, true
+		}
+		closed := m.closed
+		m.mu.Unlock()
+		if closed {
+			return v, false
+		}
+		<-m.ready
 	}
-	if m.head == len(m.items) {
-		var zero T
-		return zero, false
-	}
-	return m.popLocked(), true
 }
 
-// GetAll blocks like Get, then drains every queued item into buf (which is
-// truncated and reused — pass the previous call's return value to amortise
-// allocation). ok is false only when the mailbox is closed and empty.
-// One lock round-trip hands the consumer the whole backlog, the
-// batch-delivery dual of PutAll.
-func (m *Mailbox[T]) GetAll(buf []T) (batch []T, ok bool) {
+// Ready returns the channel a reader selects on: it has a value after a
+// Put or PutAll and is closed once the mailbox is. A reader that receives
+// from it calls Drain (or TryGet) and may find nothing.
+func (m *Mailbox[T]) Ready() <-chan struct{} { return m.ready }
+
+// Drain moves every queued item into buf (which is truncated and reused —
+// pass the previous call's return value to amortise allocation) without
+// blocking. ok is false only when the mailbox is closed and empty. One lock
+// round-trip hands the consumer the whole backlog, the batch-delivery dual
+// of PutAll.
+func (m *Mailbox[T]) Drain(buf []T) (batch []T, ok bool) {
 	buf = buf[:0]
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for m.head == len(m.items) && !m.closed {
-		m.cond.Wait()
-	}
 	if m.head == len(m.items) {
-		return buf, false
+		return buf, !m.closed
 	}
 	buf = append(buf, m.items[m.head:]...)
 	var zero T
@@ -143,15 +167,8 @@ func (m *Mailbox[T]) TryGet() (v T, ok bool) {
 	return m.popLocked(), true
 }
 
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.items) - m.head
-}
-
-// Close wakes all blocked Gets. Items already queued can still be drained.
-// Close is idempotent.
+// Close wakes all blocked Gets and selecting readers. Items already queued
+// can still be drained. Close is idempotent.
 func (m *Mailbox[T]) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -159,5 +176,5 @@ func (m *Mailbox[T]) Close() {
 		return
 	}
 	m.closed = true
-	m.cond.Broadcast()
+	close(m.ready)
 }

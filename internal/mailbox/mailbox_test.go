@@ -1,8 +1,11 @@
 package mailbox
 
 import (
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFIFOOrder(t *testing.T) {
@@ -42,7 +45,7 @@ func TestCloseUnblocksAndDrains(t *testing.T) {
 		t.Fatal("Get on closed empty mailbox returned ok")
 	}
 	m.Put(2) // no-op
-	if m.Len() != 0 {
+	if _, ok := m.TryGet(); ok {
 		t.Fatal("Put after close enqueued")
 	}
 	m.Close() // idempotent
@@ -108,83 +111,128 @@ func TestPutAfterCloseDuringTeardown(t *testing.T) {
 		}
 	}
 	m.Put(42)
-	if m.Len() != 0 {
-		t.Fatalf("Put after close enqueued; Len=%d", m.Len())
-	}
-	if _, ok := m.TryGet(); ok {
-		t.Fatal("TryGet on closed drained mailbox returned ok")
+	if v, ok := m.TryGet(); ok {
+		t.Fatalf("Put after close enqueued %d", v)
 	}
 }
 
-// TestLenTracksBacklog pins Len as the backlog gauge the AM dispatcher
-// samples (AM_MAILBOX_BACKLOG_MAX).
-func TestLenTracksBacklog(t *testing.T) {
-	m := New[int]()
-	for i := 1; i <= 32; i++ {
-		m.Put(i)
-		if m.Len() != i {
-			t.Fatalf("Len after %d Puts = %d", i, m.Len())
-		}
-	}
-	for i := 31; i >= 0; i-- {
-		m.Get()
-		if m.Len() != i {
-			t.Fatalf("Len after drain to %d = %d", i, m.Len())
-		}
-	}
-}
-
-// TestPutAllGetAllBatch pins the batch APIs: PutAll preserves order
-// against interleaved Puts, and GetAll drains the whole backlog into a
+// TestPutAllDrainBatch pins the batch APIs: PutAll preserves order
+// against interleaved Puts, and Drain empties the whole backlog into a
 // reused buffer.
-func TestPutAllGetAllBatch(t *testing.T) {
+func TestPutAllDrainBatch(t *testing.T) {
 	m := New[int]()
 	m.Put(1)
 	m.PutAll([]int{2, 3, 4})
 	m.PutAll(nil) // no-op
 	m.Put(5)
 
-	buf, ok := m.GetAll(nil)
+	buf, ok := m.Drain(nil)
 	if !ok || len(buf) != 5 {
-		t.Fatalf("GetAll = %v,%v; want 5 items", buf, ok)
+		t.Fatalf("Drain = %v,%v; want 5 items", buf, ok)
 	}
 	for i, v := range buf {
 		if v != i+1 {
 			t.Fatalf("batch[%d] = %d", i, v)
 		}
 	}
-	if m.Len() != 0 {
-		t.Fatalf("Len after GetAll = %d", m.Len())
+	if v, ok := m.TryGet(); ok {
+		t.Fatalf("TryGet after Drain = %d", v)
 	}
 	// Buffer reuse: the same backing array comes back when it fits.
 	m.PutAll([]int{6, 7})
-	buf2, ok := m.GetAll(buf)
+	buf2, ok := m.Drain(buf)
 	if !ok || len(buf2) != 2 || buf2[0] != 6 || buf2[1] != 7 {
-		t.Fatalf("GetAll reuse = %v,%v", buf2, ok)
+		t.Fatalf("Drain reuse = %v,%v", buf2, ok)
 	}
 	if cap(buf2) != cap(buf) || &buf2[0] != &buf[0] {
-		t.Fatal("GetAll did not reuse the caller's buffer")
+		t.Fatal("Drain did not reuse the caller's buffer")
 	}
 	// Closed + empty: ok=false.
 	m.Close()
-	if _, ok := m.GetAll(buf2); ok {
-		t.Fatal("GetAll on closed empty mailbox returned ok")
+	if _, ok := m.Drain(buf2); ok {
+		t.Fatal("Drain on closed empty mailbox returned ok")
 	}
 }
 
-// TestGetAllBlocksUntilPut pins GetAll's blocking contract: it parks like
-// Get and wakes with the full batch available at wake time.
-func TestGetAllBlocksUntilPut(t *testing.T) {
+// TestDrainAfterReady pins the select reader's contract: it parks on
+// Ready and, woken, drains the full batch available at wake time.
+func TestDrainAfterReady(t *testing.T) {
 	m := New[int]()
 	done := make(chan []int)
 	go func() {
-		batch, _ := m.GetAll(nil)
+		<-m.Ready()
+		batch, _ := m.Drain(nil)
 		done <- batch
 	}()
 	m.PutAll([]int{10, 11, 12})
 	got := <-done
-	if len(got) < 1 || got[0] != 10 {
-		t.Fatalf("GetAll woke with %v", got)
+	if len(got) != 3 || got[0] != 10 {
+		t.Fatalf("Drain after Ready = %v", got)
+	}
+}
+
+// TestReadyFiresOnPutAndClose: a token is waiting after a Put, and Close
+// leaves Ready permanently readable.
+func TestReadyFiresOnPutAndClose(t *testing.T) {
+	m := New[int]()
+	select {
+	case <-m.Ready():
+		t.Fatal("Ready fired on a new mailbox")
+	default:
+	}
+	m.Put(1)
+	select {
+	case <-m.Ready():
+	default:
+		t.Fatal("Ready did not fire after Put")
+	}
+	m.Close()
+	for i := 0; i < 2; i++ {
+		select {
+		case <-m.Ready():
+		default:
+			t.Fatal("Ready did not fire after Close")
+		}
+	}
+}
+
+// TestDrainEmptyOpenDoesNotBlock: Drain on an empty open mailbox returns
+// the emptied buffer and ok=true at once.
+func TestDrainEmptyOpenDoesNotBlock(t *testing.T) {
+	m := New[int]()
+	buf := make([]int, 3, 8)
+	got, ok := m.Drain(buf)
+	if !ok || len(got) != 0 || cap(got) != cap(buf) {
+		t.Fatalf("Drain on empty open mailbox = %v (cap %d),%v", got, cap(got), ok)
+	}
+}
+
+// TestPutAllWakesEveryBlockedGet: one PutAll leaves one token, and each
+// Get that leaves items behind passes it on, so all four blocked readers
+// wake with one item each.
+func TestPutAllWakesEveryBlockedGet(t *testing.T) {
+	m := New[int]()
+	const readers = 4
+	got := make(chan int, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			v, _ := m.Get()
+			got <- v
+		}()
+	}
+	waitParkedInGet(t, readers)
+	m.PutAll([]int{1, 2, 3, 4})
+	sum := 0
+	for i := 0; i < readers; i++ {
+		select {
+		case v := <-got:
+			sum += v
+		case <-time.After(5 * time.Second):
+			t.Fatalf("only %d of %d blocked readers woke", i, readers)
+		}
+	}
+	if sum != 10 {
+		t.Fatalf("readers got items summing to %d, want 10", sum)
 	}
 }
 
@@ -285,5 +333,27 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	cg.Wait()
 	if len(seen) != producers*perProducer {
 		t.Fatalf("consumed %d items, want %d", len(seen), producers*perProducer)
+	}
+}
+
+// waitParkedInGet waits until n goroutines are parked on a channel
+// receive inside Get, so a test's Put meets readers already asleep.
+func waitParkedInGet(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, ").Get(") {
+				parked++
+			}
+		}
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d readers parked in Get", parked, n)
+		}
+		runtime.Gosched()
 	}
 }

@@ -86,26 +86,26 @@ func StartService(plat *platform.Platform, name string, executors int, res clust
 	for i := 0; i < executors; i++ {
 		s.app.Request(&cluster.ContainerRequest{Resource: res})
 	}
-	soft := time.Now().Add(softWait)
-	hard := time.Now().Add(20 * softWait)
-	for len(s.containers) < executors {
-		if time.Now().After(soft) && len(s.containers) > 0 {
-			break
-		}
-		if time.Now().After(hard) {
+	soft := time.NewTimer(softWait)
+	defer soft.Stop()
+	// hard is armed once softWait has passed; from then on the first
+	// executor ends the wait.
+	var hard <-chan time.Time
+	var batch []cluster.Event
+	for len(s.containers) < executors && (hard == nil || len(s.containers) == 0) {
+		select {
+		case <-soft.C:
+			hard = time.After(19 * softWait)
+		case <-hard:
 			s.Close()
 			return nil, fmt.Errorf("sparklike: %s: no executors allocated within %v", name, 20*softWait)
-		}
-		ev, ok := s.app.Events().TryGet()
-		if !ok {
-			time.Sleep(time.Millisecond)
-			continue
-		}
-		if ae, isAlloc := ev.(cluster.AllocatedEvent); isAlloc {
-			if err := ae.Container.Launch(); err != nil {
-				continue
+		case <-s.app.Events().Ready():
+			batch, _ = s.app.Events().Drain(batch)
+			for _, ev := range batch {
+				if ae, isAlloc := ev.(cluster.AllocatedEvent); isAlloc && ae.Container.Launch() == nil {
+					s.containers = append(s.containers, ae.Container)
+				}
 			}
-			s.containers = append(s.containers, ae.Container)
 		}
 	}
 	// One worker per executor: tasks run inside the held containers.
