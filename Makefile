@@ -72,10 +72,13 @@ bench:
 # profile runs the profilable copies of the repository benchmark's
 # workloads (BenchmarkHiveSession/{scanagg,joinagg} and BenchmarkSmallMRDAG
 # in bench_test.go) under the CPU and allocation profilers, then prints
-# the cumulative CPU share of two costs that should read near zero on the
+# the cumulative CPU share of three costs that should read near zero on the
 # Hive workloads: payload encoding (internal/plugin and encoding/gob
-# frames) and boxing relational rows (row.Decode, row.Row.Clone,
-# col.(*Batch).AppendRow). Binary and profiles stay in $(PROFILE_DIR); look
+# frames), boxing relational rows (row.Decode, row.Row.Clone,
+# col.(*Batch).AppendRow) and parsing row-encoded records
+# (col.(*Batch).AppendEncoded): scans decode table stripes column by
+# column, so only the rows a reduce side reads off the shuffle still take
+# that parse. Binary and profiles stay in $(PROFILE_DIR); look
 # further with `go tool pprof $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out`
 # (or mem.out with -sample_index=alloc_space). PROFILE_BENCH narrows the
 # run to one workload, e.g. PROFILE_BENCH=HiveSession/scanagg.
@@ -86,7 +89,7 @@ profile:
 	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
-		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.AppendRow\b' | head -30
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b' | head -30
 
 # fuzz-short gives the record-framing decoders (plain and block-padded),
 # the sort order (prefix index sort against the full-comparator oracle),
@@ -98,8 +101,11 @@ profile:
 # (Parser.Expr, then Resolve), hive.Parse and pig.ParseScript: no panic, no
 # stack exhaustion — and the two row
 # decoders (row.Decode and col.Batch.AppendEncoded accept and refuse the
-# same inputs and read them alike) and the batch frame decoder
-# (col.DecodeBatch: a frame it accepts re-encodes to the same rows) a
+# same inputs and read them alike), the batch frame decoder
+# (col.DecodeBatch: a frame it accepts re-encodes to the same rows) and
+# the table stripe's column-subset decode (col.DecodeBatchInto: any subset
+# of an accepted frame's columns reads as the full decode does, every
+# column length within the bytes that remain, the row cap kept) a
 # brief coverage-guided shake on every run (the checked-in corpus under
 # testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
@@ -113,6 +119,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s ./internal/pig/
 	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s ./internal/col/
 	$(GO) test -run XXX -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/col/
+	$(GO) test -run XXX -fuzz FuzzColumnFile -fuzztime 5s ./internal/col/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and,

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"path"
 	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,6 +14,7 @@ import (
 	"tez/internal/hive"
 	"tez/internal/platform"
 	"tez/internal/relop"
+	"tez/internal/testutil"
 )
 
 // tiny finishes each figure in well under a second for unit testing.
@@ -306,21 +304,7 @@ func TestRelationalGoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		files := plat.FS.List(out + "/part-")
-		sort.Strings(files)
-		if len(files) == 0 {
-			t.Fatalf("%s: no part files under %s", c.name, out)
-		}
-		digest := sha256.New()
-		for _, f := range files {
-			blob, err := plat.FS.ReadFile(f, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(digest, "%s %d\n", path.Base(f), len(blob))
-			digest.Write(blob)
-		}
-		if got := fmt.Sprintf("%x", digest.Sum(nil)); got != c.golden {
+		if got := testutil.PartsDigest(t, plat.FS, out); got != c.golden {
 			t.Errorf("%s: committed bytes differ from the row engine's: digest %s, want %s", c.name, got, c.golden)
 		}
 	}

@@ -3,7 +3,9 @@ package data
 import (
 	"testing"
 
+	"tez/internal/col"
 	"tez/internal/dfs"
+	"tez/internal/library"
 	"tez/internal/relop"
 )
 
@@ -40,16 +42,21 @@ func readAll(t *testing.T, fs *dfs.FileSystem, tb *relop.Table) int {
 func relopReadFiles(fs *dfs.FileSystem, tb *relop.Table) ([][]any, error) {
 	var out [][]any
 	for _, f := range tb.Files {
-		rs, err := relop.ReadRecordFile(fs, f)
+		data, err := fs.ReadFile(f, "")
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range rs {
+		rs := col.NewStripeRows(library.NewPaddedReader(data))
+		for rs.Next() {
+			r := rs.Batch().MaterializeRow(rs.Row())
 			anyRow := make([]any, len(r))
 			for i, v := range r {
 				anyRow[i] = v
 			}
 			out = append(out, anyRow)
+		}
+		if err := rs.Err(); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

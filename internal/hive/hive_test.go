@@ -11,9 +11,11 @@ import (
 	"testing"
 
 	"tez/internal/am"
+	"tez/internal/dag"
 	"tez/internal/data"
 	"tez/internal/library"
 	"tez/internal/platform"
+	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/row"
 	"tez/internal/timeline"
@@ -256,16 +258,103 @@ func TestTezAndMRAgree(t *testing.T) {
 		`SELECT c.c_mktsegment, sum(o.o_totalprice) AS s FROM orders o
 		 JOIN customer c ON o.o_custkey = c.c_custkey GROUP BY c.c_mktsegment`,
 		"SELECT o_orderkey FROM orders WHERE o_totalprice > 60 ORDER BY o_orderkey DESC",
+		// o_orderdate and c_mktsegment are named only by the WHERE: the
+		// scans must decode them on both backends (broadcast join on Tez,
+		// shuffle join on MR).
+		`SELECT c.c_name, sum(o.o_totalprice) AS s FROM orders o
+		 JOIN customer c ON o.o_custkey = c.c_custkey
+		 WHERE o.o_orderdate >= 19950601 AND c.c_mktsegment = 'BUILDING' GROUP BY c.c_name`,
 	}
 	for i, q := range queries {
 		tez := sortedRender(h.query(fmt.Sprintf("agree-tez-%d", i), q))
 		mr := sortedRender(h.queryMR(fmt.Sprintf("agree-mr-%d", i), q))
-		if len(tez) != len(mr) {
+		if len(tez) != len(mr) || len(tez) == 0 {
 			t.Fatalf("query %d: tez %v vs mr %v", i, tez, mr)
 		}
 		for j := range tez {
 			if tez[j] != mr[j] {
 				t.Fatalf("query %d row %d: tez %q vs mr %q", i, j, tez[j], mr[j])
+			}
+		}
+	}
+}
+
+// TestScanReadSets: a scan's stage input lists the columns its query
+// reads — consumers and pushed-down filter — and nothing else, on both
+// backends; a query that reads every column lists none (nil: all).
+func TestScanReadSets(t *testing.T) {
+	plat := platform.New(platform.Fast(4))
+	defer plat.Stop()
+	tp, err := data.GenTPCH(plat.FS, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	eng.Register(tp.Tables()...)
+	sqlOf := map[string]string{}
+	for _, q := range data.TPCHQueries {
+		sqlOf[q.Name] = q.SQL
+	}
+	cols := func(tb *relop.Table, names ...string) []int {
+		var out []int
+		for _, n := range names {
+			out = append(out, tb.Schema.Index(n))
+		}
+		sort.Ints(out)
+		return out
+	}
+	for _, c := range []struct {
+		sql  string
+		want map[string][]int // scanned table -> Cols
+	}{
+		{sqlOf["q1"], map[string][]int{"lineitem": cols(tp.Lineitem,
+			"l_quantity", "l_extendedprice", "l_discount", "l_returnflag", "l_linestatus", "l_shipdate")}},
+		{sqlOf["q18"], map[string][]int{
+			"lineitem": cols(tp.Lineitem, "l_orderkey", "l_quantity"),
+			"orders":   cols(tp.Orders, "o_orderkey"),
+		}},
+		{"SELECT * FROM orders", map[string][]int{"orders": nil}},
+		// o_totalprice is read only by the filter pushed into the scan.
+		{"SELECT o_orderkey FROM orders WHERE o_totalprice > 100",
+			map[string][]int{"orders": cols(tp.Orders, "o_orderkey", "o_totalprice")}},
+	} {
+		for _, forMR := range []bool{false, true} {
+			roots, err := eng.Plan(c.sql, "/out/readsets", forMR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var dags []*dag.DAG
+			if forMR {
+				jobs, _, err := relop.CompileMR(eng.Exec, "readsets", roots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, j := range jobs {
+					dags = append(dags, j.DAG)
+				}
+			} else {
+				d, err := relop.EmitDAGOnly(eng.Exec, "readsets", roots)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dags = append(dags, d)
+			}
+			got := map[string][]int{}
+			for _, d := range dags {
+				for _, v := range d.Vertices {
+					var spec relop.StageSpec
+					if err := plugin.Decode(v.Processor.Payload, &spec); err != nil {
+						t.Fatal(err)
+					}
+					for _, in := range spec.Inputs {
+						if in.Mode == relop.InTable {
+							got[v.Name[strings.Index(v.Name, "scan_")+5:]] = in.Cols
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(got, c.want) {
+				t.Errorf("mr=%v %s\nscans decode %v, want %v", forMR, c.sql, got, c.want)
 			}
 		}
 	}

@@ -33,7 +33,12 @@ type RecordFileWriter struct {
 	blockSize int64
 	inBlock   int64
 	records   int64
+	buf       []byte // one record's framing, reused: dfs.Writer.Write copies
 }
+
+// zeroPad is block padding, shared by every writer: dfs.Writer.Write
+// copies what it is given, so the same zeros serve every block.
+var zeroPad = make([]byte, 64<<10)
 
 // CreateRecordFile opens a record file for writing near localNode. The
 // padding block size is the filesystem's block size: the invariant that a
@@ -56,19 +61,35 @@ func (w *RecordFileWriter) Write(key, value []byte) error {
 	}
 	if w.inBlock+sz > w.blockSize {
 		// Pad the rest of the block; readers stop at the 0x00 marker.
-		pad := make([]byte, w.blockSize-w.inBlock)
-		if _, err := w.w.Write(pad); err != nil {
-			return err
+		for pad := w.blockSize - w.inBlock; pad > 0; {
+			n := min(pad, int64(len(zeroPad)))
+			if _, err := w.w.Write(zeroPad[:n]); err != nil {
+				return err
+			}
+			pad -= n
 		}
 		w.inBlock = 0
 	}
-	buf := AppendRecord(nil, key, value)
-	if _, err := w.w.Write(buf); err != nil {
+	w.buf = AppendRecord(w.buf[:0], key, value)
+	if _, err := w.w.Write(w.buf); err != nil {
 		return err
 	}
 	w.inBlock += sz
 	w.records++
 	return nil
+}
+
+// ValueRoom returns the longest value an empty-key record may have to fit
+// in the rest of the current block (rest; ≤ 0 when none fits) and in a
+// whole block: a writer cutting its values to the block uses it.
+func (w *RecordFileWriter) ValueRoom() (rest, block int) {
+	return valueRoom(w.blockSize - w.inBlock), valueRoom(w.blockSize)
+}
+
+// valueRoom is the longest value an empty-key record of at most n bytes
+// can carry: one byte of key length, the value's length, the value.
+func valueRoom(n int64) int {
+	return int(n) - 1 - uvarintLen(uint64(n))
 }
 
 // Records returns how many records were written.

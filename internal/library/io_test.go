@@ -641,3 +641,40 @@ func TestOutputsAnnounceExactBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordFileWriterAllocs: writing a record allocates nothing once the
+// writer is warm — the framing goes through one reused buffer and block
+// padding is shared zeros — so what is left per Write is the DFS's own
+// per-block copy, amortised over the block's records.
+func TestRecordFileWriterAllocs(t *testing.T) {
+	fs := dfs.New(dfs.Config{BlockSize: 4 << 10, Replication: 1})
+	fs.AddNode("n0", "r0")
+	w, err := CreateRecordFile(fs, "/allocs", "n0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, value := []byte("key"), bytes.Repeat([]byte("v"), 90) // a block takes 41 records, then padding
+	if n := testing.AllocsPerRun(2000, func() {
+		if err := w.Write(key, value); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("%.2f allocations per Write, want 0 amortised", n)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := fs.ReadFile("/allocs", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, n := NewPaddedReader(data), 0
+	for ; r.Next(); n++ {
+		if !bytes.Equal(r.Key(), key) || !bytes.Equal(r.Value(), value) {
+			t.Fatalf("record %d reads back as %q/%q", n, r.Key(), r.Value())
+		}
+	}
+	if r.Err() != nil || n != 2001 {
+		t.Fatalf("read %d of 2001 records back, err %v", n, r.Err())
+	}
+}

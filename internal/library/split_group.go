@@ -12,8 +12,9 @@ import (
 // DefaultGroupBytes is how much input the library gives one root-input
 // task when the caller leaves the sizing to it (SplitSourceConfig with
 // DesiredSplitSize 0). EXPERIMENTS.md has the 128 KiB–2 MiB sweep the
-// value comes from.
-const DefaultGroupBytes = 512 << 10
+// value comes from: its knee was 512 KiB of row-encoded table files, and
+// column stripes hold the same rows in three quarters of the bytes.
+const DefaultGroupBytes = 384 << 10
 
 // SplitGroup is one task's share of a data source: its splits in (path,
 // offset) order and the hosts to ask the scheduler for.

@@ -158,9 +158,8 @@ func TestGroupSplits(t *testing.T) {
 		{"caller-sized: target 0 keeps one task per split", evenSplits(8, 4, 4096, threeOfSixteen), 0, 32},
 		{"three large files stay three tasks", evenSplits(3, 1, 2_400_000, threeOfSixteen), DefaultGroupBytes, 3},
 		{"want above the split count", evenSplits(4, 1, 1<<20, threeOfSixteen), 1 << 10, 4},
-		// hive's lineitem: 102 files of 41 KB. want = 9, 468 KB a task,
-		// twelve files fill one: eight full tasks and the six files left.
-		{"102 small files", evenSplits(102, 1, 41_350, threeOfSixteen), DefaultGroupBytes, 9},
+		// hive's lineitem: 102 files of 31 KB of stripes. want = 9.
+		{"102 small files", evenSplits(102, 1, 31_180, threeOfSixteen), DefaultGroupBytes, 9},
 		{"4 tiny files become one task", evenSplits(4, 1, 5_120, threeOfSixteen), DefaultGroupBytes, 1},
 		{"no locality at all", evenSplits(40, 1, 1000, func(int, int) []string { return nil }), 10_000, 5},
 		{"zero-length splits", evenSplits(5, 1, 0, oneOfFour), 10, 5},
@@ -264,7 +263,7 @@ func fuzzSplits(data []byte) []dfs.Split {
 // FuzzGroupSplits holds the grouping to checkGroups' property list over
 // fuzzer-built split sets and targets. The checked-in corpus has the two
 // shapes the benchmark's inputs come in: 102 files of 40.5 KiB with three
-// replicas (nine groups at DefaultGroupBytes) and 4 files of 5 KiB (one).
+// replicas (nine groups at 512 KiB) and 4 files of 5 KiB (one).
 func FuzzGroupSplits(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 4, 2, 1, 4, 3}, int64(1500))
 	f.Fuzz(func(t *testing.T, data []byte, target int64) {

@@ -202,7 +202,7 @@ func (c *Compiler) compileScan(n *Node) ([]cursor, error) {
 		src.Initializer = plugin.Descriptor{Name: PruneInitializerName}
 	}
 	st.sources = append(st.sources, src)
-	st.spec.Inputs = append(st.spec.Inputs, StageInput{Name: "src", Mode: InSource})
+	st.spec.Inputs = append(st.spec.Inputs, StageInput{Name: "src", Mode: InTable, Cols: c.use.scanned(n)})
 	// Scan-level filter (predicate pushdown) starts the pipe.
 	var pipe []PipeOp
 	if n.Filter != nil {

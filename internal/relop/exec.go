@@ -106,7 +106,7 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 	var grouped []runtime.GroupedKVReader
 	for _, in := range p.spec.Inputs {
 		switch in.Mode {
-		case InSource:
+		case InSource, InTable:
 			if err := p.runStream(in, inputs, emitters); err != nil {
 				return err
 			}
@@ -177,9 +177,9 @@ func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Inp
 	table := map[string][]row.Row{}
 	var keyVecs []col.Vector
 	var key []byte
+	b := col.NewBatch()
 	for kv.Next() {
-		b, err := col.DecodeBatch(kv.Value())
-		if err != nil {
+		if err := col.DecodeBatchInto(b, kv.Value(), nil); err != nil {
 			return nil, err
 		}
 		keyVecs = evalKeys(keyVecs[:0], in.BuildKeys, b)
@@ -200,8 +200,9 @@ func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Inp
 	return table, nil
 }
 
-// runStream feeds a row-stream input through the emits bound to it: each
-// emitter parses the encoded bytes straight into its column vectors.
+// runStream feeds a DFS input through the emits bound to it: each emitter
+// decodes a table stripe's read columns, or parses a row-encoded record,
+// straight into its column vectors.
 func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Input, emitters []*vecEmitter) error {
 	src, ok := inputs[in.Name]
 	if !ok {
@@ -224,7 +225,13 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 	for kv.Next() {
 		v := kv.Value()
 		for _, em := range bound {
-			if err := em.add(v); err != nil {
+			var err error
+			if in.Mode == InTable {
+				err = em.addStripe(v, in.Cols)
+			} else {
+				err = em.add(v)
+			}
+			if err != nil {
 				return err
 			}
 		}

@@ -53,7 +53,7 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 			// Original map stage: its sources plus only the emits to G.
 			sources = p.sources
 			for _, in := range p.spec.Inputs {
-				if in.Mode == InSource {
+				if in.Mode == InTable {
 					spec.Inputs = append(spec.Inputs, in)
 				} else {
 					return nil, fmt.Errorf("relop: MR map stage %s has non-source input %s", p.name, in.Name)
@@ -136,7 +136,7 @@ func CompileMR(cfg Config, name string, roots []*Node) ([]MRJob, string, error) 
 		d := dag.New(fmt.Sprintf("%s_job%02d_%s", name, seq, m.name))
 		spec := StageSpec{}
 		for _, in := range m.spec.Inputs {
-			if in.Mode == InSource {
+			if in.Mode == InTable {
 				spec.Inputs = append(spec.Inputs, in)
 			}
 		}

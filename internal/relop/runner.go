@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tez/internal/am"
+	"tez/internal/col"
 	"tez/internal/dag"
 	"tez/internal/dfs"
 	"tez/internal/library"
@@ -96,7 +97,7 @@ func cleanupMR(fs *dfs.FileSystem, tempRoot string) int {
 }
 
 // WriteTable materialises rows as a catalogued table in the DFS: one
-// record file per shard, rows in values, empty keys.
+// table file per shard, the rows dealt to the shards round-robin.
 func WriteTable(fs *dfs.FileSystem, t *Table, shards int, rows []row.Row) error {
 	if shards <= 0 {
 		shards = 1
@@ -105,23 +106,15 @@ func WriteTable(fs *dfs.FileSystem, t *Table, shards int, rows []row.Row) error 
 	if len(nodes) == 0 {
 		return fmt.Errorf("relop: no DFS nodes")
 	}
+	if err := checkWidths(t, rows); err != nil {
+		return err
+	}
 	t.Files = nil
 	t.Rows = int64(len(rows))
 	t.SizeBytes = 0
 	for s := 0; s < shards; s++ {
 		path := fmt.Sprintf("/tables/%s/shard-%03d", t.Name, s)
-		w, err := library.CreateRecordFile(fs, path, nodes[s%len(nodes)])
-		if err != nil {
-			return err
-		}
-		for i := s; i < len(rows); i += shards {
-			buf := row.Encode(nil, rows[i])
-			if err := w.Write(nil, buf); err != nil {
-				return err
-			}
-			t.SizeBytes += int64(len(buf))
-		}
-		if err := w.Close(); err != nil {
+		if err := writeTableFile(fs, t, path, nodes[s%len(nodes)], rows, s, shards); err != nil {
 			return err
 		}
 		t.Files = append(t.Files, path)
@@ -136,6 +129,9 @@ func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row
 	nodes := fs.LiveNodes()
 	if len(nodes) == 0 {
 		return fmt.Errorf("relop: no DFS nodes")
+	}
+	if err := checkWidths(t, rows); err != nil {
+		return err
 	}
 	groups := map[string][]row.Row{}
 	var order []string
@@ -155,18 +151,7 @@ func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row
 	t.SizeBytes = 0
 	for i, k := range order {
 		path := fmt.Sprintf("/tables/%s/part-%03d", t.Name, i)
-		w, err := library.CreateRecordFile(fs, path, nodes[i%len(nodes)])
-		if err != nil {
-			return err
-		}
-		for _, r := range groups[k] {
-			buf := row.Encode(nil, r)
-			if err := w.Write(nil, buf); err != nil {
-				return err
-			}
-			t.SizeBytes += int64(len(buf))
-		}
-		if err := w.Close(); err != nil {
+		if err := writeTableFile(fs, t, path, nodes[i%len(nodes)], groups[k], 0, 1); err != nil {
 			return err
 		}
 		t.Files = append(t.Files, path)
@@ -175,37 +160,80 @@ func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row
 	return nil
 }
 
-// ReadRecordFile reads all rows of one block-padded record file (a table
-// file or a committed part file).
-func ReadRecordFile(fs *dfs.FileSystem, path string) ([]row.Row, error) {
-	data, err := fs.ReadFile(path, "")
-	if err != nil {
-		return nil, err
-	}
-	var out []row.Row
-	r := library.NewPaddedReader(data)
-	for r.Next() {
-		rr, err := row.Decode(r.Value())
-		if err != nil {
-			return nil, err
+// checkWidths refuses rows that are not as wide as t's schema: a stripe
+// has one width, and a scan's pipeline indexes columns by the schema.
+func checkWidths(t *Table, rows []row.Row) error {
+	for i, r := range rows {
+		if len(r) != t.Schema.Width() {
+			return fmt.Errorf("relop: table %s: row %d has %d columns, the schema %d", t.Name, i, len(r), t.Schema.Width())
 		}
-		out = append(out, rr)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return nil
 }
 
-// ReadStored reads back the rows a StoreNode wrote.
+// writeTableFile writes rows[start], rows[start+step], … to path as a
+// table file: a block-padded record file whose values are stripes
+// (col.Stripe) of at most DefaultBatchSize rows, each cut to fit in the
+// rest of its DFS block, so a block-aligned split holds whole stripes.
+// t.SizeBytes grows by the rows' row-encoded size, the planner's measure.
+func writeTableFile(fs *dfs.FileSystem, t *Table, path, node string, rows []row.Row, start, step int) error {
+	w, err := library.CreateRecordFile(fs, path, node)
+	if err != nil {
+		return err
+	}
+	s := col.NewStripe()
+	var frame, enc []byte
+	room := 0 // bytes the open stripe's frame may take
+	for i := start; i < len(rows); i += step {
+		r := rows[i]
+		enc = row.Encode(enc[:0], r)
+		t.SizeBytes += int64(len(enc))
+		if s.Len() > 0 && s.Len() < DefaultBatchSize && s.Add(r, room) {
+			continue
+		}
+		if s.Len() > 0 {
+			frame = s.AppendFrame(frame[:0])
+			if err := w.Write(nil, frame); err != nil {
+				return err
+			}
+		}
+		// A stripe starts in the rest of the block when its first row fits
+		// there, else at the next block.
+		rest, block := w.ValueRoom()
+		if room = rest; !s.Add(r, room) {
+			if room = block; !s.Add(r, room) {
+				return fmt.Errorf("relop: table %s: row %d does not fit in a DFS block", t.Name, i)
+			}
+		}
+	}
+	if s.Len() > 0 {
+		if err := w.Write(nil, s.AppendFrame(frame[:0])); err != nil {
+			return err
+		}
+	}
+	return w.Close()
+}
+
+// ReadStored reads back the rows a StoreNode wrote: its committed part
+// files, block-padded record files of row-encoded values.
 func ReadStored(fs *dfs.FileSystem, path string) ([]row.Row, error) {
 	var out []row.Row
 	for _, f := range fs.List(path + "/part-") {
-		rows, err := ReadRecordFile(fs, f)
+		data, err := fs.ReadFile(f, "")
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rows...)
+		r := library.NewPaddedReader(data)
+		for r.Next() {
+			rr, err := row.Decode(r.Value())
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, rr)
+		}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

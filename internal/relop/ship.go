@@ -40,6 +40,7 @@ func (r *readSet) add(c int) {
 func (r *readSet) addSet(o *readSet) {
 	if o.every() {
 		r.addAll()
+		return
 	}
 	for c := range o.cols {
 		r.add(c)
@@ -198,6 +199,23 @@ func (u usage) propagate(n *Node) {
 func (u usage) shipped(n *Node) (left, right []int) {
 	l, r := sideReads(n, u.reads[n])
 	return l.columns(n.Children[0].OutSchema.Width()), r.columns(n.Children[1].OutSchema.Width())
+}
+
+// scanned lists the columns scan n decodes: what its consumers read and
+// its pushed-down filter, ascending, or nil for every column. A scan that
+// reads none still decodes column 0, because the stage spec's encoding
+// does not tell an empty list from nil.
+func (u usage) scanned(n *Node) []int {
+	var r readSet
+	r.addSet(u.reads[n])
+	if n.Filter != nil {
+		r.addExprs(n.Filter)
+	}
+	cols := r.columns(n.Table.Schema.Width())
+	if !r.all && cols == nil && len(r.cols) == 0 {
+		cols = []int{0}
+	}
+	return cols
 }
 
 // fusesWithJoin reports whether agg node n can run inside the shuffle

@@ -8,7 +8,11 @@ import "fmt"
 
 // Input modes.
 const (
-	// InSource reads a DFS root input (rows in record-file values).
+	// InTable reads a table's DFS root input: each record value is a
+	// stripe (col.Stripe), decoded column by column.
+	InTable = "table"
+	// InSource reads a DFS root input of row-encoded record values: the
+	// part files an MR chain's job leaves for the next.
 	InSource = "source"
 	// InGrouped reads an ordered, grouped shuffle edge.
 	InGrouped = "grouped"
@@ -23,6 +27,9 @@ const (
 type StageInput struct {
 	Name string
 	Mode string
+	// Cols lists, ascending, the columns an InTable input decodes: those
+	// the stage reads. The others read as null; nil decodes every column.
+	Cols []int
 	// BuildKeys evaluate the hash-table key on build rows (InBuild).
 	BuildKeys []*Expr
 	// CacheInRegistry shares the built hash table through the container's

@@ -2,18 +2,16 @@ package relop
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
-	"path"
-	"sort"
 	"testing"
 
 	"tez/internal/am"
 	"tez/internal/col"
 	"tez/internal/row"
 	"tez/internal/runtime"
+	"tez/internal/testutil"
 )
 
 // The batch engine's contract is byte-identity with the row-at-a-time
@@ -669,21 +667,7 @@ func TestVectorizedEndToEndByteIdentity(t *testing.T) {
 	if _, err := RunTez(sess, Config{}, "e2e", mkPlan("/out/e2e")); err != nil {
 		t.Fatal(err)
 	}
-	files := h.plat.FS.List("/out/e2e/part-")
-	sort.Strings(files)
-	if len(files) == 0 {
-		t.Fatal("no part files stored")
-	}
-	digest := sha256.New()
-	for _, f := range files {
-		blob, err := h.plat.FS.ReadFile(f, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(digest, "%s %d\n", path.Base(f), len(blob))
-		digest.Write(blob)
-	}
-	if got := fmt.Sprintf("%x", digest.Sum(nil)); got != golden {
+	if got := testutil.PartsDigest(t, h.plat.FS, "/out/e2e"); got != golden {
 		t.Fatalf("stored bytes differ from the row engine's: digest %s, want %s", got, golden)
 	}
 }

@@ -80,6 +80,16 @@ func (ve *vecEmitter) add(encoded []byte) error {
 	return nil
 }
 
+// addStripe runs one table stripe through the pipeline as one batch: its
+// columns cols (nil: all) are decoded into the emitter's batch, which a
+// table input's emitter holds no other rows in, and the rest read null.
+func (ve *vecEmitter) addStripe(stripe []byte, cols []int) error {
+	if err := col.DecodeBatchInto(ve.batch, stripe, cols); err != nil {
+		return err
+	}
+	return ve.flush()
+}
+
 // beginRow readies the input batch for one width-w row that the caller
 // appends column by column (join products, aggregate results), flushing
 // first on a width change as add does. endRow commits it.

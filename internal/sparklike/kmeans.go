@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tez/internal/am"
+	"tez/internal/col"
 	"tez/internal/dag"
 	"tez/internal/library"
 	"tez/internal/mapreduce"
@@ -59,12 +60,10 @@ func (p *kmAssign) Run(in map[string]runtime.Input, out map[string]runtime.Outpu
 		return err
 	}
 	w := wAny.(runtime.KVWriter)
-	for kv.Next() {
-		r, err := row.Decode(kv.Value())
-		if err != nil {
-			return err
-		}
-		x, y := r[0].AsFloat(), r[1].AsFloat()
+	r := col.NewStripeRows(kv)
+	for r.Next() {
+		b, k := r.Batch(), r.Row()
+		x, y := b.Col(0).Value(k).AsFloat(), b.Col(1).Value(k).AsFloat()
 		best, bestD := 0, math.MaxFloat64
 		for i, c := range p.cfg.Centroids {
 			d := (x-c[0])*(x-c[0]) + (y-c[1])*(y-c[1])
@@ -78,7 +77,7 @@ func (p *kmAssign) Run(in map[string]runtime.Input, out map[string]runtime.Outpu
 			return err
 		}
 	}
-	return kv.Err()
+	return r.Err()
 }
 
 func (p *kmAssign) Close() error { return nil }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"tez/internal/col"
 	"tez/internal/library"
-	"tez/internal/row"
 	"tez/internal/shuffle"
 )
 
@@ -39,20 +39,18 @@ func (s *Service) RunPartition(jobID string, job PartitionJob) error {
 		i, asn := i, asn
 		mapTasks = append(mapTasks, func() error {
 			buckets := make([][]byte, job.Partitions)
+			var key, val []byte
 			for _, sp := range asn.Splits {
 				data, err := fs.ReadAt(sp.Path, node(i), sp.Offset, sp.Length)
 				if err != nil {
 					return err
 				}
-				r := library.NewPaddedReader(data)
+				r := col.NewStripeRows(library.NewPaddedReader(data))
 				for r.Next() {
-					rr, err := row.Decode(r.Value())
-					if err != nil {
-						return err
-					}
-					key := row.EncodeKey(nil, rr[job.KeyCol])
+					key = col.AppendKeyEncoded(key[:0], r.Batch().Col(job.KeyCol), r.Row())
+					val = col.AppendRowEncoded(val[:0], r.Batch(), r.Row())
 					p := part.Partition(key, job.Partitions)
-					buckets[p] = library.AppendRecord(buckets[p], key, r.Value())
+					buckets[p] = library.AppendRecord(buckets[p], key, val)
 				}
 				if err := r.Err(); err != nil {
 					return err

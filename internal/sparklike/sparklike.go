@@ -22,12 +22,12 @@ import (
 
 	"tez/internal/am"
 	"tez/internal/cluster"
+	"tez/internal/col"
 	"tez/internal/dag"
 	"tez/internal/library"
 	"tez/internal/platform"
 	"tez/internal/plugin"
 	"tez/internal/relop"
-	"tez/internal/row"
 	"tez/internal/runtime"
 )
 
@@ -176,7 +176,7 @@ func init() {
 
 type partCfg struct{ KeyCol int }
 
-// partMap reads table rows and emits (encodedKey, row) pairs.
+// partMap reads table rows and emits (encodedKey, row-encoded row) pairs.
 type partMap struct {
 	ctx *runtime.Context
 	cfg partCfg
@@ -198,16 +198,16 @@ func (p *partMap) Run(in map[string]runtime.Input, out map[string]runtime.Output
 		return err
 	}
 	w := wAny.(runtime.KVWriter)
-	for kv.Next() {
-		r, err := row.Decode(kv.Value())
-		if err != nil {
-			return err
-		}
-		if err := w.Write(row.EncodeKey(nil, r[p.cfg.KeyCol]), kv.Value()); err != nil {
+	r := col.NewStripeRows(kv)
+	var key, val []byte
+	for r.Next() {
+		key = col.AppendKeyEncoded(key[:0], r.Batch().Col(p.cfg.KeyCol), r.Row())
+		val = col.AppendRowEncoded(val[:0], r.Batch(), r.Row())
+		if err := w.Write(key, val); err != nil {
 			return err
 		}
 	}
-	return kv.Err()
+	return r.Err()
 }
 
 func (p *partMap) Close() error { return nil }
