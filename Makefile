@@ -18,9 +18,13 @@ vet:
 # condition variable: task inputs, mailboxes and their owners wait on
 # channels, so each owner waits in one select over its mailbox, its kill
 # and its own timers, and no helper goroutine turns a timer or a kill into
-# a wakeup), and staticcheck
-# when installed (skipped gracefully where it is not; CI does not install
-# it).
+# a wakeup), the AM ownership invariant (no non-test Go in internal/am
+# declares a sync.Mutex or sync.RWMutex outside session.go, whose lock
+# orders admission against Close, and health.go, whose report NodeHealth
+# reads from other goroutines: the session's loop owns the scheduler and
+# every run, so a lock anywhere else means a second owner crept back), and
+# staticcheck when installed (skipped gracefully where it is not; CI does
+# not install it).
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo 'lint: gofmt would rewrite:'; echo "$$unformatted"; exit 1; \
@@ -33,6 +37,9 @@ lint: vet
 	fi
 	@if grep -rnE 'sync\.Cond|NewCond' --include='*.go' --exclude='*_test.go' .; then \
 		echo 'lint: condition variable in non-test Go (wait on channels, in one select)'; exit 1; \
+	fi
+	@if grep -nE 'sync\.(RW)?Mutex' internal/am/*.go | grep -v '_test\.go:' | grep -vE '^internal/am/(session|health)\.go:'; then \
+		echo 'lint: mutex in internal/am outside session.go and health.go (the session loop owns AM state)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -147,10 +154,12 @@ chaos:
 # leaving a goroutine behind. Then the AM's publish-at-success rule under
 # the race detector (100 runs each): an attempt that announced through
 # ctx.Emit and then failed, or lost to its speculative twin, is never seen
-# by a consumer or a vertex manager. Last, under the race detector (100
-# runs each), the dispatcher's select: the deadline-vs-completion race, the
-# backlog gauge behind a stalled dispatcher, one goroutine per run and per
-# session, and the mailbox's channel wake-ups.
+# by a consumer or a vertex manager. Last, under the race detector, the
+# session loop's select (100 runs each): the deadline-vs-completion race,
+# the backlog gauge behind a stalled loop, one goroutine per session
+# however many DAGs it runs, a deadline kill sparing its sibling DAG, and
+# the mailbox's channel wake-ups; then a Submit racing Close (500 runs),
+# which must never hang.
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
@@ -159,8 +168,9 @@ stress:
 	$(GO) test -race -count=50 -run 'TestFetchRetractionStress$$' ./internal/library/
 	$(GO) test -race -count=50 -run 'TestStaleFetchDoesNotClobberNewerAttempt$$|TestStaleFetchErrorIsDropped$$|TestParallelFetchStress$$|TestKillWhileReaderWaits$$' ./internal/library/
 	$(GO) test -race -count=100 -run 'TestRetractAnnouncedAttempt$$|TestAnnouncedTwinLosesUnseen$$' ./internal/am/
-	$(GO) test -race -count=100 -run 'TestDeadlineCompletionRace$$|TestBacklogGaugeSeesStalledDispatcher$$|TestOneGoroutinePerRunAndSession$$' ./internal/am/
+	$(GO) test -race -count=100 -run 'TestDeadlineCompletionRace$$|TestBacklogGaugeSeesStalledDispatcher$$|TestOneGoroutinePerSession$$|TestDeadlineKillSparesSiblingDAG$$' ./internal/am/
 	$(GO) test -race -count=100 ./internal/mailbox/
+	$(GO) test -race -count=500 -run 'TestSubmitRacingCloseNeverHangs$$' ./internal/am/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

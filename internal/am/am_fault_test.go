@@ -388,10 +388,9 @@ func TestPrewarmedSessionHasIdleContainers(t *testing.T) {
 		Clock:                func() time.Time { return time.Unix(0, fake.Load()) },
 	})
 	defer s.Close()
-	idle := func() int {
-		s.sched.mu.Lock()
-		defer s.sched.mu.Unlock()
-		return len(s.sched.idle)
+	idle := func() (n int) {
+		onLoop(s, func() { n = len(s.sched.idle) })
+		return n
 	}
 	// Allocation is asynchronous: wait until the scheduler has parked all
 	// three pre-warmed containers in its idle pool.
@@ -401,7 +400,7 @@ func TestPrewarmedSessionHasIdleContainers(t *testing.T) {
 		}
 	}
 	fake.Add(int64(2 * time.Second))
-	s.sched.reapIdle()
+	onLoop(s, s.sched.reapIdle)
 	if n, held := idle(), s.app.HeldContainers(); n != 3 || held != 3 {
 		t.Fatalf("after the idle timeout: %d idle, %d held; want the 3 prewarmed", n, held)
 	}

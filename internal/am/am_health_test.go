@@ -173,8 +173,9 @@ func (p *gatedFail) Close() error { return nil }
 // TestAttemptFailureRacingNodeLossIsCasualty is the satellite-2 regression
 // test: a genuine task error whose node-failure notification is already in
 // the mailbox must be downgraded to a casualty — no MaxTaskAttempts
-// charge, no node-health charge. The mailbox is FIFO, so putting
-// msgNodeFailed before releasing the processor guarantees the ordering.
+// charge, no node-health charge. The AM mailbox is FIFO, so putting the
+// node-failure event there before releasing the processor guarantees the
+// ordering.
 func TestAttemptFailureRacingNodeLossIsCasualty(t *testing.T) {
 	runtime.RegisterProcessor("amtest.gatedfail", func() runtime.Processor { return &gatedFail{} })
 	gateNodeCh = make(chan string, 1)
@@ -194,7 +195,7 @@ func TestAttemptFailureRacingNodeLossIsCasualty(t *testing.T) {
 	}
 	node := <-gateNodeCh
 	// The node-failure notification lands in the mailbox first...
-	h.run.mb.Put(msgNodeFailed{node: cluster.NodeID(node)})
+	s.mb.Put(cluster.NodeFailedEvent{Node: cluster.NodeID(node)})
 	// ...then the attempt's failure message arrives behind it.
 	close(gateReleaseCh)
 

@@ -44,7 +44,7 @@ func (r *dagRun) newAttempt(ts *taskState, speculative bool) *attemptState {
 		tag:      r,
 		dag:      r.id,
 		assign: func(pc *pooledContainer) {
-			r.postAssigned(at, pc)
+			r.onAssigned(at, pc)
 		},
 	}
 	at.req = req
@@ -414,7 +414,7 @@ func (r *dagRun) startCommit(vs *vertexState) {
 		if err == nil {
 			err = r.commitSinks(vs, success)
 		}
-		r.mb.Put(msgCommitDone{vs: vs, err: err})
+		r.session.mb.Put(msgCommitDone{r: r, vs: vs, err: err})
 	}()
 }
 

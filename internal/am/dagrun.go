@@ -179,57 +179,60 @@ func (es *edgeState) publish(dm event.DataMovement) {
 	es.published[dm.SrcTask] = append(es.published[dm.SrcTask], dm)
 }
 
-// Internal dispatcher messages. The three hot-path messages — assignment,
-// task event, attempt completion, of which a 100k-task DAG sends hundreds
-// of thousands — are pooled pointer messages: dispatch copies the fields
-// out, zeroes the struct and recycles it before invoking the handler, so
-// steady-state dispatch allocates nothing per message.
+// AM mailbox messages. Each one a run's goroutines send names its run;
+// the loop drops it once that run has finished. The two hot-path
+// messages — task event and attempt completion, of which a 100k-task DAG
+// sends hundreds of thousands — are pooled pointer messages: dispatch
+// copies the fields out, zeroes the struct and recycles it before invoking
+// the handler, so steady-state dispatch allocates nothing per message.
+// RM events (cluster.Event) take the same dispatch.
 
 type amMsg interface{}
 
-type msgAssigned struct {
-	at *attemptState
-	pc *pooledContainer
-}
-
 type msgAttemptDone struct {
+	r   *dagRun
 	at  *attemptState
 	err error
 }
 
 type msgTaskEvent struct {
+	r  *dagRun
 	at *attemptState
 	ev event.Event
 }
 
 var (
-	assignedPool    = sync.Pool{New: func() any { return new(msgAssigned) }}
 	attemptDonePool = sync.Pool{New: func() any { return new(msgAttemptDone) }}
 	taskEventPool   = sync.Pool{New: func() any { return new(msgTaskEvent) }}
 )
 
-// postAssigned / postAttemptDone / postTaskEvent enqueue a pooled message.
-// Messages still queued when the run tears down are simply dropped to the
-// GC — the pool is an optimisation, not an ownership protocol.
-func (r *dagRun) postAssigned(at *attemptState, pc *pooledContainer) {
-	m := assignedPool.Get().(*msgAssigned)
-	m.at, m.pc = at, pc
-	r.mb.Put(m)
-}
-
+// postAttemptDone / postTaskEvent enqueue a pooled message. Messages still
+// queued when the session closes are simply dropped to the GC — the pool
+// is an optimisation, not an ownership protocol.
 func (r *dagRun) postAttemptDone(at *attemptState, err error) {
 	m := attemptDonePool.Get().(*msgAttemptDone)
-	m.at, m.err = at, err
-	r.mb.Put(m)
+	m.r, m.at, m.err = r, at, err
+	r.session.mb.Put(m)
 }
 
 func (r *dagRun) postTaskEvent(at *attemptState, ev event.Event) {
 	m := taskEventPool.Get().(*msgTaskEvent)
-	m.at, m.ev = at, ev
-	r.mb.Put(m)
+	m.r, m.at, m.ev = r, at, ev
+	r.session.mb.Put(m)
+}
+
+// accepts reports whether r still takes messages, and records the size of
+// the drained batch a message for it came in.
+func (r *dagRun) accepts(batch int) bool {
+	if r.isFinished() {
+		return false
+	}
+	r.observeBacklog(batch)
+	return true
 }
 
 type msgInitDone struct {
+	r      *dagRun
 	vs     *vertexState
 	source string
 	res    *runtime.InitializerResult
@@ -237,34 +240,41 @@ type msgInitDone struct {
 }
 
 type msgCommitDone struct {
+	r   *dagRun
 	vs  *vertexState
 	err error
 }
 
-type msgNodeFailed struct {
-	node    cluster.NodeID
-	planned bool // decommission (drain), not a crash
+// msgKill aborts the run (DAGRun.Kill).
+type msgKill struct {
+	r      *dagRun
+	reason string
 }
 
-// msgKill aborts the run (Kill, Session.Close).
-type msgKill struct {
-	reason string
+// msgClose is Close's shutdown: the loop's last message.
+type msgClose struct{}
+
+// msgLaunched reports a container launch: req is the request it was
+// allocated for (nil if withdrawn), err the launch's failure.
+type msgLaunched struct {
+	pc  *pooledContainer
+	req *taskRequest
+	err error
 }
 
 // ErrDeadlineExceeded marks a DAG killed because its per-submission
 // deadline (Submit's WithDeadline option) elapsed before completion.
 var ErrDeadlineExceeded = errors.New("am: dag deadline exceeded")
 
-// dagRun executes one DAG. A single dispatcher goroutine consumes the
-// mailbox and owns all mutable state — the state machines never need
-// locks, mirroring the event-driven AM of §3.3.
+// dagRun executes one DAG. Its session's loop owns all of its mutable
+// state and runs every handler — the state machines never need locks,
+// mirroring the event-driven AM of §3.3.
 type dagRun struct {
 	session *Session
 	cfg     Config
 	d       *dag.DAG
 	id      string // unique run id (shuffle namespace, checkpoint key)
 
-	mb       *mailbox.Mailbox[amMsg]
 	vertices map[string]*vertexState
 	topo     []string
 	edges    []*edgeState
@@ -288,15 +298,16 @@ type dagRun struct {
 	result         DAGResult
 	done           chan struct{}
 	pendingCommits int
-	// backlogMax is the dispatcher-mailbox depth high-water mark, sampled
-	// at every drain (AM_MAILBOX_BACKLOG_MAX gauge + AM_BACKLOG journal
-	// events).
+	// backlogMax is the high-water mark of the AM mailbox batches that
+	// carried a message for this run (AM_MAILBOX_BACKLOG_MAX gauge +
+	// AM_BACKLOG journal events).
 	backlogMax int64
 
-	// deadline, when positive, bounds the run's wall-clock duration: the
-	// dispatcher kills the run when its timer fires first (Submit's
-	// WithDeadline option).
-	deadline time.Duration
+	// deadline, when positive, bounds the run's wall-clock duration
+	// (Submit's WithDeadline option): the loop's run ticker kills the run
+	// once deadlineAt has passed.
+	deadline   time.Duration
+	deadlineAt time.Time
 
 	// recovered checkpoint to apply at start (nil for fresh runs).
 	recovered *checkpoint
@@ -328,7 +339,6 @@ func newDAGRun(s *Session, d *dag.DAG, id string) (*dagRun, error) {
 		cfg:       s.cfg,
 		d:         d,
 		id:        id,
-		mb:        mailbox.New[amMsg](),
 		vertices:  make(map[string]*vertexState),
 		inEdges:   make(map[string][]*edgeState),
 		outEdges:  make(map[string][]*edgeState),
@@ -350,52 +360,9 @@ func newDAGRun(s *Session, d *dag.DAG, id string) (*dagRun, error) {
 	return r, nil
 }
 
-// start launches the dispatcher. The tick and, with WithDeadline, the
-// deadline timer start here and live in the dispatcher's select.
-func (r *dagRun) start() {
-	r.started = r.clock()
-	if a := r.session.plat.Authority; a != nil {
-		r.token = a.Issue(r.id)
-	}
-	tick := time.NewTicker(min(r.cfg.SpeculationInterval, deadlockCheckInterval))
-	var deadline *time.Timer
-	if r.deadline > 0 {
-		deadline = time.NewTimer(r.deadline)
-	}
-	go r.loop(tick, deadline)
-}
-
-func (r *dagRun) loop(tick *time.Ticker, deadline *time.Timer) {
-	defer tick.Stop()
-	var expired <-chan time.Time // nil without a deadline: never fires
-	if deadline != nil {
-		defer deadline.Stop()
-		expired = deadline.C
-	}
-	r.bootstrap()
-	// Drain the mailbox in batches: one lock round-trip per backlog, not
-	// per message. Messages left in the batch after a terminal transition
-	// are never dispatched.
-	var batch []amMsg
-	for !r.isFinished() {
-		select {
-		case <-r.mb.Ready():
-			batch, _ = r.mb.Drain(batch) // never closed: ok is always true
-			r.observeBacklog(len(batch))
-			for i, m := range batch {
-				batch[i] = nil
-				r.dispatch(m)
-				if r.isFinished() {
-					break
-				}
-			}
-		case <-tick.C:
-			r.onTick()
-		case <-expired:
-			r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: deadline %v exceeded: %w", r.id, r.deadline, ErrDeadlineExceeded))
-		}
-	}
-	// Terminal: release everything still held.
+// finish retires a run after its terminal transition: it releases
+// everything still held and wakes Wait.
+func (r *dagRun) finish() {
 	r.teardown()
 	// DAGFinished is the one lifecycle event not emitted by a transition
 	// observer: it is a span closer needing the post-teardown duration.
@@ -405,38 +372,7 @@ func (r *dagRun) loop(tick *time.Ticker, deadline *time.Timer) {
 		Type: timeline.DAGFinished, DAG: r.id,
 		Info: r.result.Status.String(), Dur: r.result.Duration,
 	})
-	r.session.runFinished(r)
 	close(r.done)
-}
-
-func (r *dagRun) dispatch(m amMsg) {
-	switch msg := m.(type) {
-	case *msgAssigned:
-		at, pc := msg.at, msg.pc
-		*msg = msgAssigned{}
-		assignedPool.Put(msg)
-		r.onAssigned(at, pc)
-	case *msgAttemptDone:
-		at, err := msg.at, msg.err
-		*msg = msgAttemptDone{}
-		attemptDonePool.Put(msg)
-		r.onAttemptDone(at, err)
-	case *msgTaskEvent:
-		at, ev := msg.at, msg.ev
-		*msg = msgTaskEvent{}
-		taskEventPool.Put(msg)
-		r.onTaskEvent(at, ev)
-	case msgInitDone:
-		r.onInitDone(msg.vs, msg.source, msg.res, msg.err)
-	case msgCommitDone:
-		r.onCommitDone(msg.vs, msg.err)
-	case msgNodeFailed:
-		r.onNodeFailed(msg.node, msg.planned)
-	case msgKill:
-		r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: %s", r.id, msg.reason))
-	case msgParQuery:
-		r.onParQuery(msg)
-	}
 }
 
 // bootstrap applies any recovered checkpoint, then initializes vertices:
@@ -509,11 +445,11 @@ func (r *dagRun) runInitializers(vs *vertexState) {
 		go func() {
 			init, err := plugin.New[runtime.Initializer](plugin.KindInitializer, src.Initializer)
 			if err != nil {
-				r.mb.Put(msgInitDone{vs: vs, source: src.Name, err: err})
+				r.session.mb.Put(msgInitDone{r: r, vs: vs, source: src.Name, err: err})
 				return
 			}
 			res, err := init.Run(ictx)
-			r.mb.Put(msgInitDone{vs: vs, source: src.Name, res: res, err: err})
+			r.session.mb.Put(msgInitDone{r: r, vs: vs, source: src.Name, res: res, err: err})
 		}()
 	}
 }
@@ -530,7 +466,7 @@ func nodeNames(ids []cluster.NodeID) []string {
 // (used by initializers awaiting a source vertex's fan-out).
 func (r *dagRun) queryParallelism(name string) int {
 	reply := make(chan int, 1)
-	r.mb.Put(msgParQuery{name: name, reply: reply})
+	r.session.mb.Put(msgParQuery{r: r, name: name, reply: reply})
 	select {
 	case p := <-reply:
 		return p
@@ -540,6 +476,7 @@ func (r *dagRun) queryParallelism(name string) int {
 }
 
 type msgParQuery struct {
+	r     *dagRun
 	name  string
 	reply chan int
 }

@@ -158,7 +158,7 @@ func (r *dagRun) onInputReadError(e event.InputReadError) {
 // is told to drop the lost output: one InputFailed per routed (consumer
 // task, input index), which the consumer applies on attempt match. This is
 // the only sender of InputFailed. FIFO mailboxes and the single-threaded
-// dispatcher order it before the rerun's movements, which are published
+// session loop order it before the rerun's movements, which are published
 // when the rerun succeeds.
 func (r *dagRun) reexecuteTask(ts *taskState) {
 	vs := ts.vertex

@@ -15,8 +15,8 @@ import (
 // mutates state and journals a TRANSITION_INVALID timeline event, so a
 // control-plane bug surfaces instead of silently dropping on the floor.
 // The tables are shared, immutable specs; each dagRun entity owns a
-// cheap fsm.Machine over them, mutated only on the dispatcher goroutine
-// (the single-owner mailbox model — no locking).
+// cheap fsm.Machine over them, mutated only on its session's loop (the
+// single-owner mailbox model — no locking).
 //
 // Timeline emission is a transition observer: every vertex/task/attempt
 // lifecycle event in the journal is produced by exactly one place — the

@@ -1,8 +1,6 @@
 package am
 
 import (
-	"fmt"
-
 	"tez/internal/dag"
 	"tez/internal/event"
 	"tez/internal/plugin"
@@ -99,7 +97,7 @@ func loadCheckpoint(s *Session, dagName string) (*checkpoint, bool) {
 }
 
 // applyCheckpoint restores completed vertices and edge movement history
-// into a fresh run (invoked on the dispatcher at bootstrap).
+// into a fresh run (invoked on the session's loop at bootstrap).
 func (r *dagRun) applyCheckpoint(cp *checkpoint) {
 	r.tl().Import(cp.Timeline)
 	restored := 0
@@ -158,20 +156,10 @@ func (s *Session) Recover(d *dag.DAG) (*DAGRun, error) {
 	if !ok {
 		return s.Submit(d)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("am: session closed")
-	}
-	s.mu.Unlock()
 	run, err := newDAGRun(s, d, cp.RunID)
 	if err != nil {
 		return nil, err
 	}
 	run.recovered = cp
-	s.mu.Lock()
-	s.active[run.id] = run
-	s.mu.Unlock()
-	run.start()
-	return &DAGRun{run: run}, nil
+	return s.admit(run)
 }

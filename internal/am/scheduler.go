@@ -1,10 +1,11 @@
 package am
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"tez/internal/cluster"
+	"tez/internal/mailbox"
 	"tez/internal/runtime"
 	"tez/internal/timeline"
 )
@@ -14,8 +15,9 @@ type taskRequest struct {
 	priority int // lower is more urgent (vertex topological depth)
 	hosts    []cluster.NodeID
 	racks    []string
-	// assign is invoked (never under scheduler locks) with the container
-	// to use. The callee owns the container until it calls release.
+	// assign is invoked by deliver, after the handler that found the
+	// container returns, never nested inside it. The callee owns the
+	// container until it calls release.
 	assign func(*pooledContainer)
 	// tag identifies the requesting DAG run (deadlock detection scope).
 	tag any
@@ -27,9 +29,9 @@ type taskRequest struct {
 	cancelled bool
 	rmReq     *cluster.ContainerRequest
 
-	// Pending-queue position (guarded by scheduler.mu): the bucket the
-	// request sits in and its absolute slot index within it. bucket is nil
-	// whenever the request is not queued, which makes removal idempotent.
+	// Pending-queue position: the bucket the request sits in and its
+	// absolute slot index within it. bucket is nil whenever the request
+	// is not queued, which makes removal idempotent.
 	bucket *amBucket
 	slot   int
 }
@@ -103,17 +105,19 @@ func (pc *pooledContainer) live() bool {
 // the RM for: one task's worth.
 var containerResource = cluster.Resource{MemoryMB: 1024, VCores: 1}
 
-// schedStats counts scheduler activity for tests and benchmarks.
-type schedStats struct {
-	Allocated int // fresh containers launched
-	Reused    int // task assignments satisfied by an already-held container
+// grant is an assignment a handler found: deliver hands pc to req.
+type grant struct {
+	req *taskRequest
+	pc  *pooledContainer
 }
 
 // scheduler owns the session's container pool: it satisfies task requests
 // from idle (reused) containers first, escalates the rest to the RM with
 // the request's locality preferences, hands containers finishing a task to
 // waiting requests (within and across DAGs — Figure 7), and releases
-// containers idle for longer than the configured timeout.
+// containers idle for longer than the configured timeout. Only the
+// session's loop calls it, so it holds no lock; the two counters are
+// atomic because SchedulerStats reads them from other goroutines.
 type scheduler struct {
 	cfg Config
 	app *cluster.Application
@@ -122,33 +126,34 @@ type scheduler struct {
 	health *nodeHealth
 	now    timeline.Clock    // injectable (Config.Clock)
 	tl     *timeline.Journal // nil-safe event sink
+	// mb is the session's AM mailbox: a container launch, which runs off
+	// the loop, reports there as msgLaunched.
+	mb *mailbox.Mailbox[amMsg]
 
-	mu   sync.Mutex
 	idle []*pooledContainer
 	// pending holds waiting requests in per-priority FIFO buckets; prios
-	// keeps the bucket keys sorted ascending so takePendingLocked pops the
+	// keeps the bucket keys sorted ascending so takePending pops the
 	// most urgent request without sorting anything.
 	// livePending counts non-cancelled queued requests across all buckets.
 	pending     map[int]*amBucket
 	prios       []int
 	livePending int
 	held        map[cluster.ContainerID]*pooledContainer
-	stats       schedStats
-	lastAssign  time.Time
-	closed      bool
+	// ready queues the assignments the current handler found; deliver
+	// hands them over once it returns.
+	ready      []grant
+	allocated  atomic.Int64 // fresh containers launched
+	reused     atomic.Int64 // assignments satisfied by an already-held container
+	lastAssign time.Time
 
-	// testHookPreRequest, when set, runs after a request has been queued
-	// as pending but before the RM request is issued — a deterministic
-	// interleaving seam for submit/cancel race tests. Nil in production.
-	testHookPreRequest func(*taskRequest)
-	// testHookPreLaunch, when set, runs in onAllocated just before
-	// Container.Launch — a seam for launch-failure tests.
+	// testHookPreLaunch, when set, runs in the launch goroutine just
+	// before Container.Launch — a seam for launch-failure tests.
 	testHookPreLaunch func(*cluster.Container)
 }
 
-func newScheduler(cfg Config, app *cluster.Application, health *nodeHealth) *scheduler {
+func newScheduler(cfg Config, app *cluster.Application, health *nodeHealth, mb *mailbox.Mailbox[amMsg]) *scheduler {
 	return &scheduler{
-		cfg: cfg, app: app, health: health, now: cfg.Clock, tl: cfg.Timeline,
+		cfg: cfg, app: app, health: health, now: cfg.Clock, tl: cfg.Timeline, mb: mb,
 		pending: make(map[int]*amBucket),
 		held:    make(map[cluster.ContainerID]*pooledContainer),
 	}
@@ -162,33 +167,17 @@ func (s *scheduler) submit(req *taskRequest) {
 
 // enqueue places a request with the scheduler: satisfied from an idle
 // container when possible, otherwise escalated to the RM. Also used by
-// onAllocated to re-submit a request whose container failed to launch.
-// Cancellation can race with this path, so the cancelled flag is checked
-// under the lock before anything is issued and re-checked after the RM
-// request goes out (cancel may have observed rmReq == nil and withdrawn
-// nothing).
+// onLaunched to re-submit a request whose container failed to launch.
 func (s *scheduler) enqueue(req *taskRequest) {
-	s.mu.Lock()
-	if s.closed || req.cancelled {
-		s.mu.Unlock()
+	if req.cancelled {
 		return
 	}
-	if pc := s.takeIdleLocked(req); pc != nil {
-		s.stats.Reused++
-		s.lastAssign = s.now()
-		prior := pc.execs
-		pc.execs++
-		s.mu.Unlock()
-		s.tl.Record(timeline.Event{
-			Type: timeline.ContainerReused, DAG: req.dag,
-			Node: string(pc.c.Node()), Container: int64(pc.c.ID),
-			Val: int64(prior),
-		})
-		req.assign(pc)
+	if pc := s.takeIdle(req); pc != nil {
+		s.reuse(req, pc)
 		return
 	}
-	s.pushPendingLocked(req)
-	rmReq := &cluster.ContainerRequest{
+	s.pushPending(req)
+	req.rmReq = &cluster.ContainerRequest{
 		Priority:      req.priority,
 		Resource:      containerResource,
 		Nodes:         req.hosts,
@@ -197,38 +186,46 @@ func (s *scheduler) enqueue(req *taskRequest) {
 		Exclude:       s.health.excludedIDs(),
 		Cookie:        req,
 	}
-	req.rmReq = rmReq
-	s.mu.Unlock()
-	if s.testHookPreRequest != nil {
-		s.testHookPreRequest(req)
-	}
-	s.app.Request(rmReq)
-	s.mu.Lock()
-	cancelled := req.cancelled
-	s.mu.Unlock()
-	if cancelled {
-		// cancel ran between the unlock above and the RM request being
-		// issued; withdraw it now (Application.Cancel is idempotent).
-		s.app.Cancel(rmReq)
-	}
+	s.app.Request(req.rmReq)
 }
 
 // cancel withdraws a request (e.g. the task was satisfied by a speculative
-// twin). Safe if the request was already assigned, and safe to race with
-// submit: enqueue re-checks the flag around its RM request.
+// twin). Safe if the request was already assigned or never submitted.
 func (s *scheduler) cancel(req *taskRequest) {
-	s.mu.Lock()
 	req.cancelled = true
 	if req.rmReq != nil {
 		s.app.Cancel(req.rmReq)
 	}
-	s.removePendingLocked(req)
-	s.mu.Unlock()
+	s.removePending(req)
 }
 
-// takeIdleLocked matches an idle container: same host, then same rack,
-// then any (container reuse relaxes locality rather than waiting).
-func (s *scheduler) takeIdleLocked(req *taskRequest) *pooledContainer {
+// reuse queues an already-held container for req.
+func (s *scheduler) reuse(req *taskRequest, pc *pooledContainer) {
+	s.reused.Add(1)
+	s.lastAssign = s.now()
+	s.tl.Record(timeline.Event{
+		Type: timeline.ContainerReused, DAG: req.dag,
+		Node: string(pc.c.Node()), Container: int64(pc.c.ID),
+		Val: int64(pc.execs),
+	})
+	pc.execs++
+	s.ready = append(s.ready, grant{req, pc})
+}
+
+// deliver hands every queued assignment to its request. An assignment may
+// release a container and so queue another; the loop picks those up too.
+func (s *scheduler) deliver() {
+	for i := 0; i < len(s.ready); i++ {
+		g := s.ready[i]
+		s.ready[i] = grant{}
+		g.req.assign(g.pc)
+	}
+	s.ready = s.ready[:0]
+}
+
+// takeIdle matches an idle container: same host, then same rack, then
+// any (container reuse relaxes locality rather than waiting).
+func (s *scheduler) takeIdle(req *taskRequest) *pooledContainer {
 	if s.cfg.DisableContainerReuse || len(s.idle) == 0 {
 		return nil
 	}
@@ -265,50 +262,49 @@ func (s *scheduler) takeIdleLocked(req *taskRequest) *pooledContainer {
 	return pc
 }
 
-// onAllocated handles a fresh container from the RM.
+// onAllocated handles a fresh container from the RM: it is held from now
+// on, and launched in a goroutine of its own, so the launch overhead
+// stalls no DAG in the session. The launch reports back as msgLaunched.
 func (s *scheduler) onAllocated(c *cluster.Container, rmReq *cluster.ContainerRequest) {
 	req, _ := rmReq.Cookie.(*taskRequest)
 	pc := &pooledContainer{c: c, registry: runtime.NewObjectRegistry()}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.app.Release(c)
-		return
-	}
 	s.held[c.ID] = pc
-	s.stats.Allocated++
+	s.allocated.Add(1)
 	if req != nil {
-		s.removePendingLocked(req)
-		if req.cancelled {
-			req = nil
-		}
+		s.removePending(req)
 	}
 	s.lastAssign = s.now()
-	s.mu.Unlock()
+	hook := s.testHookPreLaunch
+	go func() {
+		if hook != nil {
+			hook(c)
+		}
+		s.mb.Put(msgLaunched{pc: pc, req: req, err: c.Launch()})
+	}()
+}
 
-	// Launch outside locks: this pays the container start overhead.
-	if s.testHookPreLaunch != nil {
-		s.testHookPreLaunch(c)
+// onLaunched takes a launched container: it goes to its request, or idle
+// when the request was withdrawn meanwhile. A container that died between
+// allocation and launch (node loss, preemption) is discarded and its
+// request re-submitted: it left pending at allocation, so dropping it
+// would strand the task attempt.
+func (s *scheduler) onLaunched(pc *pooledContainer, req *taskRequest, err error) {
+	if req != nil && req.cancelled {
+		req = nil
 	}
-	if err := c.Launch(); err != nil {
-		// The container died between allocation and launch (node loss,
-		// preemption). Its request was already removed from pending, so
-		// discarding alone would strand the task attempt — assign would
-		// never fire. Re-submit the request instead.
+	if err != nil {
 		s.discard(pc)
 		if req != nil {
 			s.enqueue(req)
 		}
 		return
 	}
-	if req != nil {
-		s.mu.Lock()
-		pc.execs++
-		s.mu.Unlock()
-		req.assign(pc)
+	if req == nil {
+		s.release(pc, true)
 		return
 	}
-	s.release(pc, true)
+	pc.execs++
+	s.ready = append(s.ready, grant{req, pc})
 }
 
 // release returns a container after a task: hand it to a waiting request
@@ -317,68 +313,47 @@ func (s *scheduler) release(pc *pooledContainer, reusable bool) {
 	if reusable && (!pc.live() || s.health.isBlacklisted(string(pc.c.Node()))) {
 		reusable = false
 	}
-	s.mu.Lock()
-	if s.closed || !reusable || s.cfg.DisableContainerReuse {
+	if !reusable || s.cfg.DisableContainerReuse {
 		delete(s.held, pc.c.ID)
-		s.mu.Unlock()
 		s.app.Release(pc.c)
 		return
 	}
-	if req := s.takePendingLocked(); req != nil {
+	if req := s.takePending(); req != nil {
 		if req.rmReq != nil {
 			s.app.Cancel(req.rmReq)
 		}
-		s.stats.Reused++
-		s.lastAssign = s.now()
-		prior := pc.execs
-		pc.execs++
-		s.mu.Unlock()
-		s.tl.Record(timeline.Event{
-			Type: timeline.ContainerReused, DAG: req.dag,
-			Node: string(pc.c.Node()), Container: int64(pc.c.ID),
-			Val: int64(prior),
-		})
-		req.assign(pc)
+		s.reuse(req, pc)
 		return
 	}
 	pc.idleSince = s.now()
 	s.idle = append(s.idle, pc)
-	s.mu.Unlock()
 }
 
 // discard drops a container that can no longer run work (killed node etc.).
 func (s *scheduler) discard(pc *pooledContainer) {
-	s.mu.Lock()
-	delete(s.held, pc.c.ID)
-	for i, ic := range s.idle {
-		if ic == pc {
-			s.idle = append(s.idle[:i], s.idle[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
+	s.onContainerStopped(pc.c.ID)
 	s.app.Release(pc.c)
 }
 
-// onContainerStopped reacts to involuntary container loss.
+// onContainerStopped reacts to involuntary container loss: the container
+// leaves the held set and the idle pool.
 func (s *scheduler) onContainerStopped(id cluster.ContainerID) {
-	s.mu.Lock()
 	pc := s.held[id]
 	delete(s.held, id)
-	if pc != nil {
-		for i, ic := range s.idle {
-			if ic == pc {
-				s.idle = append(s.idle[:i], s.idle[i+1:]...)
-				break
-			}
+	if pc == nil {
+		return
+	}
+	for i, ic := range s.idle {
+		if ic == pc {
+			s.idle = append(s.idle[:i], s.idle[i+1:]...)
+			return
 		}
 	}
-	s.mu.Unlock()
 }
 
-// pushPendingLocked appends a request to its priority's FIFO, recording
+// pushPending appends a request to its priority's FIFO, recording
 // its stable slot for O(1) removal.
-func (s *scheduler) pushPendingLocked(req *taskRequest) {
+func (s *scheduler) pushPending(req *taskRequest) {
 	b := s.pending[req.priority]
 	if b == nil {
 		b = &amBucket{priority: req.priority}
@@ -398,10 +373,10 @@ func (s *scheduler) pushPendingLocked(req *taskRequest) {
 	s.livePending++
 }
 
-// takePendingLocked pops the most urgent live pending request: the first
+// takePending pops the most urgent live pending request: the first
 // non-tombstone entry of the lowest-priority non-empty bucket. Requests of
 // one priority leave in arrival order.
-func (s *scheduler) takePendingLocked() *taskRequest {
+func (s *scheduler) takePending() *taskRequest {
 	if s.livePending == 0 {
 		return nil
 	}
@@ -426,9 +401,9 @@ func (s *scheduler) takePendingLocked() *taskRequest {
 	return nil
 }
 
-// removePendingLocked tombstones a queued request in place. A request not
+// removePending tombstones a queued request in place. A request not
 // currently queued (bucket == nil, or already popped) is a no-op.
-func (s *scheduler) removePendingLocked(req *taskRequest) {
+func (s *scheduler) removePending(req *taskRequest) {
 	b := req.bucket
 	if b == nil {
 		return
@@ -455,23 +430,18 @@ func (s *scheduler) removePendingLocked(req *taskRequest) {
 // tez.am.session.min.held-containers, no idle container is released if
 // that would leave the session holding fewer than it pre-warmed.
 func (s *scheduler) reapIdle() {
-	var victims []*pooledContainer
-	s.mu.Lock()
 	now := s.now()
 	kept := s.idle[:0]
 	for _, pc := range s.idle {
 		if now.Sub(pc.idleSince) > s.cfg.ContainerIdleRelease && len(s.held) > s.cfg.PrewarmContainers {
-			victims = append(victims, pc)
 			delete(s.held, pc.c.ID)
+			s.app.Release(pc.c)
 		} else {
 			kept = append(kept, pc)
 		}
 	}
+	clear(s.idle[len(kept):])
 	s.idle = kept
-	s.mu.Unlock()
-	for _, pc := range victims {
-		s.app.Release(pc.c)
-	}
 }
 
 // prewarm launches n containers ahead of the first DAG (§4.2, Session).
@@ -479,9 +449,7 @@ func (s *scheduler) prewarm(n int) {
 	for i := 0; i < n; i++ {
 		req := &taskRequest{priority: 1 << 20}
 		req.assign = func(pc *pooledContainer) {
-			s.mu.Lock()
 			pc.execs = 0 // prewarm isn't a task execution: a later hit is a warm hit
-			s.mu.Unlock()
 			s.tl.Record(timeline.Event{
 				Type: timeline.ContainerPrewarmed,
 				Node: string(pc.c.Node()), Container: int64(pc.c.ID),
@@ -498,8 +466,6 @@ func (s *scheduler) prewarm(n int) {
 // container (a session making steady progress is contended, not
 // deadlocked).
 func (s *scheduler) pendingInfo(tag any) (n int, oldest, sinceAssign time.Duration, minPriority int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	now := s.now()
 	sinceAssign = time.Duration(1 << 60)
 	if !s.lastAssign.IsZero() {
@@ -527,8 +493,6 @@ func (s *scheduler) pendingInfo(tag any) (n int, oldest, sinceAssign time.Durati
 // sweepRegistries evicts a finished DAG's entries from every held
 // container's object registry (framework-managed lifecycle, §4.2).
 func (s *scheduler) sweepRegistries(dagID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, pc := range s.held {
 		pc.registry.SweepDAG(dagID)
 	}
@@ -536,50 +500,7 @@ func (s *scheduler) sweepRegistries(dagID string) {
 
 // sweepVertexRegistries evicts a finished vertex's entries.
 func (s *scheduler) sweepVertexRegistries(dagID, vertex string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, pc := range s.held {
 		pc.registry.SweepVertex(dagID, vertex)
-	}
-}
-
-// snapshot returns current counters.
-func (s *scheduler) snapshot() schedStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// close releases everything; pending assigns never fire afterwards.
-func (s *scheduler) close() {
-	s.mu.Lock()
-	s.closed = true
-	idle := s.idle
-	s.idle = nil
-	// Detach queued requests so a straggling cancel's removal is a no-op
-	// against the dropped buckets, and collect their outstanding RM
-	// requests: dropping the buckets alone would leave those requests
-	// pending at the RM forever (Application.PendingRequests never
-	// returning to zero after a mid-run Close).
-	var withdraw []*cluster.ContainerRequest
-	for _, b := range s.pending {
-		for _, r := range b.reqs[b.head:] {
-			if r != nil {
-				r.bucket = nil
-				if r.rmReq != nil && !r.cancelled {
-					withdraw = append(withdraw, r.rmReq)
-				}
-			}
-		}
-	}
-	s.pending = make(map[int]*amBucket)
-	s.prios = nil
-	s.livePending = 0
-	s.mu.Unlock()
-	for _, req := range withdraw {
-		s.app.Cancel(req)
-	}
-	for _, pc := range idle {
-		s.app.Release(pc.c)
 	}
 }

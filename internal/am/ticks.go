@@ -1,6 +1,7 @@
 package am
 
 import (
+	"fmt"
 	"time"
 
 	"tez/internal/timeline"
@@ -23,20 +24,26 @@ const (
 	deadlockWait          = 50 * time.Millisecond
 )
 
-// onTick runs the periodic checks: straggler speculation (§4.2) and
+// onTick runs the periodic checks on the session's run ticker: the
+// deadline (Submit's WithDeadline), straggler speculation (§4.2) and
 // out-of-order scheduling deadlock preemption (§3.4).
-func (r *dagRun) onTick() {
+func (r *dagRun) onTick(now time.Time) {
+	if !r.deadlineAt.IsZero() && !now.Before(r.deadlineAt) {
+		r.fail(DAGKilled, fmt.Errorf("am: dag %s killed: deadline %v exceeded: %w", r.id, r.deadline, ErrDeadlineExceeded))
+		return
+	}
 	if r.cfg.Speculation {
 		r.checkSpeculation()
 	}
 	r.checkDeadlock()
 }
 
-// observeBacklog records the size n of a drained batch — the messages
-// that queued while the dispatcher was busy. The high-water mark is kept
-// as the AM_MAILBOX_BACKLOG_MAX gauge; crossing the report threshold also
-// journals an AM_BACKLOG event, making a stuck or starved dispatcher
-// visible in the timeline instead of only as a hang.
+// observeBacklog records the size of a drained AM mailbox batch that
+// carried a message for this run — the messages that queued while the
+// session's loop was busy. The high-water mark is kept as the
+// AM_MAILBOX_BACKLOG_MAX gauge; crossing the report threshold also
+// journals an AM_BACKLOG event, making a stuck or starved loop visible in
+// the timeline instead of only as a hang.
 func (r *dagRun) observeBacklog(batch int) {
 	n := int64(batch)
 	if n <= r.backlogMax {

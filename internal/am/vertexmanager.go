@@ -12,7 +12,9 @@ import (
 
 // VertexManagerContext is the window a VertexManager gets onto its vertex
 // (§3.4). All methods are called — and all callbacks delivered — on the
-// DAG's dispatcher goroutine, so implementations need no locking.
+// session's loop, so implementations need no locking. A manager that
+// blocks stalls every DAG of its session, as on Tez's central dispatcher;
+// none of the shipped managers does.
 type VertexManagerContext interface {
 	// VertexName returns the managed vertex.
 	VertexName() string

@@ -9,7 +9,7 @@ import (
 )
 
 // vmContext implements VertexManagerContext for a vertex. Every method
-// runs on the DAG dispatcher goroutine.
+// runs on the session's loop.
 type vmContext struct {
 	run *dagRun
 	vs  *vertexState

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -238,6 +239,61 @@ func TestNodeFailureKillsContainersAndNotifies(t *testing.T) {
 	})
 	if app.HeldContainers() != 0 {
 		t.Fatal("container still accounted after node loss")
+	}
+}
+
+// allocateOne grants app one container on node-001.
+func allocateOne(t *testing.T, app *Application) *Container {
+	t.Helper()
+	app.Request(&ContainerRequest{Resource: Resource{1024, 1}, Nodes: []NodeID{"node-001"}, RelaxLocality: true})
+	e := waitEvent(t, app, time.Second, func(e Event) bool { _, ok := e.(AllocatedEvent); return ok })
+	return e.(AllocatedEvent).Container
+}
+
+// Regression: a node failure that cuts a launch short fails the launch,
+// so its owner re-requests instead of handing a dead container to a task.
+func TestNodeFailureInterruptsLaunch(t *testing.T) {
+	cfg := testConfig()
+	cfg.ContainerLaunchOverhead = time.Hour
+	rm := New(cfg)
+	defer rm.Stop()
+	app := rm.Submit("app")
+	defer app.Unregister()
+	c := allocateOne(t, app)
+
+	launched := make(chan error, 1)
+	go func() { launched <- c.Launch() }()
+	for begun := false; !begun; runtime.Gosched() {
+		c.mu.Lock()
+		begun = c.launched
+		c.mu.Unlock()
+	}
+	rm.FailNode(c.Node())
+	select {
+	case err := <-launched:
+		if !errors.Is(err, ErrContainerKilled) {
+			t.Fatalf("Launch cut short by a node failure: %v, want ErrContainerKilled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Launch still paying its hour-long overhead after the node failed")
+	}
+}
+
+// Regression: Exec on a container stopped between Launch and Exec is a
+// casualty (ErrContainerKilled), not a failure of the work it never ran.
+func TestExecOnStoppedContainerIsKilled(t *testing.T) {
+	rm := New(testConfig())
+	defer rm.Stop()
+	app := rm.Submit("app")
+	defer app.Unregister()
+	c := allocateOne(t, app)
+	if err := c.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	rm.FailNode(c.Node())
+	ran := false
+	if err := c.Exec(func(<-chan struct{}) error { ran = true; return nil }); !errors.Is(err, ErrContainerKilled) || ran {
+		t.Fatalf("Exec on a stopped container: err=%v ran=%v, want ErrContainerKilled", err, ran)
 	}
 }
 

@@ -8,10 +8,14 @@ import (
 
 // Container execution errors.
 var (
+	// ErrContainerKilled: the container was stopped (node loss,
+	// preemption, release) before or while the work ran — a casualty, not
+	// the work's failure.
 	ErrContainerKilled   = errors.New("cluster: container killed")
 	ErrContainerNotReady = errors.New("cluster: container not launched")
 	ErrContainerBusy     = errors.New("cluster: container already executing")
-	ErrContainerDone     = errors.New("cluster: container released")
+	// ErrContainerDone: Launch on a container already stopped.
+	ErrContainerDone = errors.New("cluster: container released")
 	// ErrLaunchFailed: the allocation was granted but the container process
 	// never came up (injected by the chaos plane); the owner should discard
 	// the container and re-request.
@@ -84,7 +88,8 @@ func (c *Container) ExecCount() int {
 func (c *Container) Killed() <-chan struct{} { return c.stop }
 
 // Launch starts the container process, charging ContainerLaunchOverhead.
-// It is idempotent; only the first call pays.
+// It is idempotent; only the first call pays. A stop that cuts the launch
+// short returns ErrContainerKilled.
 func (c *Container) Launch() error {
 	c.mu.Lock()
 	if c.released {
@@ -101,7 +106,9 @@ func (c *Container) Launch() error {
 	}
 	c.launched = true
 	c.mu.Unlock()
-	c.rm.sleepInterruptible(c.rm.cfg.ContainerLaunchOverhead, c.stop)
+	if !c.rm.sleepInterruptible(c.rm.cfg.ContainerLaunchOverhead, c.stop) {
+		return ErrContainerKilled
+	}
 	return nil
 }
 
@@ -110,15 +117,16 @@ func (c *Container) Launch() error {
 // warm-up penalty. fn receives a channel that is closed when the container
 // is being killed; long-running work should observe it at I/O boundaries.
 //
-// If the container is killed before fn returns, Exec returns
-// ErrContainerKilled immediately; fn's goroutine is abandoned (a "zombie"
+// On a container already stopped Exec returns ErrContainerKilled. If the
+// container is killed before fn returns, Exec returns ErrContainerKilled
+// immediately; fn's goroutine is abandoned (a "zombie"
 // task, as when a node dies under a real YARN container) and its result is
 // discarded.
 func (c *Container) Exec(fn func(stop <-chan struct{}) error) error {
 	c.mu.Lock()
 	if c.released {
 		c.mu.Unlock()
-		return ErrContainerDone
+		return ErrContainerKilled
 	}
 	if !c.launched {
 		c.mu.Unlock()
@@ -127,12 +135,6 @@ func (c *Container) Exec(fn func(stop <-chan struct{}) error) error {
 	if c.executing {
 		c.mu.Unlock()
 		return ErrContainerBusy
-	}
-	select {
-	case <-c.stop:
-		c.mu.Unlock()
-		return ErrContainerKilled
-	default:
 	}
 	c.executing = true
 	first := c.execCount == 0

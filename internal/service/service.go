@@ -4,7 +4,7 @@
 // named tenants and survives overload and per-tenant faults gracefully.
 //
 // The pipeline per submission is admission → quota → fair share →
-// (preemption) → drain:
+// deadline → drain:
 //
 //   - admission: each tenant has a bounded queue and a worker pool; the
 //     service has a global in-flight cap. Overload is shed at the door
@@ -13,9 +13,9 @@
 //   - quota + fair share: each tenant maps to a cluster tenant group
 //     (cluster.SetTenant): the RM's scheduling pass enforces the
 //     tenant's hard memory quota and orders grants by weighted fair
-//     share across tenants, preempting the most-over-share tenant's
-//     newest containers when a starved tenant waits past
-//     PreemptionStarvation.
+//     share across tenants. It preempts nothing unless the platform's
+//     cluster.Config sets FairPreemption, which no shipped program
+//     (tez-service runs on platform.Fast) does.
 //   - deadlines: submissions carry an optional deadline (per-submission
 //     option or tenant default); overdue DAGs are killed with a result
 //     whose Err satisfies errors.Is(err, am.ErrDeadlineExceeded).
