@@ -22,8 +22,12 @@ vet:
 # declares a sync.Mutex or sync.RWMutex outside session.go, whose lock
 # orders admission against Close, and health.go, whose report NodeHealth
 # reads from other goroutines: the session's loop owns the scheduler and
-# every run, so a lock anywhere else means a second owner crept back), and
-# staticcheck when installed (skipped gracefully where it is not; CI does
+# every run, so a lock anywhere else means a second owner crept back), the
+# RM ownership invariant (no non-test Go in internal/cluster declares a
+# sync.Mutex or sync.RWMutex, takes a lock, or uses sync/atomic or a
+# CompareAndSwap outside container.go, whose lock orders a container's
+# Launch and Exec on task goroutines against its stop: the RM loop owns
+# every node, app and request), and staticcheck when installed (skipped gracefully where it is not; CI does
 # not install it).
 lint: vet
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -40,6 +44,9 @@ lint: vet
 	fi
 	@if grep -nE 'sync\.(RW)?Mutex' internal/am/*.go | grep -v '_test\.go:' | grep -vE '^internal/am/(session|health)\.go:'; then \
 		echo 'lint: mutex in internal/am outside session.go and health.go (the session loop owns AM state)'; exit 1; \
+	fi
+	@if grep -nE 'sync\.(RW)?Mutex|\.R?Lock\(\)|atomic\.|CompareAndSwap' internal/cluster/*.go | grep -v '_test\.go:' | grep -v '^internal/cluster/container\.go:'; then \
+		echo 'lint: lock or atomic in internal/cluster outside container.go (the RM loop owns RM state)'; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo 'lint: staticcheck not installed, skipping'; fi
@@ -159,7 +166,12 @@ chaos:
 # the backlog gauge behind a stalled loop, one goroutine per session
 # however many DAGs it runs, a deadline kill sparing its sibling DAG, and
 # the mailbox's channel wake-ups; then a Submit racing Close (500 runs),
-# which must never hang.
+# which must never hang. Last, the RM loop under the race detector (50
+# runs each): cancels racing requests and scheduling passes (no request
+# both cancelled and allocated, each grant delivered once, nothing left
+# pending), and apps requesting, cancelling and releasing on goroutines of
+# their own while another fails and restores nodes (the capacity mirrors
+# match the nodes' containers, and Unregister hands every resource back).
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
@@ -171,6 +183,7 @@ stress:
 	$(GO) test -race -count=100 -run 'TestDeadlineCompletionRace$$|TestBacklogGaugeSeesStalledDispatcher$$|TestOneGoroutinePerSession$$|TestDeadlineKillSparesSiblingDAG$$' ./internal/am/
 	$(GO) test -race -count=100 ./internal/mailbox/
 	$(GO) test -race -count=500 -run 'TestSubmitRacingCloseNeverHangs$$' ./internal/am/
+	$(GO) test -race -count=50 -run 'TestCancelRaceWithSchedulingPasses$$|TestInvariantStressConcurrent$$' ./internal/cluster/
 
 # trace runs a sample wordcount with the timeline journal attached and
 # writes trace.json (Chrome trace-event format — load it in Perfetto or

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"tez/internal/mailbox"
 )
@@ -23,16 +21,12 @@ type ContainerRequest struct {
 	Exclude []NodeID
 	Cookie  any
 
-	// state is the request lifecycle (see queues.go): staged → queued →
-	// allocated | cancelled, with CAS transitions so cancel and allocate
-	// are mutually exclusive.
-	state atomic.Int32
-
-	// Everything below is owned by the RM once the request is ingested
-	// and is only touched under rm.mu.
+	// Owned by the RM loop: the request's lifecycle (see queues.go), the
+	// app that queued it, and its missed scheduling opportunities (delay
+	// scheduling).
+	state      reqState
 	owner      *Application
-	settled    bool // queuedLive accounting done (exactly-once)
-	missedNode int  // scheduling opportunities missed (delay scheduling)
+	missedNode int
 	missedRack int
 }
 
@@ -48,138 +42,103 @@ type Application struct {
 	rm     *ResourceManager
 	events *mailbox.Mailbox[Event]
 
-	mu         sync.Mutex
-	staged     []*ContainerRequest // new requests; RM drains in batch per pass
+	// Owned by the RM loop.
 	containers map[ContainerID]*Container
 	allocated  Resource
 	finished   bool
-
-	// sched is RM-owned scheduling state, guarded by rm.mu (not a.mu).
-	sched appSched
+	sched      appSched
 }
 
 // Events returns the mailbox carrying RM→AM notifications.
 func (a *Application) Events() *mailbox.Mailbox[Event] { return a.events }
 
-// Request enqueues container requests; the scheduler ingests the staged
-// batch on its next heartbeat. Requests stay app-owned (a.mu) until then,
-// so the caller never contends with a scheduling pass.
+// Request queues container requests and returns; the loop files them in
+// the app's priority buckets before its next scheduling pass. A request
+// already cancelled, or already requested, is ignored.
 func (a *Application) Request(reqs ...*ContainerRequest) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.finished {
-		return
-	}
-	a.staged = append(a.staged, reqs...)
+	reqs = slices.Clone(reqs)
+	a.rm.post(func() {
+		for _, req := range reqs {
+			if a.finished || req.state != reqNew {
+				continue
+			}
+			req.state, req.owner = reqQueued, a
+			q := a.sched.bucket(req.Priority)
+			q.reqs = append(q.reqs, req)
+			a.sched.queuedLive++
+		}
+	})
 }
 
-// Cancel withdraws a pending request. Cancelling an already-satisfied or
-// unknown request is a no-op. The CAS guarantees a request is never both
-// cancelled and allocated: whichever transition wins, the other side
-// observes it and backs off.
+// Cancel withdraws a pending request and returns. Cancelling an
+// already-satisfied request is a no-op; a request cancelled before it
+// reaches the loop is never queued. The loop settles Cancel and every
+// grant one at a time, so a request is never both cancelled and
+// allocated.
 func (a *Application) Cancel(req *ContainerRequest) {
-	if req.state.CompareAndSwap(reqStaged, reqCancelled) {
-		return // dropped at ingestion
-	}
-	if req.state.CompareAndSwap(reqQueued, reqCancelled) {
-		// RM-owned by now: settle the pending count eagerly so
-		// PendingRequests reflects the cancellation immediately. The
-		// bucket entry itself is pruned lazily by the next pass walk.
-		a.rm.mu.Lock()
-		a.rm.settleLocked(req)
-		a.rm.mu.Unlock()
-	}
-	// Allocated or already cancelled: no-op.
+	a.rm.post(func() { withdraw(req) })
 }
 
 // PendingRequests returns the number of outstanding (non-cancelled)
-// container requests, staged plus queued. Both locks are held together
-// (rm.mu → a.mu is the package lock order) so the snapshot is consistent
-// with a concurrent ingest.
-func (a *Application) PendingRequests() int {
-	a.rm.mu.Lock()
-	defer a.rm.mu.Unlock()
-	a.mu.Lock()
-	n := a.sched.queuedLive
-	for _, r := range a.staged {
-		if r.state.Load() == reqStaged {
-			n++
-		}
-	}
-	a.mu.Unlock()
+// container requests.
+func (a *Application) PendingRequests() (n int) {
+	a.rm.call(func() { n = a.sched.queuedLive })
 	return n
 }
 
 // Allocated returns the application's currently held resources.
-func (a *Application) Allocated() Resource {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocated
+func (a *Application) Allocated() (r Resource) {
+	a.rm.call(func() { r = a.allocated })
+	return r
 }
 
 // HeldContainers returns the number of containers currently held.
-func (a *Application) HeldContainers() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.containers)
+func (a *Application) HeldContainers() (n int) {
+	a.rm.call(func() { n = len(a.containers) })
+	return n
 }
 
 // Release returns a container to the cluster. The container's work, if
-// any, is killed.
+// any, is killed before Release returns; the loop takes the resources
+// back after the calls posted before it.
 func (a *Application) Release(c *Container) {
-	a.rm.stopContainer(c, StopReleased, false)
+	if c.terminate() {
+		a.rm.post(func() { a.rm.uncharge(c) })
+	}
 }
 
 // Unregister releases everything the application holds and stops event
-// delivery. Call exactly once when the AM exits. One rm.mu critical
-// section refuses further grants, withdraws every staged and queued
-// request, detaches the held containers and takes the app out of the
-// fairness order, so no grant or release racing the unregister can leave
-// a container attached to it; the detached containers are stopped after.
+// delivery. Call exactly once when the AM exits. On the loop it refuses
+// further grants, withdraws every queued request, stops the held
+// containers and takes the app out of the fairness order.
 func (a *Application) Unregister() {
 	rm := a.rm
-	rm.mu.Lock()
-	a.mu.Lock()
-	if a.finished {
-		a.mu.Unlock()
-		rm.mu.Unlock()
-		return
-	}
-	a.finished = true
-	for _, req := range a.staged {
-		req.state.CompareAndSwap(reqStaged, reqCancelled)
-	}
-	a.staged = nil
-	held := make([]*Container, 0, len(a.containers))
-	for _, c := range a.containers {
-		held = append(held, c)
-	}
-	clear(a.containers)
-	a.allocated = Resource{}
-	a.mu.Unlock()
-	for _, q := range a.sched.buckets {
-		for _, req := range q.reqs {
-			if req.state.CompareAndSwap(reqQueued, reqCancelled) {
-				rm.settleLocked(req)
+	rm.call(func() {
+		if a.finished {
+			return
+		}
+		a.finished = true
+		for _, q := range a.sched.buckets {
+			for _, req := range q.reqs {
+				withdraw(req)
 			}
 		}
-	}
-	a.sched.buckets, a.sched.prios = nil, nil
-	rm.removeAppLocked(a)
-	delete(rm.apps, a.ID)
-	rm.appOrder = slices.DeleteFunc(rm.appOrder, func(id AppID) bool { return id == a.ID })
-	rm.mu.Unlock()
-	for _, c := range held {
-		rm.stopContainerQuiet(c, StopReleased)
-	}
+		a.sched.buckets, a.sched.prios = nil, nil
+		rm.removeApp(a)
+		delete(rm.apps, a.ID)
+		for _, c := range a.containers {
+			c.terminate()
+			rm.unchargeNode(c.node, c)
+		}
+		clear(a.containers)
+		a.allocated = Resource{}
+	})
 	a.events.Close()
 }
 
 // removeContainer detaches a container from the app's accounting,
 // reporting whether it was still attached.
 func (a *Application) removeContainer(c *Container) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if _, ok := a.containers[c.ID]; !ok {
 		return false
 	}

@@ -15,7 +15,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"tez/internal/chaos"
@@ -149,28 +148,18 @@ type ContainerID int64
 // AppID identifies an application.
 type AppID int64
 
-// Node is a simulated cluster machine.
+// Node is a simulated cluster machine. ID, Rack and capacity are fixed
+// at New; the rest is owned by the RM loop (see shards.go).
 type Node struct {
 	ID   NodeID
 	Rack string
 
-	mu         sync.Mutex
 	capacity   Resource
-	used       Resource
-	live       bool
 	containers map[ContainerID]*Container
-
-	// Scheduler state, guarded by rm.mu (see shards.go): a mirror of the
-	// free capacity plus the node's position in its rack shard, so
-	// placement never takes n.mu. shard is nil while the node is down.
+	// schedAvail is the free capacity; shard is the node's rack shard
+	// while it is up and nil while it is down, and shardIdx its position
+	// there.
 	schedAvail Resource
 	shard      *rackShard
 	shardIdx   int
-}
-
-// Live reports whether the node is up.
-func (n *Node) Live() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.live
 }

@@ -316,6 +316,10 @@ func TestCancelRequest(t *testing.T) {
 	req := &ContainerRequest{Resource: Resource{1024, 1}}
 	app.Request(req)
 	app.Cancel(req)
+	// A request cancelled before it is requested is never queued.
+	early := &ContainerRequest{Resource: Resource{1024, 1}}
+	app.Cancel(early)
+	app.Request(early)
 	hog.Unregister()
 	time.Sleep(10 * time.Millisecond)
 	if app.Allocated().MemoryMB != 0 {

@@ -61,13 +61,14 @@ type Container struct {
 	// the chaos plane scopes injected faults by.
 	tenant string
 
+	// mu orders Launch and Exec, which run on task goroutines, against a
+	// stop by Release or the RM loop: the one lock in the package.
 	mu        sync.Mutex
 	launched  bool
 	executing bool
 	released  bool
 	execCount int
 	stop      chan struct{} // closed on kill
-	allocTime time.Time
 }
 
 // Node returns the node hosting this container.
@@ -172,14 +173,18 @@ func (c *Container) Exec(fn func(stop <-chan struct{}) error) error {
 	}
 }
 
-// kill closes the stop channel exactly once. Caller holds no container lock.
-func (c *Container) kill() {
+// terminate closes the stop channel exactly once and reports whether this
+// call did. Release calls it on the app's goroutine, the RM loop on its
+// own, so c.mu orders it against Launch and Exec.
+func (c *Container) terminate() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.released {
-		c.released = true
-		close(c.stop)
+	if c.released {
+		return false
 	}
+	c.released = true
+	close(c.stop)
+	return true
 }
 
 // sleepInterruptible sleeps for d unless stop closes first; returns false

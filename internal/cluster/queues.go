@@ -17,27 +17,27 @@ import "time"
 //     private singleton group of weight 1, so with no tenants the order
 //     is a flat most-starved-first order over apps.
 //
-// Request lifecycle is an atomic state machine:
+// A request's lifecycle is one loop-owned field:
 //
-//	staged --(ingest)--> queued --(grant)--> allocated
-//	   \                    \
-//	    +----(cancel)--------+--> cancelled
+//	new --(Request)--> queued --(grant)--> allocated
+//	  \                  \
+//	   +----(Cancel)------+--> cancelled
 //
-// Staged requests belong to the application (a.mu); queued requests
-// belong to the RM (rm.mu). Cancel uses CAS so that a request can win
-// exactly one terminal transition — cancelled and allocated are mutually
-// exclusive by construction: a request concurrently cancelled is never
-// allocated. missedNode/missedRack are only ever touched under rm.mu after
-// ingestion, so place() and the app never touch one request's fields
-// under different locks.
+// Request, Cancel and every grant run on the loop one at a time, so a
+// request takes exactly one terminal transition: cancelled and allocated
+// are mutually exclusive, and the app's count of live queued requests
+// moves once, as the request leaves queued. A request cancelled before
+// its Request reaches the loop is never queued.
+type reqState uint8
+
 const (
-	reqStaged int32 = iota
+	reqNew reqState = iota
 	reqQueued
 	reqAllocated
 	reqCancelled
 )
 
-// tenantGroup is one tenant's scheduling state, guarded by rm.mu. Named
+// tenantGroup is one tenant's scheduling state, owned by the loop. Named
 // groups are created by SetTenant or on the first SubmitTenant for the
 // tenant and persist (with their weight/quota) for the RM's lifetime;
 // untenanted apps get anonymous singleton groups that die with the app.
@@ -51,13 +51,11 @@ type tenantGroup struct {
 	apps    []*Application
 
 	// starvedSince marks when the group was first observed starved (unmet
-	// demand below its weighted share). Touched only by the RM loop
-	// goroutine inside maybePreempt, never concurrently.
+	// demand below its weighted share); maybePreempt keeps it.
 	starvedSince time.Time
 }
 
-// appSched is an application's scheduling state, owned by the RM and
-// guarded by rm.mu.
+// appSched is an application's scheduling state, owned by the loop.
 type appSched struct {
 	group      *tenantGroup
 	seq        int // submission order; fairness tiebreak within the group
@@ -74,9 +72,9 @@ type reqBucket struct {
 	reqs []*ContainerRequest
 }
 
-// bucketLocked returns (creating if needed) the app's bucket for prio,
-// keeping prios sorted. Caller holds rm.mu.
-func (as *appSched) bucketLocked(prio int) *reqBucket {
+// bucket returns (creating if needed) the app's bucket for prio, keeping
+// prios sorted.
+func (as *appSched) bucket(prio int) *reqBucket {
 	if q, ok := as.buckets[prio]; ok {
 		return q
 	}
@@ -95,14 +93,16 @@ func (as *appSched) bucketLocked(prio int) *reqBucket {
 	return q
 }
 
-// settleLocked accounts exactly once for a request leaving the live
-// queue (granted, cancelled, or dropped). Caller holds rm.mu.
-func (rm *ResourceManager) settleLocked(req *ContainerRequest) {
-	if req.settled || req.owner == nil {
-		return
+// withdraw cancels a request that has not been granted: a queued one
+// leaves its owner's live count, and a new one will never be queued.
+func withdraw(req *ContainerRequest) {
+	switch req.state {
+	case reqNew:
+		req.state = reqCancelled
+	case reqQueued:
+		req.state = reqCancelled
+		req.owner.sched.queuedLive--
 	}
-	req.settled = true
-	req.owner.sched.queuedLive--
 }
 
 // tenantLess is the cross-tenant fairness order: smallest weighted
@@ -126,9 +126,8 @@ func appLess(a, b *Application) bool {
 	return a.sched.seq < b.sched.seq
 }
 
-// insertGroupLocked adds g to the tenant fairness order. Caller holds
-// rm.mu.
-func (rm *ResourceManager) insertGroupLocked(g *tenantGroup) {
+// insertGroup adds g to the tenant fairness order.
+func (rm *ResourceManager) insertGroup(g *tenantGroup) {
 	i := len(rm.schedTenants)
 	for i > 0 && tenantLess(g, rm.schedTenants[i-1]) {
 		i--
@@ -141,9 +140,8 @@ func (rm *ResourceManager) insertGroupLocked(g *tenantGroup) {
 	}
 }
 
-// removeGroupLocked drops g from the tenant fairness order. Caller holds
-// rm.mu.
-func (rm *ResourceManager) removeGroupLocked(g *tenantGroup) {
+// removeGroup drops g from the tenant fairness order.
+func (rm *ResourceManager) removeGroup(g *tenantGroup) {
 	i := g.pos
 	if i >= len(rm.schedTenants) || rm.schedTenants[i] != g {
 		return
@@ -155,9 +153,9 @@ func (rm *ResourceManager) removeGroupLocked(g *tenantGroup) {
 	}
 }
 
-// groupOrderChangedLocked bubbles g back to its sorted position after its
-// weighted-allocation key changed. Caller holds rm.mu.
-func (rm *ResourceManager) groupOrderChangedLocked(g *tenantGroup) {
+// groupOrderChanged bubbles g back to its sorted position after its
+// weighted-allocation key changed.
+func (rm *ResourceManager) groupOrderChanged(g *tenantGroup) {
 	i := g.pos
 	if i >= len(rm.schedTenants) || rm.schedTenants[i] != g {
 		return
@@ -176,8 +174,8 @@ func (rm *ResourceManager) groupOrderChangedLocked(g *tenantGroup) {
 	g.pos = i
 }
 
-// insertAppLocked adds a to group g's fairness order. Caller holds rm.mu.
-func (rm *ResourceManager) insertAppLocked(g *tenantGroup, a *Application) {
+// insertApp adds a to group g's fairness order.
+func (rm *ResourceManager) insertApp(g *tenantGroup, a *Application) {
 	a.sched.group = g
 	i := len(g.apps)
 	for i > 0 && appLess(a, g.apps[i-1]) {
@@ -191,9 +189,9 @@ func (rm *ResourceManager) insertAppLocked(g *tenantGroup, a *Application) {
 	}
 }
 
-// removeAppLocked drops a from its group, and the group itself from the
-// tenant order if it was the app's private singleton. Caller holds rm.mu.
-func (rm *ResourceManager) removeAppLocked(a *Application) {
+// removeApp drops a from its group, and the group itself from the tenant
+// order if it was the app's private singleton.
+func (rm *ResourceManager) removeApp(a *Application) {
 	g := a.sched.group
 	if g == nil {
 		return
@@ -206,18 +204,17 @@ func (rm *ResourceManager) removeAppLocked(a *Application) {
 			g.apps[i].sched.pos = i
 		}
 		g.allocMB -= a.sched.allocMB
-		rm.groupOrderChangedLocked(g)
+		rm.groupOrderChanged(g)
 	}
 	a.sched.group = nil
 	if g.name == "" && len(g.apps) == 0 {
-		rm.removeGroupLocked(g)
+		rm.removeGroup(g)
 	}
 }
 
-// appAllocChangedLocked applies a memory delta to the app's fairness key
-// and bubbles the app within its group and the group within the tenant
-// order. Caller holds rm.mu.
-func (rm *ResourceManager) appAllocChangedLocked(a *Application, deltaMB int) {
+// appAllocChanged applies a memory delta to the app's fairness key and
+// bubbles the app within its group and the group within the tenant order.
+func (rm *ResourceManager) appAllocChanged(a *Application, deltaMB int) {
 	a.sched.allocMB += deltaMB
 	g := a.sched.group
 	if g == nil {
@@ -239,5 +236,5 @@ func (rm *ResourceManager) appAllocChangedLocked(a *Application, deltaMB int) {
 		a.sched.pos = i
 	}
 	g.allocMB += deltaMB
-	rm.groupOrderChangedLocked(g)
+	rm.groupOrderChanged(g)
 }

@@ -1,9 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"tez/internal/mailbox"
@@ -14,21 +14,30 @@ import (
 // RM. It owns the nodes, runs the scheduling heartbeat, and notifies
 // applications through their event mailboxes.
 //
-// Lock order: rm.mu → a.mu → n.mu (c.mu is only ever taken alone). A
-// scheduling pass holds rm.mu end to end and works against the rack-
-// sharded node index (shards.go) and the per-app request buckets
-// (queues.go); allocation events are delivered in batches after rm.mu is
-// released.
+// One goroutine, the loop, owns every node, shard, tenant group, app and
+// request bucket and the capacity mirrors. Other goroutines reach that
+// state through the loop's mailbox: Request, Cancel and Release post a
+// func() and return; every other call posts one and waits for it to run,
+// so a caller's query sees its own earlier posts. A scheduling pass
+// (shards.go, queues.go) runs on the loop end to end, and its allocation
+// events are delivered in per-app batches when it ends. The node list and
+// the racks are fixed at New and read without the loop.
 type ResourceManager struct {
 	cfg Config
 
-	mu        sync.Mutex
-	nodes     map[NodeID]*Node
-	nodeList  []*Node // stable order for deterministic iteration
+	// Fixed at New.
+	nodes    map[NodeID]*Node
+	nodeList []*Node // stable order for deterministic iteration
+
+	// inbox carries work to the loop; Stop closes it. done is closed when
+	// the loop returns.
+	inbox *mailbox.Mailbox[func()]
+	done  chan struct{}
+
+	// Everything below is owned by the loop.
 	shards    map[string]*rackShard
 	shardList []*rackShard // stable rack order for deterministic placement
 	apps      map[AppID]*Application
-	appOrder  []AppID // submission order
 	// schedTenants is the two-level fairness order: tenant groups sorted
 	// by weighted allocation, each holding its apps sorted by allocation.
 	// Untenanted apps ride in anonymous singleton groups, so with no
@@ -45,10 +54,6 @@ type ResourceManager struct {
 
 	nextContainer ContainerID
 	nextApp       AppID
-
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
 // New builds a cluster per cfg and starts the scheduling loop.
@@ -57,17 +62,17 @@ func New(cfg Config) *ResourceManager {
 	rm := &ResourceManager{
 		cfg:       cfg,
 		nodes:     make(map[NodeID]*Node),
+		inbox:     mailbox.New[func()](),
+		done:      make(chan struct{}),
 		shards:    make(map[string]*rackShard),
 		apps:      make(map[AppID]*Application),
 		tenantCfg: make(map[string]*tenantGroup),
-		stopCh:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
 			ID:         NodeID(fmt.Sprintf("node-%03d", i)),
 			Rack:       fmt.Sprintf("rack-%02d", i/cfg.NodesPerRack),
 			capacity:   cfg.NodeResource,
-			live:       true,
 			containers: make(map[ContainerID]*Container),
 			schedAvail: cfg.NodeResource,
 		}
@@ -82,16 +87,69 @@ func New(cfg Config) *ResourceManager {
 		s.insert(n)
 		rm.capTotal = rm.capTotal.Add(n.capacity)
 	}
-	rm.wg.Add(1)
 	go rm.loop()
 	return rm
 }
 
-// Stop halts the scheduler. Outstanding applications keep their containers;
-// Stop is for test/bench teardown.
+// Stop halts the loop once every call posted before it has run. A call
+// made after Stop returns without effect, and a query then reports zero
+// values. Outstanding applications keep their containers; Stop is for
+// test/bench teardown.
 func (rm *ResourceManager) Stop() {
-	rm.stopOnce.Do(func() { close(rm.stopCh) })
-	rm.wg.Wait()
+	rm.inbox.Close()
+	<-rm.done
+}
+
+// loop is the RM's one select: its mailbox, the heartbeat ticker and,
+// under FairPreemption, the preemption ticker. Every wake-up first runs
+// the calls posted so far, so a pass sees every call posted before it. It
+// returns once Stop has closed the mailbox and the backlog is run.
+func (rm *ResourceManager) loop() {
+	defer close(rm.done)
+	t := time.NewTicker(rm.cfg.ScheduleInterval)
+	defer t.Stop()
+	var preempt <-chan time.Time // nil without FairPreemption: never fires
+	if rm.cfg.FairPreemption {
+		pt := time.NewTicker(rm.cfg.PreemptionInterval)
+		defer pt.Stop()
+		preempt = pt.C
+	}
+	var batch []func()
+	for {
+		var pass func()
+		select {
+		case <-rm.inbox.Ready():
+		case <-t.C:
+			pass = rm.scheduleOnce
+		case <-preempt:
+			pass = rm.maybePreempt
+		}
+		var open bool
+		if batch, open = rm.inbox.Drain(batch); !open {
+			return
+		}
+		for i, fn := range batch {
+			batch[i] = nil
+			fn()
+		}
+		if pass != nil {
+			pass()
+		}
+	}
+}
+
+// post hands fn to the loop and returns. After Stop fn never runs.
+func (rm *ResourceManager) post(fn func()) { rm.inbox.Put(fn) }
+
+// call runs fn on the loop and waits for it. After Stop it returns
+// without running fn.
+func (rm *ResourceManager) call(fn func()) {
+	ran := make(chan struct{})
+	rm.inbox.Put(func() { fn(); close(ran) })
+	select {
+	case <-ran:
+	case <-rm.done:
+	}
 }
 
 // Config returns the cluster configuration (after defaulting).
@@ -99,8 +157,6 @@ func (rm *ResourceManager) Config() Config { return rm.cfg }
 
 // Nodes returns the ids of all nodes in stable order.
 func (rm *ResourceManager) Nodes() []NodeID {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
 	out := make([]NodeID, len(rm.nodeList))
 	for i, n := range rm.nodeList {
 		out[i] = n.ID
@@ -110,8 +166,6 @@ func (rm *ResourceManager) Nodes() []NodeID {
 
 // RackOf returns the rack of a node ("" if unknown).
 func (rm *ResourceManager) RackOf(id NodeID) string {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
 	if n, ok := rm.nodes[id]; ok {
 		return n.Rack
 	}
@@ -119,32 +173,26 @@ func (rm *ResourceManager) RackOf(id NodeID) string {
 }
 
 // TotalResources returns the live cluster capacity.
-func (rm *ResourceManager) TotalResources() Resource {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.capTotal
+func (rm *ResourceManager) TotalResources() (r Resource) {
+	rm.call(func() { r = rm.capTotal })
+	return r
 }
 
 // UsedResources returns currently allocated resources across the cluster.
-func (rm *ResourceManager) UsedResources() Resource {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.usedTotal
+func (rm *ResourceManager) UsedResources() (r Resource) {
+	rm.call(func() { r = rm.usedTotal })
+	return r
 }
 
 // AllocatedByApp snapshots per-application holdings (for utilisation
 // timelines, Figure 12).
 func (rm *ResourceManager) AllocatedByApp() map[string]Resource {
-	rm.mu.Lock()
-	apps := make([]*Application, 0, len(rm.apps))
-	for _, a := range rm.apps {
-		apps = append(apps, a)
-	}
-	rm.mu.Unlock()
-	out := make(map[string]Resource, len(apps))
-	for _, a := range apps {
-		out[a.Name] = a.Allocated()
-	}
+	out := make(map[string]Resource)
+	rm.call(func() {
+		for _, a := range rm.apps {
+			out[a.Name] = a.allocated
+		}
+	})
 	return out
 }
 
@@ -161,28 +209,26 @@ func (rm *ResourceManager) Submit(name string) *Application {
 // Unknown tenant names are materialised with weight 1 and no quota; use
 // SetTenant to configure them.
 func (rm *ResourceManager) SubmitTenant(name, tenant string) *Application {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	rm.nextApp++
 	a := &Application{
-		ID:         rm.nextApp,
 		Name:       name,
 		Tenant:     tenant,
 		rm:         rm,
 		events:     mailbox.New[Event](),
 		containers: make(map[ContainerID]*Container),
 	}
-	a.sched.seq = int(rm.nextApp)
-	rm.apps[a.ID] = a
-	rm.appOrder = append(rm.appOrder, a.ID)
-	rm.insertAppLocked(rm.groupLocked(tenant), a)
+	rm.call(func() {
+		rm.nextApp++
+		a.ID = rm.nextApp
+		a.sched.seq = int(rm.nextApp)
+		rm.apps[a.ID] = a
+		rm.insertApp(rm.group(tenant), a)
+	})
 	return a
 }
 
-// groupLocked resolves the scheduling group for a tenant name, creating
-// it if needed. "" always creates a fresh anonymous singleton group.
-// Caller holds rm.mu.
-func (rm *ResourceManager) groupLocked(tenant string) *tenantGroup {
+// group resolves the scheduling group for a tenant name, creating it if
+// needed. "" always creates a fresh anonymous singleton group.
+func (rm *ResourceManager) group(tenant string) *tenantGroup {
 	if tenant != "" {
 		if g, ok := rm.tenantCfg[tenant]; ok {
 			return g
@@ -193,7 +239,7 @@ func (rm *ResourceManager) groupLocked(tenant string) *tenantGroup {
 	if tenant != "" {
 		rm.tenantCfg[tenant] = g
 	}
-	rm.insertGroupLocked(g)
+	rm.insertGroup(g)
 	return g
 }
 
@@ -210,23 +256,23 @@ func (rm *ResourceManager) SetTenant(tenant string, weight, quotaMB int) {
 	if quotaMB < 0 {
 		quotaMB = 0
 	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	g := rm.groupLocked(tenant)
-	g.weight = weight
-	g.quotaMB = quotaMB
-	rm.groupOrderChangedLocked(g) // weight changes the order key
+	rm.call(func() {
+		g := rm.group(tenant)
+		g.weight = weight
+		g.quotaMB = quotaMB
+		rm.groupOrderChanged(g) // weight changes the order key
+	})
 }
 
 // TenantUsage reports a tenant's currently held memory and its quota
 // (0 = unlimited). Unknown tenants report zeros.
 func (rm *ResourceManager) TenantUsage(tenant string) (allocMB, quotaMB int) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if g, ok := rm.tenantCfg[tenant]; ok {
-		return g.allocMB, g.quotaMB
-	}
-	return 0, 0
+	rm.call(func() {
+		if g, ok := rm.tenantCfg[tenant]; ok {
+			allocMB, quotaMB = g.allocMB, g.quotaMB
+		}
+	})
+	return allocMB, quotaMB
 }
 
 // FailNode simulates losing a machine: its containers are killed with
@@ -243,176 +289,84 @@ func (rm *ResourceManager) DecommissionNode(id NodeID) {
 }
 
 func (rm *ResourceManager) failNode(id NodeID, planned bool) {
-	rm.mu.Lock()
 	n, ok := rm.nodes[id]
 	if !ok {
-		rm.mu.Unlock()
 		return
 	}
-	n.mu.Lock()
-	alreadyDown := !n.live
-	n.live = false
-	victims := make([]*Container, 0, len(n.containers))
-	for _, c := range n.containers {
-		victims = append(victims, c)
-	}
-	n.mu.Unlock()
-	if !alreadyDown {
-		rm.capTotal = rm.capTotal.Sub(n.capacity)
-	}
-	if n.shard != nil {
-		n.shard.remove(n)
-	}
-	apps := make([]*Application, 0, len(rm.apps))
-	for _, id := range rm.appOrder {
-		if a, ok := rm.apps[id]; ok {
-			apps = append(apps, a)
+	rm.call(func() {
+		if n.shard != nil {
+			rm.capTotal = rm.capTotal.Sub(n.capacity)
+			n.shard.remove(n)
 		}
-	}
-	rm.mu.Unlock()
-
-	// Tear the victims down, batching each owner's stop notifications
-	// with the node-failed event: one mailbox wake-up per application.
-	byApp := make(map[*Application][]Event)
-	for _, c := range victims {
-		app, stopped := rm.stopContainerQuiet(c, StopNodeLost)
-		if app == nil || !stopped {
-			continue
+		// Tear the containers down, batching each owner's stop
+		// notifications with the node-failed event: one mailbox wake-up
+		// per application.
+		byApp := make(map[*Application][]Event)
+		for _, c := range n.containers {
+			if app, ev, ok := rm.kill(c, StopNodeLost); ok {
+				byApp[app] = append(byApp[app], ev)
+			}
 		}
-		rm.cfg.Timeline.Record(timeline.Event{
-			Type: timeline.ContainerStopped, Tenant: c.tenant,
-			Node: string(id), Container: int64(c.ID), Info: StopNodeLost.String(),
-		})
-		byApp[app] = append(byApp[app], ContainerStoppedEvent{ContainerID: c.ID, Node: id, Reason: StopNodeLost})
-	}
-	typ := timeline.NodeFailed
-	if planned {
-		typ = timeline.NodeDecommissioned
-	}
-	rm.cfg.Timeline.Record(timeline.Event{Type: typ, Node: string(id)})
-	for _, a := range apps {
-		evs := append(byApp[a], NodeFailedEvent{Node: id, Decommissioned: planned})
-		a.events.PutAll(evs)
-	}
+		typ := timeline.NodeFailed
+		if planned {
+			typ = timeline.NodeDecommissioned
+		}
+		rm.cfg.Timeline.Record(timeline.Event{Type: typ, Node: string(id)})
+		for _, a := range rm.apps {
+			a.events.PutAll(append(byApp[a], NodeFailedEvent{Node: id, Decommissioned: planned}))
+		}
+	})
 }
 
-// RestoreNode brings a failed node back (empty). Containers that were
-// still registered on the node — possible when the restore races the
-// failure's own teardown — are stopped and their owners notified before
-// the node re-enters the placement index, so resources can never be
-// double-counted and owners never silently lose a live handle. Restoring
-// a live node is a no-op.
+// RestoreNode brings a failed node back, empty: its failure stopped and
+// uncharged every container it held, and a down node gets no grants.
+// Restoring a live or unknown node is a no-op.
 func (rm *ResourceManager) RestoreNode(id NodeID) {
-	rm.mu.Lock()
 	n, ok := rm.nodes[id]
-	if !ok || n.shard != nil {
-		rm.mu.Unlock()
+	if !ok {
 		return
 	}
-	n.mu.Lock()
-	if n.live {
-		// Down nodes are out of the shard index and marked !live; a live
-		// node outside a shard cannot happen.
-		n.mu.Unlock()
-		rm.mu.Unlock()
-		return
-	}
-	stragglers := make([]*Container, 0, len(n.containers))
-	for _, c := range n.containers {
-		stragglers = append(stragglers, c)
-	}
-	n.mu.Unlock()
-	rm.mu.Unlock()
-
-	for _, c := range stragglers {
-		rm.stopContainer(c, StopNodeLost, true)
-	}
-
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	if n.shard != nil {
-		return // raced with another restore
-	}
-	n.mu.Lock()
-	n.live = true
-	n.used = Resource{}
-	n.mu.Unlock()
-	rm.capTotal = rm.capTotal.Add(n.capacity)
-	n.schedAvail = n.capacity
-	rm.shards[n.Rack].insert(n)
+	rm.call(func() {
+		if n.shard != nil {
+			return
+		}
+		rm.capTotal = rm.capTotal.Add(n.capacity)
+		rm.shards[n.Rack].insert(n)
+	})
 }
 
-// stopContainer tears a container down for the given reason, returning its
-// resources to the node. notify controls whether the owner gets a
-// ContainerStoppedEvent (involuntary stops only; an app that called Release
-// already knows).
-func (rm *ResourceManager) stopContainer(c *Container, reason StopReason, notify bool) {
-	app, stopped := rm.stopContainerQuiet(c, reason)
-	if app == nil || !stopped || !notify {
-		return
+// kill stops c involuntarily. If this call is the one that stopped it (a
+// Release may have got there first), it records the stop and returns the
+// owner and the event that tells it.
+func (rm *ResourceManager) kill(c *Container, reason StopReason) (*Application, Event, bool) {
+	stopped := c.terminate()
+	app := rm.uncharge(c)
+	if app == nil || !stopped {
+		return nil, nil, false
 	}
 	rm.cfg.Timeline.Record(timeline.Event{
 		Type: timeline.ContainerStopped, Tenant: c.tenant,
 		Node: string(c.node.ID), Container: int64(c.ID), Info: reason.String(),
 	})
-	app.events.Put(ContainerStoppedEvent{ContainerID: c.ID, Node: c.node.ID, Reason: reason})
+	return app, ContainerStoppedEvent{ContainerID: c.ID, Node: c.node.ID, Reason: reason}, true
 }
 
-// stopContainerQuiet does the teardown without notifying, so callers with
-// many victims (node failure) can batch the events. It returns the owning
-// application and whether this call was the one that stopped the
-// container (stops are exactly-once).
-func (rm *ResourceManager) stopContainerQuiet(c *Container, reason StopReason) (*Application, bool) {
-	c.mu.Lock()
-	if c.released {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.released = true
-	close(c.stop)
-	c.mu.Unlock()
-
-	rm.mu.Lock()
-	rm.unchargeNodeLocked(c.node, c)
+// uncharge returns a stopped container's resources to its node and its
+// owner and returns the owner. Removing c from both maps makes it
+// idempotent: a Release's accounting may run after the loop has already
+// stopped the container for a node failure.
+func (rm *ResourceManager) uncharge(c *Container) *Application {
+	rm.unchargeNode(c.node, c)
 	app := rm.apps[c.App]
 	if app != nil && app.removeContainer(c) {
-		rm.appAllocChangedLocked(app, -c.Resource.MemoryMB)
+		rm.appAllocChanged(app, -c.Resource.MemoryMB)
 	}
-	rm.mu.Unlock()
-	return app, true
+	return app
 }
 
-// ScheduleNow forces an immediate scheduling pass (deterministic tests).
-func (rm *ResourceManager) ScheduleNow() { rm.scheduleOnce() }
-
-func (rm *ResourceManager) loop() {
-	defer rm.wg.Done()
-	t := time.NewTicker(rm.cfg.ScheduleInterval)
-	defer t.Stop()
-	var preempt <-chan time.Time // nil without FairPreemption: never fires
-	if rm.cfg.FairPreemption {
-		pt := time.NewTicker(rm.cfg.PreemptionInterval)
-		defer pt.Stop()
-		preempt = pt.C
-	}
-	for {
-		select {
-		case <-rm.stopCh:
-			return
-		case <-t.C:
-			rm.scheduleOnce()
-		case <-preempt:
-			rm.maybePreempt()
-		}
-	}
-}
-
-// grant is one allocation decision, recorded during a pass and delivered
-// after rm.mu is released.
-type grant struct {
-	app *Application
-	ev  Event
-}
+// ScheduleNow runs a scheduling round on the loop, after every call
+// posted before it, and waits for it (deterministic tests).
+func (rm *ResourceManager) ScheduleNow() { rm.call(rm.scheduleOnce) }
 
 // scheduleOnce runs allocation passes until no progress: each pass orders
 // applications most-starved-first and grants each at most one container,
@@ -422,17 +376,25 @@ type grant struct {
 func (rm *ResourceManager) scheduleOnce() {
 	var byApp map[*Application][]Event
 	var order []*Application
-	var grants []grant
-	for {
-		order, grants = rm.schedulePass(order, grants[:0])
-		if len(grants) == 0 {
-			break
+	for progress := true; progress; {
+		// Snapshot the fairness order — tenant groups by weighted
+		// allocation, apps within each group by allocation — flattened at
+		// pass start: grants made during the pass reposition apps and
+		// groups immediately, but the pass processes the order fixed at
+		// its start.
+		order = order[:0]
+		for _, g := range rm.schedTenants {
+			order = append(order, g.apps...)
 		}
-		if byApp == nil {
-			byApp = make(map[*Application][]Event)
-		}
-		for _, g := range grants {
-			byApp[g.app] = append(byApp[g.app], g.ev)
+		progress = false
+		for _, a := range order {
+			if ev, ok := rm.scheduleOneFor(a); ok {
+				if byApp == nil {
+					byApp = make(map[*Application][]Event)
+				}
+				byApp[a] = append(byApp[a], ev)
+				progress = true
+			}
 		}
 	}
 	for a, evs := range byApp {
@@ -440,66 +402,14 @@ func (rm *ResourceManager) scheduleOnce() {
 	}
 }
 
-// schedulePass runs one fair-sharing pass under rm.mu: ingest staged
-// requests, then walk the incrementally-sorted starvation order giving
-// each application at most one grant. The scratch slices are reused
-// across passes.
-func (rm *ResourceManager) schedulePass(order []*Application, grants []grant) ([]*Application, []grant) {
-	rm.mu.Lock()
-	rm.ingestLocked()
-	// Snapshot the fairness order — tenant groups by weighted allocation,
-	// apps within each group by allocation — flattened at pass start:
-	// grants made during the pass reposition apps and groups immediately,
-	// but the pass processes the order fixed at its start.
-	order = order[:0]
-	for _, g := range rm.schedTenants {
-		order = append(order, g.apps...)
-	}
-	for _, a := range order {
-		if ev, ok := rm.scheduleOneForLocked(a); ok {
-			grants = append(grants, grant{app: a, ev: ev})
-		}
-	}
-	rm.mu.Unlock()
-	return order, grants
-}
-
-// ingestLocked drains every application's staged requests into the RM's
-// priority buckets — the batched request-delivery half of the heartbeat.
-// Caller holds rm.mu.
-func (rm *ResourceManager) ingestLocked() {
-	for _, id := range rm.appOrder {
-		a, ok := rm.apps[id]
-		if !ok {
-			continue
-		}
-		a.mu.Lock()
-		var batch []*ContainerRequest
-		if len(a.staged) > 0 && !a.finished {
-			batch = a.staged
-			a.staged = nil
-		}
-		a.mu.Unlock()
-		for _, req := range batch {
-			req.owner = a
-			if !req.state.CompareAndSwap(reqStaged, reqQueued) {
-				continue // cancelled while staged
-			}
-			q := a.sched.bucketLocked(req.Priority)
-			q.reqs = append(q.reqs, req)
-			a.sched.queuedLive++
-		}
-	}
-}
-
-// scheduleOneForLocked grants at most one container to app a, honouring
+// scheduleOneFor grants at most one container to app a, honouring
 // request priority order (bucket order, FIFO within a bucket), delay
 // scheduling, and the tenant's memory quota: a grant
 // that would push the tenant past its quota is withheld before placement
 // is even attempted, so delay-scheduling counters do not advance while
 // the tenant is quota-bound. Cancelled requests encountered during the
-// walk are pruned in place. Caller holds rm.mu.
-func (rm *ResourceManager) scheduleOneForLocked(a *Application) (Event, bool) {
+// walk are pruned in place.
+func (rm *ResourceManager) scheduleOneFor(a *Application) (Event, bool) {
 	quotaLeft := int(^uint(0) >> 1) // unlimited
 	if g := a.sched.group; g != nil && g.quotaMB > 0 {
 		quotaLeft = g.quotaMB - g.allocMB
@@ -519,40 +429,22 @@ func (rm *ResourceManager) scheduleOneForLocked(a *Application) (Event, bool) {
 				w++
 				continue
 			}
-			switch req.state.Load() {
-			case reqCancelled:
-				rm.settleLocked(req) // no-op if Cancel already settled
-				continue             // prune
-			case reqQueued:
-				if req.Resource.MemoryMB > quotaLeft {
-					q.reqs[w] = req // over quota: keep queued, try next pass
-					w++
-					continue
-				}
-				n, loc, ok := rm.placeLocked(req)
-				if !ok {
-					q.reqs[w] = req
-					w++
-					continue
-				}
-				c := rm.commitLocked(a, req, n, loc)
-				if c == nil {
-					// Lost to a concurrent cancel (settled, prune) or
-					// the app finished (request kept, moot).
-					if req.state.Load() == reqQueued {
-						q.reqs[w] = req
-						w++
-					} else {
-						rm.settleLocked(req)
-					}
-					continue
-				}
-				rm.settleLocked(req)
-				ev = AllocatedEvent{Container: c, Request: req}
-				granted = true
-			default:
-				// Allocated entries never stay queued; drop defensively.
+			if req.state != reqQueued {
+				continue // cancelled: prune
 			}
+			if req.Resource.MemoryMB > quotaLeft {
+				q.reqs[w] = req // over quota: keep queued, try next pass
+				w++
+				continue
+			}
+			n, loc, ok := rm.place(req)
+			if !ok {
+				q.reqs[w] = req
+				w++
+				continue
+			}
+			ev = AllocatedEvent{Container: rm.commit(a, req, n, loc), Request: req}
+			granted = true
 		}
 		for i := w; i < len(q.reqs); i++ {
 			q.reqs[i] = nil // release for GC
@@ -565,11 +457,10 @@ func (rm *ResourceManager) scheduleOneForLocked(a *Application) (Event, bool) {
 	return ev, granted
 }
 
-// placeLocked picks a node for the request per delay scheduling, or
-// reports that the request must wait this round. It consults only the
-// sharded index and the schedAvail mirrors — no node locks. Caller holds
-// rm.mu.
-func (rm *ResourceManager) placeLocked(req *ContainerRequest) (*Node, Locality, bool) {
+// place picks a node for the request per delay scheduling, or reports
+// that the request must wait this round. It consults only the sharded
+// index and the schedAvail mirrors.
+func (rm *ResourceManager) place(req *ContainerRequest) (*Node, Locality, bool) {
 	var excluded map[NodeID]bool
 	if len(req.Exclude) > 0 {
 		excluded = make(map[NodeID]bool, len(req.Exclude))
@@ -660,40 +551,27 @@ func (rm *ResourceManager) placeLocked(req *ContainerRequest) (*Node, Locality, 
 	return nil, 0, false
 }
 
-// commitLocked finalises a placement: wins the request's allocate-vs-
-// cancel race, charges the node, and registers the container with the
-// app. It returns nil if the request was concurrently cancelled (state
-// left reqCancelled) or the app finished (state restored to reqQueued).
-// Caller holds rm.mu.
-func (rm *ResourceManager) commitLocked(a *Application, req *ContainerRequest, n *Node, loc Locality) *Container {
-	if !req.state.CompareAndSwap(reqQueued, reqAllocated) {
-		return nil // cancelled won
-	}
+// commit grants req to app a on node n: it takes the request out of the
+// live queue, charges the node, and registers the container with the
+// app. Container IDs therefore follow grant order.
+func (rm *ResourceManager) commit(a *Application, req *ContainerRequest, n *Node, loc Locality) *Container {
+	req.state = reqAllocated
+	a.sched.queuedLive--
 	rm.nextContainer++
 	c := &Container{
-		ID:        rm.nextContainer,
-		App:       a.ID,
-		Resource:  req.Resource,
-		Locality:  loc,
-		tenant:    a.Tenant,
-		node:      n,
-		rm:        rm,
-		stop:      make(chan struct{}),
-		allocTime: time.Now(),
+		ID:       rm.nextContainer,
+		App:      a.ID,
+		Resource: req.Resource,
+		Locality: loc,
+		tenant:   a.Tenant,
+		node:     n,
+		rm:       rm,
+		stop:     make(chan struct{}),
 	}
-	rm.chargeNodeLocked(n, c)
-
-	a.mu.Lock()
-	if a.finished {
-		a.mu.Unlock()
-		rm.unchargeNodeLocked(n, c)
-		req.state.Store(reqQueued) // roll back; the app is going away
-		return nil
-	}
+	rm.chargeNode(n, c)
 	a.containers[c.ID] = c
 	a.allocated = a.allocated.Add(req.Resource)
-	a.mu.Unlock()
-	rm.appAllocChangedLocked(a, req.Resource.MemoryMB)
+	rm.appAllocChanged(a, req.Resource.MemoryMB)
 	rm.cfg.Timeline.Record(timeline.Event{
 		Type: timeline.ContainerAllocated, Tenant: a.Tenant,
 		Node: string(n.ID), Container: int64(c.ID), Info: loc.String(),
@@ -707,43 +585,26 @@ func (rm *ResourceManager) commitLocked(a *Application, req *ContainerRequest, n
 // most-over-share groups are killed with StopPreempted until shares
 // balance. Untenanted apps are their own singleton groups of weight 1,
 // so with no tenants configured preemption balances apps.
-// Called only from the RM loop goroutine; starvedSince needs no lock.
 func (rm *ResourceManager) maybePreempt() {
-	rm.mu.Lock()
 	type gstate struct {
-		g       *tenantGroup
-		weight  int
-		apps    []*Application
-		held    int
-		pending int
-		share   int
+		g                    *tenantGroup
+		held, pending, share int
 	}
-	groups := make([]gstate, 0, len(rm.schedTenants))
-	for _, g := range rm.schedTenants {
-		groups = append(groups, gstate{
-			g: g, weight: g.weight,
-			apps: append([]*Application(nil), g.apps...),
-		})
-	}
-	totalMem := rm.capTotal.MemoryMB
-	rm.mu.Unlock()
-
-	// Demand/holdings are computed outside rm.mu (PendingRequests takes
-	// rm.mu → a.mu itself).
+	var active []gstate
 	sumW := 0
-	active := groups[:0]
-	for _, s := range groups {
-		for _, a := range s.apps {
-			s.held += a.Allocated().MemoryMB
-			s.pending += a.PendingRequests()
+	for _, g := range rm.schedTenants {
+		s := gstate{g: g, held: g.allocMB}
+		for _, a := range g.apps {
+			s.pending += a.sched.queuedLive
 		}
 		if s.held > 0 || s.pending > 0 {
-			sumW += s.weight
+			sumW += g.weight
 			active = append(active, s)
 		} else {
-			s.g.starvedSince = time.Time{}
+			g.starvedSince = time.Time{}
 		}
 	}
+	totalMem := rm.capTotal.MemoryMB
 	if len(active) < 2 || totalMem == 0 || sumW == 0 {
 		for _, s := range active {
 			s.g.starvedSince = time.Time{}
@@ -755,7 +616,7 @@ func (rm *ResourceManager) maybePreempt() {
 	var starved, over []gstate
 	for i := range active {
 		s := &active[i]
-		s.share = totalMem * s.weight / sumW
+		s.share = totalMem * s.g.weight / sumW
 		switch {
 		case s.pending > 0 && s.held < s.share:
 			if s.g.starvedSince.IsZero() {
@@ -775,29 +636,28 @@ func (rm *ResourceManager) maybePreempt() {
 		return
 	}
 	// Most over share first: the worst offender pays before marginal ones.
-	sort.Slice(over, func(i, j int) bool {
-		return over[i].held-over[i].share > over[j].held-over[j].share
+	slices.SortStableFunc(over, func(x, y gstate) int {
+		return cmp.Compare(y.held-y.share, x.held-x.share)
 	})
 	for _, s := range over {
 		excess := s.held - s.share
 		var victims []*Container
-		for _, a := range s.apps {
-			a.mu.Lock()
+		for _, a := range s.g.apps {
 			for _, c := range a.containers {
 				victims = append(victims, c)
 			}
-			a.mu.Unlock()
 		}
-		// Newest first: least sunk work lost.
-		sort.Slice(victims, func(i, j int) bool {
-			return victims[i].allocTime.After(victims[j].allocTime)
-		})
+		// Newest first — container IDs follow grant order — so the least
+		// sunk work is lost.
+		slices.SortFunc(victims, func(x, y *Container) int { return cmp.Compare(y.ID, x.ID) })
 		for _, c := range victims {
 			if excess <= 0 {
 				break
 			}
 			excess -= c.Resource.MemoryMB
-			rm.stopContainer(c, StopPreempted, true)
+			if app, ev, ok := rm.kill(c, StopPreempted); ok {
+				app.events.Put(ev)
+			}
 		}
 	}
 }

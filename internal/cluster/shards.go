@@ -1,17 +1,17 @@
 package cluster
 
 // The rack-sharded node index. A placement never walks every node — at
-// 10k nodes that walk, with a per-node mutex acquisition, would be the
-// dominant cost of a scheduling pass. The index keeps one shard per rack
-// with nodes sorted by (free memory desc, NodeID asc); the head of a shard
-// is therefore both an O(1) "can anything here fit?" capacity bound and
-// the shard's argmax for the least-loaded placement policy. A whole-
-// cluster placement inspects one shard head per rack.
+// 10k nodes that walk would be the dominant cost of a scheduling pass.
+// The index keeps one shard per rack with nodes sorted by (free memory
+// desc, NodeID asc); the head of a shard is therefore both an O(1) "can
+// anything here fit?" capacity bound and the shard's argmax for the
+// least-loaded placement policy. A whole-cluster placement inspects one
+// shard head per rack.
 //
-// Everything in this file is guarded by rm.mu. The scheduler reads the
-// Node.schedAvail mirror, never n.used directly, so placement takes no
-// node locks at all; every mutation of node state (allocate, stop, fail,
-// restore) holds rm.mu and keeps the mirror in sync.
+// Everything in this file runs on the RM loop, which owns every node's
+// free capacity (Node.schedAvail) and shard position; every mutation of
+// node state (allocate, stop, fail, restore) keeps the shard order and
+// the cluster-wide mirrors in sync.
 
 // rackShard holds one rack's live nodes in placement order.
 type rackShard struct {
@@ -90,14 +90,10 @@ func (s *rackShard) best(res Resource, excluded map[NodeID]bool) *Node {
 	return nil
 }
 
-// chargeNodeLocked commits res onto n: the node's own accounting (under
-// n.mu, for readers like Available) plus the scheduler mirror and shard
-// position. Caller holds rm.mu.
-func (rm *ResourceManager) chargeNodeLocked(n *Node, c *Container) {
-	n.mu.Lock()
-	n.used = n.used.Add(c.Resource)
+// chargeNode places c on n: the node's containers, its free capacity
+// and shard position, and the cluster-wide mirror.
+func (rm *ResourceManager) chargeNode(n *Node, c *Container) {
 	n.containers[c.ID] = c
-	n.mu.Unlock()
 	n.schedAvail = n.schedAvail.Sub(c.Resource)
 	if n.shard != nil {
 		n.shard.fix(n)
@@ -105,24 +101,16 @@ func (rm *ResourceManager) chargeNodeLocked(n *Node, c *Container) {
 	rm.usedTotal = rm.usedTotal.Add(c.Resource)
 }
 
-// unchargeNodeLocked reverses chargeNodeLocked if (and only if) the
-// container is still registered on the node; it reports whether it was.
-// Caller holds rm.mu.
-func (rm *ResourceManager) unchargeNodeLocked(n *Node, c *Container) bool {
-	n.mu.Lock()
-	_, held := n.containers[c.ID]
-	if held {
-		delete(n.containers, c.ID)
-		n.used = n.used.Sub(c.Resource)
+// unchargeNode reverses chargeNode if (and only if) the container is
+// still on the node.
+func (rm *ResourceManager) unchargeNode(n *Node, c *Container) {
+	if _, held := n.containers[c.ID]; !held {
+		return
 	}
-	n.mu.Unlock()
-	if !held {
-		return false
-	}
+	delete(n.containers, c.ID)
 	n.schedAvail = n.schedAvail.Add(c.Resource)
 	if n.shard != nil {
 		n.shard.fix(n)
 	}
 	rm.usedTotal = rm.usedTotal.Sub(c.Resource)
-	return true
 }

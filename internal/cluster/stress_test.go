@@ -8,50 +8,100 @@ import (
 	"time"
 )
 
+// onLoop runs fn on rm's loop and waits for it: the way a test reads or
+// drives loop-owned state.
+func onLoop(rm *ResourceManager, fn func()) {
+	done := make(chan struct{})
+	rm.post(func() { fn(); close(done) })
+	<-done
+}
+
 // checkMirrors asserts the scheduler's O(1) accounting mirrors against the
-// ground truth recomputed from per-node state: usedTotal is the sum of
-// every node's used (dead nodes included — their containers stay charged
-// until teardown uncharges them), capTotal is the live capacity, each live
-// node's schedAvail equals capacity-used, and no node is overcommitted.
+// ground truth recomputed on the loop from every node's containers:
+// usedTotal is the sum of every container held, capTotal is the live
+// capacity, each node's schedAvail equals capacity minus its containers, a
+// live node sits at its shard index and a down one holds nothing, no node
+// is overcommitted, and the apps hold exactly the nodes' containers.
 func checkMirrors(t *testing.T, rm *ResourceManager) {
 	t.Helper()
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	var used, capT Resource
-	for _, n := range rm.nodeList {
-		n.mu.Lock()
-		nu, nc, live := n.used, n.capacity, n.live
-		n.mu.Unlock()
-		used = used.Add(nu)
-		if live {
-			capT = capT.Add(nc)
-			if avail := nc.Sub(nu); n.schedAvail != avail {
-				t.Errorf("node %s: schedAvail mirror %v, truth %v", n.ID, n.schedAvail, avail)
+	onLoop(rm, func() {
+		var used, capT Resource
+		for _, n := range rm.nodeList {
+			var nu Resource
+			for _, c := range n.containers {
+				nu = nu.Add(c.Resource)
 			}
-			if n.shard == nil {
-				t.Errorf("node %s: live but not in any shard", n.ID)
-			} else if n.shard.nodes[n.shardIdx] != n {
-				t.Errorf("node %s: shardIdx %d does not point back at the node", n.ID, n.shardIdx)
+			used = used.Add(nu)
+			if avail := n.capacity.Sub(nu); n.schedAvail != avail {
+				t.Errorf("node %s: schedAvail %v, truth %v", n.ID, n.schedAvail, avail)
 			}
-		} else if n.shard != nil {
-			t.Errorf("node %s: down but still in shard %s", n.ID, n.shard.rack)
+			if n.shard != nil {
+				capT = capT.Add(n.capacity)
+				if n.shard.nodes[n.shardIdx] != n {
+					t.Errorf("node %s: shardIdx %d does not point back at the node", n.ID, n.shardIdx)
+				}
+			} else if len(n.containers) > 0 {
+				t.Errorf("node %s: down but holds %d containers", n.ID, len(n.containers))
+			}
+			if !nu.FitsIn(n.capacity) {
+				t.Errorf("node %s overcommitted: used %v > capacity %v", n.ID, nu, n.capacity)
+			}
 		}
-		if nu.MemoryMB > nc.MemoryMB || nu.VCores > nc.VCores {
-			t.Errorf("node %s overcommitted: used %v > capacity %v", n.ID, nu, nc)
+		held := 0
+		for _, a := range rm.apps {
+			for id, c := range a.containers {
+				held++
+				if c.node.containers[id] != c {
+					t.Errorf("app %s holds container %d that is not on %s", a.Name, id, c.node.ID)
+				}
+			}
+		}
+		onNodes := 0
+		for _, n := range rm.nodeList {
+			onNodes += len(n.containers)
+		}
+		if held != onNodes {
+			t.Errorf("apps hold %d containers, nodes %d", held, onNodes)
+		}
+		if rm.usedTotal != used {
+			t.Errorf("usedTotal mirror %v, recomputed %v", rm.usedTotal, used)
+		}
+		if rm.capTotal != capT {
+			t.Errorf("capTotal mirror %v, recomputed %v", rm.capTotal, capT)
+		}
+	})
+}
+
+// requestStates reads each request's lifecycle state on the loop.
+func requestStates(rm *ResourceManager, reqs []*ContainerRequest) []reqState {
+	out := make([]reqState, len(reqs))
+	onLoop(rm, func() {
+		for i, req := range reqs {
+			out[i] = req.state
+		}
+	})
+	return out
+}
+
+// allocationsOf drains the apps' event mailboxes and counts the
+// AllocatedEvents delivered per request.
+func allocationsOf(apps ...*Application) map[*ContainerRequest]int {
+	allocated := make(map[*ContainerRequest]int)
+	for _, a := range apps {
+		for ev, ok := a.Events().TryGet(); ok; ev, ok = a.Events().TryGet() {
+			if e, isAlloc := ev.(AllocatedEvent); isAlloc {
+				allocated[e.Request]++
+			}
 		}
 	}
-	if rm.usedTotal != used {
-		t.Errorf("usedTotal mirror %v, recomputed %v", rm.usedTotal, used)
-	}
-	if rm.capTotal != capT {
-		t.Errorf("capTotal mirror %v, recomputed %v", rm.capTotal, capT)
-	}
+	return allocated
 }
 
 // Regression for the cancel/allocate race: Cancel used to flip a flag the
 // scheduling pass never re-checked, so a request could be both withdrawn
-// and granted. The CAS state machine makes the two terminal transitions
-// mutually exclusive; this hammers it with cancels racing ScheduleNow.
+// and granted. Settling both on the loop makes the two terminal
+// transitions mutually exclusive; this hammers it with cancels racing
+// requests and ScheduleNow.
 func TestCancelRaceWithSchedulingPasses(t *testing.T) {
 	rm := New(Config{
 		Nodes:            4,
@@ -111,18 +161,10 @@ func TestCancelRaceWithSchedulingPasses(t *testing.T) {
 	rm.ScheduleNow()
 
 	// Count what the RM actually delivered.
-	allocated := make(map[*ContainerRequest]int)
-	for {
-		ev, ok := app.Events().TryGet()
-		if !ok {
-			break
-		}
-		if e, isAlloc := ev.(AllocatedEvent); isAlloc {
-			allocated[e.Request]++
-		}
-	}
-	for _, req := range all {
-		switch st := req.state.Load(); st {
+	allocated := allocationsOf(app)
+	for i, st := range requestStates(rm, all) {
+		req := all[i]
+		switch st {
 		case reqAllocated:
 			if allocated[req] != 1 {
 				t.Fatalf("allocated request delivered %d times", allocated[req])
@@ -259,13 +301,13 @@ func TestInvariantStressSeeds(t *testing.T) {
 					}
 				case 7: // release a random held container
 					a := apps[rng.Intn(len(apps))]
-					a.mu.Lock()
 					var c *Container
-					for _, held := range a.containers {
-						c = held
-						break
-					}
-					a.mu.Unlock()
+					onLoop(rm, func() {
+						for _, held := range a.containers {
+							c = held
+							break
+						}
+					})
 					if c != nil {
 						a.Release(c)
 					}
@@ -280,25 +322,125 @@ func TestInvariantStressSeeds(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				rm.ScheduleNow()
 			}
-			allocated := make(map[*ContainerRequest]int)
-			for _, a := range apps {
-				for {
-					ev, ok := a.Events().TryGet()
-					if !ok {
-						break
-					}
-					if e, isAlloc := ev.(AllocatedEvent); isAlloc {
-						allocated[e.Request]++
-					}
-				}
-			}
-			for _, req := range reqs {
-				st := req.state.Load()
+			allocated := allocationsOf(apps...)
+			for i, st := range requestStates(rm, reqs) {
+				req := reqs[i]
 				if st == reqCancelled && allocated[req] != 0 {
 					t.Fatalf("request both cancelled and allocated")
 				}
 				if allocated[req] > 1 {
 					t.Fatalf("request allocated %d times", allocated[req])
+				}
+			}
+			checkMirrors(t, rm)
+			for _, a := range apps {
+				a.Unregister()
+			}
+			if used := rm.UsedResources(); !used.IsZero() {
+				t.Fatalf("resources leaked after unregister: %v", used)
+			}
+			checkMirrors(t, rm)
+		})
+	}
+}
+
+// The many-goroutine twin of TestInvariantStressSeeds: each app issues
+// Request, Cancel and Release on its own goroutine, and reads its events
+// there, while another goroutine fails and restores nodes and the
+// heartbeat runs passes. No request may be both cancelled and allocated
+// or granted twice, the mirrors must match ground truth, and Unregister
+// must hand every resource back.
+func TestInvariantStressConcurrent(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
+			t.Parallel()
+			rm := New(Config{
+				Nodes:            8,
+				NodesPerRack:     4,
+				NodeResource:     Resource{MemoryMB: 8192, VCores: 64},
+				ScheduleInterval: 100 * time.Microsecond,
+			})
+			defer rm.Stop()
+			apps := []*Application{rm.Submit("a0"), rm.Submit("a1"), rm.Submit("a2")}
+			reqs := make([][]*ContainerRequest, len(apps))
+			allocated := make([]map[*ContainerRequest]int, len(apps))
+
+			var wg sync.WaitGroup
+			for i, a := range apps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed*10 + int64(i)))
+					allocated[i] = make(map[*ContainerRequest]int)
+					var held []*Container
+					for op := 0; op < 200; op++ {
+						for ev, ok := a.Events().TryGet(); ok; ev, ok = a.Events().TryGet() {
+							if e, isAlloc := ev.(AllocatedEvent); isAlloc {
+								allocated[i][e.Request]++
+								held = append(held, e.Container)
+							}
+						}
+						switch rng.Intn(10) {
+						case 0, 1, 2, 3:
+							req := &ContainerRequest{
+								Resource:      Resource{MemoryMB: (rng.Intn(8) + 1) * 256, VCores: 1},
+								RelaxLocality: true,
+								Priority:      rng.Intn(3),
+							}
+							if rng.Intn(2) == 0 {
+								req.Nodes = []NodeID{NodeID(fmt.Sprintf("node-%03d", rng.Intn(8)))}
+							}
+							reqs[i] = append(reqs[i], req)
+							a.Request(req)
+						case 4, 5:
+							if len(reqs[i]) > 0 {
+								a.Cancel(reqs[i][rng.Intn(len(reqs[i]))])
+							}
+						case 6, 7:
+							if len(held) > 0 {
+								k := rng.Intn(len(held))
+								a.Release(held[k])
+								held = append(held[:k], held[k+1:]...)
+							}
+						case 8:
+							a.PendingRequests()
+						default:
+							a.HeldContainers()
+						}
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for op := 0; op < 100; op++ {
+					id := NodeID(fmt.Sprintf("node-%03d", rng.Intn(8)))
+					if rng.Intn(2) == 0 {
+						rm.FailNode(id)
+					} else {
+						rm.RestoreNode(id)
+					}
+				}
+			}()
+			wg.Wait()
+
+			for i := 0; i < 8; i++ {
+				rm.RestoreNode(NodeID(fmt.Sprintf("node-%03d", i)))
+			}
+			rm.ScheduleNow()
+			late := allocationsOf(apps...)
+			for i := range apps {
+				states := requestStates(rm, reqs[i])
+				for k, req := range reqs[i] {
+					n := allocated[i][req] + late[req]
+					if states[k] == reqCancelled && n != 0 {
+						t.Fatalf("request both cancelled and allocated")
+					}
+					if n > 1 {
+						t.Fatalf("request allocated %d times", n)
+					}
 				}
 			}
 			checkMirrors(t, rm)

@@ -4,6 +4,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -139,4 +140,53 @@ func TestPreemptionStarvationThreshold(t *testing.T) {
 	}
 	// Past the threshold the starved tenant gets its share.
 	waitEvent(t, late, 2*time.Second, func(e Event) bool { _, ok := e.(AllocatedEvent); return ok })
+}
+
+// TestPreemptionVictimsNewestFirst: a preemption round takes the highest
+// container IDs — the newest grants — of each over-share group, and the
+// most over-share group pays the most.
+func TestPreemptionVictimsNewestFirst(t *testing.T) {
+	cfg := testConfig() // 4 nodes × 4096MB = 16384 total
+	cfg.ScheduleInterval = time.Hour
+	rm := New(cfg)
+	defer rm.Stop()
+
+	grant := func(a *Application, n int) {
+		for i := 0; i < n; i++ {
+			a.Request(&ContainerRequest{Resource: Resource{1024, 1}})
+		}
+		rm.ScheduleNow()
+		if got := a.HeldContainers(); got != n {
+			t.Fatalf("%s holds %d containers, want %d", a.Name, got, n)
+		}
+	}
+	big := rm.Submit("big") // containers 1..10
+	defer big.Unregister()
+	grant(big, 10)
+	small := rm.Submit("small") // containers 11..16
+	defer small.Unregister()
+	grant(small, 6)
+	late := rm.Submit("late")
+	defer late.Unregister()
+	late.Request(&ContainerRequest{Resource: Resource{1024, 1}})
+
+	// Three active groups share 16384 MB: 5461 each. big is 4779 MB over
+	// and loses five containers; small is 683 MB over and loses one.
+	onLoop(rm, rm.maybePreempt)
+	preempted := func(a *Application) []ContainerID {
+		var ids []ContainerID
+		for ev, ok := a.Events().TryGet(); ok; ev, ok = a.Events().TryGet() {
+			if e, stop := ev.(ContainerStoppedEvent); stop && e.Reason == StopPreempted {
+				ids = append(ids, e.ContainerID)
+			}
+		}
+		slices.Sort(ids)
+		return ids
+	}
+	if got, want := preempted(big), []ContainerID{6, 7, 8, 9, 10}; !slices.Equal(got, want) {
+		t.Fatalf("big lost containers %v, want %v", got, want)
+	}
+	if got, want := preempted(small), []ContainerID{16}; !slices.Equal(got, want) {
+		t.Fatalf("small lost containers %v, want %v", got, want)
+	}
 }
