@@ -91,8 +91,11 @@ bench:
 # frames), boxing relational rows (row.Decode, row.Row.Clone,
 # col.(*Batch).AppendRow) and parsing row-encoded records
 # (col.(*Batch).AppendEncoded): scans decode table stripes column by
-# column, so only the rows a reduce side reads off the shuffle still take
-# that parse. Binary and profiles stay in $(PROFILE_DIR); look
+# column and hash edges carry column frames, so only the rows a reduce
+# side reads off an ordered shuffle (a sort, a float aggregate, a plain
+# join, the MR chain) still take that parse: on joinagg only the 40 rows
+# its top-k sort reads.
+# Binary and profiles stay in $(PROFILE_DIR); look
 # further with `go tool pprof $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out`
 # (or mem.out with -sample_index=alloc_space). PROFILE_BENCH narrows the
 # run to one workload, e.g. PROFILE_BENCH=HiveSession/scanagg.

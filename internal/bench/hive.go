@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"tez/internal/am"
@@ -9,6 +11,7 @@ import (
 	"tez/internal/hive"
 	"tez/internal/platform"
 	"tez/internal/relop"
+	"tez/internal/row"
 )
 
 // runHiveSuite measures every query on the MR chain and on Tez (shared
@@ -66,12 +69,27 @@ func runHiveSuite(figure, title string, nodes int, queries []data.Query,
 		if err != nil {
 			return nil, err
 		}
-		if len(a) != len(b) {
-			return nil, fmt.Errorf("%s: MR %d rows vs Tez %d rows", q.Name, len(a), len(b))
+		if !slices.Equal(canonicalRows(a), canonicalRows(b)) {
+			return nil, fmt.Errorf("%s: MR and Tez answers differ (%d vs %d rows)", q.Name, len(a), len(b))
 		}
 		rep.AddRow(q.Name, ms(mrDur), ms(tezDur), speedup(mrDur, tezDur), fmt.Sprintf("%d", stats.Jobs))
 	}
 	return rep, nil
+}
+
+// canonicalRows is the form hive.TestTezAndMRAgree compares answers in:
+// each row's values rendered and joined by "|", the rows sorted.
+func canonicalRows(rows []row.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		vals := make([]string, len(r))
+		for j, v := range r {
+			vals[j] = v.String()
+		}
+		out[i] = strings.Join(vals, "|")
+	}
+	slices.Sort(out)
+	return out
 }
 
 // hiveTPCDS regenerates Figure 8: Hive, TPC-DS derived workload, Tez vs MR.

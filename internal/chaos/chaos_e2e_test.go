@@ -2,7 +2,7 @@
 // plane. Every seeded schedule — transient and permanent fetch faults,
 // task and launch faults, DFS read faults, node crashes, drains, slow
 // nodes — must leave the final results byte-identical (after canonical
-// ordering) to a fault-free run of the same three DAG families.
+// ordering) to a fault-free run of the same DAG families.
 //
 // This lives in an external test package so it can drive the AM, relop
 // and sparklike layers without an import cycle (they all import chaos).
@@ -63,8 +63,9 @@ func newChaosPlatformN(plane *chaos.Plane, nodes int) *platform.Platform {
 }
 
 // seedInputs writes the identical inputs on every platform: text lines for
-// wordcount and a deterministic Zipf pair table for relop and sparklike.
-func seedInputs(t *testing.T, plat *platform.Platform) *relop.Table {
+// wordcount, a deterministic Zipf pair table for relop and sparklike, and
+// a table of one pair per key for the join's other side.
+func seedInputs(t *testing.T, plat *platform.Platform) chaosTables {
 	t.Helper()
 	wr, err := library.CreateRecordFile(plat.FS, "/in/words", plat.FS.LiveNodes()[0])
 	if err != nil {
@@ -83,20 +84,34 @@ func seedInputs(t *testing.T, plat *platform.Platform) *relop.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb
+	keys, err := data.GenUniquePairs(plat.FS, "keys", 40, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chaosTables{pairs: tb, keys: keys}
 }
 
-// e2eResults is the canonicalised output of the three DAG families. Part
+// chaosTables are the relational inputs: Zipf pairs (k, v) and one (k, v)
+// per key.
+type chaosTables struct {
+	pairs, keys *relop.Table
+}
+
+// e2eResults is the canonicalised output of the DAG families. Part
 // file layout may differ between runs (auto-parallelism, re-execution), so
 // results are aggregated/sorted before comparison — the data, not the
 // accidental file arrangement, must match.
 type e2eResults struct {
 	WordCounts map[string]int
 	AggRows    string
+	JoinRows   string
 	PartRows   string
+	// joinFaults counts the fetch retries, failed attempts and
+	// re-executions the join DAG went through: compared with nothing.
+	joinFaults int64
 }
 
-func runAllDAGs(t *testing.T, plat *platform.Platform, tb *relop.Table, amCfg am.Config) e2eResults {
+func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg am.Config) e2eResults {
 	t.Helper()
 	sess := am.NewSession(plat, amCfg)
 	defer sess.Close()
@@ -109,6 +124,7 @@ func runAllDAGs(t *testing.T, plat *platform.Platform, tb *relop.Table, amCfg am
 		t.Fatalf("wordcount: %v", err)
 	}
 
+	tb := tables.pairs
 	plan := relop.StoreNode(
 		relop.AggNode(relop.Scan(tb),
 			[]*relop.Expr{relop.Col(0)}, []string{"k"},
@@ -116,6 +132,20 @@ func runAllDAGs(t *testing.T, plat *platform.Platform, tb *relop.Table, amCfg am
 		"/out/agg")
 	if _, err := relop.RunTez(sess, relop.Config{}, "agg", []*relop.Node{plan}); err != nil {
 		t.Fatalf("relop: %v", err)
+	}
+
+	// q18's shape: the one-per-key side joined with the Zipf side on k,
+	// grouped by the key, the Zipf side's v summed — the join and its sum
+	// run in one vertex fed by two hash edges.
+	join := relop.JoinNode(relop.Scan(tables.keys), relop.Scan(tb),
+		[]*relop.Expr{relop.Col(0)}, []*relop.Expr{relop.Col(0)}, false)
+	joinPlan := relop.StoreNode(
+		relop.AggNode(join, []*relop.Expr{relop.Col(0)}, []string{"k"},
+			[]relop.AggDef{{Func: "sum", Arg: relop.Col(3), Name: "s"}}),
+		"/out/join")
+	joinRes, err := relop.RunTez(sess, relop.Config{DefaultPartitions: 8}, "join", []*relop.Node{joinPlan})
+	if err != nil {
+		t.Fatalf("relop join: %v", err)
 	}
 
 	if err := sparklike.RunPartitionTez(sess, "part", sparklike.PartitionJob{
@@ -127,7 +157,10 @@ func runAllDAGs(t *testing.T, plat *platform.Platform, tb *relop.Table, amCfg am
 	return e2eResults{
 		WordCounts: readWordCounts(t, plat.FS, "/out/wc"),
 		AggRows:    canonRows(t, plat.FS, "/out/agg"),
+		JoinRows:   canonRows(t, plat.FS, "/out/join"),
 		PartRows:   canonRows(t, plat.FS, "/out/part"),
+		joinFaults: joinRes.Counters.Get("SHUFFLE_FETCH_RETRIES") +
+			joinRes.Counters.Get("ATTEMPTS_FAILED") + joinRes.Counters.Get("TASKS_REEXECUTED"),
 	}
 }
 
@@ -184,22 +217,25 @@ func checkEqual(t *testing.T, got, want e2eResults) {
 	if got.AggRows != want.AggRows {
 		t.Errorf("relop aggregate diverged under chaos")
 	}
+	if got.JoinRows != want.JoinRows {
+		t.Errorf("relop join aggregate diverged under chaos")
+	}
 	if got.PartRows != want.PartRows {
 		t.Errorf("sparklike partition diverged under chaos")
 	}
 }
 
-// TestChaosSeedsMatchFaultFree runs the three DAG families under ten fixed
+// TestChaosSeedsMatchFaultFree runs the DAG families under ten fixed
 // seeded fault schedules and demands results identical to a fault-free
-// run. Seeds rotate extra whole-node events on top of a common background
+// run; every seed's faults reach the join's hash edges. Seeds rotate extra whole-node events on top of a common background
 // of fetch/task/launch/DFS faults; node events stay within Replication-1
 // so the DFS keeps every block readable.
 func TestChaosSeedsMatchFaultFree(t *testing.T) {
 	basePlat := newChaosPlatform(nil)
-	tb := seedInputs(t, basePlat)
-	baseline := runAllDAGs(t, basePlat, tb, am.Config{Name: "clean"})
+	tables := seedInputs(t, basePlat)
+	baseline := runAllDAGs(t, basePlat, tables, am.Config{Name: "clean"})
 	basePlat.Stop()
-	if len(baseline.WordCounts) == 0 || baseline.AggRows == "" || baseline.PartRows == "" {
+	if len(baseline.WordCounts) == 0 || baseline.AggRows == "" || baseline.JoinRows == "" || baseline.PartRows == "" {
 		t.Fatal("fault-free baseline is empty")
 	}
 
@@ -230,13 +266,16 @@ func TestChaosSeedsMatchFaultFree(t *testing.T) {
 			plane := chaos.New(seed, spec)
 			plat := newChaosPlatform(plane)
 			defer plat.Stop()
-			tb := seedInputs(t, plat)
-			got := runAllDAGs(t, plat, tb, amCfg)
+			tables := seedInputs(t, plat)
+			got := runAllDAGs(t, plat, tables, amCfg)
 			checkEqual(t, got, baseline)
 			if totalInjected(plane) == 0 {
 				t.Errorf("seed %d injected no faults — schedule too weak to prove anything", seed)
 			}
-			t.Logf("seed %d: %d faults injected, schedule %v", seed, totalInjected(plane), plane.Schedule())
+			if got.joinFaults == 0 {
+				t.Errorf("seed %d: the join's hash edges saw no retried fetch, failed attempt or re-execution", seed)
+			}
+			t.Logf("seed %d: %d faults injected, join saw %d, schedule %v", seed, totalInjected(plane), got.joinFaults, plane.Schedule())
 		})
 	}
 }
@@ -246,8 +285,8 @@ func TestChaosSeedsMatchFaultFree(t *testing.T) {
 // of the cluster carries the DAGs.
 func TestChaosSickNodeEndToEnd(t *testing.T) {
 	basePlat := newChaosPlatform(nil)
-	tb := seedInputs(t, basePlat)
-	baseline := runAllDAGs(t, basePlat, tb, am.Config{Name: "clean"})
+	tables := seedInputs(t, basePlat)
+	baseline := runAllDAGs(t, basePlat, tables, am.Config{Name: "clean"})
 	basePlat.Stop()
 
 	// Both seeds pick node-000 as the sick machine — the node the RM fills
@@ -261,8 +300,8 @@ func TestChaosSickNodeEndToEnd(t *testing.T) {
 			plane := chaos.New(seed, chaos.Spec{SickNodeCount: 1})
 			plat := newChaosPlatformN(plane, 4)
 			defer plat.Stop()
-			tb := seedInputs(t, plat)
-			got := runAllDAGs(t, plat, tb, am.Config{
+			tables := seedInputs(t, plat)
+			got := runAllDAGs(t, plat, tables, am.Config{
 				Name: "sick", MaxTaskAttempts: 8, NodeMaxTaskFailures: 2,
 			})
 			checkEqual(t, got, baseline)

@@ -61,6 +61,13 @@ func EncodeBatch(dst []byte, b *Batch) []byte {
 	return dst
 }
 
+// EncodeRows appends the physical rows of b listed in rows, in that order,
+// as one batch frame; b's own selection is ignored.
+func EncodeRows(dst []byte, b *Batch, rows []int32) []byte {
+	view := Batch{cols: b.cols, width: b.width, n: b.n, sel: rows}
+	return EncodeBatch(dst, &view)
+}
+
 func encodeCol(dst []byte, v *Vector, b *Batch, live int) []byte {
 	var tmp [binary.MaxVarintLen64]byte
 	kind := v.kind

@@ -593,6 +593,58 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
+// TestHashEdgeChoiceTPCH: of the TPC-H queries, q12 (count per line
+// status) and q18 (an int sum fused with its join) fold only aggregates
+// that are exact in any order, so their shuffles into the aggregate take
+// hash edges on Tez; q1, q3 and q5 sum floats and keep the sort; the MR
+// chain sorts every shuffle.
+func TestHashEdgeChoiceTPCH(t *testing.T) {
+	plat := platform.New(platform.Fast(2))
+	defer plat.Stop()
+	// At TestExplainGolden's scale: orders too big to broadcast.
+	tp, err := data.GenTPCH(plat.FS, 800, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	eng.Register(tp.Tables()...)
+	want := map[string]int{"q1": 0, "q3": 0, "q5": 0, "q12": 1, "q18": 2}
+	for _, q := range data.TPCHQueries {
+		roots, err := eng.Plan(q.SQL, "/out/"+q.Name, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := relop.EmitDAGOnly(eng.Exec, q.Name, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := 0
+		for _, e := range d.Edges {
+			if e.Property.Output.Name == library.UnorderedPartitionedOutputName {
+				hash++
+			}
+		}
+		if hash != want[q.Name] {
+			t.Errorf("%s: %d hash edges, want %d", q.Name, hash, want[q.Name])
+		}
+		roots, err = eng.Plan(q.SQL, "/out/"+q.Name, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs, _, err := relop.CompileMR(eng.Exec, q.Name, roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			for _, e := range j.DAG.Edges {
+				if e.Property.Output.Name != library.OrderedPartitionedOutputName {
+					t.Errorf("%s on MR: edge %s->%s is %s", q.Name, e.From, e.To, e.Property.Output.Name)
+				}
+			}
+		}
+	}
+}
+
 // TestSplitGroupingSameRows: who sizes the scan tasks changes how many
 // there are and nothing else. The same table in 64 small files, the same
 // aggregate query: with SplitSize at the block size the scan vertex has one

@@ -38,8 +38,8 @@ type DMInfo struct {
 	ID        shuffle.OutputID
 	Partition int
 	// RawSize is the decoded record-stream size the block codec needs;
-	// the ordered output sets it, the unordered outputs (no codec) leave
-	// it zero, as they leave Codec empty.
+	// an output that applies no codec leaves it zero, as it leaves Codec
+	// empty.
 	RawSize int64
 	Codec   string
 }
@@ -54,10 +54,10 @@ type VMStats struct {
 
 // OrderedPartitionedConfig configures OrderedPartitionedKVOutput; the
 // unordered partitioned output decodes the same payload and reads
-// Partitioner only. The zero value of every field means "default" — most
-// edges carry no payload at all (OrderedEdge encodes none for the zero
-// config) — and every field is written by the binary codec in payload.go,
-// which an addition must extend.
+// Partitioner and Codec only. The zero value of every field means
+// "default" — most edges carry no payload at all (OrderedEdge encodes none
+// for the zero config) — and every field is written by the binary codec
+// in payload.go, which an addition must extend.
 type OrderedPartitionedConfig struct {
 	Partitioner PartitionerSpec
 	// Combiner names a RegisterCombineFunc pre-aggregator applied to each
@@ -329,9 +329,10 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 // attempt's partitions with the node's shuffle service under the attempt's
 // OutputID and returns the events that make them fetchable — one
 // DataMovement per partition and, with stats, one VMStats for the
-// consumer's vertex manager. rawSizes are the pre-codec sizes of the
-// ordered output; the unordered outputs pass nil (their DMInfo carries no
-// RawSize and their statistics are the registered sizes). Only the
+// consumer's vertex manager. rawSizes are the pre-codec sizes of an
+// output that applies a codec (the ordered output always passes them); an
+// output without one passes nil (its DMInfo carries no RawSize and its
+// statistics are the registered sizes). Only the
 // one-partition output, which has no consumer parallelism to estimate,
 // announces without stats.
 func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec string, stats bool) ([]event.Event, error) {

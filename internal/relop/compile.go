@@ -7,6 +7,7 @@ import (
 	"tez/internal/dag"
 	"tez/internal/library"
 	"tez/internal/plugin"
+	"tez/internal/row"
 )
 
 // Config tunes compilation.
@@ -57,6 +58,8 @@ type bEdge struct {
 	from     *bStage
 	to       *bStage
 	movement dag.MovementType
+	// hash: a scatter-gather edge its consumer reads unsorted.
+	hash bool
 }
 
 // cursor is "rows of some node are available on stage st, input stream
@@ -82,14 +85,18 @@ type Compiler struct {
 	seq     int
 	sinkSeq int
 	pending []pendingPrune
-	// forMR rejects Tez-only features (broadcast joins, pruning).
+	// forMR rejects Tez-only features (broadcast joins, pruning, hash
+	// edges).
 	forMR bool
 	use   usage
+	// hashJoins holds the shuffle joins whose fused aggregate folds in
+	// any order: their sides travel on hash edges.
+	hashJoins map[*Node]bool
 }
 
 // NewCompiler creates a compiler.
 func NewCompiler(cfg Config) *Compiler {
-	return &Compiler{cfg: cfg.withDefaults(), memo: map[*Node][]cursor{}}
+	return &Compiler{cfg: cfg.withDefaults(), memo: map[*Node][]cursor{}, hashJoins: map[*Node]bool{}}
 }
 
 func (c *Compiler) newStage(kind string) *bStage {
@@ -99,24 +106,41 @@ func (c *Compiler) newStage(kind string) *bStage {
 	return st
 }
 
-// edge registers (or reuses) an edge between stages.
+// edge registers (or reuses) an ordered shuffle or a broadcast edge
+// between stages. The consumer reads the edge under the producer vertex's
+// name; only hash-join build sides travel by broadcast.
 func (c *Compiler) edge(from, to *bStage, movement dag.MovementType) error {
-	for _, e := range to.inEdges {
-		if e.from == from {
-			if e.movement != movement {
-				return fmt.Errorf("relop: conflicting movements on edge %s->%s", from.name, to.name)
-			}
-			return nil
-		}
-	}
-	to.inEdges = append(to.inEdges, &bEdge{from: from, to: to, movement: movement})
-	// The consumer reads the edge under the producer vertex's name; only
-	// hash-join build sides travel by broadcast.
 	mode := InGrouped
 	if movement == dag.Broadcast {
 		mode = InBuild
 	}
-	to.spec.Inputs = append(to.spec.Inputs, StageInput{Name: from.name, Mode: mode})
+	return connect(&bEdge{from: from, to: to, movement: movement}, StageInput{Name: from.name, Mode: mode})
+}
+
+// shuffleEdge registers (or reuses) a scatter-gather edge: with hash
+// set, a hash-partitioned one whose consumer keys each row by keys, the
+// key its producer partitioned it by; otherwise an ordered one.
+func (c *Compiler) shuffleEdge(from, to *bStage, hash bool, keys []*Expr) error {
+	if !hash {
+		return c.edge(from, to, dag.ScatterGather)
+	}
+	return connect(&bEdge{from: from, to: to, movement: dag.ScatterGather, hash: true},
+		StageInput{Name: from.name, Mode: InHash, BuildKeys: keys})
+}
+
+// connect adds e and the consumer's input in unless e's producer already
+// feeds e's consumer the same way.
+func connect(e *bEdge, in StageInput) error {
+	for _, old := range e.to.inEdges {
+		if old.from == e.from {
+			if old.movement != e.movement || old.hash != e.hash {
+				return fmt.Errorf("relop: conflicting movements on edge %s->%s", e.from.name, e.to.name)
+			}
+			return nil
+		}
+	}
+	e.to.inEdges = append(e.to.inEdges, e)
+	e.to.spec.Inputs = append(e.to.spec.Inputs, in)
 	return nil
 }
 
@@ -224,6 +248,9 @@ func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
 	st.grouped = true
 	st.par = c.cfg.DefaultPartitions
 	st.spec.Group = &GroupOp{Kind: "join", Sides: 2}
+	// A hash join reads each producer's rows as one side, so a stage that
+	// feeds both sides keeps the ordered edge.
+	hash := c.hashJoins[n] && !sharesStage(left, right)
 	// A side that does not ship every column ends its emit with a
 	// projection to the shipped ones, its keys remapped onto them.
 	shipL, shipR := c.use.shipped(n)
@@ -243,7 +270,7 @@ func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
 				Input: cur.input, Output: st.name, Kind: EmitShuffle,
 				Pipe: cur.pipe, Keys: keys, Tag: tag,
 			})
-			if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
+			if err := c.shuffleEdge(cur.st, st, hash, keys); err != nil {
 				return err
 			}
 		}
@@ -262,6 +289,18 @@ func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
 		out.pipe = []PipeOp{{Kind: "project", Project: rewiden(n, shipL, shipR)}}
 	}
 	return []cursor{out}, nil
+}
+
+// sharesStage reports whether a stage emits into both lists of cursors.
+func sharesStage(a, b []cursor) bool {
+	for _, x := range a {
+		for _, y := range b {
+			if x.st == y.st {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rewiden maps the join's output columns onto its product's: side by
@@ -343,11 +382,18 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 		project = append(project, arg)
 		aggs[i] = AggFuncSpec{Func: a.Func, Col: gw + i}
 	}
+	// Rows that fold the same in any order need co-location, not order:
+	// they travel on hash edges, the join's sides when it is fused.
+	hash := !c.forMR && foldsInAnyOrder(n)
+	fused := c.use.fusesWithJoin(n)
+	if fused && hash {
+		c.hashJoins[n.Children[0]] = true
+	}
 	in, err := c.compile(n.Children[0])
 	if err != nil {
 		return nil, err
 	}
-	if c.use.fusesWithJoin(n) {
+	if fused {
 		// No stage of its own: the join's tasks aggregate their product,
 		// read through the join's re-widening when its sides were pruned.
 		j := in[0]
@@ -372,11 +418,39 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 			Input: cur.input, Output: st.name, Kind: EmitShuffle,
 			Pipe: cur.pipe, Keys: keys, Tag: -1,
 		})
-		if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
+		if err := c.shuffleEdge(cur.st, st, hash, keys); err != nil {
 			return nil, err
 		}
 	}
 	return []cursor{{st: st}}, nil
+}
+
+// foldsInAnyOrder reports whether agg node n writes the same bytes
+// whatever order its rows fold in, judged by the kinds its input schema
+// declares: count; min and max of an int or string argument, where equal
+// values are identical so no tie is left to arrival order; sum and avg of
+// an int argument, which float64 adds exactly while every partial sum
+// stays below 2^53 (DESIGN §13). A float sum rounds differently in
+// another order, and a float min or max keeps the first of two equal
+// values (-0 and +0, NaN). The group key needs no rule: rows whose key
+// bytes are equal hold identical values in a column of one kind, so the
+// first row's key columns are every row's.
+func foldsInAnyOrder(n *Node) bool {
+	in := n.Children[0].OutSchema
+	for _, a := range n.Aggs {
+		k := row.KindNull
+		if a.Arg != nil {
+			k = exprKind(a.Arg, in)
+		}
+		switch {
+		case a.Func == "count":
+		case (a.Func == "min" || a.Func == "max") && (k == row.KindInt || k == row.KindString):
+		case (a.Func == "sum" || a.Func == "avg") && k == row.KindInt:
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 func (c *Compiler) compileSort(n *Node) ([]cursor, error) {
@@ -534,10 +608,12 @@ func (c *Compiler) emitDAG(name string, stages []*bStage) (*dag.DAG, error) {
 	for _, st := range stages {
 		for _, e := range st.inEdges {
 			var prop dag.EdgeProperty
-			switch e.movement {
-			case dag.ScatterGather:
+			switch {
+			case e.hash:
+				prop = library.UnorderedPartitionedEdge()
+			case e.movement == dag.ScatterGather:
 				prop = library.OrderedEdge(library.OrderedPartitionedConfig{})
-			case dag.Broadcast:
+			case e.movement == dag.Broadcast:
 				prop = library.BroadcastEdge()
 			default:
 				return nil, fmt.Errorf("relop: unsupported movement %v", e.movement)

@@ -102,8 +102,10 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 	}
 
 	// Stream the inputs. All grouped inputs are merged into one key-ordered
-	// group stream (a reduce-side join's sides arrive on separate edges).
+	// group stream (a reduce-side join's sides arrive on separate edges);
+	// all hash inputs fold together.
 	var grouped []runtime.GroupedKVReader
+	var hashed []hashInput
 	for _, in := range p.spec.Inputs {
 		switch in.Mode {
 		case InSource, InTable:
@@ -111,23 +113,32 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 				return err
 			}
 		case InGrouped:
-			src, ok := inputs[in.Name]
-			if !ok {
-				return fmt.Errorf("relop: stage has no input %q", in.Name)
-			}
-			rd, err := src.Reader()
+			rd, err := reader[runtime.GroupedKVReader](inputs, in.Name)
 			if err != nil {
 				return err
 			}
-			gr, ok := rd.(runtime.GroupedKVReader)
-			if !ok {
-				return fmt.Errorf("relop: input %q reader is %T", in.Name, rd)
+			grouped = append(grouped, rd)
+		case InHash:
+			rd, err := reader[runtime.KVReader](inputs, in.Name)
+			if err != nil {
+				return err
 			}
-			grouped = append(grouped, gr)
+			hashed = append(hashed, hashInput{kv: rd, keys: in.BuildKeys})
+		}
+	}
+	var bound []*vecEmitter // the group output's emitters
+	for _, em := range emitters {
+		if em.spec.Input == "" {
+			bound = append(bound, em)
 		}
 	}
 	if len(grouped) > 0 {
-		if err := p.runGrouped(grouped, emitters); err != nil {
+		if err := p.runGrouped(grouped, bound); err != nil {
+			return err
+		}
+	}
+	if len(hashed) > 0 {
+		if err := p.runHashed(hashed, bound); err != nil {
 			return err
 		}
 	}
@@ -147,6 +158,24 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 	return nil
 }
 
+// reader returns the reader of the named input as an R.
+func reader[R any](inputs map[string]runtime.Input, name string) (R, error) {
+	var none R
+	src, ok := inputs[name]
+	if !ok {
+		return none, fmt.Errorf("relop: stage has no input %q", name)
+	}
+	rd, err := src.Reader()
+	if err != nil {
+		return none, err
+	}
+	r, ok := rd.(R)
+	if !ok {
+		return none, fmt.Errorf("relop: input %q reader is %T", name, rd)
+	}
+	return r, nil
+}
+
 // buildTable loads a broadcast build side, caching through the object
 // registry so tasks reusing the container skip the rebuild (the Hive
 // broadcast-join example of §4.2). The edge carries col.EncodeBatch
@@ -162,17 +191,9 @@ func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Inp
 			return v.(map[string][]row.Row), nil
 		}
 	}
-	src, ok := inputs[in.Name]
-	if !ok {
-		return nil, fmt.Errorf("relop: stage has no input %q", in.Name)
-	}
-	rd, err := src.Reader()
+	kv, err := reader[runtime.KVReader](inputs, in.Name)
 	if err != nil {
 		return nil, err
-	}
-	kv, ok := rd.(runtime.KVReader)
-	if !ok {
-		return nil, fmt.Errorf("relop: build input %q reader is %T", in.Name, rd)
 	}
 	table := map[string][]row.Row{}
 	var keyVecs []col.Vector
@@ -204,17 +225,9 @@ func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Inp
 // decodes a table stripe's read columns, or parses a row-encoded record,
 // straight into its column vectors.
 func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Input, emitters []*vecEmitter) error {
-	src, ok := inputs[in.Name]
-	if !ok {
-		return fmt.Errorf("relop: stage has no input %q", in.Name)
-	}
-	rd, err := src.Reader()
+	kv, err := reader[runtime.KVReader](inputs, in.Name)
 	if err != nil {
 		return err
-	}
-	kv, ok := rd.(runtime.KVReader)
-	if !ok {
-		return fmt.Errorf("relop: input %q reader is %T", in.Name, rd)
 	}
 	var bound []*vecEmitter
 	for _, em := range emitters {
@@ -252,18 +265,12 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 // as runStream does, a join writes its product column to column from
 // per-side segments (into its aggregate, when it carries one), and an
 // aggregate folds its groups' values through a groupFold.
-func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, emitters []*vecEmitter) error {
+func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, bound []*vecEmitter) error {
 	g := p.spec.Group
 	if g == nil {
 		return fmt.Errorf("relop: grouped inputs without group op")
 	}
 	gr := mergeGroupReaders(readers)
-	var bound []*vecEmitter
-	for _, em := range emitters {
-		if em.spec.Input == "" {
-			bound = append(bound, em)
-		}
-	}
 
 	var join joinGroups
 	agg := newGroupFold(g, DefaultBatchSize, bound)

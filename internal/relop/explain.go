@@ -6,12 +6,14 @@ import (
 	"strings"
 
 	"tez/internal/dag"
+	"tez/internal/library"
 	"tez/internal/plugin"
 )
 
 // ExplainDAG renders a compiled DAG: one line per vertex in topological
 // order (task count, sources — marking a dynamically pruned one — and
-// sinks), one per edge with its movement, then ExplainStages' section.
+// sinks), one per edge with its movement — "(hash)" after a
+// hash-partitioned, unsorted one — then ExplainStages' section.
 func ExplainDAG(d *dag.DAG) (string, error) {
 	order, err := d.TopoOrder()
 	if err != nil {
@@ -39,7 +41,11 @@ func ExplainDAG(d *dag.DAG) (string, error) {
 		b.WriteString("\n")
 	}
 	for _, ed := range d.Edges {
-		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s\n", ed.From, ed.To, ed.Property.Movement)
+		fmt.Fprintf(&b, "  edge   %-24s -> %-20s %s", ed.From, ed.To, ed.Property.Movement)
+		if ed.Property.Output.Name == library.UnorderedPartitionedOutputName {
+			b.WriteString(" (hash)")
+		}
+		b.WriteString("\n")
 	}
 	if vs := ExplainStages(d); vs != "" {
 		b.WriteString("stages:\n")

@@ -53,6 +53,31 @@ func Arith(op string, a, b *Expr) *Expr {
 	return &Expr{Kind: "arith", Op: op, Args: []*Expr{a, b}}
 }
 
+// exprKind is the kind e evaluates to over rows of schema s, as the
+// schema declares its columns: comparisons and logic yield an int 0/1,
+// arithmetic is int only for int ⊕ int other than division, and a null
+// literal, a column out of range or an unknown node have no kind
+// (KindNull). Null values do not change a kind.
+func exprKind(e *Expr, s row.Schema) row.Kind {
+	switch e.Kind {
+	case "col":
+		if e.Col >= 0 && e.Col < s.Width() {
+			return s.Cols[e.Col].Kind
+		}
+	case "lit":
+		return e.Lit.Kind
+	case "cmp", "and", "or", "not":
+		return row.KindInt
+	case "arith":
+		if len(e.Args) == 2 && e.Op != "/" &&
+			exprKind(e.Args[0], s) == row.KindInt && exprKind(e.Args[1], s) == row.KindInt {
+			return row.KindInt
+		}
+		return row.KindFloat
+	}
+	return row.KindNull
+}
+
 // validateExpr rejects the trees the kernels would index blindly: a nil
 // node, a cmp or arith without exactly two operands, a not without
 // exactly one. Unknown kinds and operators and out-of-range columns are

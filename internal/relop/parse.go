@@ -344,16 +344,24 @@ func (p *Parser) parseUnary() (*ExprTree, error) {
 
 // Resolve lowers a parsed expression against a schema, binding
 // identifiers to column indices, and reports the kind it evaluates to
-// (comparisons and logic yield an int 0/1; arithmetic is int only for
-// int ⊕ int other than division).
+// (exprKind).
 func Resolve(e *ExprTree, schema row.Schema) (*Expr, row.Kind, error) {
+	x, err := bind(e, schema)
+	if err != nil {
+		return nil, 0, err
+	}
+	return x, exprKind(x, schema), nil
+}
+
+// bind lowers e against schema, binding identifiers to column indices.
+func bind(e *ExprTree, schema row.Schema) (*Expr, error) {
 	switch e.Kind {
 	case "int":
-		return LitInt(e.Int), row.KindInt, nil
+		return LitInt(e.Int), nil
 	case "float":
-		return LitFloat(e.Float), row.KindFloat, nil
+		return LitFloat(e.Float), nil
 	case "str":
-		return LitString(e.Str), row.KindString, nil
+		return LitString(e.Str), nil
 	case "ident":
 		idx := schema.Index(e.Name)
 		if idx < 0 {
@@ -361,45 +369,41 @@ func Resolve(e *ExprTree, schema row.Schema) (*Expr, row.Kind, error) {
 			for i, c := range schema.Cols {
 				names[i] = c.Name
 			}
-			return nil, 0, fmt.Errorf("unknown column %q (have %v)", e.Name, names)
+			return nil, fmt.Errorf("unknown column %q (have %v)", e.Name, names)
 		}
-		return Col(idx), schema.Cols[idx].Kind, nil
+		return Col(idx), nil
 	case "binop":
-		l, lk, err := Resolve(e.Args[0], schema)
+		l, err := bind(e.Args[0], schema)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		r, rk, err := Resolve(e.Args[1], schema)
+		r, err := bind(e.Args[1], schema)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		switch e.Op {
 		case "and":
-			return And(l, r), row.KindInt, nil
+			return And(l, r), nil
 		case "or":
-			return Or(l, r), row.KindInt, nil
+			return Or(l, r), nil
 		case "=", "!=", "<", "<=", ">", ">=":
-			return Cmp(e.Op, l, r), row.KindInt, nil
+			return Cmp(e.Op, l, r), nil
 		case "+", "-", "*", "/":
-			k := row.KindFloat
-			if lk == row.KindInt && rk == row.KindInt && e.Op != "/" {
-				k = row.KindInt
-			}
-			return Arith(e.Op, l, r), k, nil
+			return Arith(e.Op, l, r), nil
 		}
-		return nil, 0, fmt.Errorf("unknown operator %q", e.Op)
+		return nil, fmt.Errorf("unknown operator %q", e.Op)
 	case "not":
-		a, _, err := Resolve(e.Args[0], schema)
+		a, err := bind(e.Args[0], schema)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return Not(a), row.KindInt, nil
+		return Not(a), nil
 	case "call":
-		return nil, 0, fmt.Errorf("%s(…) not allowed here", e.Name)
+		return nil, fmt.Errorf("%s(…) not allowed here", e.Name)
 	case "star":
-		return nil, 0, fmt.Errorf("* not allowed here")
+		return nil, fmt.Errorf("* not allowed here")
 	}
-	return nil, 0, fmt.Errorf("cannot resolve %q", e.Kind)
+	return nil, fmt.Errorf("cannot resolve %q", e.Kind)
 }
 
 // ResolveAgg lowers a call node to the aggregate it names, its argument
@@ -426,6 +430,6 @@ func ResolveAgg(call *ExprTree, schema row.Schema, name string) (AggDef, error) 
 		return def, nil
 	}
 	var err error
-	def.Arg, _, err = Resolve(call.Args[0], schema)
+	def.Arg, err = bind(call.Args[0], schema)
 	return def, err
 }

@@ -19,6 +19,12 @@ const (
 	// InBuild reads a broadcast edge of col.EncodeBatch frames into a
 	// hash-join build table (not part of the stage's row stream).
 	InBuild = "build"
+	// InHash reads a hash-partitioned, unsorted edge: one col.EncodeBatch
+	// frame per producer batch and partition, keyed by the join side's
+	// tag byte (an aggregate's frames have an empty key). An aggregate
+	// folds them into hashed groups; a join builds a hash table on side
+	// 0 and probes it with side 1 (hashedge.go).
+	InHash = "hash"
 )
 
 // StageInput declares one named input of the stage. Edge inputs are named
@@ -30,7 +36,9 @@ type StageInput struct {
 	// Cols lists, ascending, the columns an InTable input decodes: those
 	// the stage reads. The others read as null; nil decodes every column.
 	Cols []int
-	// BuildKeys evaluate the hash-table key on build rows (InBuild).
+	// BuildKeys evaluate the hash-table key on the input's rows: an
+	// InBuild input's, and an InHash input's, whose key is the one its
+	// producer partitioned the row by.
 	BuildKeys []*Expr
 	// CacheInRegistry shares the built hash table through the container's
 	// object registry (§4.2); ablation toggles it off.

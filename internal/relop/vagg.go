@@ -205,24 +205,29 @@ func (f *groupFold) observe(b *col.Batch, lo, hi int) {
 	}
 }
 
-// finishGroup appends the open group's result row — its key columns, then
-// the typed results — to every emitter.
+// finishGroup writes the open group's result row.
 func (f *groupFold) finishGroup() error {
 	if !f.open {
 		return nil
 	}
 	f.open = false
-	keyWidth := f.g.GroupWidth
-	for _, em := range f.ems {
-		b, err := em.beginRow(keyWidth + len(f.g.Aggs))
+	return writeAggRow(f.ems, f.g, f.key, 0, f.states)
+}
+
+// writeAggRow appends one group's result row — row r of key's columns,
+// then the typed results of its states — to every emitter.
+func writeAggRow(ems []*vecEmitter, g *GroupOp, key *col.Batch, r int, states []aggState) error {
+	keyWidth := g.GroupWidth
+	for _, em := range ems {
+		b, err := em.beginRow(keyWidth + len(g.Aggs))
 		if err != nil {
 			return err
 		}
 		for c := 0; c < keyWidth; c++ {
-			b.Col(c).AppendFrom(f.key.Col(c), 0)
+			b.Col(c).AppendFrom(key.Col(c), r)
 		}
-		for i, a := range f.g.Aggs {
-			v, st := b.Col(keyWidth+i), &f.states[i]
+		for i, a := range g.Aggs {
+			v, st := b.Col(keyWidth+i), &states[i]
 			switch {
 			case a.Func == "count":
 				v.AppendInt(st.count)

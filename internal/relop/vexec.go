@@ -38,8 +38,22 @@ type vecEmitter struct {
 	// stage end.
 	deferred []row.Value
 	// top keeps a limited shuffle emit's records until close.
-	top   *topK
-	count int64
+	top *topK
+	// parts is the writer of a hash edge: a shuffle emit bound to it
+	// writes frames, each keyed by frameKey (the join side's tag) and
+	// holding the rows of partRows[p].
+	parts    partitionWriter
+	frameKey []byte
+	partRows [][]int32
+	count    int64
+}
+
+// partitionWriter writes to a hash-partitioned edge
+// (library.PartitionedWriter): the emitter partitions its rows by key
+// itself and writes each partition's share of a batch as one frame.
+type partitionWriter interface {
+	Partition(key []byte) int
+	WritePartition(p int, key, value []byte) error
 }
 
 type joinScratch struct {
@@ -52,6 +66,12 @@ func newVecEmitter(spec EmitSpec, w runtime.KVWriter, tables map[string]map[stri
 		batch: col.NewBatch(), joins: make([]joinScratch, len(spec.Pipe))}
 	if spec.Kind == EmitShuffle && spec.Limit > 0 {
 		ve.top = &topK{k: spec.Limit}
+	}
+	if pw, ok := w.(partitionWriter); ok && spec.Kind == EmitShuffle {
+		ve.parts = pw
+		if spec.Tag >= 0 {
+			ve.frameKey = []byte{byte(spec.Tag)}
+		}
 	}
 	return ve
 }
@@ -264,6 +284,9 @@ func (ve *vecEmitter) terminal(b *col.Batch) error {
 	switch ve.spec.Kind {
 	case EmitShuffle:
 		ve.keyVecs = evalKeys(ve.keyVecs[:0], ve.spec.Keys, b)
+		if ve.parts != nil {
+			return ve.writeFrames(b)
+		}
 		for k := 0; k < b.Live(); k++ {
 			i := b.RowAt(k)
 			ve.keyBuf = appendKey(ve.keyBuf[:0], ve.keyVecs, i, ve.spec.Desc)
@@ -305,6 +328,38 @@ func (ve *vecEmitter) terminal(b *col.Batch) error {
 		return nil
 	}
 	return fmt.Errorf("relop: unknown emit kind %q", ve.spec.Kind)
+}
+
+// writeFrames partitions b's live rows by their shuffle key, as the
+// ordered edge would, and writes each partition's rows as one
+// col.EncodeBatch frame. ROWS_EMITTED counts the rows.
+func (ve *vecEmitter) writeFrames(b *col.Batch) error {
+	for p := range ve.partRows {
+		ve.partRows[p] = ve.partRows[p][:0]
+	}
+	for k := 0; k < b.Live(); k++ {
+		i := b.RowAt(k)
+		ve.keyBuf = appendKey(ve.keyBuf[:0], ve.keyVecs, i, ve.spec.Desc)
+		p := ve.parts.Partition(ve.keyBuf)
+		if p < 0 {
+			return fmt.Errorf("relop: row partitioned to %d", p)
+		}
+		for p >= len(ve.partRows) {
+			ve.partRows = append(ve.partRows, nil)
+		}
+		ve.partRows[p] = append(ve.partRows[p], int32(i))
+	}
+	for p, rows := range ve.partRows {
+		if len(rows) == 0 {
+			continue
+		}
+		ve.frameBuf = col.EncodeRows(ve.frameBuf[:0], b, rows)
+		ve.count += int64(len(rows))
+		if err := ve.parts.WritePartition(p, ve.frameKey, ve.frameBuf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // sendDeferred sends the control events of initializer/vm emits (§3.3:
