@@ -122,7 +122,10 @@ profile:
 # (col.DecodeBatch: a frame it accepts re-encodes to the same rows) and
 # the table stripe's column-subset decode (col.DecodeBatchInto: any subset
 # of an accepted frame's columns reads as the full decode does, every
-# column length within the bytes that remain, the row cap kept) a
+# column length within the bytes that remain, the row cap kept) and the
+# partial aggregate state a pre-aggregating producer ships (relop's
+# mergePartial: an error or a state, and a state re-encodes to the same
+# results) a
 # brief coverage-guided shake on every run (the checked-in corpus under
 # testdata/fuzz replays regardless, as ordinary tests).
 fuzz-short:
@@ -132,6 +135,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzPayloadCodecs -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzGroupSplits -fuzztime 5s ./internal/library/
 	$(GO) test -run XXX -fuzz FuzzParseExpr -fuzztime 5s ./internal/relop/
+	$(GO) test -run XXX -fuzz FuzzPartialState -fuzztime 5s ./internal/relop/
 	$(GO) test -run XXX -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/hive/
 	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s ./internal/pig/
 	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s ./internal/col/

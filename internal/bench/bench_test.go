@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
+	"math/big"
+	"math/rand"
 	"path"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,10 +15,13 @@ import (
 
 	"tez/internal/am"
 	"tez/internal/chaos"
+	"tez/internal/col"
 	"tez/internal/data"
 	"tez/internal/hive"
+	"tez/internal/library"
 	"tez/internal/platform"
 	"tez/internal/relop"
+	"tez/internal/row"
 	"tez/internal/testutil"
 )
 
@@ -232,6 +240,9 @@ func TestShuffleCodecAblation(t *testing.T) {
 	}
 }
 
+// q1Golden is the digest of q1's part files at the tiny scale, seed 33.
+const q1Golden = "d56a3cc572a67a299a3974ad37f0ceee177ca20ddcdcd75acc1df20d33f1b86c"
+
 // TestRelationalGoldenDigests is the end-to-end referee of the relational
 // executor: six plans must commit part files whose digest equals the one
 // the row engine produced at the last commit that had one (recorded there
@@ -240,7 +251,9 @@ func TestShuffleCodecAblation(t *testing.T) {
 // row-vs-columnar ablation compared; order_by, skew_join and q55 are the
 // three shipped plans whose sampled, vm and initializer emits used to run
 // on the row engine. Auto-parallelism is off so the part-file layout does
-// not follow timing.
+// not follow timing. q1 and q55 sum and average floats: their digests were
+// re-recorded when float sums became exact, and their committed rows must
+// equal the math/big reference's (exactAgg) bit for bit.
 func TestRelationalGoldenDigests(t *testing.T) {
 	plat := platform.New(platform.Default(8))
 	defer plat.Stop()
@@ -278,23 +291,55 @@ func TestRelationalGoldenDigests(t *testing.T) {
 			return err
 		}
 	}
+	// The reference reads the rows q1 and q55 aggregate through the engine
+	// (scan, filter, joins) and aggregates them in plain Go.
+	reference := func(sql string, tables []*relop.Table, gw int, funcs []string,
+		order func(a, b row.Row) int, limit int) func(*am.Session) ([]row.Row, error) {
+		return func(sess *am.Session) ([]row.Row, error) {
+			out := "/golden-ref/" + strconv.Itoa(len(funcs)) + "-" + strconv.Itoa(gw)
+			if err := hiveRun(sql, tables)(sess, out); err != nil {
+				return nil, err
+			}
+			rows, err := relop.ReadStored(plat.FS, out)
+			if err != nil {
+				return nil, err
+			}
+			res := exactAgg(rows, gw, funcs)
+			slices.SortFunc(res, order)
+			return res[:min(len(res), limit)], nil
+		}
+	}
 	cases := []struct {
 		name   string
 		run    func(*am.Session, string) error
 		golden string
+		ref    func(*am.Session) ([]row.Row, error)
 	}{
-		{"hive-tpch-q1", hiveRun(data.TPCHQueries[0].SQL, tp.Tables()),
-			"12a0f4840f489019e26736e9b7c9559068a4046406c288bd43baef10fa1d49ac"},
+		{"hive-tpch-q1", hiveRun(data.TPCHQueries[0].SQL, tp.Tables()), q1Golden,
+			reference(`SELECT l_returnflag, l_linestatus, l_quantity, l_extendedprice, l_discount, 1
+				FROM lineitem WHERE l_shipdate <= 19980902`, tp.Tables(), 2, []string{"sum", "sum", "avg", "count"},
+				func(a, b row.Row) int { return slices.CompareFunc(a[:2], b[:2], row.Compare) }, 100)},
 		{"hive-tpch-q18", hiveRun(data.TPCHQueries[4].SQL, tp.Tables()),
-			"cb243c6d546cf7119f1d92976717bc89b4bb527617700d1bc3ce231921ca34e7"},
+			"cb243c6d546cf7119f1d92976717bc89b4bb527617700d1bc3ce231921ca34e7", nil},
 		{"hive-tpcds-q55", hiveRun(data.TPCDSQueries[0].SQL, td.Tables()),
-			"679f5c79155c42f731afae60359611931dcd7247374e3097e06d416e941b24bf"},
+			"b0077eb2395839670776ac8f4c4abcc32854ec5b226786d596aedc18acf1506c",
+			reference(`SELECT i.i_brand_id, ss.ss_sales_price
+				FROM store_sales_p ss
+				JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk
+				JOIN item i ON ss.ss_item_sk = i.i_item_sk
+				WHERE d.d_moy = 11 AND d.d_year = 1998`, td.Tables(), 1, []string{"sum"},
+				func(a, b row.Row) int { // rev DESC, then the row's bytes
+					if c := row.Compare(b[1], a[1]); c != 0 {
+						return c
+					}
+					return bytes.Compare(row.Encode(nil, a), row.Encode(nil, b))
+				}, 10)},
 		{"pig-group_agg", pigRun(pigWorkloads[0]),
-			"03272a09fe3e5088936538d983d9bcf10f69ba55d6ab64d7ec80cfb96344c481"},
+			"03272a09fe3e5088936538d983d9bcf10f69ba55d6ab64d7ec80cfb96344c481", nil},
 		{"pig-order_by", pigRun(pigWorkloads[4]),
-			"b778ec81f270e3e31ca5904ba70042fa27866be7a7938484933e93811144efcb"},
+			"b778ec81f270e3e31ca5904ba70042fa27866be7a7938484933e93811144efcb", nil},
 		{"pig-skew_join", pigRun(pigWorkloads[5]),
-			"d9aff837c03ca0aec76efe02973b87263f612fe89f1f91ce473a641a763fe5d0"},
+			"d9aff837c03ca0aec76efe02973b87263f612fe89f1f91ce473a641a763fe5d0", nil},
 	}
 	for _, c := range cases {
 		sess := am.NewSession(plat, am.Config{Name: "golden-" + c.name, DisableAutoParallelism: true})
@@ -307,7 +352,139 @@ func TestRelationalGoldenDigests(t *testing.T) {
 		if got := testutil.PartsDigest(t, plat.FS, out); got != c.golden {
 			t.Errorf("%s: committed bytes differ from the row engine's: digest %s, want %s", c.name, got, c.golden)
 		}
+		if c.ref == nil {
+			continue
+		}
+		sess = am.NewSession(plat, am.Config{Name: "golden-ref-" + c.name})
+		want, err := c.ref(sess)
+		sess.Close()
+		if err != nil {
+			t.Fatalf("%s reference: %v", c.name, err)
+		}
+		got, err := relop.ReadStored(plat.FS, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !slices.EqualFunc(got, want, func(a, b row.Row) bool {
+			return bytes.Equal(row.Encode(nil, a), row.Encode(nil, b))
+		}) {
+			t.Errorf("%s: committed rows differ from the math/big reference's:\n%v\nwant\n%v", c.name, got, want)
+		}
 	}
+}
+
+// TestQ1IgnoresLineitemOrder: data.GenTPCH writes lineitem in order-key
+// order, the favourable case for pre-aggregation (each scan task's rows
+// are nearly disjoint). q1 over a row-shuffled copy of lineitem must
+// commit what it commits over the original — TestRelationalGoldenDigests'
+// q1 digest, the math/big reference's rows — on Tez and on the MR chain.
+func TestQ1IgnoresLineitemOrder(t *testing.T) {
+	src := platform.New(platform.Default(8))
+	defer src.Stop()
+	tp, err := data.GenTPCH(src.FS, tiny.TPCHOrders, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []row.Row
+	for _, f := range tp.Lineitem.Files {
+		blob, err := src.FS.ReadFile(f, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := col.NewStripeRows(library.NewPaddedReader(blob))
+		for rs.Next() {
+			rows = append(rows, rs.Batch().MaterializeRow(rs.Row()))
+		}
+		if err := rs.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	plat := platform.New(platform.Default(8))
+	defer plat.Stop()
+	shuffled := &relop.Table{Name: "lineitem", Schema: tp.Lineitem.Schema}
+	if err := relop.WriteTable(plat.FS, shuffled, len(tp.Lineitem.Files), rows); err != nil {
+		t.Fatal(err)
+	}
+	eng := hive.NewEngine()
+	eng.Exec = relop.Config{DefaultPartitions: 8}
+	eng.Register(shuffled)
+	sess := am.NewSession(plat, am.Config{Name: "q1-shuffled", DisableAutoParallelism: true})
+	defer sess.Close()
+	if _, err := eng.RunTez(sess, "q1-tez", data.TPCHQueries[0].SQL, "/q1/tez"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunMR(plat, am.Config{Name: "q1-mr"}, "q1-mr", data.TPCHQueries[0].SQL, "/q1/mr"); err != nil {
+		t.Fatal(err)
+	}
+	if got := testutil.PartsDigest(t, plat.FS, "/q1/tez"); got != q1Golden {
+		t.Errorf("q1 on Tez over shuffled lineitem: digest %s, want %s", got, q1Golden)
+	}
+	tez, err := relop.ReadStored(plat.FS, "/q1/tez")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr, err := relop.ReadStored(plat.FS, "/q1/mr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(tez, mr, func(a, b row.Row) bool { return bytes.Equal(row.Encode(nil, a), row.Encode(nil, b)) }) {
+		t.Errorf("q1 over shuffled lineitem: MR %v, Tez %v", mr, tez)
+	}
+}
+
+// exactAgg is the math/big reference for a group-by over rows laid out
+// [group..., args...] with no nulls: per group of equal key bytes, in
+// order of first appearance, its key columns and, for args[i], funcs[i] —
+// count its rows, sum the exact rational sum of its ints and floats and
+// avg that divided by the count, each rounded once to the nearest float64
+// (big.Rat.Float64).
+func exactAgg(rows []row.Row, gw int, funcs []string) []row.Row {
+	type group struct {
+		key  row.Row
+		n    int64
+		sums []*big.Rat
+	}
+	groups := map[string]*group{}
+	var order []*group
+	for _, r := range rows {
+		k := string(row.EncodeKey(nil, r[:gw]...))
+		g := groups[k]
+		if g == nil {
+			g = &group{key: r[:gw]}
+			for range funcs {
+				g.sums = append(g.sums, new(big.Rat))
+			}
+			groups[k] = g
+			order = append(order, g)
+		}
+		g.n++
+		for i, v := range r[gw:] {
+			if v.Kind == row.KindInt {
+				g.sums[i].Add(g.sums[i], new(big.Rat).SetInt64(v.Int))
+			} else {
+				g.sums[i].Add(g.sums[i], new(big.Rat).SetFloat64(v.Float))
+			}
+		}
+	}
+	var out []row.Row
+	for _, g := range order {
+		r := append(row.Row{}, g.key...)
+		for i, fn := range funcs {
+			switch fn {
+			case "count":
+				r = append(r, row.Int(g.n))
+			case "sum":
+				f, _ := g.sums[i].Float64()
+				r = append(r, row.Float(f))
+			case "avg":
+				f, _ := new(big.Rat).Quo(g.sums[i], new(big.Rat).SetInt64(g.n)).Float64()
+				r = append(r, row.Float(f))
+			}
+		}
+		out = append(out, r)
+	}
+	return out
 }
 
 func TestReportRendering(t *testing.T) {
@@ -375,5 +552,37 @@ func TestChaosNodeCrashRecoversPromptly(t *testing.T) {
 	}
 	if observed == 0 {
 		t.Fatal("no run saw its node crash")
+	}
+}
+
+// TestSameAnswer: the Tez-vs-MR check of Figures 8–10 accepts the same
+// rows in another order and part layout, and refuses rows that differ in
+// one value, naming the Tez output.
+func TestSameAnswer(t *testing.T) {
+	plat := platform.New(platform.Fast(1))
+	defer plat.Stop()
+	store := func(path string, rows ...row.Row) {
+		for i, r := range rows {
+			w, err := library.CreateRecordFile(plat.FS, fmt.Sprintf("%s/part-%05d", path, i), plat.FS.LiveNodes()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(nil, row.Encode(nil, r)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a, b := row.Row{row.String("a"), row.Int(1)}, row.Row{row.String("b"), row.Float(2)}
+	store("/mr", a, b)
+	store("/tez", b, a)
+	store("/tez-diff", row.Row{row.String("a"), row.Int(3)}, b)
+	if err := sameAnswer(plat.FS, "/mr", "/tez"); err != nil {
+		t.Fatalf("same rows refused: %v", err)
+	}
+	if err := sameAnswer(plat.FS, "/mr", "/tez-diff"); err == nil || !strings.Contains(err.Error(), "/tez-diff") {
+		t.Fatalf("differing rows: err = %v, want one naming /tez-diff", err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"tez/internal/am"
 	"tez/internal/data"
+	"tez/internal/dfs"
 	"tez/internal/hive"
 	"tez/internal/platform"
 	"tez/internal/relop"
@@ -61,20 +62,29 @@ func runHiveSuite(figure, title string, nodes int, queries []data.Query,
 		tezDur := time.Since(start)
 
 		// Cross-check: both backends computed the same result.
-		a, err := relop.ReadStored(plat.FS, mrOut)
-		if err != nil {
-			return nil, err
-		}
-		b, err := relop.ReadStored(plat.FS, tezOut)
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Equal(canonicalRows(a), canonicalRows(b)) {
-			return nil, fmt.Errorf("%s: MR and Tez answers differ (%d vs %d rows)", q.Name, len(a), len(b))
+		if err := sameAnswer(plat.FS, mrOut, tezOut); err != nil {
+			return nil, fmt.Errorf("%s: %w", q.Name, err)
 		}
 		rep.AddRow(q.Name, ms(mrDur), ms(tezDur), speedup(mrDur, tezDur), fmt.Sprintf("%d", stats.Jobs))
 	}
 	return rep, nil
+}
+
+// sameAnswer compares the rows the MR chain stored at mrOut with the rows
+// Tez stored at tezOut, in canonicalRows form.
+func sameAnswer(fs *dfs.FileSystem, mrOut, tezOut string) error {
+	a, err := relop.ReadStored(fs, mrOut)
+	if err != nil {
+		return err
+	}
+	b, err := relop.ReadStored(fs, tezOut)
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(canonicalRows(a), canonicalRows(b)) {
+		return fmt.Errorf("MR and Tez answers differ at %s (%d vs %d rows)", tezOut, len(a), len(b))
+	}
+	return nil
 }
 
 // canonicalRows is the form hive.TestTezAndMRAgree compares answers in:

@@ -124,6 +124,12 @@ func pigProduction(sc Scale) (*Report, error) {
 			return nil, fmt.Errorf("%s on Tez: %w", w.name, err)
 		}
 		tezDur := time.Since(start)
+		// Cross-check every store: both backends computed the same rows.
+		for i, root := range mrScript.Roots() {
+			if err := sameAnswer(plat.FS, root.StorePath, tezScript.Roots()[i].StorePath); err != nil {
+				return nil, fmt.Errorf("%s: %w", w.name, err)
+			}
+		}
 		rep.AddRow(w.name, ms(mrDur), ms(tezDur), speedup(mrDur, tezDur), fmt.Sprintf("%d", stats.Jobs))
 	}
 	return rep, nil

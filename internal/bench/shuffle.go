@@ -23,7 +23,10 @@ func ablationShuffleCodec(sc Scale) (*Report, error) {
 	if err := writeWords(plat, "/bench/codec/words", sc.PigRows); err != nil {
 		return nil, err
 	}
-	td, err := data.GenTPCDS(plat.FS, sc.TPCDSSales, 21)
+	// q18's join sides ship every lineitem and orders row; an
+	// aggregate's producers ship a row per group since they pre-aggregate,
+	// too few bytes for a codec to matter.
+	tp, err := data.GenTPCH(plat.FS, sc.TPCHOrders, 21)
 	if err != nil {
 		return nil, err
 	}
@@ -43,11 +46,11 @@ func ablationShuffleCodec(sc Scale) (*Report, error) {
 				InputPaths: []string{"/bench/codec/words"}, OutputPath: out,
 			})
 		}, func(out string) (any, error) { return readCountsDFS(plat, out) }},
-		{"hive-q7", func(sess *am.Session, out string) (am.DAGResult, error) {
+		{"hive-q18", func(sess *am.Session, out string) (am.DAGResult, error) {
 			eng := hive.NewEngine()
 			eng.Exec = relop.Config{DefaultPartitions: 8}
-			eng.Register(td.Tables()...)
-			return eng.RunTez(sess, "codec-q7", data.TPCDSQueries[2].SQL, out)
+			eng.Register(tp.Tables()...)
+			return eng.RunTez(sess, "codec-q18", data.TPCHQueries[4].SQL, out)
 		}, func(out string) (any, error) { return relop.ReadStored(plat.FS, out) }},
 		{"pig-group_agg", func(sess *am.Session, out string) (am.DAGResult, error) {
 			return pigWorkloads[0].build(t1, nil, out).RunTez(sess)

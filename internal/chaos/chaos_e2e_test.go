@@ -105,10 +105,14 @@ type e2eResults struct {
 	WordCounts map[string]int
 	AggRows    string
 	JoinRows   string
+	FloatRows  string
 	PartRows   string
 	// joinFaults counts the fetch retries, failed attempts and
 	// re-executions the join DAG went through: compared with nothing.
 	joinFaults int64
+	// floatTasks counts the float aggregate's succeeded tasks, and
+	// floatFaults what joinFaults counts for the join.
+	floatTasks, floatFaults int64
 }
 
 func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg am.Config) e2eResults {
@@ -148,6 +152,21 @@ func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg
 		t.Fatalf("relop join: %v", err)
 	}
 
+	// A float aggregate over at least two scan tasks (one per split):
+	// each task pre-aggregates its rows into exact partial states, so the
+	// seeds' refetches and re-executions move partial states (8 partitions
+	// give every seed's faults fetches to reach), and the sums and
+	// averages must not change in a bit.
+	v := relop.Arith("*", relop.Col(1), relop.LitFloat(0.1))
+	floatPlan := relop.StoreNode(
+		relop.AggNode(relop.Scan(tb), []*relop.Expr{relop.Col(0)}, []string{"k"},
+			[]relop.AggDef{{Func: "sum", Arg: v, Name: "s"}, {Func: "avg", Arg: v, Name: "a"}}),
+		"/out/fagg")
+	floatRes, err := relop.RunTez(sess, relop.Config{DefaultPartitions: 8, SplitSize: 1024}, "fagg", []*relop.Node{floatPlan})
+	if err != nil {
+		t.Fatalf("relop float aggregate: %v", err)
+	}
+
 	if err := sparklike.RunPartitionTez(sess, "part", sparklike.PartitionJob{
 		Table: tb, KeyCol: 0, Partitions: 3, OutPath: "/out/part",
 	}); err != nil {
@@ -158,7 +177,11 @@ func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg
 		WordCounts: readWordCounts(t, plat.FS, "/out/wc"),
 		AggRows:    canonRows(t, plat.FS, "/out/agg"),
 		JoinRows:   canonRows(t, plat.FS, "/out/join"),
+		FloatRows:  canonRows(t, plat.FS, "/out/fagg"),
 		PartRows:   canonRows(t, plat.FS, "/out/part"),
+		floatTasks: floatRes.Counters.Get("TASKS_SUCCEEDED"),
+		floatFaults: floatRes.Counters.Get("SHUFFLE_FETCH_RETRIES") +
+			floatRes.Counters.Get("ATTEMPTS_FAILED") + floatRes.Counters.Get("TASKS_REEXECUTED"),
 		joinFaults: joinRes.Counters.Get("SHUFFLE_FETCH_RETRIES") +
 			joinRes.Counters.Get("ATTEMPTS_FAILED") + joinRes.Counters.Get("TASKS_REEXECUTED"),
 	}
@@ -220,6 +243,9 @@ func checkEqual(t *testing.T, got, want e2eResults) {
 	if got.JoinRows != want.JoinRows {
 		t.Errorf("relop join aggregate diverged under chaos")
 	}
+	if got.FloatRows != want.FloatRows {
+		t.Errorf("relop float aggregate diverged under chaos")
+	}
 	if got.PartRows != want.PartRows {
 		t.Errorf("sparklike partition diverged under chaos")
 	}
@@ -227,7 +253,8 @@ func checkEqual(t *testing.T, got, want e2eResults) {
 
 // TestChaosSeedsMatchFaultFree runs the DAG families under ten fixed
 // seeded fault schedules and demands results identical to a fault-free
-// run; every seed's faults reach the join's hash edges. Seeds rotate extra whole-node events on top of a common background
+// run; every seed's faults reach the join's hash edges and the float
+// aggregate's partial states. Seeds rotate extra whole-node events on top of a common background
 // of fetch/task/launch/DFS faults; node events stay within Replication-1
 // so the DFS keeps every block readable.
 func TestChaosSeedsMatchFaultFree(t *testing.T) {
@@ -235,8 +262,12 @@ func TestChaosSeedsMatchFaultFree(t *testing.T) {
 	tables := seedInputs(t, basePlat)
 	baseline := runAllDAGs(t, basePlat, tables, am.Config{Name: "clean"})
 	basePlat.Stop()
-	if len(baseline.WordCounts) == 0 || baseline.AggRows == "" || baseline.JoinRows == "" || baseline.PartRows == "" {
+	if len(baseline.WordCounts) == 0 || baseline.AggRows == "" || baseline.JoinRows == "" ||
+		baseline.FloatRows == "" || baseline.PartRows == "" {
 		t.Fatal("fault-free baseline is empty")
+	}
+	if baseline.floatTasks < 3 {
+		t.Fatalf("float aggregate ran %d tasks, want at least two scan tasks and an aggregate", baseline.floatTasks)
 	}
 
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
@@ -275,7 +306,11 @@ func TestChaosSeedsMatchFaultFree(t *testing.T) {
 			if got.joinFaults == 0 {
 				t.Errorf("seed %d: the join's hash edges saw no retried fetch, failed attempt or re-execution", seed)
 			}
-			t.Logf("seed %d: %d faults injected, join saw %d, schedule %v", seed, totalInjected(plane), got.joinFaults, plane.Schedule())
+			if got.floatFaults == 0 {
+				t.Errorf("seed %d: the float aggregate's partial states saw no retried fetch, failed attempt or re-execution", seed)
+			}
+			t.Logf("seed %d: %d faults injected, join saw %d, float aggregate %d, schedule %v",
+				seed, totalInjected(plane), got.joinFaults, got.floatFaults, plane.Schedule())
 		})
 	}
 }

@@ -785,6 +785,40 @@ func (b *Batch) Filter(pred *Vector) {
 	b.sel = out
 }
 
+// Gather empties b and fills it, densely, with src's physical rows rows,
+// in that order: the rows AppendFrom would copy one at a time, with a
+// null-free typed column copied in one loop.
+func (b *Batch) Gather(src *Batch, rows []int32) {
+	b.Reset()
+	b.EnsureWidth(src.Width())
+	for c := range b.width {
+		v, sv := &b.cols[c], &src.cols[c]
+		switch {
+		case sv.konst || sv.HasNulls():
+			for _, r := range rows {
+				v.AppendFrom(sv, int(r))
+			}
+		case sv.kind == Int64:
+			for _, r := range rows {
+				v.AppendInt(sv.Ints[r])
+			}
+		case sv.kind == Float64:
+			for _, r := range rows {
+				v.AppendFloat(sv.Floats[r])
+			}
+		case sv.kind == Bytes:
+			for _, r := range rows {
+				v.AppendBytes(sv.Heap[sv.Offs[r]:sv.Offs[r+1]])
+			}
+		default:
+			for _, r := range rows {
+				v.AppendFrom(sv, int(r))
+			}
+		}
+	}
+	b.n = len(rows)
+}
+
 // MaterializeRow boxes physical row i as a row.Row.
 func (b *Batch) MaterializeRow(i int) row.Row {
 	r := make(row.Row, b.Width())

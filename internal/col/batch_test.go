@@ -328,3 +328,46 @@ func TestTruthyMatchesRowSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherMatchesAppendFrom: Gather copies the rows it is given, in
+// order, as AppendFrom would one at a time — over typed, null-bearing,
+// kind-mixed and constant columns, rows repeated and skipped.
+func TestGatherMatchesAppendFrom(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	dst := NewBatch()
+	for trial := 0; trial < 200; trial++ {
+		width := 1 + rng.Intn(4)
+		src := NewBatch()
+		n := 1 + rng.Intn(30)
+		for i := 0; i < n; i++ {
+			r := make(row.Row, width)
+			for c := range r {
+				switch {
+				case c%2 == 0 && rng.Intn(8) != 0: // mostly typed
+					r[c] = row.Int(int64(c*1000 + i))
+				case c%2 == 0:
+					r[c] = row.Null()
+				default:
+					r[c] = randValue(rng)
+				}
+			}
+			src.AppendRow(r)
+		}
+		if rng.Intn(4) == 0 {
+			src = FromVectors(n, nil, []Vector{Const(row.Float(1.5), n)})
+		}
+		var rows []int32
+		for i := 0; i < rng.Intn(2*n); i++ {
+			rows = append(rows, int32(rng.Intn(n)))
+		}
+		dst.Gather(src, rows)
+		if dst.Len() != len(rows) || dst.Width() != src.Width() {
+			t.Fatalf("trial %d: %d rows of width %d, want %d of %d", trial, dst.Len(), dst.Width(), len(rows), src.Width())
+		}
+		for k, r := range rows {
+			if got, want := AppendRowEncoded(nil, dst, k), AppendRowEncoded(nil, src, int(r)); !bytes.Equal(got, want) {
+				t.Fatalf("trial %d row %d: %x, want %x", trial, k, got, want)
+			}
+		}
+	}
+}

@@ -383,8 +383,10 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 		aggs[i] = AggFuncSpec{Func: a.Func, Col: gw + i}
 	}
 	// Rows that fold the same in any order need co-location, not order:
-	// they travel on hash edges, the join's sides when it is fused.
-	hash := !c.forMR && foldsInAnyOrder(n)
+	// they travel on hash edges, the join's sides when it is fused, and
+	// the producers of an agg stage pre-aggregate them.
+	anyOrder := foldsInAnyOrder(n)
+	hash := !c.forMR && anyOrder
 	fused := c.use.fusesWithJoin(n)
 	if fused && hash {
 		c.hashJoins[n.Children[0]] = true
@@ -411,12 +413,16 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 	st := c.newStage("agg")
 	st.grouped = true
 	st.par = c.cfg.DefaultPartitions
-	st.spec.Group = &GroupOp{Kind: "agg", GroupWidth: gw, Aggs: aggs}
+	st.spec.Group = &GroupOp{Kind: "agg", GroupWidth: gw, Aggs: aggs, Partial: anyOrder}
+	var partial []AggFuncSpec
+	if anyOrder {
+		partial = aggs
+	}
 	for _, cur := range in {
 		cur = cur.with(PipeOp{Kind: "project", Project: project})
 		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
 			Input: cur.input, Output: st.name, Kind: EmitShuffle,
-			Pipe: cur.pipe, Keys: keys, Tag: -1,
+			Pipe: cur.pipe, Keys: keys, Tag: -1, Aggs: partial,
 		})
 		if err := c.shuffleEdge(cur.st, st, hash, keys); err != nil {
 			return nil, err
@@ -427,26 +433,17 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 
 // foldsInAnyOrder reports whether agg node n writes the same bytes
 // whatever order its rows fold in, judged by the kinds its input schema
-// declares: count; min and max of an int or string argument, where equal
-// values are identical so no tie is left to arrival order; sum and avg of
-// an int argument, which float64 adds exactly while every partial sum
-// stays below 2^53 (DESIGN §13). A float sum rounds differently in
-// another order, and a float min or max keeps the first of two equal
-// values (-0 and +0, NaN). The group key needs no rule: rows whose key
-// bytes are equal hold identical values in a column of one kind, so the
-// first row's key columns are every row's.
+// declares. Every aggregate state is exact in any order (aggstate.go), so
+// only the group key is left: its columns are copied from a group's first
+// row, and where a column of no declared kind (a null literal, a column
+// out of range) holds values of mixed kinds, distinct values share key
+// bytes (Int(1) and Float(1)) and the first row decides which is written.
+// In a column of one kind, rows whose key bytes are equal hold identical
+// values.
 func foldsInAnyOrder(n *Node) bool {
 	in := n.Children[0].OutSchema
-	for _, a := range n.Aggs {
-		k := row.KindNull
-		if a.Arg != nil {
-			k = exprKind(a.Arg, in)
-		}
-		switch {
-		case a.Func == "count":
-		case (a.Func == "min" || a.Func == "max") && (k == row.KindInt || k == row.KindString):
-		case (a.Func == "sum" || a.Func == "avg") && k == row.KindInt:
-		default:
+	for _, g := range n.GroupBy {
+		if exprKind(g, in) == row.KindNull {
 			return false
 		}
 	}

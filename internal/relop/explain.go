@@ -60,7 +60,8 @@ func ExplainDAG(d *dag.DAG) (string, error) {
 // executes: one line for its group op (a join that aggregates its product
 // shows the aggregate) and one per emit (kind, target, number of pipeline
 // ops; for a shuffle emit the columns it ships when its pipeline ends in a
-// projection, and a producer-side limit).
+// projection, a producer-side limit, and the aggregates it pre-aggregates,
+// partial=[...]).
 func ExplainStages(d *dag.DAG) string {
 	var sb strings.Builder
 	verts := append([]*dag.Vertex{}, d.Vertices...)
@@ -78,11 +79,7 @@ func ExplainStages(d *dag.DAG) string {
 		if g := spec.Group; g != nil {
 			fmt.Fprintf(&sb, "  group %s", g.Kind)
 			if g.AggInput != nil {
-				funcs := make([]string, len(g.Aggs))
-				for i, a := range g.Aggs {
-					funcs[i] = a.Func
-				}
-				fmt.Fprintf(&sb, " -> agg group=%d aggs=%v", g.GroupWidth, funcs)
+				fmt.Fprintf(&sb, " -> agg group=%d aggs=%v", g.GroupWidth, aggFuncs(g.Aggs))
 			}
 			sb.WriteString("\n")
 		}
@@ -94,8 +91,20 @@ func ExplainStages(d *dag.DAG) string {
 			if es.Limit > 0 {
 				fmt.Fprintf(&sb, " limit=%d", es.Limit)
 			}
+			if es.Aggs != nil {
+				fmt.Fprintf(&sb, " partial=%v", aggFuncs(es.Aggs))
+			}
 			sb.WriteString("\n")
 		}
 	}
 	return sb.String()
+}
+
+// aggFuncs lists aggregates' function names.
+func aggFuncs(aggs []AggFuncSpec) []string {
+	funcs := make([]string, len(aggs))
+	for i, a := range aggs {
+		funcs[i] = a.Func
+	}
+	return funcs
 }

@@ -62,9 +62,9 @@ func (p *stageProcessor) runHashed(ins []hashInput, bound []*vecEmitter) error {
 // group's encoded key, in whatever order the rows arrive. Rows come a
 // frame at a time (addInputs: an agg stage's [group..., args...] rows) or
 // as a join's product rows (writeProduct), projected by AggInput when
-// their batch flushes. emit writes the groups in key order. A fold is
-// reused from task to task (hashFolds): its index, states and batches
-// keep their storage.
+// their batch flushes. emit writes the groups in key order. A producer
+// pre-aggregates into one too (partial.go). A fold is reused from task to
+// task (hashFolds): its index, states and batches keep their storage.
 type hashFold struct {
 	g     *GroupOp
 	size  int
@@ -84,6 +84,14 @@ type hashFold struct {
 	build []*col.Batch
 	rows  []buildRow
 	head  []int32 // group → its last build row (-1: none)
+	// A producer's pre-aggregation (partial.go): a batch's rows ordered
+	// group by group, and the partial rows waiting to be written.
+	slots  []int32 // by group: its rows in the batch, then its next slot
+	seen   []int32 // the batch's groups, first seen first
+	perm   []int32 // the batch's rows, group by group
+	sorted []int32 // their groups
+	out    *col.Batch
+	state  []byte // a partial state being encoded
 	// Scratch.
 	b       *col.Batch
 	rowIDs  []int32
@@ -96,7 +104,7 @@ type hashFold struct {
 // hashFolds recycles folds across the tasks a container runs.
 var hashFolds = sync.Pool{New: func() any {
 	return &hashFold{keys: keyIndex{seed: maphash.MakeSeed()},
-		vals: col.NewBatch(), in: col.NewBatch(), b: col.NewBatch()}
+		vals: col.NewBatch(), in: col.NewBatch(), out: col.NewBatch(), b: col.NewBatch()}
 }}
 
 // getHashFold returns an empty fold of g's aggregates that batches a
@@ -113,13 +121,19 @@ func getHashFold(g *GroupOp, size int) (*hashFold, error) {
 		}
 		f.needs = append(f.needs, need)
 	}
+	f.reset()
+	f.rows, f.head = f.rows[:0], f.head[:0]
+	f.in.Reset()
+	f.out.Reset()
+	return f, nil
+}
+
+// reset empties the fold's groups, keeping their storage.
+func (f *hashFold) reset() {
 	f.keys.reset()
 	f.first, f.states, f.gids = f.first[:0], f.states[:0], f.gids[:0]
-	f.rows, f.head = f.rows[:0], f.head[:0]
 	f.vals.Reset()
-	f.vals.EnsureWidth(g.GroupWidth)
-	f.in.Reset()
-	return f, nil
+	f.vals.EnsureWidth(f.g.GroupWidth)
 }
 
 // group returns the group of an encoded key, adding it if new.
@@ -127,27 +141,40 @@ func (f *hashFold) group(key []byte) int32 {
 	id := f.keys.add(key)
 	if int(id) == len(f.first) {
 		f.first = append(f.first, -1)
-		for range f.g.Aggs {
-			f.states = append(f.states, aggState{})
+		n, na := len(f.states), len(f.g.Aggs)
+		f.states = slices.Grow(f.states, na)[:n+na]
+		for i := n; i < n+na; i++ {
+			f.states[i].reset()
 		}
 	}
 	return id
 }
 
-// groupRows returns the group of each of b's rows keyed by keys, adding
-// the groups of new keys when add is set and giving them -1 when it is
-// not. Consecutive rows with equal keys look their group up once.
+// groupRows returns the group of each of b's live rows keyed by keys,
+// adding the groups of new keys when add is set and giving them -1 when
+// it is not.
 func (f *hashFold) groupRows(b *col.Batch, keys []*Expr, add bool) []int32 {
 	f.keyVecs = evalKeys(f.keyVecs[:0], keys, b)
+	return f.groupLive(b, 0, add, -1)
+}
+
+// groupLive returns the group of each of b's live rows from the from-th
+// on, keyed by f.keyVecs; with add and a limit ≥ 0 it stops before a row
+// that would add group number limit. Consecutive rows with equal keys
+// look their group up once.
+func (f *hashFold) groupLive(b *col.Batch, from int, add bool, limit int) []int32 {
 	f.rowIDs = f.rowIDs[:0]
 	id := int32(-1)
-	for i := 0; i < b.Len(); i++ {
-		f.keyBuf = appendKey(f.keyBuf[:0], f.keyVecs, i, nil)
-		if i == 0 || !bytes.Equal(f.keyBuf, f.prevKey) {
-			if add {
-				id = f.group(f.keyBuf)
-			} else {
+	for k := from; k < b.Live(); k++ {
+		f.keyBuf = appendKey(f.keyBuf[:0], f.keyVecs, b.RowAt(k), nil)
+		if k == from || !bytes.Equal(f.keyBuf, f.prevKey) {
+			switch {
+			case !add:
 				id = f.keys.find(f.keyBuf)
+			case limit >= 0 && len(f.first) >= limit && f.keys.find(f.keyBuf) < 0:
+				return f.rowIDs
+			default:
+				id = f.group(f.keyBuf)
 			}
 			f.keyBuf, f.prevKey = f.prevKey, f.keyBuf
 		}
@@ -179,7 +206,7 @@ func (f *hashFold) addInputs(ins []hashInput) error {
 }
 
 // fold folds b's rows, dense, into their groups gids[i]: each run of rows
-// of one group at once, through observeChunk.
+// of one group at once, through foldChunk.
 func (f *hashFold) fold(b *col.Batch, gids []int32) error {
 	gw, na := f.g.GroupWidth, len(f.g.Aggs)
 	if len(gids) > 0 && b.Width() < gw {
@@ -199,11 +226,8 @@ func (f *hashFold) fold(b *col.Batch, gids []int32) error {
 			f.vals.SetRowCount(r + 1)
 			f.first[id] = int32(r)
 		}
-		states := f.states[int(id)*na : int(id+1)*na]
-		for i, a := range f.g.Aggs {
-			if c := a.Col; c >= 0 && c < b.Width() {
-				observeChunk(&states[i], b.Col(c), lo, hi, f.needs[i])
-			}
+		if err := foldChunk(f.g, f.states[int(id)*na:int(id+1)*na], b, lo, hi, f.needs); err != nil {
+			return err
 		}
 		lo = hi
 	}

@@ -13,7 +13,9 @@ import (
 
 	"tez/internal/am"
 	"tez/internal/col"
+	"tez/internal/dag"
 	"tez/internal/library"
+	"tez/internal/plugin"
 	"tez/internal/row"
 )
 
@@ -40,16 +42,18 @@ func edgeCounts(t *testing.T, roots []*Node) (hash, ordered int) {
 	return hash, ordered
 }
 
-// TestEdgeChoice: a shuffle feeds an aggregate over a hash edge exactly
-// when every aggregate is exact in any order by the kinds the plan
-// declares — count, int or string min/max, int sum/avg — and a fused
-// join's sides travel that way too; everything else keeps the sort.
+// TestEdgeChoice: a shuffle feeds an aggregate over a hash edge, and its
+// producers pre-aggregate, unless a group key has no declared kind (where
+// distinct values share key bytes and the first row would decide the key
+// written); a fused join's sides travel that way too; everything else
+// keeps the sort.
 func TestEdgeChoice(t *testing.T) {
 	tb := &Table{Name: "t", Schema: row.NewSchema("k:int", "s", "i:int", "f:float"), Files: []string{"/t/0"}}
 	ub := &Table{Name: "u", Schema: row.NewSchema("k:int", "j:int", "g:float"), Files: []string{"/u/0"}}
-	agg := func(aggs ...AggDef) []*Node {
-		return []*Node{StoreNode(AggNode(Scan(tb), []*Expr{Col(0)}, []string{"k"}, aggs), "/o")}
+	aggBy := func(groupBy *Expr, aggs ...AggDef) []*Node {
+		return []*Node{StoreNode(AggNode(Scan(tb), []*Expr{groupBy}, []string{"k"}, aggs), "/o")}
 	}
+	agg := func(aggs ...AggDef) []*Node { return aggBy(Col(0), aggs...) }
 	joinAgg := func(aggs ...AggDef) []*Node {
 		j := JoinNode(Scan(tb), Scan(ub), []*Expr{Col(0)}, []*Expr{Col(0)}, false)
 		return []*Node{StoreNode(AggNode(j, []*Expr{Col(0)}, []string{"k"}, aggs), "/o")}
@@ -65,16 +69,19 @@ func TestEdgeChoice(t *testing.T) {
 		{"sum(int)", agg(AggDef{Func: "sum", Arg: Col(2), Name: "x"}), 1, 0},
 		{"avg(int*2)", agg(AggDef{Func: "avg", Arg: Arith("*", Col(2), LitInt(2)), Name: "x"}), 1, 0},
 		{"min(string) max(int)", agg(AggDef{Func: "min", Arg: Col(1), Name: "x"}, AggDef{Func: "max", Arg: Col(2), Name: "y"}), 1, 0},
-		{"sum(float)", agg(AggDef{Func: "sum", Arg: Col(3), Name: "x"}), 0, 1},
-		{"avg(float)", agg(AggDef{Func: "avg", Arg: Col(3), Name: "x"}), 0, 1},
-		{"sum(int/2)", agg(AggDef{Func: "sum", Arg: Arith("/", Col(2), LitInt(2)), Name: "x"}), 0, 1},
-		{"sum(string)", agg(AggDef{Func: "sum", Arg: Col(1), Name: "x"}), 0, 1},
-		{"min(float)", agg(AggDef{Func: "min", Arg: Col(3), Name: "x"}), 0, 1},
-		{"max(null literal)", agg(AggDef{Func: "max", Arg: nullLit(), Name: "x"}), 0, 1},
-		{"min(out of range)", agg(AggDef{Func: "min", Arg: Col(9), Name: "x"}), 0, 1},
-		{"count and sum(float)", agg(AggDef{Func: "count", Name: "n"}, AggDef{Func: "sum", Arg: Col(3), Name: "x"}), 0, 1},
+		{"sum(float)", agg(AggDef{Func: "sum", Arg: Col(3), Name: "x"}), 1, 0},
+		{"avg(float)", agg(AggDef{Func: "avg", Arg: Col(3), Name: "x"}), 1, 0},
+		{"sum(int/2)", agg(AggDef{Func: "sum", Arg: Arith("/", Col(2), LitInt(2)), Name: "x"}), 1, 0},
+		{"sum(string)", agg(AggDef{Func: "sum", Arg: Col(1), Name: "x"}), 1, 0},
+		{"min(float)", agg(AggDef{Func: "min", Arg: Col(3), Name: "x"}), 1, 0},
+		{"max(null literal)", agg(AggDef{Func: "max", Arg: nullLit(), Name: "x"}), 1, 0},
+		{"min(out of range)", agg(AggDef{Func: "min", Arg: Col(9), Name: "x"}), 1, 0},
+		{"by float", aggBy(Col(3), AggDef{Func: "sum", Arg: Col(3), Name: "x"}), 1, 0},
+		{"by comparison", aggBy(Cmp("<", Col(3), LitInt(0)), AggDef{Func: "count", Name: "n"}), 1, 0},
+		{"by null literal", aggBy(nullLit(), AggDef{Func: "count", Name: "n"}), 0, 1},
+		{"by out of range", aggBy(Col(9), AggDef{Func: "sum", Arg: Col(3), Name: "x"}), 0, 1},
 		{"fused join sum(int)", joinAgg(AggDef{Func: "sum", Arg: Col(5), Name: "x"}), 2, 0},
-		{"fused join sum(float)", joinAgg(AggDef{Func: "sum", Arg: Col(6), Name: "x"}), 0, 2},
+		{"fused join sum(float)", joinAgg(AggDef{Func: "sum", Arg: Col(6), Name: "x"}), 2, 0},
 		{"plain join", []*Node{StoreNode(JoinNode(Scan(tb), Scan(ub), []*Expr{Col(0)}, []*Expr{Col(0)}, false), "/o")}, 0, 2},
 		{"self join", []*Node{StoreNode(AggNode(JoinNode(self, self, []*Expr{Col(0)}, []*Expr{Col(0)}, false),
 			[]*Expr{Col(0)}, []string{"k"}, []AggDef{{Func: "count", Name: "n"}}), "/o")}, 0, 1},
@@ -86,6 +93,38 @@ func TestEdgeChoice(t *testing.T) {
 	for _, c := range cases {
 		if hash, ordered := edgeCounts(t, c.roots); hash != c.hash || ordered != c.ordered {
 			t.Errorf("%s: %d hash and %d ordered edges, want %d and %d", c.name, hash, ordered, c.hash, c.ordered)
+		}
+		// A plan's agg stage merges partial states exactly when its
+		// producers pre-aggregate, which is when its edge is a hash
+		// edge on Tez; the MR chain runs the same stages.
+		jobs, _, err := CompileMR(Config{}, "mr", c.roots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d []*dag.DAG
+		if tez, err := EmitDAGOnly(Config{}, "tez", c.roots); err == nil {
+			d = append(d, tez)
+		} else {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			d = append(d, j.DAG)
+		}
+		for _, g := range d {
+			for _, v := range g.Vertices {
+				var spec StageSpec
+				if err := plugin.Decode(v.Processor.Payload, &spec); err != nil {
+					t.Fatal(err)
+				}
+				if spec.Group != nil && spec.Group.Kind == "agg" && spec.Group.Partial != (c.hash > 0) {
+					t.Errorf("%s: %s %s merges partial states: %v", c.name, g.Name, v.Name, spec.Group.Partial)
+				}
+				for _, es := range spec.Emits {
+					if strings.HasSuffix(es.Output, "_agg") && (es.Aggs != nil) != (c.hash > 0) {
+						t.Errorf("%s: %s %s emit pre-aggregates: %v", c.name, g.Name, v.Name, es.Aggs != nil)
+					}
+				}
+			}
 		}
 	}
 	// The MR chain sorts every shuffle, whatever its consumer folds.
@@ -102,11 +141,12 @@ func TestEdgeChoice(t *testing.T) {
 	}
 }
 
-// Differential tables: nullable int and string keys, an int and a string
-// argument on the left, an int argument on the right.
+// Differential tables: nullable int and string keys; int, string, float
+// (±0, NaN, ±Inf among them) and kind-mixed arguments on the left; int and
+// float arguments on the right.
 var (
-	diffLeft  = row.NewSchema("k1:int", "k2", "a:int", "b")
-	diffRight = row.NewSchema("k1:int", "k2", "c:int")
+	diffLeft  = row.NewSchema("k1:int", "k2", "a:int", "b", "f:float", "m")
+	diffRight = row.NewSchema("k1:int", "k2", "c:int", "g:float")
 )
 
 // randDiffRows draws rows of the differential tables: keys from small
@@ -128,28 +168,35 @@ func randDiffRows(rng *rand.Rand, n int, right bool) []row.Row {
 			maybe(row.Int(int64(rng.Intn(201) - 100))),
 		}
 		if !right {
-			r = append(r, maybe(row.String(strs[rng.Intn(len(strs))])))
+			r = append(r, maybe(row.String(strs[rng.Intn(len(strs))])), randPartialArg(rng, 1), randPartialArg(rng, 3))
+		} else {
+			r = append(r, randPartialArg(rng, 1))
 		}
 		rows[i] = r
 	}
 	return rows
 }
 
-// randExactAggs draws 1–4 aggregates exact in any order over the columns
-// of a row whose int columns are ints and string columns strings.
-func randExactAggs(rng *rand.Rand, ints, strs []int) []AggDef {
+// randDiffAggs draws 1–4 aggregates over the columns of a row whose int
+// columns are ints, string columns strings, float columns floats and
+// mixed columns anything: count(*) and count(col); sum, avg, min and max
+// of an int, of a float, of an int times a float literal, of a mixed
+// column and of an argument of no declared kind (a null literal, a column
+// past the row); min and max of a string.
+func randDiffAggs(rng *rand.Rand, ints, strs, floats, mixed []int) []AggDef {
+	pick := func(cols []int) *Expr { return Col(cols[rng.Intn(len(cols))]) }
 	var aggs []AggDef
 	for i := 0; i < 1+rng.Intn(4); i++ {
 		name := fmt.Sprintf("a%d", i)
-		switch rng.Intn(6) {
+		f := []string{"sum", "avg", "min", "max"}[rng.Intn(4)]
+		switch rng.Intn(8) {
 		case 0:
 			aggs = append(aggs, AggDef{Func: "count", Name: name})
 		case 1:
-			all := append(append([]int{}, ints...), strs...)
-			aggs = append(aggs, AggDef{Func: "count", Arg: Col(all[rng.Intn(len(all))]), Name: name})
+			all := append(append(append([]int{}, ints...), strs...), floats...)
+			aggs = append(aggs, AggDef{Func: "count", Arg: pick(all), Name: name})
 		case 2, 3:
-			f := []string{"sum", "avg", "min", "max"}[rng.Intn(4)]
-			arg := Col(ints[rng.Intn(len(ints))])
+			arg := pick(ints)
 			switch rng.Intn(4) {
 			case 0:
 				arg = Arith("*", arg, LitInt(int64(rng.Intn(5)-2)))
@@ -157,65 +204,47 @@ func randExactAggs(rng *rand.Rand, ints, strs []int) []AggDef {
 				arg = Cmp("<", arg, LitInt(0))
 			}
 			aggs = append(aggs, AggDef{Func: f, Arg: arg, Name: name})
+		case 4:
+			arg := pick(floats)
+			if rng.Intn(2) == 0 {
+				arg = Arith("*", pick(ints), LitFloat(0.1))
+			}
+			aggs = append(aggs, AggDef{Func: f, Arg: arg, Name: name})
+		case 5:
+			arg := []*Expr{pick(mixed), nullLit(), Col(99)}[rng.Intn(3)]
+			aggs = append(aggs, AggDef{Func: f, Arg: arg, Name: name})
 		default:
 			f := []string{"min", "max"}[rng.Intn(2)]
-			aggs = append(aggs, AggDef{Func: f, Arg: Col(strs[rng.Intn(len(strs))]), Name: name})
+			aggs = append(aggs, AggDef{Func: f, Arg: pick(strs), Name: name})
 		}
 	}
 	return aggs
 }
 
 // refAgg is the plain-Go aggregate: rows grouped by the key bytes of the
-// group expressions, aggregates over non-null arguments.
+// group expressions, aggregates over non-null arguments by the math/big
+// reference.
 func refAgg(rows []row.Row, groupBy []*Expr, aggs []AggDef) []row.Row {
-	type group struct {
-		key    row.Row
-		states []aggState
-	}
-	groups := map[string]*group{}
-	var order []string
+	var ref refGroups
 	for _, r := range rows {
-		key := EvalAll(groupBy, r)
-		k := string(row.EncodeKey(nil, key...))
-		g := groups[k]
-		if g == nil {
-			g = &group{key: key, states: make([]aggState, len(aggs))}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i, a := range aggs {
-			v := row.Int(1)
-			if a.Arg != nil {
-				v = a.Arg.Eval(r)
-			}
-			g.states[i].observe(v)
-		}
+		ref.add(EvalAll(groupBy, r), r, aggs)
 	}
-	spec := &GroupOp{Aggs: make([]AggFuncSpec, len(aggs))}
-	for i, a := range aggs {
-		spec.Aggs[i].Func = a.Func
-	}
-	var out []row.Row
-	for _, k := range order {
-		r, err := finalizeAgg(spec, groups[k].key, groups[k].states)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, r)
-	}
-	return out
+	return ref.rows(aggs)
 }
 
-// TestHashEdgeDifferential runs generated plans whose aggregates are exact
-// in any order — group-bys of 1–3 keys (a comparison among them, which
-// travels as a bool column) and shuffle joins fused with their aggregate;
-// count(*), count(col), int sum/avg/min/max and string min/max over
-// NULL-bearing columns — on Tez, where they take hash edges, and as
-// an MR chain, which sorts, at 1, 3 and 8 partitions, and holds both to a
-// plain-Go reference, row bytes for row bytes.
+// TestHashEdgeDifferential runs generated plans — group-bys of 1–3 keys (a
+// comparison among them, which travels as a bool column) and shuffle
+// joins fused with their aggregate; count(*), count(col), sum, avg, min
+// and max of int, float, kind-mixed and untyped arguments over columns
+// holding NULLs, ±0, NaN and ±Inf, string min/max — on Tez, where they
+// take hash edges, and as an MR chain, which sorts, at 1, 3 and 8
+// partitions, with the producers' partial tables writing out after every
+// group, every 3 groups or at the default cap, and holds both to the
+// math/big reference, row bytes for row bytes.
 func TestHashEdgeDifferential(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
+	defer func(c int) { partialGroupCap = c }(partialGroupCap)
 	rng := rand.New(rand.NewSource(41))
 	leftRows, rightRows := randDiffRows(rng, 300, false), randDiffRows(rng, 120, true)
 	left := h.table("diff_l", diffLeft, 5, leftRows)
@@ -224,8 +253,9 @@ func TestHashEdgeDifferential(t *testing.T) {
 	for _, parts := range []int{1, 3, 8} {
 		cfg := Config{DefaultPartitions: parts}
 		sess := am.NewSession(h.plat, am.Config{Name: fmt.Sprintf("diff-%d", parts)})
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 6; i++ {
 			trial++
+			partialGroupCap = []int{1 << 12, 1, 3}[trial%3]
 			var mk func(out string) []*Node
 			var want []row.Row
 			if i%2 == 0 {
@@ -236,18 +266,19 @@ func TestHashEdgeDifferential(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					groupBy[0] = Cmp(">", Col(2), LitInt(10))
 				}
-				aggs := randExactAggs(rng, []int{0, 2}, []int{1, 3})
+				aggs := randDiffAggs(rng, []int{0, 2}, []int{1, 3}, []int{4}, []int{5})
 				mk = func(out string) []*Node {
 					return []*Node{StoreNode(AggNode(Scan(left), groupBy, make([]string, len(groupBy)), aggs), out)}
 				}
 				want = refAgg(leftRows, groupBy, aggs)
 			} else {
-				// Join output: k1 0, k2 1, a 2, b 3, rk1 4, rk2 5, c 6.
-				keysL, keysR, groupBy := []int{0}, []int{0}, []int{[]int{0, 4}[rng.Intn(2)]}
+				// Join output: k1 0, k2 1, a 2, b 3, f 4, m 5, rk1 6, rk2 7,
+				// c 8, g 9.
+				keysL, keysR, groupBy := []int{0}, []int{0}, []int{[]int{0, 6}[rng.Intn(2)]}
 				if rng.Intn(2) == 0 {
-					keysL, keysR, groupBy = []int{0, 1}, []int{0, 1}, []int{1, 4}
+					keysL, keysR, groupBy = []int{0, 1}, []int{0, 1}, []int{1, 6}
 				}
-				aggs := randExactAggs(rng, []int{0, 2, 6}, []int{1, 3, 5})
+				aggs := randDiffAggs(rng, []int{0, 2, 8}, []int{1, 3, 7}, []int{4, 9}, []int{5})
 				mk = func(out string) []*Node {
 					var kl, kr, g []*Expr
 					for i := range keysL {
@@ -576,7 +607,9 @@ func TestWriteFramesPartitionLikeOrdered(t *testing.T) {
 
 // TestHashEdgeCorruptInput: a frame or tag that does not decode fails the
 // read with an error, never a panic — random byte flips and cuts of valid
-// frames, foreign tags, and an agg row narrower than its group key.
+// frames (partial states among them), foreign tags, an agg row narrower
+// than its group key, and a partial agg's state column holding ints or
+// strings that are no states.
 func TestHashEdgeCorruptInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	aggOp := &GroupOp{Kind: "agg", GroupWidth: 2, Aggs: []AggFuncSpec{{Func: "sum", Col: 2}, {Func: "min", Col: 3}}}
@@ -620,14 +653,16 @@ func TestHashEdgeCorruptInput(t *testing.T) {
 		g    *GroupOp
 		recs []capturedKV
 	}{
-		{aggOp, []capturedKV{{key: []byte{0}, val: aggFrames[0].val}}},                    // keyed agg frame
-		{joinOp, []capturedKV{{key: nil, val: joinFrames[0].val}}},                        // untagged
-		{joinOp, []capturedKV{{key: []byte{2}, val: joinFrames[0].val}}},                  // tag out of range
-		{joinOp, []capturedKV{{key: []byte{0, 1}, val: joinFrames[0].val}}},               // two-byte tag
-		{&GroupOp{Kind: "agg", GroupWidth: 5}, aggFrames},                                 // rows under the key
-		{aggOp, []capturedKV{{val: []byte{0xB5}}}},                                        // cut header
-		{&GroupOp{Kind: "distinct"}, aggFrames},                                           // not a hash fold
-		{&GroupOp{Kind: "agg", Aggs: []AggFuncSpec{{Func: "median", Col: 0}}}, aggFrames}, // unknown aggregate
+		{aggOp, []capturedKV{{key: []byte{0}, val: aggFrames[0].val}}},                                               // keyed agg frame
+		{joinOp, []capturedKV{{key: nil, val: joinFrames[0].val}}},                                                   // untagged
+		{joinOp, []capturedKV{{key: []byte{2}, val: joinFrames[0].val}}},                                             // tag out of range
+		{joinOp, []capturedKV{{key: []byte{0, 1}, val: joinFrames[0].val}}},                                          // two-byte tag
+		{&GroupOp{Kind: "agg", GroupWidth: 5}, aggFrames},                                                            // rows under the key
+		{aggOp, []capturedKV{{val: []byte{0xB5}}}},                                                                   // cut header
+		{&GroupOp{Kind: "distinct"}, aggFrames},                                                                      // not a hash fold
+		{&GroupOp{Kind: "agg", Aggs: []AggFuncSpec{{Func: "median", Col: 0}}}, aggFrames},                            // unknown aggregate
+		{&GroupOp{Kind: "agg", GroupWidth: 2, Partial: true, Aggs: []AggFuncSpec{{Func: "sum", Col: 2}}}, aggFrames}, // ints, not states
+		{&GroupOp{Kind: "agg", GroupWidth: 2, Partial: true, Aggs: []AggFuncSpec{{Func: "min", Col: 3}}}, aggFrames}, // strings, not states
 	} {
 		if c.g.Kind == "distinct" {
 			p := &stageProcessor{spec: &StageSpec{Group: c.g}}
@@ -640,10 +675,28 @@ func TestHashEdgeCorruptInput(t *testing.T) {
 			t.Errorf("%s over %x: no error", c.g.Kind, c.recs)
 		}
 	}
-	for i := 0; i < 2000; i++ {
+	// A pre-aggregating producer's frames of partial states.
+	partialOp := &GroupOp{Kind: "agg", GroupWidth: 2, Partial: true, Aggs: aggOp.Aggs}
+	pw := &framesWriter{n: 1, frames: make([][]capturedKV, 1)}
+	ve := newVecEmitter(EmitSpec{Kind: EmitShuffle, Keys: []*Expr{Col(0), Col(1)}, Tag: -1, Aggs: aggOp.Aggs}, pw, nil, 4)
+	for _, r := range rows {
+		if err := ve.add(row.Encode(nil, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ve.close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(partialOp, pw.frames[0]); err != nil {
+		t.Fatalf("intact partial frames: %v", err)
+	}
+	for i := 0; i < 3000; i++ {
 		g, src := aggOp, aggFrames
-		if i%2 == 1 {
+		switch i % 3 {
+		case 1:
 			g, src = joinOp, joinFrames
+		case 2:
+			g, src = partialOp, pw.frames[0]
 		}
 		recs := make([]capturedKV, len(src))
 		for j, r := range src {
@@ -676,7 +729,7 @@ func TestHashEdgeCounters(t *testing.T) {
 	defer sess.Close()
 	cfg := Config{DefaultPartitions: 3}
 	j := JoinNode(Scan(left), Scan(right), []*Expr{Col(0)}, []*Expr{Col(0)}, false)
-	aggs := []AggDef{{Func: "sum", Arg: Col(6), Name: "s"}}
+	aggs := []AggDef{{Func: "sum", Arg: Col(8), Name: "s"}}
 	roots := []*Node{StoreNode(AggNode(j, []*Expr{Col(0)}, []string{"k"}, aggs), "/out/cnt")}
 	if hash, _ := edgeCounts(t, roots); hash != 2 {
 		t.Fatalf("join takes %d hash edges, want 2", hash)
@@ -724,12 +777,11 @@ func TestKeyIndexNumbersKeys(t *testing.T) {
 	}
 }
 
-// TestFloatExtremesTieOnOrder is why foldsInAnyOrder keeps float min and
-// max on the ordered edge: -0 and +0 tie under row.Compare, the first
-// seen wins, and the two encode differently, so the bytes written follow
-// the rows' arrival order.
-func TestFloatExtremesTieOnOrder(t *testing.T) {
-	g := &GroupOp{Kind: "agg", GroupWidth: 1, Aggs: []AggFuncSpec{{Func: "min", Col: 1}}}
+// TestFloatExtremesIgnoreOrder: -0 and +0 tie under row.Compare, but min
+// and max break the tie by row.CompareTotal, so the bytes written do not
+// follow the rows' arrival order, and a float min takes a hash edge.
+func TestFloatExtremesIgnoreOrder(t *testing.T) {
+	g := &GroupOp{Kind: "agg", GroupWidth: 1, Aggs: []AggFuncSpec{{Func: "min", Col: 1}, {Func: "max", Col: 1}}}
 	var out [2][]capturedKV
 	for i, zeros := range [][]float64{{0, math.Copysign(0, -1)}, {math.Copysign(0, -1), 0}} {
 		f, err := getHashFold(g, DefaultBatchSize)
@@ -754,12 +806,15 @@ func TestFloatExtremesTieOnOrder(t *testing.T) {
 		}
 		out[i] = w.kvs
 	}
-	if bytes.Equal(out[0][0].val, out[1][0].val) {
-		t.Fatal("min over +0 and -0 wrote the same bytes in both orders")
+	want := row.Encode(nil, row.Row{row.Int(1), row.Float(math.Copysign(0, -1)), row.Float(0)})
+	for i := range out {
+		if !bytes.Equal(out[i][0].val, want) {
+			t.Fatalf("order %d: min and max over +0 and -0 wrote %x, want %x", i, out[i][0].val, want)
+		}
 	}
 	if hash, _ := edgeCounts(t, []*Node{StoreNode(AggNode(Scan(&Table{Name: "t",
 		Schema: row.NewSchema("k:int", "x:float"), Files: []string{"/t/0"}}),
-		[]*Expr{Col(0)}, []string{"k"}, []AggDef{{Func: "min", Arg: Col(1), Name: "m"}}), "/o")}); hash != 0 {
-		t.Fatal("a float min takes a hash edge")
+		[]*Expr{Col(0)}, []string{"k"}, []AggDef{{Func: "min", Arg: Col(1), Name: "m"}}), "/o")}); hash != 1 {
+		t.Fatal("a float min keeps the ordered edge")
 	}
 }

@@ -1,8 +1,13 @@
 package relop
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"math/big"
+	"slices"
 
 	"tez/internal/row"
 	"tez/internal/runtime"
@@ -219,17 +224,13 @@ func sampledRow(r row.Row, rate float64) bool {
 	return float64(h.Sum32()%1000000) < rate*1000000
 }
 
+// observe folds one argument, row at a time, into every field of the
+// state: count, the exact sum, and min and max under row.CompareTotal.
 func (st *aggState) observe(av row.Value) {
 	if !av.IsNull() {
 		st.count++
-		st.sum += av.AsFloat()
-		if !st.init || row.Compare(av, st.min) < 0 {
-			st.min = av
-		}
-		if !st.init || row.Compare(av, st.max) > 0 {
-			st.max = av
-		}
-		st.init = true
+		st.addValue(av)
+		st.observeExtremes(av, av)
 	}
 }
 
@@ -270,7 +271,7 @@ func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, err
 			if st.count == 0 {
 				out = append(out, row.Null())
 			} else {
-				out = append(out, row.Float(st.sum))
+				out = append(out, row.Float(st.sum(1)))
 			}
 		case "count":
 			out = append(out, row.Int(st.count))
@@ -278,7 +279,7 @@ func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, err
 			if st.count == 0 {
 				out = append(out, row.Null())
 			} else {
-				out = append(out, row.Float(st.sum/float64(st.count)))
+				out = append(out, row.Float(st.sum(st.count)))
 			}
 		case "min":
 			out = append(out, st.min)
@@ -327,4 +328,130 @@ func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Ro
 		return nil
 	}
 	return rec(0, row.Row{})
+}
+
+// refSum is the math/big reference for a sum (div 1) or an average (div
+// the argument count) of non-null arguments: NaN if one is a NaN or both
+// infinities occur, else the infinity that occurs, else the exact
+// rational sum of the ints and the finite floats (a string adds 0)
+// divided by div and rounded once to the nearest float64, ties to even
+// (big.Rat.Float64), an exact zero as +0.
+func refSum(vals []row.Value, div int64) float64 {
+	var nan, pos, neg bool
+	sum := new(big.Rat)
+	for _, v := range vals {
+		switch {
+		case v.Kind == row.KindInt:
+			sum.Add(sum, new(big.Rat).SetInt64(v.Int))
+		case v.Kind != row.KindFloat:
+		case math.IsNaN(v.Float):
+			nan = true
+		case math.IsInf(v.Float, 1):
+			pos = true
+		case math.IsInf(v.Float, -1):
+			neg = true
+		default:
+			sum.Add(sum, new(big.Rat).SetFloat64(v.Float))
+		}
+	}
+	switch {
+	case nan || pos && neg:
+		return math.NaN()
+	case pos:
+		return math.Inf(1)
+	case neg:
+		return math.Inf(-1)
+	}
+	f, _ := sum.Quo(sum, new(big.Rat).SetInt64(div)).Float64()
+	return f
+}
+
+// refExtremes is the reference min and max of non-null arguments: the
+// first and last under the order of their key bytes (row.EncodeKey), then
+// ints before floats, then ints by value.
+func refExtremes(vals []row.Value) (mn, mx row.Value) {
+	if len(vals) == 0 {
+		return row.Null(), row.Null()
+	}
+	sorted := slices.Clone(vals)
+	slices.SortFunc(sorted, func(a, b row.Value) int {
+		if c := bytes.Compare(row.EncodeKey(nil, a), row.EncodeKey(nil, b)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Int, b.Int)
+	})
+	return sorted[0], sorted[len(sorted)-1]
+}
+
+// refAggRow is the reference result of aggregate fn over a group's
+// arguments, nulls among them: count counts the non-null ones, a sum or
+// average of none is null.
+func refAggRow(fn string, args []row.Value) row.Value {
+	var vals []row.Value
+	for _, v := range args {
+		if !v.IsNull() {
+			vals = append(vals, v)
+		}
+	}
+	mn, mx := refExtremes(vals)
+	switch {
+	case fn == "count":
+		return row.Int(int64(len(vals)))
+	case fn == "min":
+		return mn
+	case fn == "max":
+		return mx
+	case len(vals) == 0:
+		return row.Null()
+	case fn == "sum":
+		return row.Float(refSum(vals, 1))
+	}
+	return row.Float(refSum(vals, int64(len(vals))))
+}
+
+// refGroups groups rows by the key bytes of their group values, in order
+// of first appearance, keeping the first row's values as the group's and
+// every row's aggregate arguments (the oracle's Expr.Eval; count(*)
+// counts a 1).
+type refGroups struct {
+	index map[string]int
+	keys  []row.Row
+	args  [][][]row.Value // group, aggregate, argument
+}
+
+func (g *refGroups) add(key, r row.Row, aggs []AggDef) {
+	k := string(row.EncodeKey(nil, key...))
+	i, ok := g.index[k]
+	if !ok {
+		if g.index == nil {
+			g.index = map[string]int{}
+		}
+		i = len(g.keys)
+		g.index[k] = i
+		g.keys = append(g.keys, key)
+		g.args = append(g.args, make([][]row.Value, len(aggs)))
+	}
+	for j, a := range aggs {
+		v := row.Int(1)
+		if a.Arg != nil {
+			v = a.Arg.Eval(r)
+		}
+		g.args[i][j] = append(g.args[i][j], v)
+	}
+}
+
+// rows returns each group's values followed by refAggRow's results.
+func (g *refGroups) rows(aggs []AggDef) []row.Row {
+	var out []row.Row
+	for i, key := range g.keys {
+		r := append(row.Row{}, key...)
+		for j, a := range aggs {
+			r = append(r, refAggRow(a.Func, g.args[i][j]))
+		}
+		out = append(out, r)
+	}
+	return out
 }

@@ -73,51 +73,20 @@ func refJoinAgg(left, right []row.Row, keysL, keysR []int, groupBy []int, aggs [
 		}
 		return string(k)
 	}
-	type group struct {
-		key    row.Row
-		states []aggState
-	}
-	groups := map[string]*group{}
-	var order []string
+	var ref refGroups
 	for _, l := range left {
 		for _, r := range right {
-			if keyOf(l, keysL) != keyOf(r, keysR) {
-				continue
-			}
-			p := append(append(row.Row{}, l...), r...)
-			gk := keyOf(p, groupBy)
-			g := groups[gk]
-			if g == nil {
-				g = &group{states: make([]aggState, len(aggs))}
+			if keyOf(l, keysL) == keyOf(r, keysR) {
+				p := append(append(row.Row{}, l...), r...)
+				var key row.Row
 				for _, c := range groupBy {
-					g.key = append(g.key, p[c])
+					key = append(key, p[c])
 				}
-				groups[gk] = g
-				order = append(order, gk)
-			}
-			for i, a := range aggs {
-				v := row.Int(1)
-				if a.Arg != nil {
-					v = a.Arg.Eval(p)
-				}
-				g.states[i].observe(v)
+				ref.add(key, p, aggs)
 			}
 		}
 	}
-	var out []row.Row
-	for _, gk := range order {
-		g := groups[gk]
-		spec := &GroupOp{Aggs: make([]AggFuncSpec, len(aggs))}
-		for i, a := range aggs {
-			spec.Aggs[i].Func = a.Func
-		}
-		r, err := finalizeAgg(spec, g.key, g.states)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, r)
-	}
-	return out
+	return ref.rows(aggs)
 }
 
 // encodedSorted renders rows as their row.Encode bytes, sorted: the

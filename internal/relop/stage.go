@@ -55,6 +55,9 @@ type GroupOp struct {
 	// reads value column GroupWidth+i.
 	GroupWidth int
 	Aggs       []AggFuncSpec
+	// Partial (agg): the producers pre-aggregate, so value column
+	// GroupWidth+i holds aggregate i's partial state, which merges.
+	Partial bool
 	// join fused with an aggregate whose group key is the join key: each
 	// product row is projected by AggInput to the agg layout above
 	// ([group..., args...]) and the group output is the aggregated rows.
@@ -121,6 +124,11 @@ type EmitSpec struct {
 	// Limit > 0 (shuffle into a limited sort) writes only the task's Limit
 	// smallest (key, value) records, at task end.
 	Limit int
+	// Aggs (shuffle into a partial agg stage) pre-aggregates: the rows,
+	// laid out [group..., args...] with the group the first len(Keys)
+	// columns, fold into partial states by group, and the emit writes one
+	// row [group..., state...] per group (partial.go).
+	Aggs []AggFuncSpec
 	// SampleRate in (0,1] emits only a deterministic sample of rows.
 	SampleRate float64
 	// initializer: the data source name at the target vertex.
@@ -153,8 +161,9 @@ func validateEmit(es *EmitSpec) error {
 
 // StageSpec is the full program of one stage. It is the same for every
 // task of a vertex and deep, so it stays gob-encoded (plugin's generic
-// path) and is decoded once per container, not per task: loadStageSpec
-// shares the decoded value, read-only, through the object registry.
+// path) and is decoded once per container and DAG, not per task:
+// loadStageSpec shares the decoded value, read-only, through the object
+// registry.
 type StageSpec struct {
 	Inputs []StageInput
 	Group  *GroupOp // nil for map stages

@@ -3,22 +3,11 @@ package relop
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"tez/internal/col"
 	"tez/internal/row"
 )
-
-// aggState accumulates one aggregate over its non-null arguments: count
-// counts them, sum accumulates their float64 values in row order (a sum or
-// avg of no values is null), min/max keep the first value on Compare ties
-// (observeChunk applies the rules).
-type aggState struct {
-	sum   float64
-	count int64
-	min   row.Value
-	max   row.Value
-	init  bool
-}
 
 // aggNeed records which aggState fields a given aggregate function reads
 // besides count, so the chunk kernels skip updates the result will never
@@ -47,7 +36,8 @@ var aggNeeds = map[string]aggNeed{
 // by AggInput, if the op has one, to rows laid out [group..., args...]
 // (the first GroupWidth columns are the key, aggregate i reads column
 // Aggs[i].Col) and folds each group's run of rows into that group's
-// states with observeChunk. A group may start mid-batch and continue past
+// states with foldChunk (an agg stage of partial states merges them). A
+// group may start mid-batch and continue past
 // a flush; its result row is written when the next group starts or the
 // rows end.
 type groupFold struct {
@@ -152,7 +142,9 @@ func (f *groupFold) flush() error {
 			hi = f.starts[k]
 		}
 		if hi > lo {
-			f.observe(b, lo, hi)
+			if err := foldChunk(f.g, f.states, b, lo, hi, f.needs); err != nil {
+				return err
+			}
 			lo = hi
 		}
 		if k == len(f.starts) {
@@ -177,13 +169,13 @@ func (f *groupFold) openGroup(b *col.Batch, i int) error {
 	if b.Width() < w {
 		return fmt.Errorf("relop: %d-column row under a %d-column group key", b.Width(), w)
 	}
-	f.states, f.needs = f.states[:0], f.needs[:0]
-	for _, a := range f.g.Aggs {
+	f.states, f.needs = slices.Grow(f.states[:0], len(f.g.Aggs))[:len(f.g.Aggs)], f.needs[:0]
+	for i, a := range f.g.Aggs {
 		need, ok := aggNeeds[a.Func]
 		if !ok {
 			return fmt.Errorf("relop: unknown aggregate %q", a.Func)
 		}
-		f.states = append(f.states, aggState{})
+		f.states[i].reset()
 		f.needs = append(f.needs, need)
 	}
 	f.key.Reset()
@@ -195,14 +187,24 @@ func (f *groupFold) openGroup(b *col.Batch, i int) error {
 	return nil
 }
 
-// observe folds rows [lo, hi) of b into the open group's states. An
+// foldChunk folds rows [lo, hi) of b, all of one group, into its states:
+// each aggregate's argument column through observeChunk, or, when g's
+// rows are partial states, each state column through mergeChunk. An
 // out-of-range column is all-null: it adds nothing.
-func (f *groupFold) observe(b *col.Batch, lo, hi int) {
-	for i := range f.g.Aggs {
-		if c := f.g.Aggs[i].Col; c >= 0 && c < b.Width() {
-			observeChunk(&f.states[i], b.Col(c), lo, hi, f.needs[i])
+func foldChunk(g *GroupOp, states []aggState, b *col.Batch, lo, hi int, needs []aggNeed) error {
+	for i, a := range g.Aggs {
+		c := a.Col
+		switch {
+		case c < 0 || c >= b.Width():
+		case g.Partial:
+			if err := mergeChunk(&states[i], b.Col(c), lo, hi); err != nil {
+				return err
+			}
+		default:
+			observeChunk(&states[i], b.Col(c), lo, hi, needs[i])
 		}
 	}
+	return nil
 }
 
 // finishGroup writes the open group's result row.
@@ -238,9 +240,9 @@ func writeAggRow(ems []*vecEmitter, g *GroupOp, key *col.Batch, r int, states []
 			case st.count == 0: // sum or avg of no values
 				v.AppendNull()
 			case a.Func == "sum":
-				v.AppendFloat(st.sum)
+				v.AppendFloat(st.sum(1))
 			case a.Func == "avg":
-				v.AppendFloat(st.sum / float64(st.count))
+				v.AppendFloat(st.sum(st.count))
 			}
 		}
 		if err := em.endRow(); err != nil {
@@ -259,10 +261,11 @@ func (f *groupFold) close() error {
 }
 
 // observeChunk folds rows [lo, hi) of one column into st: count counts
-// the non-null ones and the other fields skip nulls. Chunk-local min/max
-// use strict comparisons (first occurrence wins within the chunk) and
-// merge into the running extremes with strict row.Compare (the earlier
-// chunk wins ties) — exactly the order a row-at-a-time scan observes.
+// the non-null ones and the other fields skip nulls. Sums add exactly
+// (aggState); min and max compare by row.CompareTotal, chunk-locally in
+// the column's own kind (ints as ints, floats by their key bits, strings
+// byte-wise, which is that order within one kind), so a chunk's extremes
+// are the same whatever order its rows come in.
 func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
 	if hi <= lo {
 		return
@@ -278,10 +281,10 @@ func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
 			}
 			st.count++
 			if need.sum {
-				st.sum += val.AsFloat()
+				st.addValue(val)
 			}
 			if need.mm {
-				st.mergeExtremes(val, val)
+				st.observeExtremes(val, val)
 			}
 		}
 	case v.Kind() == col.Int64:
@@ -290,19 +293,12 @@ func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
 		if !v.HasNulls() {
 			st.count += int64(hi - lo)
 			if need.sum {
-				for _, x := range v.Ints[lo:hi] {
-					st.sum += float64(x)
-				}
+				st.addInts(v.Ints[lo:hi])
 			}
 			if need.mm {
 				mn, mx = v.Ints[lo], v.Ints[lo]
 				for _, x := range v.Ints[lo+1 : hi] {
-					if x < mn {
-						mn = x
-					}
-					if x > mx {
-						mx = x
-					}
+					mn, mx = min(mn, x), max(mx, x)
 				}
 				found = true
 			}
@@ -314,24 +310,30 @@ func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
 				st.count++
 				x := v.Ints[i]
 				if need.sum {
-					st.sum += float64(x)
+					st.addInt(x)
 				}
 				if need.mm {
-					if !found || x < mn {
-						mn = x
+					if !found {
+						mn, mx = x, x
 					}
-					if !found || x > mx {
-						mx = x
-					}
+					mn, mx = min(mn, x), max(mx, x)
 					found = true
 				}
 			}
 		}
 		if found && need.mm {
-			st.mergeExtremes(row.Int(mn), row.Int(mx))
+			st.observeExtremes(row.Int(mn), row.Int(mx))
 		}
 	case v.Kind() == col.Float64:
+		if !v.HasNulls() && !need.mm {
+			st.count += int64(hi - lo)
+			if need.sum {
+				st.addFloats(v.Floats[lo:hi])
+			}
+			return
+		}
 		var mn, mx float64
+		var mnKey, mxKey uint64
 		found := false
 		for i := lo; i < hi; i++ {
 			if v.IsNull(i) {
@@ -340,28 +342,25 @@ func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
 			st.count++
 			x := v.Floats[i]
 			if need.sum {
-				st.sum += x
+				st.addFloat(x)
 			}
 			if need.mm {
-				// NaN compares unordered both ways, so the first value
-				// sticks — matching row.Compare returning 0.
-				if !found || x < mn {
-					mn = x
+				k := row.NumericKeyBits(x)
+				if !found || k < mnKey {
+					mn, mnKey = x, k
 				}
-				if !found || x > mx {
-					mx = x
+				if !found || k > mxKey {
+					mx, mxKey = x, k
 				}
 				found = true
 			}
 		}
 		if found && need.mm {
-			st.mergeExtremes(row.Float(mn), row.Float(mx))
+			st.observeExtremes(row.Float(mn), row.Float(mx))
 		}
 	case v.Kind() == col.Bytes:
-		// Strings coerce to float 0 under AsFloat; adding +0 never
-		// changes a float64 sum (the accumulator cannot be -0: it starts
-		// at +0 and x + -0 == x for any reachable x), so only count and
-		// min/max need the scan.
+		// Strings coerce to float 0 under AsFloat and add nothing to a
+		// sum, so only count and min/max need the scan.
 		mnI, mxI := -1, -1
 		for i := lo; i < hi; i++ {
 			if v.IsNull(i) {
@@ -384,19 +383,21 @@ func observeChunk(st *aggState, v *col.Vector, lo, hi int, need aggNeed) {
 			}
 		}
 		if mnI >= 0 {
-			st.mergeExtremes(row.String(string(v.BytesAt(mnI))), row.String(string(v.BytesAt(mxI))))
+			st.observeExtremes(row.String(string(v.BytesAt(mnI))), row.String(string(v.BytesAt(mxI))))
 		}
 	}
 }
 
-// mergeExtremes folds chunk-local extremes into the running state under
-// the tie rule: strict Compare, earlier value wins ties.
-func (st *aggState) mergeExtremes(mn, mx row.Value) {
-	if !st.init || row.Compare(mn, st.min) < 0 {
-		st.min = mn
+// mergeChunk merges rows [lo, hi) of a column of partial states (the
+// partial wire form, aggstate.go) into st.
+func mergeChunk(st *aggState, v *col.Vector, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		if v.Kind() != col.Bytes || v.IsNull(i) {
+			return fmt.Errorf("relop: partial aggregate state is %v", v.Value(i))
+		}
+		if err := st.mergePartial(v.BytesAt(i)); err != nil {
+			return err
+		}
 	}
-	if !st.init || row.Compare(mx, st.max) > 0 {
-		st.max = mx
-	}
-	st.init = true
+	return nil
 }

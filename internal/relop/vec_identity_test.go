@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tez/internal/am"
@@ -621,11 +622,13 @@ func TestJoinGroupAllocsBounded(t *testing.T) {
 
 // TestVectorizedEndToEndByteIdentity runs one DAG — broadcast join,
 // filter, arithmetic projection, aggregation, ordered store — and compares
-// the stored part files with the digest the row engine produced for this
-// plan at the last commit that had one (recorded there with
-// DisableVectorized + RelopBatchSize -1, equal to the batch engine's,
-// stable over 20 runs). Auto-parallelism is off so the part-file layout
-// does not follow timing.
+// the stored part files with a recorded digest and the stored rows with
+// the oracle's plan evaluated row at a time under the math/big aggregate
+// reference. The digest is the row engine's for this plan at the last
+// commit that had one, re-recorded once when min and max began to break
+// row.Compare ties by row.CompareTotal (the min here reads a kind-mixed
+// column). Auto-parallelism is off so the part-file layout does not
+// follow timing.
 func TestVectorizedEndToEndByteIdentity(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
@@ -645,23 +648,26 @@ func TestVectorizedEndToEndByteIdentity(t *testing.T) {
 	fact := h.table("fact_vec", row.NewSchema("k:int", "x", "v:float"), 3, facts)
 	dim := h.table("dim_vec", row.NewSchema("k:int", "name"), 1, dims)
 
+	filter := Or(Cmp(">", Col(2), LitFloat(5)), Not(Col(1)))
+	project := []*Expr{Col(4), Arith("*", Col(2), LitFloat(2)), Col(1)}
+	aggs := []AggDef{
+		{Func: "count", Name: "n"},
+		{Func: "sum", Arg: Col(1), Name: "s"},
+		{Func: "min", Arg: Col(2), Name: "lo"},
+	}
 	mkPlan := func(out string) []*Node {
 		s := Scan(fact)
-		f := FilterNode(s, Or(Cmp(">", Col(2), LitFloat(5)), Not(Col(1))))
+		f := FilterNode(s, filter)
 		d := Scan(dim)
 		j := JoinNode(f, d, []*Expr{Col(0)}, []*Expr{Col(0)}, true) // broadcast
-		p := ProjectNode(j, []*Expr{Col(4), Arith("*", Col(2), LitFloat(2)), Col(1)},
+		p := ProjectNode(j, project,
 			[]string{"name", "v2", "x"}, []row.Kind{row.KindString, row.KindFloat, row.KindString})
-		a := AggNode(p, []*Expr{Col(0)}, []string{"name"}, []AggDef{
-			{Func: "count", Name: "n"},
-			{Func: "sum", Arg: Col(1), Name: "s"},
-			{Func: "min", Arg: Col(2), Name: "lo"},
-		})
+		a := AggNode(p, []*Expr{Col(0)}, []string{"name"}, aggs)
 		srt := SortNode(a, []*Expr{Col(0)}, []bool{false}, 0)
 		return []*Node{StoreNode(srt, out)}
 	}
 
-	const golden = "103309526e6093a683fa69cd004a4414937e977dd253a6ec11ffcb7ca7af63ef"
+	const golden = "5cba127d516c2099d0c672221e6a12e5ccb662251e4025aaff6577bdd5ae7834"
 	sess := am.NewSession(h.plat, am.Config{Name: "e2e", DisableAutoParallelism: true})
 	defer sess.Close()
 	if _, err := RunTez(sess, Config{}, "e2e", mkPlan("/out/e2e")); err != nil {
@@ -669,5 +675,28 @@ func TestVectorizedEndToEndByteIdentity(t *testing.T) {
 	}
 	if got := testutil.PartsDigest(t, h.plat.FS, "/out/e2e"); got != golden {
 		t.Fatalf("stored bytes differ from the row engine's: digest %s, want %s", got, golden)
+	}
+	var ref refGroups
+	for _, fr := range facts {
+		if !Truthy(filter.Eval(fr)) {
+			continue
+		}
+		for _, dr := range dims {
+			if bytes.Equal(row.EncodeKey(nil, fr[0]), row.EncodeKey(nil, dr[0])) {
+				p := EvalAll(project, append(append(row.Row{}, fr...), dr...))
+				ref.add(p[:1], p, aggs)
+			}
+		}
+	}
+	want := ref.rows(aggs)
+	slices.SortFunc(want, func(a, b row.Row) int { return row.Compare(a[0], b[0]) })
+	got := h.stored("/out/e2e")
+	if len(got) != len(want) {
+		t.Fatalf("%d rows stored, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if g, w := row.Encode(nil, got[i]), row.Encode(nil, want[i]); !bytes.Equal(g, w) {
+			t.Fatalf("row %d: %v, reference %v", i, got[i], want[i])
+		}
 	}
 }

@@ -45,7 +45,9 @@ type vecEmitter struct {
 	parts    partitionWriter
 	frameKey []byte
 	partRows [][]int32
-	count    int64
+	// partial pre-aggregates a shuffle emit with Aggs (partial.go).
+	partial *hashFold
+	count   int64
 }
 
 // partitionWriter writes to a hash-partitioned edge
@@ -142,10 +144,14 @@ func (ve *vecEmitter) flush() error {
 	return err
 }
 
-// close flushes the buffered rows and writes the records a limited
-// shuffle emit kept, in (key, value) order.
+// close flushes the buffered rows, writes the partial states a
+// pre-aggregating emit holds, and writes the records a limited shuffle
+// emit kept, in (key, value) order.
 func (ve *vecEmitter) close() error {
-	if err := ve.flush(); err != nil || ve.top == nil {
+	if err := ve.flush(); err != nil {
+		return err
+	}
+	if err := ve.closePartial(); err != nil || ve.top == nil {
 		return err
 	}
 	for _, r := range ve.top.sorted() {
@@ -283,29 +289,10 @@ func (ve *vecEmitter) terminal(b *col.Batch) error {
 	}
 	switch ve.spec.Kind {
 	case EmitShuffle:
-		ve.keyVecs = evalKeys(ve.keyVecs[:0], ve.spec.Keys, b)
-		if ve.parts != nil {
-			return ve.writeFrames(b)
+		if len(ve.spec.Aggs) > 0 {
+			return ve.preAggregate(b)
 		}
-		for k := 0; k < b.Live(); k++ {
-			i := b.RowAt(k)
-			ve.keyBuf = appendKey(ve.keyBuf[:0], ve.keyVecs, i, ve.spec.Desc)
-			val := ve.valBuf[:0]
-			if ve.spec.Tag >= 0 {
-				val = append(val, byte(ve.spec.Tag))
-			}
-			val = col.AppendRowEncoded(val, b, i)
-			ve.valBuf = val
-			if ve.top != nil {
-				ve.top.offer(ve.keyBuf, val)
-				continue
-			}
-			ve.count++
-			if err := ve.writer.Write(ve.keyBuf, val); err != nil {
-				return err
-			}
-		}
-		return nil
+		return ve.shuffle(b)
 	case EmitBroadcast:
 		ve.frameBuf = col.EncodeBatch(ve.frameBuf[:0], b)
 		ve.count += int64(b.Live())
@@ -328,6 +315,34 @@ func (ve *vecEmitter) terminal(b *col.Batch) error {
 		return nil
 	}
 	return fmt.Errorf("relop: unknown emit kind %q", ve.spec.Kind)
+}
+
+// shuffle writes b's live rows to a shuffle emit's writer: as frames on a
+// hash edge, else one (key, row) record each, or offered to the top k.
+func (ve *vecEmitter) shuffle(b *col.Batch) error {
+	ve.keyVecs = evalKeys(ve.keyVecs[:0], ve.spec.Keys, b)
+	if ve.parts != nil {
+		return ve.writeFrames(b)
+	}
+	for k := 0; k < b.Live(); k++ {
+		i := b.RowAt(k)
+		ve.keyBuf = appendKey(ve.keyBuf[:0], ve.keyVecs, i, ve.spec.Desc)
+		val := ve.valBuf[:0]
+		if ve.spec.Tag >= 0 {
+			val = append(val, byte(ve.spec.Tag))
+		}
+		val = col.AppendRowEncoded(val, b, i)
+		ve.valBuf = val
+		if ve.top != nil {
+			ve.top.offer(ve.keyBuf, val)
+			continue
+		}
+		ve.count++
+		if err := ve.writer.Write(ve.keyBuf, val); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeFrames partitions b's live rows by their shuffle key, as the

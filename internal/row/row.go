@@ -105,6 +105,32 @@ func Compare(a, b Value) int {
 	return CompareNumeric(a.Int, a.AsFloat(), a.Kind == KindInt, b.Int, b.AsFloat(), b.Kind == KindInt)
 }
 
+// CompareTotal is a total order that refines Compare: values order as
+// their keys do (EncodeKey: class, then a number's float64 key bits,
+// which set -0 below +0 and a NaN beyond the infinity of its sign), and
+// numbers whose keys are equal order ints before floats and ints by value
+// (ints past 2^53 share their float64's key). No two distinct values tie,
+// so a min or max under it does not depend on the order values arrive in.
+func CompareTotal(a, b Value) int {
+	ra := Rank(a.Kind)
+	if c := cmp.Compare(ra, Rank(b.Kind)); c != 0 {
+		return c
+	}
+	switch ra {
+	case 0:
+		return 0
+	case 2:
+		return strings.Compare(a.Str, b.Str)
+	}
+	if c := cmp.Compare(NumericKeyBits(a.AsFloat()), NumericKeyBits(b.AsFloat())); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Int, b.Int)
+}
+
 // Rank is a kind's class in the value order: null 0 < number 1 < string 2.
 func Rank(k Kind) int {
 	switch k {
@@ -347,13 +373,19 @@ func AppendNullKey(dst []byte) []byte { return append(dst, 0x00) }
 
 // AppendNumericKey appends a number's key.
 func AppendNumericKey(dst []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, 0x01), NumericKeyBits(f))
+}
+
+// NumericKeyBits is the 8 bytes of a number's key as an integer: f's
+// float64 bits with the sign bit flipped, a negative's inverted whole, so
+// they order as the floats do, with -0 below +0 and each NaN beyond the
+// infinity of its sign.
+func NumericKeyBits(f float64) uint64 {
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
-		bits = ^bits
-	} else {
-		bits |= 1 << 63
+		return ^bits
 	}
-	return binary.BigEndian.AppendUint64(append(dst, 0x01), bits)
+	return bits | 1<<63
 }
 
 // AppendStringKey appends a string's key.

@@ -2,6 +2,7 @@ package row
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -193,5 +194,39 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty buffer decoded")
+	}
+}
+
+// TestCompareTotalIsATotalOrderRefiningCompare: over values where Compare
+// ties distinct values — -0 and +0, NaNs of both signs, Int(1) and
+// Float(1), ints past 2^53 and their float64 — CompareTotal is
+// antisymmetric, transitive, zero only for identical values, and agrees
+// with every strict verdict of Compare.
+func TestCompareTotalIsATotalOrderRefiningCompare(t *testing.T) {
+	negNaN := math.Float64frombits(0xFFF8000000000000)
+	vals := []Value{
+		Null(), Int(0), Float(0), Float(math.Copysign(0, -1)), Float(math.NaN()), Float(negNaN),
+		Int(1), Float(1), Int(-1), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(1 << 53), Int(1<<53 + 1), Float(1 << 53), Int(math.MaxInt64), Int(math.MinInt64),
+		Float(math.MaxFloat64), Float(math.SmallestNonzeroFloat64), String(""), String("a"), String("a\x00"),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			c := CompareTotal(a, b)
+			if c != -CompareTotal(b, a) {
+				t.Fatalf("CompareTotal(%v, %v) = %d, reversed %d", a, b, c, CompareTotal(b, a))
+			}
+			if (c == 0) != (a.Kind == b.Kind && a.Int == b.Int && math.Float64bits(a.Float) == math.Float64bits(b.Float) && a.Str == b.Str) {
+				t.Fatalf("CompareTotal(%v, %v) = %d", a, b, c)
+			}
+			if s := Compare(a, b); s != 0 && s != c {
+				t.Fatalf("Compare(%v, %v) = %d but CompareTotal %d", a, b, s, c)
+			}
+			for _, d := range vals {
+				if c < 0 && CompareTotal(b, d) < 0 && CompareTotal(a, d) >= 0 {
+					t.Fatalf("not transitive: %v < %v < %v", a, b, d)
+				}
+			}
+		}
 	}
 }
