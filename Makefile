@@ -94,7 +94,10 @@ bench:
 # column and hash edges carry column frames, so only the rows a reduce
 # side reads off an ordered shuffle (a sort, a float aggregate, a plain
 # join, the MR chain) still take that parse: on joinagg only the 40 rows
-# its top-k sort reads.
+# its top-k sort reads. Last it prints the share of allocated bytes
+# (alloc_space, from mem.out) under dfs.(*FileSystem).ReadAt, which should
+# also read near zero on both Hive workloads: a split inside one DFS block
+# is read in place, so the bytes a scan reads are not copied first.
 # Binary and profiles stay in $(PROFILE_DIR); look
 # further with `go tool pprof $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out`
 # (or mem.out with -sample_index=alloc_space). PROFILE_BENCH narrows the
@@ -107,6 +110,9 @@ profile:
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
 		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b' | head -30
+	@printf 'alloc_space under dfs.(*FileSystem).ReadAt: '
+	@$(GO) tool pprof -sample_index=alloc_space -top -focus 'dfs\.\(\*FileSystem\)\.ReadAt$$' \
+		$(PROFILE_DIR)/tez.test $(PROFILE_DIR)/mem.out 2>/dev/null | sed -n 's/^Showing nodes accounting for //p'
 
 # fuzz-short gives the record-framing decoders (plain and block-padded),
 # the sort order (prefix index sort against the full-comparator oracle),

@@ -257,6 +257,7 @@ const q1Golden = "d56a3cc572a67a299a3974ad37f0ceee177ca20ddcdcd75acc1df20d33f1b8
 func TestRelationalGoldenDigests(t *testing.T) {
 	plat := platform.New(platform.Default(8))
 	defer plat.Stop()
+	testutil.FsckAtEnd(t, plat.FS)
 	tp, err := data.GenTPCH(plat.FS, tiny.TPCHOrders, 33)
 	if err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"tez/internal/row"
 	"tez/internal/runtime"
 	"tez/internal/sparklike"
+	"tez/internal/testutil"
 )
 
 func init() {
@@ -117,6 +118,7 @@ type e2eResults struct {
 
 func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg am.Config) e2eResults {
 	t.Helper()
+	testutil.FsckAtEnd(t, plat.FS)
 	sess := am.NewSession(plat, amCfg)
 	defer sess.Close()
 

@@ -160,7 +160,8 @@ func DecodeBatch(buf []byte) (*Batch, error) {
 // Every length is validated against the remaining input before any
 // allocation, so hostile frames cannot demand unbounded memory; a column
 // must use exactly the bytes its length claims. After an error b holds
-// nothing to read until its next decode or Reset.
+// nothing to read until its next decode or Reset. buf is only read, and b
+// keeps no reference to it: a table stripe is a view of its DFS block.
 func DecodeBatchInto(b *Batch, buf []byte, cols []int) error {
 	if len(buf) < 2 || buf[0] != batchMagic {
 		return fmt.Errorf("col: not a batch frame")

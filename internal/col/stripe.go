@@ -130,7 +130,8 @@ type ValueReader interface {
 
 // StripeRows iterates the rows of a stream of stripes, one stripe per
 // value of src (a table file's record reader, or a task's split reader),
-// decoding each stripe into one reused batch.
+// decoding each stripe into one reused batch. It only reads src's values,
+// which may be views of DFS blocks; the batch's rows are its own.
 type StripeRows struct {
 	src ValueReader
 	b   *Batch

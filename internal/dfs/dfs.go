@@ -12,12 +12,20 @@
 //   - node failures invalidate replicas; a block with no live replica is
 //     lost and reads report it, which drives the fault-tolerance paths.
 //
+// Blocks are write-once, as in HDFS: a Writer copies each block in when
+// it fills and nothing writes to it after. A read whose range lies inside
+// one block returns a view of that block, not a copy, so every byte a read
+// returns is read-only to its caller and to everything the caller hands it
+// to. Each block records its CRC32C when written, and Fsck re-checks them:
+// a caller that wrote through a view shows there, not in the next reader.
+//
 // The filesystem is safe for concurrent use.
 package dfs
 
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"sort"
@@ -72,7 +80,13 @@ var (
 	// ErrReadFault is a transient, injected read failure: the data is
 	// intact and a retry (normally a fresh task attempt) will succeed.
 	ErrReadFault = errors.New("dfs: transient read fault")
+	// ErrCorrupt reports a block whose bytes no longer match the checksum
+	// taken when it was written.
+	ErrCorrupt = errors.New("dfs: block checksum mismatch")
 )
+
+// castagnoli is the CRC32C table block checksums use, as HDFS's do.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // FileSystem is the in-memory DFS namespace plus block store.
 type FileSystem struct {
@@ -98,7 +112,8 @@ type file struct {
 }
 
 type block struct {
-	data     []byte
+	data     []byte // written once, by flushBlock; read-only after
+	crc      uint32 // CRC32C of data, taken by flushBlock
 	replicas []string
 }
 
@@ -287,7 +302,7 @@ func (fs *FileSystem) WriteFile(path, localNode string, data []byte) error {
 }
 
 // ReadFile reads the whole file, charging remote-read cost against
-// localNode ("" means fully remote).
+// localNode ("" means fully remote). The bytes are read-only, as ReadAt's.
 func (fs *FileSystem) ReadFile(path, localNode string) ([]byte, error) {
 	sz, err := fs.Size(path)
 	if err != nil {
@@ -298,6 +313,11 @@ func (fs *FileSystem) ReadFile(path, localNode string) ([]byte, error) {
 
 // ReadAt reads length bytes at offset. Reads spanning lost blocks return
 // ErrBlockLost. Remote bytes (no replica on localNode) pay the read cost.
+//
+// A range inside one block is returned in place: the slice is a view of
+// the block, its capacity cut to its length so that an append reallocates.
+// Only a range spanning blocks is copied into a fresh buffer. Either way
+// the caller must treat the bytes as read-only.
 func (fs *FileSystem) ReadAt(path, localNode string, offset, length int64) ([]byte, error) {
 	// Chaos only targets reads issued from a task's node; control-plane
 	// and verification reads pass localNode == "" and are never injected.
@@ -314,38 +334,69 @@ func (fs *FileSystem) ReadAt(path, localNode string, offset, length int64) ([]by
 		fs.mu.Unlock()
 		return nil, fmt.Errorf("dfs: offset %d out of range for %s (size %d)", offset, path, f.size)
 	}
-	if offset+length > f.size {
-		length = f.size - offset
+	if length < 0 {
+		fs.mu.Unlock()
+		return nil, fmt.Errorf("dfs: negative length %d reading %s", length, path)
 	}
-	out := make([]byte, 0, length)
+	length = min(length, f.size-offset)
+	var out []byte
 	var remote int64
 	bs := fs.cfg.BlockSize
-	for length > 0 {
-		bi := offset / bs
-		bo := offset % bs
+	for pos, end := offset, offset+length; pos < end; {
+		bi := pos / bs
+		bo := pos % bs
 		b := f.blocks[bi]
 		if len(b.replicas) == 0 {
 			fs.mu.Unlock()
 			return nil, fmt.Errorf("%w: %s block %d", ErrBlockLost, path, bi)
 		}
-		n := int64(len(b.data)) - bo
-		if n > length {
-			n = length
+		n := min(int64(len(b.data))-bo, end-pos)
+		if n == length { // the whole range lies in this block
+			out = b.data[bo : bo+n : bo+n]
+		} else {
+			if out == nil {
+				out = make([]byte, 0, length)
+			}
+			out = append(out, b.data[bo:bo+n]...)
 		}
-		out = append(out, b.data[bo:bo+n]...)
 		if localNode == "" || !containsString(b.replicas, localNode) {
 			remote += n
 		}
-		offset += n
-		length -= n
+		pos += n
 	}
-	fs.bytesRead += int64(len(out))
+	fs.bytesRead += length
 	delay := time.Duration(remote) * fs.cfg.ReadDelayPerByteRemote
 	fs.mu.Unlock()
 	if delay > 0 {
 		time.Sleep(delay)
 	}
 	return out, nil
+}
+
+// Fsck re-checks every block of every file in the namespace against the
+// CRC32C taken when it was written. It returns nil when all match, else
+// an ErrCorrupt naming each bad file and block: since blocks are
+// write-once, a mismatch means some reader wrote through a view.
+func (fs *FileSystem) Fsck() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	paths := make([]string, 0, len(fs.files))
+	for p := range fs.files {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	var bad []string
+	for _, p := range paths {
+		for bi, b := range fs.files[p].blocks {
+			if crc32.Checksum(b.data, castagnoli) != b.crc {
+				bad = append(bad, fmt.Sprintf("%s block %d", p, bi))
+			}
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrCorrupt, strings.Join(bad, ", "))
 }
 
 // Split describes a shard of a file together with the nodes holding it, the
@@ -513,6 +564,7 @@ func (w *Writer) Write(p []byte) (int, error) {
 
 func (w *Writer) flushBlock(data []byte) {
 	b := &block{data: append([]byte(nil), data...)}
+	b.crc = crc32.Checksum(b.data, castagnoli)
 	w.fs.mu.Lock()
 	b.replicas = w.fs.placeReplicasLocked(w.local)
 	w.f.blocks = append(w.f.blocks, b)

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"tez/internal/chaos"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -294,5 +297,153 @@ func TestQuickSplitsTile(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// viewFS holds one 50-byte file /f, three full 16-byte blocks and a
+// 2-byte fourth, on node n0, alongside node n1.
+func viewFS(t *testing.T, cfg Config) (*FileSystem, []byte) {
+	t.Helper()
+	cfg.BlockSize, cfg.Replication = 16, 1
+	fs := New(cfg)
+	fs.AddNode("n0", "r0")
+	fs.AddNode("n1", "r0")
+	data := []byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
+	if err := fs.WriteFile("/f", "n0", data); err != nil {
+		t.Fatal(err)
+	}
+	return fs, data
+}
+
+// TestReadAtNegativeLength: a negative length is refused with an error,
+// as an out-of-range offset is, not a panic in make.
+func TestReadAtNegativeLength(t *testing.T) {
+	fs, _ := viewFS(t, Config{})
+	before := fs.BytesRead()
+	got, err := fs.ReadAt("/f", "n0", 4, -2)
+	if err == nil || got != nil {
+		t.Fatalf("ReadAt length -2 = %q, %v; want an error", got, err)
+	}
+	if fs.BytesRead() != before {
+		t.Fatalf("a refused read counted %d bytes", fs.BytesRead()-before)
+	}
+}
+
+// TestReadAtInsideBlockIsView: a range inside one block is the block's
+// own bytes, capacity cut to length so an append cannot reach the block,
+// and reading it allocates nothing.
+func TestReadAtInsideBlockIsView(t *testing.T) {
+	fs, data := viewFS(t, Config{})
+	blk := fs.files["/f"].blocks[1].data
+	for _, r := range []struct{ off, n int64 }{{16, 16}, {18, 5}, {31, 1}} {
+		got, err := fs.ReadAt("/f", "n0", r.off, r.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data[r.off:r.off+r.n]) {
+			t.Fatalf("ReadAt(%d, %d) = %q", r.off, r.n, got)
+		}
+		if &got[0] != &blk[r.off-16] {
+			t.Fatalf("ReadAt(%d, %d) is a copy, want a view of block 1", r.off, r.n)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("ReadAt(%d, %d): cap %d, len %d; an append would write into the block", r.off, r.n, cap(got), len(got))
+		}
+		_ = append(got, '!')
+	}
+	if err := fs.Fsck(); err != nil {
+		t.Fatalf("append to a view reached the block: %v", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := fs.ReadAt("/f", "n1", 20, 10); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a read inside one block allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestReadAtAcrossBlocksCopies: a range spanning blocks is assembled in a
+// fresh buffer with the file's bytes, and writing to it leaves the file
+// as it was.
+func TestReadAtAcrossBlocksCopies(t *testing.T) {
+	fs, data := viewFS(t, Config{})
+	for _, r := range []struct{ off, n int64 }{{0, 50}, {10, 12}, {15, 2}, {30, 100}} {
+		got, err := fs.ReadAt("/f", "n0", r.off, r.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := data[r.off:min(r.off+r.n, int64(len(data)))]
+		if !bytes.Equal(got, want) {
+			t.Fatalf("ReadAt(%d, %d) = %q, want %q", r.off, r.n, got, want)
+		}
+		for i := range got {
+			got[i] = '#'
+		}
+	}
+	if err := fs.Fsck(); err != nil {
+		t.Fatalf("a write to a multi-block read reached a block: %v", err)
+	}
+	if got, _ := fs.ReadFile("/f", ""); !bytes.Equal(got, data) {
+		t.Fatalf("file reads %q after writes to copies", got)
+	}
+}
+
+// TestReadAtAccountingOnBothPaths: BytesRead and the remote-read delay
+// count a view and a copy alike, and a lost block or an injected fault
+// fails the read before any bytes are returned or counted.
+func TestReadAtAccountingOnBothPaths(t *testing.T) {
+	fs, _ := viewFS(t, Config{})
+	for _, r := range []struct{ off, n int64 }{{16, 12}, {10, 12}} {
+		before := fs.BytesRead()
+		if _, err := fs.ReadAt("/f", "n0", r.off, r.n); err != nil {
+			t.Fatal(err)
+		}
+		if d := fs.BytesRead() - before; d != r.n {
+			t.Fatalf("ReadAt(%d, %d) counted %d bytes", r.off, r.n, d)
+		}
+	}
+
+	lost, _ := viewFS(t, Config{})
+	lost.FailNode("n0")
+	faulty, _ := viewFS(t, Config{Chaos: chaos.New(1, chaos.Spec{DFSReadFaultProb: 1})})
+	for name, c := range map[string]struct {
+		fs   *FileSystem
+		want error
+	}{"lost block": {lost, ErrBlockLost}, "injected fault": {faulty, ErrReadFault}} {
+		for _, r := range []struct{ off, n int64 }{{16, 12}, {10, 12}} {
+			got, err := c.fs.ReadAt("/f", "n1", r.off, r.n)
+			if !errors.Is(err, c.want) || got != nil {
+				t.Fatalf("%s: ReadAt(%d, %d) = %q, %v; want no bytes and %v", name, r.off, r.n, got, err, c.want)
+			}
+		}
+		if c.fs.BytesRead() != 0 {
+			t.Fatalf("%s: failed reads counted %d bytes", name, c.fs.BytesRead())
+		}
+	}
+}
+
+// TestFsckReportsWriteThroughView: a byte written through a view
+// corrupts the block itself, and Fsck names that file and block and no
+// other.
+func TestFsckReportsWriteThroughView(t *testing.T) {
+	fs, _ := viewFS(t, Config{})
+	if err := fs.WriteFile("/g", "n1", []byte("untouched")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Fsck(); err != nil {
+		t.Fatalf("fresh filesystem: %v", err)
+	}
+	view, err := fs.ReadAt("/f", "n0", 20, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view[1] ^= 0xFF
+	err = fs.Fsck()
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "/f block 1") {
+		t.Fatalf("Fsck after a write through a view: %v; want ErrCorrupt naming /f block 1", err)
+	}
+	if strings.Contains(err.Error(), "block 0") || strings.Contains(err.Error(), "block 2") || strings.Contains(err.Error(), "/g") {
+		t.Fatalf("Fsck names blocks nobody wrote: %v", err)
 	}
 }

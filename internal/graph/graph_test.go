@@ -13,6 +13,7 @@ import (
 	"tez/internal/cluster"
 	"tez/internal/platform"
 	"tez/internal/plugin"
+	"tez/internal/testutil"
 	"tez/internal/timeline"
 )
 
@@ -35,6 +36,7 @@ func loadFixture(t *testing.T, name string) *Graph {
 func newHarness(t *testing.T) (*platform.Platform, *am.Session) {
 	t.Helper()
 	plat := platform.New(platform.Fast(4))
+	testutil.FsckAtEnd(t, plat.FS)
 	t.Cleanup(plat.Stop)
 	sess := am.NewSession(plat, am.Config{Name: "graphtest", ContainerIdleRelease: 2 * time.Second})
 	t.Cleanup(sess.Close)

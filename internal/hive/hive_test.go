@@ -18,6 +18,7 @@ import (
 	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/row"
+	"tez/internal/testutil"
 	"tez/internal/timeline"
 )
 
@@ -122,6 +123,7 @@ type hiveHarness struct {
 
 func newHiveHarness(t *testing.T) *hiveHarness {
 	plat := platform.New(platform.Fast(4))
+	testutil.FsckAtEnd(t, plat.FS)
 	eng := NewEngine()
 	// orders: (okey, custkey, price, date)
 	orders := &relop.Table{Name: "orders", Schema: row.NewSchema(

@@ -45,7 +45,9 @@ func uvarintLen(v uint64) int {
 
 // DecodeRecord reads one record from buf. It returns the key, value and
 // bytes consumed, or consumed == 0 when buf starts with padding or is
-// empty.
+// empty. Key and value are views of buf, each capacity cut to its length,
+// so an append to either reallocates instead of writing over the next
+// record (buf may be a DFS block, which is read-only).
 func DecodeRecord(buf []byte) (key, value []byte, consumed int, err error) {
 	if len(buf) == 0 || buf[0] == paddingByte {
 		return nil, nil, 0, nil
@@ -61,7 +63,7 @@ func DecodeRecord(buf []byte) (key, value []byte, consumed int, err error) {
 	if pos+klen > len(buf) {
 		return nil, nil, 0, fmt.Errorf("library: truncated key")
 	}
-	key = buf[pos : pos+klen]
+	key = buf[pos : pos+klen : pos+klen]
 	pos += klen
 	vl, n := binary.Uvarint(buf[pos:])
 	if n <= 0 || vl == 0 || vl-1 > uint64(len(buf)) {
@@ -72,7 +74,7 @@ func DecodeRecord(buf []byte) (key, value []byte, consumed int, err error) {
 	if pos+vlen > len(buf) {
 		return nil, nil, 0, fmt.Errorf("library: truncated value")
 	}
-	value = buf[pos : pos+vlen]
+	value = buf[pos : pos+vlen : pos+vlen]
 	pos += vlen
 	return key, value, pos, nil
 }

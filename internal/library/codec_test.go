@@ -123,6 +123,15 @@ func TestPaddedReaderSkipsPaddingInPlace(t *testing.T) {
 	if string(r.Key()) != "z" {
 		t.Fatalf("key %q does not alias the buffer", r.Key())
 	}
+	// ...but cannot be appended over: each capacity ends at its length, so
+	// an append reallocates instead of writing over the bytes that follow
+	// (the buffer may be a read-only DFS block).
+	before := bytes.Clone(buf)
+	_ = append(r.Key(), 'k')
+	_ = append(r.Value(), 'v')
+	if !bytes.Equal(buf, before) {
+		t.Fatal("an append to a key or value wrote into the buffer")
+	}
 	// An unpadded reader still ends at the first padding byte.
 	if n, err := countRecords(padRecords(pairs, []int{0, 4})); err != nil || n != 1 {
 		t.Fatalf("unpadded reader over padding: %d records, err %v", n, err)

@@ -19,7 +19,8 @@ func init() {
 }
 
 // MapFunc is user map logic: one input record to any number of output
-// pairs.
+// pairs. key and value are read-only (a DFS source's records are views of
+// its blocks): copy them before changing them.
 type MapFunc func(key, value []byte, out runtime.KVWriter) error
 
 // ReduceFunc is user reduce logic: one grouped key to any number of output

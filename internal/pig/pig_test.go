@@ -10,11 +10,13 @@ import (
 	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/row"
+	"tez/internal/testutil"
 )
 
 func setup(t *testing.T) (*platform.Platform, *am.Session, *relop.Table, *relop.Table) {
 	t.Helper()
 	plat := platform.New(platform.Fast(4))
+	testutil.FsckAtEnd(t, plat.FS)
 	users := &relop.Table{Name: "users", Schema: row.NewSchema("uid:int", "country", "age:int")}
 	uRows := []row.Row{
 		{row.Int(1), row.String("de"), row.Int(30)},

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
 	"tez/internal/col"
 	"tez/internal/dfs"
+	"tez/internal/event"
 	"tez/internal/library"
+	"tez/internal/plugin"
 	"tez/internal/row"
+	"tez/internal/runtime"
 )
 
 func tableFS(blockSize int64) *dfs.FileSystem {
@@ -99,5 +103,68 @@ func TestTableFileStripes(t *testing.T) {
 	blocks := (len(data) + blockSize - 1) / blockSize
 	if pad := len(data) - recordBytes; pad >= (blocks-1)*oneRow {
 		t.Fatalf("%d bytes of padding in %d blocks: stripes are not cut to the rest of their block (one row takes %d)", pad, blocks, oneRow)
+	}
+}
+
+// TestScanReadsSplitInPlace: a scan reading one table split of k stripes
+// through the DFS source input allocates the same bytes whatever k. The
+// split is read as a view of its block and a warm batch decodes the read
+// set in place, so a copy of the split, or of a stripe, shows here as
+// bytes that grow with k.
+func TestScanReadsSplitInPlace(t *testing.T) {
+	const runs = 20
+	perScan := func(k int) float64 {
+		fs := tableFS(1 << 20)
+		rows := make([]row.Row, k*DefaultBatchSize)
+		for i := range rows {
+			rows[i] = row.Row{row.Int(int64(i)), row.Float(float64(i) / 7), row.String(fmt.Sprint("s", i%100))}
+		}
+		tb := &Table{Name: "scan", Schema: row.NewSchema("a:int", "b:float", "c")}
+		if err := WriteTable(fs, tb, 1, rows); err != nil {
+			t.Fatal(err)
+		}
+		splits, err := fs.Splits(tb.Files[0], 0)
+		if err != nil || len(splits) != 1 {
+			t.Fatalf("table file of %d stripes: %d splits, %v; want one block", k, len(splits), err)
+		}
+		payload := plugin.MustEncode(library.SplitAssignment{Splits: splits})
+		b := col.NewBatch()
+		scan := func() {
+			in := &library.DFSSourceInput{}
+			ctx := &runtime.Context{Name: "scan", Services: runtime.Services{FS: fs, Node: "n0"}, Stop: make(chan struct{})}
+			if err := in.Initialize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := in.HandleEvent(event.RootInputDataInformation{Payload: payload}); err != nil {
+				t.Fatal(err)
+			}
+			rd, err := in.Reader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kv := rd.(runtime.KVReader)
+			stripes := 0
+			for kv.Next() {
+				if err := col.DecodeBatchInto(b, kv.Value(), []int{0}); err != nil {
+					t.Fatal(err)
+				}
+				stripes++
+			}
+			if kv.Err() != nil || stripes != k {
+				t.Fatalf("read %d of %d stripes: %v", stripes, k, kv.Err())
+			}
+		}
+		scan() // warm the batch
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			scan()
+		}
+		goruntime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	small, large := perScan(2), perScan(16)
+	if large-small > 1024 {
+		t.Fatalf("a scan of 16 stripes allocates %.0f bytes, of 2 stripes %.0f: the split's bytes are copied", large, small)
 	}
 }

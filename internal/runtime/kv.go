@@ -15,6 +15,9 @@ type KVWriter interface {
 type KVReader interface {
 	// Next advances to the next pair, reporting false at the end.
 	Next() bool
+	// Key and Value are read-only: a DFS source's pairs are views of the
+	// file's blocks (dfs.ReadAt), so a caller that must change the bytes
+	// copies them first.
 	Key() []byte
 	Value() []byte
 	// Err returns the first error encountered while reading.

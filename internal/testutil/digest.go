@@ -32,3 +32,16 @@ func PartsDigest(t testing.TB, fs *dfs.FileSystem, dir string) string {
 	}
 	return fmt.Sprintf("%x", digest.Sum(nil))
 }
+
+// FsckAtEnd checks, once the test and its deferred calls are done, that
+// every block of fs still holds the bytes it was written with. Readers get
+// blocks as read-only views (dfs.ReadAt), so one that wrote through a view
+// fails the test here instead of corrupting the next reader.
+func FsckAtEnd(t testing.TB, fs *dfs.FileSystem) {
+	t.Helper()
+	t.Cleanup(func() {
+		if err := fs.Fsck(); err != nil {
+			t.Error(err)
+		}
+	})
+}
