@@ -69,12 +69,21 @@ check-benchmark:
 	$(GO) test -C benchmark ./...
 
 # examples runs every program under examples/ and cmd/tez-dag, which build
-# their DAGs by hand and which no test executes; a non-zero exit fails the
-# target. A few seconds each.
+# their DAGs by hand and which no test executes, then the differential end
+# to end at small scale: tez-hive on its default query and on a global
+# aggregate whose filter drops every row, and tez-pig's group_agg, each
+# with -backend both, which runs the Tez DAG and the MR chain (whose
+# reducers fold through the same aggregate fold) and exits 1 when the two
+# store different rows. A non-zero exit fails the target. A few seconds
+# each.
 examples:
 	@for d in examples/*/ cmd/tez-dag; do \
 		echo "run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; \
 	done
+	$(GO) run ./cmd/tez-hive -backend both -orders 200 -sales 200 >/dev/null
+	$(GO) run ./cmd/tez-hive -backend both -orders 200 -sales 200 \
+		-q "SELECT count(*) AS n, sum(l_quantity) AS s FROM lineitem WHERE l_quantity < 0" >/dev/null
+	$(GO) run ./cmd/tez-pig -backend both -pipeline group_agg -rows 2000 >/dev/null
 
 # bench regenerates every experiment table once (BenchmarkExperiments/<key>
 # over the internal/bench table, opt-in rows excluded) and runs the
@@ -92,9 +101,9 @@ bench:
 # col.(*Batch).AppendRow) and parsing row-encoded records
 # (col.(*Batch).AppendEncoded): scans decode table stripes column by
 # column and hash edges carry column frames, so only the rows a reduce
-# side reads off an ordered shuffle (a sort, a float aggregate, a plain
-# join, the MR chain) still take that parse: on joinagg only the 40 rows
-# its top-k sort reads. Last it prints the share of allocated bytes
+# side reads off an ordered shuffle (a sort, a distinct, a plain join, an
+# aggregate whose group key has no declared kind, the MR chain) still
+# take that parse: on joinagg only the 40 rows its top-k sort reads. Last it prints the share of allocated bytes
 # (alloc_space, from mem.out) under dfs.(*FileSystem).ReadAt, which should
 # also read near zero on both Hive workloads: a split inside one DFS block
 # is read in place, so the bytes a scan reads are not copied first.

@@ -1,6 +1,7 @@
 // tez-hive runs a SQL query of the supported subset against generated
 // TPC-H- and TPC-DS-shaped tables, on the Tez backend, the MapReduce
-// backend, or both.
+// backend, or both. With both it compares the rows the two stored and
+// exits 1 when they differ.
 //
 //	go run ./cmd/tez-hive -q "SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag"
 //	go run ./cmd/tez-hive -backend both -q "..."
@@ -17,6 +18,7 @@ import (
 	"tez/internal/hive"
 	"tez/internal/platform"
 	"tez/internal/relop"
+	"tez/internal/row"
 )
 
 func main() {
@@ -27,6 +29,9 @@ func main() {
 	sales := flag.Int("sales", 2000, "TPC-DS scale (fact rows)")
 	nodes := flag.Int("nodes", 8, "simulated cluster nodes")
 	flag.Parse()
+	if *backend != "tez" && *backend != "mr" && *backend != "both" {
+		log.Fatalf("unknown -backend %q: want tez, mr or both", *backend)
+	}
 
 	plat := platform.New(platform.Default(*nodes))
 	defer plat.Stop()
@@ -53,7 +58,7 @@ func main() {
 		return
 	}
 
-	show := func(label, out string, dur time.Duration, extra string) {
+	show := func(label, out string, dur time.Duration, extra string) []row.Row {
 		rows, err := relop.ReadStored(plat.FS, out)
 		if err != nil {
 			log.Fatal(err)
@@ -71,15 +76,17 @@ func main() {
 			fmt.Println()
 		}
 		fmt.Println()
+		return rows
 	}
 
+	var tezRows, mrRows []row.Row
 	if *backend == "tez" || *backend == "both" {
 		sess := am.NewSession(plat, am.Config{Name: "tez-hive", PrewarmContainers: 4})
 		start := time.Now()
 		if _, err := eng.RunTez(sess, "cli-tez", *query, "/results/cli-tez"); err != nil {
 			log.Fatal(err)
 		}
-		show("Tez", "/results/cli-tez", time.Since(start), "(single DAG)")
+		tezRows = show("Tez", "/results/cli-tez", time.Since(start), "(single DAG)")
 		sess.Close()
 	}
 	if *backend == "mr" || *backend == "both" {
@@ -88,6 +95,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		show("MapReduce", "/results/cli-mr", time.Since(start), fmt.Sprintf("(%d jobs)", stats.Jobs))
+		mrRows = show("MapReduce", "/results/cli-mr", time.Since(start), fmt.Sprintf("(%d jobs)", stats.Jobs))
+	}
+	if *backend == "both" {
+		if !relop.SameRows(tezRows, mrRows) {
+			log.Fatalf("Tez stored %d rows, MapReduce %d: the backends disagree", len(tezRows), len(mrRows))
+		}
+		fmt.Printf("Tez and MapReduce stored the same %d rows\n", len(tezRows))
 	}
 }

@@ -1,5 +1,7 @@
-// tez-pig runs a named ETL pipeline from the built-in set on the Tez or
-// MapReduce backend against generated skewed inputs.
+// tez-pig runs a named ETL pipeline from the built-in set, or an inline
+// script, on the Tez or MapReduce backend, or both, against generated
+// skewed inputs. With both it compares the rows the two stored and exits
+// 1 when they differ.
 //
 //	go run ./cmd/tez-pig -list
 //	go run ./cmd/tez-pig -pipeline skew_join -backend both
@@ -86,6 +88,9 @@ func main() {
 	explain := flag.Bool("explain", false, "print the compiled DAG and its stages instead of running")
 	script := flag.String("script", "", scriptHelp)
 	flag.Parse()
+	if *backend != "tez" && *backend != "mr" && *backend != "both" {
+		log.Fatalf("unknown -backend %q: want tez, mr or both", *backend)
+	}
 
 	if *list {
 		for _, p := range pipelines {
@@ -126,24 +131,9 @@ func main() {
 		fmt.Print(text)
 		return
 	}
-	if *backend == "tez" || *backend == "both" {
-		sess := am.NewSession(plat, am.Config{Name: "tez-pig", PrewarmContainers: 4})
-		start := time.Now()
-		res, err := chosen.build(a, b, "/out/"+chosen.name+"-tez").RunTez(sess)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Tez: %v  counters: %s\n", time.Since(start).Round(time.Millisecond), res.Counters)
-		sess.Close()
-	}
-	if *backend == "mr" || *backend == "both" {
-		start := time.Now()
-		stats, err := chosen.build(a, b, "/out/"+chosen.name+"-mr").RunMR(plat, am.Config{Name: "mr-pig"})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("MapReduce: %v (%d jobs)\n", time.Since(start).Round(time.Millisecond), stats.Jobs)
-	}
+	runBackends(plat, func(suffix string) *pig.Script {
+		return chosen.build(a, b, "/out/"+chosen.name+suffix)
+	}, *backend, false)
 }
 
 // runScript parses and executes an inline PigLatin-style script.
@@ -171,39 +161,79 @@ func runScript(src, backend string, rows int, explain bool) {
 		fmt.Print(text)
 		return
 	}
-	if backend == "mr" {
-		start := time.Now()
-		stats, err := s.RunMR(plat, am.Config{Name: "cli-mr"})
-		if err != nil {
-			log.Fatal(err)
+	runBackends(plat, func(string) *pig.Script { return s }, backend, true)
+}
+
+// runBackends runs the script build returns for each chosen backend
+// (suffix "-tez" or "-mr" tells them apart), printing the rows each
+// stored when show is set. With both it compares the two runs' stores,
+// root by root, and exits 1 when they differ. A script that names its
+// stores stores to the same paths on both, so the Tez run's rows are read
+// and deleted before the MapReduce run.
+func runBackends(plat *platform.Platform, build func(suffix string) *pig.Script, backend string, show bool) {
+	var stored [2][][]row.Row
+	for i, b := range []string{"tez", "mr"} {
+		if backend != b && backend != "both" {
+			continue
 		}
-		fmt.Printf("MapReduce: %v (%d jobs)\n", time.Since(start).Round(time.Millisecond), stats.Jobs)
+		s := build("-" + b)
+		start := time.Now()
+		if b == "tez" {
+			sess := am.NewSession(plat, am.Config{Name: "cli", PrewarmContainers: 4})
+			res, err := s.RunTez(sess)
+			sess.Close()
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("Tez: %v  counters: %s\n", time.Since(start).Round(time.Millisecond), res.Counters)
+		} else {
+			stats, err := s.RunMR(plat, am.Config{Name: "cli-mr"})
+			if err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("MapReduce: %v (%d jobs)\n", time.Since(start).Round(time.Millisecond), stats.Jobs)
+		}
+		for _, root := range s.Roots() {
+			if backend != "both" && !show {
+				continue
+			}
+			rows, err := relop.ReadStored(plat.FS, root.StorePath)
+			if err != nil {
+				log.Fatal(err)
+			}
+			stored[i] = append(stored[i], rows)
+			if backend == "both" && b == "tez" {
+				plat.FS.DeletePrefix(root.StorePath + "/")
+			}
+			if show {
+				printRows(root.StorePath, rows)
+			}
+		}
+	}
+	if backend != "both" {
 		return
 	}
-	sess := am.NewSession(plat, am.Config{Name: "cli", PrewarmContainers: 4})
-	defer sess.Close()
-	start := time.Now()
-	res, err := s.RunTez(sess)
-	if err != nil {
-		log.Fatal(err)
+	for r := range stored[0] {
+		if !relop.SameRows(stored[0][r], stored[1][r]) {
+			log.Fatalf("store %d: Tez stored %d rows, MapReduce %d: the backends disagree",
+				r, len(stored[0][r]), len(stored[1][r]))
+		}
 	}
-	fmt.Printf("Tez: %v  counters: %s\n", time.Since(start).Round(time.Millisecond), res.Counters)
-	for _, root := range s.Roots() {
-		rowsOut, err := relop.ReadStored(plat.FS, root.StorePath)
-		if err != nil {
-			log.Fatal(err)
+	fmt.Printf("Tez and MapReduce stored the same rows in %d stores\n", len(stored[0]))
+}
+
+// printRows prints a store's rows, the first 20 of them.
+func printRows(path string, rows []row.Row) {
+	fmt.Printf("%s (%d rows):\n", path, len(rows))
+	for i, r := range rows {
+		if i >= 20 {
+			fmt.Printf("  … %d more\n", len(rows)-20)
+			break
 		}
-		fmt.Printf("%s (%d rows):\n", root.StorePath, len(rowsOut))
-		for i, r := range rowsOut {
-			if i >= 20 {
-				fmt.Printf("  … %d more\n", len(rowsOut)-20)
-				break
-			}
-			fmt.Print("  ")
-			for _, v := range r {
-				fmt.Printf("%v\t", v)
-			}
-			fmt.Println()
+		fmt.Print("  ")
+		for _, v := range r {
+			fmt.Printf("%v\t", v)
 		}
+		fmt.Println()
 	}
 }

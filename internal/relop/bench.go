@@ -36,22 +36,26 @@ func RunEmitBench(spec EmitSpec, tables map[string]map[string][]row.Row, widths 
 	return ve.count, nil
 }
 
-// RunAggBench folds one group's encoded values through the grouped
-// aggregate an agg stage runs, in batches of batchSize (> 0), and hands
+// RunAggBench folds one group's encoded values through the aggregate fold
+// an agg stage runs (hashFold), in batches of batchSize (> 0), and hands
 // emit the group's output row (none when there are no values).
 func RunAggBench(g *GroupOp, values [][]byte, batchSize int, emit func(row.Row) error) error {
 	if batchSize <= 0 {
 		return fmt.Errorf("relop: batch size %d, want > 0", batchSize)
 	}
-	ve := newVecEmitter(EmitSpec{Kind: EmitSink, Tag: -1}, decodingWriter(emit), nil, batchSize)
-	f := newGroupFold(g, batchSize, []*vecEmitter{ve})
-	if err := f.addGroup(values); err != nil {
+	ems := []*vecEmitter{newVecEmitter(EmitSpec{Kind: EmitSink, Tag: -1}, decodingWriter(emit), nil, batchSize)}
+	f, err := getHashFold(g, batchSize)
+	if err != nil {
 		return err
 	}
-	if err := f.close(); err != nil {
+	defer hashFolds.Put(f)
+	if err := f.addGroup(ems, nil, values); err != nil {
 		return err
 	}
-	return ve.flush()
+	if err := f.emit(ems); err != nil {
+		return err
+	}
+	return ems[0].flush()
 }
 
 // decodingWriter hands each written value to a callback as a row.

@@ -132,13 +132,8 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 			bound = append(bound, em)
 		}
 	}
-	if len(grouped) > 0 {
-		if err := p.runGrouped(grouped, bound); err != nil {
-			return err
-		}
-	}
-	if len(hashed) > 0 {
-		if err := p.runHashed(hashed, bound); err != nil {
+	if len(grouped) > 0 || len(hashed) > 0 {
+		if err := p.runGroups(grouped, hashed, bound); err != nil {
 			return err
 		}
 	}
@@ -259,34 +254,75 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 	return kv.Err()
 }
 
-// runGrouped applies the stage's GroupOp per key group and feeds the
-// group-output emits. Multiple grouped inputs are merged by key. No group
-// op boxes a row: sort and distinct hand the encoded value to the emitters
-// as runStream does, a join writes its product column to column from
-// per-side segments (into its aggregate, when it carries one), and an
-// aggregate folds its groups' values through a groupFold.
-func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, bound []*vecEmitter) error {
+// runGroups applies the stage's GroupOp to its shuffle inputs and feeds
+// the group-output emits. An aggregate, an agg stage's or one fused with
+// its join, folds through one hashFold whatever edge feeds it, and writes
+// its groups when the inputs end: a hash edge's rows as they arrive
+// (hashedge.go), a grouped edge's a group at a time. A join fused with its
+// aggregate builds a hash table on a hash edge's side 0 and folds the
+// products of side 1's rows with their matches.
+func (p *stageProcessor) runGroups(grouped []runtime.GroupedKVReader, hashed []hashInput, bound []*vecEmitter) error {
 	g := p.spec.Group
 	if g == nil {
-		return fmt.Errorf("relop: grouped inputs without group op")
+		return fmt.Errorf("relop: shuffle inputs without group op")
 	}
-	gr := mergeGroupReaders(readers)
+	if g.Kind != "agg" && (g.Kind != "join" || g.AggInput == nil) {
+		if len(hashed) > 0 {
+			return fmt.Errorf("relop: group op %q cannot read a hash edge", g.Kind)
+		}
+		return p.runGrouped(grouped, nil, bound)
+	}
+	if g.Kind == "join" && g.Sides != 2 {
+		return fmt.Errorf("relop: %d-sided join under an aggregate", g.Sides)
+	}
+	f, err := getHashFold(g, DefaultBatchSize)
+	if err != nil {
+		return err
+	}
+	defer hashFolds.Put(f)
+	switch {
+	case len(grouped) > 0:
+		err = p.runGrouped(grouped, f, bound)
+	case g.Kind == "agg":
+		err = f.addInputs(hashed)
+	default:
+		err = f.join(hashed)
+		if p.ctx.Services.Counters != nil {
+			p.ctx.Services.Counters.Add("HASHTABLE_BUILDS", 1)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return f.emit(bound)
+}
 
+// runGrouped applies the stage's GroupOp per key group, merging several
+// grouped inputs by key. No group op boxes a row: sort and distinct hand
+// the encoded value to the emitters as runStream does, a join writes its
+// product column to column from per-side segments, and an aggregate folds
+// each group into fold, keyed by the group's key.
+func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, fold *hashFold, bound []*vecEmitter) error {
+	g := p.spec.Group
+	gr := mergeGroupReaders(readers)
 	var join joinGroups
-	agg := newGroupFold(g, DefaultBatchSize, bound)
 	emitted := 0
 	for gr.Next() {
 		values := gr.Values()
-		switch g.Kind {
-		case "join":
+		switch {
+		case fold != nil && g.Kind == "agg":
+			if err := fold.addGroup(bound, gr.Key(), values); err != nil {
+				return err
+			}
+		case fold != nil:
+			if err := fold.addJoin(bound, gr.Key(), &join, values); err != nil {
+				return err
+			}
+		case g.Kind == "join":
 			if err := join.run(g, values, bound); err != nil {
 				return err
 			}
-		case "agg":
-			if err := agg.addGroup(values); err != nil {
-				return err
-			}
-		case "sort":
+		case g.Kind == "sort":
 			for _, v := range values {
 				if g.Limit > 0 && emitted >= g.Limit {
 					return gr.Err()
@@ -296,7 +332,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, bound []*
 				}
 				emitted++
 			}
-		case "distinct":
+		case g.Kind == "distinct":
 			if err := addEach(bound, values[0]); err != nil {
 				return err
 			}
@@ -304,13 +340,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, bound []*
 			return fmt.Errorf("relop: unknown group op %q", g.Kind)
 		}
 	}
-	if err := gr.Err(); err != nil {
-		return err
-	}
-	if err := agg.close(); err != nil {
-		return err
-	}
-	return join.close()
+	return gr.Err()
 }
 
 // addEach appends one encoded row to every emitter.
@@ -330,17 +360,6 @@ func addEach(ems []*vecEmitter, encoded []byte) error {
 type joinGroups struct {
 	sides []joinSide
 	cur   []joinCursor // the product row being written: one row per side
-	// agg takes the product instead of the emitters when the group op
-	// carries an aggregate; it batches size rows (0: DefaultBatchSize).
-	agg  *groupFold
-	size int
-}
-
-// rowSink takes rows appended column by column: an emitter, or the
-// join's aggregate.
-type rowSink interface {
-	beginRow(w int) (*col.Batch, error)
-	endRow() error
 }
 
 // joinSide holds one side of the current group in segs[:n].
@@ -372,10 +391,10 @@ func (s *joinSide) add(encoded []byte) error {
 	return err
 }
 
-// run splits tagged values by side and writes their cartesian product,
-// side 0 outermost, into every emitter's batch column to column; each
-// batch flushes on a width change or when full, as in hashJoin.
-func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
+// split parses a group's tagged values into its sides' segments and
+// reports whether every side holds a row: an inner join's product is
+// empty otherwise.
+func (j *joinGroups) split(g *GroupOp, values [][]byte) (bool, error) {
 	if len(j.sides) != g.Sides {
 		j.sides = make([]joinSide, g.Sides)
 		j.cur = make([]joinCursor, g.Sides)
@@ -385,51 +404,38 @@ func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
 	}
 	for _, v := range values {
 		if len(v) == 0 {
-			return fmt.Errorf("relop: untagged join value")
+			return false, fmt.Errorf("relop: untagged join value")
 		}
 		tag := int(v[0])
 		if tag >= g.Sides {
-			return fmt.Errorf("relop: join tag %d out of %d sides", tag, g.Sides)
+			return false, fmt.Errorf("relop: join tag %d out of %d sides", tag, g.Sides)
 		}
 		if err := j.sides[tag].add(v[1:]); err != nil {
-			return err
+			return false, err
 		}
 	}
 	for _, s := range j.sides {
 		if s.n == 0 {
-			return nil // inner join: some side empty
+			return false, nil
 		}
 	}
-	if g.AggInput != nil {
-		if j.agg == nil {
-			size := j.size
-			if size <= 0 {
-				size = DefaultBatchSize
-			}
-			j.agg = newGroupFold(g, size, ems)
-		}
-		j.agg.ems = ems
-		j.agg.startGroup()
+	return true, nil
+}
+
+// run splits tagged values by side and writes their cartesian product,
+// side 0 outermost, into every emitter's batch column to column; each
+// batch flushes on a width change or when full, as in hashJoin.
+func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
+	if ok, err := j.split(g, values); !ok || err != nil {
+		return err
 	}
 	return j.product(0, 0, ems)
 }
 
-// close writes what the join's aggregate still holds.
-func (j *joinGroups) close() error {
-	if j.agg == nil {
-		return nil
-	}
-	return j.agg.close()
-}
-
 // product fixes side s's row in turn (the sides before it are fixed in
-// cur) and writes each complete combination to the aggregate or to every
-// emitter.
+// cur) and writes each complete combination to every emitter.
 func (j *joinGroups) product(s, width int, ems []*vecEmitter) error {
 	if s == len(j.sides) {
-		if j.agg != nil {
-			return j.writeRow(j.agg, width)
-		}
 		for _, em := range ems {
 			if err := j.writeRow(em, width); err != nil {
 				return err
@@ -449,9 +455,9 @@ func (j *joinGroups) product(s, width int, ems []*vecEmitter) error {
 	return nil
 }
 
-// writeRow writes the product row fixed in cur to dst.
-func (j *joinGroups) writeRow(dst rowSink, width int) error {
-	b, err := dst.beginRow(width)
+// writeRow writes the product row fixed in cur to em.
+func (j *joinGroups) writeRow(em *vecEmitter, width int) error {
+	b, err := em.beginRow(width)
 	if err != nil {
 		return err
 	}
@@ -462,5 +468,5 @@ func (j *joinGroups) writeRow(dst rowSink, width int) error {
 			c++
 		}
 	}
-	return dst.endRow()
+	return em.endRow()
 }

@@ -13,12 +13,11 @@ import (
 	"tez/internal/runtime"
 )
 
-// The consumer of a hash-partitioned edge (DESIGN §13, "Which edge a
-// shuffle takes"). The compiler chooses the edge only for a fold that is
-// exact in any order, so the consumer reads its frames in physical-input
-// order, folds every row into its group's states found by the group's
-// encoded key, and writes the groups sorted by that key: the rows, and
-// the order, the ordered edge's merge and groupFold would have written.
+// The one aggregate fold (DESIGN §13, "One fold"): every aggregate, fed
+// by a hash edge (DESIGN §13, "Which edge a shuffle takes"), by sorted
+// groups or by a producer's rows (partial.go), folds each row into its
+// group's states found by the group's encoded key and writes the groups
+// sorted by that key: the rows, and the order, the ordered edge delivers.
 
 // hashInput is one InHash input: its reader and the key expressions its
 // rows were partitioned by.
@@ -27,44 +26,14 @@ type hashInput struct {
 	keys []*Expr
 }
 
-// runHashed folds the stage's hash inputs and writes the groups to its
-// group-output emitters. An aggregate folds every frame; a join fused
-// with its aggregate builds a hash table on side 0 and folds the products
-// of side 1's rows with their matches.
-func (p *stageProcessor) runHashed(ins []hashInput, bound []*vecEmitter) error {
-	g := p.spec.Group
-	if g == nil {
-		return fmt.Errorf("relop: hash inputs without group op")
-	}
-	f, err := getHashFold(g, DefaultBatchSize)
-	if err != nil {
-		return err
-	}
-	defer hashFolds.Put(f)
-	switch {
-	case g.Kind == "agg":
-		err = f.addInputs(ins)
-	case g.Kind == "join" && g.Sides == 2 && g.AggInput != nil:
-		err = f.join(ins)
-		if p.ctx.Services.Counters != nil {
-			p.ctx.Services.Counters.Add("HASHTABLE_BUILDS", 1)
-		}
-	default:
-		return fmt.Errorf("relop: group op %q cannot read a hash edge", g.Kind)
-	}
-	if err != nil {
-		return err
-	}
-	return f.emit(bound)
-}
-
 // hashFold folds rows into per-group aggregate states, found by the
 // group's encoded key, in whatever order the rows arrive. Rows come a
-// frame at a time (addInputs: an agg stage's [group..., args...] rows) or
-// as a join's product rows (writeProduct), projected by AggInput when
-// their batch flushes. emit writes the groups in key order. A producer
-// pre-aggregates into one too (partial.go). A fold is reused from task to
-// task (hashFolds): its index, states and batches keep their storage.
+// frame at a time (addInputs: an agg stage's [group..., args...] rows), a
+// sorted group at a time (addGroup: its encoded rows; addJoin: a fused
+// join's product), or as a hash join's product rows (writeProduct); a
+// fused join's are projected by AggInput when their batch flushes. emit
+// writes the groups in key order. A fold is reused from task to task
+// (hashFolds): its index, states and batches keep their storage.
 type hashFold struct {
 	g     *GroupOp
 	size  int
@@ -76,7 +45,8 @@ type hashFold struct {
 	first  []int32
 	vals   *col.Batch
 	states []aggState // group i's at [i*len(g.Aggs), (i+1)*len(g.Aggs))
-	// A join's product rows waiting to fold, and their groups.
+	// Rows waiting to fold, and their groups: a sorted input's, or a
+	// join's product.
 	in   *col.Batch
 	gids []int32
 	vecs []col.Vector
@@ -107,8 +77,8 @@ var hashFolds = sync.Pool{New: func() any {
 		vals: col.NewBatch(), in: col.NewBatch(), out: col.NewBatch(), b: col.NewBatch()}
 }}
 
-// getHashFold returns an empty fold of g's aggregates that batches a
-// join's product by size rows.
+// getHashFold returns an empty fold of g's aggregates that batches the
+// rows it does not fold at once by size rows.
 func getHashFold(g *GroupOp, size int) (*hashFold, error) {
 	f := hashFolds.Get().(*hashFold)
 	f.g, f.size = g, size
@@ -200,6 +170,71 @@ func (f *hashFold) addInputs(ins []hashInput) error {
 		}
 		if err := in.kv.Err(); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// open returns the group of a grouped input's next key. Keys arrive in
+// order, so a table that holds partialGroupCap groups is first written
+// out to ems and emptied: the groups still go out in key order, and a
+// task holds at most that many.
+func (f *hashFold) open(ems []*vecEmitter, key []byte) (int32, error) {
+	if len(f.first) >= partialGroupCap {
+		if err := f.emit(ems); err != nil {
+			return 0, err
+		}
+	}
+	return f.group(key), nil
+}
+
+// addGroup folds one group of an agg stage's grouped input: its encoded
+// rows, parsed into the batch, which flushes on a width change and when
+// full.
+func (f *hashFold) addGroup(ems []*vecEmitter, key []byte, values [][]byte) error {
+	id, err := f.open(ems, key)
+	if err != nil {
+		return err
+	}
+	for _, v := range values {
+		ok, err := f.in.AppendEncoded(v)
+		if err == nil && !ok {
+			if err = f.flush(); err == nil {
+				_, err = f.in.AppendEncoded(v) // an empty batch takes any width
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if err := f.added(id); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// addJoin folds one group of a fused join's grouped inputs: j splits its
+// tagged values into side segments, and the side-0 × side-1 product, side
+// 0 outermost, folds into the group of key. An inner join's group with an
+// empty side adds nothing.
+func (f *hashFold) addJoin(ems []*vecEmitter, key []byte, j *joinGroups, values [][]byte) error {
+	if ok, err := j.split(f.g, values); !ok || err != nil {
+		return err
+	}
+	id, err := f.open(ems, key)
+	if err != nil {
+		return err
+	}
+	s0, s1 := &j.sides[0], &j.sides[1]
+	for _, a := range s0.segs[:s0.n] {
+		for ai := 0; ai < a.Len(); ai++ {
+			for _, b := range s1.segs[:s1.n] {
+				for bi := 0; bi < b.Len(); bi++ {
+					if err := f.writeProduct(id, a, ai, b, bi); err != nil {
+						return err
+					}
+				}
+			}
 		}
 	}
 	return nil
@@ -298,7 +333,7 @@ func (f *hashFold) join(ins []hashInput) error {
 			}
 		}
 	}
-	return f.flush()
+	return nil
 }
 
 // writeProduct appends the product of build row bi of bb and probe row
@@ -319,6 +354,12 @@ func (f *hashFold) writeProduct(id int32, bb *col.Batch, bi int, pb *col.Batch, 
 		f.in.Col(bb.Width()+c).AppendFrom(pb.Col(c), pi)
 	}
 	f.in.SetRowCount(f.in.Len() + 1)
+	return f.added(id)
+}
+
+// added records the row just appended to the batch as group id's and
+// flushes a full batch.
+func (f *hashFold) added(id int32) error {
 	f.gids = append(f.gids, id)
 	if f.in.Len() >= f.size {
 		return f.flush()
@@ -326,17 +367,22 @@ func (f *hashFold) writeProduct(id int32, bb *col.Batch, bi int, pb *col.Batch, 
 	return nil
 }
 
-// flush projects the waiting product rows by AggInput and folds them.
+// flush folds the waiting rows, a join's product projected by AggInput
+// first.
 func (f *hashFold) flush() error {
 	n := f.in.Len()
 	if n == 0 {
 		return nil
 	}
-	f.vecs = f.vecs[:0]
-	for _, e := range f.g.AggInput {
-		f.vecs = append(f.vecs, evalVec(e, f.in))
+	b := f.in
+	if f.g.AggInput != nil {
+		f.vecs = f.vecs[:0]
+		for _, e := range f.g.AggInput {
+			f.vecs = append(f.vecs, evalVec(e, f.in))
+		}
+		b = col.FromVectors(n, nil, f.vecs)
 	}
-	err := f.fold(col.FromVectors(n, nil, f.vecs), f.gids)
+	err := f.fold(b, f.gids)
 	f.in.Reset()
 	f.gids = f.gids[:0]
 	return err
@@ -349,8 +395,12 @@ type sortKey struct {
 	id     int32
 }
 
-// emit writes every group that folded a row, in encoded key order.
+// emit folds the waiting rows, writes every group that folded a row, in
+// encoded key order, and empties the table.
 func (f *hashFold) emit(ems []*vecEmitter) error {
+	if err := f.flush(); err != nil {
+		return err
+	}
 	f.order = f.order[:0]
 	for id, r := range f.first {
 		if r >= 0 {
@@ -372,6 +422,7 @@ func (f *hashFold) emit(ems []*vecEmitter) error {
 			return err
 		}
 	}
+	f.reset()
 	return nil
 }
 

@@ -229,6 +229,10 @@ func refAgg(rows []row.Row, groupBy []*Expr, aggs []AggDef) []row.Row {
 	for _, r := range rows {
 		ref.add(EvalAll(groupBy, r), r, aggs)
 	}
+	if len(groupBy) == 0 && len(ref.keys) == 0 {
+		// A global aggregate over no rows still has its one group.
+		ref.keys, ref.args = []row.Row{{}}, [][][]row.Value{make([][]row.Value, len(aggs))}
+	}
 	return ref.rows(aggs)
 }
 
@@ -236,11 +240,13 @@ func refAgg(rows []row.Row, groupBy []*Expr, aggs []AggDef) []row.Row {
 // comparison among them, which travels as a bool column) and shuffle
 // joins fused with their aggregate; count(*), count(col), sum, avg, min
 // and max of int, float, kind-mixed and untyped arguments over columns
-// holding NULLs, ±0, NaN and ±Inf, string min/max — on Tez, where they
-// take hash edges, and as an MR chain, which sorts, at 1, 3 and 8
-// partitions, with the producers' partial tables writing out after every
-// group, every 3 groups or at the default cap, and holds both to the
-// math/big reference, row bytes for row bytes.
+// holding NULLs, ±0, NaN and ±Inf, string min/max; and aggregates,
+// group-less ones among them, behind a filter that may drop every row —
+// on Tez, where they take hash edges, and as an MR chain, which sorts, at
+// 1, 3 and 8 partitions, with the producers' partial tables, and the MR
+// reducers', writing out after every group, every 3 groups or at the
+// default cap, and holds both to the math/big reference, row bytes for
+// row bytes.
 func TestHashEdgeDifferential(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
@@ -249,16 +255,40 @@ func TestHashEdgeDifferential(t *testing.T) {
 	leftRows, rightRows := randDiffRows(rng, 300, false), randDiffRows(rng, 120, true)
 	left := h.table("diff_l", diffLeft, 5, leftRows)
 	right := h.table("diff_r", diffRight, 3, rightRows)
+	// The filtered cases draw from a generator of their own, so the ones
+	// before them are drawn as they always were.
+	frng := rand.New(rand.NewSource(42))
 	trial := 0
 	for _, parts := range []int{1, 3, 8} {
 		cfg := Config{DefaultPartitions: parts}
 		sess := am.NewSession(h.plat, am.Config{Name: fmt.Sprintf("diff-%d", parts)})
-		for i := 0; i < 6; i++ {
+		for i := 0; i < 9; i++ {
 			trial++
 			partialGroupCap = []int{1 << 12, 1, 3}[trial%3]
 			var mk func(out string) []*Node
 			var want []row.Row
-			if i%2 == 0 {
+			switch {
+			case i >= 6:
+				// a > cut: a is in [-100, 100], so a cut of 100 drops
+				// every row; two cases in three group by nothing.
+				cut := []int64{100, int64(frng.Intn(201) - 100), -101}[i-6]
+				filter := Cmp(">", Col(2), LitInt(cut))
+				var groupBy []*Expr
+				if frng.Intn(3) == 0 {
+					groupBy = []*Expr{Col(frng.Intn(4))}
+				}
+				aggs := randDiffAggs(frng, []int{0, 2}, []int{1, 3}, []int{4}, []int{5})
+				mk = func(out string) []*Node {
+					return []*Node{StoreNode(AggNode(FilterNode(Scan(left), filter), groupBy, make([]string, len(groupBy)), aggs), out)}
+				}
+				var kept []row.Row
+				for _, r := range leftRows {
+					if Truthy(filter.Eval(r)) {
+						kept = append(kept, r)
+					}
+				}
+				want = refAgg(kept, groupBy, aggs)
+			case i%2 == 0:
 				var groupBy []*Expr
 				for _, c := range rng.Perm(4)[:1+rng.Intn(3)] {
 					groupBy = append(groupBy, Col(c))
@@ -271,7 +301,7 @@ func TestHashEdgeDifferential(t *testing.T) {
 					return []*Node{StoreNode(AggNode(Scan(left), groupBy, make([]string, len(groupBy)), aggs), out)}
 				}
 				want = refAgg(leftRows, groupBy, aggs)
-			} else {
+			default:
 				// Join output: k1 0, k2 1, a 2, b 3, f 4, m 5, rk1 6, rk2 7,
 				// c 8, g 9.
 				keysL, keysR, groupBy := []int{0}, []int{0}, []int{[]int{0, 6}[rng.Intn(2)]}
@@ -340,19 +370,56 @@ func framesOf(rng *rand.Rand, rows []row.Row, key []byte) []capturedKV {
 
 // orderedGroups is what the ordered edge delivers: records sorted by
 // (key, value), grouped by key.
-func orderedGroups(recs []capturedKV) [][][]byte {
+func orderedGroups(recs []capturedKV) *sliceGroups {
 	slices.SortFunc(recs, func(a, b capturedKV) int {
 		if c := bytes.Compare(a.key, b.key); c != 0 {
 			return c
 		}
 		return bytes.Compare(a.val, b.val)
 	})
-	var groups [][][]byte
+	groups := &sliceGroups{}
 	for i, r := range recs {
 		if i == 0 || !bytes.Equal(r.key, recs[i-1].key) {
-			groups = append(groups, nil)
+			groups.keys, groups.vals = append(groups.keys, r.key), append(groups.vals, nil)
 		}
-		groups[len(groups)-1] = append(groups[len(groups)-1], r.val)
+		groups.vals[len(groups.vals)-1] = append(groups.vals[len(groups.vals)-1], r.val)
+	}
+	return groups
+}
+
+// foldSorted folds sorted groups as runGrouped does — an agg stage's
+// values, or a fused join's product — through a hashFold batching by
+// size, and fails if its table ever holds more than partialGroupCap
+// groups.
+func foldSorted(g *GroupOp, size int, groups *sliceGroups, ems []*vecEmitter) error {
+	f, err := getHashFold(g, size)
+	if err != nil {
+		return err
+	}
+	defer hashFolds.Put(f)
+	var join joinGroups
+	for i, values := range groups.vals {
+		if g.Kind == "agg" {
+			err = f.addGroup(ems, groups.keys[i], values)
+		} else {
+			err = f.addJoin(ems, groups.keys[i], &join, values)
+		}
+		if err != nil {
+			return err
+		}
+		if n := len(f.first); n > partialGroupCap {
+			return fmt.Errorf("table holds %d groups, cap %d", n, partialGroupCap)
+		}
+	}
+	return f.emit(ems)
+}
+
+// ascendingGroups keys groups of values 0, 1, 2, …: distinct groups as a
+// sorted input delivers them.
+func ascendingGroups(vals [][][]byte) *sliceGroups {
+	groups := &sliceGroups{vals: vals}
+	for i := range vals {
+		groups.keys = append(groups.keys, row.EncodeKey(nil, row.Int(int64(i))))
 	}
 	return groups
 }
@@ -375,11 +442,12 @@ func randTypedRow(rng *rand.Rand, kinds []bool) row.Row {
 }
 
 // TestHashFoldMatchesOrderedFold holds the hash edge's consumer to the
-// ordered edge's at batch sizes 1–8: an agg stage's hashFold against
-// groupFold over the same rows sorted and grouped, and a fused join's
-// against joinGroups, with the row oracle beside both; frames of 1–8
-// rows, in arrival order, over int and string columns with nulls. The
-// outputs must be the same records in the same order.
+// ordered edge's at batch sizes 1–8: an agg stage's rows, and a fused
+// join's, folded from frames of 1–8 rows in arrival order against the
+// same rows sorted and grouped, folded with the table capped at the
+// default, 1, 2 and 3 groups (it never holds more), with the row oracle
+// beside both; over int and string columns with nulls. The outputs must
+// be the same records in the same order.
 func TestHashFoldMatchesOrderedFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	funcs := []string{"sum", "count", "min", "max", "avg"}
@@ -392,11 +460,12 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 			g.Aggs = append(g.Aggs, AggFuncSpec{Func: f, Col: c})
 		}
 	}
+	defaultCap := partialGroupCap
+	defer func() { partialGroupCap = defaultCap }()
 	for trial := 0; trial < 200; trial++ {
 		size := 1 + rng.Intn(8)
 		p := &stageProcessor{}
 		hashEm, hashW := sinkEmitter(size)
-		ordEm, ordW := sinkEmitter(size)
 		oracleW := &captureWriter{}
 		oracle := &emitter{spec: EmitSpec{Kind: EmitSink, Tag: -1}, writer: oracleW}
 		fold := func(g *GroupOp) *hashFold {
@@ -407,6 +476,8 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 			return f
 		}
 		var f *hashFold
+		var g *GroupOp
+		var groups *sliceGroups
 		if trial%2 == 0 {
 			// An agg stage's rows: [group..., args...].
 			gw := 1 + rng.Intn(3)
@@ -414,7 +485,7 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 			for c := range kinds {
 				kinds[c] = rng.Intn(2) == 0
 			}
-			g := &GroupOp{Kind: "agg", GroupWidth: gw}
+			g = &GroupOp{Kind: "agg", GroupWidth: gw}
 			randAggs(g, kinds, gw)
 			f = fold(g)
 			var rows []row.Row
@@ -431,17 +502,11 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 			if err := f.addInputs([]hashInput{{kv: &recordReader{recs: framesOf(rng, rows, nil)}, keys: keys}}); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			ord := newGroupFold(g, size, []*vecEmitter{ordEm})
-			for _, values := range orderedGroups(recs) {
-				if err := ord.addGroup(values); err != nil {
-					t.Fatal(err)
-				}
+			groups = orderedGroups(recs)
+			for _, values := range groups.vals {
 				if err := p.aggGroup(g, values, oracle.emit); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := ord.close(); err != nil {
-				t.Fatal(err)
 			}
 		} else {
 			// A fused join: a 1-column key on each side, the group key
@@ -456,7 +521,7 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 				}
 			}
 			groupCol := []int{0, widths[0]}[rng.Intn(2)]
-			g := &GroupOp{Kind: "join", Sides: 2, GroupWidth: 1, AggInput: []*Expr{Col(groupCol)}}
+			g = &GroupOp{Kind: "join", Sides: 2, GroupWidth: 1, AggInput: []*Expr{Col(groupCol)}}
 			argKinds := []bool{kinds[groupCol]}
 			for c := range kinds {
 				if rng.Intn(2) == 0 {
@@ -491,15 +556,7 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 			if err := f.join(ins); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			join := joinGroups{size: size}
-			for _, values := range orderedGroups(recs) {
-				if err := join.run(g, values, []*vecEmitter{ordEm}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := join.close(); err != nil {
-				t.Fatal(err)
-			}
+			groups = orderedGroups(recs)
 			aggs := make([]AggDef, len(g.Aggs))
 			for i, a := range g.Aggs {
 				aggs[i] = AggDef{Func: a.Func, Arg: g.AggInput[a.Col]}
@@ -518,14 +575,22 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 			t.Fatal(err)
 		}
 		hashFolds.Put(f)
-		for _, em := range []*vecEmitter{hashEm, ordEm} {
-			if err := em.close(); err != nil {
-				t.Fatal(err)
-			}
+		if err := hashEm.close(); err != nil {
+			t.Fatal(err)
 		}
 		what := fmt.Sprintf("trial %d (batch size %d)", trial, size)
-		sameRecords(t, what+" hash vs ordered", ordW.kvs, hashW.kvs)
 		sameRecords(t, what+" hash vs oracle", oracleW.kvs, hashW.kvs)
+		for _, c := range []int{defaultCap, 1, 2, 3} {
+			partialGroupCap = c
+			ordEm, ordW := sinkEmitter(size)
+			if err := foldSorted(g, size, groups, []*vecEmitter{ordEm}); err != nil {
+				t.Fatalf("%s at cap %d: %v", what, c, err)
+			}
+			if err := ordEm.close(); err != nil {
+				t.Fatal(err)
+			}
+			sameRecords(t, fmt.Sprintf("%s hash vs ordered at cap %d", what, c), ordW.kvs, hashW.kvs)
+		}
 	}
 }
 
@@ -666,7 +731,7 @@ func TestHashEdgeCorruptInput(t *testing.T) {
 	} {
 		if c.g.Kind == "distinct" {
 			p := &stageProcessor{spec: &StageSpec{Group: c.g}}
-			if err := p.runHashed(nil, nil); err == nil {
+			if err := p.runGroups(nil, []hashInput{{}}, nil); err == nil {
 				t.Errorf("distinct over a hash edge: no error")
 			}
 			continue

@@ -10,20 +10,29 @@ import "tez/internal/col"
 // rows go to the emit's writer as any shuffle emit's do, so the ordered
 // edge of the MR chain and the hash edge both carry them.
 
-// partialGroupCap is the most groups a producer's table holds before it
-// writes them out. A variable only so tests can force early writes.
+// partialGroupCap is the most groups a producer's table, or the fold of
+// a grouped input (hashFold.open), holds before it writes them out. A
+// variable only so tests can force early writes.
 var partialGroupCap = 1 << 12
+
+// partialFold returns the emit's table of partial states, taken from the
+// pool on first use.
+func (ve *vecEmitter) partialFold() (*hashFold, error) {
+	if ve.partial == nil {
+		f, err := getHashFold(&GroupOp{Kind: "agg", GroupWidth: len(ve.spec.Keys), Aggs: ve.spec.Aggs}, ve.size)
+		if err != nil {
+			return nil, err
+		}
+		ve.partial = f
+	}
+	return ve.partial, nil
+}
 
 // preAggregate folds b's live rows into the emit's partial states.
 func (ve *vecEmitter) preAggregate(b *col.Batch) error {
-	f := ve.partial
-	if f == nil {
-		var err error
-		f, err = getHashFold(&GroupOp{Kind: "agg", GroupWidth: len(ve.spec.Keys), Aggs: ve.spec.Aggs}, ve.size)
-		if err != nil {
-			return err
-		}
-		ve.partial = f
+	f, err := ve.partialFold()
+	if err != nil {
+		return err
 	}
 	f.keyVecs = evalKeys(f.keyVecs[:0], ve.spec.Keys, b)
 	for k := 0; k < b.Live(); {
@@ -113,13 +122,22 @@ func (ve *vecEmitter) writeOut() error {
 	return err
 }
 
-// closePartial writes what the table holds and returns it to the pool.
+// closePartial writes what the table holds and returns it to the pool. A
+// group-less emit writes its one group even when no row reached it: the
+// fresh states merge as nothing does, so a global aggregate over no rows
+// still finds its group at the consumer and writes count 0 and nulls.
 func (ve *vecEmitter) closePartial() error {
-	f := ve.partial
-	if f == nil {
+	if len(ve.spec.Aggs) == 0 || ve.partial == nil && len(ve.spec.Keys) > 0 {
 		return nil
 	}
-	err := ve.writePartials()
+	f, err := ve.partialFold()
+	if err != nil {
+		return err
+	}
+	if len(ve.spec.Keys) == 0 {
+		f.group(nil)
+	}
+	err = ve.writePartials()
 	hashFolds.Put(f)
 	ve.partial = nil
 	return err

@@ -40,9 +40,9 @@ func randPartialArg(rng *rand.Rand, kind int) row.Value {
 // TestPartialAggregationRandom: producers pre-aggregate random rows at
 // batch sizes 1–8 with their table capped at 1, 2, 3 or the default
 // number of groups, and write to an ordered edge and to a hash edge of
-// 1–3 partitions; groupFold and hashFold merge the partial states at
-// batch sizes 1–8. Both answers must be the reference's, row bytes for
-// row bytes.
+// 1–3 partitions; hashFolds merge the partial states at batch sizes 1–8,
+// the ordered edge's sorted groups under the same cap, never holding
+// more. Both answers must be the reference's, row bytes for row bytes.
 func TestPartialAggregationRandom(t *testing.T) {
 	defer func(c int) { partialGroupCap = c }(partialGroupCap)
 	rng := rand.New(rand.NewSource(61))
@@ -112,17 +112,11 @@ func TestPartialAggregationRandom(t *testing.T) {
 			}
 		}
 
-		// Consumers: the ordered edge's groups through groupFold, each hash
-		// partition through its own hashFold.
+		// Consumers: the ordered edge's groups, folded under the same cap,
+		// and each hash partition, through a hashFold each.
 		em, w := sinkEmitter(size)
-		fold := newGroupFold(g, 1+rng.Intn(8), []*vecEmitter{em})
-		for _, values := range orderedGroups(ordered.kvs) {
-			if err := fold.addGroup(values); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
-		}
-		if err := fold.close(); err != nil {
-			t.Fatal(err)
+		if err := foldSorted(g, 1+rng.Intn(8), orderedGroups(ordered.kvs), []*vecEmitter{em}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := em.close(); err != nil {
 			t.Fatal(err)

@@ -356,6 +356,28 @@ func TestGlobalAggregationEmptyGroup(t *testing.T) {
 	}, want, false)
 }
 
+// TestGlobalAggregationOverNoRows: a group-less aggregate whose filter
+// drops every row still writes its one row, as SQL does — count 0 and NULL
+// for sum, avg, min and max — on Tez and on the MR chain, each with four
+// aggregate tasks.
+func TestGlobalAggregationOverNoRows(t *testing.T) {
+	h := newHarness(t)
+	defer h.close()
+	tb := h.table("g0", row.NewSchema("v:int"), 2, intRows([]int64{1}, []int64{2}, []int64{3}))
+	want := []row.Row{{row.Int(0), row.Int(0), row.Null(), row.Null(), row.Null(), row.Null()}}
+	h.runBoth("gagg0", func(out string) []*Node {
+		a := AggNode(FilterNode(Scan(tb), Cmp("<", Col(0), LitInt(0))), nil, nil, []AggDef{
+			{Func: "count", Name: "n"},
+			{Func: "count", Arg: Col(0), Name: "c"},
+			{Func: "sum", Arg: Col(0), Name: "s"},
+			{Func: "avg", Arg: Col(0), Name: "a"},
+			{Func: "min", Arg: Col(0), Name: "lo"},
+			{Func: "max", Arg: Col(0), Name: "hi"},
+		})
+		return []*Node{StoreNode(a, out)}
+	}, want, false)
+}
+
 // TestValidateExpressions pins the plan-time expression check: nil nodes
 // and wrong arities are refused wherever a plan carries an expression,
 // while unknown kinds, unknown operators and out-of-range columns keep

@@ -2,6 +2,7 @@ package relop
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tez/internal/am"
@@ -236,6 +237,21 @@ func ReadStored(fs *dfs.FileSystem, path string) ([]row.Row, error) {
 		}
 	}
 	return out, nil
+}
+
+// SameRows reports whether a and b hold the same rows in any order,
+// compared by their row encodings: the form that tells Int(1) from
+// Float(1) and -0 from +0.
+func SameRows(a, b []row.Row) bool {
+	sorted := func(rows []row.Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = string(row.Encode(nil, r))
+		}
+		slices.Sort(out)
+		return out
+	}
+	return slices.Equal(sorted(a), sorted(b))
 }
 
 // EmitDAGOnly compiles without running (inspection/tests).

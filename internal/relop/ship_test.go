@@ -357,10 +357,12 @@ func TestVecJoinAggIdentityRandom(t *testing.T) {
 		spec := EmitSpec{Kind: EmitSink, Output: "sink", Tag: -1}
 		rowEm := &emitter{spec: spec, writer: rowW}
 		vecEm := newVecEmitter(spec, vecW, nil, 1+rng.Intn(8))
-		join := joinGroups{size: 1 + rng.Intn(8)}
+		size := 1 + rng.Intn(8)
+		var groups [][][]byte
 		p := &stageProcessor{}
 		for grp := 1 + rng.Intn(8); grp > 0; grp-- {
 			values := randJoinGroup(rng, widths, false)
+			groups = append(groups, values)
 			var product []row.Row
 			if err := p.joinGroup(&GroupOp{Sides: 2}, values, func(r row.Row) error {
 				product = append(product, EvalAll(g.AggInput, r))
@@ -383,12 +385,9 @@ func TestVecJoinAggIdentityRandom(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := join.run(g, values, []*vecEmitter{vecEm}); err != nil {
-				t.Fatalf("trial %d: %v", trial, err)
-			}
 		}
-		if err := join.close(); err != nil {
-			t.Fatal(err)
+		if err := foldSorted(g, size, ascendingGroups(groups), []*vecEmitter{vecEm}); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if err := vecEm.close(); err != nil {
 			t.Fatal(err)

@@ -52,11 +52,11 @@ type GroupOp struct {
 	// join: number of tagged sides.
 	Sides int
 	// agg: first GroupWidth value columns are the group key; aggregate i
-	// reads value column GroupWidth+i.
+	// reads value column Aggs[i].Col.
 	GroupWidth int
 	Aggs       []AggFuncSpec
 	// Partial (agg): the producers pre-aggregate, so value column
-	// GroupWidth+i holds aggregate i's partial state, which merges.
+	// Aggs[i].Col holds aggregate i's partial state, which merges.
 	Partial bool
 	// join fused with an aggregate whose group key is the join key: each
 	// product row is projected by AggInput to the agg layout above

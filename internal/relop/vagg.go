@@ -3,7 +3,6 @@ package relop
 import (
 	"bytes"
 	"fmt"
-	"slices"
 
 	"tez/internal/col"
 	"tez/internal/row"
@@ -26,167 +25,6 @@ var aggNeeds = map[string]aggNeed{
 	"count": {},
 }
 
-// groupFold folds every sorted-group aggregate: an agg stage's
-// groups and a join's product aggregated in the join's task (a join
-// GroupOp with AggInput, whose join groups are the aggregate groups) both
-// run through it. Rows arrive group by group — startGroup makes the next
-// row a group's first — either encoded (addEncoded, an agg stage's
-// values) or column by column (beginRow/endRow, a join's product rows).
-// They accumulate in one batch across groups; a flush projects the batch
-// by AggInput, if the op has one, to rows laid out [group..., args...]
-// (the first GroupWidth columns are the key, aggregate i reads column
-// Aggs[i].Col) and folds each group's run of rows into that group's
-// states with foldChunk (an agg stage of partial states merges them). A
-// group may start mid-batch and continue past
-// a flush; its result row is written when the next group starts or the
-// rows end.
-type groupFold struct {
-	g       *GroupOp
-	size    int
-	ems     []*vecEmitter
-	in      *col.Batch
-	starts  []int // rows of in at which a group starts
-	pending bool  // a group has started and has no row yet
-	vecs    []col.Vector
-	// The open group, reused from group to group: its key columns, copied
-	// from its first row, and one state per aggregate. open says whether
-	// its row is unwritten.
-	open   bool
-	key    *col.Batch
-	states []aggState
-	needs  []aggNeed
-}
-
-// newGroupFold folds g's groups in batches of size rows into ems.
-func newGroupFold(g *GroupOp, size int, ems []*vecEmitter) *groupFold {
-	return &groupFold{g: g, size: size, ems: ems, in: col.NewBatch(), key: col.NewBatch()}
-}
-
-// startGroup makes the next row the first of a new group.
-func (f *groupFold) startGroup() { f.pending = true }
-
-// addGroup folds one group of encoded rows.
-func (f *groupFold) addGroup(values [][]byte) error {
-	f.startGroup()
-	for _, v := range values {
-		if err := f.addEncoded(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// addEncoded parses one encoded row into the batch, flushing first on a
-// width change.
-func (f *groupFold) addEncoded(v []byte) error {
-	ok, err := f.in.AppendEncoded(v)
-	if err == nil && !ok {
-		if err = f.flush(); err == nil {
-			_, err = f.in.AppendEncoded(v) // an empty batch takes any width
-		}
-	}
-	if err != nil {
-		return err
-	}
-	return f.added()
-}
-
-// beginRow readies the batch for one width-w row, flushing first on a
-// width change; endRow commits it.
-func (f *groupFold) beginRow(w int) (*col.Batch, error) {
-	if f.in.Len() > 0 && f.in.Width() != w {
-		if err := f.flush(); err != nil {
-			return nil, err
-		}
-	}
-	f.in.EnsureWidth(w)
-	return f.in, nil
-}
-
-func (f *groupFold) endRow() error {
-	f.in.SetRowCount(f.in.Len() + 1)
-	return f.added()
-}
-
-// added records a row just appended: the first of its group if one is
-// pending. A full batch flushes.
-func (f *groupFold) added() error {
-	if f.pending {
-		f.starts = append(f.starts, f.in.Len()-1)
-		f.pending = false
-	}
-	if f.in.Len() >= f.size {
-		return f.flush()
-	}
-	return nil
-}
-
-// flush folds the batched rows group by group.
-func (f *groupFold) flush() error {
-	n := f.in.Len()
-	if n == 0 {
-		return nil
-	}
-	b := f.in
-	if f.g.AggInput != nil {
-		f.vecs = f.vecs[:0]
-		for _, e := range f.g.AggInput {
-			f.vecs = append(f.vecs, evalVec(e, f.in))
-		}
-		b = col.FromVectors(n, nil, f.vecs)
-	}
-	lo := 0
-	for k := 0; k <= len(f.starts); k++ {
-		hi := n
-		if k < len(f.starts) {
-			hi = f.starts[k]
-		}
-		if hi > lo {
-			if err := foldChunk(f.g, f.states, b, lo, hi, f.needs); err != nil {
-				return err
-			}
-			lo = hi
-		}
-		if k == len(f.starts) {
-			break
-		}
-		if err := f.finishGroup(); err != nil {
-			return err
-		}
-		if err := f.openGroup(b, hi); err != nil {
-			return err
-		}
-	}
-	f.in.Reset()
-	f.starts = f.starts[:0]
-	return nil
-}
-
-// openGroup starts the group whose first row is b's row i: fresh states,
-// and the key copied from that row.
-func (f *groupFold) openGroup(b *col.Batch, i int) error {
-	w := f.g.GroupWidth
-	if b.Width() < w {
-		return fmt.Errorf("relop: %d-column row under a %d-column group key", b.Width(), w)
-	}
-	f.states, f.needs = slices.Grow(f.states[:0], len(f.g.Aggs))[:len(f.g.Aggs)], f.needs[:0]
-	for i, a := range f.g.Aggs {
-		need, ok := aggNeeds[a.Func]
-		if !ok {
-			return fmt.Errorf("relop: unknown aggregate %q", a.Func)
-		}
-		f.states[i].reset()
-		f.needs = append(f.needs, need)
-	}
-	f.key.Reset()
-	f.key.EnsureWidth(w)
-	for c := 0; c < w; c++ {
-		f.key.Col(c).AppendFrom(b.Col(c), i)
-	}
-	f.open = true
-	return nil
-}
-
 // foldChunk folds rows [lo, hi) of b, all of one group, into its states:
 // each aggregate's argument column through observeChunk, or, when g's
 // rows are partial states, each state column through mergeChunk. An
@@ -205,15 +43,6 @@ func foldChunk(g *GroupOp, states []aggState, b *col.Batch, lo, hi int, needs []
 		}
 	}
 	return nil
-}
-
-// finishGroup writes the open group's result row.
-func (f *groupFold) finishGroup() error {
-	if !f.open {
-		return nil
-	}
-	f.open = false
-	return writeAggRow(f.ems, f.g, f.key, 0, f.states)
 }
 
 // writeAggRow appends one group's result row — row r of key's columns,
@@ -250,14 +79,6 @@ func writeAggRow(ems []*vecEmitter, g *GroupOp, key *col.Batch, r int, states []
 		}
 	}
 	return nil
-}
-
-// close folds the batched rows and writes the last group's row.
-func (f *groupFold) close() error {
-	if err := f.flush(); err != nil {
-		return err
-	}
-	return f.finishGroup()
 }
 
 // observeChunk folds rows [lo, hi) of one column into st: count counts

@@ -318,7 +318,8 @@ func TestVecAggIdentityRandom(t *testing.T) {
 		}
 		var rowOut []capturedKV
 		vecW.kvs = nil
-		fold := newGroupFold(g, 1+rng.Intn(8), []*vecEmitter{em})
+		size := 1 + rng.Intn(8)
+		var groups [][][]byte
 		p := &stageProcessor{}
 		for grp := 1 + rng.Intn(6); grp > 0; grp-- {
 			var values [][]byte
@@ -335,11 +336,9 @@ func TestVecAggIdentityRandom(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("trial %d row agg: %v", trial, err)
 			}
-			if err := fold.addGroup(values); err != nil {
-				t.Fatalf("trial %d vec agg: %v", trial, err)
-			}
+			groups = append(groups, values)
 		}
-		if err := fold.close(); err != nil {
+		if err := foldSorted(g, size, ascendingGroups(groups), []*vecEmitter{em}); err != nil {
 			t.Fatalf("trial %d vec agg: %v", trial, err)
 		}
 		if err := em.flush(); err != nil {
@@ -361,11 +360,7 @@ func TestVecAggAllNullColumn(t *testing.T) {
 		values = append(values, row.Encode(nil, row.Row{row.Int(7), row.Null()}))
 	}
 	em, w := sinkEmitter(DefaultBatchSize)
-	fold := newGroupFold(g, 4, []*vecEmitter{em})
-	if err := fold.addGroup(values); err != nil {
-		t.Fatal(err)
-	}
-	if err := fold.close(); err != nil {
+	if err := foldSorted(g, 4, ascendingGroups([][][]byte{values}), []*vecEmitter{em}); err != nil {
 		t.Fatal(err)
 	}
 	if err := em.flush(); err != nil {
@@ -509,7 +504,7 @@ func TestVecJoinGroupErrors(t *testing.T) {
 }
 
 // TestVecSortDistinctIdentityRandom runs sort (with and without a limit)
-// and distinct stages through runGrouped over random groups and compares
+// and distinct stages through runGroups over random groups and compares
 // two bound emitters, the first filtering, with the oracle decoding each
 // value into row emitters.
 func TestVecSortDistinctIdentityRandom(t *testing.T) {
@@ -559,7 +554,7 @@ func TestVecSortDistinctIdentityRandom(t *testing.T) {
 		}
 
 		p := &stageProcessor{spec: &StageSpec{Group: g}}
-		if err := p.runGrouped([]runtime.GroupedKVReader{groups}, ge.vecEms); err != nil {
+		if err := p.runGroups([]runtime.GroupedKVReader{groups}, nil, ge.vecEms); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		ge.check(t, fmt.Sprintf("trial %d %s", trial, g.Kind))
