@@ -71,11 +71,12 @@ check-benchmark:
 # examples runs every program under examples/ and cmd/tez-dag, which build
 # their DAGs by hand and which no test executes, then the differential end
 # to end at small scale: tez-hive on its default query and on a global
-# aggregate whose filter drops every row, and tez-pig's group_agg, each
-# with -backend both, which runs the Tez DAG and the MR chain (whose
-# reducers fold through the same aggregate fold) and exits 1 when the two
-# store different rows. A non-zero exit fails the target. A few seconds
-# each.
+# aggregate whose filter drops every row, and tez-pig's group_agg and
+# order_by (a range sort with a LIMIT, which must be global on Tez as it is
+# on the MR chain's single reducer), each with -backend both, which runs
+# the Tez DAG and the MR chain (whose reducers fold through the same
+# aggregate fold) and exits 1 when the two store different rows. A
+# non-zero exit fails the target. A few seconds each.
 examples:
 	@for d in examples/*/ cmd/tez-dag; do \
 		echo "run ./$$d"; $(GO) run ./$$d >/dev/null || exit 1; \
@@ -84,6 +85,7 @@ examples:
 	$(GO) run ./cmd/tez-hive -backend both -orders 200 -sales 200 \
 		-q "SELECT count(*) AS n, sum(l_quantity) AS s FROM lineitem WHERE l_quantity < 0" >/dev/null
 	$(GO) run ./cmd/tez-pig -backend both -pipeline group_agg -rows 2000 >/dev/null
+	$(GO) run ./cmd/tez-pig -backend both -pipeline order_by >/dev/null
 
 # bench regenerates every experiment table once (BenchmarkExperiments/<key>
 # over the internal/bench table, opt-in rows excluded) and runs the
@@ -103,10 +105,15 @@ bench:
 # column and hash edges carry column frames, so only the rows a reduce
 # side reads off an ordered shuffle (a sort, a distinct, a plain join, an
 # aggregate whose group key has no declared kind, the MR chain) still
-# take that parse: on joinagg only the 40 rows its top-k sort reads. Last it prints the share of allocated bytes
-# (alloc_space, from mem.out) under dfs.(*FileSystem).ReadAt, which should
-# also read near zero on both Hive workloads: a split inside one DFS block
-# is read in place, so the bytes a scan reads are not copied first.
+# take that parse: on joinagg only the 40 rows its top-k sort reads. Then
+# it prints the cumulative CPU share of the column frame codec's two ends,
+# col.decodeCol and col.EncodeBatch, which read table stripes and carry
+# every hash and broadcast edge: a regression in either shows there first.
+# Last it prints the share of allocated bytes (alloc_space, from mem.out)
+# under dfs.(*FileSystem).ReadAtNoWait, which ReadAt and a task's split
+# reader both read through, and which should also read near zero on both
+# Hive workloads: a split inside one DFS block is read in place, so the
+# bytes a scan reads are not copied first.
 # Binary and profiles stay in $(PROFILE_DIR); look
 # further with `go tool pprof $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out`
 # (or mem.out with -sample_index=alloc_space). PROFILE_BENCH narrows the
@@ -118,9 +125,9 @@ profile:
 	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
-		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b' | head -30
-	@printf 'alloc_space under dfs.(*FileSystem).ReadAt: '
-	@$(GO) tool pprof -sample_index=alloc_space -top -focus 'dfs\.\(\*FileSystem\)\.ReadAt$$' \
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$' | head -30
+	@printf 'alloc_space under dfs.(*FileSystem).ReadAtNoWait: '
+	@$(GO) tool pprof -sample_index=alloc_space -top -focus 'dfs\.\(\*FileSystem\)\.ReadAtNoWait$$' \
 		$(PROFILE_DIR)/tez.test $(PROFILE_DIR)/mem.out 2>/dev/null | sed -n 's/^Showing nodes accounting for //p'
 
 # fuzz-short gives the record-framing decoders (plain and block-padded),
@@ -134,7 +141,8 @@ profile:
 # stack exhaustion — and the two row
 # decoders (row.Decode and col.Batch.AppendEncoded accept and refuse the
 # same inputs and read them alike), the batch frame decoder
-# (col.DecodeBatch: a frame it accepts re-encodes to the same rows) and
+# (col.DecodeBatch: a frame it accepts re-encodes to the same rows, and
+# its decoded vectors hold at most 64 times its bytes) and
 # the table stripe's column-subset decode (col.DecodeBatchInto: any subset
 # of an accepted frame's columns reads as the full decode does, every
 # column length within the bytes that remain, the row cap kept) and the

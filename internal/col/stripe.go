@@ -20,12 +20,15 @@ type Stripe struct {
 }
 
 // chunkSize tracks what encodeCol will write for a column built by
-// AppendValue: the kind it settles on, its nulls, and the typed payload
-// bytes of its non-null values.
+// AppendValue: the kind it settles on, its nulls, the range of its packed
+// values and the bytes of its non-null values.
 type chunkSize struct {
-	kind    Kind
-	nulls   int
-	payload int
+	kind  Kind
+	nulls int
+	lo    int64 // Int64: least and greatest value; Bytes: length
+	hi    int64
+	heap  int // Bytes: the values' bytes
+	boxed int // Any: the non-null values' row.Encode bytes
 }
 
 // NewStripe returns an empty stripe.
@@ -72,23 +75,28 @@ func (s *Stripe) AppendFrame(dst []byte) []byte {
 // does: the first non-null value's kind, Any once two kinds meet.
 func (cs *chunkSize) add(v row.Value) {
 	var k Kind
+	var x int64 // the packed value: an int, or a string's length
 	switch v.Kind {
 	case row.KindNull:
 		cs.nulls++
 		return
 	case row.KindInt:
-		k = Int64
-		cs.payload += varintSize(v.Int)
+		k, x = Int64, v.Int
+		cs.boxed += 1 + varintSize(v.Int)
 	case row.KindFloat:
 		k = Float64
-		cs.payload += 8
+		cs.boxed += 1 + 8
 	case row.KindString:
-		k = Bytes
-		cs.payload += uvarintSize(uint64(len(v.Str))) + len(v.Str)
+		k, x = Bytes, int64(len(v.Str))
+		cs.heap += len(v.Str)
+		cs.boxed += 1 + uvarintSize(uint64(len(v.Str))) + len(v.Str)
 	}
-	if cs.kind == Unset {
-		cs.kind = k
-	} else if cs.kind != k {
+	switch cs.kind {
+	case Unset:
+		cs.kind, cs.lo, cs.hi = k, x, x
+	case k:
+		cs.lo, cs.hi = min(cs.lo, x), max(cs.hi, x)
+	default:
 		cs.kind = Any
 	}
 }
@@ -99,16 +107,23 @@ func (cs *chunkSize) size(n int) int {
 	case Unset:
 		return 1
 	case Any:
-		return 1 + cs.payload + n // every value leads with its kind; a null is only that
+		return 1 + cs.boxed + cs.nulls // a null is only its kind
 	}
 	size := 2 // kind, null marker
 	if cs.nulls > 0 {
 		size += (n + 7) / 8
 	}
-	if cs.kind == Float64 {
+	switch cs.kind {
+	case Float64:
 		return size + 8*n
+	case Bytes:
+		lo := cs.lo
+		if cs.nulls > 0 {
+			lo = 0 // a null's length
+		}
+		return size + packedSize(lo, cs.hi, n) + cs.heap
 	}
-	return size + cs.payload + cs.nulls // a null int or string is one zero byte
+	return size + packedSize(cs.lo, cs.hi, n) // Int64: a null packs as the base
 }
 
 func varintSize(x int64) int {

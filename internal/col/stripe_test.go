@@ -2,6 +2,8 @@ package col
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -53,27 +55,55 @@ func batchOf(rows []row.Row) *Batch {
 }
 
 // TestStripeSizeExact holds Stripe's size accounting to EncodeBatch: a
-// row goes in exactly when the frame holding it fits the limit.
+// row goes in exactly when the frame holding it fits the limit. Besides
+// random stripes, a row may widen an already-packed column, and a span
+// from a negative value to MaxInt64 needs the 64-bit width.
 func TestStripeSizeExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		rows := stripeRows(rng, 1+rng.Intn(150), rng.Intn(6))
-		s := NewStripe()
-		for i, r := range rows {
-			want := len(EncodeBatch(nil, batchOf(rows[:i+1])))
-			if s.Add(r, want-1) {
-				t.Fatalf("trial %d row %d: added under a limit one byte short of its %d-byte frame", trial, i, want)
-			}
-			if !s.Add(r, want) {
-				t.Fatalf("trial %d row %d: refused at its own frame size %d", trial, i, want)
-			}
+		checkStripeSize(t, fmt.Sprintf("trial %d", trial), stripeRows(rng, 1+rng.Intn(150), rng.Intn(6)))
+	}
+	long := string(make([]byte, 300))
+	checkStripeSize(t, "widening", []row.Row{
+		{row.Int(5), row.String("ab"), row.Null()},
+		{row.Int(6), row.String("abc"), row.Int(-1)},
+		{row.Int(1 << 40), row.String(long), row.Int(1 << 50)},
+		{row.Null(), row.Null(), row.Int(-1 << 60)},
+	})
+	checkStripeSize(t, "64-bit span", []row.Row{
+		{row.Int(-3), row.Int(math.MinInt64)},
+		{row.Int(math.MaxInt64), row.Int(math.MaxInt64)},
+		{row.Null(), row.Int(0)},
+	})
+}
+
+func checkStripeSize(t *testing.T, name string, rows []row.Row) {
+	t.Helper()
+	s := NewStripe()
+	for i, r := range rows {
+		want := len(EncodeBatch(nil, batchOf(rows[:i+1])))
+		if s.Add(r, want-1) {
+			t.Fatalf("%s row %d: added under a limit one byte short of its %d-byte frame", name, i, want)
 		}
-		frame := s.AppendFrame(nil)
-		if want := EncodeBatch(nil, batchOf(rows)); !bytes.Equal(frame, want) {
-			t.Fatalf("trial %d: stripe frame differs from EncodeBatch's", trial)
+		if !s.Add(r, want) {
+			t.Fatalf("%s row %d: refused at its own frame size %d", name, i, want)
 		}
-		if s.Len() != 0 {
-			t.Fatalf("trial %d: stripe holds %d rows after its frame", trial, s.Len())
+	}
+	frame := s.AppendFrame(nil)
+	want := EncodeBatch(nil, batchOf(rows))
+	if !bytes.Equal(frame, want) {
+		t.Fatalf("%s: stripe frame differs from EncodeBatch's", name)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("%s: stripe holds %d rows after its frame", name, s.Len())
+	}
+	b, err := DecodeBatch(frame)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	for i, r := range rows {
+		if got := AppendRowEncoded(nil, b, i); !bytes.Equal(got, row.Encode(nil, r)) {
+			t.Fatalf("%s row %d: decodes as %x, want %x", name, i, got, row.Encode(nil, r))
 		}
 	}
 }

@@ -319,24 +319,36 @@ func (fs *FileSystem) ReadFile(path, localNode string) ([]byte, error) {
 // Only a range spanning blocks is copied into a fresh buffer. Either way
 // the caller must treat the bytes as read-only.
 func (fs *FileSystem) ReadAt(path, localNode string, offset, length int64) ([]byte, error) {
+	out, delay, err := fs.ReadAtNoWait(path, localNode, offset, length)
+	if delay > 0 {
+		time.Sleep(delay)
+	}
+	return out, err
+}
+
+// ReadAtNoWait is ReadAt with the read cost returned instead of slept, as
+// shuffle.Service.FetchNoWait returns a fetch's: a reader of many small
+// ranges adds the delays up and sleeps them in coarse chunks, since a
+// sub-millisecond sleep costs the OS timer's granularity instead.
+func (fs *FileSystem) ReadAtNoWait(path, localNode string, offset, length int64) ([]byte, time.Duration, error) {
 	// Chaos only targets reads issued from a task's node; control-plane
 	// and verification reads pass localNode == "" and are never injected.
 	if localNode != "" && fs.cfg.Chaos.DFSReadFault(path, localNode) {
-		return nil, fmt.Errorf("%w: %s from %s (injected)", ErrReadFault, path, localNode)
+		return nil, 0, fmt.Errorf("%w: %s from %s (injected)", ErrReadFault, path, localNode)
 	}
 	fs.mu.Lock()
 	f, ok := fs.files[path]
 	if !ok {
 		fs.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	if offset < 0 || offset > f.size {
 		fs.mu.Unlock()
-		return nil, fmt.Errorf("dfs: offset %d out of range for %s (size %d)", offset, path, f.size)
+		return nil, 0, fmt.Errorf("dfs: offset %d out of range for %s (size %d)", offset, path, f.size)
 	}
 	if length < 0 {
 		fs.mu.Unlock()
-		return nil, fmt.Errorf("dfs: negative length %d reading %s", length, path)
+		return nil, 0, fmt.Errorf("dfs: negative length %d reading %s", length, path)
 	}
 	length = min(length, f.size-offset)
 	var out []byte
@@ -348,7 +360,7 @@ func (fs *FileSystem) ReadAt(path, localNode string, offset, length int64) ([]by
 		b := f.blocks[bi]
 		if len(b.replicas) == 0 {
 			fs.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s block %d", ErrBlockLost, path, bi)
+			return nil, 0, fmt.Errorf("%w: %s block %d", ErrBlockLost, path, bi)
 		}
 		n := min(int64(len(b.data))-bo, end-pos)
 		if n == length { // the whole range lies in this block
@@ -367,10 +379,7 @@ func (fs *FileSystem) ReadAt(path, localNode string, offset, length int64) ([]by
 	fs.bytesRead += length
 	delay := time.Duration(remote) * fs.cfg.ReadDelayPerByteRemote
 	fs.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return out, nil
+	return out, delay, nil
 }
 
 // Fsck re-checks every block of every file in the namespace against the

@@ -2,6 +2,7 @@ package library
 
 import (
 	"fmt"
+	"time"
 
 	"tez/internal/dfs"
 	"tez/internal/event"
@@ -107,6 +108,11 @@ type SplitAssignment struct {
 // splitRecordReader streams records from a task's assigned splits,
 // reading each split's bytes from the DFS (charging locality-dependent
 // read cost). It implements runtime.KVReader.
+//
+// The cost model's read delays are added up, as shuffle.Fetcher adds up
+// its fetches', and slept once the balance is worth an OS timer, then
+// whatever is left when the reader ends: a task reading a hundred small
+// remote splits pays their modelled total, not a hundred timers' slack.
 type splitRecordReader struct {
 	fs     *dfs.FileSystem
 	node   string
@@ -114,25 +120,30 @@ type splitRecordReader struct {
 	idx    int
 	cur    *BufferReader
 	err    error
+	owed   time.Duration       // read delay not yet slept
+	sleep  func(time.Duration) // time.Sleep when nil; a test counts instead
 }
 
 // Next advances across split boundaries.
 func (r *splitRecordReader) Next() bool {
 	for {
 		if r.err != nil {
+			r.pay(0, true)
 			return false
 		}
 		if r.cur == nil {
 			if r.idx >= len(r.splits) {
+				r.pay(0, true)
 				return false
 			}
 			s := r.splits[r.idx]
 			r.idx++
-			data, err := r.fs.ReadAt(s.Path, r.node, s.Offset, s.Length)
+			data, delay, err := r.fs.ReadAtNoWait(s.Path, r.node, s.Offset, s.Length)
 			if err != nil {
 				r.err = err
-				return false
+				continue
 			}
+			r.pay(delay, false)
 			r.cur = NewPaddedReader(data) // splits carry whole, padded blocks
 		}
 		if r.cur.Next() {
@@ -140,9 +151,25 @@ func (r *splitRecordReader) Next() bool {
 		}
 		if err := r.cur.Err(); err != nil {
 			r.err = err
-			return false
+			continue
 		}
 		r.cur = nil
+	}
+}
+
+// pay adds delay to the balance and sleeps the balance once it reaches a
+// millisecond, or at the end, whatever it is.
+func (r *splitRecordReader) pay(delay time.Duration, end bool) {
+	r.owed += delay
+	if r.owed < time.Millisecond && (!end || r.owed == 0) {
+		return
+	}
+	due := r.owed
+	r.owed = 0
+	if r.sleep != nil {
+		r.sleep(due)
+	} else {
+		time.Sleep(due)
 	}
 }
 

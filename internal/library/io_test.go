@@ -290,6 +290,68 @@ func TestRecordFileWriteSplitRead(t *testing.T) {
 	}
 }
 
+// TestSplitReadSleepsOwedDelay reads 125 one-block remote splits through
+// a counting sleep hook: the reader sleeps the splits' modelled total
+// exactly, in at most one sleep per millisecond of it plus the rest at
+// the end, and a local read sleeps nothing.
+func TestSplitReadSleepsOwedDelay(t *testing.T) {
+	const perByte = 200 * time.Nanosecond
+	fs := dfs.New(dfs.Config{BlockSize: 256, Replication: 1, ReadDelayPerByteRemote: perByte})
+	fs.AddNode("n0", "r0")
+	fs.AddNode("n1", "r0")
+	w, err := CreateRecordFile(fs, "/data/small", "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 125; i++ { // one record a block
+		if err := w.Write([]byte(fmt.Sprintf("k%04d", i)), make([]byte, 200)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	splits, err := fs.Splits("/data/small", 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(splits) < 100 {
+		t.Fatalf("%d splits, want at least 100", len(splits))
+	}
+	var want time.Duration
+	for _, s := range splits {
+		want += time.Duration(s.Length) * perByte
+	}
+	for _, c := range []struct {
+		node string
+		want time.Duration
+	}{{"n0", want}, {"n1", 0}} {
+		var slept []time.Duration
+		r := &splitRecordReader{fs: fs, node: c.node, splits: splits,
+			sleep: func(d time.Duration) { slept = append(slept, d) }}
+		n := 0
+		for ; r.Next(); n++ {
+		}
+		if r.Err() != nil || n != 125 {
+			t.Fatalf("%s: read %d records, err %v", c.node, n, r.Err())
+		}
+		var total time.Duration
+		for _, d := range slept {
+			total += d
+		}
+		if total != c.want {
+			t.Errorf("%s: slept %v in all, want %v", c.node, total, c.want)
+		}
+		most := int(c.want/time.Millisecond) + 1
+		if c.want == 0 {
+			most = 0
+		}
+		if len(slept) > most {
+			t.Errorf("%s: %d sleeps for %v", c.node, len(slept), c.want)
+		}
+	}
+}
+
 func TestRecordFileRejectsHugeRecord(t *testing.T) {
 	svc := testServices(t)
 	w, err := CreateRecordFile(svc.FS, "/data/big", "n0")

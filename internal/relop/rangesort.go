@@ -40,6 +40,8 @@ import (
 // join.
 
 // RangeSortNode globally orders rows with `partitions`-way parallelism.
+// A limit is global, so a limited range sort compiles as the plain
+// limited sort on either backend.
 func RangeSortNode(in *Node, keys []*Expr, desc []bool, limit, partitions int) *Node {
 	return &Node{
 		Op: "rangesort", Children: []*Node{in},
@@ -106,8 +108,11 @@ func (c *Compiler) buildSampler(src *Node, key *Expr, desc bool, targets []*bSta
 }
 
 func (c *Compiler) compileRangeSort(n *Node) ([]cursor, error) {
-	if c.forMR {
-		// Pre-Tez degradation: single-reducer global sort.
+	if c.forMR || n.Limit > 0 {
+		// MR's pre-Tez degradation: a single-reducer global sort. A limit
+		// is global too, so a limited sort is the plain limited sort on
+		// Tez as well: each producer keeps its first Limit records and one
+		// sort task keeps the first Limit of those.
 		plain := SortNode(n.Children[0], n.SortKeys, n.SortDesc, n.Limit)
 		return c.compile(plain)
 	}
@@ -122,7 +127,7 @@ func (c *Compiler) compileRangeSort(n *Node) ([]cursor, error) {
 	st := c.newStage("rangesort")
 	st.grouped = true
 	st.par = parts
-	st.spec.Group = &GroupOp{Kind: "sort", Limit: n.Limit}
+	st.spec.Group = &GroupOp{Kind: "sort"}
 	var producers []*bStage
 	for _, cur := range in {
 		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{

@@ -214,6 +214,45 @@ func TestRangeSortMRFallsBackToSingleReducer(t *testing.T) {
 	}
 }
 
+// A range sort's LIMIT is global: Tez stores the first Limit rows of the
+// whole input, as the MR chain's single reducer does, not Limit rows in
+// every range partition.
+func TestRangeSortLimitIsGlobal(t *testing.T) {
+	h := newHarness(t)
+	defer h.close()
+	rng := rand.New(rand.NewSource(5))
+	rows := make([]row.Row, 1000)
+	for i, k := range rng.Perm(len(rows)) {
+		rows[i] = row.Row{row.Int(int64(k)), row.Int(int64(i))}
+	}
+	tb := h.table("rslim", row.NewSchema("k:int", "v:int"), 4, rows)
+	root := func(out string) []*Node {
+		return []*Node{StoreNode(RangeSortNode(Scan(tb), []*Expr{Col(0)}, []bool{true}, 30, 4), out)}
+	}
+	sess := am.NewSession(h.plat, am.Config{Name: "rslim", DisableAutoParallelism: true})
+	defer sess.Close()
+	if _, err := RunTez(sess, Config{DefaultPartitions: 4}, "rslim", root("/out/rslim-tez")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunMR(h.plat, am.Config{Name: "rslim-mr"}, Config{}, "rslim-mr", root("/out/rslim-mr")); err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []string{"/out/rslim-tez", "/out/rslim-mr"} {
+		got, err := ReadStored(h.plat.FS, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 30 {
+			t.Fatalf("%s: stored %d rows, want the limit's 30", out, len(got))
+		}
+		for i, r := range got {
+			if r[0].Int != int64(999-i) {
+				t.Fatalf("%s: row %d has key %d, want %d", out, i, r[0].Int, 999-i)
+			}
+		}
+	}
+}
+
 func TestSkewJoinCorrectAndBalanced(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
