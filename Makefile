@@ -109,6 +109,9 @@ bench:
 # it prints the cumulative CPU share of the column frame codec's two ends,
 # col.decodeCol and col.EncodeBatch, which read table stripes and carry
 # every hash and broadcast edge: a regression in either shows there first.
+# Then the cumulative CPU share of relop.loadStageSpec, near zero on both
+# Hive workloads too: a warm container decodes each stage program once for
+# the session, so only a benchmark's first job pays the gob decode.
 # Last it prints the share of allocated bytes (alloc_space, from mem.out)
 # under dfs.(*FileSystem).ReadAtNoWait, which ReadAt and a task's split
 # reader both read through, and which should also read near zero on both
@@ -125,7 +128,7 @@ profile:
 	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
-		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$' | head -30
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$|internal/relop\.loadStageSpec$$' | head -30
 	@printf 'alloc_space under dfs.(*FileSystem).ReadAtNoWait: '
 	@$(GO) tool pprof -sample_index=alloc_space -top -focus 'dfs\.\(\*FileSystem\)\.ReadAtNoWait$$' \
 		$(PROFILE_DIR)/tez.test $(PROFILE_DIR)/mem.out 2>/dev/null | sed -n 's/^Showing nodes accounting for //p'
@@ -150,20 +153,23 @@ profile:
 # mergePartial: an error or a state, and a state re-encodes to the same
 # results) a
 # brief coverage-guided shake on every run (the checked-in corpus under
-# testdata/fuzz replays regardless, as ordinary tests).
+# testdata/fuzz replays regardless, as ordinary tests). Each target bounds
+# minimizing a new input to 200 runs (-fuzzminimizetime 200x): at the
+# 60 s default one minimization can take the rest of a 5 s run, which
+# then fuzzes nothing new (FuzzColumnFile stalled at 0 execs/s so).
 fuzz-short:
-	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s ./internal/library/
-	$(GO) test -run XXX -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/library/
-	$(GO) test -run XXX -fuzz FuzzBufferReader -fuzztime 5s ./internal/library/
-	$(GO) test -run XXX -fuzz FuzzPayloadCodecs -fuzztime 5s ./internal/library/
-	$(GO) test -run XXX -fuzz FuzzGroupSplits -fuzztime 5s ./internal/library/
-	$(GO) test -run XXX -fuzz FuzzParseExpr -fuzztime 5s ./internal/relop/
-	$(GO) test -run XXX -fuzz FuzzPartialState -fuzztime 5s ./internal/relop/
-	$(GO) test -run XXX -fuzz 'FuzzParse$$' -fuzztime 5s ./internal/hive/
-	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s ./internal/pig/
-	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s ./internal/col/
-	$(GO) test -run XXX -fuzz FuzzDecodeBatch -fuzztime 5s ./internal/col/
-	$(GO) test -run XXX -fuzz FuzzColumnFile -fuzztime 5s ./internal/col/
+	$(GO) test -run XXX -fuzz FuzzSortOrder -fuzztime 5s -fuzzminimizetime 200x ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzDecodeRecord -fuzztime 5s -fuzzminimizetime 200x ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzBufferReader -fuzztime 5s -fuzzminimizetime 200x ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzPayloadCodecs -fuzztime 5s -fuzzminimizetime 200x ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzGroupSplits -fuzztime 5s -fuzzminimizetime 200x ./internal/library/
+	$(GO) test -run XXX -fuzz FuzzParseExpr -fuzztime 5s -fuzzminimizetime 200x ./internal/relop/
+	$(GO) test -run XXX -fuzz FuzzPartialState -fuzztime 5s -fuzzminimizetime 200x ./internal/relop/
+	$(GO) test -run XXX -fuzz 'FuzzParse$$' -fuzztime 5s -fuzzminimizetime 200x ./internal/hive/
+	$(GO) test -run XXX -fuzz FuzzParseScript -fuzztime 5s -fuzzminimizetime 200x ./internal/pig/
+	$(GO) test -run XXX -fuzz FuzzRowDecoders -fuzztime 5s -fuzzminimizetime 200x ./internal/col/
+	$(GO) test -run XXX -fuzz FuzzDecodeBatch -fuzztime 5s -fuzzminimizetime 200x ./internal/col/
+	$(GO) test -run XXX -fuzz FuzzColumnFile -fuzztime 5s -fuzzminimizetime 200x ./internal/col/
 
 # chaos runs the seed-pinned fault-injection suite under the race
 # detector: the determinism contract, the blacklisting/casualty paths and,

@@ -87,7 +87,7 @@ type computeConfig struct {
 
 // computeVertex is what the compute tasks of a superstep share in a
 // container, one task at a time: the decoded payload and the configured
-// program, built once (runtime.VertexObject) and read-only after.
+// program, built once per payload (runtime.PayloadObject) and read-only after.
 type computeVertex struct {
 	cfg  computeConfig
 	prog Program
@@ -106,9 +106,9 @@ type computeProc struct {
 func (p *computeProc) Initialize(ctx *runtime.Context) error {
 	p.ctx = ctx
 	var err error
-	p.computeVertex, err = runtime.VertexObject(ctx, "graph/compute", func() (*computeVertex, error) {
+	p.computeVertex, err = runtime.PayloadObject(ctx, "graph/compute", func(payload []byte) (*computeVertex, error) {
 		v := &computeVertex{}
-		if err := plugin.Decode(ctx.Payload, &v.cfg); err != nil {
+		if err := plugin.Decode(payload, &v.cfg); err != nil {
 			return nil, err
 		}
 		var err error
@@ -335,9 +335,9 @@ type inboxProc struct {
 func (p *inboxProc) Initialize(ctx *runtime.Context) error {
 	p.ctx = ctx
 	var err error
-	p.cfg, err = runtime.VertexObject(ctx, "graph/inbox", func() (*inboxConfig, error) {
+	p.cfg, err = runtime.PayloadObject(ctx, "graph/inbox", func(payload []byte) (*inboxConfig, error) {
 		cfg := new(inboxConfig)
-		return cfg, plugin.Decode(ctx.Payload, cfg)
+		return cfg, plugin.Decode(payload, cfg)
 	})
 	return err
 }

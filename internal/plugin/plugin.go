@@ -157,5 +157,6 @@ var gobDecodes atomic.Int64
 
 // GobDecodes returns how many payloads this process has decoded through
 // gob — each one a decoder built from nothing. Tests use it to hold the
-// count to O(vertices × containers) per DAG, never O(tasks) or O(fetches).
+// count to O(vertices × containers) per session, never O(tasks),
+// O(fetches) or O(DAGs).
 func GobDecodes() int64 { return gobDecodes.Load() }

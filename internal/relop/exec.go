@@ -30,8 +30,8 @@ type PruneValues struct {
 }
 
 // stageProcessor runs one task of a stage. spec is shared, read-only, with
-// every other task of the vertex that runs in this container: nothing
-// under relop may write through it (TestStageSpecSharedReadOnly).
+// every task in this container, in any DAG, whose payload is the same:
+// nothing under relop may write through it (TestStageSpecSharedReadOnly).
 type stageProcessor struct {
 	ctx  *runtime.Context
 	spec *StageSpec
@@ -44,14 +44,14 @@ func (p *stageProcessor) Initialize(ctx *runtime.Context) error {
 	return err
 }
 
-// loadStageSpec decodes the stage program once per container and vertex
-// (runtime.VertexObject): the program is the same for every task of a
-// vertex, deep (Expr trees), and gob-encoded, so decoding it per task used
-// to cost more than a small task's own work.
+// loadStageSpec decodes the stage program once per container and payload
+// for the whole session (runtime.PayloadObject): the program is deep
+// (Expr trees) and gob-encoded, and a warm session runs the same programs
+// DAG after DAG.
 func loadStageSpec(ctx *runtime.Context) (*StageSpec, error) {
-	return runtime.VertexObject(ctx, "relop/stage", func() (*StageSpec, error) {
+	return runtime.PayloadObject(ctx, "relop/stage", func(payload []byte) (*StageSpec, error) {
 		spec := new(StageSpec)
-		return spec, plugin.Decode(ctx.Payload, spec)
+		return spec, plugin.Decode(payload, spec)
 	})
 }
 
@@ -144,10 +144,8 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 	}
 	for _, em := range emitters {
 		em.sendDeferred(p.ctx)
-	}
-	if p.ctx.Services.Counters != nil {
-		for _, em := range emitters {
-			p.ctx.Services.Counters.Add("ROWS_EMITTED", em.count)
+		if c := p.ctx.Services.Counters; c != nil {
+			c.Add("ROWS_EMITTED", em.count)
 		}
 	}
 	return nil

@@ -103,16 +103,10 @@ func WriteTable(fs *dfs.FileSystem, t *Table, shards int, rows []row.Row) error 
 	if shards <= 0 {
 		shards = 1
 	}
-	nodes := fs.LiveNodes()
-	if len(nodes) == 0 {
-		return fmt.Errorf("relop: no DFS nodes")
-	}
-	if err := checkWidths(t, rows); err != nil {
+	nodes, err := resetTable(fs, t, rows)
+	if err != nil {
 		return err
 	}
-	t.Files = nil
-	t.Rows = int64(len(rows))
-	t.SizeBytes = 0
 	for s := 0; s < shards; s++ {
 		path := fmt.Sprintf("/tables/%s/shard-%03d", t.Name, s)
 		if err := writeTableFile(fs, t, path, nodes[s%len(nodes)], rows, s, shards); err != nil {
@@ -127,11 +121,8 @@ func WriteTable(fs *dfs.FileSystem, t *Table, shards int, rows []row.Row) error 
 // partCol (Hive-style static partitioning) so the pruning initializer can
 // skip files.
 func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row.Row) error {
-	nodes := fs.LiveNodes()
-	if len(nodes) == 0 {
-		return fmt.Errorf("relop: no DFS nodes")
-	}
-	if err := checkWidths(t, rows); err != nil {
+	nodes, err := resetTable(fs, t, rows)
+	if err != nil {
 		return err
 	}
 	groups := map[string][]row.Row{}
@@ -145,11 +136,7 @@ func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row
 		}
 		groups[k] = append(groups[k], r)
 	}
-	t.Files = nil
-	t.PartitionVals = nil
-	t.PartitionCol = partCol
-	t.Rows = int64(len(rows))
-	t.SizeBytes = 0
+	t.PartitionVals, t.PartitionCol = nil, partCol
 	for i, k := range order {
 		path := fmt.Sprintf("/tables/%s/part-%03d", t.Name, i)
 		if err := writeTableFile(fs, t, path, nodes[i%len(nodes)], groups[k], 0, 1); err != nil {
@@ -161,15 +148,22 @@ func WritePartitionedTable(fs *dfs.FileSystem, t *Table, partCol int, rows []row
 	return nil
 }
 
-// checkWidths refuses rows that are not as wide as t's schema: a stripe
-// has one width, and a scan's pipeline indexes columns by the schema.
-func checkWidths(t *Table, rows []row.Row) error {
+// resetTable empties t for rows about to be written and returns the DFS
+// nodes its files go to. It refuses rows that are not as wide as t's
+// schema: a stripe has one width, and a scan's pipeline indexes columns
+// by the schema.
+func resetTable(fs *dfs.FileSystem, t *Table, rows []row.Row) ([]string, error) {
+	nodes := fs.LiveNodes()
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("relop: no DFS nodes")
+	}
 	for i, r := range rows {
 		if len(r) != t.Schema.Width() {
-			return fmt.Errorf("relop: table %s: row %d has %d columns, the schema %d", t.Name, i, len(r), t.Schema.Width())
+			return nil, fmt.Errorf("relop: table %s: row %d has %d columns, the schema %d", t.Name, i, len(r), t.Schema.Width())
 		}
 	}
-	return nil
+	t.Files, t.Rows, t.SizeBytes = nil, int64(len(rows)), 0
+	return nodes, nil
 }
 
 // writeTableFile writes rows[start], rows[start+step], … to path as a

@@ -161,9 +161,9 @@ func validateEmit(es *EmitSpec) error {
 
 // StageSpec is the full program of one stage. It is the same for every
 // task of a vertex and deep, so it stays gob-encoded (plugin's generic
-// path) and is decoded once per container and DAG, not per task:
-// loadStageSpec shares the decoded value, read-only, through the object
-// registry.
+// path) and is decoded once per container and payload for the session,
+// not per task or per DAG: loadStageSpec shares the decoded value,
+// read-only, through the object registry.
 type StageSpec struct {
 	Inputs []StageInput
 	Group  *GroupOp // nil for map stages

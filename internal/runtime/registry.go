@@ -1,6 +1,9 @@
 package runtime
 
-import "sync"
+import (
+	"bytes"
+	"sync"
+)
 
 // Lifetime scopes an object-registry entry (§4.2, Shared Object Registry).
 type Lifetime int
@@ -92,21 +95,19 @@ func (r *ObjectRegistry) Delete(meta Meta, key string) (any, bool) {
 // SweepDAG evicts entries scoped to a completed DAG (the framework-managed
 // lifecycle of §4.2). Session entries survive.
 func (r *ObjectRegistry) SweepDAG(dag string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, e := range r.entries {
-		if e.lifetime != LifetimeSession && e.dag == dag {
-			delete(r.entries, k)
-		}
-	}
+	r.sweep(func(e regEntry) bool { return e.lifetime != LifetimeSession && e.dag == dag })
 }
 
 // SweepVertex evicts vertex-lifetime entries of a completed vertex.
 func (r *ObjectRegistry) SweepVertex(dag, vertex string) {
+	r.sweep(func(e regEntry) bool { return e.lifetime == LifetimeVertex && e.dag == dag && e.vertex == vertex })
+}
+
+func (r *ObjectRegistry) sweep(evict func(regEntry) bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for k, e := range r.entries {
-		if e.lifetime == LifetimeVertex && e.dag == dag && e.vertex == vertex {
+		if evict(e) {
 			delete(r.entries, k)
 		}
 	}
@@ -119,24 +120,31 @@ func (r *ObjectRegistry) Len() int {
 	return len(r.entries)
 }
 
-// VertexObject returns what build made for the task's vertex in this
-// container: the vertex's first task in the container builds it, and the
-// container's registry keeps it for the rest of the vertex's tasks there
-// until SweepVertex retires it (§4.2). It is how a task decodes a payload
-// once per (container, vertex) instead of once per task; the object is
-// shared, so nothing may write through it. Without a registry every task
-// builds its own.
-func VertexObject[T any](ctx *Context, kind string, build func() (T, error)) (T, error) {
+// PayloadObject returns what build made of the task's payload in this
+// container. The registry keeps it for the session (§4.2) under
+// (kind, vertex name) with a copy of the payload it was built from, and
+// serves it only for byte-equal payloads: another payload builds afresh
+// and replaces it, so a later DAG reuses what an earlier one built and
+// a container keeps at most one object per key. build reads only the
+// payload; the object is shared, so nothing may write through it.
+// Without a registry every task builds its own.
+func PayloadObject[T any](ctx *Context, kind string, build func(payload []byte) (T, error)) (T, error) {
 	reg := ctx.Services.Registry
-	key := kind + "/" + ctx.Meta.DAG + "/" + ctx.Meta.Vertex
-	if reg != nil {
-		if v, ok := reg.Get(ctx.Meta, key); ok {
-			return v.(T), nil
-		}
+	if reg == nil {
+		return build(ctx.Payload)
 	}
-	v, err := build()
-	if err == nil && reg != nil {
-		reg.Add(LifetimeVertex, ctx.Meta, key, v)
+	key := kind + "/" + ctx.Meta.Vertex
+	if v, ok := reg.Get(ctx.Meta, key); ok && bytes.Equal(v.(payloadEntry).payload, ctx.Payload) {
+		return v.(payloadEntry).value.(T), nil
+	}
+	v, err := build(ctx.Payload)
+	if err == nil {
+		reg.Add(LifetimeSession, ctx.Meta, key, payloadEntry{bytes.Clone(ctx.Payload), v})
 	}
 	return v, err
+}
+
+type payloadEntry struct {
+	payload []byte
+	value   any
 }
