@@ -111,7 +111,12 @@ bench:
 # every hash and broadcast edge: a regression in either shows there first.
 # Then the cumulative CPU share of relop.loadStageSpec, near zero on both
 # Hive workloads too: a warm container decodes each stage program once for
-# the session, so only a benchmark's first job pays the gob decode.
+# the session, so only a benchmark's first job pays the gob decode. Then
+# those of relop.(*hashFold).emit and of its key sort (slices.SortFunc over
+# relop.sortKey). On joinagg emit is about a tenth, nearly all of it
+# writeAggRow handing q18's 20 000 groups to the top-k emit, and the sort
+# reads near zero: a fold whose groups go only to shuffles writes them
+# unsorted (it was 9-11 % of samples while every fold sorted).
 # Last it prints the share of allocated bytes (alloc_space, from mem.out)
 # under dfs.(*FileSystem).ReadAtNoWait, which ReadAt and a task's split
 # reader both read through, and which should also read near zero on both
@@ -128,7 +133,7 @@ profile:
 	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
-		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$|internal/relop\.loadStageSpec$$' | head -30
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$|internal/relop\.loadStageSpec$$|internal/relop\.\(\*hashFold\)\.emit$$|SortFunc\[go\.shape\.\[\]tez/internal/relop\.sortKey' | head -30
 	@printf 'alloc_space under dfs.(*FileSystem).ReadAtNoWait: '
 	@$(GO) tool pprof -sample_index=alloc_space -top -focus 'dfs\.\(\*FileSystem\)\.ReadAtNoWait$$' \
 		$(PROFILE_DIR)/tez.test $(PROFILE_DIR)/mem.out 2>/dev/null | sed -n 's/^Showing nodes accounting for //p'

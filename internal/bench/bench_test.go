@@ -240,8 +240,12 @@ func TestShuffleCodecAblation(t *testing.T) {
 	}
 }
 
-// q1Golden is the digest of q1's part files at the tiny scale, seed 33.
-const q1Golden = "d56a3cc572a67a299a3974ad37f0ceee177ca20ddcdcd75acc1df20d33f1b86c"
+// q1Golden and q18Golden are the digests of q1's and q18's part files at
+// the tiny scale, seed 33.
+const (
+	q1Golden  = "d56a3cc572a67a299a3974ad37f0ceee177ca20ddcdcd75acc1df20d33f1b86c"
+	q18Golden = "cb243c6d546cf7119f1d92976717bc89b4bb527617700d1bc3ce231921ca34e7"
+)
 
 // TestRelationalGoldenDigests is the end-to-end referee of the relational
 // executor: six plans must commit part files whose digest equals the one
@@ -320,8 +324,7 @@ func TestRelationalGoldenDigests(t *testing.T) {
 			reference(`SELECT l_returnflag, l_linestatus, l_quantity, l_extendedprice, l_discount, 1
 				FROM lineitem WHERE l_shipdate <= 19980902`, tp.Tables(), 2, []string{"sum", "sum", "avg", "count"},
 				func(a, b row.Row) int { return slices.CompareFunc(a[:2], b[:2], row.Compare) }, 100)},
-		{"hive-tpch-q18", hiveRun(data.TPCHQueries[4].SQL, tp.Tables()),
-			"cb243c6d546cf7119f1d92976717bc89b4bb527617700d1bc3ce231921ca34e7", nil},
+		{"hive-tpch-q18", hiveRun(data.TPCHQueries[4].SQL, tp.Tables()), q18Golden, nil},
 		{"hive-tpcds-q55", hiveRun(data.TPCDSQueries[0].SQL, td.Tables()),
 			"b0077eb2395839670776ac8f4c4abcc32854ec5b226786d596aedc18acf1506c",
 			reference(`SELECT i.i_brand_id, ss.ss_sales_price
@@ -380,57 +383,78 @@ func TestRelationalGoldenDigests(t *testing.T) {
 // commit what it commits over the original — TestRelationalGoldenDigests'
 // q1 digest, the math/big reference's rows — on Tez and on the MR chain.
 func TestQ1IgnoresLineitemOrder(t *testing.T) {
+	ignoresRowOrder(t, "q1", data.TPCHQueries[0].SQL, q1Golden)
+}
+
+// TestQ18IgnoresLineitemOrder: q18's fused join aggregate writes its
+// groups to the limited shuffle into its sort unsorted, in the order its
+// build side (orders) first names them, since nothing downstream observes
+// that order (relop's observesOrder). Over row-shuffled copies of orders
+// and lineitem, whose originals are in order-key order, it must still
+// commit TestRelationalGoldenDigests' q18 digest, on Tez and on the MR
+// chain: arrival order must not leak into the output.
+func TestQ18IgnoresLineitemOrder(t *testing.T) {
+	ignoresRowOrder(t, "q18", data.TPCHQueries[4].SQL, q18Golden)
+}
+
+// ignoresRowOrder runs sql over the tiny TPC-H tables, every table's
+// rows shuffled, on Tez and on the MR chain, and fails unless Tez commits
+// the part-file digest golden and MR the same rows.
+func ignoresRowOrder(t *testing.T, name, sql, golden string) {
 	src := platform.New(platform.Default(8))
 	defer src.Stop()
 	tp, err := data.GenTPCH(src.FS, tiny.TPCHOrders, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []row.Row
-	for _, f := range tp.Lineitem.Files {
-		blob, err := src.FS.ReadFile(f, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs := col.NewStripeRows(library.NewPaddedReader(blob))
-		for rs.Next() {
-			rows = append(rows, rs.Batch().MaterializeRow(rs.Row()))
-		}
-		if err := rs.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rand.New(rand.NewSource(5)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
 	plat := platform.New(platform.Default(8))
 	defer plat.Stop()
-	shuffled := &relop.Table{Name: "lineitem", Schema: tp.Lineitem.Schema}
-	if err := relop.WriteTable(plat.FS, shuffled, len(tp.Lineitem.Files), rows); err != nil {
-		t.Fatal(err)
-	}
 	eng := hive.NewEngine()
 	eng.Exec = relop.Config{DefaultPartitions: 8}
-	eng.Register(shuffled)
-	sess := am.NewSession(plat, am.Config{Name: "q1-shuffled", DisableAutoParallelism: true})
+	for _, tb := range tp.Tables() {
+		var rows []row.Row
+		for _, f := range tb.Files {
+			blob, err := src.FS.ReadFile(f, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := col.NewStripeRows(library.NewPaddedReader(blob))
+			for rs.Next() {
+				rows = append(rows, rs.Batch().MaterializeRow(rs.Row()))
+			}
+			if err := rs.Err(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rand.New(rand.NewSource(5)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		cp := &relop.Table{Name: tb.Name, Schema: tb.Schema}
+		if err := relop.WriteTable(plat.FS, cp, len(tb.Files), rows); err != nil {
+			t.Fatal(err)
+		}
+		eng.Register(cp)
+	}
+	sess := am.NewSession(plat, am.Config{Name: name + "-shuffled", DisableAutoParallelism: true})
 	defer sess.Close()
-	if _, err := eng.RunTez(sess, "q1-tez", data.TPCHQueries[0].SQL, "/q1/tez"); err != nil {
+	tezOut, mrOut := "/"+name+"/tez", "/"+name+"/mr"
+	if _, err := eng.RunTez(sess, name+"-tez", sql, tezOut); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RunMR(plat, am.Config{Name: "q1-mr"}, "q1-mr", data.TPCHQueries[0].SQL, "/q1/mr"); err != nil {
+	if _, err := eng.RunMR(plat, am.Config{Name: name + "-mr"}, name+"-mr", sql, mrOut); err != nil {
 		t.Fatal(err)
 	}
-	if got := testutil.PartsDigest(t, plat.FS, "/q1/tez"); got != q1Golden {
-		t.Errorf("q1 on Tez over shuffled lineitem: digest %s, want %s", got, q1Golden)
+	if got := testutil.PartsDigest(t, plat.FS, tezOut); got != golden {
+		t.Errorf("%s on Tez over shuffled tables: digest %s, want %s", name, got, golden)
 	}
-	tez, err := relop.ReadStored(plat.FS, "/q1/tez")
+	tez, err := relop.ReadStored(plat.FS, tezOut)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := relop.ReadStored(plat.FS, "/q1/mr")
+	mr, err := relop.ReadStored(plat.FS, mrOut)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.EqualFunc(tez, mr, func(a, b row.Row) bool { return bytes.Equal(row.Encode(nil, a), row.Encode(nil, b)) }) {
-		t.Errorf("q1 over shuffled lineitem: MR %v, Tez %v", mr, tez)
+		t.Errorf("%s over shuffled tables: MR %v, Tez %v", name, mr, tez)
 	}
 }
 

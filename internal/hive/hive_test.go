@@ -521,7 +521,7 @@ func TestExplain(t *testing.T) {
 		"stages:",
 		"emit broadcast -> s01_scan_orders (0 ops)",
 		"emit shuffle -> s03_agg (2 ops)",
-		"group agg\n",
+		"group agg unsorted\n",
 		"group sort\n",
 		"emit sink -> sink01 (0 ops)",
 	} {

@@ -264,7 +264,7 @@ func (p *stageProcessor) runGroups(grouped []runtime.GroupedKVReader, hashed []h
 	if g == nil {
 		return fmt.Errorf("relop: shuffle inputs without group op")
 	}
-	if g.Kind != "agg" && (g.Kind != "join" || g.AggInput == nil) {
+	if !g.folds() {
 		if len(hashed) > 0 {
 			return fmt.Errorf("relop: group op %q cannot read a hash edge", g.Kind)
 		}

@@ -2,6 +2,7 @@ package relop
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -58,7 +59,8 @@ func ExplainDAG(d *dag.DAG) (string, error) {
 
 // ExplainStages renders what each stage vertex of a compiled DAG
 // executes: one line for its group op (a join that aggregates its product
-// shows the aggregate) and one per emit (kind, target, number of pipeline
+// shows the aggregate; a fold whose groups no bound emit observes in order
+// ends "unsorted") and one per emit (kind, target, number of pipeline
 // ops; for a shuffle emit the columns it ships when its pipeline ends in a
 // projection, a producer-side limit, and the aggregates it pre-aggregates,
 // partial=[...]).
@@ -80,6 +82,9 @@ func ExplainStages(d *dag.DAG) string {
 			fmt.Fprintf(&sb, "  group %s", g.Kind)
 			if g.AggInput != nil {
 				fmt.Fprintf(&sb, " -> agg group=%d aggs=%v", g.GroupWidth, aggFuncs(g.Aggs))
+			}
+			if g.folds() && !slices.ContainsFunc(spec.Emits, func(es EmitSpec) bool { return es.Input == "" && observesOrder(es.Kind) }) {
+				sb.WriteString(" unsorted")
 			}
 			sb.WriteString("\n")
 		}

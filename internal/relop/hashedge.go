@@ -16,8 +16,8 @@ import (
 // The one aggregate fold (DESIGN §13, "One fold"): every aggregate, fed
 // by a hash edge (DESIGN §13, "Which edge a shuffle takes"), by sorted
 // groups or by a producer's rows (partial.go), folds each row into its
-// group's states found by the group's encoded key and writes the groups
-// sorted by that key: the rows, and the order, the ordered edge delivers.
+// group's states found by the group's encoded key, and writes the groups
+// sorted by that key where an emit observes order, else first seen first.
 
 // hashInput is one InHash input: its reader and the key expressions its
 // rows were partitioned by.
@@ -32,8 +32,9 @@ type hashInput struct {
 // sorted group at a time (addGroup: its encoded rows; addJoin: a fused
 // join's product), or as a hash join's product rows (writeProduct); a
 // fused join's are projected by AggInput when their batch flushes. emit
-// writes the groups in key order. A fold is reused from task to task
-// (hashFolds): its index, states and batches keep their storage.
+// writes the groups, in key order when an emitter observes order. A fold
+// is reused from task to task (hashFolds): its index, states and batches
+// keep their storage.
 type hashFold struct {
 	g     *GroupOp
 	size  int
@@ -177,8 +178,8 @@ func (f *hashFold) addInputs(ins []hashInput) error {
 
 // open returns the group of a grouped input's next key. Keys arrive in
 // order, so a table that holds partialGroupCap groups is first written
-// out to ems and emptied: the groups still go out in key order, and a
-// task holds at most that many.
+// out to ems and emptied: an agg stage's groups still go out in key
+// order, sorted or not, and a task holds at most that many.
 func (f *hashFold) open(ems []*vecEmitter, key []byte) (int32, error) {
 	if len(f.first) >= partialGroupCap {
 		if err := f.emit(ems); err != nil {
@@ -395,26 +396,33 @@ type sortKey struct {
 	id     int32
 }
 
-// emit folds the waiting rows, writes every group that folded a row, in
-// encoded key order, and empties the table.
+// emit folds the waiting rows, writes every group that folded a row and
+// empties the table. The groups go out in encoded key order when one of
+// ems observes order (observesOrder), else in table order: first seen
+// first.
 func (f *hashFold) emit(ems []*vecEmitter) error {
 	if err := f.flush(); err != nil {
 		return err
 	}
+	sorted := slices.ContainsFunc(ems, func(em *vecEmitter) bool { return observesOrder(em.spec.Kind) })
 	f.order = f.order[:0]
 	for id, r := range f.first {
 		if r >= 0 {
 			var p [8]byte
-			copy(p[:], f.keys.key(int32(id)))
+			if sorted {
+				copy(p[:], f.keys.key(int32(id)))
+			}
 			f.order = append(f.order, sortKey{binary.BigEndian.Uint64(p[:]), int32(id)})
 		}
 	}
-	slices.SortFunc(f.order, func(a, b sortKey) int {
-		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
-			return c
-		}
-		return bytes.Compare(f.keys.key(a.id), f.keys.key(b.id))
-	})
+	if sorted {
+		slices.SortFunc(f.order, func(a, b sortKey) int {
+			if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+				return c
+			}
+			return bytes.Compare(f.keys.key(a.id), f.keys.key(b.id))
+		})
+	}
 	na := len(f.g.Aggs)
 	for _, k := range f.order {
 		id := int(k.id)

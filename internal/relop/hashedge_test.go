@@ -17,6 +17,7 @@ import (
 	"tez/internal/library"
 	"tez/internal/plugin"
 	"tez/internal/row"
+	"tez/internal/runtime"
 )
 
 // Tests of the hash-partitioned edge (hashedge.go): which plans take it,
@@ -246,7 +247,12 @@ func refAgg(rows []row.Row, groupBy []*Expr, aggs []AggDef) []row.Row {
 // 1, 3 and 8 partitions, with the producers' partial tables, and the MR
 // reducers', writing out after every group, every 3 groups or at the
 // default cap, and holds both to the math/big reference, row bytes for
-// row bytes.
+// row bytes. Its last cases feed such an aggregate, plain or fused, to a
+// sort on one of its columns — with a LIMIT, with a LIMIT on count(*)
+// that cuts through ties, and as a range sort with no limit — so its fold
+// writes to a shuffle alone and leaves its groups unsorted
+// (observesOrder); the stored rows must be the reference's in the sort's
+// (key, row bytes) order.
 func TestHashEdgeDifferential(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
@@ -258,8 +264,9 @@ func TestHashEdgeDifferential(t *testing.T) {
 	// The filtered cases draw from a generator of their own, so the ones
 	// before them are drawn as they always were.
 	frng := rand.New(rand.NewSource(42))
-	trial := 0
-	for _, parts := range []int{1, 3, 8} {
+	srng := rand.New(rand.NewSource(44)) // and so do the sorted ones
+	trial, sorts := 0, 0
+	for pi, parts := range []int{1, 3, 8} {
 		cfg := Config{DefaultPartitions: parts}
 		sess := am.NewSession(h.plat, am.Config{Name: fmt.Sprintf("diff-%d", parts)})
 		for i := 0; i < 9; i++ {
@@ -336,7 +343,132 @@ func TestHashEdgeDifferential(t *testing.T) {
 			h.sameRows(name+" tez vs reference", h.stored(tezOut), want)
 			h.sameRows(name+" mr vs reference", h.stored(mrOut), want)
 		}
+		for shape := 0; shape < 3; shape++ {
+			sorts++
+			partialGroupCap = []int{1 << 12, 1, 3}[(sorts+pi)%3]
+			// Shapes: 0 a LIMIT, 1 a LIMIT through ties of count(*), 2 a
+			// range sort. Join output: k1 0, k2 1, a 2, b 3, f 4, m 5,
+			// rk1 6, rk2 7, c 8, g 9. A tie-cutting sort groups by two
+			// keys, so that many groups share a count.
+			joined := (pi+shape)%2 == 1
+			keys, groupBy := []int{0}, srng.Perm(4)[:1+srng.Intn(2)]
+			switch {
+			case joined && (shape == 1 || srng.Intn(2) == 0):
+				keys, groupBy = []int{0, 1}, []int{1, 6}
+			case joined:
+				groupBy = []int{[]int{0, 6}[srng.Intn(2)]}
+			case shape == 1:
+				groupBy = []int{0, 1}
+			}
+			var aggs []AggDef
+			if joined {
+				aggs = randDiffAggs(srng, []int{0, 2, 8}, []int{1, 3, 7}, []int{4, 9}, []int{5})
+			} else {
+				aggs = randDiffAggs(srng, []int{0, 2}, []int{1, 3}, []int{4}, []int{5})
+			}
+			aggs = append(aggs, AggDef{Func: "count", Name: "n"})
+			var g []*Expr
+			for _, c := range groupBy {
+				g = append(g, Col(c))
+			}
+			var want []row.Row
+			if joined {
+				want = refJoinAgg(leftRows, rightRows, keys, keys, groupBy, aggs)
+			} else {
+				want = refAgg(leftRows, g, aggs)
+			}
+			// Sort on an aggregate column (count(*) to cut through ties),
+			// by its key bytes and then by the row's, as the edge does.
+			sc, desc := len(g)+srng.Intn(len(aggs)), srng.Intn(2) == 0
+			if shape == 1 {
+				sc = len(g) + len(aggs) - 1
+			}
+			sortKey := func(r row.Row) []byte {
+				k := row.EncodeKey(nil, r[sc])
+				if desc {
+					row.FlipKey(k)
+				}
+				return k
+			}
+			slices.SortFunc(want, func(a, b row.Row) int {
+				if c := bytes.Compare(sortKey(a), sortKey(b)); c != 0 {
+					return c
+				}
+				return bytes.Compare(row.Encode(nil, a), row.Encode(nil, b))
+			})
+			limit := 0 // a range sort's
+			switch shape {
+			case 0:
+				limit = 1 + srng.Intn(5)
+			case 1: // the first cut between two groups of one count
+				for i := 1; i < len(want) && limit == 0; i++ {
+					if bytes.Equal(sortKey(want[i-1]), sortKey(want[i])) {
+						limit = i
+					}
+				}
+				if limit == 0 {
+					t.Fatalf("sort case %d: no two groups share a count", sorts)
+				}
+			}
+			if limit > 0 {
+				want = want[:min(limit, len(want))]
+			}
+			mk := func(out string) []*Node {
+				var in *Node
+				if joined {
+					var kl []*Expr
+					for _, c := range keys {
+						kl = append(kl, Col(c))
+					}
+					in = JoinNode(Scan(left), Scan(right), kl, kl, false)
+				} else {
+					in = Scan(left)
+				}
+				a := AggNode(in, g, make([]string, len(g)), aggs)
+				if limit == 0 {
+					return []*Node{StoreNode(RangeSortNode(a, []*Expr{Col(sc)}, []bool{desc}, 0, parts), out)}
+				}
+				return []*Node{StoreNode(SortNode(a, []*Expr{Col(sc)}, []bool{desc}, limit), out)}
+			}
+			name := fmt.Sprintf("sorted%02d", sorts)
+			requireUnsortedFolds(t, name, cfg, mk("/x"))
+			tezOut, mrOut := "/out/"+name+"-tez", "/out/"+name+"-mr"
+			if _, err := RunTez(sess, cfg, name, mk(tezOut)); err != nil {
+				t.Fatalf("%s on tez: %v", name, err)
+			}
+			if _, err := RunMR(h.plat, am.Config{Name: name + "-mr"}, cfg, name+"-mr", mk(mrOut)); err != nil {
+				t.Fatalf("%s on mr: %v", name, err)
+			}
+			for _, out := range []string{tezOut, mrOut} {
+				if got := h.stored(out); !bytes.Equal(encodeAll(got), encodeAll(want)) {
+					t.Fatalf("%s: stored\n%s\nwant, in order,\n%s", out, fmtRows(got), fmtRows(want))
+				}
+			}
+		}
 		sess.Close()
+	}
+}
+
+// requireUnsortedFolds compiles roots for Tez and fails unless the DAG
+// has a fold and ExplainStages marks every fold unsorted.
+func requireUnsortedFolds(t *testing.T, name string, cfg Config, roots []*Node) {
+	t.Helper()
+	d, err := EmitDAGOnly(cfg, name, roots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := ExplainStages(d)
+	folds, unsorted := 0, 0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "  group agg") || strings.Contains(line, " -> agg ") {
+			folds++
+			if strings.HasSuffix(line, " unsorted") {
+				unsorted++
+			}
+		}
+	}
+	if folds == 0 || unsorted != folds {
+		t.Fatalf("%s: %d of %d folds unsorted:\n%s", name, unsorted, folds, text)
 	}
 }
 
@@ -590,6 +722,95 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRecords(t, fmt.Sprintf("%s hash vs ordered at cap %d", what, c), ordW.kvs, hashW.kvs)
+		}
+	}
+}
+
+// TestHashFoldSortsOnlyWhenObserved pins observesOrder: a fold whose
+// groups were first seen out of key order writes them in key order when a
+// sink is among its emitters, alone or beside a shuffle, and first seen
+// first when every emitter is a shuffle — to an ordered edge, to a hash
+// edge, or limited.
+func TestHashFoldSortsOnlyWhenObserved(t *testing.T) {
+	g := &GroupOp{Kind: "agg", GroupWidth: 1, Aggs: []AggFuncSpec{{Func: "count", Col: 1}}}
+	firstSeen := []int64{3, -2, 7, 0, 5}
+	keyOrder := slices.Clone(firstSeen)
+	slices.Sort(keyOrder)
+	var rows []row.Row
+	for _, k := range append(slices.Clone(firstSeen), keyOrder...) {
+		rows = append(rows, row.Row{row.Int(k), row.Int(1)})
+	}
+	shuffle := EmitSpec{Kind: EmitShuffle, Output: "o", Tag: -1, Keys: []*Expr{Col(0)}}
+	limited := shuffle
+	limited.Limit = 2
+	sink := EmitSpec{Kind: EmitSink, Output: "sink", Tag: -1}
+	// keysOf returns the group keys of the rows a writer was handed, in
+	// order.
+	keysOf := func(w any) []int64 {
+		var keys []int64
+		switch w := w.(type) {
+		case *captureWriter:
+			for _, kv := range w.kvs {
+				r, err := row.Decode(kv.val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				keys = append(keys, r[0].Int)
+			}
+		case *framesWriter:
+			for _, fr := range w.frames[0] {
+				b, err := col.DecodeBatch(fr.val)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < b.Len(); i++ {
+					keys = append(keys, b.MaterializeRow(i)[0].Int)
+				}
+			}
+		}
+		return keys
+	}
+	for _, c := range []struct {
+		name  string
+		specs []EmitSpec
+		hash  int // the emit that writes to a hash edge, or -1
+		want  []int64
+	}{
+		{"sink", []EmitSpec{sink}, -1, keyOrder},
+		{"shuffles", []EmitSpec{shuffle, shuffle, limited}, 1, firstSeen},
+		{"shuffle and sink", []EmitSpec{shuffle, sink}, -1, keyOrder},
+	} {
+		f, err := getHashFold(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := &recordReader{recs: framesOf(rand.New(rand.NewSource(1)), rows, nil)}
+		if err := f.addInputs([]hashInput{{kv: in, keys: []*Expr{Col(0)}}}); err != nil {
+			t.Fatal(err)
+		}
+		var ems []*vecEmitter
+		var ws []any
+		for i, spec := range c.specs {
+			var w runtime.KVWriter = &captureWriter{}
+			if i == c.hash {
+				w = &framesWriter{n: 1, frames: make([][]capturedKV, 1)}
+			}
+			ems, ws = append(ems, newVecEmitter(spec, w, nil, 4)), append(ws, w)
+		}
+		if err := f.emit(ems); err != nil {
+			t.Fatal(err)
+		}
+		hashFolds.Put(f)
+		for i, em := range ems {
+			if err := em.close(); err != nil {
+				t.Fatal(err)
+			}
+			if c.specs[i].Limit > 0 {
+				continue // a top-k writes its records sorted at close
+			}
+			if got := keysOf(ws[i]); !slices.Equal(got, c.want) {
+				t.Errorf("%s: emitter %d (%s) was handed groups %v, want %v", c.name, i, c.specs[i].Kind, got, c.want)
+			}
 		}
 	}
 }

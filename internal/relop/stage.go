@@ -66,6 +66,10 @@ type GroupOp struct {
 	Limit int
 }
 
+// folds reports whether the op runs through hashFold: an aggregate, fused
+// or not.
+func (g *GroupOp) folds() bool { return g.Kind == "agg" || g.Kind == "join" && g.AggInput != nil }
+
 // AggFuncSpec is one aggregate function over a fixed value column.
 type AggFuncSpec struct {
 	Func string // sum, count, min, max, avg
@@ -106,6 +110,12 @@ const (
 	// VertexManagerEvent payload (sample histograms).
 	EmitVM = "vm"
 )
+
+// observesOrder reports whether an emit of kind sees the order a fold
+// writes its groups in (hashFold.emit). A shuffle does not: an ordered
+// edge sorts by (key, value), a hash edge feeds an order-free fold, and a
+// limited or sampling emit keeps records by their bytes alone.
+func observesOrder(kind string) bool { return kind != EmitShuffle }
 
 // EmitSpec writes the stage's rows somewhere, after its own pipeline.
 // For "map" stages Input names which stage input's rows feed this emit
