@@ -70,8 +70,9 @@ check-benchmark:
 
 # examples runs every program under examples/ and cmd/tez-dag, which build
 # their DAGs by hand and which no test executes, then the differential end
-# to end at small scale: tez-hive on its default query and on a global
-# aggregate whose filter drops every row, and tez-pig's group_agg and
+# to end at small scale: tez-hive on its default query, on a global
+# aggregate whose filter drops every row and on a join the Tez plan runs
+# as a broadcast (map) join probing a join table, and tez-pig's group_agg and
 # order_by (a range sort with a LIMIT, which must be global on Tez as it is
 # on the MR chain's single reducer), each with -backend both, which runs
 # the Tez DAG and the MR chain (whose reducers fold through the same
@@ -84,6 +85,8 @@ examples:
 	$(GO) run ./cmd/tez-hive -backend both -orders 200 -sales 200 >/dev/null
 	$(GO) run ./cmd/tez-hive -backend both -orders 200 -sales 200 \
 		-q "SELECT count(*) AS n, sum(l_quantity) AS s FROM lineitem WHERE l_quantity < 0" >/dev/null
+	$(GO) run ./cmd/tez-hive -backend both -orders 200 -sales 200 \
+		-q "SELECT c.c_mktsegment, sum(o.o_totalprice) AS s FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey GROUP BY c.c_mktsegment" >/dev/null
 	$(GO) run ./cmd/tez-pig -backend both -pipeline group_agg -rows 2000 >/dev/null
 	$(GO) run ./cmd/tez-pig -backend both -pipeline order_by >/dev/null
 
@@ -112,8 +115,9 @@ bench:
 # Then the cumulative CPU share of relop.loadStageSpec, near zero on both
 # Hive workloads too: a warm container decodes each stage program once for
 # the session, so only a benchmark's first job pays the gob decode. Then
-# those of relop.(*hashFold).emit and of its key sort (slices.SortFunc over
-# relop.sortKey). On joinagg emit is about a tenth, nearly all of it
+# those of relop.(*hashFold).join, the fused join's build and probe of its
+# join table, of relop.(*hashFold).emit and of its key sort
+# (slices.SortFunc over relop.sortKey). On joinagg emit is about a tenth, nearly all of it
 # writeAggRow handing q18's 20 000 groups to the top-k emit, and the sort
 # reads near zero: a fold whose groups go only to shuffles writes them
 # unsorted (it was 9-11 % of samples while every fold sorted).
@@ -133,7 +137,7 @@ profile:
 	$(GO) test -run XXX -bench '$(PROFILE_BENCH)' -benchtime 50x -o $(PROFILE_DIR)/tez.test \
 		-outputdir $(PROFILE_DIR) -cpuprofile cpu.out -memprofile mem.out .
 	$(GO) tool pprof -top -cum -nodecount 2000 $(PROFILE_DIR)/tez.test $(PROFILE_DIR)/cpu.out 2>/dev/null \
-		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$|internal/relop\.loadStageSpec$$|internal/relop\.\(\*hashFold\)\.emit$$|SortFunc\[go\.shape\.\[\]tez/internal/relop\.sortKey' | head -30
+		| grep -E 'Total samples|flat%|tez/internal/plugin\.|encoding/gob\.|internal/row\.(Decode|Row\.Clone)\b|internal/col\.\(\*Batch\)\.(AppendRow|AppendEncoded)\b|internal/col\.(decodeCol|EncodeBatch)$$|internal/relop\.loadStageSpec$$|internal/relop\.\(\*hashFold\)\.(emit|join)$$|SortFunc\[go\.shape\.\[\]tez/internal/relop\.sortKey' | head -30
 	@printf 'alloc_space under dfs.(*FileSystem).ReadAtNoWait: '
 	@$(GO) tool pprof -sample_index=alloc_space -top -focus 'dfs\.\(\*FileSystem\)\.ReadAtNoWait$$' \
 		$(PROFILE_DIR)/tez.test $(PROFILE_DIR)/mem.out 2>/dev/null | sed -n 's/^Showing nodes accounting for //p'

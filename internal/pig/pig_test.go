@@ -159,11 +159,20 @@ func TestPigTezAndMRAgree(t *testing.T) {
 	if _, err := build("/out/agree-mr").RunMR(plat, am.Config{Name: "agree-mr"}); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := relop.ReadStored(plat.FS, "/out/agree-tez")
-	b, _ := relop.ReadStored(plat.FS, "/out/agree-mr")
-	if len(a) != len(b) || len(a) != 3 {
-		t.Fatalf("tez %d rows, mr %d rows", len(a), len(b))
+	a, err := relop.ReadStored(plat.FS, "/out/agree-tez")
+	if err != nil {
+		t.Fatal(err)
 	}
+	b, err := relop.ReadStored(plat.FS, "/out/agree-mr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a) != 3 || !relop.SameRows(a, b) {
+		t.Fatalf("tez stored %v, mr %v", a, b)
+	}
+	// A stored aggregate: each part file in group-key order.
+	testutil.PartsInKeyOrder(t, plat.FS, "/out/agree-tez")
+	testutil.PartsInKeyOrder(t, plat.FS, "/out/agree-mr")
 }
 
 func TestEmptyScriptRejected(t *testing.T) {

@@ -3,6 +3,7 @@ package relop
 import (
 	"fmt"
 
+	"tez/internal/col"
 	"tez/internal/row"
 	"tez/internal/runtime"
 )
@@ -14,7 +15,11 @@ import (
 
 // RunEmitBench streams pre-encoded rows through one emit pipeline in
 // batches of batchSize (> 0) and returns the number of rows emitted.
-// widths is ignored: the hash join reads each build row's width itself.
+// tables holds each build input's rows by encoded key. They are first
+// converted into join tables, a key's rows in order: a conversion that
+// exists only for benchmark/probes.go, until it builds join tables itself
+// (ROADMAP item 10(d)). widths is ignored: the hash join reads each build
+// row's width itself.
 func RunEmitBench(spec EmitSpec, tables map[string]map[string][]row.Row, widths map[string]int,
 	encoded [][]byte, batchSize int, w runtime.KVWriter) (int64, error) {
 
@@ -24,7 +29,25 @@ func RunEmitBench(spec EmitSpec, tables map[string]map[string][]row.Row, widths 
 	if err := validateEmit(&spec); err != nil {
 		return 0, err
 	}
-	ve := newVecEmitter(spec, w, tables, batchSize)
+	joins := map[string]*joinTable{}
+	for name, byKey := range tables {
+		t := newJoinTable()
+		t.batches = []*col.Batch{col.NewBatch()}
+		for key, rows := range byKey {
+			id := t.keys.add([]byte(key))
+			for _, r := range rows {
+				if !t.batches[len(t.batches)-1].AppendRow(r) { // a new width
+					t.batches = append(t.batches, col.NewBatch())
+					t.batches[len(t.batches)-1].AppendRow(r)
+				}
+				b := len(t.batches) - 1
+				t.rows = append(t.rows, buildRow{int32(b), int32(t.batches[b].Len() - 1), id})
+			}
+		}
+		t.link()
+		joins[name] = t
+	}
+	ve := newVecEmitter(spec, w, joins, batchSize)
 	for _, e := range encoded {
 		if err := ve.add(e); err != nil {
 			return 0, err

@@ -128,6 +128,27 @@ func (c *Compiler) shuffleEdge(from, to *bStage, hash bool, keys []*Expr) error 
 		StageInput{Name: from.name, Mode: InHash, BuildKeys: keys})
 }
 
+// groupStage adds a grouped stage of par tasks running g.
+func (c *Compiler) groupStage(kind string, par int, g *GroupOp) *bStage {
+	st := c.newStage(kind)
+	st.grouped, st.par, st.spec.Group = true, par, g
+	return st
+}
+
+// shuffleTo ends each of curs with the shuffle emit es into st and
+// connects its stage to st: by a hash edge keyed by es.Keys when hash is
+// set, else by an ordered one.
+func (c *Compiler) shuffleTo(curs []cursor, st *bStage, es EmitSpec, hash bool) error {
+	for _, cur := range curs {
+		es.Input, es.Output, es.Kind, es.Pipe = cur.input, st.name, EmitShuffle, cur.pipe
+		cur.st.spec.Emits = append(cur.st.spec.Emits, es)
+		if err := c.shuffleEdge(cur.st, st, hash, es.Keys); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // connect adds e and the consumer's input in unless e's producer already
 // feeds e's consumer the same way.
 func connect(e *bEdge, in StageInput) error {
@@ -235,19 +256,20 @@ func (c *Compiler) compileScan(n *Node) ([]cursor, error) {
 	return []cursor{{st: st, input: "src", pipe: pipe}}, nil
 }
 
+// compileInputs compiles a join's two inputs.
+func (c *Compiler) compileInputs(n *Node) (left, right []cursor, err error) {
+	if left, err = c.compile(n.Children[0]); err == nil {
+		right, err = c.compile(n.Children[1])
+	}
+	return left, right, err
+}
+
 func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
-	left, err := c.compile(n.Children[0])
+	left, right, err := c.compileInputs(n)
 	if err != nil {
 		return nil, err
 	}
-	right, err := c.compile(n.Children[1])
-	if err != nil {
-		return nil, err
-	}
-	st := c.newStage("join")
-	st.grouped = true
-	st.par = c.cfg.DefaultPartitions
-	st.spec.Group = &GroupOp{Kind: "join", Sides: 2}
+	st := c.groupStage("join", c.cfg.DefaultPartitions, &GroupOp{Kind: "join"})
 	// A hash join reads each producer's rows as one side, so a stage that
 	// feeds both sides keeps the ordered edge.
 	hash := c.hashJoins[n] && !sharesStage(left, right)
@@ -255,26 +277,14 @@ func (c *Compiler) compileShuffleJoin(n *Node) ([]cursor, error) {
 	// projection to the shipped ones, its keys remapped onto them.
 	shipL, shipR := c.use.shipped(n)
 	emitSide := func(curs []cursor, keys []*Expr, ship []int, tag int) error {
-		var narrow []*Expr
 		if ship != nil {
+			var narrow []*Expr
 			for _, k := range ship {
 				narrow = append(narrow, Col(k))
 			}
-			keys = substituteAll(keys, within(ship))
+			curs, keys = withAll(curs, PipeOp{Kind: "project", Project: narrow}), substituteAll(keys, within(ship))
 		}
-		for _, cur := range curs {
-			if narrow != nil {
-				cur = cur.with(PipeOp{Kind: "project", Project: narrow})
-			}
-			cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-				Input: cur.input, Output: st.name, Kind: EmitShuffle,
-				Pipe: cur.pipe, Keys: keys, Tag: tag,
-			})
-			if err := c.shuffleEdge(cur.st, st, hash, keys); err != nil {
-				return err
-			}
-		}
-		return nil
+		return c.shuffleTo(curs, st, EmitSpec{Keys: keys, Tag: tag}, hash)
 	}
 	if err := emitSide(left, n.JoinL, shipL, 0); err != nil {
 		return nil, err
@@ -331,39 +341,33 @@ func (c *Compiler) compileBroadcastJoin(n *Node) ([]cursor, error) {
 	if c.forMR {
 		return nil, fmt.Errorf("relop: broadcast join requires the Tez backend")
 	}
-	probe, err := c.compile(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	build, err := c.compile(n.Children[1])
+	probe, build, err := c.compileInputs(n)
 	if err != nil {
 		return nil, err
 	}
 	if len(build) != 1 {
 		return nil, fmt.Errorf("relop: broadcast join build side must be a single stream")
 	}
+	bc := build[0]
 	out := make([]cursor, 0, len(probe))
 	for _, pc := range probe {
-		for _, bc := range build {
-			bc.st.spec.Emits = append(bc.st.spec.Emits, EmitSpec{
-				Input: bc.input, Output: pc.st.name, Kind: EmitBroadcast,
-				Pipe: bc.pipe, Tag: -1,
-			})
-			if err := c.edge(bc.st, pc.st, dag.Broadcast); err != nil {
-				return nil, err
-			}
-			// Key the auto-added build input.
-			for i := range pc.st.spec.Inputs {
-				if pc.st.spec.Inputs[i].Name == bc.st.name {
-					pc.st.spec.Inputs[i].BuildKeys = n.JoinR
-					pc.st.spec.Inputs[i].CacheInRegistry = !c.cfg.DisableRegistryCache
-				}
-			}
-			pc = pc.with(PipeOp{Kind: "hashjoin", HJ: &HashJoinSpec{
-				Input: bc.st.name, ProbeKeys: n.JoinL,
-			}})
+		bc.st.spec.Emits = append(bc.st.spec.Emits, EmitSpec{
+			Input: bc.input, Output: pc.st.name, Kind: EmitBroadcast,
+			Pipe: bc.pipe, Tag: -1,
+		})
+		if err := c.edge(bc.st, pc.st, dag.Broadcast); err != nil {
+			return nil, err
 		}
-		out = append(out, pc)
+		// Key the auto-added build input.
+		for i := range pc.st.spec.Inputs {
+			if pc.st.spec.Inputs[i].Name == bc.st.name {
+				pc.st.spec.Inputs[i].BuildKeys = n.JoinR
+				pc.st.spec.Inputs[i].CacheInRegistry = !c.cfg.DisableRegistryCache
+			}
+		}
+		out = append(out, pc.with(PipeOp{Kind: "hashjoin", HJ: &HashJoinSpec{
+			Input: bc.st.name, ProbeKeys: n.JoinL,
+		}}))
 	}
 	return out, nil
 }
@@ -410,25 +414,13 @@ func (c *Compiler) compileAgg(n *Node) ([]cursor, error) {
 	for i := range keys {
 		keys[i] = Col(i)
 	}
-	st := c.newStage("agg")
-	st.grouped = true
-	st.par = c.cfg.DefaultPartitions
-	st.spec.Group = &GroupOp{Kind: "agg", GroupWidth: gw, Aggs: aggs, Partial: anyOrder}
+	st := c.groupStage("agg", c.cfg.DefaultPartitions, &GroupOp{Kind: "agg", GroupWidth: gw, Aggs: aggs, Partial: anyOrder})
 	var partial []AggFuncSpec
 	if anyOrder {
 		partial = aggs
 	}
-	for _, cur := range in {
-		cur = cur.with(PipeOp{Kind: "project", Project: project})
-		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-			Input: cur.input, Output: st.name, Kind: EmitShuffle,
-			Pipe: cur.pipe, Keys: keys, Tag: -1, Aggs: partial,
-		})
-		if err := c.shuffleEdge(cur.st, st, hash, keys); err != nil {
-			return nil, err
-		}
-	}
-	return []cursor{{st: st}}, nil
+	in = withAll(in, PipeOp{Kind: "project", Project: project})
+	return []cursor{{st: st}}, c.shuffleTo(in, st, EmitSpec{Keys: keys, Tag: -1, Aggs: partial}, hash)
 }
 
 // foldsInAnyOrder reports whether agg node n writes the same bytes
@@ -455,23 +447,11 @@ func (c *Compiler) compileSort(n *Node) ([]cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := c.newStage("sort")
-	st.grouped = true
-	st.par = sortParallelism
-	st.spec.Group = &GroupOp{Kind: "sort", Limit: n.Limit}
-	for _, cur := range in {
-		// The one sort task keeps the first Limit records by (key, value),
-		// so they are among each producer task's first Limit.
-		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-			Input: cur.input, Output: st.name, Kind: EmitShuffle,
-			Pipe: cur.pipe, Keys: n.SortKeys, Desc: n.SortDesc, Tag: -1,
-			Limit: n.Limit,
-		})
-		if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
-			return nil, err
-		}
-	}
-	return []cursor{{st: st}}, nil
+	st := c.groupStage("sort", sortParallelism, &GroupOp{Kind: "sort", Limit: n.Limit})
+	// The one sort task keeps the first Limit records by (key, value), so
+	// they are among each producer task's first Limit.
+	es := EmitSpec{Keys: n.SortKeys, Desc: n.SortDesc, Tag: -1, Limit: n.Limit}
+	return []cursor{{st: st}}, c.shuffleTo(in, st, es, false)
 }
 
 func (c *Compiler) compileDistinct(n *Node) ([]cursor, error) {
@@ -484,20 +464,8 @@ func (c *Compiler) compileDistinct(n *Node) ([]cursor, error) {
 	for i := range keys {
 		keys[i] = Col(i)
 	}
-	st := c.newStage("distinct")
-	st.grouped = true
-	st.par = c.cfg.DefaultPartitions
-	st.spec.Group = &GroupOp{Kind: "distinct"}
-	for _, cur := range in {
-		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-			Input: cur.input, Output: st.name, Kind: EmitShuffle,
-			Pipe: cur.pipe, Keys: keys, Tag: -1,
-		})
-		if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
-			return nil, err
-		}
-	}
-	return []cursor{{st: st}}, nil
+	st := c.groupStage("distinct", c.cfg.DefaultPartitions, &GroupOp{Kind: "distinct"})
+	return []cursor{{st: st}}, c.shuffleTo(in, st, EmitSpec{Keys: keys, Tag: -1}, false)
 }
 
 // compileStore attaches a DFS sink to the producing stage.

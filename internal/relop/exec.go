@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"tez/internal/col"
 	"tez/internal/plugin"
 	"tez/internal/row"
 	"tez/internal/runtime"
@@ -68,7 +67,7 @@ func sampled(encoded []byte, rate float64) bool {
 func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string]runtime.Output) error {
 	// Bind emitters to writers.
 	emitters := make([]*vecEmitter, len(p.spec.Emits))
-	tables := map[string]map[string][]row.Row{}
+	tables := map[string]*joinTable{}
 	for i := range p.spec.Emits {
 		es := p.spec.Emits[i]
 		var kw runtime.KVWriter
@@ -89,7 +88,7 @@ func (p *stageProcessor) Run(inputs map[string]runtime.Input, outputs map[string
 		emitters[i] = newVecEmitter(es, kw, tables, DefaultBatchSize)
 	}
 
-	// Build hash tables (possibly from the shared object registry, §4.2).
+	// Build join tables (possibly from the shared object registry, §4.2).
 	for _, in := range p.spec.Inputs {
 		if in.Mode != InBuild {
 			continue
@@ -169,49 +168,42 @@ func reader[R any](inputs map[string]runtime.Input, name string) (R, error) {
 	return r, nil
 }
 
-// buildTable loads a broadcast build side, caching through the object
-// registry so tasks reusing the container skip the rebuild (the Hive
-// broadcast-join example of §4.2). The edge carries col.EncodeBatch
-// frames; each frame is keyed column-wise and its rows are materialized
-// once into the table.
-func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Input) (map[string][]row.Row, error) {
+// buildTable builds a broadcast build side's join table, caching it
+// through the object registry so tasks reusing the container skip the
+// rebuild (the Hive broadcast-join example of §4.2). The edge carries
+// col.EncodeBatch frames, kept decoded in the table. A cached table is
+// shared read-only by every task that probes it.
+func (p *stageProcessor) buildTable(in StageInput, inputs map[string]runtime.Input) (*joinTable, error) {
 	cacheKey := fmt.Sprintf("relop/hj/%s/%s", p.ctx.Meta.Vertex, in.Name)
-	if in.CacheInRegistry && p.ctx.Services.Registry != nil {
-		if v, ok := p.ctx.Services.Registry.Get(p.ctx.Meta, cacheKey); ok {
-			if p.ctx.Services.Counters != nil {
-				p.ctx.Services.Counters.Add("HASHTABLE_CACHE_HITS", 1)
+	reg, counters := p.ctx.Services.Registry, p.ctx.Services.Counters
+	cache := in.CacheInRegistry && reg != nil
+	if cache {
+		if v, ok := reg.Get(p.ctx.Meta, cacheKey); ok {
+			if counters != nil {
+				counters.Add("HASHTABLE_CACHE_HITS", 1)
 			}
-			return v.(map[string][]row.Row), nil
+			return v.(*joinTable), nil
 		}
 	}
 	kv, err := reader[runtime.KVReader](inputs, in.Name)
 	if err != nil {
 		return nil, err
 	}
-	table := map[string][]row.Row{}
-	var keyVecs []col.Vector
-	var key []byte
-	b := col.NewBatch()
+	var frames []keyedFrame
 	for kv.Next() {
-		if err := col.DecodeBatchInto(b, kv.Value(), nil); err != nil {
-			return nil, err
-		}
-		keyVecs = evalKeys(keyVecs[:0], in.BuildKeys, b)
-		for i := 0; i < b.Len(); i++ {
-			key = appendKey(key[:0], keyVecs, i, nil)
-			table[string(key)] = append(table[string(key)], b.MaterializeRow(i))
-		}
+		frames = append(frames, keyedFrame{kv.Value(), in.BuildKeys})
 	}
 	if err := kv.Err(); err != nil {
 		return nil, err
 	}
-	if p.ctx.Services.Counters != nil {
-		p.ctx.Services.Counters.Add("HASHTABLE_BUILDS", 1)
+	t := newJoinTable()
+	if err := t.build(frames, t.keys.add, counters); err != nil {
+		return nil, err
 	}
-	if in.CacheInRegistry && p.ctx.Services.Registry != nil {
-		p.ctx.Services.Registry.Add(runtime.LifetimeDAG, p.ctx.Meta, cacheKey, table)
+	if cache {
+		reg.Add(runtime.LifetimeDAG, p.ctx.Meta, cacheKey, t)
 	}
-	return table, nil
+	return t, nil
 }
 
 // runStream feeds a DFS input through the emits bound to it: each emitter
@@ -257,7 +249,7 @@ func (p *stageProcessor) runStream(in StageInput, inputs map[string]runtime.Inpu
 // its join, folds through one hashFold whatever edge feeds it, and writes
 // its groups when the inputs end: a hash edge's rows as they arrive
 // (hashedge.go), a grouped edge's a group at a time. A join fused with its
-// aggregate builds a hash table on a hash edge's side 0 and folds the
+// aggregate builds a join table on a hash edge's side 0 and folds the
 // products of side 1's rows with their matches.
 func (p *stageProcessor) runGroups(grouped []runtime.GroupedKVReader, hashed []hashInput, bound []*vecEmitter) error {
 	g := p.spec.Group
@@ -270,9 +262,6 @@ func (p *stageProcessor) runGroups(grouped []runtime.GroupedKVReader, hashed []h
 		}
 		return p.runGrouped(grouped, nil, bound)
 	}
-	if g.Kind == "join" && g.Sides != 2 {
-		return fmt.Errorf("relop: %d-sided join under an aggregate", g.Sides)
-	}
 	f, err := getHashFold(g, DefaultBatchSize)
 	if err != nil {
 		return err
@@ -284,10 +273,7 @@ func (p *stageProcessor) runGroups(grouped []runtime.GroupedKVReader, hashed []h
 	case g.Kind == "agg":
 		err = f.addInputs(hashed)
 	default:
-		err = f.join(hashed)
-		if p.ctx.Services.Counters != nil {
-			p.ctx.Services.Counters.Add("HASHTABLE_BUILDS", 1)
-		}
+		err = f.join(hashed, p.ctx.Services.Counters)
 	}
 	if err != nil {
 		return err
@@ -317,7 +303,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, fold *has
 				return err
 			}
 		case g.Kind == "join":
-			if err := join.run(g, values, bound); err != nil {
+			if err := join.run(values, bound); err != nil {
 				return err
 			}
 		case g.Kind == "sort":
@@ -349,122 +335,4 @@ func addEach(ems []*vecEmitter, encoded []byte) error {
 		}
 	}
 	return nil
-}
-
-// joinGroups is the reduce side of a shuffle join. Each group's tagged
-// values are parsed per side into column segments — a new segment
-// wherever the row width changes, so ragged rows keep their shape — and
-// the segments are reused from group to group.
-type joinGroups struct {
-	sides []joinSide
-	cur   []joinCursor // the product row being written: one row per side
-}
-
-// joinSide holds one side of the current group in segs[:n].
-type joinSide struct {
-	segs []*col.Batch
-	n    int
-}
-
-type joinCursor struct {
-	seg *col.Batch
-	row int
-}
-
-// add appends one encoded row, opening a segment for the side's first row
-// or on a width change.
-func (s *joinSide) add(encoded []byte) error {
-	if s.n > 0 {
-		if ok, err := s.segs[s.n-1].AppendEncoded(encoded); err != nil || ok {
-			return err
-		}
-	}
-	if s.n == len(s.segs) {
-		s.segs = append(s.segs, col.NewBatch())
-	} else {
-		s.segs[s.n].Reset()
-	}
-	s.n++
-	_, err := s.segs[s.n-1].AppendEncoded(encoded) // an empty batch takes any width
-	return err
-}
-
-// split parses a group's tagged values into its sides' segments and
-// reports whether every side holds a row: an inner join's product is
-// empty otherwise.
-func (j *joinGroups) split(g *GroupOp, values [][]byte) (bool, error) {
-	if len(j.sides) != g.Sides {
-		j.sides = make([]joinSide, g.Sides)
-		j.cur = make([]joinCursor, g.Sides)
-	}
-	for t := range j.sides {
-		j.sides[t].n = 0
-	}
-	for _, v := range values {
-		if len(v) == 0 {
-			return false, fmt.Errorf("relop: untagged join value")
-		}
-		tag := int(v[0])
-		if tag >= g.Sides {
-			return false, fmt.Errorf("relop: join tag %d out of %d sides", tag, g.Sides)
-		}
-		if err := j.sides[tag].add(v[1:]); err != nil {
-			return false, err
-		}
-	}
-	for _, s := range j.sides {
-		if s.n == 0 {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// run splits tagged values by side and writes their cartesian product,
-// side 0 outermost, into every emitter's batch column to column; each
-// batch flushes on a width change or when full, as in hashJoin.
-func (j *joinGroups) run(g *GroupOp, values [][]byte, ems []*vecEmitter) error {
-	if ok, err := j.split(g, values); !ok || err != nil {
-		return err
-	}
-	return j.product(0, 0, ems)
-}
-
-// product fixes side s's row in turn (the sides before it are fixed in
-// cur) and writes each complete combination to every emitter.
-func (j *joinGroups) product(s, width int, ems []*vecEmitter) error {
-	if s == len(j.sides) {
-		for _, em := range ems {
-			if err := j.writeRow(em, width); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	side := &j.sides[s]
-	for _, seg := range side.segs[:side.n] {
-		for i := 0; i < seg.Len(); i++ {
-			j.cur[s] = joinCursor{seg: seg, row: i}
-			if err := j.product(s+1, width+seg.Width(), ems); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writeRow writes the product row fixed in cur to em.
-func (j *joinGroups) writeRow(em *vecEmitter, width int) error {
-	b, err := em.beginRow(width)
-	if err != nil {
-		return err
-	}
-	c := 0
-	for _, cur := range j.cur {
-		for k := 0; k < cur.seg.Width(); k++ {
-			b.Col(c).AppendFrom(cur.seg.Col(k), cur.row)
-			c++
-		}
-	}
-	return em.endRow()
 }

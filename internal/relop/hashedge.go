@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"tez/internal/col"
+	"tez/internal/metrics"
 	"tez/internal/runtime"
 )
 
@@ -39,7 +40,9 @@ type hashFold struct {
 	g     *GroupOp
 	size  int
 	needs []aggNeed
-	keys  keyIndex // encoded key ↔ group
+	// t's key index numbers the groups; a fused join's build side is
+	// chained on it, so a build key's id is its group's.
+	t joinTable
 	// first[i] is the row of vals holding group i's key columns, copied
 	// from its first folded row; -1 before that (a join's build creates
 	// groups no product may reach).
@@ -51,10 +54,6 @@ type hashFold struct {
 	in   *col.Batch
 	gids []int32
 	vecs []col.Vector
-	// A join's build: side 0's frames and their rows, chained per group.
-	build []*col.Batch
-	rows  []buildRow
-	head  []int32 // group → its last build row (-1: none)
 	// A producer's pre-aggregation (partial.go): a batch's rows ordered
 	// group by group, and the partial rows waiting to be written.
 	slots  []int32 // by group: its rows in the batch, then its next slot
@@ -74,7 +73,7 @@ type hashFold struct {
 
 // hashFolds recycles folds across the tasks a container runs.
 var hashFolds = sync.Pool{New: func() any {
-	return &hashFold{keys: keyIndex{seed: maphash.MakeSeed()},
+	return &hashFold{t: *newJoinTable(),
 		vals: col.NewBatch(), in: col.NewBatch(), out: col.NewBatch(), b: col.NewBatch()}
 }}
 
@@ -93,7 +92,6 @@ func getHashFold(g *GroupOp, size int) (*hashFold, error) {
 		f.needs = append(f.needs, need)
 	}
 	f.reset()
-	f.rows, f.head = f.rows[:0], f.head[:0]
 	f.in.Reset()
 	f.out.Reset()
 	return f, nil
@@ -101,7 +99,7 @@ func getHashFold(g *GroupOp, size int) (*hashFold, error) {
 
 // reset empties the fold's groups, keeping their storage.
 func (f *hashFold) reset() {
-	f.keys.reset()
+	f.t.reset()
 	f.first, f.states, f.gids = f.first[:0], f.states[:0], f.gids[:0]
 	f.vals.Reset()
 	f.vals.EnsureWidth(f.g.GroupWidth)
@@ -109,7 +107,7 @@ func (f *hashFold) reset() {
 
 // group returns the group of an encoded key, adding it if new.
 func (f *hashFold) group(key []byte) int32 {
-	id := f.keys.add(key)
+	id := f.t.keys.add(key)
 	if int(id) == len(f.first) {
 		f.first = append(f.first, -1)
 		n, na := len(f.states), len(f.g.Aggs)
@@ -141,8 +139,8 @@ func (f *hashFold) groupLive(b *col.Batch, from int, add bool, limit int) []int3
 		if k == from || !bytes.Equal(f.keyBuf, f.prevKey) {
 			switch {
 			case !add:
-				id = f.keys.find(f.keyBuf)
-			case limit >= 0 && len(f.first) >= limit && f.keys.find(f.keyBuf) < 0:
+				id = f.t.keys.find(f.keyBuf)
+			case limit >= 0 && len(f.first) >= limit && f.t.keys.find(f.keyBuf) < 0:
 				return f.rowIDs
 			default:
 				id = f.group(f.keyBuf)
@@ -215,30 +213,19 @@ func (f *hashFold) addGroup(ems []*vecEmitter, key []byte, values [][]byte) erro
 }
 
 // addJoin folds one group of a fused join's grouped inputs: j splits its
-// tagged values into side segments, and the side-0 × side-1 product, side
-// 0 outermost, folds into the group of key. An inner join's group with an
-// empty side adds nothing.
+// tagged values into side segments, and their product folds into the
+// group of key. An inner join's group with an empty side adds nothing.
 func (f *hashFold) addJoin(ems []*vecEmitter, key []byte, j *joinGroups, values [][]byte) error {
-	if ok, err := j.split(f.g, values); !ok || err != nil {
+	if ok, err := j.split(values); !ok || err != nil {
 		return err
 	}
 	id, err := f.open(ems, key)
 	if err != nil {
 		return err
 	}
-	s0, s1 := &j.sides[0], &j.sides[1]
-	for _, a := range s0.segs[:s0.n] {
-		for ai := 0; ai < a.Len(); ai++ {
-			for _, b := range s1.segs[:s1.n] {
-				for bi := 0; bi < b.Len(); bi++ {
-					if err := f.writeProduct(id, a, ai, b, bi); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
+	return j.eachPair(func(a *col.Batch, ai int, b *col.Batch, bi int) error {
+		return f.writeProduct(id, a, ai, b, bi)
+	})
 }
 
 // fold folds b's rows, dense, into their groups gids[i]: each run of rows
@@ -270,53 +257,26 @@ func (f *hashFold) fold(b *col.Batch, gids []int32) error {
 	return nil
 }
 
-// buildRow is a side-0 row of a hash join: its frame, its row there, and
-// the next build row of its group (-1: none).
-type buildRow struct {
-	frame, row, next int32
-}
-
-// join reads a fused join's two sides. Side 0's frames are decoded and
-// kept, their rows chained per key (the build); side 1's rows are then
-// looked up frame by frame (the probe). Each match folds as one product
-// row, side 0's columns first, as joinGroups writes it.
-func (f *hashFold) join(ins []hashInput) error {
-	type frame struct {
-		data []byte
-		keys []*Expr
-	}
-	var sides [2][]frame
+// join reads a fused join's two sides: side 0's frames build the fold's
+// join table, whose key ids are the fold's groups, and side 1's rows
+// probe it frame by frame. Each match folds as one product row, side 0's
+// columns first, as joinGroups writes it.
+func (f *hashFold) join(ins []hashInput, counters *metrics.Counters) error {
+	var sides [2][]keyedFrame
 	for _, in := range ins {
 		for in.kv.Next() {
 			tag := in.kv.Key()
 			if len(tag) != 1 || tag[0] > 1 {
 				return fmt.Errorf("relop: join frame tagged %x", tag)
 			}
-			sides[tag[0]] = append(sides[tag[0]], frame{in.kv.Value(), in.keys})
+			sides[tag[0]] = append(sides[tag[0]], keyedFrame{in.kv.Value(), in.keys})
 		}
 		if err := in.kv.Err(); err != nil {
 			return err
 		}
 	}
-	for len(f.build) < len(sides[0]) {
-		f.build = append(f.build, col.NewBatch())
-	}
-	n := 0
-	for i, fr := range sides[0] {
-		if err := col.DecodeBatchInto(f.build[i], fr.data, nil); err != nil {
-			return err
-		}
-		n += f.build[i].Len()
-	}
-	f.keys.reserve(n)
-	for i, fr := range sides[0] {
-		for r, id := range f.groupRows(f.build[i], fr.keys, true) {
-			if int(id) == len(f.head) {
-				f.head = append(f.head, -1)
-			}
-			f.rows = append(f.rows, buildRow{frame: int32(i), row: int32(r), next: f.head[id]})
-			f.head[id] = int32(len(f.rows) - 1)
-		}
+	if err := f.t.build(sides[0], f.group, counters); err != nil {
+		return err
 	}
 	pb := f.b
 	for _, fr := range sides[1] {
@@ -327,8 +287,9 @@ func (f *hashFold) join(ins []hashInput) error {
 			if id < 0 {
 				continue
 			}
-			for r := f.head[id]; r >= 0; r = f.rows[r].next {
-				if err := f.writeProduct(id, f.build[f.rows[r].frame], int(f.rows[r].row), pb, i); err != nil {
+			for r := f.t.head[id]; r >= 0; r = f.t.rows[r].next {
+				br := f.t.rows[r]
+				if err := f.writeProduct(id, f.t.batches[br.batch], int(br.row), pb, i); err != nil {
 					return err
 				}
 			}
@@ -348,12 +309,7 @@ func (f *hashFold) writeProduct(id int32, bb *col.Batch, bi int, pb *col.Batch, 
 		}
 	}
 	f.in.EnsureWidth(w)
-	for c := 0; c < bb.Width(); c++ {
-		f.in.Col(c).AppendFrom(bb.Col(c), bi)
-	}
-	for c := 0; c < pb.Width(); c++ {
-		f.in.Col(bb.Width()+c).AppendFrom(pb.Col(c), pi)
-	}
+	appendPair(f.in, bb, bi, pb, pi)
 	f.in.SetRowCount(f.in.Len() + 1)
 	return f.added(id)
 }
@@ -410,7 +366,7 @@ func (f *hashFold) emit(ems []*vecEmitter) error {
 		if r >= 0 {
 			var p [8]byte
 			if sorted {
-				copy(p[:], f.keys.key(int32(id)))
+				copy(p[:], f.t.keys.key(int32(id)))
 			}
 			f.order = append(f.order, sortKey{binary.BigEndian.Uint64(p[:]), int32(id)})
 		}
@@ -420,7 +376,7 @@ func (f *hashFold) emit(ems []*vecEmitter) error {
 			if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
 				return c
 			}
-			return bytes.Compare(f.keys.key(a.id), f.keys.key(b.id))
+			return bytes.Compare(f.t.keys.key(a.id), f.t.keys.key(b.id))
 		})
 	}
 	na := len(f.g.Aggs)

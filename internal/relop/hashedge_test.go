@@ -252,7 +252,10 @@ func refAgg(rows []row.Row, groupBy []*Expr, aggs []AggDef) []row.Row {
 // that cuts through ties, and as a range sort with no limit — so its fold
 // writes to a shuffle alone and leaves its groups unsorted
 // (observesOrder); the stored rows must be the reference's in the sort's
-// (key, row bytes) order.
+// (key, row bytes) order. Its broadcast cases feed one broadcast join —
+// a build side with duplicate, NULL and kind-mixed keys (Int 1 and Float
+// 1.0) and rows of two widths — to a sink, to an aggregate, and through a
+// filter to a sort with a LIMIT; on MR the same plan joins by a shuffle.
 func TestHashEdgeDifferential(t *testing.T) {
 	h := newHarness(t)
 	defer h.close()
@@ -265,7 +268,8 @@ func TestHashEdgeDifferential(t *testing.T) {
 	// before them are drawn as they always were.
 	frng := rand.New(rand.NewSource(42))
 	srng := rand.New(rand.NewSource(44)) // and so do the sorted ones
-	trial, sorts := 0, 0
+	brng := rand.New(rand.NewSource(46)) // and the broadcast ones
+	trial, sorts, bcasts := 0, 0, 0
 	for pi, parts := range []int{1, 3, 8} {
 		cfg := Config{DefaultPartitions: parts}
 		sess := am.NewSession(h.plat, am.Config{Name: fmt.Sprintf("diff-%d", parts)})
@@ -445,7 +449,126 @@ func TestHashEdgeDifferential(t *testing.T) {
 				}
 			}
 		}
+		for i := 0; i < 2; i++ {
+			bcasts++
+			broadcastDiffCase(t, h, sess, cfg, brng, fmt.Sprintf("bcast%02d", bcasts))
+		}
 		sess.Close()
+	}
+}
+
+// broadcastDiffCase runs one broadcast case of TestHashEdgeDifferential.
+// The probe side is a table (k:int, a:int, s); the build side is a table
+// (bk, bv:int, bs, bx:int) whose schema gained bx after some of its files
+// were written: those files' rows are 3 columns wide, so the build frames
+// come in two widths. bk mixes Int and Float keys, NULLs and duplicates. One join feeds three stores: the join itself (compared as a
+// multiset), an aggregate grouped by a probe column (compared as a
+// multiset), and a filter then a sort with a LIMIT (compared in the
+// sort's (key, row bytes) order). Tez joins by broadcast, the MR chain
+// by a shuffle; both must store the reference's rows.
+func broadcastDiffCase(t *testing.T, h *harness, sess *am.Session, cfg Config, rng *rand.Rand, name string) {
+	t.Helper()
+	maybe := func(v row.Value) row.Value {
+		if rng.Intn(6) == 0 {
+			return row.Null()
+		}
+		return v
+	}
+	probeRow := func(k row.Value) row.Row {
+		return row.Row{k, maybe(row.Int(int64(rng.Intn(101) - 50))), row.String(fmt.Sprintf("p%d", rng.Intn(4)))}
+	}
+	buildRow := func(k row.Value) row.Row {
+		return row.Row{k, maybe(row.Int(int64(rng.Intn(21) - 10))), row.String(fmt.Sprintf("b%d", rng.Intn(3)))}
+	}
+	// Key 1 as an Int in a 3-column row and as a Float in a 4-column one,
+	// and a NULL key on both sides, in every case.
+	probeRows := []row.Row{probeRow(row.Int(1)), probeRow(row.Null())}
+	b3 := []row.Row{buildRow(row.Int(1)), buildRow(row.Null())}
+	b4 := []row.Row{append(buildRow(row.Float(1)), row.Int(0))}
+	for i := 0; i < 40+rng.Intn(60); i++ {
+		probeRows = append(probeRows, probeRow(maybe(row.Int(int64(rng.Intn(6)-1)))))
+	}
+	for i := 0; i < 6+rng.Intn(20); i++ {
+		k := int64(rng.Intn(5) - 1)
+		key := row.Int(k)
+		if rng.Intn(2) == 0 {
+			key = row.Float(float64(k))
+		}
+		if rng.Intn(2) == 0 {
+			b3 = append(b3, buildRow(maybe(key)))
+		} else {
+			b4 = append(b4, append(buildRow(maybe(key)), maybe(row.Int(int64(rng.Intn(9))))))
+		}
+	}
+	rng.Shuffle(len(probeRows), func(i, j int) { probeRows[i], probeRows[j] = probeRows[j], probeRows[i] })
+	probe := h.table(name+"_p", row.NewSchema("k:int", "a:int", "s"), 3, probeRows)
+	build := h.table(name+"_b", row.NewSchema("bk:float", "bv:int", "bs", "bx:int"), 2, b4)
+	old := h.table(name+"_b3", row.NewSchema("bk:float", "bv:int", "bs"), 2, b3)
+	build.Files = append(old.Files, build.Files...)
+
+	// Join output: k 0, a 1, s 2, bk 3, bv 4, bs 5, bx 6 (past a 3-column
+	// build row: null).
+	var joined []row.Row
+	for _, p := range probeRows {
+		for _, b := range append(append([]row.Row{}, b3...), b4...) {
+			if bytes.Equal(row.EncodeKey(nil, p[0]), row.EncodeKey(nil, b[0])) {
+				joined = append(joined, append(append(row.Row{}, p...), b...))
+			}
+		}
+	}
+	groupBy := []*Expr{Col(rng.Intn(2))}
+	aggs := append(randDiffAggs(rng, []int{0, 1, 4}, []int{2, 5}, []int{3}, []int{3, 6}), AggDef{Func: "count", Name: "n"})
+	filter := Cmp(">", Col(1), LitInt(int64(rng.Intn(61)-40)))
+	sc, desc, limit := rng.Intn(6), rng.Intn(2) == 0, 1+rng.Intn(12)
+	var sorted []row.Row
+	for _, r := range joined {
+		if Truthy(filter.Eval(r)) {
+			sorted = append(sorted, r)
+		}
+	}
+	sortKey := func(r row.Row) []byte {
+		k := row.EncodeKey(nil, r[sc])
+		if desc {
+			row.FlipKey(k)
+		}
+		return k
+	}
+	slices.SortFunc(sorted, func(a, b row.Row) int {
+		if c := bytes.Compare(sortKey(a), sortKey(b)); c != 0 {
+			return c
+		}
+		return bytes.Compare(row.Encode(nil, a), row.Encode(nil, b))
+	})
+	sorted = sorted[:min(limit, len(sorted))]
+
+	mk := func(out string, broadcast bool) []*Node {
+		j := JoinNode(Scan(probe), Scan(build), []*Expr{Col(0)}, []*Expr{Col(0)}, broadcast)
+		return []*Node{
+			StoreNode(j, out+"/join"),
+			StoreNode(AggNode(j, groupBy, []string{"g"}, aggs), out+"/agg"),
+			StoreNode(SortNode(FilterNode(j, filter), []*Expr{Col(sc)}, []bool{desc}, limit), out+"/sort"),
+		}
+	}
+	d, err := EmitDAGOnly(cfg, name, mk("/x", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(d.Edges, func(e *dag.Edge) bool { return e.Property.Movement == dag.Broadcast }) {
+		t.Fatalf("%s: the Tez plan has no broadcast edge", name)
+	}
+	tezOut, mrOut := "/out/"+name+"-tez", "/out/"+name+"-mr"
+	if _, err := RunTez(sess, cfg, name, mk(tezOut, true)); err != nil {
+		t.Fatalf("%s on tez: %v", name, err)
+	}
+	if _, err := RunMR(h.plat, am.Config{Name: name + "-mr"}, cfg, name+"-mr", mk(mrOut, false)); err != nil {
+		t.Fatalf("%s on mr: %v", name, err)
+	}
+	for _, out := range []string{tezOut, mrOut} {
+		h.sameRows(out+" join vs reference", h.stored(out+"/join"), joined)
+		h.sameRows(out+" agg vs reference", h.stored(out+"/agg"), refAgg(joined, groupBy, aggs))
+		if got := h.stored(out + "/sort"); !bytes.Equal(encodeAll(got), encodeAll(sorted)) {
+			t.Fatalf("%s/sort: stored\n%s\nwant, in order,\n%s", out, fmtRows(got), fmtRows(sorted))
+		}
 	}
 }
 
@@ -653,7 +776,7 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 				}
 			}
 			groupCol := []int{0, widths[0]}[rng.Intn(2)]
-			g = &GroupOp{Kind: "join", Sides: 2, GroupWidth: 1, AggInput: []*Expr{Col(groupCol)}}
+			g = &GroupOp{Kind: "join", GroupWidth: 1, AggInput: []*Expr{Col(groupCol)}}
 			argKinds := []bool{kinds[groupCol]}
 			for c := range kinds {
 				if rng.Intn(2) == 0 {
@@ -685,7 +808,7 @@ func TestHashFoldMatchesOrderedFold(t *testing.T) {
 				}
 			}
 			rng.Shuffle(len(ins), func(i, j int) { ins[i], ins[j] = ins[j], ins[i] })
-			if err := f.join(ins); err != nil {
+			if err := f.join(ins, nil); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 			groups = orderedGroups(recs)
@@ -899,7 +1022,7 @@ func TestWriteFramesPartitionLikeOrdered(t *testing.T) {
 func TestHashEdgeCorruptInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	aggOp := &GroupOp{Kind: "agg", GroupWidth: 2, Aggs: []AggFuncSpec{{Func: "sum", Col: 2}, {Func: "min", Col: 3}}}
-	joinOp := &GroupOp{Kind: "join", Sides: 2, GroupWidth: 1, AggInput: []*Expr{Col(0), Col(3)},
+	joinOp := &GroupOp{Kind: "join", GroupWidth: 1, AggInput: []*Expr{Col(0), Col(3)},
 		Aggs: []AggFuncSpec{{Func: "max", Col: 1}}}
 	run := func(g *GroupOp, recs []capturedKV) (err error) {
 		defer func() {
@@ -919,7 +1042,7 @@ func TestHashEdgeCorruptInput(t *testing.T) {
 		}
 		in := []hashInput{{kv: &recordReader{recs: recs}, keys: keys}}
 		if g.Kind == "join" {
-			err = f.join(in)
+			err = f.join(in, nil)
 		} else {
 			err = f.addInputs(in)
 		}

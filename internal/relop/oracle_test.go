@@ -292,16 +292,17 @@ func finalizeAgg(g *GroupOp, groupVals row.Row, states []aggState) (row.Row, err
 	return out, nil
 }
 
-// joinGroup splits tagged values by side and emits the cartesian product.
-func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Row) error) error {
-	sides := make([][]row.Row, g.Sides)
+// joinGroup splits tagged values by side, 0 and 1, and emits their
+// product, side 0 outermost.
+func (p *stageProcessor) joinGroup(values [][]byte, emit func(row.Row) error) error {
+	var sides [2][]row.Row
 	for _, v := range values {
 		if len(v) == 0 {
 			return fmt.Errorf("relop: untagged join value")
 		}
 		tag := int(v[0])
-		if tag >= g.Sides {
-			return fmt.Errorf("relop: join tag %d out of %d sides", tag, g.Sides)
+		if tag >= len(sides) {
+			return fmt.Errorf("relop: join tag %d out of %d sides", tag, len(sides))
 		}
 		r, err := row.Decode(v[1:])
 		if err != nil {
@@ -309,25 +310,14 @@ func (p *stageProcessor) joinGroup(g *GroupOp, values [][]byte, emit func(row.Ro
 		}
 		sides[tag] = append(sides[tag], r)
 	}
-	for _, s := range sides {
-		if len(s) == 0 {
-			return nil // inner join: some side empty
-		}
-	}
-	var rec func(i int, acc row.Row) error
-	rec = func(i int, acc row.Row) error {
-		if i == len(sides) {
-			return emit(acc)
-		}
-		for _, r := range sides[i] {
-			next := append(acc.Clone(), r...)
-			if err := rec(i+1, next); err != nil {
+	for _, a := range sides[0] {
+		for _, b := range sides[1] {
+			if err := emit(append(a.Clone(), b...)); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	return rec(0, row.Row{})
+	return nil
 }
 
 // refSum is the math/big reference for a sum (div 1) or an average (div

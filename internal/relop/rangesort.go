@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"tez/internal/am"
-	"tez/internal/dag"
 	"tez/internal/event"
 	"tez/internal/library"
 	"tez/internal/plugin"
@@ -84,19 +83,10 @@ func (c *Compiler) buildSampler(src *Node, key *Expr, desc bool, targets []*bSta
 	if err != nil {
 		return err
 	}
-	hist := c.newStage("histogram")
-	hist.grouped = true
-	hist.par = 1
-	hist.spec.Group = &GroupOp{Kind: "sort"}
-	for _, cur := range cs {
-		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-			Input: cur.input, Output: hist.name, Kind: EmitShuffle,
-			Pipe: cur.pipe, Keys: []*Expr{key}, Desc: []bool{desc}, Tag: -1,
-			SampleRate: 0.1,
-		})
-		if err := c.edge(cur.st, hist, dag.ScatterGather); err != nil {
-			return err
-		}
+	hist := c.groupStage("histogram", 1, &GroupOp{Kind: "sort"})
+	es := EmitSpec{Keys: []*Expr{key}, Desc: []bool{desc}, Tag: -1, SampleRate: 0.1}
+	if err := c.shuffleTo(cs, hist, es, false); err != nil {
+		return err
 	}
 	for _, tgt := range targets {
 		hist.spec.Emits = append(hist.spec.Emits, EmitSpec{
@@ -124,28 +114,12 @@ func (c *Compiler) compileRangeSort(n *Node) ([]cursor, error) {
 	if parts <= 0 {
 		parts = c.cfg.DefaultPartitions
 	}
-	st := c.newStage("rangesort")
-	st.grouped = true
-	st.par = parts
-	st.spec.Group = &GroupOp{Kind: "sort"}
-	var producers []*bStage
-	for _, cur := range in {
-		cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-			Input: cur.input, Output: st.name, Kind: EmitShuffle,
-			Pipe: cur.pipe, Keys: n.SortKeys, Desc: n.SortDesc, Tag: -1,
-		})
-		if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
-			return nil, err
-		}
-		if err := c.attachRangeVM(cur.st, st.name, parts, firstDesc(n.SortDesc)); err != nil {
-			return nil, err
-		}
-		producers = append(producers, cur.st)
+	st := c.groupStage("rangesort", parts, &GroupOp{Kind: "sort"})
+	producers, err := c.rangeShuffleTo(in, st, EmitSpec{Keys: n.SortKeys, Desc: n.SortDesc, Tag: -1}, parts, nil)
+	if err == nil {
+		err = c.buildSampler(n.Children[0], n.SortKeys[0], firstDesc(n.SortDesc), producers)
 	}
-	if err := c.buildSampler(n.Children[0], n.SortKeys[0], firstDesc(n.SortDesc), producers); err != nil {
-		return nil, err
-	}
-	return []cursor{{st: st}}, nil
+	return []cursor{{st: st}}, err
 }
 
 func (c *Compiler) compileSkewJoin(n *Node) ([]cursor, error) {
@@ -155,11 +129,7 @@ func (c *Compiler) compileSkewJoin(n *Node) ([]cursor, error) {
 		plain.OutSchema = n.OutSchema
 		return c.compile(plain)
 	}
-	left, err := c.compile(n.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	right, err := c.compile(n.Children[1])
+	left, right, err := c.compileInputs(n)
 	if err != nil {
 		return nil, err
 	}
@@ -167,38 +137,32 @@ func (c *Compiler) compileSkewJoin(n *Node) ([]cursor, error) {
 	if parts <= 0 {
 		parts = c.cfg.DefaultPartitions
 	}
-	st := c.newStage("skewjoin")
-	st.grouped = true
-	st.par = parts
-	st.spec.Group = &GroupOp{Kind: "join", Sides: 2}
-	var producers []*bStage
-	emitSide := func(curs []cursor, keys []*Expr, tag int) error {
-		for _, cur := range curs {
-			cur.st.spec.Emits = append(cur.st.spec.Emits, EmitSpec{
-				Input: cur.input, Output: st.name, Kind: EmitShuffle,
-				Pipe: cur.pipe, Keys: keys, Tag: tag,
-			})
-			if err := c.edge(cur.st, st, dag.ScatterGather); err != nil {
-				return err
-			}
-			if err := c.attachRangeVM(cur.st, st.name, parts, false); err != nil {
-				return err
-			}
-			producers = append(producers, cur.st)
+	st := c.groupStage("skewjoin", parts, &GroupOp{Kind: "join"})
+	producers, err := c.rangeShuffleTo(left, st, EmitSpec{Keys: n.JoinL, Tag: 0}, parts, nil)
+	if err == nil {
+		producers, err = c.rangeShuffleTo(right, st, EmitSpec{Keys: n.JoinR, Tag: 1}, parts, producers)
+	}
+	if err == nil {
+		// The sample comes from the (skewed) left input on its join key.
+		err = c.buildSampler(n.Children[0], n.JoinL[0], false, producers)
+	}
+	return []cursor{{st: st}}, err
+}
+
+// rangeShuffleTo is shuffleTo over ordered edges whose producers
+// range-partition their rows (attachRangeVM); it appends the producing
+// stages to producers.
+func (c *Compiler) rangeShuffleTo(curs []cursor, st *bStage, es EmitSpec, parts int, producers []*bStage) ([]*bStage, error) {
+	if err := c.shuffleTo(curs, st, es, false); err != nil {
+		return nil, err
+	}
+	for _, cur := range curs {
+		if err := c.attachRangeVM(cur.st, st.name, parts, firstDesc(es.Desc)); err != nil {
+			return nil, err
 		}
-		return nil
+		producers = append(producers, cur.st)
 	}
-	if err := emitSide(left, n.JoinL, 0); err != nil {
-		return nil, err
-	}
-	if err := emitSide(right, n.JoinR, 1); err != nil {
-		return nil, err
-	}
-	// The sample comes from the (skewed) left input on its join key.
-	if err := c.buildSampler(n.Children[0], n.JoinL[0], false, producers); err != nil {
-		return nil, err
-	}
-	return []cursor{{st: st}}, nil
+	return producers, nil
 }
 
 func (c *Compiler) attachRangeVM(st *bStage, dest string, parts int, desc bool) error {

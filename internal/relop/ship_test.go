@@ -348,7 +348,7 @@ func TestVecJoinAggIdentityRandom(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		widths := []int{1 + rng.Intn(3), 1 + rng.Intn(3)}
 		total := widths[0] + widths[1]
-		g := &GroupOp{Kind: "join", Sides: 2, GroupWidth: 1, AggInput: []*Expr{Col(0)}}
+		g := &GroupOp{Kind: "join", GroupWidth: 1, AggInput: []*Expr{Col(0)}}
 		for i := 0; i < 1+rng.Intn(4); i++ {
 			g.Aggs = append(g.Aggs, AggFuncSpec{Func: funcs[rng.Intn(len(funcs))], Col: 1 + i})
 			g.AggInput = append(g.AggInput, randVecExpr(rng, total, 1))
@@ -364,7 +364,7 @@ func TestVecJoinAggIdentityRandom(t *testing.T) {
 			values := randJoinGroup(rng, widths, false)
 			groups = append(groups, values)
 			var product []row.Row
-			if err := p.joinGroup(&GroupOp{Sides: 2}, values, func(r row.Row) error {
+			if err := p.joinGroup(values, func(r row.Row) error {
 				product = append(product, EvalAll(g.AggInput, r))
 				return nil
 			}); err != nil {

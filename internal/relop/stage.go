@@ -40,17 +40,18 @@ type StageInput struct {
 	// InBuild input's, and an InHash input's, whose key is the one its
 	// producer partitioned the row by.
 	BuildKeys []*Expr
-	// CacheInRegistry shares the built hash table through the container's
-	// object registry (§4.2); ablation toggles it off.
+	// CacheInRegistry shares an InBuild input's join table through the
+	// container's object registry (§4.2) with the DAG's later tasks there,
+	// which only read it; ablation toggles it off.
 	CacheInRegistry bool
 }
 
-// GroupOp is the operation applied to a grouped input.
+// GroupOp is the operation applied to a grouped input. A join has two
+// sides, its values tagged 0 and 1 (EmitSpec.Tag): it writes each key's
+// side-0 × side-1 product, side 0's columns first.
 type GroupOp struct {
 	// Kind: "join", "agg", "sort", "distinct".
 	Kind string
-	// join: number of tagged sides.
-	Sides int
 	// agg: first GroupWidth value columns are the group key; aggregate i
 	// reads value column Aggs[i].Col.
 	GroupWidth int

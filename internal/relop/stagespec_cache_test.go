@@ -1,6 +1,7 @@
 package relop
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -23,7 +24,10 @@ const spyProcessor = "relop.test.spec_spy"
 // specSpy is the stage processor plus a witness: after each task it notes
 // which *StageSpec the task ran on, in which container's registry, and
 // whether that program still equals a fresh decode of the vertex's payload.
-// An attempt log.fail picks fails after running.
+// It also records the frames a task builds a registry-cached join table
+// from, rebuilds the table from them as it stood right after the build,
+// and after every task that probed that table deep-compares the two. An
+// attempt log.fail picks fails after running.
 type specSpy struct {
 	stageProcessor
 	log *spyLog
@@ -37,6 +41,36 @@ type spyLog struct {
 	ran      map[string]map[*runtime.ObjectRegistry]map[*StageSpec]bool
 	attempts map[runtime.Meta]spyRun
 	changed  []string
+	built    map[*joinTable]*joinTable // a cached table -> its rebuild
+	probed   int                       // tasks that probed a cached table after its build
+	tables   []string                  // cached tables that no longer equal their rebuild
+}
+
+// recordedInput records the frames its reader serves.
+type recordedInput struct {
+	runtime.Input
+	frames [][]byte
+}
+
+func (r *recordedInput) Reader() (any, error) {
+	rd, err := r.Input.Reader()
+	if kv, ok := rd.(runtime.KVReader); ok && err == nil {
+		return &recordingReader{KVReader: kv, in: r}, nil
+	}
+	return rd, err
+}
+
+type recordingReader struct {
+	runtime.KVReader
+	in *recordedInput
+}
+
+func (r *recordingReader) Next() bool {
+	ok := r.KVReader.Next()
+	if ok {
+		r.in.frames = append(r.in.frames, bytes.Clone(r.Value()))
+	}
+	return ok
 }
 
 type spyRun struct {
@@ -51,13 +85,25 @@ func newSpyLog() *spyLog {
 		specs:    map[string]map[*StageSpec]int{},
 		ran:      map[string]map[*runtime.ObjectRegistry]map[*StageSpec]bool{},
 		attempts: map[runtime.Meta]spyRun{},
+		built:    map[*joinTable]*joinTable{},
 	}
 	runtime.RegisterProcessor(spyProcessor, func() runtime.Processor { return &specSpy{log: log} })
 	return log
 }
 
 func (s *specSpy) Run(in map[string]runtime.Input, out map[string]runtime.Output) error {
-	err := s.stageProcessor.Run(in, out)
+	inputs, recorded := map[string]runtime.Input{}, map[string]*recordedInput{}
+	for name, input := range in {
+		inputs[name] = input
+	}
+	for _, si := range s.spec.Inputs {
+		if si.Mode == InBuild && in[si.Name] != nil {
+			recorded[si.Name] = &recordedInput{Input: in[si.Name]}
+			inputs[si.Name] = recorded[si.Name]
+		}
+	}
+	err := s.stageProcessor.Run(inputs, out)
+	s.checkJoinTables(recorded)
 	var fresh StageSpec
 	if derr := plugin.Decode(s.ctx.Payload, &fresh); derr != nil {
 		return derr
@@ -84,6 +130,41 @@ func (s *specSpy) Run(in map[string]runtime.Input, out map[string]runtime.Output
 		err = errors.New("spy: injected attempt failure")
 	}
 	return err
+}
+
+// checkJoinTables deep-compares each registry-cached join table the task
+// probed with its rebuild from the frames the task that built it read.
+func (s *specSpy) checkJoinTables(recorded map[string]*recordedInput) {
+	reg := s.ctx.Services.Registry
+	for _, si := range s.spec.Inputs {
+		if si.Mode != InBuild || !si.CacheInRegistry || reg == nil {
+			continue
+		}
+		v, ok := reg.Get(s.ctx.Meta, fmt.Sprintf("relop/hj/%s/%s", s.ctx.Meta.Vertex, si.Name))
+		if !ok {
+			continue
+		}
+		t := v.(*joinTable)
+		s.log.mu.Lock()
+		if rec := recorded[si.Name]; rec.frames != nil {
+			// This task built t: rebuild it, same seed, from its frames.
+			ref := &joinTable{keys: keyIndex{seed: t.keys.seed}}
+			var frames []keyedFrame
+			for _, f := range rec.frames {
+				frames = append(frames, keyedFrame{f, si.BuildKeys})
+			}
+			if err := ref.build(frames, ref.keys.add, nil); err != nil {
+				s.log.tables = append(s.log.tables, fmt.Sprintf("rebuild of %s: %v", si.Name, err))
+			}
+			s.log.built[t] = ref
+		} else if s.log.built[t] != nil {
+			s.log.probed++
+		}
+		if ref := s.log.built[t]; ref != nil && !reflect.DeepEqual(t, ref) {
+			s.log.tables = append(s.log.tables, fmt.Sprintf("%s after %s task %d", si.Name, s.ctx.Meta.Vertex, s.ctx.Meta.Task))
+		}
+		s.log.mu.Unlock()
+	}
 }
 
 // registries maps every registry a spied task ran in to the vertex names
@@ -146,7 +227,10 @@ func oneContainer(t *testing.T) (*harness, *am.Session) {
 // first ran. When each DAG is done, every registry its tasks ran in
 // holds only the stage programs, one per vertex name that ran there: the
 // join's DAG-lifetime hash table went with its DAG. How many containers
-// the scheduler chose is not the test's business.
+// the scheduler chose is not the test's business. The cached join table is
+// read-only too: after every task that probed it, it deep-equals its
+// rebuild from the frames it was built from, and HASHTABLE_CACHE_HITS
+// shows tasks did take it from the registry.
 func TestStageSpecSharedReadOnly(t *testing.T) {
 	log := newSpyLog()
 
@@ -200,14 +284,18 @@ func TestStageSpecSharedReadOnly(t *testing.T) {
 	sess := am.NewSession(plat, am.Config{Name: "shared", ContainerIdleRelease: 10 * time.Second})
 	defer sess.Close()
 	before := plugin.GobDecodes()
+	var hits int64
 	for run := 1; run <= 2; run++ {
 		name, out := fmt.Sprintf("shared-%d", run), fmt.Sprintf("/out/shared-%d", run)
-		h.runSpied(sess, ccfg, name, plan(out))
+		hits += h.runSpied(sess, ccfg, name, plan(out)).Counters.Get("HASHTABLE_CACHE_HITS")
 		h.checkStored(out, intRows([]int64{3, 100, 1000}, []int64{2, 100, 100}, []int64{1, 100, 10}), true)
 
 		log.mu.Lock()
 		if len(log.changed) > 0 {
 			t.Fatalf("run %d: a shared StageSpec no longer equals its payload after %v", run, log.changed)
+		}
+		if len(log.tables) > 0 {
+			t.Fatalf("run %d: a cached join table no longer equals its build: %v", run, log.tables)
 		}
 		// Lifetime: what a finished DAG leaves in a registry its tasks
 		// ran in is one stage program per vertex name that ran there.
@@ -249,6 +337,10 @@ func TestStageSpecSharedReadOnly(t *testing.T) {
 	if !shared {
 		t.Fatal("no two tasks shared a decoded StageSpec — the test proved nothing")
 	}
+	if hits == 0 || log.probed == 0 {
+		t.Fatalf("HASHTABLE_CACHE_HITS %d, %d tasks compared a cached join table — the shared path never ran", hits, log.probed)
+	}
+	t.Logf("HASHTABLE_CACHE_HITS %d; %d tasks probed a cached join table after its build", hits, log.probed)
 	// The spy's own per-task decode is the test's, not the engine's.
 	if engine := int(plugin.GobDecodes()-before) - tasks; engine > pairs {
 		t.Errorf("%d gob decodes by the engine over two runs for %d (container, vertex) pairs", engine, pairs)

@@ -107,11 +107,13 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int, fanOut bool) 
 	curWidth := width
 
 	var pipe []PipeOp
-	tables := map[string]map[string][]row.Row{}
+	tables := map[string]map[string][]row.Row{} // the oracle's
+	joins := map[string]*joinTable{}
 	addJoin := func() {
 		bw := 1 + rng.Intn(3)
 		ragged := rng.Intn(3) == 0 // widths differ under one key and across keys
 		table := map[string][]row.Row{}
+		var build []row.Row
 		nbuild := 5 + rng.Intn(10)
 		if fanOut {
 			nbuild = 3 * (40 + rng.Intn(10))
@@ -127,8 +129,9 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int, fanOut bool) 
 			}
 			key := row.EncodeKey(nil, br[0])
 			table[string(key)] = append(table[string(key)], br)
+			build = append(build, br)
 		}
-		tables["b0"] = table
+		tables["b0"], joins["b0"] = table, buildJoinTable(t, build)
 		pipe = append(pipe, PipeOp{Kind: "hashjoin", HJ: &HashJoinSpec{
 			Input: "b0", ProbeKeys: []*Expr{Col(0)},
 		}})
@@ -199,7 +202,7 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int, fanOut bool) 
 	}
 	rowW, vecW := &captureWriter{}, &captureWriter{}
 	rowEm := &emitter{spec: spec, writer: rowW, tables: tables}
-	vecEm := newVecEmitter(spec, vecW, tables, batchSize)
+	vecEm := newVecEmitter(spec, vecW, joins, batchSize)
 
 	nrows := rng.Intn(120) // 0 exercises the empty-input flush
 	var enc []byte
@@ -265,6 +268,30 @@ func runPipeIdentityTrial(t *testing.T, rng *rand.Rand, trial int, fanOut bool) 
 			t.Fatalf("trial %d deferred value %d: row %v vec %v", trial, i, rowEm.deferred[i], vecEm.deferred[i])
 		}
 	}
+}
+
+// buildJoinTable builds the join table of rows keyed by column 0 as a
+// task builds one: from col.EncodeBatch frames, a frame per run of rows
+// of one width.
+func buildJoinTable(t *testing.T, rows []row.Row) *joinTable {
+	t.Helper()
+	var frames []keyedFrame
+	b := col.NewBatch()
+	for i, r := range rows {
+		if !b.AppendRow(r) {
+			frames = append(frames, keyedFrame{col.EncodeBatch(nil, b), []*Expr{Col(0)}})
+			b = col.NewBatch()
+			b.AppendRow(r)
+		}
+		if i == len(rows)-1 {
+			frames = append(frames, keyedFrame{col.EncodeBatch(nil, b), []*Expr{Col(0)}})
+		}
+	}
+	jt := newJoinTable()
+	if err := jt.build(frames, jt.keys.add, nil); err != nil {
+		t.Fatal(err)
+	}
+	return jt
 }
 
 func TestVecPipeIdentityRandom(t *testing.T) {
@@ -452,11 +479,7 @@ func TestVecJoinIdentityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var join joinGroups
 	for trial := 0; trial < 150; trial++ {
-		g := &GroupOp{Kind: "join", Sides: 2}
-		if trial%10 == 9 {
-			g.Sides = 1 + rng.Intn(3)
-		}
-		widths := make([]int, g.Sides)
+		widths := make([]int, 2)
 		total := 0
 		for s := range widths {
 			widths[s] = 1 + rng.Intn(4)
@@ -467,10 +490,10 @@ func TestVecJoinIdentityRandom(t *testing.T) {
 		p := &stageProcessor{}
 		for grp := 1 + rng.Intn(6); grp > 0; grp-- {
 			values := randJoinGroup(rng, widths, ragged)
-			if err := p.joinGroup(g, values, ge.emitRow); err != nil {
+			if err := p.joinGroup(values, ge.emitRow); err != nil {
 				t.Fatalf("trial %d oracle join: %v", trial, err)
 			}
-			if err := join.run(g, values, ge.vecEms); err != nil {
+			if err := join.run(values, ge.vecEms); err != nil {
 				t.Fatalf("trial %d batch join: %v", trial, err)
 			}
 		}
@@ -481,7 +504,6 @@ func TestVecJoinIdentityRandom(t *testing.T) {
 // TestVecJoinGroupErrors: an untagged value, a tag past the last side and
 // a truncated row fail the group on both the oracle and the batch join.
 func TestVecJoinGroupErrors(t *testing.T) {
-	g := &GroupOp{Kind: "join", Sides: 2}
 	good := row.Encode([]byte{0}, row.Row{row.Int(1), row.String("x")})
 	for name, bad := range map[string][]byte{
 		"untagged":  {},
@@ -492,12 +514,12 @@ func TestVecJoinGroupErrors(t *testing.T) {
 	} {
 		values := [][]byte{good, row.Encode([]byte{1}, row.Row{row.Int(2)}), bad}
 		p := &stageProcessor{}
-		if err := p.joinGroup(g, values, func(row.Row) error { return nil }); err == nil {
+		if err := p.joinGroup(values, func(row.Row) error { return nil }); err == nil {
 			t.Errorf("%s: oracle accepted the group", name)
 		}
 		em, _ := sinkEmitter(DefaultBatchSize)
 		var join joinGroups
-		if err := join.run(g, values, []*vecEmitter{em}); err == nil {
+		if err := join.run(values, []*vecEmitter{em}); err == nil {
 			t.Errorf("%s: batch join accepted the group", name)
 		}
 	}
@@ -594,13 +616,12 @@ func TestJoinGroupAllocsBounded(t *testing.T) {
 				groups[k] = append(groups[k], row.Encode([]byte{1}, mkRow(int64(k))))
 			}
 		}
-		g := &GroupOp{Kind: "join", Sides: 2}
 		spec := EmitSpec{Kind: EmitShuffle, Output: "o", Tag: -1, Keys: []*Expr{Col(0)}}
 		ems := []*vecEmitter{newVecEmitter(spec, discardWriter{}, nil, DefaultBatchSize)}
 		var join joinGroups
 		run := func() {
 			for _, values := range groups {
-				if err := join.run(g, values, ems); err != nil {
+				if err := join.run(values, ems); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -16,14 +16,15 @@ import (
 // input rows accumulate into a columnar batch (parsed straight from their
 // wire encoding, no row.Row boxing), the pipeline applies whole-batch
 // kernels (filters narrow the selection vector, projects swap in computed
-// vectors, hash joins fan out into bounded output batches), and the
-// terminal re-encodes live rows in the row wire format. The downstream
+// vectors, hash joins probe their build input's joinTable and fan out
+// into bounded output batches), and the terminal re-encodes live rows in
+// the row wire format. The downstream
 // writers copy what they are handed (sort arenas, unordered buffers,
 // record files), so the scratch buffers are reused across rows.
 type vecEmitter struct {
 	spec   EmitSpec
 	writer runtime.KVWriter
-	tables map[string]map[string][]row.Row
+	tables map[string]*joinTable // by build input name
 	size   int
 	batch  *col.Batch
 	// joins holds the reusable scratch of a hashjoin at each Pipe
@@ -63,7 +64,7 @@ type joinScratch struct {
 	keys []col.Vector
 }
 
-func newVecEmitter(spec EmitSpec, w runtime.KVWriter, tables map[string]map[string][]row.Row, size int) *vecEmitter {
+func newVecEmitter(spec EmitSpec, w runtime.KVWriter, tables map[string]*joinTable, size int) *vecEmitter {
 	ve := &vecEmitter{spec: spec, writer: w, tables: tables, size: size,
 		batch: col.NewBatch(), joins: make([]joinScratch, len(spec.Pipe))}
 	if spec.Kind == EmitShuffle && spec.Limit > 0 {
@@ -213,15 +214,16 @@ func appendKey(dst []byte, keys []col.Vector, i int, desc []bool) []byte {
 	return dst
 }
 
-// hashJoin probes the build table per live row and appends probe ++ build
-// to the op's output batch, which goes through ops[opIdx+1:] whenever it
-// reaches the batch size — a fan-out join never materializes more than
-// that — and whenever a build row changes the output width (the rule
+// hashJoin probes the op's join table with each live row and appends
+// probe ++ build, the build columns copied from the table's batches, to
+// the op's output batch. That batch goes through ops[opIdx+1:] whenever
+// it reaches the batch size — a fan-out join never materializes more
+// than that — and whenever a build row changes the output width (the rule
 // Batch.AppendEncoded applies to ragged input). Write order is the probe
-// order times the table's match order either way.
+// order times the table's match order, build arrival order, either way.
 func (ve *vecEmitter) hashJoin(opIdx int, op *PipeOp, b *col.Batch) error {
-	table := ve.tables[op.HJ.Input]
-	if table == nil {
+	t := ve.tables[op.HJ.Input]
+	if t == nil {
 		return fmt.Errorf("relop: hash join against unknown build input %q", op.HJ.Input)
 	}
 	js := &ve.joins[opIdx]
@@ -229,15 +231,12 @@ func (ve *vecEmitter) hashJoin(opIdx int, op *PipeOp, b *col.Batch) error {
 		js.out = col.NewBatch()
 	}
 	out := js.out
-	rows, width := 0, -1 // pending output rows and their shape (-1: none yet)
 	flush := func() error {
-		if rows == 0 {
+		if out.Len() == 0 {
 			return nil
 		}
-		out.SetRowCount(rows)
 		err := ve.run(out, opIdx+1)
 		out.Reset()
-		rows, width = 0, -1
 		return err
 	}
 
@@ -245,24 +244,25 @@ func (ve *vecEmitter) hashJoin(opIdx int, op *PipeOp, b *col.Batch) error {
 	js.keys = evalKeys(js.keys[:0], op.HJ.ProbeKeys, b)
 	for k := 0; k < b.Live(); k++ {
 		i := b.RowAt(k)
-		// The key scratch is consumed by the map lookup before a nested
-		// join or the terminal can overwrite it.
+		// The key scratch is consumed by the lookup before a nested join
+		// or the terminal can overwrite it.
 		ve.keyBuf = appendKey(ve.keyBuf[:0], js.keys, i, nil)
-		for _, build := range table[string(ve.keyBuf)] {
-			if w := pw + len(build); w != width {
+		id := t.keys.find(ve.keyBuf)
+		if id < 0 {
+			continue
+		}
+		for r := t.head[id]; r >= 0; r = t.rows[r].next {
+			bb := t.batches[t.rows[r].batch]
+			w := pw + bb.Width()
+			if out.Len() > 0 && out.Width() != w {
 				if err := flush(); err != nil {
 					return err
 				}
-				out.EnsureWidth(w)
-				width = w
 			}
-			for c := 0; c < pw; c++ {
-				out.Col(c).AppendFrom(b.Col(c), i)
-			}
-			for c, val := range build {
-				out.Col(pw + c).AppendValue(val)
-			}
-			if rows++; rows >= ve.size {
+			out.EnsureWidth(w)
+			appendPair(out, b, i, bb, int(t.rows[r].row))
+			out.SetRowCount(out.Len() + 1)
+			if out.Len() >= ve.size {
 				if err := flush(); err != nil {
 					return err
 				}
