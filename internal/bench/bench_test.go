@@ -98,15 +98,25 @@ func TestPigProductionReport(t *testing.T) {
 	requireRows(t, rep, len(pigWorkloads))
 }
 
+// TestKMeansReport requires the shared session to beat per-iteration AMs
+// on the medians of seven reports, each of which times the two modes one
+// after the other: one pair of shots is at the mercy of a busy machine.
 func TestKMeansReport(t *testing.T) {
-	rep, err := kMeansIterations(tiny)
-	if err != nil {
-		t.Fatal(err)
+	const reps = 7
+	var iso, sess []float64
+	for range reps {
+		rep, err := kMeansIterations(tiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRows(t, rep, 1)
+		iso, sess = append(iso, cell(t, rep, 0, 1)), append(sess, cell(t, rep, 0, 2))
 	}
-	requireRows(t, rep, 1)
-	// The shared session must beat per-iteration AMs.
-	if cell(t, rep, 0, 3) <= 1.0 {
-		t.Fatalf("session mode did not win:\n%s", rep)
+	slices.Sort(iso)
+	slices.Sort(sess)
+	if iso[reps/2] <= sess[reps/2] {
+		t.Fatalf("session mode did not win: median %.1f ms against per-job AMs' %.1f ms\nper-job AMs: %v\nsession:     %v",
+			sess[reps/2], iso[reps/2], iso, sess)
 	}
 }
 

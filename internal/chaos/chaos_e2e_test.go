@@ -14,16 +14,19 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tez/internal/am"
 	"tez/internal/chaos"
+	"tez/internal/dag"
 	"tez/internal/data"
 	"tez/internal/dfs"
 	"tez/internal/library"
 	"tez/internal/mapreduce"
 	"tez/internal/platform"
+	"tez/internal/plugin"
 	"tez/internal/relop"
 	"tez/internal/row"
 	"tez/internal/runtime"
@@ -104,16 +107,22 @@ type chaosTables struct {
 // accidental file arrangement, must match.
 type e2eResults struct {
 	WordCounts map[string]int
-	AggRows    string
-	JoinRows   string
-	FloatRows  string
-	PartRows   string
+	// SpillCounts is the wordcount again over a shuffle whose producers
+	// spill, so each ships several sorted runs per partition.
+	SpillCounts map[string]int
+	AggRows     string
+	JoinRows    string
+	FloatRows   string
+	PartRows    string
 	// joinFaults counts the fetch retries, failed attempts and
 	// re-executions the join DAG went through: compared with nothing.
 	joinFaults int64
 	// floatTasks counts the float aggregate's succeeded tasks, and
 	// floatFaults what joinFaults counts for the join.
 	floatTasks, floatFaults int64
+	// spillTasks and spillSpills count the spilled wordcount's succeeded
+	// tasks and its producers' spills, spillFaults what joinFaults counts.
+	spillTasks, spillSpills, spillFaults int64
 }
 
 func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg am.Config) e2eResults {
@@ -175,17 +184,36 @@ func runAllDAGs(t *testing.T, plat *platform.Platform, tables chaosTables, amCfg
 		t.Fatalf("sparklike: %v", err)
 	}
 
+	// The wordcount once more, with a sort budget of 1 KiB: every
+	// producer spills many times and ships its runs unmerged, so the
+	// seeds' refetches and re-executions move multi-run partitions.
+	wc := dag.New("wcspill")
+	m := wc.AddVertex("map", plugin.Desc(library.MapProcessorName, library.FuncConfig{Func: "chaose2e.tokenize"}), -1)
+	m.Sources = []dag.DataSource{library.DFSSource("words", []string{"/in/words"}, 2*1024)}
+	r := wc.AddVertex("reduce", plugin.Desc(library.ReduceProcessorName, library.FuncConfig{Func: "chaose2e.sum"}), 3)
+	r.Sinks = []dag.DataSink{library.DFSSink("counts", "/out/wcspill")}
+	wc.Connect(m, r, library.OrderedEdge(library.OrderedPartitionedConfig{SortBytes: 1024}))
+	spillRes, err := sess.Run(wc)
+	if err != nil || spillRes.Status != am.DAGSucceeded {
+		t.Fatalf("spilled wordcount: %v %v", spillRes.Status, err)
+	}
+
 	return e2eResults{
-		WordCounts: readWordCounts(t, plat.FS, "/out/wc"),
-		AggRows:    canonRows(t, plat.FS, "/out/agg"),
-		JoinRows:   canonRows(t, plat.FS, "/out/join"),
-		FloatRows:  canonRows(t, plat.FS, "/out/fagg"),
-		PartRows:   canonRows(t, plat.FS, "/out/part"),
-		floatTasks: floatRes.Counters.Get("TASKS_SUCCEEDED"),
+		WordCounts:  readWordCounts(t, plat.FS, "/out/wc"),
+		SpillCounts: readWordCounts(t, plat.FS, "/out/wcspill"),
+		AggRows:     canonRows(t, plat.FS, "/out/agg"),
+		JoinRows:    canonRows(t, plat.FS, "/out/join"),
+		FloatRows:   canonRows(t, plat.FS, "/out/fagg"),
+		PartRows:    canonRows(t, plat.FS, "/out/part"),
+		floatTasks:  floatRes.Counters.Get("TASKS_SUCCEEDED"),
 		floatFaults: floatRes.Counters.Get("SHUFFLE_FETCH_RETRIES") +
 			floatRes.Counters.Get("ATTEMPTS_FAILED") + floatRes.Counters.Get("TASKS_REEXECUTED"),
 		joinFaults: joinRes.Counters.Get("SHUFFLE_FETCH_RETRIES") +
 			joinRes.Counters.Get("ATTEMPTS_FAILED") + joinRes.Counters.Get("TASKS_REEXECUTED"),
+		spillTasks:  spillRes.Counters.Get("TASKS_SUCCEEDED"),
+		spillSpills: spillRes.Counters.Get("SHUFFLE_SPILLS"),
+		spillFaults: spillRes.Counters.Get("SHUFFLE_FETCH_RETRIES") +
+			spillRes.Counters.Get("ATTEMPTS_FAILED") + spillRes.Counters.Get("TASKS_REEXECUTED"),
 	}
 }
 
@@ -202,6 +230,11 @@ func readWordCounts(t *testing.T, fs *dfs.FileSystem, out string) map[string]int
 			n, err := strconv.Atoi(string(r.Value()))
 			if err != nil {
 				t.Fatal(err)
+			}
+			// One reduce group per word: a key written twice was grouped
+			// from a stream that was not in key order.
+			if _, dup := res[string(r.Key())]; dup {
+				t.Errorf("%s: word %q committed twice", out, r.Key())
 			}
 			res[string(r.Key())] += n
 		}
@@ -239,6 +272,9 @@ func checkEqual(t *testing.T, got, want e2eResults) {
 	if !reflect.DeepEqual(got.WordCounts, want.WordCounts) {
 		t.Errorf("wordcount diverged under chaos:\ngot:  %v\nwant: %v", got.WordCounts, want.WordCounts)
 	}
+	if !reflect.DeepEqual(got.SpillCounts, want.SpillCounts) {
+		t.Errorf("spilled wordcount diverged under chaos:\ngot:  %v\nwant: %v", got.SpillCounts, want.SpillCounts)
+	}
 	if got.AggRows != want.AggRows {
 		t.Errorf("relop aggregate diverged under chaos")
 	}
@@ -256,7 +292,8 @@ func checkEqual(t *testing.T, got, want e2eResults) {
 // TestChaosSeedsMatchFaultFree runs the DAG families under ten fixed
 // seeded fault schedules and demands results identical to a fault-free
 // run; every seed's faults reach the join's hash edges and the float
-// aggregate's partial states. Seeds rotate extra whole-node events on top of a common background
+// aggregate's partial states, and some seed's reach the spilled
+// wordcount's multi-run partitions. Seeds rotate extra whole-node events on top of a common background
 // of fetch/task/launch/DFS faults; node events stay within Replication-1
 // so the DFS keeps every block readable.
 func TestChaosSeedsMatchFaultFree(t *testing.T) {
@@ -265,12 +302,23 @@ func TestChaosSeedsMatchFaultFree(t *testing.T) {
 	baseline := runAllDAGs(t, basePlat, tables, am.Config{Name: "clean"})
 	basePlat.Stop()
 	if len(baseline.WordCounts) == 0 || baseline.AggRows == "" || baseline.JoinRows == "" ||
-		baseline.FloatRows == "" || baseline.PartRows == "" {
-		t.Fatal("fault-free baseline is empty")
+		baseline.FloatRows == "" || baseline.PartRows == "" || !reflect.DeepEqual(baseline.SpillCounts, baseline.WordCounts) {
+		t.Fatal("fault-free baseline is empty, or the spilled wordcount disagrees with the plain one")
 	}
 	if baseline.floatTasks < 3 {
 		t.Fatalf("float aggregate ran %d tasks, want at least two scan tasks and an aggregate", baseline.floatTasks)
 	}
+	// Every task counted as a producer: more than two spills each.
+	if baseline.spillSpills <= 2*baseline.spillTasks {
+		t.Fatalf("spilled wordcount: %d spills over %d tasks, want more than two per producer", baseline.spillSpills, baseline.spillTasks)
+	}
+	t.Logf("spilled wordcount: %d spills over %d tasks", baseline.spillSpills, baseline.spillTasks)
+	var spillFaults atomic.Int64
+	t.Cleanup(func() {
+		if !t.Failed() && spillFaults.Load() == 0 {
+			t.Error("no seed's retried fetch, failed attempt or re-execution reached the spilled wordcount")
+		}
+	})
 
 	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		seed := seed
@@ -311,8 +359,9 @@ func TestChaosSeedsMatchFaultFree(t *testing.T) {
 			if got.floatFaults == 0 {
 				t.Errorf("seed %d: the float aggregate's partial states saw no retried fetch, failed attempt or re-execution", seed)
 			}
-			t.Logf("seed %d: %d faults injected, join saw %d, float aggregate %d, schedule %v",
-				seed, totalInjected(plane), got.joinFaults, got.floatFaults, plane.Schedule())
+			spillFaults.Add(got.spillFaults)
+			t.Logf("seed %d: %d faults injected, join saw %d, float aggregate %d, spilled wordcount %d, schedule %v",
+				seed, totalInjected(plane), got.joinFaults, got.floatFaults, got.spillFaults, plane.Schedule())
 		})
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-
-	"tez/internal/metrics"
 )
 
 // The map-side sort buffer of the ordered shuffle output: record bytes
@@ -80,6 +78,9 @@ type sortBuffer struct {
 	// partOff[p+1]]); both are set by sort and keep their capacity.
 	scratch []recRef
 	partOff []int
+	// hist is sort's histogram of every prefix byte: 16 KiB that, on the
+	// stack, a fresh task goroutine would grow its stack to hold.
+	hist [8][256]int
 }
 
 var sortBufferPool = sync.Pool{New: func() any { return new(sortBuffer) }}
@@ -150,7 +151,8 @@ func (sb *sortBuffer) sort(parts int) {
 
 	// One scan fills the histogram of every prefix byte and the
 	// partition sizes.
-	var hist [8][256]int
+	hist := &sb.hist
+	clear(hist[:])
 	for i := range src {
 		p := src[i].prefix
 		hist[0][byte(p)]++
@@ -283,23 +285,4 @@ func putRunBuf(b []byte) {
 		return
 	}
 	runBufPool.Put(&b)
-}
-
-// mergeEncodedRuns k-way merges sorted encoded runs into one sorted
-// encoded buffer, optionally combining. Without a combiner the output is
-// the exact interleaving of the inputs, so the result size is known up
-// front and the records' encoded bytes are copied as they stand.
-func mergeEncodedRuns(runs [][]byte, combine CombineFunc, buf []byte, ctr *metrics.Counters) ([]byte, error) {
-	var size int
-	for _, r := range runs {
-		size += len(r)
-	}
-	if cap(buf) < size {
-		buf = make([]byte, 0, size)
-	}
-	m := newMergeReader(runs)
-	if combine == nil {
-		return m.appendEncoded(buf)
-	}
-	return encodeStream(m, combine, buf, ctr)
 }

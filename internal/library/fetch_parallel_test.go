@@ -145,7 +145,7 @@ func TestStaleFetchDoesNotClobberNewerAttempt(t *testing.T) {
 	if at := <-fetched; at != 1 {
 		t.Fatalf("second fetch was attempt %d", at)
 	}
-	_, stale := fs.storedRun(0)
+	_, stale := fs.storedRuns(0)
 	if stale {
 		t.Fatal("retracted attempt's data was stored")
 	}

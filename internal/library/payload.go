@@ -36,7 +36,7 @@ const intSlack = 48
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (d DMInfo) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, intSlack+len(d.ID.DAG)+len(d.ID.Vertex)+len(d.ID.Name)+len(d.Codec))
+	b := make([]byte, 0, intSlack+len(d.ID.DAG)+len(d.ID.Vertex)+len(d.ID.Name)+len(d.Codec)+3*len(d.RunSizes))
 	b = plugin.AppendHeader(b, kindDMInfo)
 	b = plugin.AppendString(b, d.ID.DAG)
 	b = plugin.AppendString(b, d.ID.Vertex)
@@ -46,7 +46,7 @@ func (d DMInfo) MarshalBinary() ([]byte, error) {
 	b = plugin.AppendInt(b, int64(d.Partition))
 	b = plugin.AppendInt(b, d.RawSize)
 	b = plugin.AppendString(b, d.Codec)
-	return b, nil
+	return appendInt64s(b, d.RunSizes), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -61,6 +61,7 @@ func (d *DMInfo) UnmarshalBinary(data []byte) error {
 	v.Partition = r.Int()
 	v.RawSize = r.Int64()
 	v.Codec = r.String()
+	v.RunSizes = readInt64s(&r)
 	if err := r.Finish(); err != nil {
 		return err
 	}
@@ -72,23 +73,13 @@ func (d *DMInfo) UnmarshalBinary(data []byte) error {
 func (s VMStats) MarshalBinary() ([]byte, error) {
 	b := make([]byte, 0, intSlack+3*len(s.PartitionSizes))
 	b = plugin.AppendHeader(b, kindVMStats)
-	b = plugin.AppendUvarint(b, uint64(len(s.PartitionSizes)))
-	for _, n := range s.PartitionSizes {
-		b = plugin.AppendInt(b, n)
-	}
-	return b, nil
+	return appendInt64s(b, s.PartitionSizes), nil
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *VMStats) UnmarshalBinary(data []byte) error {
 	r := plugin.NewReader(data, kindVMStats)
-	var sizes []int64
-	if n := r.Count(1); n > 0 {
-		sizes = make([]int64, n)
-		for i := range sizes {
-			sizes[i] = r.Int64()
-		}
-	}
+	sizes := readInt64s(&r)
 	if err := r.Finish(); err != nil {
 		return err
 	}
@@ -221,6 +212,28 @@ func unmarshalString(data []byte, kind byte, out *string) error {
 	}
 	*out = s
 	return nil
+}
+
+// appendInt64s and readInt64s are the codec of a count-prefixed list of
+// integers; the count is bounded by the bytes that remain.
+func appendInt64s(b []byte, ns []int64) []byte {
+	b = plugin.AppendUvarint(b, uint64(len(ns)))
+	for _, n := range ns {
+		b = plugin.AppendInt(b, n)
+	}
+	return b
+}
+
+func readInt64s(r *plugin.Reader) []int64 {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	ns := make([]int64, n)
+	for i := range ns {
+		ns[i] = r.Int64()
+	}
+	return ns
 }
 
 func appendStrings(b []byte, ss []string) []byte {

@@ -22,7 +22,7 @@ import (
 var hotPayloads = []any{
 	DMInfo{
 		ID:        shuffle.OutputID{DAG: "s.q1.7", Vertex: "map", Name: "reduce", Task: 3, Attempt: 1},
-		Partition: 2, RawSize: 3 << 20, Codec: "flate",
+		Partition: 2, RawSize: 3 << 20, Codec: "flate", RunSizes: []int64{1 << 20, 2 << 20},
 	},
 	VMStats{PartitionSizes: []int64{0, 17, 1 << 40}},
 	SplitAssignment{Splits: []dfs.Split{
@@ -156,7 +156,8 @@ func TestQuickPayloadRoundTrip(t *testing.T) {
 	nul := "a\x00b\x00"
 	for _, v := range []any{
 		DMInfo{ID: shuffle.OutputID{DAG: nul, Vertex: "", Name: "\x00", Task: math.MaxInt, Attempt: math.MinInt},
-			Partition: -1, RawSize: math.MinInt64, Codec: nul},
+			Partition: -1, RawSize: math.MinInt64, Codec: nul, RunSizes: []int64{}},
+		DMInfo{RunSizes: []int64{math.MinInt64, -1, 0, math.MaxInt64}},
 		VMStats{PartitionSizes: []int64{}},
 		VMStats{PartitionSizes: []int64{math.MinInt64, -1, 0, 1, math.MaxInt64}},
 		SplitAssignment{Splits: []dfs.Split{}},
@@ -238,9 +239,11 @@ func TestBinaryPayloadStrictDecode(t *testing.T) {
 }
 
 // DMInfo is the payload paid per partition and per fetch: encoding is one
-// allocation (the payload), decoding one per non-empty string.
+// allocation (the payload), decoding one per non-empty string — of a
+// partition of one run, which has no run sizes.
 func TestDMInfoCodecAllocations(t *testing.T) {
 	info := hotPayloads[0].(DMInfo)
+	info.RunSizes = nil
 	var data []byte
 	if n := testing.AllocsPerRun(100, func() { data, _ = info.MarshalBinary() }); n > 1 {
 		t.Errorf("DMInfo.MarshalBinary: %v allocations, want at most 1", n)
@@ -287,6 +290,10 @@ func FuzzPayloadCodecs(f *testing.F) {
 			// Every slice element costs at least a byte of input, so what
 			// was allocated is O(len(payload)).
 			switch o := out.(type) {
+			case *DMInfo:
+				if len(o.RunSizes) > len(payload) {
+					t.Fatalf("%d run sizes from %d bytes", len(o.RunSizes), len(payload))
+				}
 			case *VMStats:
 				if len(o.PartitionSizes) > len(payload) {
 					t.Fatalf("%d sizes from %d bytes", len(o.PartitionSizes), len(payload))

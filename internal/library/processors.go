@@ -149,7 +149,8 @@ func (p *ReduceProcessor) Run(inputs map[string]runtime.Input, outputs map[strin
 // Close is a no-op.
 func (p *ReduceProcessor) Close() error { return nil }
 
-// fanOutWriter writes each pair to every output's KVWriter.
+// fanOutWriter writes each pair to every output's KVWriter; a single
+// output's writer is returned as it is.
 func fanOutWriter(outputs map[string]runtime.Output) (runtime.KVWriter, error) {
 	writers := make([]runtime.KVWriter, 0, len(outputs))
 	for name, out := range outputs {
@@ -162,6 +163,9 @@ func fanOutWriter(outputs map[string]runtime.Output) (runtime.KVWriter, error) {
 			return nil, fmt.Errorf("library: output %s writer is %T, want KVWriter", name, w)
 		}
 		writers = append(writers, kw)
+	}
+	if len(writers) == 1 {
+		return writers[0], nil
 	}
 	return kvWriterFunc(func(k, v []byte) error {
 		for _, w := range writers {

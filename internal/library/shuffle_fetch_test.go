@@ -1,8 +1,10 @@
 package library
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -192,6 +194,143 @@ func TestFetchRetractionStress(t *testing.T) {
 		}
 		if n := svc.Counters.Get("SHUFFLE_INCREMENTS"); n != int64(phys+reruns) {
 			t.Fatalf("seed %d: %d runs stored, want %d", seed, n, phys+reruns)
+		}
+	}
+}
+
+// produceSpilled runs attempt attempt of source task 0 into one partition
+// under a sort budget small enough to spill several times, writing n
+// records whose values name the attempt, and returns its movement routed
+// to physical input 0 and the DMInfo it announced.
+func produceSpilled(t *testing.T, svc runtime.Services, attempt, n int) (event.DataMovement, DMInfo) {
+	t.Helper()
+	out := &OrderedPartitionedKVOutput{}
+	meta := runtime.Meta{DAG: "d", Vertex: "map", Attempt: attempt}
+	payload := plugin.MustEncode(OrderedPartitionedConfig{SortBytes: 1024})
+	if err := out.Initialize(ctxFor(svc, meta, "red", payload, 1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := out.write([]byte(fmt.Sprintf("k%02d", i%20)), []byte(fmt.Sprintf("a%d-%03d", attempt, i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	events, err := out.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := events[0].(event.DataMovement)
+	dm.TargetInput, dm.TargetInputIndex = "map", 0
+	var info DMInfo
+	if err := plugin.Decode(dm.Payload, &info); err != nil {
+		t.Fatal(err)
+	}
+	if len(info.RunSizes) < 3 {
+		t.Fatalf("attempt %d announced %d runs, want several spills", attempt, len(info.RunSizes))
+	}
+	return dm, info
+}
+
+// TestRetractedStoredRunsReplaced: a spilled producer's partition is
+// several runs in one fetch. Once the consumer has stored them, the
+// producer is re-executed: the retraction drops every run of the first
+// attempt, and the reader sees each record of the replacement's runs
+// exactly once and none of the first attempt's.
+func TestRetractedStoredRunsReplaced(t *testing.T) {
+	const n = 300
+	svc := testServices(t)
+	svc.Counters = metrics.NewCounters()
+	first, _ := produceSpilled(t, svc, 0, n)
+	second, info := produceSpilled(t, svc, 1, n)
+	in := &OrderedGroupedKVInput{}
+	if err := in.Initialize(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, 1)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { in.Close() })
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.HandleEvent(first); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if runs, ok := in.fs.storedRuns(0); ok {
+			if len(runs) < 3 {
+				t.Fatalf("stored %d runs of a spilled producer", len(runs))
+			}
+			break
+		}
+		<-in.fs.changed
+	}
+	for _, ev := range []event.Event{event.InputFailed{TargetInputIndex: 0, SrcAttempt: 0}, second} {
+		if err := in.HandleEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rAny, err := in.Reader()
+	if err != nil {
+		t.Fatalf("read failed: %v", err)
+	}
+	runs, _ := in.fs.storedRuns(0)
+	if len(runs) != len(info.RunSizes) {
+		t.Fatalf("stored %d runs, the replacement announced %d", len(runs), len(info.RunSizes))
+	}
+	var got []string
+	for g := rAny.(runtime.GroupedKVReader); g.Next(); {
+		for _, v := range g.Values() {
+			got = append(got, string(g.Key())+"="+string(v))
+		}
+	}
+	var want []string
+	for i := 0; i < n; i++ {
+		want = append(want, fmt.Sprintf("k%02d=a1-%03d", i%20, i))
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("read %d records, want the replacement's %d once each in order:\n%v", len(got), len(want), got)
+	}
+	if n := svc.Counters.Get("SHUFFLE_INCREMENTS"); n != 2 {
+		t.Fatalf("%d fetches stored, want the first attempt's and the replacement's", n)
+	}
+}
+
+// TestRunSizesMustTileBlock: run sizes that do not cut the fetched block
+// exactly — short, long, or negative — fail the read as an
+// InputReadError, so the producer is re-executed rather than a partial or
+// misframed run merged.
+func TestRunSizesMustTileBlock(t *testing.T) {
+	svc := testServices(t)
+	dm, info := produceSpilled(t, svc, 0, 300)
+	var raw int64
+	for _, n := range info.RunSizes {
+		raw += n
+	}
+	if raw != info.RawSize {
+		t.Fatalf("run sizes sum to %d, raw size %d", raw, info.RawSize)
+	}
+	last := len(info.RunSizes) - 1
+	for name, sizes := range map[string][]int64{
+		"short":    append(slices.Clone(info.RunSizes[:last]), info.RunSizes[last]-1),
+		"long":     append(slices.Clone(info.RunSizes), 1),
+		"negative": append([]int64{-1, info.RunSizes[0] + 1}, info.RunSizes[1:]...),
+	} {
+		bad := info
+		bad.RunSizes = sizes
+		dm := dm
+		dm.Payload = plugin.MustEncode(bad)
+		in := &OrderedGroupedKVInput{}
+		if err := in.Initialize(ctxFor(svc, runtime.Meta{DAG: "d", Vertex: "red"}, "map", nil, 1)); err != nil {
+			t.Fatal(err)
+		}
+		_ = in.Start()
+		if err := in.HandleEvent(dm); err != nil {
+			t.Fatal(err)
+		}
+		_, err := in.Reader()
+		in.Close()
+		var ire *runtime.InputReadError
+		if !errors.As(err, &ire) {
+			t.Errorf("%s run sizes: read returned %v, want an InputReadError", name, err)
 		}
 	}
 }

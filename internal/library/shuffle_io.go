@@ -3,6 +3,7 @@ package library
 import (
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,6 +43,10 @@ type DMInfo struct {
 	// empty.
 	RawSize int64
 	Codec   string
+	// RunSizes are the raw lengths of the sorted runs a spilled ordered
+	// output registers back to back as the partition, in order; empty
+	// when the partition is one run.
+	RunSizes []int64
 }
 
 // VMStats is the VertexManagerEvent payload the shuffle outputs send to
@@ -61,7 +66,8 @@ type VMStats struct {
 type OrderedPartitionedConfig struct {
 	Partitioner PartitionerSpec
 	// Combiner names a RegisterCombineFunc pre-aggregator applied to each
-	// sorted spill and to the final merge. Empty means none.
+	// sorted run as it is written: every spill and, at Close, the
+	// in-memory remainder. Empty means none.
 	Combiner string
 	// Codec overrides the wire block codec for this edge ("none",
 	// "flate", or a registered name); empty defers to the session's
@@ -115,9 +121,11 @@ func resolveShuffleKnobs(edge OrderedPartitionedConfig, svc runtime.Services) sh
 // to a contiguous byte arena with a compact index; the index is sorted
 // into (partition, key, value) order on its cached key prefixes; a
 // configured memory budget (SortBytes) spills sorted encoded
-// runs, each optionally pre-aggregated by a registered combiner; Close
-// merges spills with the in-memory remainder per partition (fanned out
-// across a small worker pool), compresses each partition with the
+// runs, each optionally pre-aggregated by a registered combiner. Close
+// merges nothing: per partition (fanned out across a small worker pool)
+// it lays the spill runs and the encoded in-memory remainder back to back
+// (DMInfo.RunSizes says where each ends, and the consumer's one merge
+// reads them as separate runs), compresses the partition with the
 // configured block codec, registers the partitions with the node's
 // shuffle service, and announces them with one DataMovement event per
 // partition plus a VMStats statistics event. The partition count comes
@@ -221,31 +229,26 @@ func (o *OrderedPartitionedKVOutput) spill() error {
 		ctr.Add("SHUFFLE_SPILLS", 1)
 		ctr.Add("SHUFFLE_SORT_TIME_NS", sortNS)
 	}
-	o.recordSpan(timeline.ShuffleSpill, o.ctx.Name, time.Since(start), records)
-	return nil
-}
-
-// recordSpan journals one data-plane span for this attempt (no-op without
-// a journal).
-func (o *OrderedPartitionedKVOutput) recordSpan(t timeline.Type, info string, dur time.Duration, val int64) {
+	// The spill span, a no-op without a journal.
 	o.ctx.Services.Timeline.Record(timeline.Event{
-		Type:    t,
+		Type:    timeline.ShuffleSpill,
 		DAG:     o.ctx.Meta.DAG,
 		Vertex:  o.ctx.Meta.Vertex,
 		Task:    o.ctx.Meta.Task,
 		Attempt: o.ctx.Meta.Attempt,
 		Node:    o.ctx.Services.Node,
-		Info:    info,
-		Dur:     dur,
-		Val:     val,
+		Info:    o.ctx.Name,
+		Dur:     time.Since(start),
+		Val:     records,
 	})
+	return nil
 }
 
-// Close sorts the remainder, merges it with any spills per partition
-// (combining again at the merge), applies the wire codec, registers and
-// announces the partitions. Per-partition finalisation fans out across a
-// small worker pool — partitions are independent, so the output bytes do
-// not depend on worker interleaving.
+// Close sorts the remainder, lays it after any spill runs per partition,
+// applies the wire codec, registers and announces the partitions.
+// Per-partition finalisation fans out across a small worker pool —
+// partitions are independent, so the output bytes do not depend on worker
+// interleaving.
 func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	ctr := o.ctx.Services.Counters
 	sortStart := time.Now()
@@ -257,10 +260,10 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	var (
 		wire     = make([][]byte, o.parts)
 		rawSizes = make([]int64, o.parts)
+		runSizes = make([][]int64, o.parts)
 		errMu    sync.Mutex
 		firstErr error
 	)
-	mergeStart := time.Now()
 	workers := goruntime.GOMAXPROCS(0)
 	if workers > 4 {
 		workers = 4
@@ -275,7 +278,7 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 		go func() {
 			defer wg.Done()
 			for p := range work {
-				if err := o.finalizePartition(p, wire, rawSizes); err != nil {
+				if err := o.finalizePartition(p, wire, rawSizes, runSizes); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err
@@ -293,22 +296,12 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	if len(o.spills) > 0 {
-		if ctr != nil {
-			ctr.Add("SHUFFLE_MERGE_TIME_NS", time.Since(mergeStart).Nanoseconds())
-		}
-		var totalRaw int64
-		for _, s := range rawSizes {
-			totalRaw += s
-		}
-		o.recordSpan(timeline.ShuffleMerge, "final "+o.ctx.Name, time.Since(mergeStart), totalRaw)
-	}
 
 	codecName := ""
 	if o.codec != nil {
 		codecName = o.codec.Name()
 	}
-	events, err := announce(o.ctx, wire, rawSizes, codecName, true)
+	events, err := announce(o.ctx, wire, rawSizes, runSizes, codecName, true)
 	if err != nil {
 		return nil, err
 	}
@@ -332,10 +325,11 @@ func (o *OrderedPartitionedKVOutput) Close() ([]event.Event, error) {
 // consumer's vertex manager. rawSizes are the pre-codec sizes of an
 // output that applies a codec (the ordered output always passes them); an
 // output without one passes nil (its DMInfo carries no RawSize and its
-// statistics are the registered sizes). Only the
+// statistics are the registered sizes). runSizes, nil but from the
+// ordered output, are each partition's DMInfo.RunSizes. Only the
 // one-partition output, which has no consumer parallelism to estimate,
 // announces without stats.
-func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec string, stats bool) ([]event.Event, error) {
+func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, runSizes [][]int64, codec string, stats bool) ([]event.Event, error) {
 	id := shuffle.OutputID{
 		DAG:     ctx.Meta.DAG,
 		Vertex:  ctx.Meta.Vertex,
@@ -353,6 +347,9 @@ func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec stri
 	}
 	for i, p := range parts {
 		info := DMInfo{ID: id, Partition: i, Codec: codec}
+		if runSizes != nil {
+			info.RunSizes = runSizes[i]
+		}
 		if rawSizes != nil {
 			info.RawSize = rawSizes[i]
 		} else if stats {
@@ -378,44 +375,40 @@ func announce(ctx *runtime.Context, parts [][]byte, rawSizes []int64, codec stri
 	return events, nil
 }
 
-// finalizePartition produces one partition's wire buffer and raw size:
-// encode the sorted in-memory segment, merge it with the partition's
-// spill runs (combining), then run the block codec, which hands the raw
-// buffer back to the pool.
-func (o *OrderedPartitionedKVOutput) finalizePartition(p int, wire [][]byte, rawSizes []int64) error {
-	ctr := o.ctx.Services.Counters
+// finalizePartition produces one partition's wire buffer, raw size and
+// run sizes: the partition's spill runs, then its encoded in-memory
+// segment, each still a sorted run of its own, then the block codec, which
+// hands the raw buffer back to the pool. A partition of one run records no
+// run sizes.
+func (o *OrderedPartitionedKVOutput) finalizePartition(p int, wire [][]byte, rawSizes []int64, runSizes [][]int64) error {
 	seg := o.sb.partSpan(p)
-	var buf []byte
-	var err error
-	if len(o.spills) == 0 {
-		buf, err = encodeStream(&refsReader{sb: o.sb, refs: seg}, o.combine, getRunBuf(), ctr)
-		if err != nil {
-			return err
-		}
-	} else {
-		runs := make([][]byte, 0, len(o.spills)+1)
-		for _, sp := range o.spills {
-			if len(sp[p]) > 0 {
-				runs = append(runs, sp[p])
-			}
-		}
-		var mem []byte
-		if len(seg) > 0 {
-			mem, err = encodeStream(&refsReader{sb: o.sb, refs: seg}, o.combine, getRunBuf(), ctr)
-			if err != nil {
-				return err
-			}
-			runs = append(runs, mem)
-		}
-		buf, err = mergeEncodedRuns(runs, o.combine, getRunBuf(), ctr)
-		if err != nil {
-			return err
-		}
-		for _, sp := range o.spills {
-			putRunBuf(sp[p])
+	n := 0 // the partition's raw size, exact without a combiner
+	for _, sp := range o.spills {
+		n += len(sp[p])
+	}
+	for i := range seg {
+		n += RecordSize(o.sb.key(&seg[i]), o.sb.val(&seg[i]))
+	}
+	buf := slices.Grow(getRunBuf(), n)
+	var sizes []int64
+	for _, sp := range o.spills {
+		if run := sp[p]; len(run) > 0 {
+			buf = append(buf, run...)
+			sizes = append(sizes, int64(len(run)))
+			putRunBuf(run)
 			sp[p] = nil
 		}
-		putRunBuf(mem)
+	}
+	spilled := len(buf)
+	buf, err := encodeStream(&refsReader{sb: o.sb, refs: seg}, o.combine, buf, o.ctx.Services.Counters)
+	if err != nil {
+		return err
+	}
+	if len(buf) > spilled && len(sizes) > 0 {
+		sizes = append(sizes, int64(len(buf)-spilled))
+	}
+	if len(sizes) > 1 {
+		runSizes[p] = sizes
 	}
 	rawSizes[p] = int64(len(buf))
 	if o.codec == nil {
@@ -454,7 +447,7 @@ type fetchSet struct {
 
 	mu       sync.Mutex
 	slots    []inputSlot   // indexed by physical input
-	stored   int           // slots holding a run; the read is complete at len(slots)
+	stored   int           // slots holding their runs; the read is complete at len(slots)
 	err      error         // first failure: an InputReadError or a misrouted movement
 	closed   bool          // todo is closed and later events are ignored
 	todo     chan int      // slot indexes to fetch
@@ -467,12 +460,12 @@ type fetchSet struct {
 	testHookFetched func(event.DataMovement)
 }
 
-// inputSlot is one physical input: the latest announced movement, the run
-// fetched for it, and whether a fetcher owns the index.
+// inputSlot is one physical input: the latest announced movement, the
+// runs fetched for it, and whether a fetcher owns the index.
 type inputSlot struct {
 	dm     event.DataMovement // valid while live
 	live   bool               // dm is announced and not retracted
-	run    []byte             // dm's fetched run, valid while stored
+	runs   [][]byte           // dm's fetched runs, valid while stored
 	stored bool
 	busy   bool // queued on todo or being fetched
 }
@@ -491,7 +484,7 @@ func newFetchSet(ctx *runtime.Context) *fetchSet {
 // handleEvent records a DataMovement for fetching or an InputFailed
 // retraction. Attempt tracking is upgrade-only: a movement from an attempt
 // older than the slot's is dropped, and a newer attempt's movement drops
-// the older attempt's run. A retraction only ever drops a stored run:
+// the older attempt's runs. A retraction only ever drops stored runs:
 // nothing is merged before the reader asks, so no run is past recalling
 // and the replacement is simply fetched. A movement for an index outside
 // the physical inputs fails the read.
@@ -529,7 +522,7 @@ func (f *fetchSet) handleEvent(ev event.Event) error {
 }
 
 // queueLocked hands a slot to the fetchers unless one owns it already (its
-// fetch re-queues it on ending), it holds its run, or nothing is announced.
+// fetch re-queues it on ending), it holds its runs, or nothing is announced.
 func (f *fetchSet) queueLocked(idx int) {
 	s := &f.slots[idx]
 	if s.busy || s.stored || !s.live || f.closed {
@@ -539,10 +532,10 @@ func (f *fetchSet) queueLocked(idx int) {
 	f.todo <- idx
 }
 
-// dropLocked discards a slot's stored run.
+// dropLocked discards a slot's stored runs.
 func (f *fetchSet) dropLocked(s *inputSlot) {
 	if s.stored {
-		s.run, s.stored = nil, false
+		s.runs, s.stored = nil, false
 		f.stored--
 		f.signal()
 	}
@@ -593,9 +586,9 @@ func (f *fetchSet) fetchLoop() {
 			continue
 		}
 		f.mu.Unlock()
-		data, wireLen, err := f.fetchOne(dm)
+		runs, wireLen, err := f.fetchOne(dm)
 		f.mu.Lock()
-		f.storeLocked(idx, dm, data, wireLen, err)
+		f.storeLocked(idx, dm, runs, wireLen, err)
 		f.mu.Unlock()
 	}
 }
@@ -604,7 +597,7 @@ func (f *fetchSet) fetchLoop() {
 // the slot's — retracted, or superseded by a re-executed producer while in
 // the air — is dropped, success or error, and the slot's newer movement
 // is fetched in its place; a current error fails the read.
-func (f *fetchSet) storeLocked(idx int, dm event.DataMovement, data []byte, wireLen int, err error) {
+func (f *fetchSet) storeLocked(idx int, dm event.DataMovement, runs [][]byte, wireLen int, err error) {
 	s := &f.slots[idx]
 	s.busy = false
 	switch {
@@ -619,15 +612,19 @@ func (f *fetchSet) storeLocked(idx int, dm event.DataMovement, data []byte, wire
 			Err:        err,
 		})
 	default:
-		s.run, s.stored = data, true
+		s.runs, s.stored = runs, true
 		f.stored++
-		// Byte counters accumulate here, where a run is stored, so a stale
+		// Byte counters accumulate here, where runs are stored, so a stale
 		// or duplicate transfer never inflates them — they stay an exact
 		// account of the runs the reader consumed (SHUFFLE_INCREMENTS
-		// counts those stored runs).
+		// counts the stored fetches).
 		if ctr := f.ctx.Services.Counters; ctr != nil {
+			raw := 0
+			for _, r := range runs {
+				raw += len(r)
+			}
 			ctr.Add("SHUFFLE_BYTES_WIRE", int64(wireLen))
-			ctr.Add("SHUFFLE_BYTES_RAW", int64(len(data)))
+			ctr.Add("SHUFFLE_BYTES_RAW", int64(raw))
 			ctr.Add("SHUFFLE_INCREMENTS", 1)
 		}
 		f.signal()
@@ -636,11 +633,11 @@ func (f *fetchSet) storeLocked(idx int, dm event.DataMovement, data []byte, wire
 
 // fetchOne decodes and fetches a single movement, maintaining the
 // fetch-path metrics (in-flight gauge + peak, per-fetch latency, retry
-// counts) and decoding the wire block codec. It returns the decoded data
-// and the wire length; byte counters are charged by the caller only when
-// the result is actually stored, so retracted and duplicate transfers
-// don't count.
-func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
+// counts), decoding the wire block codec and splitting the block at
+// DMInfo.RunSizes. It returns the decoded runs and the wire length; byte
+// counters are charged by the caller only when the result is actually
+// stored, so retracted and duplicate transfers don't count.
+func (f *fetchSet) fetchOne(dm event.DataMovement) ([][]byte, int, error) {
 	var info DMInfo
 	if err := plugin.Decode(dm.Payload, &info); err != nil {
 		return nil, 0, err
@@ -659,6 +656,10 @@ func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
 	if err == nil && info.Codec != "" {
 		data, err = decodeBlock(info.Codec, data, int(info.RawSize))
 	}
+	var runs [][]byte
+	if err == nil {
+		runs, err = splitRuns(data, info.RunSizes)
+	}
 	if ctr != nil {
 		ctr.Add("SHUFFLE_FETCHES_INFLIGHT", -1)
 		ctr.Add("SHUFFLE_FETCHES", 1)
@@ -667,36 +668,55 @@ func (f *fetchSet) fetchOne(dm event.DataMovement) ([]byte, int, error) {
 			ctr.Add("SHUFFLE_FETCH_RETRIES", int64(retries))
 		}
 	}
-	return data, wireLen, err
+	return runs, wireLen, err
 }
 
-// storedRun returns the fetched run for an input index — a test accessor.
-func (f *fetchSet) storedRun(idx int) ([]byte, bool) {
+// splitRuns cuts a fetched block into the runs sizes describe; no sizes
+// mean one run. Sizes that do not tile the block exactly are a corrupt
+// movement.
+func splitRuns(data []byte, sizes []int64) ([][]byte, error) {
+	if len(sizes) == 0 {
+		return [][]byte{data}, nil
+	}
+	runs := make([][]byte, 0, len(sizes))
+	rest := data
+	for _, n := range sizes {
+		if n < 0 || n > int64(len(rest)) {
+			break
+		}
+		runs, rest = append(runs, rest[:n:n]), rest[n:]
+	}
+	if len(runs) < len(sizes) || len(rest) > 0 {
+		return nil, fmt.Errorf("library: run sizes %v do not tile a %d-byte block", sizes, len(data))
+	}
+	return runs, nil
+}
+
+// storedRuns returns the fetched runs for an input index — a test accessor.
+func (f *fetchSet) storedRuns(idx int) ([][]byte, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.slots[idx]
-	return s.run, s.stored
+	return s.runs, s.stored
 }
 
 // wait blocks until every physical input is fetched, the read failed, or
 // the attempt is killed or the set closed. It returns the fetched runs
-// ordered by physical input index.
+// ordered by physical input index, each input's runs in order.
 func (f *fetchSet) wait() ([][]byte, error) {
 	for {
 		f.mu.Lock()
 		err, closed := f.err, f.closed
+		done := f.stored == len(f.slots)
 		var runs [][]byte
-		if f.stored == len(f.slots) {
-			runs = make([][]byte, len(f.slots))
-			for i := range f.slots {
-				runs[i] = f.slots[i].run
-			}
+		for i := 0; done && i < len(f.slots); i++ {
+			runs = append(runs, f.slots[i].runs...)
 		}
 		f.mu.Unlock()
 		switch {
 		case err != nil:
 			return nil, err
-		case runs != nil:
+		case done:
 			return runs, nil
 		case closed:
 			return nil, fmt.Errorf("library: input %s: attempt killed while fetching", f.ctx.Name)
@@ -725,10 +745,12 @@ func (f *fetchSet) close() error {
 
 // OrderedGroupedKVInput is the reduce-side shuffle transport: it fetches
 // every expected physical input (one per producer task per owned
-// partition), k-way merges all the sorted runs once, lazily, as the
-// reader advances, and exposes a runtime.GroupedKVReader of keys with
-// grouped values. Every run is an in-memory buffer, so the merge width
-// needs no bound and no run is merged before the last one arrives. Keys
+// partition; a spilled producer's input holds each of its sorted runs),
+// k-way merges all the sorted runs once, lazily, as the reader advances,
+// and exposes a runtime.GroupedKVReader of keys with grouped values. It
+// is the only merge a record goes through. Every run is an in-memory
+// buffer, so the merge width needs no bound and no run is merged before
+// the last one arrives. Keys
 // and values are served zero-copy out of the fetched runs; they are valid
 // until the next call to Next.
 type OrderedGroupedKVInput struct {

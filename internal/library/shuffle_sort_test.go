@@ -74,34 +74,34 @@ func writeWordRecords(n int) func(w runtime.KVWriter) {
 
 // TestSpillOutputByteIdentical is the spill-path acceptance test: a
 // SortBytes-constrained run must spill more than once, the combiner must
-// shrink the spilled data, and the registered partitions must equal the
-// unconstrained run's byte for byte.
+// shrink the spilled data, and the spilled producer ships its sorted runs
+// unmerged — DMInfo.RunSizes tiles every partition, no merge time is
+// charged — while the grouped stream a consumer reads from it equals the
+// unconstrained producer's, key by key and every value in order. With a
+// combiner the runs were combined one by one, so the values differ and
+// the reduce output (the sum per key) must be equal instead.
 func TestSpillOutputByteIdentical(t *testing.T) {
 	const parts, records = 3, 5000
 	for _, combiner := range []string{"", "test.sum"} {
 		t.Run("combiner="+combiner, func(t *testing.T) {
-			fetch := func(task int, cfg *OrderedPartitionedConfig, ctr *metrics.Counters) [][]byte {
+			read := func(cfg *OrderedPartitionedConfig, ctr *metrics.Counters) ([][]string, []event.Event) {
 				svc := testServices(t)
 				svc.Counters = ctr
-				_, id := produceCfg(t, svc, cfg, task, parts, writeWordRecords(records))
-				got := make([][]byte, parts)
-				for p := 0; p < parts; p++ {
-					data, err := svc.Shuffle.Fetch(id, p, "n0")
-					if err != nil {
-						t.Fatal(err)
-					}
-					got[p] = data
+				events, _ := produceCfg(t, svc, cfg, 0, parts, writeWordRecords(records))
+				got := make([][]string, parts)
+				for p := range got {
+					got[p] = groupedStream(t, svc, events, p, 1, combiner != "")
 				}
-				return got
+				return got, events
 			}
 			ctr := metrics.NewCounters()
-			constrained := fetch(0, &OrderedPartitionedConfig{SortBytes: 4096, Combiner: combiner}, ctr)
-			unconstrained := fetch(0, &OrderedPartitionedConfig{Combiner: combiner}, nil)
+			constrained, events := read(&OrderedPartitionedConfig{SortBytes: 4096, Combiner: combiner}, ctr)
+			unconstrained, _ := read(&OrderedPartitionedConfig{Combiner: combiner}, nil)
 			if spills := ctr.Get("SHUFFLE_SPILLS"); spills <= 1 {
 				t.Fatalf("SHUFFLE_SPILLS = %d, want > 1", spills)
 			}
-			if ctr.Get("SHUFFLE_SORT_TIME_NS") <= 0 || ctr.Get("SHUFFLE_MERGE_TIME_NS") <= 0 {
-				t.Fatalf("sort/merge time counters missing: %v", ctr)
+			if ctr.Get("SHUFFLE_SORT_TIME_NS") <= 0 || ctr.Get("SHUFFLE_MERGE_TIME_NS") != 0 {
+				t.Fatalf("want sort time and no merge time: %v", ctr)
 			}
 			if combiner != "" {
 				in, out := ctr.Get("COMBINE_INPUT_RECORDS"), ctr.Get("COMBINE_OUTPUT_RECORDS")
@@ -109,18 +109,75 @@ func TestSpillOutputByteIdentical(t *testing.T) {
 					t.Fatalf("combiner did not reduce records: in=%d out=%d", in, out)
 				}
 			}
+			for _, ev := range events {
+				if dm, ok := ev.(event.DataMovement); ok {
+					var info DMInfo
+					if err := plugin.Decode(dm.Payload, &info); err != nil {
+						t.Fatal(err)
+					}
+					if len(info.RunSizes) < 2 {
+						t.Fatalf("partition %d announced %d run sizes, want one per spill", info.Partition, len(info.RunSizes))
+					}
+				}
+			}
 			for p := range constrained {
-				if !bytes.Equal(constrained[p], unconstrained[p]) {
-					t.Fatalf("partition %d differs: spilled %d bytes vs %d", p, len(constrained[p]), len(unconstrained[p]))
+				if !reflect.DeepEqual(constrained[p], unconstrained[p]) {
+					t.Fatalf("partition %d differs: spilled %d groups vs %d", p, len(constrained[p]), len(unconstrained[p]))
 				}
 			}
 		})
 	}
 }
 
+// groupedStream reads partition p of the producers' events through a
+// grouped input and returns its groups in order, each "key=v1,v2,…," —
+// or "key=sum" with sum set, the reduce output of test.sum.
+func groupedStream(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks int, sum bool) []string {
+	t.Helper()
+	g := groupedInput(t, svc, events, partition, srcTasks)
+	var got []string
+	for g.Next() {
+		line := string(g.Key()) + "="
+		total := 0
+		for _, v := range g.Values() {
+			n, _ := strconv.Atoi(string(v))
+			total += n
+			line += string(v) + ","
+		}
+		if sum {
+			line = fmt.Sprintf("%s=%d", g.Key(), total)
+		}
+		got = append(got, line)
+	}
+	if g.Err() != nil {
+		t.Fatal(g.Err())
+	}
+	return got
+}
+
 // consumeGrouped routes the producers' partition-p movements into a
 // grouped input and drains it into a key->joined-values map.
 func consumeGrouped(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks int) map[string]string {
+	t.Helper()
+	g := groupedInput(t, svc, events, partition, srcTasks)
+	got := map[string]string{}
+	for g.Next() {
+		var buf bytes.Buffer
+		for _, v := range g.Values() {
+			buf.Write(v)
+			buf.WriteByte(',')
+		}
+		got[string(g.Key())] = buf.String()
+	}
+	if g.Err() != nil {
+		t.Fatal(g.Err())
+	}
+	return got
+}
+
+// groupedInput routes the producers' partition-p movements into a grouped
+// input and returns its reader.
+func groupedInput(t *testing.T, svc runtime.Services, events []event.Event, partition, srcTasks int) runtime.GroupedKVReader {
 	t.Helper()
 	in := &OrderedGroupedKVInput{}
 	meta := runtime.Meta{DAG: "d", Vertex: "red", Task: partition, Attempt: 0}
@@ -149,20 +206,7 @@ func consumeGrouped(t *testing.T, svc runtime.Services, events []event.Event, pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := rAny.(runtime.GroupedKVReader)
-	got := map[string]string{}
-	for g.Next() {
-		var buf bytes.Buffer
-		for _, v := range g.Values() {
-			buf.Write(v)
-			buf.WriteByte(',')
-		}
-		got[string(g.Key())] = buf.String()
-	}
-	if g.Err() != nil {
-		t.Fatal(g.Err())
-	}
-	return got
+	return rAny.(runtime.GroupedKVReader)
 }
 
 // TestFlateCodecRoundTrip checks that flate-compressed partitions decode
@@ -244,7 +288,7 @@ func TestCodecKnobResolution(t *testing.T) {
 // runs than Tez would merge in one pass from disk — and requires the
 // oracle's groups, every value in (key, value) order, from the single lazy
 // merge of the reader: no intermediate merge runs on the reduce side, so
-// the consumer journals no ShuffleMerge span.
+// the consumer journals no span of its own beyond its fetches.
 func TestWideConsumerMergesOnce(t *testing.T) {
 	const srcTasks, keys = 120, 50
 	svc := testServices(t)
@@ -275,8 +319,8 @@ func TestWideConsumerMergesOnce(t *testing.T) {
 		}
 	}
 	for _, e := range tl.Events() {
-		if e.Type == timeline.ShuffleMerge && e.Vertex == "red" {
-			t.Fatalf("the consumer journalled a merge span: %+v", e)
+		if e.Vertex == "red" && e.Type != timeline.ShuffleFetch {
+			t.Fatalf("the consumer journalled a %s span: %+v", e.Type, e)
 		}
 	}
 }
@@ -301,7 +345,7 @@ func TestRetractedStoredRunReplaced(t *testing.T) {
 	t.Cleanup(func() { in.Close() })
 	// Source 0's first attempt has been fetched and stored.
 	in.fs.mu.Lock()
-	in.fs.slots[0] = inputSlot{dm: dmFor(0, 0, 0, id(0, 0)), live: true, run: stored, stored: true}
+	in.fs.slots[0] = inputSlot{dm: dmFor(0, 0, 0, id(0, 0)), live: true, runs: [][]byte{stored}, stored: true}
 	in.fs.stored = 1
 	in.fs.mu.Unlock()
 	for _, ev := range []event.Event{
@@ -313,7 +357,7 @@ func TestRetractedStoredRunReplaced(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := in.fs.storedRun(0); ok {
+	if _, ok := in.fs.storedRuns(0); ok {
 		t.Fatal("the retracted run is still stored")
 	}
 	if err := in.Start(); err != nil {

@@ -2,8 +2,8 @@ package library
 
 // mergeReader k-way merges sorted runs (each an encoded buffer) into a
 // single stream ordered by (key, value). It implements runtime.KVReader
-// and serves the map-side final merge and the reduce side's one merge of
-// every fetched run, under the grouped reader, alike.
+// and is the shuffle's one merge: the reduce side's merge of every run of
+// every producer, under the grouped reader.
 //
 // It is a binary min-heap of small entries, one per unexhausted run, each
 // carrying its run's current key prefix so that most comparisons are one
@@ -24,8 +24,7 @@ type mergeReader struct {
 // mergeCursor is the read position in one run.
 type mergeCursor struct {
 	run      []byte
-	start    int // offset of the current record
-	end      int // offset just past it
+	end      int // offset just past the current record
 	key, val []byte
 }
 
@@ -42,7 +41,7 @@ func (c *mergeCursor) advance() (ok bool, err error) {
 	if err != nil || n == 0 {
 		return false, err
 	}
-	c.key, c.val, c.start, c.end = k, v, c.end, c.end+n
+	c.key, c.val, c.end = k, v, c.end+n
 	return true, nil
 }
 
@@ -152,24 +151,6 @@ func (m *mergeReader) Next() bool {
 func (m *mergeReader) Key() []byte   { return m.key }
 func (m *mergeReader) Value() []byte { return m.val }
 func (m *mergeReader) Err() error    { return m.err }
-
-// appendEncoded drains the merge into dst in encoded form. Runs hold
-// records exactly as AppendRecord writes them, so each stretch one run
-// wins is copied from it as it stands, in one append, rather than decoded
-// and encoded again.
-func (m *mergeReader) appendEncoded(dst []byte) ([]byte, error) {
-	for m.err == nil && len(m.heap) > 0 {
-		c := &m.cur[m.heap[0].cur]
-		from, to := c.start, c.end
-		for m.step() {
-			to = c.end
-		}
-		if m.err == nil {
-			dst = append(dst, c.run[from:to]...)
-		}
-	}
-	return dst, m.err
-}
 
 // groupedReader groups a key-ordered KV stream into (key, values) — the
 // reduce-side view. It implements runtime.GroupedKVReader.

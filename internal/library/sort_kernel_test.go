@@ -174,9 +174,9 @@ func sortedRuns(rng *rand.Rand, recs []pair, k int) [][]byte {
 }
 
 // TestMergeMatchesOracle: the k-way merge of random sorted runs is, byte
-// for byte, the concatenation sorted by the oracle — through the raw-copy
-// path (no combiner), the record-at-a-time path (combiner) and the reader
-// interface, and equal to what the container/heap merge produced.
+// for byte, the concatenation sorted by the oracle — read through the
+// reader interface, encoded without a combiner and through one, and equal
+// to what the container/heap merge produced.
 func TestMergeMatchesOracle(t *testing.T) {
 	identity := func(key []byte, values [][]byte, out runtime.KVWriter) error {
 		for _, v := range values {
@@ -194,11 +194,11 @@ func TestMergeMatchesOracle(t *testing.T) {
 		sortPairs(all)
 		want := encodePairs(all)
 
-		got, err := mergeEncodedRuns(runs, nil, nil, nil)
+		got, err := encodeStream(newMergeReader(runs), nil, nil, nil)
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: raw-copy merge differs from the oracle (err %v, %d vs %d bytes)", seed, err, len(got), len(want))
+			t.Fatalf("seed %d: encoded merge differs from the oracle (err %v, %d vs %d bytes)", seed, err, len(got), len(want))
 		}
-		got, err = mergeEncodedRuns(runs, identity, nil, nil)
+		got, err = encodeStream(newMergeReader(runs), identity, nil, nil)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: combining merge differs from the oracle (err %v, %d vs %d bytes)", seed, err, len(got), len(want))
 		}
@@ -216,8 +216,10 @@ func TestMergeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestMergeSummingCombinerMatchesOracle: with a real (summing) combiner
-// the merge of combined runs equals combining the oracle-sorted whole.
+// TestMergeSummingCombinerMatchesOracle: with a real (summing) combiner,
+// runs combined one by one as a producer spills them and summed again
+// over their merge, as the reducer does, equal combining the oracle-sorted
+// whole.
 func TestMergeSummingCombinerMatchesOracle(t *testing.T) {
 	sum, err := lookupCombiner("test.sum")
 	if err != nil {
@@ -230,7 +232,12 @@ func TestMergeSummingCombinerMatchesOracle(t *testing.T) {
 			recs = append(recs, pair{[]byte(fmt.Sprintf("long-shared-word-%03d", rng.Intn(150))), []byte(strconv.Itoa(rng.Intn(9)))})
 		}
 		runs := sortedRuns(rng, recs, 7)
-		got, err := mergeEncodedRuns(runs, sum, nil, nil)
+		for i, run := range runs {
+			if runs[i], err = encodeStream(NewBufferReader(run), sum, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := encodeStream(newMergeReader(runs), sum, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +265,8 @@ func TestMergeSurfacesCorruptRun(t *testing.T) {
 		"corrupt-header":  append(append([]byte(nil), good[:4]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
 	} {
 		runs := [][]byte{other, bad}
-		if _, err := mergeEncodedRuns(runs, nil, nil, nil); err == nil {
-			t.Errorf("%s: raw-copy merge reported no error", name)
+		if _, err := encodeStream(newMergeReader(runs), nil, nil, nil); err == nil {
+			t.Errorf("%s: encoded merge reported no error", name)
 		}
 		m := newMergeReader(runs)
 		for m.Next() {
@@ -453,9 +460,10 @@ func BenchmarkSortBufferSort(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/record")
 }
 
-// BenchmarkMergeEncodedRuns times the k-way merge kernel alone: nine
-// sorted runs, each one partition's share of such a spill.
-func BenchmarkMergeEncodedRuns(b *testing.B) {
+// BenchmarkMergeReader times the k-way merge kernel alone: nine sorted
+// runs, each one partition's share of such a spill, read record by record
+// as the grouped reader reads them.
+func BenchmarkMergeReader(b *testing.B) {
 	const runs = 9
 	var encoded [][]byte
 	records := 0
@@ -468,13 +476,14 @@ func BenchmarkMergeEncodedRuns(b *testing.B) {
 		encoded = append(encoded, encodePairs(ps))
 		records += len(ps)
 	}
-	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if buf, err = mergeEncodedRuns(encoded, nil, buf[:0], nil); err != nil {
-			b.Fatal(err)
+		m := newMergeReader(encoded)
+		for m.Next() {
+		}
+		if m.Err() != nil {
+			b.Fatal(m.Err())
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")

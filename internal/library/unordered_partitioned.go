@@ -131,7 +131,7 @@ func (o *UnorderedPartitionedKVOutput) Close() ([]event.Event, error) {
 		}
 	}()
 	if o.codec == nil {
-		return announce(o.ctx, o.parts, nil, "", !o.single)
+		return announce(o.ctx, o.parts, nil, nil, "", !o.single)
 	}
 	wire := make([][]byte, len(o.parts))
 	rawSizes := make([]int64, len(o.parts))
@@ -142,5 +142,5 @@ func (o *UnorderedPartitionedKVOutput) Close() ([]event.Event, error) {
 			return nil, err
 		}
 	}
-	return announce(o.ctx, wire, rawSizes, o.codec.Name(), true)
+	return announce(o.ctx, wire, rawSizes, nil, o.codec.Name(), true)
 }

@@ -303,7 +303,7 @@ func (p *stageProcessor) runGrouped(readers []runtime.GroupedKVReader, fold *has
 				return err
 			}
 		case g.Kind == "join":
-			if err := join.run(values, bound); err != nil {
+			if err := join.run(gr.Key(), values, bound); err != nil {
 				return err
 			}
 		case g.Kind == "sort":

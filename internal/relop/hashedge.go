@@ -216,7 +216,7 @@ func (f *hashFold) addGroup(ems []*vecEmitter, key []byte, values [][]byte) erro
 // tagged values into side segments, and their product folds into the
 // group of key. An inner join's group with an empty side adds nothing.
 func (f *hashFold) addJoin(ems []*vecEmitter, key []byte, j *joinGroups, values [][]byte) error {
-	if ok, err := j.split(values); !ok || err != nil {
+	if ok, err := j.split(key, values); !ok || err != nil {
 		return err
 	}
 	id, err := f.open(ems, key)

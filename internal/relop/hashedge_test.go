@@ -511,7 +511,7 @@ func broadcastDiffCase(t *testing.T, h *harness, sess *am.Session, cfg Config, r
 	var joined []row.Row
 	for _, p := range probeRows {
 		for _, b := range append(append([]row.Row{}, b3...), b4...) {
-			if bytes.Equal(row.EncodeKey(nil, p[0]), row.EncodeKey(nil, b[0])) {
+			if !p[0].IsNull() && bytes.Equal(row.EncodeKey(nil, p[0]), row.EncodeKey(nil, b[0])) {
 				joined = append(joined, append(append(row.Row{}, p...), b...))
 			}
 		}
@@ -564,7 +564,13 @@ func broadcastDiffCase(t *testing.T, h *harness, sess *am.Session, cfg Config, r
 		t.Fatalf("%s on mr: %v", name, err)
 	}
 	for _, out := range []string{tezOut, mrOut} {
-		h.sameRows(out+" join vs reference", h.stored(out+"/join"), joined)
+		stored := h.stored(out + "/join")
+		for _, r := range stored {
+			if r[0].IsNull() || r[3].IsNull() {
+				t.Fatalf("%s/join stored a pair on a NULL key: %v", out, r)
+			}
+		}
+		h.sameRows(out+" join vs reference", stored, joined)
 		h.sameRows(out+" agg vs reference", h.stored(out+"/agg"), refAgg(joined, groupBy, aggs))
 		if got := h.stored(out + "/sort"); !bytes.Equal(encodeAll(got), encodeAll(sorted)) {
 			t.Fatalf("%s/sort: stored\n%s\nwant, in order,\n%s", out, fmtRows(got), fmtRows(sorted))

@@ -6,6 +6,7 @@ import (
 
 	"tez/internal/col"
 	"tez/internal/metrics"
+	"tez/internal/row"
 )
 
 // The joins (DESIGN §13, "One join table"): both hash joins, the
@@ -15,6 +16,8 @@ import (
 
 // joinTable is a hash join's build side: its rows, decoded into column
 // batches, chained per key through a keyIndex in build arrival order. A
+// row with a NULL in any key column is left out: an inner join pairs it
+// with nothing, so a probe key with a NULL finds no match either. A
 // table shared through the object registry is read-only once built.
 type joinTable struct {
 	keys    keyIndex
@@ -41,8 +44,8 @@ func (t *joinTable) reset() {
 }
 
 // build decodes frames into the table's batches, reusing them, numbers
-// each row's key through add, links the rows and counts one
-// HASHTABLE_BUILDS.
+// each row's key through add, skipping a key with a NULL, links the rows
+// and counts one HASHTABLE_BUILDS.
 func (t *joinTable) build(frames []keyedFrame, add func(key []byte) int32, counters *metrics.Counters) error {
 	for len(t.batches) < len(frames) {
 		t.batches = append(t.batches, col.NewBatch())
@@ -59,7 +62,13 @@ func (t *joinTable) build(frames []keyedFrame, add func(key []byte) int32, count
 	var key []byte
 	for i, fr := range frames {
 		keyVecs = evalKeys(keyVecs[:0], fr.keys, t.batches[i])
+	rows:
 		for r := range t.batches[i].Len() {
+			for j := range keyVecs {
+				if keyVecs[j].IsNull(r) {
+					continue rows
+				}
+			}
 			key = appendKey(key[:0], keyVecs, r, nil)
 			t.rows = append(t.rows, buildRow{int32(i), int32(r), add(key)})
 		}
@@ -126,11 +135,14 @@ func (s *joinSide) add(encoded []byte) error {
 	return err
 }
 
-// split parses a group's tagged values into its sides' segments and
-// reports whether both sides hold a row: an inner join's product is empty
-// otherwise.
-func (j *joinGroups) split(values [][]byte) (bool, error) {
+// split parses the tagged values of key's group into its sides' segments
+// and reports whether both sides hold a row: an inner join's product is
+// empty otherwise, and so is a key with a NULL, which matches nothing.
+func (j *joinGroups) split(key []byte, values [][]byte) (bool, error) {
 	j.sides[0].n, j.sides[1].n = 0, 0
+	if row.KeyHasNull(key) {
+		return false, nil
+	}
 	for _, v := range values {
 		if len(v) == 0 {
 			return false, fmt.Errorf("relop: untagged join value")
@@ -165,11 +177,11 @@ func (j *joinGroups) eachPair(pair func(a *col.Batch, ai int, b *col.Batch, bi i
 	return nil
 }
 
-// run writes a group's product into every emitter's batch column to
-// column; each batch flushes on a width change or when full, as in
-// hashJoin.
-func (j *joinGroups) run(values [][]byte, ems []*vecEmitter) error {
-	if ok, err := j.split(values); !ok || err != nil {
+// run writes the product of key's group into every emitter's batch
+// column to column; each batch flushes on a width change or when full, as
+// in hashJoin.
+func (j *joinGroups) run(key []byte, values [][]byte, ems []*vecEmitter) error {
+	if ok, err := j.split(key, values); !ok || err != nil {
 		return err
 	}
 	return j.eachPair(func(a *col.Batch, ai int, b *col.Batch, bi int) error {

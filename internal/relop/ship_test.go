@@ -62,21 +62,24 @@ func randFuseRows(rng *rand.Rand, n, lo, width int) []row.Row {
 	return rows
 }
 
-// refJoinAgg is the plain-Go answer: the inner join on key bytes (as the
-// shuffle join matches: null keys meet null keys), grouped by the group
-// columns' key bytes, aggregated over non-null arguments.
+// refJoinAgg is the plain-Go answer: the inner join on key bytes, a key
+// with a null matching nothing, grouped by the group columns' key bytes,
+// aggregated over non-null arguments.
 func refJoinAgg(left, right []row.Row, keysL, keysR []int, groupBy []int, aggs []AggDef) []row.Row {
-	keyOf := func(r row.Row, cols []int) string {
+	keyOf := func(r row.Row, cols []int) (string, bool) {
 		var k []byte
+		null := false
 		for _, c := range cols {
-			k = row.EncodeKey(k, r[c])
+			k, null = row.EncodeKey(k, r[c]), null || r[c].IsNull()
 		}
-		return string(k)
+		return string(k), !null
 	}
 	var ref refGroups
 	for _, l := range left {
 		for _, r := range right {
-			if keyOf(l, keysL) == keyOf(r, keysR) {
+			kl, okL := keyOf(l, keysL)
+			kr, okR := keyOf(r, keysR)
+			if okL && okR && kl == kr {
 				p := append(append(row.Row{}, l...), r...)
 				var key row.Row
 				for _, c := range groupBy {
@@ -269,7 +272,7 @@ func TestJoinSidesShipWhatIsRead(t *testing.T) {
 	var product []row.Row
 	for _, l := range lRows {
 		for _, r := range rRows {
-			if bytes.Equal(row.EncodeKey(nil, l[0]), row.EncodeKey(nil, r[0])) {
+			if !l[0].IsNull() && bytes.Equal(row.EncodeKey(nil, l[0]), row.EncodeKey(nil, r[0])) {
 				product = append(product, append(append(row.Row{}, l...), r...))
 			}
 		}

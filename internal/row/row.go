@@ -401,6 +401,27 @@ func AppendStringKey(dst, s []byte) []byte {
 	return append(dst, 0x00, 0x00)
 }
 
+// KeyHasNull reports whether a key EncodeKey wrote (unflipped) holds a
+// null: an inner join matches no such key, not even an equal one.
+func KeyHasNull(key []byte) bool {
+	for i := 0; i < len(key); {
+		switch key[i] {
+		case 0x00:
+			return true
+		case 0x01:
+			i += 9
+		default: // a string: its bytes, a 0x00 escaped as 0x00 0xFF, then 0x00 0x00
+			for i++; i+1 < len(key) && (key[i] != 0x00 || key[i+1] != 0x00); i++ {
+				if key[i] == 0x00 {
+					i++
+				}
+			}
+			i += 2
+		}
+	}
+	return false
+}
+
 // EncodeKey appends an order-preserving encoding of the values: byte-wise
 // comparison of two encoded keys matches lexicographic Compare order of
 // the value tuples. Used wherever keys are sorted by the shuffle (group

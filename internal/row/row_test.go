@@ -118,6 +118,29 @@ func TestQuickEncodeKeyOrderPreserving(t *testing.T) {
 	}
 }
 
+// Property: KeyHasNull finds a null at any position of a key tuple and
+// nothing else — not a string's escaped or trailing zero bytes, nor a
+// number's.
+func TestQuickKeyHasNull(t *testing.T) {
+	zeros := []Value{String("\x00"), String("\x00\x00"), String("a\x00\xff"), Int(0), Float(math.Copysign(0, -1))}
+	f := func(seed int64, width uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := make(Row, int(width)%5)
+		hasNull := false
+		for i := range r {
+			r[i] = randomValue(rng)
+			if rng.Intn(3) == 0 {
+				r[i] = zeros[rng.Intn(len(zeros))]
+			}
+			hasNull = hasNull || r[i].IsNull()
+		}
+		return KeyHasNull(EncodeKey(nil, r...)) == hasNull
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func sign(x int) int {
 	switch {
 	case x < 0:

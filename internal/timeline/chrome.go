@@ -113,18 +113,12 @@ func ChromeTrace(events []Event) ([]byte, error) {
 				Pid: pid, Tid: lanes.tid(pid, "shuffle @"+e.Node),
 				Args: map[string]any{"bytes": e.Val, "reader": e.Info},
 			})
-		case ShuffleSpill, ShuffleMerge:
-			verb := "spill"
-			args := map[string]any{"records": e.Val, "edge": e.Info}
-			if e.Type == ShuffleMerge {
-				verb = "merge"
-				args = map[string]any{"bytes": e.Val, "edge": e.Info}
-			}
+		case ShuffleSpill:
 			out = append(out, chromeEvent{
-				Name: fmt.Sprintf("%s %s/t%03d_a%d", verb, e.Vertex, e.Task, e.Attempt),
+				Name: fmt.Sprintf("spill %s/t%03d_a%d", e.Vertex, e.Task, e.Attempt),
 				Ph:   "X", Ts: us(e.Start()), Dur: float64(e.Dur) / float64(time.Microsecond),
 				Pid: pid, Tid: lanes.tid(pid, "shuffle @"+e.Node),
-				Args: args,
+				Args: map[string]any{"records": e.Val, "edge": e.Info},
 			})
 		default:
 			name := string(e.Type)

@@ -16,7 +16,7 @@ func TestEdgeFetchStats(t *testing.T) {
 		fetch("dag1", "join", "left p0 -> n1", 10),
 		fetch("dag1", "join", "", 1),                                           // defensive: empty info is its own edge
 		fetch("dag2", "red", "map p0 -> n1", 1),                                // other run: filtered out
-		{Type: ShuffleMerge, DAG: "dag1", Vertex: "red", Info: "map", Val: 99}, // not a fetch
+		{Type: ShuffleSpill, DAG: "dag1", Vertex: "red", Info: "map", Val: 99}, // not a fetch
 	}
 	got := EdgeFetchStats(events, "dag1")
 	want := []EdgeFetch{

@@ -73,11 +73,10 @@ const (
 	ShuffleFetchError Type = "SHUFFLE_FETCH_ERROR" // Info: error class
 	InputReadError    Type = "INPUT_READ_ERROR"
 	// ShuffleSpill is a map-side sort-spill span (Dur: sort+encode time,
-	// Val: records spilled); ShuffleMerge a run-merge span (Dur: merge
-	// time, Val: bytes merged, Info: "final <edge>" on the map side,
-	// "reduce <edge>" for reduce-side intermediate merges).
+	// Val: records spilled, Info: the edge). No span is journalled for a
+	// merge: a producer ships its spills as sorted runs, and the one
+	// merge is the consumer's, read lazily inside its processor.
 	ShuffleSpill Type = "SHUFFLE_SPILL"
-	ShuffleMerge Type = "SHUFFLE_MERGE"
 
 	// ChaosFault records one injected fault (Info: "kind site").
 	ChaosFault Type = "CHAOS_FAULT"
