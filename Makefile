@@ -195,7 +195,8 @@ chaos:
 # (one in a few to one in a hundred) would show: the stage-program
 # sharing test with the whole relop package (50 runs), a session closed
 # mid-run leaking nothing under the race detector (500), AM recovery
-# under default slow-start (200), and the chaos table's node-crash row,
+# under default slow-start and of an auto-reduced consumer's partition
+# ranges (200 each), and the chaos table's node-crash row,
 # which loops thirty runs under a wall-clock bound itself. Last, the
 # shuffle consumer's retraction race under the race detector (50 runs of
 # eight seeds each): a 128-input consumer whose stored runs are retracted
@@ -220,7 +221,7 @@ chaos:
 stress:
 	$(GO) test -count=50 ./internal/relop/
 	$(GO) test -race -count=500 -run 'TestCloseMidRunLeaksNothing$$' ./internal/am/
-	$(GO) test -count=200 -run 'TestAMRecoveryFromCheckpoint$$' ./internal/am/
+	$(GO) test -count=200 -run 'TestAMRecoveryFromCheckpoint$$|TestRecoveredRangesRouteAlike$$' ./internal/am/
 	$(GO) test -count=1 -run 'TestChaosNodeCrashRecoversPromptly$$' ./internal/bench/
 	$(GO) test -race -count=50 -run 'TestFetchRetractionStress$$' ./internal/library/
 	$(GO) test -race -count=50 -run 'TestStaleFetchDoesNotClobberNewerAttempt$$|TestStaleFetchErrorIsDropped$$|TestParallelFetchStress$$|TestKillWhileReaderWaits$$' ./internal/library/

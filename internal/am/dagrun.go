@@ -64,6 +64,12 @@ type vertexState struct {
 	completed   int
 	durations   []time.Duration // completed task runtimes (speculation)
 
+	// ranges are the partition ranges the tasks read from every
+	// scatter-gather in-edge: task t reads [ranges[t], ranges[t+1]). Nil
+	// is one partition per task; a reconfiguration sets them
+	// (vmContext.SetPartitionRanges) and a checkpoint keeps them.
+	ranges []int
+
 	manager        VertexManager
 	managerStarted bool
 	pendingVM      []event.VertexManagerEvent // events before manager start
@@ -570,7 +576,7 @@ func (r *dagRun) advance() {
 			continue
 		}
 		if vertexReady(es.from) && vertexReady(es.to) {
-			if err := r.buildEdgeManager(es, es.to.parallelism); err != nil {
+			if err := r.buildEdgeManager(es); err != nil {
 				r.fail(DAGFailed, err)
 				return
 			}
@@ -622,22 +628,31 @@ func singleOutputMovement(m dag.MovementType) bool {
 	return m == dag.Broadcast || m == dag.OneToOne
 }
 
-// buildEdgeManager (re)builds the routing table of an edge; destPar may be
-// smaller than baseParts after auto-reduce.
-func (r *dagRun) buildEdgeManager(es *edgeState, destPar int) error {
+// buildEdgeManager builds the routing table of an edge from its
+// endpoints' task counts and the consumer's partition ranges. The first
+// build fixes the partition count at the consumer's task count; a
+// consumer auto-reduced later reads ranges of those partitions.
+func (r *dagRun) buildEdgeManager(es *edgeState) error {
 	if es.baseParts == 0 {
-		es.baseParts = destPar
+		es.baseParts = es.to.parallelism
 	}
-	mgr, err := dag.NewEdgeManager(es.e.Property, dag.EdgeContext{
-		SrcParallelism:  es.from.parallelism,
-		DestParallelism: destPar,
-		BasePartitions:  es.baseParts,
-	})
+	mgr, err := es.newManager(es.from.parallelism, es.to.parallelism, es.to.ranges)
 	if err != nil {
 		return fmt.Errorf("am: edge %s->%s: %w", es.e.From, es.e.To, err)
 	}
 	es.mgr = mgr
 	return nil
+}
+
+// newManager builds a routing table for the edge with the given task
+// counts and consumer ranges, leaving es as it is.
+func (es *edgeState) newManager(srcPar, destPar int, ranges []int) (dag.EdgeManager, error) {
+	return dag.NewEdgeManager(es.e.Property, dag.EdgeContext{
+		SrcParallelism:  srcPar,
+		DestParallelism: destPar,
+		BasePartitions:  es.baseParts,
+		Starts:          ranges,
+	})
 }
 
 // startVertex transitions to vRunning and hands control to the vertex

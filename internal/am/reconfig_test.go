@@ -41,7 +41,7 @@ func (m *lateShrinkManager) OnSourceTaskCompleted(string, int) {
 	}
 	m.scheduled = true
 	select {
-	case lateShrinkErr <- m.ctx.SetParallelism(1):
+	case lateShrinkErr <- m.ctx.SetPartitionRanges([]int{0}):
 	default:
 	}
 	tasks := make([]int, m.ctx.Parallelism())
@@ -57,9 +57,10 @@ func (m *lateShrinkManager) OnVertexManagerEvent(event.VertexManagerEvent) {}
 // an intermittent DAG deadlock: a vertex applying runtime auto-reduce
 // after one of its consumers was slow-started would rebuild the shared
 // edge manager underneath running consumer attempts, which then waited for
-// the original (larger) number of physical inputs forever. SetParallelism
-// must refuse once any consumer task left the pending state, leaving the
-// submitted parallelism in force so every expected movement still arrives.
+// the original (larger) number of physical inputs forever.
+// SetPartitionRanges must refuse once any consumer task left the pending
+// state, leaving the submitted parallelism in force so every expected
+// movement still arrives.
 func TestParallelismShrinkRefusedAfterConsumerScheduled(t *testing.T) {
 	plat := newTestPlatform(4)
 	defer plat.Stop()
@@ -104,10 +105,10 @@ func TestParallelismShrinkRefusedAfterConsumerScheduled(t *testing.T) {
 	select {
 	case err := <-lateShrinkErr:
 		if err == nil {
-			t.Fatal("SetParallelism succeeded after the consumer scheduled tasks")
+			t.Fatal("SetPartitionRanges succeeded after the consumer scheduled tasks")
 		}
 	default:
-		t.Fatal("late-shrink manager never attempted SetParallelism")
+		t.Fatal("late-shrink manager never attempted SetPartitionRanges")
 	}
 
 	counts := readCounts(t, plat, "/out/shrink")

@@ -17,8 +17,11 @@ import (
 
 type vertexCheckpoint struct {
 	Parallelism int
-	Tasks       []taskSuccess
-	Committed   bool
+	// Ranges are the vertex's partition ranges (vertexState.ranges), nil
+	// unless it was auto-reduced.
+	Ranges    []int
+	Tasks     []taskSuccess
+	Committed bool
 }
 
 type edgeCheckpoint struct {
@@ -54,7 +57,7 @@ func (r *dagRun) saveCheckpoint() {
 		if !vs.lc.In(vSucceeded) {
 			continue
 		}
-		vc := vertexCheckpoint{Parallelism: vs.parallelism, Committed: vs.commitComplete}
+		vc := vertexCheckpoint{Parallelism: vs.parallelism, Ranges: vs.ranges, Committed: vs.commitComplete}
 		for _, ts := range vs.tasks {
 			vc.Tasks = append(vc.Tasks, *ts.winner)
 		}
@@ -97,16 +100,21 @@ func loadCheckpoint(s *Session, dagName string) (*checkpoint, bool) {
 }
 
 // applyCheckpoint restores completed vertices and edge movement history
-// into a fresh run (invoked on the session's loop at bootstrap).
+// into a fresh run (invoked on the session's loop at bootstrap, before any
+// routing table is built: a restored consumer's in-edges route by its
+// restored ranges, so a task of it re-executed later reads the partitions
+// it read before).
 func (r *dagRun) applyCheckpoint(cp *checkpoint) {
 	r.tl().Import(cp.Timeline)
 	restored := 0
 	for name, vc := range cp.Vertices {
 		vs, ok := r.vertices[name]
-		if !ok || vc.Parallelism <= 0 || len(vc.Tasks) != vc.Parallelism {
+		if !ok || vc.Parallelism <= 0 || len(vc.Tasks) != vc.Parallelism ||
+			(vc.Ranges != nil && len(vc.Ranges) != vc.Parallelism) {
 			continue
 		}
 		vs.parallelism = vc.Parallelism
+		vs.ranges = vc.Ranges
 		vs.tasks = make([]*taskState, vc.Parallelism)
 		for i := range vs.tasks {
 			ts := newTaskState(r, vs, i)

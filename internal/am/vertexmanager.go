@@ -22,14 +22,12 @@ type VertexManagerContext interface {
 	Payload() []byte
 	// Parallelism is the vertex's current task count (-1 if undecided).
 	Parallelism() int
-	// SetParallelism changes the task count before any task is scheduled.
-	// On vertices consuming scatter-gather edges it may only shrink the
-	// count: consumers then read contiguous partition ranges (auto-reduce).
-	SetParallelism(n int) error
-	// SetParallelismWithEdges additionally swaps the edge manager
-	// descriptors of the named in-edges (by source vertex) in the same
-	// validated transaction — Tez's full setVertexParallelism.
-	SetParallelismWithEdges(n int, edgeManagers map[string]plugin.Descriptor) error
+	// SetPartitionRanges changes the task count to len(starts) before any
+	// task is scheduled: task t reads partitions [starts[t], starts[t+1])
+	// of every scatter-gather in-edge, the last task up to the partition
+	// count (auto-reduce). starts begin at 0 and strictly increase, so on
+	// a vertex consuming scatter-gather edges the count may only shrink.
+	SetPartitionRanges(starts []int) error
 	// ScheduleTasks asks the framework to run the given tasks, driving
 	// each through its lifecycle table (PENDING → SCHEDULED, lifecycle.go)
 	// and creating the first attempt. Already-scheduled ids are expected
@@ -115,8 +113,10 @@ const desiredBytesPerReducer = 32 * 1024
 //     per-partition output sizes in VMStats events; once the slow-start
 //     threshold of producers has reported, the manager extrapolates the
 //     total shuffle volume and shrinks this vertex's parallelism so that
-//     each task reads about desiredBytesPerReducer (consumers then own
-//     contiguous partition ranges).
+//     each task reads about desiredBytesPerReducer. The consumers then
+//     own contiguous partition ranges cut by the measured sizes, the
+//     heaviest range as light as any cut makes it (balancedRanges) —
+//     §5.2's dynamically partitioned hash join on the built-in edge.
 //   - Slow-start scheduling: consumer tasks are scheduled gradually as the
 //     source-complete fraction moves across [SlowStartMin, SlowStartMax],
 //     overlapping the expensive shuffle fetch with remaining producers.
@@ -126,15 +126,20 @@ const desiredBytesPerReducer = 32 * 1024
 type ShuffleVertexManager struct {
 	ctx VertexManagerContext
 
-	started     bool
-	decided     bool // parallelism decision taken (or not needed)
-	statsBytes  int64
+	started bool
+	decided bool // parallelism decision taken (or not needed)
+	// partSizes[p] sums the bytes producers reported for partition p;
+	// its length is the consumer's partition count, the task count the
+	// vertex started with (every scatter-gather in-edge was built with
+	// one partition per task).
+	partSizes   []int64
 	statsSender map[string]bool // src vertex/task dedup for stats
 }
 
 // Initialize stores the context.
 func (m *ShuffleVertexManager) Initialize(ctx VertexManagerContext) error {
 	m.ctx = ctx
+	m.partSizes = make([]int64, ctx.Parallelism())
 	m.statsSender = map[string]bool{}
 	return nil
 }
@@ -159,8 +164,13 @@ func (m *ShuffleVertexManager) OnVertexManagerEvent(ev event.VertexManagerEvent)
 		m.ctx.Fail(fmt.Errorf("statistics from %s: %w", key, err))
 		return
 	}
-	for _, s := range stats.PartitionSizes {
-		m.statsBytes += s
+	if len(stats.PartitionSizes) != len(m.partSizes) {
+		m.ctx.Fail(fmt.Errorf("statistics from %s: %d partition sizes for %d partitions",
+			key, len(stats.PartitionSizes), len(m.partSizes)))
+		return
+	}
+	for p, s := range stats.PartitionSizes {
+		m.partSizes[p] += s
 	}
 	m.reevaluate()
 }
@@ -233,7 +243,11 @@ func (m *ShuffleVertexManager) reevaluate() {
 	if !m.decided {
 		m.decided = true
 		if sgTotal > 0 && !cfg.DisableAutoParallelism && sgDone > 0 {
-			est := float64(m.statsBytes) / frac // extrapolated total bytes
+			var total int64
+			for _, s := range m.partSizes {
+				total += s
+			}
+			est := float64(total) / frac // extrapolated total bytes
 			want := int(math.Ceil(est / desiredBytesPerReducer))
 			if want < 1 {
 				want = 1
@@ -243,7 +257,7 @@ func (m *ShuffleVertexManager) reevaluate() {
 				// downstream consumer already scheduled tasks against the
 				// current routing tables; the submitted parallelism stands
 				// in either case.
-				_ = m.ctx.SetParallelism(want)
+				_ = m.ctx.SetPartitionRanges(balancedRanges(m.partSizes, want))
 			}
 		}
 	}
@@ -289,6 +303,50 @@ func (m *ShuffleVertexManager) reevaluate() {
 	if len(ready) > 0 {
 		m.ctx.ScheduleTasks(ready)
 	}
+}
+
+// balancedRanges cuts partitions [0, len(sizes)) into n contiguous,
+// non-empty ranges whose heaviest is as light as any such cut makes it,
+// and returns each range's first partition. It searches the smallest
+// bound every range can keep to; an even split by count is one cut, so no
+// range is heavier than the even split's heaviest. 1 <= n <= len(sizes).
+func balancedRanges(sizes []int64, n int) []int {
+	lo, hi := int64(0), int64(0)
+	for _, s := range sizes {
+		lo = max(lo, s)
+		hi += s
+	}
+	// fits reports whether greedy ranges of at most bound bytes number at
+	// most n.
+	fits := func(bound int64) bool {
+		ranges, cur := 1, int64(0)
+		for _, s := range sizes {
+			if cur+s > bound {
+				ranges, cur = ranges+1, 0
+			}
+			cur += s
+		}
+		return ranges <= n
+	}
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; fits(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	// The same greedy at the bound, with a range opened early wherever
+	// only as many partitions are left as ranges still to open.
+	starts := make([]int, 1, n)
+	cur := sizes[0]
+	for p := 1; p < len(sizes); p++ {
+		if need := n - len(starts); need > 0 && (cur+sizes[p] > lo || len(sizes)-p == need) {
+			starts = append(starts, p)
+			cur = 0
+		}
+		cur += sizes[p]
+	}
+	return starts
 }
 
 // ImmediateStartVertexManager schedules every task as soon as the vertex

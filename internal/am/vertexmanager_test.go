@@ -1,6 +1,7 @@
 package am
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 type fakeVMContext struct {
 	cfg         Config
 	parallelism int
-	setPar      []int
+	ranges      [][]int // SetPartitionRanges calls
 	scheduled   map[int]bool
 
 	sources   []string
@@ -27,8 +28,6 @@ type fakeVMContext struct {
 	outEdge   map[string][]byte
 	vmPayload []byte
 	failed    []error
-	// reconfigErr, when set, is what SetParallelismWithEdges refuses with.
-	reconfigErr error
 }
 
 func newFakeVMContext(par int) *fakeVMContext {
@@ -61,16 +60,10 @@ func (c *fakeVMContext) VertexName() string    { return "v" }
 func (c *fakeVMContext) Payload() []byte       { return c.vmPayload }
 func (c *fakeVMContext) Parallelism() int      { return c.parallelism }
 func (c *fakeVMContext) SessionConfig() Config { return c.cfg }
-func (c *fakeVMContext) SetParallelism(n int) error {
-	c.parallelism = n
-	c.setPar = append(c.setPar, n)
+func (c *fakeVMContext) SetPartitionRanges(starts []int) error {
+	c.parallelism = len(starts)
+	c.ranges = append(c.ranges, starts)
 	return nil
-}
-func (c *fakeVMContext) SetParallelismWithEdges(n int, _ map[string]plugin.Descriptor) error {
-	if c.reconfigErr != nil {
-		return c.reconfigErr
-	}
-	return c.SetParallelism(n)
 }
 func (c *fakeVMContext) ScheduleTasks(tasks []int) {
 	for _, t := range tasks {
@@ -145,54 +138,64 @@ func TestSVMAutoParallelismEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.OnVertexStarted()
-	// Two of four producers report half a reducer's bytes each →
-	// extrapolated total two reducers' worth → 2 reducers.
+	// Two of four producers report half a reducer's bytes each, spread
+	// evenly over the 8 partitions → extrapolated total two reducers'
+	// worth → 2 reducers, four partitions each.
 	const half = desiredBytesPerReducer / 2
+	even := make([]int64, 8)
+	for p := range even {
+		even[p] = half / 8
+	}
 	for i := 0; i < 2; i++ {
-		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: i, Payload: stats(half/2, half/2)})
+		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: i, Payload: stats(even...)})
 		ctx.complete("map", i)
 		m.OnSourceTaskCompleted("map", i)
 	}
-	if len(ctx.setPar) != 1 || ctx.setPar[0] != 2 {
-		t.Fatalf("SetParallelism calls = %v, want [2]", ctx.setPar)
+	if len(ctx.ranges) != 1 || !slices.Equal(ctx.ranges[0], []int{0, 4}) {
+		t.Fatalf("SetPartitionRanges calls = %v, want [[0 4]]", ctx.ranges)
 	}
 	// Duplicate stats from a speculative attempt must not double-count.
 	m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: 0, Payload: stats(9999)})
-	if m.statsBytes != 2*half {
-		t.Fatalf("statsBytes = %d after duplicate", m.statsBytes)
+	var total int64
+	for _, s := range m.partSizes {
+		total += s
+	}
+	if total != 2*half || len(ctx.failed) != 0 {
+		t.Fatalf("summed %d bytes after duplicate (failures %v)", total, ctx.failed)
 	}
 }
 
 // A statistics payload that does not decode must not be skipped: with no
 // bytes counted, ShuffleVertexManager's estimate is zero and the vertex
 // shrinks to one reducer without a failure anywhere (what a look-alike
-// struct decoded through gob did when VMStats changed encoding). Both
-// built-in managers fail the DAG instead, naming the sender.
+// struct decoded through gob did when VMStats changed encoding). Nor may
+// one that decodes to the wrong number of partitions: summing it would
+// index past the consumer's partitions and panic the session's loop,
+// which every DAG of the session runs on. The manager fails the DAG
+// instead, naming the sender.
 func TestVMStatsDecodeFailureIsVisible(t *testing.T) {
 	lookAlike := plugin.MustEncode(struct{ PartitionSizes []int64 }{[]int64{250, 250}}) // gob, not VMStats' codec
 	truncated := stats(250, 250)
 	truncated = truncated[:len(truncated)-1]
-	for name, payload := range map[string][]byte{"gob": lookAlike, "truncated": truncated, "empty": nil} {
-		managers := map[string]VertexManager{
-			"shuffle": &ShuffleVertexManager{},
-			"bucket":  &BucketGroupingVertexManager{},
+	for name, payload := range map[string][]byte{
+		"gob": lookAlike, "truncated": truncated, "empty": nil,
+		"short": stats(250, 250), "long": stats(make([]int64, 9)...),
+	} {
+		ctx := newFakeVMContext(8)
+		ctx.cfg.SlowStartMin, ctx.cfg.SlowStartMax = 0.5, 0.5
+		ctx.addSource("map", 2, dag.ScatterGather)
+		m := &ShuffleVertexManager{}
+		if err := m.Initialize(ctx); err != nil {
+			t.Fatal(err)
 		}
-		for mname, m := range managers {
-			ctx := newFakeVMContext(8)
-			ctx.cfg.SlowStartMin, ctx.cfg.SlowStartMax = 0.5, 0.5
-			ctx.addSource("map", 2, dag.ScatterGather)
-			if err := m.Initialize(ctx); err != nil {
-				t.Fatal(err)
-			}
-			m.OnVertexStarted()
-			m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: 0, Payload: payload})
-			if len(ctx.failed) != 1 || !strings.Contains(ctx.failed[0].Error(), "map/0") {
-				t.Fatalf("%s manager, %s payload: Fail calls = %v, want one naming map/0", mname, name, ctx.failed)
-			}
-			if len(ctx.setPar) != 0 || len(ctx.scheduled) != 0 {
-				t.Fatalf("%s manager, %s payload: acted on statistics it could not read (setPar %v, scheduled %v)",
-					mname, name, ctx.setPar, ctx.scheduled)
-			}
+		m.OnVertexStarted()
+		m.OnVertexManagerEvent(event.VertexManagerEvent{SrcVertex: "map", SrcTask: 0, Payload: payload})
+		if len(ctx.failed) != 1 || !strings.Contains(ctx.failed[0].Error(), "map/0") {
+			t.Fatalf("%s payload: Fail calls = %v, want one naming map/0", name, ctx.failed)
+		}
+		if len(ctx.ranges) != 0 || len(ctx.scheduled) != 0 {
+			t.Fatalf("%s payload: acted on statistics it could not read (ranges %v, scheduled %v)",
+				name, ctx.ranges, ctx.scheduled)
 		}
 	}
 }

@@ -2,9 +2,9 @@ package am
 
 import (
 	"fmt"
+	"slices"
 
 	"tez/internal/dag"
-	"tez/internal/plugin"
 	"tez/internal/timeline"
 )
 
@@ -24,47 +24,34 @@ func (c *vmContext) Fail(err error) {
 	c.run.fail(DAGFailed, fmt.Errorf("am: vertex manager of %s: %w", c.vs.v.Name, err))
 }
 
-// SetParallelism applies a runtime parallelism change (Figure 6): tasks
-// are rebuilt and every in/out edge manager is re-initialised with the new
-// geometry. Scatter-gather in-edges keep their original partition count
+// SetPartitionRanges applies a runtime parallelism change (Figure 6):
+// the vertex gets len(starts) tasks, task t reading partitions
+// [starts[t], starts[t+1]) of every scatter-gather in-edge, and every
+// in/out edge manager is re-initialised with the new geometry.
+// Scatter-gather in-edges keep their original partition count
 // (BaseParts), so a shrink makes each task own a contiguous partition
 // range.
-func (c *vmContext) SetParallelism(n int) error {
-	return c.SetParallelismWithEdges(n, nil)
-}
-
-// SetParallelismWithEdges is the full reconfiguration call (mirroring
-// Tez's setVertexParallelism with EdgeManagerPluginDescriptors): it
-// changes the task count and atomically swaps the named in-edges' edge
-// manager descriptors, validating every new routing table before anything
-// is committed. This is how the dynamically-partitioned-hash-join pattern
-// installs its runtime partition grouping (§5.2).
-func (c *vmContext) SetParallelismWithEdges(n int, edgeManagers map[string]plugin.Descriptor) error {
+func (c *vmContext) SetPartitionRanges(starts []int) error {
 	vs := c.vs
 	run := c.run
-	if n <= 0 {
-		return fmt.Errorf("am: SetParallelism(%d) on %s", n, vs.v.Name)
-	}
-	if n == vs.parallelism && len(edgeManagers) == 0 {
-		return nil
+	n := len(starts)
+	if n == 0 {
+		return fmt.Errorf("am: no partition ranges for %s", vs.v.Name)
 	}
 	for _, ts := range vs.tasks {
 		if !ts.lc.In(tPending) {
-			return fmt.Errorf("am: SetParallelism on %s after tasks were scheduled", vs.v.Name)
+			return fmt.Errorf("am: SetPartitionRanges on %s after tasks were scheduled", vs.v.Name)
 		}
 	}
 	for _, es := range run.inEdges[vs.v.Name] {
 		if es.e.Property.Movement == dag.OneToOne {
-			return fmt.Errorf("am: SetParallelism on %s with one-to-one in-edge", vs.v.Name)
-		}
-		if es.e.Property.Movement == dag.ScatterGather && n > es.baseParts {
-			return fmt.Errorf("am: SetParallelism(%d) on %s exceeds %d partitions", n, vs.v.Name, es.baseParts)
+			return fmt.Errorf("am: SetPartitionRanges on %s with one-to-one in-edge", vs.v.Name)
 		}
 	}
 	// A one-to-one consumer whose task count is already decided pins ours.
 	for _, es := range run.outEdges[vs.v.Name] {
 		if es.e.Property.Movement == dag.OneToOne && es.to.parallelism > 0 && es.to.parallelism != n {
-			return fmt.Errorf("am: SetParallelism(%d) on %s conflicts with one-to-one consumer %s (%d tasks)",
+			return fmt.Errorf("am: %d ranges on %s conflict with one-to-one consumer %s (%d tasks)",
 				n, vs.v.Name, es.e.To, es.to.parallelism)
 		}
 	}
@@ -80,7 +67,7 @@ func (c *vmContext) SetParallelismWithEdges(n int, edgeManagers map[string]plugi
 		}
 		for _, ts := range es.to.tasks {
 			if !ts.lc.In(tPending) {
-				return fmt.Errorf("am: SetParallelism(%d) on %s after consumer %s scheduled tasks",
+				return fmt.Errorf("am: %d ranges on %s after consumer %s scheduled tasks",
 					n, vs.v.Name, es.e.To)
 			}
 		}
@@ -88,32 +75,19 @@ func (c *vmContext) SetParallelismWithEdges(n int, edgeManagers map[string]plugi
 
 	// Validate-then-commit: dry-build every affected routing table first so
 	// a failure cannot leave the DAG half-reconfigured.
+	starts = slices.Clone(starts)
 	type rebuilt struct {
 		es  *edgeState
 		mgr dag.EdgeManager
 	}
 	var commits []rebuilt
-	type propSwap struct {
-		es   *edgeState
-		desc plugin.Descriptor
-	}
-	var swaps []propSwap
 	for _, es := range run.inEdges[vs.v.Name] {
 		if es.mgr == nil {
 			continue
 		}
-		prop := es.e.Property
-		if d, ok := edgeManagers[es.e.From]; ok {
-			prop.Manager = d
-			swaps = append(swaps, propSwap{es, d})
-		}
-		mgr, err := dag.NewEdgeManager(prop, dag.EdgeContext{
-			SrcParallelism:  es.from.parallelism,
-			DestParallelism: n,
-			BasePartitions:  es.baseParts,
-		})
+		mgr, err := es.newManager(es.from.parallelism, n, starts)
 		if err != nil {
-			return fmt.Errorf("am: SetParallelism(%d) on %s: %w", n, vs.v.Name, err)
+			return fmt.Errorf("am: %d ranges on %s: %w", n, vs.v.Name, err)
 		}
 		commits = append(commits, rebuilt{es, mgr})
 	}
@@ -121,27 +95,21 @@ func (c *vmContext) SetParallelismWithEdges(n int, edgeManagers map[string]plugi
 		if es.mgr == nil {
 			continue
 		}
-		mgr, err := dag.NewEdgeManager(es.e.Property, dag.EdgeContext{
-			SrcParallelism:  n,
-			DestParallelism: es.to.parallelism,
-			BasePartitions:  es.baseParts,
-		})
+		mgr, err := es.newManager(n, es.to.parallelism, es.to.ranges)
 		if err != nil {
-			return fmt.Errorf("am: SetParallelism(%d) on %s: %w", n, vs.v.Name, err)
+			return fmt.Errorf("am: %d ranges on %s: %w", n, vs.v.Name, err)
 		}
 		commits = append(commits, rebuilt{es, mgr})
 	}
 
 	vs.parallelism = n
+	vs.ranges = starts
 	vs.tasks = make([]*taskState, n)
 	for i := range vs.tasks {
 		vs.tasks[i] = newTaskState(run, vs, i)
 	}
 	for _, c := range commits {
 		c.es.mgr = c.mgr
-	}
-	for _, sw := range swaps {
-		sw.es.e.Property.Manager = sw.desc
 	}
 	run.counters.Add("PARALLELISM_RECONFIGURED", 1)
 	run.tl().Record(timeline.Event{

@@ -2,6 +2,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 
 	"tez/internal/plugin"
 )
@@ -19,6 +20,10 @@ type EdgeContext struct {
 	// auto-parallelism reconfiguration the (smaller) destination task set
 	// divides these partitions among themselves.
 	BasePartitions int
+	// Starts are the destination's partition ranges on a scatter-gather
+	// edge: task t reads partitions [Starts[t], Starts[t+1]), the last
+	// task up to BasePartitions. Nil means one partition per task.
+	Starts []int
 	// Payload configures custom managers.
 	Payload []byte
 }
@@ -114,59 +119,75 @@ func (m *BroadcastEdgeManager) Route(srcTask, srcOutputIndex int) map[int]int {
 // ScatterGatherEdgeManager implements the shuffle pattern. Every source
 // task produces BasePartitions physical outputs (partitions). Destination
 // tasks own contiguous partition ranges — one partition each in the normal
-// case, several when the ShuffleVertexManager has shrunk the destination
-// parallelism below the partition count (auto-reduce, Figure 6).
+// case, the ranges of EdgeContext.Starts when the ShuffleVertexManager has
+// shrunk the destination parallelism below the partition count
+// (auto-reduce, Figure 6).
 //
 // Physical inputs at destination d are laid out partition-major:
 // for the j-th partition owned by d and source task s, the input index is
 // j*SrcParallelism + s.
 type ScatterGatherEdgeManager struct {
-	ctx   EdgeContext
-	parts int // base partitions
+	ctx    EdgeContext
+	parts  int   // base partitions
+	starts []int // nil: destination d owns partition d
 }
 
-// Initialize validates the geometry.
+// Initialize validates the geometry: without starts one partition per
+// destination task; with them, len(Starts) ranges from partition 0, each
+// starting past the last and inside [0, BasePartitions).
 func (m *ScatterGatherEdgeManager) Initialize(ctx EdgeContext) error {
 	m.parts = ctx.BasePartitions
 	if m.parts <= 0 {
 		m.parts = ctx.DestParallelism
 	}
-	if ctx.DestParallelism > m.parts {
-		return fmt.Errorf("dag: scatter-gather with %d dest tasks > %d partitions", ctx.DestParallelism, m.parts)
-	}
 	if ctx.DestParallelism <= 0 {
 		return fmt.Errorf("dag: scatter-gather with %d dest tasks", ctx.DestParallelism)
 	}
+	starts := ctx.Starts
+	if starts == nil {
+		if ctx.DestParallelism != m.parts {
+			return fmt.Errorf("dag: scatter-gather with %d dest tasks for %d partitions and no ranges", ctx.DestParallelism, m.parts)
+		}
+	} else {
+		if len(starts) != ctx.DestParallelism {
+			return fmt.Errorf("dag: scatter-gather with %d ranges for %d dest tasks", len(starts), ctx.DestParallelism)
+		}
+		if starts[0] != 0 {
+			return fmt.Errorf("dag: scatter-gather ranges start at partition %d", starts[0])
+		}
+		for d := 1; d < len(starts); d++ {
+			if starts[d] <= starts[d-1] || starts[d] >= m.parts {
+				return fmt.Errorf("dag: scatter-gather range %d starts at %d after %d, of %d partitions", d, starts[d], starts[d-1], m.parts)
+			}
+		}
+	}
 	m.ctx = ctx
+	m.starts = starts
 	return nil
 }
 
-// partitionRange returns [start, end) of partitions owned by dest task d:
-// an even split with the first (parts % D) tasks taking one extra.
+// partitionRange returns [start, end) of partitions owned by dest task d.
 func (m *ScatterGatherEdgeManager) partitionRange(d int) (int, int) {
-	D := m.ctx.DestParallelism
-	k, rem := m.parts/D, m.parts%D
-	var start int
-	if d < rem {
-		start = d * (k + 1)
-		return start, start + k + 1
+	if m.starts == nil {
+		return d, d + 1
 	}
-	start = rem*(k+1) + (d-rem)*k
-	return start, start + k
+	if d+1 < len(m.starts) {
+		return m.starts[d], m.starts[d+1]
+	}
+	return m.starts[d], m.parts
 }
 
-// destOfPartition inverts partitionRange.
+// destOfPartition inverts partitionRange: the last range starting at or
+// before p.
 func (m *ScatterGatherEdgeManager) destOfPartition(p int) int {
-	D := m.ctx.DestParallelism
-	k, rem := m.parts/D, m.parts%D
-	boundary := rem * (k + 1)
-	if p < boundary {
-		return p / (k + 1)
+	if m.starts == nil {
+		return p
 	}
-	if k == 0 {
-		return D - 1 // unreachable when dest <= parts, defensive
+	d, found := slices.BinarySearch(m.starts, p)
+	if !found {
+		d--
 	}
-	return rem + (p-boundary)/k
+	return d
 }
 
 func (m *ScatterGatherEdgeManager) NumSourceTaskPhysicalOutputs(int) int { return m.parts }

@@ -1,6 +1,9 @@
 package dag
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -99,95 +102,128 @@ func TestScatterGatherIdentity(t *testing.T) {
 }
 
 func TestScatterGatherAutoReduceGrouping(t *testing.T) {
-	// Auto-reduced: 10 partitions consumed by 3 dest tasks.
+	// Auto-reduced: 10 partitions consumed by 3 dest tasks, ranges
+	// [0,2) [2,7) [7,10).
 	m := &ScatterGatherEdgeManager{}
-	if err := m.Initialize(EdgeContext{SrcParallelism: 2, DestParallelism: 3, BasePartitions: 10}); err != nil {
+	if err := m.Initialize(EdgeContext{SrcParallelism: 2, DestParallelism: 3, BasePartitions: 10, Starts: []int{0, 2, 7}}); err != nil {
 		t.Fatal(err)
 	}
 	checkRoutingInvariants(t, m, 2, 3, func(_, idx int) int { return idx % 2 })
-	// 10 partitions over 3 tasks → 4,3,3; inputs = parts*src.
-	wantInputs := []int{8, 6, 6}
+	// inputs = parts*src.
+	wantInputs := []int{4, 10, 6}
 	for d, want := range wantInputs {
 		if got := m.NumDestinationTaskPhysicalInputs(d); got != want {
 			t.Fatalf("dest %d inputs = %d, want %d", d, got, want)
 		}
 	}
-	// Every partition routed to exactly one dest, ranges contiguous.
-	prev := -1
+	// Partition p of source s reaches its range's task at input
+	// (p - start)*src + s.
+	wantDest := []int{0, 0, 1, 1, 1, 1, 1, 2, 2, 2}
+	starts := []int{0, 2, 7}
 	for p := 0; p < 10; p++ {
-		var dest int
-		for d := range m.Route(0, p) {
-			dest = d
+		for s := 0; s < 2; s++ {
+			d := wantDest[p]
+			want := map[int]int{d: (p-starts[d])*2 + s}
+			if got := m.Route(s, p); !maps.Equal(got, want) {
+				t.Fatalf("Route(%d, %d) = %v, want %v", s, p, got, want)
+			}
 		}
-		if dest < prev {
-			t.Fatalf("partition %d dest %d < previous %d (not contiguous)", p, dest, prev)
-		}
-		prev = dest
 	}
 }
 
 func TestScatterGatherRejectsBadGeometry(t *testing.T) {
-	m := &ScatterGatherEdgeManager{}
-	if err := m.Initialize(EdgeContext{SrcParallelism: 2, DestParallelism: 5, BasePartitions: 3}); err == nil {
-		t.Fatal("dest > partitions accepted")
-	}
-	if err := m.Initialize(EdgeContext{SrcParallelism: 2, DestParallelism: 0, BasePartitions: 3}); err == nil {
-		t.Fatal("zero dest accepted")
+	for name, ctx := range map[string]EdgeContext{
+		"dest > partitions":       {SrcParallelism: 2, DestParallelism: 5, BasePartitions: 3},
+		"dest < partitions":       {SrcParallelism: 2, DestParallelism: 2, BasePartitions: 3},
+		"zero dest":               {SrcParallelism: 2, DestParallelism: 0, BasePartitions: 3},
+		"first start not 0":       {SrcParallelism: 2, DestParallelism: 2, BasePartitions: 4, Starts: []int{1, 3}},
+		"starts repeat":           {SrcParallelism: 2, DestParallelism: 3, BasePartitions: 4, Starts: []int{0, 2, 2}},
+		"starts decrease":         {SrcParallelism: 2, DestParallelism: 3, BasePartitions: 4, Starts: []int{0, 3, 1}},
+		"start at partitions":     {SrcParallelism: 2, DestParallelism: 2, BasePartitions: 4, Starts: []int{0, 4}},
+		"start past partitions":   {SrcParallelism: 2, DestParallelism: 2, BasePartitions: 4, Starts: []int{0, 9}},
+		"fewer starts than dests": {SrcParallelism: 2, DestParallelism: 3, BasePartitions: 4, Starts: []int{0, 2}},
+		"more starts than dests":  {SrcParallelism: 2, DestParallelism: 1, BasePartitions: 4, Starts: []int{0, 2}},
+		"empty starts":            {SrcParallelism: 2, DestParallelism: 1, BasePartitions: 4, Starts: []int{}},
+	} {
+		if err := (&ScatterGatherEdgeManager{}).Initialize(ctx); err == nil {
+			t.Errorf("%s accepted: %+v", name, ctx)
+		}
 	}
 }
 
-// Property: routing invariants hold for arbitrary scatter-gather geometry.
+// Property: routing invariants hold for arbitrary scatter-gather geometry
+// — random partition ranges among them: every partition of every source
+// reaches exactly one destination, each destination's physical inputs are
+// exactly [0, n), partition-major, and each destination's partitions are
+// contiguous.
 func TestQuickScatterGatherInvariants(t *testing.T) {
-	f := func(srcRaw, destRaw, partsRaw uint8) bool {
+	f := func(seed int64, srcRaw, destRaw, partsRaw uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
 		src := int(srcRaw%6) + 1
 		parts := int(partsRaw%20) + 1
 		dest := int(destRaw)%parts + 1
+		var starts []int
+		if dest < parts || rng.Intn(2) == 0 {
+			// dest-1 distinct cut points in [1, parts), sorted.
+			starts = append([]int{0}, rng.Perm(parts - 1)[:dest-1]...)
+			for i := 1; i < len(starts); i++ {
+				starts[i]++
+			}
+			slices.Sort(starts)
+		}
 		m := &ScatterGatherEdgeManager{}
-		if err := m.Initialize(EdgeContext{SrcParallelism: src, DestParallelism: dest, BasePartitions: parts}); err != nil {
+		if err := m.Initialize(EdgeContext{SrcParallelism: src, DestParallelism: dest, BasePartitions: parts, Starts: starts}); err != nil {
+			t.Logf("starts %v: %v", starts, err)
 			return false
 		}
-		// Reuse the testing invariant checker via a sub-test shim.
-		ok := true
-		func() {
-			defer func() {
-				if recover() != nil {
-					ok = false
+		covered := map[[2]int]bool{}
+		partsOf := make([][]int, dest)
+		for s := 0; s < src; s++ {
+			if m.NumSourceTaskPhysicalOutputs(s) != parts {
+				return false
+			}
+			for o := 0; o < parts; o++ {
+				r := m.Route(s, o)
+				if len(r) != 1 {
+					return false
 				}
-			}()
-			covered := map[[2]int]bool{}
-			total := 0
-			for s := 0; s < src; s++ {
-				for o := 0; o < m.NumSourceTaskPhysicalOutputs(s); o++ {
-					for d, idx := range m.Route(s, o) {
-						if idx < 0 || idx >= m.NumDestinationTaskPhysicalInputs(d) {
-							ok = false
-							return
-						}
-						key := [2]int{d, idx}
-						if covered[key] {
-							ok = false
-							return
-						}
-						covered[key] = true
-						total++
-						if idx%src != s { // partition-major: input idx comes from source idx % src
-							ok = false
-							return
-						}
+				for d, idx := range r {
+					if d < 0 || d >= dest || idx < 0 || idx >= m.NumDestinationTaskPhysicalInputs(d) {
+						return false
+					}
+					key := [2]int{d, idx}
+					if covered[key] {
+						return false
+					}
+					covered[key] = true
+					if idx%src != s { // partition-major: input idx comes from source idx % src
+						return false
+					}
+					if s == 0 {
+						partsOf[d] = append(partsOf[d], o)
 					}
 				}
 			}
-			wantTotal := 0
-			for d := 0; d < dest; d++ {
-				wantTotal += m.NumDestinationTaskPhysicalInputs(d)
+		}
+		for d := 0; d < dest; d++ {
+			n := m.NumDestinationTaskPhysicalInputs(d)
+			for idx := 0; idx < n; idx++ {
+				if !covered[[2]int{d, idx}] {
+					return false
+				}
 			}
-			if total != wantTotal {
-				ok = false
+			if len(partsOf[d]) == 0 || n != len(partsOf[d])*src {
+				return false
 			}
-		}()
-		return ok
+			for i := 1; i < len(partsOf[d]); i++ {
+				if partsOf[d][i] != partsOf[d][i-1]+1 {
+					return false
+				}
+			}
+		}
+		return len(covered) == src*parts
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
